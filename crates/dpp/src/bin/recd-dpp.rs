@@ -17,6 +17,11 @@
 //!          [--quiet]
 //! ```
 //!
+//! The CLI parses flags, builds the feed and the service or fleet configs,
+//! and hands them to the one pipeline driver ([`recd_dpp::driver`] owns the
+//! pump schedule, the chaos harness, the trainer lanes and the metrics
+//! registry); what is left here is printing.
+//!
 //! With `--hosts M` (requires `--tail`) the DPP tier is disaggregated over
 //! `M` simulated hosts behind the fault-tolerant control plane: the
 //! coordinator owns the file → shard placement, heartbeats every host on
@@ -29,30 +34,26 @@
 //! optionally straggling [`LogTail`] over the raw log stream feeds the
 //! streaming ETL stage (incremental join → per-session clustering → hourly
 //! seals), and every sealed partition lands and is handed to the running
-//! service via `DppHandle::ingest_partition` the moment it appears.
+//! service the moment it appears.
 //!
-//! Either way, every tier registers into one [`MetricsRegistry`]: the live
-//! monitor renders its snapshot line *from the gathered families* (one
-//! formatting path for batch and tail mode), `--metrics-port` additionally
-//! serves them at `GET /metrics` in the Prometheus text exposition format
-//! (port `0` picks an ephemeral one), and a [`MetricsAggregator`] polls the
-//! registry in the background to print a derived-rates report at the end.
+//! Either way, every tier registers into the driver's one metrics registry:
+//! the live monitor renders its snapshot line *from the gathered families*
+//! (one formatting path for batch and tail mode), `--metrics-port`
+//! additionally serves them at `GET /metrics` in the Prometheus text
+//! exposition format (port `0` picks an ephemeral one), and the driver's
+//! aggregator polls the registry in the background to print a derived-rates
+//! report at the end.
 
-use recd_chaos::ChaosReport;
-use recd_chaos::{FaultAction, FaultInjector, FaultKind, FaultPlan, RetryPolicy};
-use recd_core::{ConvertedBatch, DataLoaderConfig};
+use recd_chaos::{ChaosReport, FaultPlan};
+use recd_core::DataLoaderConfig;
+use recd_data::LogRecord;
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd_dpp::{
-    BatchPool, CtrlConfig, DppConfig, DppFleet, DppReport, DppService, FleetConfig, RecvTimeout,
-    ScalerConfig, ShardPolicy, TrainerAssignPolicy, TrainerHandle,
+    CtrlConfig, DppConfig, DppReport, Driver, Feed, FleetConfig, FleetReport, ScalerConfig,
+    ShardPolicy, TailFeed, Topology, TrainerAssignPolicy,
 };
-use recd_etl::{
-    cluster_by_session, EtlService, EtlServiceReport, EtlStreamConfig, ManualClock, TableLayout,
-};
-use recd_obs::{
-    sample_value, AggregatorConfig, Collector, MetricFamily, MetricsAggregator, MetricsRegistry,
-    MetricsServer, RegistryFederation, SampleValue, ScaleClock, WallClock,
-};
+use recd_etl::{cluster_by_session, EtlServiceReport, EtlStreamConfig, TableLayout};
+use recd_obs::{sample_value, MetricFamily, MetricsServer, SampleValue};
 use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_scribe::{LogTail, TailConfig};
 use recd_storage::{NodeConfig, TableStore, TectonicSim};
@@ -459,34 +460,6 @@ fn print_storage_derived(sim: &TectonicSim) {
     }
 }
 
-/// Rejects fault plans that name fleet hosts this invocation does not have.
-/// A host fault in single-service mode would be a silent no-op, and an
-/// out-of-range host index can never fire — both are operator error, so both
-/// exit 2 up front instead of quietly running a faultless plan.
-fn validate_host_faults(plan: &FaultPlan, hosts: usize) {
-    for fault in plan.faults() {
-        let target = match fault.kind {
-            FaultKind::KillHost { host }
-            | FaultKind::PartitionHost { host, .. }
-            | FaultKind::RejoinHost { host } => host,
-            _ => continue,
-        };
-        if hosts < 2 {
-            eprintln!(
-                "recd-dpp: --chaos-plan: `{fault}` is a host fault; host faults require --hosts > 1"
-            );
-            std::process::exit(2);
-        }
-        if target >= hosts {
-            eprintln!(
-                "recd-dpp: --chaos-plan: `{fault}` names host {target}, but --hosts {hosts} \
-                 only has hosts 0..{hosts}"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Renders one live-monitor line from gathered metric families — the single
 /// formatting path for batch and tail mode. The ETL fragment appears exactly
 /// when the ETL tier is registered (its families are present), so the line
@@ -553,105 +526,46 @@ fn live_line(families: &[MetricFamily]) -> String {
     )
 }
 
-/// A control command for a simulated trainer-lane consumer.
-enum LaneCmd {
-    /// Stop consuming for the given duration (backpressure builds).
-    Stall(Duration),
-    /// Drain whatever is queued, drop the handle (tombstoning the lane),
-    /// acknowledge, and exit.
-    Kill(std::sync::mpsc::Sender<()>),
-}
-
-/// One simulated trainer: a consumer thread pulling its lane with a short
-/// timeout so chaos commands interleave with consumption. Returns
-/// `(trainer id, batches, samples)` on exit.
-struct TrainerLane {
-    cmd: std::sync::mpsc::Sender<LaneCmd>,
-    join: std::thread::JoinHandle<(usize, u64, u64)>,
-}
-
-impl TrainerLane {
-    /// `pool` is the converted-shell pool batches recycle into; fleet lanes
-    /// pass `None` (their batches come from many hosts' pools, so shells are
-    /// simply dropped).
-    fn spawn(trainer: TrainerHandle, pool: Option<Arc<BatchPool<ConvertedBatch>>>) -> Self {
-        let (cmd, cmd_rx) = std::sync::mpsc::channel::<LaneCmd>();
-        let join = std::thread::spawn(move || {
-            let id = trainer.id();
-            let mut batches = 0u64;
-            let mut samples = 0u64;
-            loop {
-                match cmd_rx.try_recv() {
-                    Ok(LaneCmd::Stall(pause)) => std::thread::sleep(pause),
-                    Ok(LaneCmd::Kill(ack)) => {
-                        while let Some(item) = trainer.try_recv() {
-                            batches += 1;
-                            samples += item.batch.batch_size as u64;
-                            if let Some(pool) = &pool {
-                                pool.recycle(item.batch);
-                            }
-                        }
-                        drop(trainer);
-                        let _ = ack.send(());
-                        return (id, batches, samples);
-                    }
-                    Err(_) => {}
-                }
-                match trainer.recv_timeout(Duration::from_millis(1)) {
-                    RecvTimeout::Item(item) => {
-                        batches += 1;
-                        samples += item.batch.batch_size as u64;
-                        if let Some(pool) = &pool {
-                            pool.recycle(item.batch);
-                        }
-                    }
-                    RecvTimeout::Timeout => {}
-                    RecvTimeout::Disconnected => return (id, batches, samples),
-                }
-            }
-        });
-        Self { cmd, join }
-    }
-
-    /// Pauses consumption for `ms` of wall time (asynchronous).
-    fn stall(&self, ms: u64) {
-        let _ = self.cmd.send(LaneCmd::Stall(Duration::from_millis(ms)));
-    }
-
-    /// Kills the lane and waits for the consumer to acknowledge the drop —
-    /// called only at pump boundaries, when the sink is quiescent, so no
-    /// delivery races the teardown.
-    fn kill(self) -> std::thread::JoinHandle<(usize, u64, u64)> {
-        let (ack, ack_rx) = std::sync::mpsc::channel();
-        let _ = self.cmd.send(LaneCmd::Kill(ack));
-        let _ = ack_rx.recv();
-        self.join
-    }
-}
-
-fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("recd-dpp: {message}");
+/// The fault plan this invocation asked for: an explicit `--chaos-plan`, or
+/// a seeded one whose faults fire inside the middle 80% of the log's time
+/// span, while the pipeline is actually moving data (`seeded_fleet` adds
+/// host death, a control-plane partition and a rejoin when `--hosts > 1`).
+fn chaos_plan(args: &Args, records: &[LogRecord]) -> Option<FaultPlan> {
+    let plan = match (&args.chaos_plan, args.chaos_seed) {
+        (Some(spec), _) => FaultPlan::parse(spec).unwrap_or_else(|message| {
+            eprintln!("recd-dpp: --chaos-plan: {message}");
             std::process::exit(2);
+        }),
+        (None, Some(seed)) => {
+            let horizon = records.iter().map(|r| r.timestamp().as_millis()).max();
+            FaultPlan::seeded_fleet(seed, horizon.unwrap_or(0), args.trainers, args.hosts)
         }
+        (None, None) => return None,
     };
-    if args.hosts > 0 {
-        run_fleet(args);
-        return;
-    }
+    println!(
+        "chaos: {} faults scheduled (seed {}): {plan}",
+        plan.len(),
+        plan.seed
+    );
+    Some(plan)
+}
 
-    // Dataset. Batch mode: generate, cluster by session (O2), land into the
-    // table store up front. Tail mode: keep the raw log stream — the
-    // streaming ETL stage will join, cluster, and land it incrementally.
+/// Builds the feed (batch mode lands the clustered table up front; `--tail`
+/// keeps the raw log stream for the streaming ETL stage to join, cluster and
+/// land incrementally) and the service or fleet topology, hands both to the
+/// pipeline [`Driver`], and prints what it reports.
+fn main() {
+    let args = parse_args().unwrap_or_else(|message| {
+        eprintln!("recd-dpp: {message}");
+        std::process::exit(2);
+    });
     let mut workload = WorkloadConfig::preset(args.preset);
     if let Some(sessions) = args.sessions {
         workload = workload.with_sessions(sessions);
     }
     let generator = DatasetGenerator::new(workload);
     let store = Arc::new(TableStore::new(build_blob_store(&args), 64, 2));
-    let (schema, stored, tail_records) = if args.tail {
+    let (schema, feed) = if args.tail {
         let (records, partition) = generator.generate_logs();
         println!(
             "dataset: tailing {} raw log records ({} samples once joined), jitter {}ms, {:.0}% stragglers (+{}ms), seed {}",
@@ -662,7 +576,34 @@ fn main() {
             args.tail_late_ms,
             args.tail_seed,
         );
-        (partition.schema, None, Some(records))
+        let plan = chaos_plan(&args, &records);
+        let tail_config = TailConfig::default()
+            .with_jitter_ms(args.tail_jitter_ms)
+            .with_lateness(args.tail_late_frac, args.tail_late_ms)
+            .with_seed(args.tail_seed);
+        let mut stream = EtlStreamConfig::new(TableLayout::ClusteredBySession)
+            .with_window_ms(args.tail_window_ms);
+        if let Some(rows) = args.tail_seal_rows {
+            stream = stream.with_size_watermark(rows);
+        }
+        println!(
+            "continuous: window {}ms, grace {}ms, {}, {}ms of log time per pump",
+            stream.window_ms,
+            stream.seal_grace_ms,
+            args.tail_seal_rows
+                .map_or("hour-boundary seals only".to_string(), |rows| format!(
+                    "size watermark {rows} rows"
+                )),
+            args.tail_rate_ms,
+        );
+        let feed = Feed::Tail(TailFeed {
+            tail: LogTail::new(records, &tail_config),
+            stream,
+            table: "tail".to_string(),
+            step_ms: args.tail_rate_ms,
+            plan,
+        });
+        (partition.schema, feed)
     } else {
         let partition = generator.generate_partition();
         let clustered = cluster_by_session(&partition.samples);
@@ -674,48 +615,10 @@ fn main() {
             stored.files.len(),
             storage_report.stored_bytes
         );
-        (partition.schema, Some(stored), None)
+        (partition.schema, Feed::Landed(stored))
     };
 
-    // Chaos engine: a seeded or explicit fault plan executed against the
-    // continuous pipeline's live knobs. Storage faults apply directly through
-    // the shared TectonicSim; trainer/pump faults surface as actions the
-    // pump loop applies at barrier boundaries.
-    let mut chaos = args
-        .chaos_plan
-        .as_deref()
-        .map(|spec| {
-            let plan = FaultPlan::parse(spec).unwrap_or_else(|message| {
-                eprintln!("recd-dpp: --chaos-plan: {message}");
-                std::process::exit(2);
-            });
-            validate_host_faults(&plan, args.hosts);
-            plan
-        })
-        .or_else(|| {
-            args.chaos_seed.map(|seed| {
-                // Faults fire inside the middle 80% of the log's time span,
-                // while the pipeline is actually moving data.
-                let horizon = tail_records
-                    .as_ref()
-                    .and_then(|records| records.iter().map(|r| r.timestamp().as_millis()).max())
-                    .unwrap_or(0);
-                FaultPlan::seeded(seed, horizon, args.trainers)
-            })
-        })
-        .map(|plan| {
-            println!(
-                "chaos: {} faults scheduled (seed {}): {plan}",
-                plan.len(),
-                plan.seed
-            );
-            FaultInjector::new(&plan, store.blob_store().clone())
-        });
-    let chaos_retry = chaos
-        .as_ref()
-        .map(|injector| (RetryPolicy::storage_default(), injector.counters()));
-
-    // Service topology.
+    // Service (or per-host) template.
     let mut config = DppConfig::new(ReaderConfig::new(
         args.batch_size,
         DataLoaderConfig::from_schema(&schema),
@@ -726,110 +629,12 @@ fn main() {
     .with_queue_depth(args.queue_depth)
     .with_policy(args.policy)
     .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64));
-    if args.trainers > 0 {
-        config = config
-            .with_trainers(args.trainers)
-            .with_assign_policy(args.assign);
-    }
-    if let Some((policy, counters)) = &chaos_retry {
-        config = config.with_chaos_retry(*policy, Arc::clone(counters));
-    }
+    let min = args.min_workers.unwrap_or(1);
+    let max = args
+        .max_workers
+        .unwrap_or_else(|| min.max(args.fill_workers).max(args.compute_workers));
     if args.min_workers.is_some() || args.max_workers.is_some() {
-        let min = args.min_workers.unwrap_or(1);
-        let max = args
-            .max_workers
-            .unwrap_or_else(|| min.max(args.fill_workers).max(args.compute_workers));
-        config = config.with_scaling(
-            ScalerConfig::bounds(min, max).with_tick_period(Duration::from_millis(20)),
-        );
-    }
-
-    // Continuous mode: the streaming ETL service that feeds the handle. The
-    // tail and stream configs are hoisted out of the closure because a
-    // chaos-injected pump crash rebuilds the service from them (plus the
-    // latest checkpoint and a replay copy of the raw records). Built before
-    // the DPP service so `--ctrl` can wire the tail-lag probe into the
-    // controller.
-    let tail_config = TailConfig::default()
-        .with_jitter_ms(args.tail_jitter_ms)
-        .with_lateness(args.tail_late_frac, args.tail_late_ms)
-        .with_seed(args.tail_seed);
-    let mut etl_config =
-        EtlStreamConfig::new(TableLayout::ClusteredBySession).with_window_ms(args.tail_window_ms);
-    if let Some(rows) = args.tail_seal_rows {
-        etl_config = etl_config.with_size_watermark(rows);
-    }
-    let replay_records = if chaos.is_some() {
-        tail_records.clone()
-    } else {
-        None
-    };
-    let mut etl = tail_records.map(|records| {
-        println!(
-            "continuous: window {}ms, grace {}ms, {}, {}ms of log time per pump",
-            etl_config.window_ms,
-            etl_config.seal_grace_ms,
-            args.tail_seal_rows
-                .map_or("hour-boundary seals only".to_string(), |rows| format!(
-                    "size watermark {rows} rows"
-                )),
-            args.tail_rate_ms,
-        );
-        let mut service = EtlService::new(
-            LogTail::new(records, &tail_config),
-            etl_config,
-            Arc::clone(&store),
-            schema.clone(),
-            "tail",
-        );
-        if let Some((policy, counters)) = &chaos_retry {
-            service = service.with_chaos_retry(*policy, Arc::clone(counters));
-        }
-        service
-    });
-
-    // The closed control loop: a cross-tier PID controller replaces the
-    // watermark scaler, samples every queue tier, and (in tail mode) reads
-    // the ETL gauges so tail lag can veto trainer backpressure.
-    if args.ctrl {
-        let min = args.min_workers.unwrap_or(1);
-        let max = args
-            .max_workers
-            .unwrap_or_else(|| min.max(args.fill_workers).max(args.compute_workers));
-        let kp = args.ctrl_kp.unwrap_or(2.0);
-        let ki = args.ctrl_ki.unwrap_or(1.0);
-        let kd = args.ctrl_kd.unwrap_or(0.0);
-        let mut ctrl = CtrlConfig::bounds(min, max)
-            .with_gains(kp, ki, kd)
-            .with_tick_period(Duration::from_millis(20));
-        if let Some(service) = &etl {
-            let gauges = service.gauges();
-            ctrl = ctrl
-                .with_tail_lag_probe(Arc::new(move || gauges.tail_lag_ms.load(Ordering::Relaxed)));
-        }
-        println!(
-            "control: PID kp={kp} ki={ki} kd={kd}, workers in [{min}, {max}], setpoint {:.2}, lane high {:.2}, lag escape {}ms",
-            ctrl.setpoint, ctrl.lane_high, ctrl.lag_high_ms
-        );
-        config = config.with_ctrl(ctrl);
-    }
-
-    println!(
-        "service: {} fill + {} compute workers, {} shards, policy {}, queue depth {}",
-        args.fill_workers,
-        args.compute_workers,
-        args.shards,
-        args.policy.name(),
-        args.queue_depth
-    );
-    if args.trainers > 0 {
-        println!(
-            "fan-out: {} trainers, assign policy {}",
-            args.trainers,
-            args.assign.name()
-        );
-    }
-    if let Some(scaling) = &config.scaling {
+        let scaling = ScalerConfig::bounds(min, max).with_tick_period(Duration::from_millis(20));
         println!(
             "scaling: workers elastic in [{}, {}], watermarks {:.0}%/{:.0}%, every {:?}",
             scaling.min_fill,
@@ -838,543 +643,172 @@ fn main() {
             scaling.low_watermark * 100.0,
             scaling.tick_period
         );
+        config = config.with_scaling(scaling);
     }
+    if args.ctrl {
+        // The closed control loop: a cross-tier PID controller replaces the
+        // watermark scaler and samples every queue tier; in tail mode the
+        // driver hands it the ETL tail lag so lag can veto trainer
+        // backpressure.
+        let kp = args.ctrl_kp.unwrap_or(2.0);
+        let ki = args.ctrl_ki.unwrap_or(1.0);
+        let kd = args.ctrl_kd.unwrap_or(0.0);
+        let ctrl = CtrlConfig::bounds(min, max)
+            .with_gains(kp, ki, kd)
+            .with_tick_period(Duration::from_millis(20));
+        println!(
+            "control: {}PID kp={kp} ki={ki} kd={kd}, workers in [{min}, {max}], setpoint {:.2}, lane high {:.2}, lag escape {}ms",
+            if args.hosts > 0 { "per-host " } else { "" },
+            ctrl.setpoint,
+            ctrl.lane_high,
+            ctrl.lag_high_ms
+        );
+        config = config.with_ctrl(ctrl);
+    }
+    let topology = if args.hosts > 0 {
+        // Every host runs the full shard set; the coordinator routes each
+        // file to the host owning its shard.
+        println!(
+            "fleet: {} hosts x ({} fill + {} compute workers, {} shards each), {} trainer lanes, heartbeat timeout {}ms, rebalance {}",
+            args.hosts,
+            args.fill_workers,
+            args.compute_workers,
+            args.shards,
+            args.trainers.max(1),
+            args.heartbeat_ms,
+            if args.rebalance { "on" } else { "off" },
+        );
+        Topology::Fleet(
+            FleetConfig::new(config)
+                .with_hosts(args.hosts)
+                .with_trainers(args.trainers.max(1))
+                .with_trainer_queue_depth(args.queue_depth)
+                .with_heartbeat_timeout_ms(args.heartbeat_ms)
+                .with_rebalance(args.rebalance),
+        )
+    } else {
+        println!(
+            "service: {} fill + {} compute workers, {} shards, policy {}, queue depth {}",
+            args.fill_workers,
+            args.compute_workers,
+            args.shards,
+            args.policy.name(),
+            args.queue_depth
+        );
+        if args.trainers > 0 {
+            println!(
+                "fan-out: {} trainers, assign policy {}",
+                args.trainers,
+                args.assign.name()
+            );
+            config = config
+                .with_trainers(args.trainers)
+                .with_assign_policy(args.assign);
+        }
+        Topology::Single(config)
+    };
 
-    let mut handle = DppService::start(config, Arc::clone(&store), schema.clone());
-    // The pump gate (ctrl only): the controller's red/green light the pump
-    // loop consults before advancing the tail clock.
-    let pump_gate = handle.pump_gate();
+    let driver = Driver::new(Arc::clone(&store), &schema, feed, topology).unwrap_or_else(|err| {
+        eprintln!("recd-dpp: --chaos-plan: {err}");
+        std::process::exit(2);
+    });
 
-    // The observability plane: every tier registers into one registry. The
-    // live monitor, the /metrics endpoint, and the aggregator all read the
-    // same gathered families.
-    let registry = Arc::new(MetricsRegistry::new());
-    registry.register(Arc::new(handle.snapshot_source()) as Arc<dyn Collector>);
-    if let Some(ctrl) = handle.ctrl_shared() {
-        registry.register(ctrl as Arc<dyn Collector>);
-    }
-    registry.register(Arc::new(store.blob_store().clone()) as Arc<dyn Collector>);
-    if let Some(service) = &etl {
-        registry.register(service.gauges() as Arc<dyn Collector>);
-    }
-    if let Some(injector) = &chaos {
-        registry.register(injector.counters() as Arc<dyn Collector>);
-    }
-
-    // Exposition endpoint and background aggregator.
+    // The live monitor and the /metrics endpoint read the same registry the
+    // driver's aggregator polls.
+    let registry = driver.registry();
     let server = args.metrics_port.map(|port| {
         let server = MetricsServer::start(Arc::clone(&registry), port)
             .unwrap_or_else(|err| panic!("recd-dpp: bind metrics port {port}: {err}"));
         println!("metrics: serving http://{}/metrics", server.local_addr());
         server
     });
-    let aggregator = Arc::new(MetricsAggregator::new(
-        Arc::clone(&registry),
-        AggregatorConfig::default(),
-    ));
-    // Bracket the run with explicit polls so even runs shorter than the
-    // polling period produce a rate window in the final report.
-    let run_started = std::time::Instant::now();
-    aggregator.poll_at(0.0);
-    let aggregator_handle = aggregator
-        .spawn(Arc::new(WallClock::new(Duration::from_millis(100))) as Arc<dyn ScaleClock>);
-
-    // Simulated trainers: each consumes its own lane as fast as it can and
-    // recycles the shells so compute workers refill warm buffers. The lane
-    // harness doubles as the chaos engine's substrate: a stall pauses
-    // consumption (backpressure builds), a kill drains + drops the handle
-    // (the lane tombstones and live traffic re-routes to survivors).
-    let converted_pool = handle.converted_pool();
-    let mut lanes: Vec<Option<TrainerLane>> = handle
-        .take_trainers()
-        .into_iter()
-        .map(|trainer| {
-            Some(TrainerLane::spawn(
-                trainer,
-                Some(Arc::clone(&converted_pool)),
-            ))
-        })
-        .collect();
-    let mut killed: Vec<std::thread::JoinHandle<(usize, u64, u64)>> = Vec::new();
-
-    // Live metrics monitor: gathers the registry and renders the shared
-    // `live_line` formatting path — identical output pipeline in batch and
-    // tail mode.
     let done = Arc::new(AtomicBool::new(false));
-    let monitor = if args.quiet {
-        None
-    } else {
+    let monitor = (!args.quiet).then(|| {
         let done = Arc::clone(&done);
-        let registry = Arc::clone(&registry);
-        Some(std::thread::spawn(move || {
+        std::thread::spawn(move || {
             while !done.load(Ordering::Relaxed) {
                 std::thread::sleep(Duration::from_millis(100));
                 println!("{}", live_line(&registry.gather()));
             }
-        }))
-    };
+        })
+    });
 
-    // Feed the service: batch mode submits the pre-landed table whole;
-    // continuous mode pumps the tail clock, landing and ingesting each
-    // sealed partition as it appears.
-    let etl_output = match (etl.take(), stored) {
-        (Some(mut service), _) => {
-            let mut clock = ManualClock::new();
-            // The exactly-once anchor: a checkpoint taken at every pump
-            // boundary (sealed queue drained, landing record consistent). A
-            // crash rewinds the tail to this cursor; replayed partitions
-            // re-land idempotently and the running DPP service dedups the
-            // re-offers, so the trainer feed never double-counts.
-            let mut checkpoint = service.checkpoint();
-            let mut sink = |landed: &recd_storage::StoredPartition,
-                            _sealed: &recd_etl::TablePartition| {
-                handle.ingest_partition(landed);
-            };
-            while !service.tail_drained() {
-                let now = clock.advance(args.tail_rate_ms.max(1));
-                if let Some(injector) = chaos.as_mut() {
-                    // Actions apply at the top of the iteration — the
-                    // previous pump's deliveries are done, so kills and
-                    // crashes never race an in-flight hand-off.
-                    for action in injector.poll(now) {
-                        match action {
-                            FaultAction::StallTrainer { lane, ms } => {
-                                if let Some(Some(lane)) = lanes.get(lane) {
-                                    lane.stall(ms);
-                                }
-                            }
-                            FaultAction::KillTrainer { lane } => {
-                                if let Some(slot) = lanes.get_mut(lane) {
-                                    if let Some(lane) = slot.take() {
-                                        killed.push(lane.kill());
-                                    }
-                                }
-                            }
-                            // Host-level faults need a fleet; the
-                            // single-service path has no hosts to kill.
-                            // `run_fleet` handles them when --hosts > 0.
-                            FaultAction::KillHost { .. }
-                            | FaultAction::PartitionHost { .. }
-                            | FaultAction::RejoinHost { .. } => {}
-                            FaultAction::CrashEtlPump => {
-                                let (policy, counters) =
-                                    chaos_retry.as_ref().expect("chaos retry wired");
-                                counters.note_pump_crash();
-                                let records = replay_records
-                                    .clone()
-                                    .expect("chaos keeps a replay copy of the tail");
-                                let recovery_started = std::time::Instant::now();
-                                service = EtlService::resume_from(
-                                    LogTail::new(records, &tail_config),
-                                    etl_config,
-                                    Arc::clone(&store),
-                                    schema.clone(),
-                                    "tail",
-                                    checkpoint.clone(),
-                                )
-                                .with_chaos_retry(*policy, Arc::clone(counters));
-                                counters.note_resume(recovery_started.elapsed());
-                            }
-                        }
-                    }
-                }
-                // The controller's backpressure signal: when trainer lanes
-                // are the bottleneck the gate goes red and the pump holds
-                // (bounded, so the tail-lag escape hatch or a draining lane
-                // always reopens it).
-                if let Some(gate) = &pump_gate {
-                    let waited = std::time::Instant::now();
-                    while !gate.pump_allowed() && waited.elapsed() < Duration::from_secs(2) {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                }
-                service.pump(now, &mut sink);
-                checkpoint = service.checkpoint();
-            }
-            Some(service.finish(&mut sink))
+    // Simulated trainers consume as fast as they can and recycle the shells
+    // so compute workers refill warm buffers (fleet batches come from many
+    // hosts' pools, so their shells are simply dropped).
+    let pool = driver.converted_pool();
+    let result = driver.run(Arc::new(move |item| {
+        if let Some(pool) = &pool {
+            pool.recycle(item.batch);
         }
-        (None, Some(stored)) => {
-            handle.submit_partition(&stored);
-            None
-        }
-        (None, None) => unreachable!("batch mode always pre-lands a partition"),
-    };
-    let result = handle.finish();
+    }));
     done.store(true, Ordering::Relaxed);
     if let Some(monitor) = monitor {
         monitor.join().expect("monitor thread");
     }
-    aggregator_handle.stop();
-    aggregator.poll_at(run_started.elapsed().as_secs_f64());
-    for thread in killed {
-        let (trainer, batches, samples) = thread.join().expect("trainer thread");
+    let output = result.unwrap_or_else(|err| {
+        eprintln!("recd-dpp: {err}");
+        std::process::exit(1);
+    });
+
+    for lane in &output.lanes {
+        let killed = if lane.killed {
+            " (killed by chaos)"
+        } else {
+            ""
+        };
         println!(
-            "trainer {trainer}: consumed {batches} batches / {samples} samples (killed by chaos)"
+            "trainer {}: consumed {} batches / {} samples{killed}",
+            lane.trainer, lane.batches, lane.samples
         );
     }
-    for lane in lanes.into_iter().flatten() {
-        let (trainer, batches, samples) = lane.join.join().expect("trainer thread");
-        println!("trainer {trainer}: consumed {batches} batches / {samples} samples");
+    if let Some(etl) = &output.etl {
+        print_etl_summary(etl);
     }
-
-    if let Some(out) = &etl_output {
-        print_etl_summary(&out.report);
+    if let Some((fleet, host_reports)) = &output.fleet {
+        print_fleet_summary(fleet, host_reports);
     }
-
-    let report = match result {
-        Ok(output) => {
-            print_dpp_report(&output.report);
-            output.report
-        }
-        Err(err) => {
-            eprintln!("recd-dpp: {err}");
-            std::process::exit(1);
-        }
-    };
-
-    if let Some(injector) = chaos.as_mut() {
-        print_chaos_summary(&injector.finish());
+    print_dpp_report(&output.dpp);
+    if let Some(chaos) = &output.chaos {
+        print_chaos_summary(chaos);
     }
-    // Machine-parseable sustained end-to-end throughput over the whole run —
-    // scripts/bench_snapshot.sh lifts this line into BENCH_pipeline.json.
+    // Machine-parseable lines — scripts/bench_snapshot.sh lifts these into
+    // BENCH_pipeline.json.
     if args.tail {
-        if let Some(rate) = aggregator.derived().records_per_second {
+        if let Some(rate) = output.aggregator.derived().records_per_second {
             println!("derived continuous_records_per_second {rate:.1}");
         }
         // Sustained end-to-end throughput: total delivered samples over the
         // whole wall-clock run, the figure the bench gate tracks.
         println!(
             "derived pipeline_records_per_second {:.1}",
-            report.samples as f64 / run_started.elapsed().as_secs_f64().max(1e-9)
+            output.dpp.samples as f64 / output.wall_seconds.max(1e-9)
         );
+    }
+    if let Some((fleet, _)) = &output.fleet {
+        println!("derived fleet_rebalance_ms {:.3}", fleet.rebalance_ms);
     }
     print_storage_derived(store.blob_store());
     if !args.quiet {
-        println!("\n{}", aggregator.report());
-    }
-    if args.scrape_once {
-        let addr = server
-            .as_ref()
-            .expect("--scrape-once requires --metrics-port")
-            .local_addr();
-        match recd_obs::scrape(addr) {
-            Ok(body) => {
-                println!("\nscrape of http://{addr}/metrics ({} bytes):", body.len());
-                print!("{body}");
-            }
-            Err(err) => {
-                eprintln!("recd-dpp: scrape failed: {err}");
-                std::process::exit(1);
-            }
-        }
+        println!("\n{}", output.aggregator.report());
     }
     if let Some(server) = server {
+        if args.scrape_once {
+            let addr = server.local_addr();
+            let body = recd_obs::scrape(addr).unwrap_or_else(|err| {
+                eprintln!("recd-dpp: scrape failed: {err}");
+                std::process::exit(1);
+            });
+            println!("\nscrape of http://{addr}/metrics ({} bytes):", body.len());
+            print!("{body}");
+        }
         server.shutdown();
     }
 }
 
-/// Continuous mode over a disaggregated fleet: the same tail → streaming-ETL
-/// → land schedule as single-service `--tail`, but every landed partition is
-/// ingested by a [`DppFleet`] of `--hosts` simulated hosts behind the
-/// fault-tolerant control plane. Host faults (`kill-host`,
-/// `partition-host`, `rejoin-host`) route to the coordinator; every pump
-/// ends in a fleet-wide barrier so batch composition stays a pure function
-/// of the landing schedule; the per-host registries federate into the
-/// shared metrics endpoint under `host="h<i>"` labels.
-fn run_fleet(args: Args) {
-    let mut workload = WorkloadConfig::preset(args.preset);
-    if let Some(sessions) = args.sessions {
-        workload = workload.with_sessions(sessions);
-    }
-    let generator = DatasetGenerator::new(workload);
-    let store = Arc::new(TableStore::new(build_blob_store(&args), 64, 2));
-    let (records, partition) = generator.generate_logs();
-    println!(
-        "dataset: tailing {} raw log records ({} samples once joined) into a {}-host fleet, jitter {}ms, seed {}",
-        records.len(),
-        partition.len(),
-        args.hosts,
-        args.tail_jitter_ms,
-        args.tail_seed,
-    );
-    let schema = partition.schema;
-
-    // Chaos engine: seeded plans use the fleet variant (host death, control-
-    // plane partition, rejoin) on top of the storage faults.
-    let mut chaos = args
-        .chaos_plan
-        .as_deref()
-        .map(|spec| {
-            let plan = FaultPlan::parse(spec).unwrap_or_else(|message| {
-                eprintln!("recd-dpp: --chaos-plan: {message}");
-                std::process::exit(2);
-            });
-            validate_host_faults(&plan, args.hosts);
-            plan
-        })
-        .or_else(|| {
-            args.chaos_seed.map(|seed| {
-                let horizon = records
-                    .iter()
-                    .map(|r| r.timestamp().as_millis())
-                    .max()
-                    .unwrap_or(0);
-                FaultPlan::seeded_fleet(seed, horizon, args.trainers, args.hosts)
-            })
-        })
-        .map(|plan| {
-            println!(
-                "chaos: {} faults scheduled (seed {}): {plan}",
-                plan.len(),
-                plan.seed
-            );
-            FaultInjector::new(&plan, store.blob_store().clone())
-        });
-    let chaos_retry = chaos
-        .as_ref()
-        .map(|injector| (RetryPolicy::storage_default(), injector.counters()));
-
-    // Host template: every host runs the full shard set; the coordinator
-    // routes each file to the host owning its shard.
-    let mut host_config = DppConfig::new(ReaderConfig::new(
-        args.batch_size,
-        DataLoaderConfig::from_schema(&schema),
-    ))
-    .with_fill_workers(args.fill_workers)
-    .with_compute_workers(args.compute_workers)
-    .with_shards(args.shards)
-    .with_queue_depth(args.queue_depth)
-    .with_policy(args.policy)
-    .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64));
-    if let Some((policy, counters)) = &chaos_retry {
-        host_config = host_config.with_chaos_retry(*policy, Arc::clone(counters));
-    }
-    if args.min_workers.is_some() || args.max_workers.is_some() {
-        let min = args.min_workers.unwrap_or(1);
-        let max = args
-            .max_workers
-            .unwrap_or_else(|| min.max(args.fill_workers).max(args.compute_workers));
-        host_config = host_config.with_scaling(
-            ScalerConfig::bounds(min, max).with_tick_period(Duration::from_millis(20)),
-        );
-    }
-
-    // The streaming ETL service feeding the fleet — built before the hosts
-    // so `--ctrl` can wire the shared tail-lag probe into every host's
-    // controller.
-    let tail_config = TailConfig::default()
-        .with_jitter_ms(args.tail_jitter_ms)
-        .with_lateness(args.tail_late_frac, args.tail_late_ms)
-        .with_seed(args.tail_seed);
-    let mut etl_config =
-        EtlStreamConfig::new(TableLayout::ClusteredBySession).with_window_ms(args.tail_window_ms);
-    if let Some(rows) = args.tail_seal_rows {
-        etl_config = etl_config.with_size_watermark(rows);
-    }
-    let replay_records = if chaos.is_some() {
-        Some(records.clone())
-    } else {
-        None
-    };
-    let mut etl = EtlService::new(
-        LogTail::new(records, &tail_config),
-        etl_config,
-        Arc::clone(&store),
-        schema.clone(),
-        "tail",
-    );
-    if let Some((policy, counters)) = &chaos_retry {
-        etl = etl.with_chaos_retry(*policy, Arc::clone(counters));
-    }
-
-    if args.ctrl {
-        let min = args.min_workers.unwrap_or(1);
-        let max = args
-            .max_workers
-            .unwrap_or_else(|| min.max(args.fill_workers).max(args.compute_workers));
-        let kp = args.ctrl_kp.unwrap_or(2.0);
-        let ki = args.ctrl_ki.unwrap_or(1.0);
-        let kd = args.ctrl_kd.unwrap_or(0.0);
-        let gauges = etl.gauges();
-        let ctrl = CtrlConfig::bounds(min, max)
-            .with_gains(kp, ki, kd)
-            .with_tick_period(Duration::from_millis(20))
-            .with_tail_lag_probe(Arc::new(move || gauges.tail_lag_ms.load(Ordering::Relaxed)));
-        println!(
-            "control: per-host PID kp={kp} ki={ki} kd={kd}, workers in [{min}, {max}], setpoint {:.2}, lane high {:.2}, lag escape {}ms",
-            ctrl.setpoint, ctrl.lane_high, ctrl.lag_high_ms
-        );
-        host_config = host_config.with_ctrl(ctrl);
-    }
-
-    let fleet_config = FleetConfig::new(host_config)
-        .with_hosts(args.hosts)
-        .with_trainers(args.trainers.max(1))
-        .with_trainer_queue_depth(args.queue_depth)
-        .with_heartbeat_timeout_ms(args.heartbeat_ms)
-        .with_rebalance(args.rebalance);
-    println!(
-        "fleet: {} hosts x ({} fill + {} compute workers, {} shards each), {} trainer lanes, heartbeat timeout {}ms, rebalance {}",
-        args.hosts,
-        args.fill_workers,
-        args.compute_workers,
-        args.shards,
-        args.trainers.max(1),
-        args.heartbeat_ms,
-        if args.rebalance { "on" } else { "off" },
-    );
-    let mut fleet = DppFleet::start(fleet_config, Arc::clone(&store), schema.clone());
-
-    // The observability plane: every host registry federates under its
-    // `host="h<i>"` label next to the coordinator's recd_fleet_* counters.
-    let registry = Arc::new(MetricsRegistry::new());
-    let federation = Arc::new(RegistryFederation::new());
-    for (label, member) in fleet.host_registries() {
-        federation.set_member(label, member);
-    }
-    registry.register(federation as Arc<dyn Collector>);
-    registry.register(fleet.counters() as Arc<dyn Collector>);
-    registry.register(Arc::new(store.blob_store().clone()) as Arc<dyn Collector>);
-    registry.register(etl.gauges() as Arc<dyn Collector>);
-    if let Some(injector) = &chaos {
-        registry.register(injector.counters() as Arc<dyn Collector>);
-    }
-
-    let server = args.metrics_port.map(|port| {
-        let server = MetricsServer::start(Arc::clone(&registry), port)
-            .unwrap_or_else(|err| panic!("recd-dpp: bind metrics port {port}: {err}"));
-        println!("metrics: serving http://{}/metrics", server.local_addr());
-        server
-    });
-    let aggregator = Arc::new(MetricsAggregator::new(
-        Arc::clone(&registry),
-        AggregatorConfig::default(),
-    ));
-    let run_started = std::time::Instant::now();
-    aggregator.poll_at(0.0);
-    let aggregator_handle = aggregator
-        .spawn(Arc::new(WallClock::new(Duration::from_millis(100))) as Arc<dyn ScaleClock>);
-
-    let mut lanes: Vec<Option<TrainerLane>> = fleet
-        .take_trainers()
-        .into_iter()
-        .map(|trainer| Some(TrainerLane::spawn(trainer, None)))
-        .collect();
-    let mut killed: Vec<std::thread::JoinHandle<(usize, u64, u64)>> = Vec::new();
-
-    let done = Arc::new(AtomicBool::new(false));
-    let monitor = if args.quiet {
-        None
-    } else {
-        let done = Arc::clone(&done);
-        let registry = Arc::clone(&registry);
-        Some(std::thread::spawn(move || {
-            while !done.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(100));
-                println!("{}", live_line(&registry.gather()));
-            }
-        }))
-    };
-
-    // Pump the tail; every pump ticks the coordinator (heartbeats, death
-    // detection, partition healing), applies due faults, lands sealed
-    // partitions into the fleet, and ends in a fleet-wide barrier.
-    let mut clock = ManualClock::new();
-    let mut checkpoint = etl.checkpoint();
-    while !etl.tail_drained() {
-        let now = clock.advance(args.tail_rate_ms.max(1));
-        fleet.tick(now);
-        if let Some(injector) = chaos.as_mut() {
-            for action in injector.poll(now) {
-                match action {
-                    FaultAction::StallTrainer { lane, ms } => {
-                        if let Some(Some(lane)) = lanes.get(lane) {
-                            lane.stall(ms);
-                        }
-                    }
-                    FaultAction::KillTrainer { lane } => {
-                        if let Some(slot) = lanes.get_mut(lane) {
-                            if let Some(lane) = slot.take() {
-                                killed.push(lane.kill());
-                            }
-                        }
-                    }
-                    FaultAction::KillHost { host } => {
-                        println!("chaos: [{now}ms] kill-host h{host}");
-                        fleet.kill_host(host);
-                    }
-                    FaultAction::PartitionHost { host, ms } => {
-                        println!("chaos: [{now}ms] partition-host h{host} for {ms}ms");
-                        fleet.partition_host(host, ms);
-                    }
-                    FaultAction::RejoinHost { host } => {
-                        println!("chaos: [{now}ms] rejoin-host h{host}");
-                        fleet.rejoin_host(host);
-                    }
-                    FaultAction::CrashEtlPump => {
-                        let (policy, counters) = chaos_retry.as_ref().expect("chaos retry wired");
-                        counters.note_pump_crash();
-                        let records = replay_records
-                            .clone()
-                            .expect("chaos keeps a replay copy of the tail");
-                        let recovery_started = std::time::Instant::now();
-                        etl = EtlService::resume_from(
-                            LogTail::new(records, &tail_config),
-                            etl_config,
-                            Arc::clone(&store),
-                            schema.clone(),
-                            "tail",
-                            checkpoint.clone(),
-                        )
-                        .with_chaos_retry(*policy, Arc::clone(counters));
-                        counters.note_resume(recovery_started.elapsed());
-                    }
-                }
-            }
-        }
-        etl.pump(
-            now,
-            &mut |landed: &recd_storage::StoredPartition, _sealed: &recd_etl::TablePartition| {
-                fleet.ingest_partition(landed);
-            },
-        );
-        checkpoint = etl.checkpoint();
-        assert!(fleet.flush_partition(), "fleet pump barrier must resolve");
-    }
-    let etl_output =
-        etl.finish(&mut |landed: &recd_storage::StoredPartition,
-                         _sealed: &recd_etl::TablePartition| {
-            fleet.ingest_partition(landed);
-        });
-    assert!(fleet.flush_partition(), "final fleet barrier must resolve");
-    let output = fleet.finish();
-
-    done.store(true, Ordering::Relaxed);
-    if let Some(monitor) = monitor {
-        monitor.join().expect("monitor thread");
-    }
-    aggregator_handle.stop();
-    aggregator.poll_at(run_started.elapsed().as_secs_f64());
-    for thread in killed {
-        let (trainer, batches, samples) = thread.join().expect("trainer thread");
-        println!(
-            "trainer {trainer}: consumed {batches} batches / {samples} samples (killed by chaos)"
-        );
-    }
-    for lane in lanes.into_iter().flatten() {
-        let (trainer, batches, samples) = lane.join.join().expect("trainer thread");
-        println!("trainer {trainer}: consumed {batches} batches / {samples} samples");
-    }
-
-    print_etl_summary(&etl_output.report);
-
-    if !output.errors.is_empty() {
-        for error in &output.errors {
-            eprintln!("recd-dpp: {error}");
-        }
-        std::process::exit(1);
-    }
-    let fr = &output.report;
+/// The fleet control plane's accounting, as the lines before the aggregate
+/// service report.
+fn print_fleet_summary(fr: &FleetReport, host_reports: &[(usize, DppReport)]) {
     println!(
         "\nfleet: {}/{} hosts live at finish, {} heartbeats, {} deaths detected ({} kills / {} partitions / {} rejoins, {} flaps)",
         fr.hosts_live_at_finish,
@@ -1395,49 +829,11 @@ fn run_fleet(args: Args) {
         fr.replayed_files,
         fr.duplicate_batches_dropped,
     );
-    for (host, report) in &output.host_reports {
+    for (host, report) in host_reports {
         println!(
             "fleet: host h{host} processed {} batches / {} samples this incarnation",
             report.batches, report.samples
         );
-    }
-    print_dpp_report(&output.dpp);
-
-    if let Some(injector) = chaos.as_mut() {
-        print_chaos_summary(&injector.finish());
-    }
-    // Machine-parseable lines — scripts/bench_snapshot.sh lifts these into
-    // BENCH_pipeline.json.
-    if let Some(rate) = aggregator.derived().records_per_second {
-        println!("derived continuous_records_per_second {rate:.1}");
-    }
-    println!(
-        "derived pipeline_records_per_second {:.1}",
-        output.dpp.samples as f64 / run_started.elapsed().as_secs_f64().max(1e-9)
-    );
-    println!("derived fleet_rebalance_ms {:.3}", fr.rebalance_ms);
-    print_storage_derived(store.blob_store());
-    if !args.quiet {
-        println!("\n{}", aggregator.report());
-    }
-    if args.scrape_once {
-        let addr = server
-            .as_ref()
-            .expect("--scrape-once requires --metrics-port")
-            .local_addr();
-        match recd_obs::scrape(addr) {
-            Ok(body) => {
-                println!("\nscrape of http://{addr}/metrics ({} bytes):", body.len());
-                print!("{body}");
-            }
-            Err(err) => {
-                eprintln!("recd-dpp: scrape failed: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(server) = server {
-        server.shutdown();
     }
 }
 

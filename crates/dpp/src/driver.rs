@@ -1,0 +1,698 @@
+//! The one pipeline driver: log tail → streaming ETL → land → DPP (one
+//! service or an M-host fleet) → trainer lanes, under an optional chaos
+//! plan. `PipelineRunner` and the `recd-dpp` CLI both build configs, call
+//! [`Driver::new`] + [`Driver::run`], and map the [`DriverOutput`].
+//!
+//! Every pump runs the same schedule:
+//!
+//! ```text
+//! step clock → backend tick → due faults → pump gate → etl.pump → ingest
+//!            → barrier → checkpoint
+//! ```
+//!
+//! * **barrier** after every pump iff the backend is a fleet or a fault plan
+//!   is present — batch boundaries are then a pure function of the landing
+//!   schedule, which is what keeps trainer-batch unions byte-identical
+//!   across fleet sizes and fault schedules; trainer kills and pump crashes
+//!   fire at the top of the next pump, after that barrier's quiescence.
+//! * **checkpoint** only when a fault plan is present, every
+//!   fourth barrier (`CHECKPOINT_EVERY_PUMPS`), so a `crash-pump` genuinely
+//!   replays tail events that the ingest dedup must absorb.
+//!
+//! The pump step is the one schedule value callers choose. Beside the
+//! schedule, a background aggregator polls the metrics registry every 100 ms
+//! of wall time (bracketed by one poll at the start and one at the end), for
+//! the batch feed too.
+
+use crate::control::PumpGate;
+use crate::fleet::{DppFleet, FleetConfig, FleetHandle, FleetReport};
+use crate::metrics::DppReport;
+use crate::pool::BatchPool;
+use crate::service::{DppConfig, DppHandle, DppService};
+use crate::sink::{TrainerBatch, TrainerHandle};
+use crate::RecvTimeout;
+use recd_chaos::{
+    ChaosCounters, ChaosReport, FaultAction, FaultInjector, FaultKind, FaultPlan, RetryPolicy,
+    ScheduledFault,
+};
+use recd_core::ConvertedBatch;
+use recd_data::Schema;
+use recd_etl::{
+    EtlCheckpoint, EtlService, EtlServiceReport, EtlStreamConfig, ManualClock, TablePartition,
+};
+use recd_obs::{
+    AggregatorConfig, Collector, MetricsAggregator, MetricsRegistry, RegistryFederation, WallClock,
+};
+use recd_scribe::LogTail;
+use recd_storage::{StoredPartition, TableStore};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc;
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// A crash between checkpoints must replay real tail events, so the
+/// pipeline snapshots only at every fourth barrier.
+const CHECKPOINT_EVERY_PUMPS: u64 = 4;
+
+/// Wall-clock period of the background aggregator poll.
+const AGGREGATOR_PERIOD: Duration = Duration::from_millis(100);
+
+/// The continuous feed: a replayable log tail pumped on a manual clock.
+#[derive(Debug)]
+pub struct TailFeed {
+    /// The unconsumed tail; a clone of it replays the identical stream.
+    pub tail: LogTail,
+    /// Streaming-ETL configuration.
+    pub stream: EtlStreamConfig,
+    /// Table the sealed partitions land into.
+    pub table: String,
+    /// Simulated ms of log time per pump step.
+    pub step_ms: u64,
+    /// Fault plan on the pump clock; `Some(empty)` is the fault-free
+    /// reference that still runs the barrier/checkpoint schedule.
+    pub plan: Option<FaultPlan>,
+}
+
+/// What the driver feeds the DPP tier with.
+#[derive(Debug)]
+pub enum Feed {
+    /// Tail → streaming ETL → land → ingest, one pump step at a time.
+    Tail(TailFeed),
+    /// One pre-landed partition, submitted whole (batch mode).
+    Landed(StoredPartition),
+}
+
+/// The DPP tier behind the feed.
+#[derive(Debug)]
+pub enum Topology {
+    /// One in-process [`DppService`].
+    Single(DppConfig),
+    /// A [`DppFleet`] behind the fault-tolerant control plane.
+    Fleet(FleetConfig),
+}
+
+/// Why a run could not start or finish.
+#[derive(Debug)]
+pub enum DriverError {
+    /// The plan schedules a host fault without a multi-host fleet.
+    HostFaultWithoutFleet {
+        /// The offending entry.
+        fault: ScheduledFault,
+    },
+    /// The plan names a host the fleet does not have.
+    HostOutOfRange {
+        /// The offending entry.
+        fault: ScheduledFault,
+        /// The host it names.
+        host: usize,
+        /// The fleet's host count.
+        hosts: usize,
+    },
+    /// A pre-landed feed over a fleet: the fleet's heartbeats ride the pump
+    /// clock, which only a tail feed steps.
+    LandedFleet,
+    /// A partition barrier did not resolve: the DPP tier tore down mid-run.
+    Barrier,
+    /// The DPP tier finished with fill or conversion errors.
+    Service {
+        /// One message per failure (fleet entries name their host).
+        errors: Vec<String>,
+    },
+}
+
+impl std::fmt::Display for DriverError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::HostFaultWithoutFleet { fault } => write!(
+                f,
+                "`{fault}` is a host fault; host faults require --hosts > 1"
+            ),
+            Self::HostOutOfRange { fault, host, hosts } => write!(
+                f,
+                "`{fault}` names host {host}, but --hosts {hosts} only has hosts 0..{hosts}"
+            ),
+            Self::LandedFleet => write!(f, "a fleet requires a tail feed"),
+            Self::Barrier => write!(f, "a partition barrier did not resolve"),
+            Self::Service { errors } => write!(
+                f,
+                "streaming DPP run finished with {} error(s): {}",
+                errors.len(),
+                errors.first().map_or("?", String::as_str)
+            ),
+        }
+    }
+}
+
+impl std::error::Error for DriverError {}
+
+/// What one simulated trainer lane consumed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneReport {
+    /// Trainer id.
+    pub trainer: usize,
+    /// Batches consumed.
+    pub batches: u64,
+    /// Samples consumed.
+    pub samples: u64,
+    /// Whether a `kill-trainer` fault ended the lane.
+    pub killed: bool,
+}
+
+/// Everything a finished run produced.
+pub struct DriverOutput {
+    /// Streaming-ETL accounting (`None` for [`Feed::Landed`]).
+    pub etl: Option<EtlServiceReport>,
+    /// The service report, or the fleet-level aggregate.
+    pub dpp: DppReport,
+    /// Control-plane accounting and the final per-host reports of a fleet.
+    pub fleet: Option<(FleetReport, Vec<(usize, DppReport)>)>,
+    /// Chaos accounting (when the feed carried a plan).
+    pub chaos: Option<ChaosReport>,
+    /// Killed lanes in kill order, then the survivors by lane index.
+    pub lanes: Vec<LaneReport>,
+    /// Wall-clock seconds from [`Driver::run`] to the last lane draining.
+    pub wall_seconds: f64,
+    /// The aggregator that polled the registry on a wall-clock time axis.
+    pub aggregator: Arc<MetricsAggregator>,
+}
+
+/// What a lane does with each batch it pulls (collect it, recycle its
+/// shell, drop it); the harness counts batches and samples itself.
+pub type Consume = Arc<dyn Fn(TrainerBatch) + Send + Sync>;
+
+/// The chaos engine's state for one run: the injector, the retry policy and
+/// counters both storage-facing tiers share, and everything a `crash-pump`
+/// restarts the ETL service from.
+struct Chaos {
+    injector: FaultInjector,
+    policy: RetryPolicy,
+    counters: Arc<ChaosCounters>,
+    /// Pristine copy of the tail, rewound to the checkpoint's cursor.
+    replay: LogTail,
+    checkpoint: EtlCheckpoint,
+    store: Arc<TableStore>,
+    schema: Schema,
+}
+
+impl Chaos {
+    /// `crash-pump`: the in-memory service dies and a new one resumes from
+    /// the latest checkpoint. The rewound tail replays everything since;
+    /// re-landed partitions are idempotent and the ingest dedup skips the
+    /// re-offers. (The registry keeps the dead service's gauges — a second
+    /// registration would duplicate series.)
+    fn crash_and_resume(&self, stream: EtlStreamConfig, table: &str) -> EtlService {
+        self.counters.note_pump_crash();
+        let recovery_started = Instant::now();
+        let etl = EtlService::resume_from(
+            self.replay.clone(),
+            stream,
+            Arc::clone(&self.store),
+            self.schema.clone(),
+            table,
+            self.checkpoint.clone(),
+        )
+        .with_chaos_retry(self.policy, Arc::clone(&self.counters));
+        self.counters.note_resume(recovery_started.elapsed());
+        etl
+    }
+}
+
+struct Tail {
+    etl: EtlService,
+    stream: EtlStreamConfig,
+    table: String,
+    step_ms: u64,
+    chaos: Option<Chaos>,
+}
+
+enum Source {
+    Tail(Box<Tail>),
+    Landed(StoredPartition),
+}
+
+/// Single service versus fleet: the only place the two differ.
+enum Backend {
+    Single(DppHandle),
+    Fleet(FleetHandle),
+}
+
+impl Backend {
+    fn ingest_partition(&mut self, partition: &StoredPartition) {
+        match self {
+            Self::Single(handle) => handle.ingest_partition(partition),
+            Self::Fleet(fleet) => fleet.ingest_partition(partition),
+        };
+    }
+
+    fn flush_partition(&mut self) -> bool {
+        match self {
+            Self::Single(handle) => handle.flush_partition(),
+            Self::Fleet(fleet) => fleet.flush_partition(),
+        }
+    }
+
+    /// Heartbeats, death detection, partition healing (fleet only).
+    fn tick(&mut self, now_ms: u64) {
+        if let Self::Fleet(fleet) = self {
+            fleet.tick(now_ms);
+        }
+    }
+
+    fn take_trainers(&mut self) -> Vec<TrainerHandle> {
+        match self {
+            Self::Single(handle) => handle.take_trainers(),
+            Self::Fleet(fleet) => fleet.take_trainers(),
+        }
+    }
+
+    /// The service report (or fleet aggregate) plus the fleet-only parts.
+    fn finish(self) -> Result<(DppReport, Option<FleetParts>), DriverError> {
+        let (dpp, fleet, errors) = match self {
+            Self::Single(handle) => match handle.finish() {
+                Ok(output) => (output.report, None, Vec::new()),
+                Err(err) => (err.output.report, None, err.errors),
+            },
+            Self::Fleet(fleet) => {
+                let output = fleet.finish();
+                let parts = (output.report, output.host_reports);
+                (output.dpp, Some(parts), output.errors)
+            }
+        };
+        if errors.is_empty() {
+            Ok((dpp, fleet))
+        } else {
+            Err(DriverError::Service { errors })
+        }
+    }
+}
+
+/// Control-plane accounting and the final per-host reports.
+type FleetParts = (FleetReport, Vec<(usize, DppReport)>);
+
+/// A control command for a simulated trainer-lane consumer.
+enum LaneCmd {
+    /// Stop consuming for the given duration (backpressure builds).
+    Stall(Duration),
+    /// Drain what is queued, then exit, dropping (tombstoning) the lane.
+    Kill,
+}
+
+/// One simulated trainer: a consumer thread pulling its lane with a short
+/// timeout so chaos commands interleave with consumption.
+struct Lane {
+    cmd: mpsc::Sender<LaneCmd>,
+    join: JoinHandle<LaneReport>,
+}
+
+impl Lane {
+    fn spawn(trainer: TrainerHandle, consume: Consume) -> Self {
+        let (cmd, cmd_rx) = mpsc::channel::<LaneCmd>();
+        let join = std::thread::spawn(move || {
+            let mut report = LaneReport {
+                trainer: trainer.id(),
+                ..LaneReport::default()
+            };
+            let take = |item: TrainerBatch, report: &mut LaneReport| {
+                report.batches += 1;
+                report.samples += item.batch.batch_size as u64;
+                consume(item);
+            };
+            loop {
+                match cmd_rx.try_recv() {
+                    Ok(LaneCmd::Stall(pause)) => std::thread::sleep(pause),
+                    Ok(LaneCmd::Kill) => {
+                        while let Some(item) = trainer.try_recv() {
+                            take(item, &mut report);
+                        }
+                        report.killed = true;
+                        return report;
+                    }
+                    Err(_) => {}
+                }
+                match trainer.recv_timeout(Duration::from_millis(1)) {
+                    RecvTimeout::Item(item) => take(item, &mut report),
+                    RecvTimeout::Timeout => {}
+                    RecvTimeout::Disconnected => return report,
+                }
+            }
+        });
+        Self { cmd, join }
+    }
+
+    /// Joins the consumer; a panic in `consume` is a caller bug and
+    /// propagates.
+    fn finish(self) -> LaneReport {
+        self.join
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+}
+
+/// The lane harness: live lanes by index, plus what the lanes a
+/// `kill-trainer` fault ended had consumed.
+struct Lanes {
+    live: Vec<Option<Lane>>,
+    killed: Vec<LaneReport>,
+}
+
+impl Lanes {
+    fn spawn(trainers: Vec<TrainerHandle>, consume: &Consume) -> Self {
+        let spawn = |trainer| Some(Lane::spawn(trainer, Arc::clone(consume)));
+        Self {
+            live: trainers.into_iter().map(spawn).collect(),
+            killed: Vec::new(),
+        }
+    }
+
+    /// Pauses a lane's consumption for `ms` of wall time (asynchronous).
+    fn stall(&self, lane: usize, ms: u64) {
+        if let Some(Some(lane)) = self.live.get(lane) {
+            let _ = lane.cmd.send(LaneCmd::Stall(Duration::from_millis(ms)));
+        }
+    }
+
+    /// Kills a lane and waits for its consumer to drain and drop the handle
+    /// — called only at pump boundaries, after the barrier, so no delivery
+    /// races the teardown.
+    fn kill(&mut self, lane: usize) {
+        if let Some(lane) = self.live.get_mut(lane).and_then(Option::take) {
+            let _ = lane.cmd.send(LaneCmd::Kill);
+            self.killed.push(lane.finish());
+        }
+    }
+
+    /// Survivors drain to end-of-stream once the DPP tier has shut down.
+    fn join(mut self) -> Vec<LaneReport> {
+        let live = self.live.into_iter().flatten();
+        self.killed.extend(live.map(Lane::finish));
+        self.killed
+    }
+}
+
+/// A started pipeline: the DPP tier runs, every tier is registered into
+/// [`registry`](Self::registry), and [`run`](Self::run) feeds it to the end.
+pub struct Driver {
+    source: Source,
+    backend: Backend,
+    registry: Arc<MetricsRegistry>,
+    /// The controller's pump gate (single service under `with_ctrl` only:
+    /// fleet hosts run local controllers with no fleet-wide gate).
+    pump_gate: Option<PumpGate>,
+    /// The single service's converted-shell pool (fleet batches come from
+    /// many hosts' pools, so there is no one pool to recycle into).
+    pool: Option<Arc<BatchPool<ConvertedBatch>>>,
+}
+
+impl Driver {
+    /// Validates the fault plan against the topology, wires the chaos retry
+    /// path and the controller's tail-lag probe into both tiers, starts the
+    /// DPP tier over `store` (where partitions land and are read from), and
+    /// builds the metrics registry.
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::HostFaultWithoutFleet`] / [`DriverError::HostOutOfRange`]
+    /// when the plan names hosts this topology does not have;
+    /// [`DriverError::LandedFleet`] for a pre-landed feed over a fleet.
+    pub fn new(
+        store: Arc<TableStore>,
+        schema: &Schema,
+        feed: Feed,
+        topology: Topology,
+    ) -> Result<Self, DriverError> {
+        let source = match feed {
+            Feed::Landed(_) if matches!(topology, Topology::Fleet(_)) => {
+                return Err(DriverError::LandedFleet)
+            }
+            Feed::Landed(stored) => Source::Landed(stored),
+            Feed::Tail(feed) => {
+                let hosts = match &topology {
+                    Topology::Single(_) => 0,
+                    Topology::Fleet(fleet) => fleet.hosts,
+                };
+                if let Some(plan) = &feed.plan {
+                    validate_host_faults(plan, hosts)?;
+                }
+                // Only a fault plan can crash the pump, so only then is a
+                // pristine copy of the tail kept to restart from.
+                let replay = feed.plan.is_some().then(|| feed.tail.clone());
+                let mut etl = EtlService::new(
+                    feed.tail,
+                    feed.stream,
+                    Arc::clone(&store),
+                    schema.clone(),
+                    feed.table.clone(),
+                );
+                let chaos = feed.plan.zip(replay).map(|(plan, replay)| {
+                    let injector = FaultInjector::new(&plan, store.blob_store().clone());
+                    Chaos {
+                        policy: RetryPolicy::storage_default(),
+                        counters: injector.counters(),
+                        injector,
+                        checkpoint: etl.checkpoint(),
+                        replay,
+                        store: Arc::clone(&store),
+                        schema: schema.clone(),
+                    }
+                });
+                if let Some(chaos) = &chaos {
+                    etl = etl.with_chaos_retry(chaos.policy, Arc::clone(&chaos.counters));
+                }
+                Source::Tail(Box::new(Tail {
+                    etl,
+                    stream: feed.stream,
+                    table: feed.table,
+                    step_ms: feed.step_ms.max(1),
+                    chaos,
+                }))
+            }
+        };
+        let tail = match &source {
+            Source::Tail(tail) => Some(&**tail),
+            Source::Landed(_) => None,
+        };
+        // One registry for the live monitor, `/metrics` and the aggregator:
+        // the DPP tier, the blob store, the ETL gauges, the chaos counters.
+        let registry = MetricsRegistry::new();
+        let (backend, pump_gate, pool) = match topology {
+            Topology::Single(dpp) => {
+                // The clone is evaluated before the service's clock starts,
+                // so it — not `DppReport::wall_seconds` — absorbs whatever
+                // free-list sorting the caller's dataset teardown left the
+                // allocator (0.4 s after the CLI frees a 10k-session table).
+                let schema = schema.clone();
+                let handle = DppService::start(wire(dpp, tail), Arc::clone(&store), schema);
+                registry.register(Arc::new(handle.snapshot_source()));
+                if let Some(ctrl) = handle.ctrl_shared() {
+                    registry.register(ctrl);
+                }
+                let (gate, pool) = (handle.pump_gate(), handle.converted_pool());
+                (Backend::Single(handle), gate, Some(pool))
+            }
+            Topology::Fleet(mut fleet) => {
+                fleet.host = wire(fleet.host, tail);
+                let handle = DppFleet::start(fleet, Arc::clone(&store), schema.clone());
+                // Host registries are stable across incarnations — a
+                // rejoined host keeps its `host="h<i>"` label.
+                let federation = RegistryFederation::new();
+                for (label, host_registry) in handle.host_registries() {
+                    federation.set_member(label, host_registry);
+                }
+                registry.register(Arc::new(federation));
+                registry.register(handle.counters());
+                (Backend::Fleet(handle), None, None)
+            }
+        };
+        registry.register(Arc::new(store.blob_store().clone()));
+        if let Some(tail) = tail {
+            registry.register(tail.etl.gauges());
+            if let Some(chaos) = &tail.chaos {
+                registry.register(Arc::clone(&chaos.counters) as Arc<dyn Collector>);
+            }
+        }
+        Ok(Self {
+            source,
+            backend,
+            registry: Arc::new(registry),
+            pump_gate,
+            pool,
+        })
+    }
+
+    /// The cross-tier metrics registry; scrapeable after `run` returns too.
+    pub fn registry(&self) -> Arc<MetricsRegistry> {
+        Arc::clone(&self.registry)
+    }
+
+    /// The single service's shell pool, for a [`Consume`] that recycles.
+    pub fn converted_pool(&self) -> Option<Arc<BatchPool<ConvertedBatch>>> {
+        self.pool.clone()
+    }
+
+    /// Feeds the DPP tier to completion with one consumer thread per
+    /// trainer lane, shuts everything down, and reports.
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::Barrier`] if the DPP tier tore down under a barrier,
+    /// [`DriverError::Service`] if it finished with errors. Every thread is
+    /// joined before an error returns.
+    pub fn run(self, consume: Consume) -> Result<DriverOutput, DriverError> {
+        let mut backend = self.backend;
+        let mut lanes = Lanes::spawn(backend.take_trainers(), &consume);
+        let aggregator = Arc::new(MetricsAggregator::new(
+            self.registry,
+            AggregatorConfig::default(),
+        ));
+        // Bracket the run with explicit polls so even runs shorter than the
+        // polling period produce a rate window.
+        let started = Instant::now();
+        aggregator.poll_at(0.0);
+        let poller = aggregator.spawn(Arc::new(WallClock::new(AGGREGATOR_PERIOD)));
+
+        let fed = match (self.source, &mut backend) {
+            (Source::Tail(tail), backend) => pump(*tail, backend, &mut lanes, self.pump_gate),
+            (Source::Landed(stored), Backend::Single(handle)) => {
+                handle.submit_partition(&stored);
+                Ok((None, None))
+            }
+            (Source::Landed(_), Backend::Fleet(_)) => Err(DriverError::LandedFleet),
+        };
+        let finished = backend.finish();
+        let lanes = lanes.join();
+        poller.stop();
+        let wall_seconds = started.elapsed().as_secs_f64();
+        aggregator.poll_at(wall_seconds);
+
+        let (etl, chaos) = fed?;
+        let (dpp, fleet) = finished?;
+        Ok(DriverOutput {
+            etl,
+            dpp,
+            fleet,
+            chaos,
+            lanes,
+            wall_seconds,
+            aggregator,
+        })
+    }
+}
+
+/// The pump loop — the only one in the workspace's `src/` trees.
+fn pump(
+    mut tail: Tail,
+    backend: &mut Backend,
+    lanes: &mut Lanes,
+    pump_gate: Option<PumpGate>,
+) -> Result<(Option<EtlServiceReport>, Option<ChaosReport>), DriverError> {
+    let barrier = matches!(backend, Backend::Fleet(_)) || tail.chaos.is_some();
+    let mut clock = ManualClock::new();
+    let mut pumps = 0u64;
+    while !tail.etl.tail_drained() {
+        let now = clock.advance(tail.step_ms);
+        backend.tick(now);
+        if let Some(chaos) = tail.chaos.as_mut() {
+            for action in chaos.injector.poll(now) {
+                match (action, &mut *backend) {
+                    (FaultAction::StallTrainer { lane, ms }, _) => lanes.stall(lane, ms),
+                    (FaultAction::KillTrainer { lane }, _) => lanes.kill(lane),
+                    (FaultAction::CrashEtlPump, _) => {
+                        tail.etl = chaos.crash_and_resume(tail.stream, &tail.table);
+                    }
+                    (FaultAction::KillHost { host }, Backend::Fleet(fleet)) => {
+                        fleet.kill_host(host);
+                    }
+                    (FaultAction::PartitionHost { host, ms }, Backend::Fleet(fleet)) => {
+                        fleet.partition_host(host, ms);
+                    }
+                    (FaultAction::RejoinHost { host }, Backend::Fleet(fleet)) => {
+                        fleet.rejoin_host(host);
+                    }
+                    // `Driver::new` rejected host faults without a fleet.
+                    (
+                        FaultAction::KillHost { .. }
+                        | FaultAction::PartitionHost { .. }
+                        | FaultAction::RejoinHost { .. },
+                        Backend::Single(_),
+                    ) => {}
+                }
+            }
+        }
+        if let Some(gate) = &pump_gate {
+            // Unified backpressure: hold the pump while the PID controller
+            // says trainer lanes are the bottleneck. Bounded so a
+            // chaos-stalled lane degrades to a delay, never a deadlock; the
+            // wait changes when work happens, not what is produced.
+            let waited = Instant::now();
+            while !gate.pump_allowed() && waited.elapsed() < Duration::from_secs(2) {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        tail.etl.pump(
+            now,
+            &mut |stored: &StoredPartition, _sealed: &TablePartition| {
+                backend.ingest_partition(stored);
+            },
+        );
+        pumps += 1;
+        if barrier {
+            if !backend.flush_partition() {
+                return Err(DriverError::Barrier);
+            }
+            if let Some(chaos) = tail.chaos.as_mut() {
+                if pumps.is_multiple_of(CHECKPOINT_EVERY_PUMPS) {
+                    chaos.checkpoint = tail.etl.checkpoint();
+                }
+            }
+        }
+    }
+    let output = tail
+        .etl
+        .finish(&mut |stored: &StoredPartition, _sealed: &TablePartition| {
+            backend.ingest_partition(stored);
+        });
+    if barrier && !backend.flush_partition() {
+        return Err(DriverError::Barrier);
+    }
+    let chaos = tail.chaos.map(|mut chaos| chaos.injector.finish());
+    Ok((Some(output.report), chaos))
+}
+
+/// Routes DPP fills through the run's chaos retry counters and gives the
+/// controller (every host's, in a fleet) its escape hatch: the live ETL tail
+/// lag, so lane backpressure never holds the pump while the stream falls
+/// behind its log tail.
+fn wire(mut dpp: DppConfig, tail: Option<&Tail>) -> DppConfig {
+    let Some(tail) = tail else { return dpp };
+    if let Some(chaos) = &tail.chaos {
+        dpp = dpp.with_chaos_retry(chaos.policy, Arc::clone(&chaos.counters));
+    }
+    if let Some(ctrl) = dpp.ctrl.take() {
+        let gauges = tail.etl.gauges();
+        dpp = dpp.with_ctrl(
+            ctrl.with_tail_lag_probe(Arc::new(move || gauges.tail_lag_ms.load(Ordering::Relaxed))),
+        );
+    }
+    dpp
+}
+
+/// A host fault with no multi-host fleet, or naming a host the fleet lacks,
+/// can never fire: rejected up front instead of running a faultless plan.
+fn validate_host_faults(plan: &FaultPlan, hosts: usize) -> Result<(), DriverError> {
+    for &fault in plan.faults() {
+        let host = match fault.kind {
+            FaultKind::KillHost { host }
+            | FaultKind::PartitionHost { host, .. }
+            | FaultKind::RejoinHost { host } => host,
+            _ => continue,
+        };
+        if hosts < 2 {
+            return Err(DriverError::HostFaultWithoutFleet { fault });
+        }
+        if host >= hosts {
+            return Err(DriverError::HostOutOfRange { fault, host, hosts });
+        }
+    }
+    Ok(())
+}

@@ -45,6 +45,10 @@
 //!   worker population. Because routing is single-threaded and
 //!   order-restored, scaling never changes the emitted batches.
 //!
+//! [`driver`] is the one loop that feeds either topology — a single service
+//! or a [`DppFleet`] — from a log tail through the streaming ETL, under an
+//! optional chaos plan; `PipelineRunner` and the `recd-dpp` CLI both call it.
+//!
 //! Under [`ShardPolicy::FileRoundRobin`] with `shards == readers`, the
 //! service's concatenated output is **identical** to the one-shot
 //! [`recd_reader::ReaderTier`] over the same files — the integration tests
@@ -58,6 +62,7 @@
 pub mod channel;
 pub mod checkpoint;
 pub mod control;
+pub mod driver;
 pub mod fleet;
 pub mod metrics;
 pub mod obs;
@@ -69,6 +74,9 @@ pub mod sink;
 pub use channel::{bounded, Receiver, RecvTimeout, SendError, Sender};
 pub use checkpoint::DppCheckpoint;
 pub use control::{CtrlConfig, CtrlReport, CtrlShared, PumpGate};
+pub use driver::{
+    Consume, Driver, DriverError, DriverOutput, Feed, LaneReport, TailFeed, Topology,
+};
 pub use fleet::{
     DppFleet, FleetConfig, FleetController, FleetCounters, FleetHandle, FleetOutput, FleetReport,
 };

@@ -1,16 +1,14 @@
 //! Whole-pipeline checkpoint: the ETL-tier and DPP-tier checkpoints framed
 //! as one serializable blob.
 //!
-//! The continuous runner takes a [`PipelineCheckpoint`] at every barrier
-//! boundary — right after `DppHandle::flush_partition` resolves, when the
-//! ETL sealed queue is drained and every routed row has been delivered — so
-//! the two halves are mutually consistent: the DPP dedup set covers exactly
-//! the partitions the ETL landing record says were landed. A crash-restart
-//! rebuilds the ETL service with
-//! [`EtlService::resume_from`](recd_etl::EtlService::resume_from) from the
-//! `etl` half; the replayed partitions the rewound tail re-lands are then
-//! absorbed by the DPP service's ingest dedup, which composes at-least-once
-//! replay into an exactly-once trainer feed.
+//! Taken at a barrier boundary — right after `DppHandle::flush_partition`
+//! resolves, when the ETL sealed queue is drained and every routed row has
+//! been delivered — the two halves are mutually consistent: the DPP dedup
+//! set covers exactly the partitions the ETL landing record says were
+//! landed. The pipeline driver (`recd_dpp::driver`) only ever crashes the
+//! ETL pump, so it keeps the `etl` half alone in memory and restarts from it
+//! with [`EtlService::resume_from`](recd_etl::EtlService::resume_from); the
+//! replayed partitions are absorbed by the DPP ingest dedup.
 //!
 //! The framing reuses the tiers' own wire formats: a `"RPCK"` magic +
 //! version header followed by the two length-prefixed nested blobs, each

@@ -18,10 +18,11 @@
 //!   production models.
 //! * [`PipelineRunner`] runs one configuration end to end and produces a
 //!   [`PipelineReport`] with storage, reader, and trainer measurements.
-//!   `with_continuous` swaps the batch reader for the streaming tail → ETL →
-//!   DPP pipeline, and `with_hosts` disaggregates that DPP tier over a
-//!   multi-host fleet with a fault-tolerant control plane
-//!   (`ContinuousReport::fleet` carries the accounting).
+//!   `with_continuous` additionally runs the streaming tail → ETL → DPP
+//!   pipeline through the one driver in `recd_dpp::driver` (the runner only
+//!   builds its configs and maps its report); `with_hosts` makes that DPP
+//!   tier a multi-host fleet (`ContinuousReport::fleet` carries the
+//!   accounting) and `with_chaos` puts a fault plan on the pump clock.
 //! * [`experiments`] packages the paper's evaluation: Figures 3, 4, 7, 8, 9,
 //!   10 and Tables 2, 3, 4, plus the Scribe compression study, the
 //!   single-node study, the DedupeFactor sweep, and the accuracy-neutrality

@@ -1,17 +1,15 @@
 //! The end-to-end pipeline runner.
 
-use crate::checkpoint::PipelineCheckpoint;
 use crate::config::{RecdConfig, RmSpec};
-use recd_chaos::{ChaosReport, FaultAction, FaultInjector, FaultPlan, RetryPolicy};
+use recd_chaos::{ChaosReport, FaultPlan};
 use recd_core::{ConvertedBatch, DataLoaderConfig};
 use recd_data::{LogRecord, Schema};
 use recd_datagen::DatasetGenerator;
 use recd_dpp::{
-    CtrlConfig, DppConfig, DppFleet, DppReport, DppService, FleetConfig, FleetReport, RecvTimeout,
-    ShardPolicy, TrainerAssignPolicy, TrainerBatch, TrainerHandle,
+    Consume, CtrlConfig, DppConfig, DppReport, DppService, Driver, Feed, FleetConfig, FleetReport,
+    ShardPolicy, TailFeed, Topology, TrainerAssignPolicy, TrainerBatch,
 };
-use recd_etl::{EtlJob, EtlService, EtlServiceReport, EtlStreamConfig, ManualClock, TableLayout};
-use recd_obs::{AggregatorConfig, MetricsAggregator, MetricsRegistry, RegistryFederation};
+use recd_etl::{EtlJob, EtlServiceReport, EtlStreamConfig, TableLayout};
 use recd_reader::{PreprocessPipeline, ReaderConfig, ReaderTier, TierReport};
 use recd_scribe::{LogTail, ScribeCluster, ScribeConfig, ScribeReport, ShardKeyPolicy, TailConfig};
 use recd_storage::{NodeConfig, StorageReport, TableStore, TectonicSim};
@@ -19,8 +17,7 @@ use recd_trainer::{
     ClusterSpec, DlrmConfig, IterationCost, MemoryReport, TrainerOptimizations, WorkStats,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 /// Everything measured by one end-to-end pipeline run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -81,7 +78,7 @@ pub struct ContinuousReport {
     #[serde(default)]
     pub fleet: Option<FleetReport>,
     /// Derived metrics captured by the observability plane's aggregator,
-    /// which polled the cross-tier registry between pump steps.
+    /// which polled the cross-tier registry every 100 ms of the run.
     pub derived: ContinuousDerived,
 }
 
@@ -250,8 +247,8 @@ impl PipelineRunner {
 
     /// Additionally drives the *continuous* pipeline over the same log
     /// stream: a jittered [`LogTail`] of the Scribe drain feeds a streaming
-    /// [`EtlService`] (incremental join → per-session clustering → hourly
-    /// seal → land), and every landed partition is handed straight to a
+    /// [`EtlService`](recd_etl::EtlService) (incremental join → per-session
+    /// clustering → hourly seal → land), and every landed partition is handed straight to a
     /// running `recd-dpp` service via
     /// [`ingest_partition`](recd_dpp::DppHandle::ingest_partition). The
     /// combined accounting lands in [`PipelineReport::continuous`].
@@ -275,7 +272,7 @@ impl PipelineRunner {
 
     /// In continuous mode, runs the DPP tier as a *disaggregated fleet* of
     /// `hosts` simulated preprocessing hosts behind the fault-tolerant
-    /// control plane ([`DppFleet`]): the coordinator owns the global
+    /// control plane ([`recd_dpp::DppFleet`]): the coordinator owns the global
     /// file → shard placement, heartbeats every host on the pump clock, and
     /// heals `kill-host`/`partition-host`/`rejoin-host` chaos faults with
     /// bounded replay from the per-pump barrier cuts. The global shard count
@@ -293,8 +290,8 @@ impl PipelineRunner {
     /// Runs the continuous pipeline under the given chaos [`FaultPlan`]:
     /// storage faults apply directly to the continuous blob store, trainer
     /// stall/kill faults apply to the fan-out lanes, and `crash-pump` tears
-    /// the ETL service down and resumes it from the latest
-    /// [`PipelineCheckpoint`] — replayed partitions are absorbed by the DPP
+    /// the ETL service down and resumes it from the latest ETL
+    /// checkpoint — replayed partitions are absorbed by the DPP
     /// service's ingest dedup, so the trainer-batch union stays byte-
     /// identical to a fault-free run. Implies continuous mode (with two
     /// compute workers unless [`PipelineRunner::with_continuous`] overrides
@@ -404,7 +401,7 @@ impl PipelineRunner {
                 partition.hour,
                 &partition.samples,
             );
-            merge_storage(&mut storage_report, &report);
+            storage_report.absorb(&report);
             stored_partitions.push(stored);
         }
         table_store.blob_store().reset_read_counters();
@@ -482,11 +479,8 @@ impl PipelineRunner {
         let mut chaos_report = None;
         let mut continuous_batches = Vec::new();
         let continuous = self.continuous_workers.map(|workers| {
-            let (report, chaos, batches) = if self.hosts > 0 {
-                self.run_continuous_fleet(workers, &drained, layout, &schema, &reader_config)
-            } else {
-                self.run_continuous(workers, &drained, layout, &schema, &reader_config)
-            };
+            let (report, chaos, batches) =
+                self.run_continuous(workers, &drained, layout, &schema, &reader_config);
             chaos_report = chaos;
             continuous_batches = batches;
             report
@@ -531,19 +525,12 @@ impl PipelineRunner {
         }
     }
 
-    /// Drives the continuous tier: a jittered [`LogTail`] of the Scribe
-    /// drain feeds a streaming [`EtlService`] whose landed partitions are
-    /// ingested by a running `recd-dpp` service, pumped on a shared manual
-    /// clock in one-minute steps.
-    ///
-    /// With a chaos plan configured the loop additionally (a) polls a
-    /// [`FaultInjector`] on the same clock before every pump, (b) resolves a
-    /// partition barrier after every pump so batch boundaries are a pure
-    /// function of the landing schedule, (c) takes a [`PipelineCheckpoint`]
-    /// at a fixed barrier cadence, and (d) on `crash-pump` discards the ETL
-    /// service and resumes it from the latest checkpoint — the rewound tail
-    /// replays at-least-once, and the DPP ingest dedup makes the trainer
-    /// feed exactly-once.
+    /// Builds the continuous tier's configs — a jittered [`LogTail`] of the
+    /// Scribe drain pumped in one-minute steps, and either one `recd-dpp`
+    /// service or (under [`with_hosts`](Self::with_hosts)) a fleet — hands
+    /// them to the one pipeline [`Driver`], and maps its output. The
+    /// per-pump schedule (tick, faults, pump gate, barrier, checkpoint,
+    /// crash-resume) is documented on [`recd_dpp::driver`].
     fn run_continuous(
         &self,
         workers: usize,
@@ -553,526 +540,91 @@ impl PipelineRunner {
         reader_config: &ReaderConfig,
     ) -> (ContinuousReport, Option<ChaosReport>, Vec<TrainerBatch>) {
         let spec = &self.spec;
-        let table = spec.preset.name();
         let tail_config = TailConfig::default()
             .with_jitter_ms(2_000)
             .with_seed(spec.sized_workload().seed);
-        let stream_config = EtlStreamConfig::new(layout).with_window_ms(10_000);
-        let (rows_per_stripe, stripes_per_file) = self.continuous_file_shape.unwrap_or((64, 4));
-        let store = Arc::new(TableStore::new(
-            self.storage.build(),
-            rows_per_stripe,
-            stripes_per_file,
-        ));
+        let (rows, stripes) = self.continuous_file_shape.unwrap_or((64, 4));
+        let store = Arc::new(TableStore::new(self.storage.build(), rows, stripes));
 
-        // Chaos plumbing: the injector owns the storage knobs; the shared
-        // counters feed both retry paths and the recd_chaos_* export.
-        let mut injector = self
-            .chaos
-            .as_ref()
-            .map(|plan| FaultInjector::new(plan, store.blob_store().clone()));
-        let chaos_retry = injector
-            .as_ref()
-            .map(|inj| (RetryPolicy::storage_default(), inj.counters()));
-
-        let mut etl = EtlService::new(
-            LogTail::new(drained.to_vec(), &tail_config),
-            stream_config,
-            Arc::clone(&store),
-            schema.clone(),
-            table,
-        );
-        let mut dpp_config = DppConfig::new(reader_config.clone())
-            .with_policy(ShardPolicy::SessionAffine)
-            .with_shards(workers)
+        let mut dpp = DppConfig::new(reader_config.clone())
             .with_compute_workers(workers)
             .with_fill_workers(2);
         if let Some(depth) = self.continuous_queue_depth {
-            dpp_config = dpp_config
-                .with_queue_depth(depth)
-                .with_trainer_queue_depth(depth);
-        }
-        if self.continuous_trainers > 0 {
-            dpp_config = dpp_config
-                .with_trainers(self.continuous_trainers)
-                .with_assign_policy(TrainerAssignPolicy::LeastLoaded);
-        }
-        if let Some((policy, counters)) = &chaos_retry {
-            etl = etl.with_chaos_retry(*policy, Arc::clone(counters));
-            dpp_config = dpp_config.with_chaos_retry(*policy, Arc::clone(counters));
+            dpp = dpp.with_queue_depth(depth).with_trainer_queue_depth(depth);
         }
         if let Some(ctrl) = &self.ctrl {
-            // The controller's escape hatch reads the live ETL tail lag, so
-            // lane backpressure never holds the pump while the stream falls
-            // behind its log tail.
-            let gauges = etl.gauges();
-            dpp_config =
-                dpp_config.with_ctrl(ctrl.clone().with_tail_lag_probe(Arc::new(move || {
-                    gauges
-                        .tail_lag_ms
-                        .load(std::sync::atomic::Ordering::Relaxed)
-                })));
+            dpp = dpp.with_ctrl(ctrl.clone());
         }
-        let mut handle = DppService::start(dpp_config, Arc::clone(&store), schema.clone());
-        let pump_gate = handle.pump_gate();
-
-        // Simulated trainer lanes: each is drained by a consumer thread that
-        // interleaves consumption with the chaos harness's stall/kill
-        // commands.
-        let mut lanes: Vec<Option<Lane>> = handle
-            .take_trainers()
-            .into_iter()
-            .map(|trainer| Some(Lane::spawn(trainer)))
-            .collect();
-        let mut killed = Vec::new();
-
-        // The observability plane over the continuous run: the ETL gauges,
-        // the dpp service snapshot, the blob store, and (under chaos) the
-        // chaos counters register into one registry, and the aggregator
-        // samples it after every pump step (time axis = wall clock, so rates
-        // are real).
-        let registry = Arc::new(MetricsRegistry::new());
-        registry.register(Arc::new(handle.snapshot_source()));
-        registry.register(etl.gauges());
-        registry.register(Arc::new(store.blob_store().clone()));
-        if let Some((_, counters)) = &chaos_retry {
-            let counters: Arc<dyn recd_obs::Collector> = Arc::clone(counters) as _;
-            registry.register(counters);
-        }
-        let aggregator = MetricsAggregator::new(registry, AggregatorConfig::default());
-        let started = std::time::Instant::now();
-        aggregator.poll_at(0.0);
-
-        // Pump the tail in one-minute simulated steps; every sealed
-        // partition lands and is ingested the moment it appears. Under
-        // chaos, every pump ends in a partition barrier and every
-        // CHECKPOINT_EVERY_PUMPS-th barrier snapshots the pipeline — a
-        // crash between checkpoints therefore genuinely replays tail
-        // events, which is what the dedup path must absorb.
-        const CHECKPOINT_EVERY_PUMPS: u64 = 4;
-        let mut clock = ManualClock::new();
-        let mut checkpoint = PipelineCheckpoint {
-            etl: etl.checkpoint(),
-            dpp: handle.checkpoint(),
+        let topology = if self.hosts > 0 {
+            // Host template. The global shard count is 3× the compute
+            // workers *independently of the fleet size*, so the coordinator's
+            // file → shard placement — and with it batch composition — is
+            // identical for every M: the byte-identity the fleet convergence
+            // tests assert. (The coordinator routes every file with an
+            // explicit shard override, so the shard policy is irrelevant.)
+            // The fleet always fans out to real lanes; without requested
+            // trainers a single lane is drained and discarded.
+            let host = dpp
+                .with_policy(ShardPolicy::FileRoundRobin)
+                .with_shards(workers * 3);
+            Topology::Fleet(
+                FleetConfig::new(host)
+                    .with_hosts(self.hosts)
+                    .with_trainers(self.continuous_trainers.max(1)),
+            )
+        } else {
+            dpp = dpp
+                .with_policy(ShardPolicy::SessionAffine)
+                .with_shards(workers);
+            if self.continuous_trainers > 0 {
+                dpp = dpp
+                    .with_trainers(self.continuous_trainers)
+                    .with_assign_policy(TrainerAssignPolicy::LeastLoaded);
+            }
+            Topology::Single(dpp)
         };
-        let mut pumps = 0u64;
-        while !etl.tail_drained() {
-            let now = clock.advance(60_000);
-            if let Some(inj) = injector.as_mut() {
-                for action in inj.poll(now) {
-                    match action {
-                        FaultAction::StallTrainer { lane, ms } => {
-                            if let Some(Some(lane)) = lanes.get(lane) {
-                                lane.stall(ms);
-                            }
-                        }
-                        FaultAction::KillTrainer { lane } => {
-                            if let Some(slot) = lanes.get_mut(lane) {
-                                if let Some(lane) = slot.take() {
-                                    killed.push(lane.kill());
-                                }
-                            }
-                        }
-                        FaultAction::CrashEtlPump => {
-                            let (policy, counters) =
-                                chaos_retry.as_ref().expect("injector implies chaos");
-                            counters.note_pump_crash();
-                            let recovery_started = std::time::Instant::now();
-                            // The in-memory service dies; the rewound tail
-                            // replays everything since the last checkpoint.
-                            // Re-landed partitions are idempotent and the
-                            // DPP ingest dedup skips the re-offers. (The
-                            // registry keeps the dead service's gauges — a
-                            // second registration would duplicate series.)
-                            etl = EtlService::resume_from(
-                                LogTail::new(drained.to_vec(), &tail_config),
-                                stream_config,
-                                Arc::clone(&store),
-                                schema.clone(),
-                                table,
-                                checkpoint.etl.clone(),
-                            )
-                            .with_chaos_retry(*policy, Arc::clone(counters));
-                            counters.note_resume(recovery_started.elapsed());
-                        }
-                        // Host faults only mean something to the fleet loop
-                        // (`run_continuous_fleet`); a single-service plan
-                        // that schedules them has no host to act on.
-                        FaultAction::KillHost { .. }
-                        | FaultAction::PartitionHost { .. }
-                        | FaultAction::RejoinHost { .. } => {}
-                    }
-                }
-            }
-            if let Some(gate) = &pump_gate {
-                // Unified backpressure: hold the ETL pump while the PID
-                // controller says trainer lanes are the bottleneck. Bounded
-                // so a chaos-stalled lane degrades to a delay, never a
-                // deadlock; the wait changes when work happens, not what is
-                // produced.
-                let waited = std::time::Instant::now();
-                while !gate.pump_allowed() && waited.elapsed() < Duration::from_secs(2) {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-            etl.pump(
-                now,
-                &mut |stored: &recd_storage::StoredPartition,
-                      _sealed: &recd_etl::TablePartition| {
-                    handle.ingest_partition(stored);
-                },
-            );
-            pumps += 1;
-            if self.chaos.is_some() {
-                assert!(handle.flush_partition(), "pump barrier must resolve");
-                if pumps.is_multiple_of(CHECKPOINT_EVERY_PUMPS) {
-                    checkpoint = PipelineCheckpoint {
-                        etl: etl.checkpoint(),
-                        dpp: handle.checkpoint(),
-                    };
-                }
-            }
-            aggregator.poll_at(started.elapsed().as_secs_f64());
-        }
-        let output =
-            etl.finish(&mut |stored: &recd_storage::StoredPartition,
-                             _sealed: &recd_etl::TablePartition| {
-                handle.ingest_partition(stored);
-            });
-        if self.chaos.is_some() {
-            assert!(handle.flush_partition(), "final barrier must resolve");
-        }
-        let dpp = handle
-            .finish()
-            .expect("continuous run over freshly-landed partitions succeeds")
-            .report;
-        // Surviving lanes drain to end-of-stream once the service shuts
-        // down; killed lanes already returned their collected batches.
-        let mut batches: Vec<TrainerBatch> = Vec::new();
-        for join in killed {
-            batches.extend(join.join().expect("killed lane consumer"));
-        }
-        for lane in lanes.into_iter().flatten() {
-            batches.extend(lane.join.join().expect("lane consumer"));
-        }
-        let wall_seconds = started.elapsed().as_secs_f64();
-        aggregator.poll_at(wall_seconds);
-        let derived = aggregator.derived();
-        let chaos = injector.as_mut().map(|inj| inj.finish());
+
+        let feed = Feed::Tail(TailFeed {
+            tail: LogTail::new(drained.to_vec(), &tail_config),
+            stream: EtlStreamConfig::new(layout).with_window_ms(10_000),
+            table: spec.preset.name().to_string(),
+            step_ms: 60_000,
+            plan: self.chaos.clone(),
+        });
+        let driver =
+            Driver::new(store, schema, feed, topology).unwrap_or_else(|err| panic!("{err}"));
+        // Simulated trainers collect what their lanes deliver; killed lanes
+        // and survivors alike land in the one union.
+        let collected = Arc::new(Mutex::new(Vec::new()));
+        let consume: Consume = if self.continuous_trainers > 0 {
+            let collected = Arc::clone(&collected);
+            Arc::new(move |batch| collected.lock().expect("lane collector lock").push(batch))
+        } else {
+            Arc::new(drop)
+        };
+        let output = driver
+            .run(consume)
+            .unwrap_or_else(|err| panic!("continuous run: {err}"));
+
+        let derived = output.aggregator.derived();
         let report = ContinuousReport {
-            etl: output.report,
-            fleet: None,
-            derived: ContinuousDerived {
-                records_per_second: derived.records_per_second,
-                tail_lag_trend_ms_per_s: derived.tail_lag_trend_ms_per_s,
-                pool_hit_ratio: derived.pool_hit_ratio,
-                min_pool_hit_ratio: derived.min_pool_hit_ratio,
-                pipeline_records_per_second: Some(dpp.samples as f64 / wall_seconds.max(1e-9)),
-                series_tracked: aggregator.series_count(),
-            },
-            dpp,
-        };
-        (report, chaos, batches)
-    }
-
-    /// The fleet variant of [`run_continuous`](Self::run_continuous): the
-    /// same tail → streaming-ETL → land schedule, but every landed partition
-    /// is ingested by a [`DppFleet`] of `self.hosts` simulated hosts instead
-    /// of one in-process service.
-    ///
-    /// Differences from the single-service loop:
-    ///
-    /// * the coordinator is ticked on the pump clock (heartbeats, death
-    ///   detection, partition healing) before faults fire;
-    /// * host faults (`kill-host`, `partition-host`, `rejoin-host`) route to
-    ///   the coordinator instead of being ignored;
-    /// * every pump ends in a fleet-wide barrier *unconditionally* — the
-    ///   barrier schedule (and with it batch composition) must be a pure
-    ///   function of the landing schedule so fault-free and faulted runs of
-    ///   any fleet size stay byte-identical;
-    /// * the observability registry federates the per-host registries under
-    ///   `host="h<i>"` labels next to the fleet control-plane counters.
-    ///
-    /// The pipeline checkpoint's DPP half stays empty: the coordinator keeps
-    /// its own per-host checkpoints at every barrier, and a `crash-pump`
-    /// replay is absorbed by the fleet-level ingest dedup.
-    fn run_continuous_fleet(
-        &self,
-        workers: usize,
-        drained: &[LogRecord],
-        layout: TableLayout,
-        schema: &Schema,
-        reader_config: &ReaderConfig,
-    ) -> (ContinuousReport, Option<ChaosReport>, Vec<TrainerBatch>) {
-        let spec = &self.spec;
-        let table = spec.preset.name();
-        let tail_config = TailConfig::default()
-            .with_jitter_ms(2_000)
-            .with_seed(spec.sized_workload().seed);
-        let stream_config = EtlStreamConfig::new(layout).with_window_ms(10_000);
-        let (rows_per_stripe, stripes_per_file) = self.continuous_file_shape.unwrap_or((64, 4));
-        let store = Arc::new(TableStore::new(
-            self.storage.build(),
-            rows_per_stripe,
-            stripes_per_file,
-        ));
-
-        let mut injector = self
-            .chaos
-            .as_ref()
-            .map(|plan| FaultInjector::new(plan, store.blob_store().clone()));
-        let chaos_retry = injector
-            .as_ref()
-            .map(|inj| (RetryPolicy::storage_default(), inj.counters()));
-
-        let mut etl = EtlService::new(
-            LogTail::new(drained.to_vec(), &tail_config),
-            stream_config,
-            Arc::clone(&store),
-            schema.clone(),
-            table,
-        );
-        // Host template. The global shard count is fixed at 3× the compute
-        // workers *independently of the fleet size*, so the coordinator's
-        // file → shard placement — and therefore batch composition — is
-        // identical for every M; that is the byte-identity the fleet
-        // convergence tests assert. (The shard policy is irrelevant here:
-        // the coordinator routes every file with an explicit shard
-        // override.)
-        let mut host_config = DppConfig::new(reader_config.clone())
-            .with_policy(ShardPolicy::FileRoundRobin)
-            .with_shards(workers * 3)
-            .with_compute_workers(workers)
-            .with_fill_workers(2);
-        if let Some(depth) = self.continuous_queue_depth {
-            host_config = host_config
-                .with_queue_depth(depth)
-                .with_trainer_queue_depth(depth);
-        }
-        if let Some((policy, counters)) = &chaos_retry {
-            etl = etl.with_chaos_retry(*policy, Arc::clone(counters));
-            host_config = host_config.with_chaos_retry(*policy, Arc::clone(counters));
-        }
-        if let Some(ctrl) = &self.ctrl {
-            // Every host incarnation runs its own controller over its local
-            // queues; they share the ETL tail-lag probe.
-            let gauges = etl.gauges();
-            host_config =
-                host_config.with_ctrl(ctrl.clone().with_tail_lag_probe(Arc::new(move || {
-                    gauges
-                        .tail_lag_ms
-                        .load(std::sync::atomic::Ordering::Relaxed)
-                })));
-        }
-        // The fleet always fans out to real lanes; without requested
-        // trainers a single lane is drained and discarded.
-        let fleet_config = FleetConfig::new(host_config)
-            .with_hosts(self.hosts)
-            .with_trainers(self.continuous_trainers.max(1));
-        let mut fleet = DppFleet::start(fleet_config, Arc::clone(&store), schema.clone());
-
-        let mut lanes: Vec<Option<Lane>> = fleet
-            .take_trainers()
-            .into_iter()
-            .map(|trainer| Some(Lane::spawn(trainer)))
-            .collect();
-        let mut killed = Vec::new();
-
-        // The fleet observability plane: every per-host registry federates
-        // under its `host="h<i>"` label next to the coordinator's
-        // recd_fleet_* counters, the ETL gauges, the blob store, and (under
-        // chaos) the chaos counters. Host registries are stable across
-        // incarnations — a rejoined host keeps its label.
-        let federation = Arc::new(RegistryFederation::new());
-        for (label, host_registry) in fleet.host_registries() {
-            federation.set_member(label, host_registry);
-        }
-        let registry = Arc::new(MetricsRegistry::new());
-        registry.register(federation as Arc<dyn recd_obs::Collector>);
-        registry.register(fleet.counters() as Arc<dyn recd_obs::Collector>);
-        registry.register(etl.gauges());
-        registry.register(Arc::new(store.blob_store().clone()));
-        if let Some((_, counters)) = &chaos_retry {
-            let counters: Arc<dyn recd_obs::Collector> = Arc::clone(counters) as _;
-            registry.register(counters);
-        }
-        let aggregator = MetricsAggregator::new(registry, AggregatorConfig::default());
-        let started = std::time::Instant::now();
-        aggregator.poll_at(0.0);
-
-        const CHECKPOINT_EVERY_PUMPS: u64 = 4;
-        let mut clock = ManualClock::new();
-        let mut checkpoint = PipelineCheckpoint {
-            etl: etl.checkpoint(),
-            ..PipelineCheckpoint::default()
-        };
-        let mut pumps = 0u64;
-        while !etl.tail_drained() {
-            let now = clock.advance(60_000);
-            fleet.tick(now);
-            if let Some(inj) = injector.as_mut() {
-                for action in inj.poll(now) {
-                    match action {
-                        FaultAction::StallTrainer { lane, ms } => {
-                            if let Some(Some(lane)) = lanes.get(lane) {
-                                lane.stall(ms);
-                            }
-                        }
-                        FaultAction::KillTrainer { lane } => {
-                            if let Some(slot) = lanes.get_mut(lane) {
-                                if let Some(lane) = slot.take() {
-                                    killed.push(lane.kill());
-                                }
-                            }
-                        }
-                        FaultAction::CrashEtlPump => {
-                            let (policy, counters) =
-                                chaos_retry.as_ref().expect("injector implies chaos");
-                            counters.note_pump_crash();
-                            let recovery_started = std::time::Instant::now();
-                            etl = EtlService::resume_from(
-                                LogTail::new(drained.to_vec(), &tail_config),
-                                stream_config,
-                                Arc::clone(&store),
-                                schema.clone(),
-                                table,
-                                checkpoint.etl.clone(),
-                            )
-                            .with_chaos_retry(*policy, Arc::clone(counters));
-                            counters.note_resume(recovery_started.elapsed());
-                        }
-                        FaultAction::KillHost { host } => fleet.kill_host(host),
-                        FaultAction::PartitionHost { host, ms } => fleet.partition_host(host, ms),
-                        FaultAction::RejoinHost { host } => fleet.rejoin_host(host),
-                    }
-                }
-            }
-            etl.pump(
-                now,
-                &mut |stored: &recd_storage::StoredPartition,
-                      _sealed: &recd_etl::TablePartition| {
-                    fleet.ingest_partition(stored);
-                },
-            );
-            pumps += 1;
-            assert!(fleet.flush_partition(), "fleet pump barrier must resolve");
-            if self.chaos.is_some() && pumps.is_multiple_of(CHECKPOINT_EVERY_PUMPS) {
-                checkpoint = PipelineCheckpoint {
-                    etl: etl.checkpoint(),
-                    ..PipelineCheckpoint::default()
-                };
-            }
-            aggregator.poll_at(started.elapsed().as_secs_f64());
-        }
-        let output =
-            etl.finish(&mut |stored: &recd_storage::StoredPartition,
-                             _sealed: &recd_etl::TablePartition| {
-                fleet.ingest_partition(stored);
-            });
-        assert!(fleet.flush_partition(), "final fleet barrier must resolve");
-        let fleet_output = fleet.finish();
-        assert!(
-            fleet_output.errors.is_empty(),
-            "fleet hosts errored: {:?}",
-            fleet_output.errors
-        );
-        let mut batches: Vec<TrainerBatch> = Vec::new();
-        for join in killed {
-            batches.extend(join.join().expect("killed lane consumer"));
-        }
-        for lane in lanes.into_iter().flatten() {
-            batches.extend(lane.join.join().expect("lane consumer"));
-        }
-        if self.continuous_trainers == 0 {
-            // The implicit single lane only existed to drain the fleet.
-            batches.clear();
-        }
-        let wall_seconds = started.elapsed().as_secs_f64();
-        aggregator.poll_at(wall_seconds);
-        let derived = aggregator.derived();
-        let chaos = injector.as_mut().map(|inj| inj.finish());
-        let report = ContinuousReport {
-            etl: output.report,
-            fleet: Some(fleet_output.report),
+            etl: output.etl.expect("a tail feed reports its ETL tier"),
+            fleet: output.fleet.map(|(report, _hosts)| report),
             derived: ContinuousDerived {
                 records_per_second: derived.records_per_second,
                 tail_lag_trend_ms_per_s: derived.tail_lag_trend_ms_per_s,
                 pool_hit_ratio: derived.pool_hit_ratio,
                 min_pool_hit_ratio: derived.min_pool_hit_ratio,
                 pipeline_records_per_second: Some(
-                    fleet_output.dpp.samples as f64 / wall_seconds.max(1e-9),
+                    output.dpp.samples as f64 / output.wall_seconds.max(1e-9),
                 ),
-                series_tracked: aggregator.series_count(),
+                series_tracked: output.aggregator.series_count(),
             },
-            dpp: fleet_output.dpp,
+            dpp: output.dpp,
         };
-        (report, chaos, batches)
+        let batches = std::mem::take(&mut *collected.lock().expect("lane collector lock"));
+        (report, output.chaos, batches)
     }
-}
-
-/// A control command for a simulated trainer-lane consumer.
-enum LaneCmd {
-    /// Stop consuming for the given duration (backpressure builds).
-    Stall(Duration),
-    /// Drain whatever is queued, drop the handle (tombstoning the lane),
-    /// acknowledge, and exit.
-    Kill(std::sync::mpsc::Sender<()>),
-}
-
-/// One simulated trainer: a consumer thread pulling its lane with a short
-/// timeout so chaos commands interleave with consumption.
-struct Lane {
-    cmd: std::sync::mpsc::Sender<LaneCmd>,
-    join: std::thread::JoinHandle<Vec<TrainerBatch>>,
-}
-
-impl Lane {
-    fn spawn(trainer: TrainerHandle) -> Self {
-        let (cmd, cmd_rx) = std::sync::mpsc::channel::<LaneCmd>();
-        let join = std::thread::spawn(move || {
-            let mut got = Vec::new();
-            loop {
-                match cmd_rx.try_recv() {
-                    Ok(LaneCmd::Stall(pause)) => std::thread::sleep(pause),
-                    Ok(LaneCmd::Kill(ack)) => {
-                        while let Some(item) = trainer.try_recv() {
-                            got.push(item);
-                        }
-                        drop(trainer);
-                        let _ = ack.send(());
-                        return got;
-                    }
-                    Err(_) => {}
-                }
-                match trainer.recv_timeout(Duration::from_millis(1)) {
-                    RecvTimeout::Item(item) => got.push(item),
-                    RecvTimeout::Timeout => {}
-                    RecvTimeout::Disconnected => return got,
-                }
-            }
-        });
-        Self { cmd, join }
-    }
-
-    /// Pauses consumption for `ms` of wall time (asynchronous).
-    fn stall(&self, ms: u64) {
-        let _ = self.cmd.send(LaneCmd::Stall(Duration::from_millis(ms)));
-    }
-
-    /// Kills the lane and waits for the consumer to acknowledge the drop —
-    /// called only at pump boundaries, when the sink is quiescent, so no
-    /// delivery races the teardown. Returns the join handle holding the
-    /// batches consumed before death.
-    fn kill(self) -> std::thread::JoinHandle<Vec<TrainerBatch>> {
-        let (ack, ack_rx) = std::sync::mpsc::channel();
-        let _ = self.cmd.send(LaneCmd::Kill(ack));
-        let _ = ack_rx.recv();
-        self.join
-    }
-}
-
-fn merge_storage(total: &mut StorageReport, part: &StorageReport) {
-    total.absorb(part);
 }
 
 /// Averages the trainer cost model over the full-size batches of a run.

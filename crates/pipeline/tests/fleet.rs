@@ -180,6 +180,21 @@ fn hand_written_host_fault_plan_heals_to_full_strength() {
     )
     .expect("plan parses");
     let planned = plan.len();
+
+    // The same plan has no host to act on without a fleet, and names a host
+    // a 2-host fleet lacks: the driver rejects both up front (the CLI's
+    // exit-2 messages) instead of running them as faultless plans.
+    for (hosts, message) in [
+        (0, "host faults require --hosts > 1"),
+        (2, "names host 2, but --hosts 2 only has hosts 0..2"),
+    ] {
+        let rejected = plan.clone();
+        let panic = std::panic::catch_unwind(move || run_fleet(hosts, rejected))
+            .expect_err("a host fault this topology cannot apply must be rejected");
+        let text = panic.downcast_ref::<String>().expect("panic message");
+        assert!(text.contains(message), "hosts {hosts}: {text}");
+    }
+
     let artifacts = run_fleet(HOSTS, plan);
 
     let chaos = artifacts.report.chaos.clone().expect("chaos report");

@@ -1,0 +1,166 @@
+//! The one pipeline driver, through the facade: {single service, 2-host
+//! fleet} × {empty plan, seeded plan} on the tiny preset. Every case must
+//! deliver each joined sample exactly once with zero dropped batches, resume
+//! once per `crash-pump`, and deliver the same order-independent row union
+//! whatever the pump step. A pre-landed feed over a fleet is a typed error.
+
+use recd::core::{ConvertedBatch, DataLoaderConfig};
+use recd::data::FeatureId;
+use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
+use recd::dpp::{
+    Consume, DppConfig, Driver, DriverError, DriverOutput, Feed, FleetConfig, TailFeed, Topology,
+    TrainerAssignPolicy, TrainerBatch,
+};
+use recd::etl::{EtlStreamConfig, TableLayout};
+use recd::reader::ReaderConfig;
+use recd::scribe::{LogTail, TailConfig};
+use recd::storage::{TableStore, TectonicSim};
+use recd_chaos::{FaultKind, FaultPlan};
+use std::sync::{Arc, Mutex};
+
+const TRAINERS: usize = 2;
+
+/// One logical row: label and dense bits, then every sparse feature's ids
+/// (IKJT rows expanded through the group's inverse lookup).
+type Row = (u32, Vec<u32>, Vec<(FeatureId, Vec<u64>)>);
+
+fn rows(batch: &ConvertedBatch) -> impl Iterator<Item = Row> + '_ {
+    (0..batch.batch_size).map(move |row| {
+        let mut sparse: Vec<(FeatureId, Vec<u64>)> = batch
+            .kjt
+            .iter()
+            .map(|(id, tensor)| (id, tensor.row(row).to_vec()))
+            .collect();
+        for ikjt in &batch.ikjts {
+            for &id in ikjt.keys() {
+                sparse.push((id, ikjt.row(id, row).expect("row in range").to_vec()));
+            }
+        }
+        sparse.sort();
+        let dense = batch.dense.row(row).iter().map(|v| v.to_bits()).collect();
+        (batch.labels[row].to_bits(), dense, sparse)
+    })
+}
+
+/// Runs one tail-fed pipeline; returns the driver's output and the sorted
+/// row union its lanes delivered.
+fn run(hosts: usize, plan: &FaultPlan, step_ms: u64) -> (DriverOutput, Vec<Row>) {
+    let (records, partition) =
+        DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny)).generate_logs();
+    let schema = partition.schema;
+    let store = Arc::new(TableStore::new(TectonicSim::new(4), 64, 2));
+    let dpp = DppConfig::new(ReaderConfig::new(
+        64,
+        DataLoaderConfig::from_schema(&schema),
+    ))
+    .with_fill_workers(2)
+    .with_compute_workers(2)
+    .with_shards(4);
+    let topology = if hosts > 0 {
+        Topology::Fleet(
+            FleetConfig::new(dpp)
+                .with_hosts(hosts)
+                .with_trainers(TRAINERS),
+        )
+    } else {
+        // Least-loaded lanes: a killed lane's traffic re-routes.
+        Topology::Single(
+            dpp.with_trainers(TRAINERS)
+                .with_assign_policy(TrainerAssignPolicy::LeastLoaded),
+        )
+    };
+    let feed = Feed::Tail(TailFeed {
+        tail: LogTail::new(records, &TailConfig::default().with_jitter_ms(2_000)),
+        stream: EtlStreamConfig::new(TableLayout::ClusteredBySession).with_window_ms(10_000),
+        table: "driver".to_string(),
+        step_ms,
+        plan: Some(plan.clone()),
+    });
+    let driver = Driver::new(store, &schema, feed, topology).expect("plan fits the topology");
+    let delivered = Arc::new(Mutex::new(Vec::<TrainerBatch>::new()));
+    let consume: Consume = {
+        let delivered = Arc::clone(&delivered);
+        Arc::new(move |batch| delivered.lock().expect("collector lock").push(batch))
+    };
+    let output = driver.run(consume).expect("run finishes cleanly");
+    let delivered = delivered.lock().expect("collector lock");
+    let mut union: Vec<Row> = delivered.iter().flat_map(|b| rows(&b.batch)).collect();
+    union.sort();
+    (output, union)
+}
+
+#[test]
+fn every_topology_and_plan_delivers_exactly_once_at_any_pump_step() {
+    let horizon = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny))
+        .generate_logs()
+        .0
+        .iter()
+        .map(|r| r.timestamp().as_millis())
+        .max()
+        .expect("tiny preset has records");
+    for hosts in [0, 2] {
+        // Single service: the seeded plan (trainer kill + stall, storage
+        // faults, one crash-pump). Fleet: a host death healed by a rejoin
+        // around a crash-pump — `seeded_fleet` also partitions a second
+        // host, which a 2-host fleet cannot survive.
+        let faulted = if hosts == 0 {
+            FaultPlan::seeded(7, horizon, TRAINERS)
+        } else {
+            FaultPlan::new()
+                .with_fault(horizon / 5, FaultKind::KillHost { host: 1 })
+                .with_fault(horizon / 3, FaultKind::FailGet { count: 3 })
+                .with_fault(horizon / 2, FaultKind::CrashEtlPump)
+                .with_fault(3 * horizon / 5, FaultKind::RejoinHost { host: 1 })
+        };
+        let plans = [FaultPlan::new(), faulted];
+        for plan in plans {
+            let label = format!("{hosts} hosts, plan `{plan}`");
+            let crashes = plan
+                .faults()
+                .iter()
+                .filter(|f| f.kind == FaultKind::CrashEtlPump)
+                .count() as u64;
+            let (output, union) = run(hosts, &plan, 60_000);
+
+            let etl = output.etl.as_ref().expect("tail feed reports its ETL tier");
+            let joined = etl.etl.counters.joined_samples;
+            assert!(joined > 0, "{label}: nothing joined");
+            let consumed: u64 = output.lanes.iter().map(|lane| lane.samples).sum();
+            assert_eq!(
+                consumed, joined,
+                "{label}: lanes consumed every sample once"
+            );
+            assert_eq!(output.dpp.samples as u64, joined, "{label}: dpp samples");
+            assert_eq!(union.len() as u64, joined, "{label}: one row per sample");
+            assert!(
+                output.dpp.trainers.iter().all(|t| t.dropped_batches == 0),
+                "{label}: a lane dropped batches"
+            );
+            let chaos = output.chaos.as_ref().expect("a plan yields a chaos report");
+            assert_eq!(chaos.faults_fired, plan.len() as u64, "{label}: faults");
+            assert_eq!(chaos.resumes, crashes, "{label}: one resume per crash");
+            assert_eq!(output.fleet.is_some(), hosts > 0, "{label}: fleet report");
+
+            let (_, other_step) = run(hosts, &plan, 45_000);
+            assert!(
+                union == other_step,
+                "{label}: row union moved with the step"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_pre_landed_feed_over_a_fleet_is_rejected_before_anything_starts() {
+    let partition =
+        DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny)).generate_partition();
+    let store = Arc::new(TableStore::new(TectonicSim::new(4), 64, 2));
+    let (stored, _) = store.land_partition(&partition.schema, "landed", 0, &partition.samples);
+    let dpp = DppConfig::new(ReaderConfig::new(
+        64,
+        DataLoaderConfig::from_schema(&partition.schema),
+    ));
+    let fleet = Topology::Fleet(FleetConfig::new(dpp).with_hosts(2));
+    let result = Driver::new(store, &partition.schema, Feed::Landed(stored), fleet);
+    assert!(matches!(result, Err(DriverError::LandedFleet)));
+}
