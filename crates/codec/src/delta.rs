@@ -50,22 +50,31 @@ pub fn decode(input: &[u8]) -> Result<(Vec<u64>, usize)> {
 ///
 /// Returns a [`CodecError`](crate::CodecError) if the stream is truncated.
 pub fn decode_into(input: &[u8], values: &mut Vec<u64>) -> Result<usize> {
-    let (len, mut cursor) = varint::decode_u64(input)?;
     values.clear();
-    values.reserve(len as usize);
-    let mut prev: u64 = 0;
-    for i in 0..len {
-        if i == 0 {
-            let (v, used) = varint::decode_u64(&input[cursor..])?;
-            cursor += used;
-            prev = v;
-        } else {
-            let (d, used) = varint::decode_i64(&input[cursor..])?;
-            cursor += used;
-            prev = prev.wrapping_add(d as u64);
-        }
-        values.push(prev);
-    }
+    decode_append(input, values)
+}
+
+/// Decodes a stream produced by [`encode`] onto the end of `values`, leaving
+/// what is already there in place, and returns the number of bytes
+/// consumed. On error the appended tail is unspecified.
+///
+/// # Errors
+///
+/// Returns a [`CodecError`](crate::CodecError) if the stream is truncated.
+pub fn decode_append(input: &[u8], values: &mut Vec<u64>) -> Result<usize> {
+    let (count, mut cursor) = varint::decode_count(input)?;
+    let base = values.len();
+    values.resize(base + count, 0);
+    let Some((first, rest)) = values[base..].split_first_mut() else {
+        return Ok(cursor);
+    };
+    let (mut prev, used) = varint::decode_u64(&input[cursor..])?;
+    *first = prev;
+    cursor += used;
+    cursor += varint::decode_run(&input[cursor..], rest, |raw| {
+        prev = prev.wrapping_add(varint::zigzag_decode(raw) as u64);
+        prev
+    })?;
     Ok(cursor)
 }
 
@@ -73,6 +82,67 @@ pub fn decode_into(input: &[u8], values: &mut Vec<u64>) -> Result<usize> {
 mod tests {
     use super::*;
     use crate::CodecError;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The value-at-a-time decoder this module shipped before the windowed
+    /// one, kept as its differential oracle.
+    fn decode_bytewise(input: &[u8], values: &mut Vec<u64>) -> Result<usize> {
+        let (len, mut cursor) = varint::decode_u64(input)?;
+        values.clear();
+        let mut prev: u64 = 0;
+        for i in 0..len {
+            if i == 0 {
+                let (v, used) = varint::decode_u64(&input[cursor..])?;
+                cursor += used;
+                prev = v;
+            } else {
+                let (d, used) = varint::decode_i64(&input[cursor..])?;
+                cursor += used;
+                prev = prev.wrapping_add(d as u64);
+            }
+            values.push(prev);
+        }
+        Ok(cursor)
+    }
+
+    proptest! {
+        #[test]
+        fn windowed_decode_matches_bytewise(
+            raw in vec((any::<u64>(), 0u32..64), 0..40),
+            trailing in vec(any::<u8>(), 0..12),
+        ) {
+            let values: Vec<u64> = raw.iter().map(|&(v, shift)| v >> shift).collect();
+            let mut encoded = encode(&values);
+            let stream_len = encoded.len();
+            encoded.extend_from_slice(&trailing);
+            for cut in (0..stream_len).chain([encoded.len()]) {
+                let (mut new, mut old) = (vec![7u64; 3], Vec::new());
+                let got = decode_into(&encoded[..cut], &mut new);
+                prop_assert_eq!(&got, &decode_bytewise(&encoded[..cut], &mut old));
+                if got.is_ok() {
+                    prop_assert_eq!(&new, &old);
+                }
+            }
+            let mut decoded = vec![9u64];
+            prop_assert_eq!(decode_append(&encoded, &mut decoded), Ok(stream_len));
+            prop_assert_eq!(decoded[0], 9);
+            prop_assert_eq!(&decoded[1..], &values[..]);
+        }
+    }
+
+    #[test]
+    fn a_count_the_input_cannot_hold_is_rejected_before_sizing_anything() {
+        let mut forged = Vec::new();
+        varint::encode_u64(1 << 62, &mut forged);
+        forged.extend_from_slice(&[1, 2, 3]);
+        let mut values = Vec::new();
+        assert!(matches!(
+            decode_into(&forged, &mut values),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+        assert_eq!(values.capacity(), 0);
+    }
 
     #[test]
     fn round_trip_monotone_offsets() {

@@ -33,6 +33,26 @@ fn hash4(bytes: &[u8]) -> usize {
     ((v.wrapping_mul(2_654_435_761)) >> 17) as usize & (HASH_BUCKETS - 1)
 }
 
+/// Length of the common prefix of `a` and `b`, compared eight bytes at a
+/// time: the first differing byte of a word is its lowest set XOR bit.
+#[inline]
+fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+    let mut len = 0usize;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
+        let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if x != y {
+            return len + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    len + a[len..]
+        .iter()
+        .zip(&b[len..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
 /// Compresses a block of bytes.
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
@@ -51,14 +71,12 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         let candidate = head[h];
         head[h] = pos;
 
-        let mut match_len = 0usize;
-        if candidate != usize::MAX && pos - candidate <= MAX_DISTANCE {
+        let match_len = if candidate != usize::MAX && pos - candidate <= MAX_DISTANCE {
             // Extend the match as far as it goes.
-            let max = data.len() - pos;
-            while match_len < max && data[candidate + match_len] == data[pos + match_len] {
-                match_len += 1;
-            }
-        }
+            common_prefix_len(&data[candidate..], &data[pos..])
+        } else {
+            0
+        };
 
         if match_len >= MIN_MATCH {
             let distance = pos - candidate;
@@ -104,57 +122,80 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// Largest up-front reservation made on the word of a block's declared
+/// length. The declared length is input, and a match token of three bytes
+/// can legitimately expand to megabytes, so nothing in the block bounds it;
+/// past this cap the output grows as bytes are actually produced.
+const MAX_UPFRONT_RESERVE: usize = 1 << 20;
+
+/// Reads a length at `*cursor`, advancing it. A length that does not fit in
+/// `usize` cannot be satisfied by any buffer; saturating keeps the caller's
+/// range checks simple.
+#[inline]
+fn read_len(data: &[u8], cursor: &mut usize) -> Result<usize> {
+    let value = varint::read_u64(data, cursor)?;
+    Ok(usize::try_from(value).unwrap_or(usize::MAX))
+}
+
 /// Decompresses a block produced by [`compress`] into a caller-provided
 /// buffer, clearing it first — the allocation-free variant of
 /// [`decompress`] for callers that recycle a scratch buffer across blocks.
 /// On error the buffer contents are unspecified.
 ///
+/// Matched bytes are copied in bulk: a match that does not overlap its own
+/// output is one `extend_from_within`, and an overlapping one (distance <
+/// length, i.e. a run with period `distance`) copies everything produced
+/// since the match source on each pass, doubling the run until it is long
+/// enough.
+///
 /// # Errors
 ///
 /// Same error conditions as [`decompress`].
 pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
-    let (expected_len, mut cursor) = varint::decode_u64(data)?;
-    let expected_len = expected_len as usize;
+    let mut cursor = 0usize;
+    let expected_len = read_len(data, &mut cursor)?;
     out.clear();
-    out.reserve(expected_len);
+    out.reserve(expected_len.min(MAX_UPFRONT_RESERVE));
 
     while out.len() < expected_len {
-        let (literal_len, used) = varint::decode_u64(&data[cursor..])?;
-        cursor += used;
-        let literal_len = literal_len as usize;
-        if cursor + literal_len > data.len() {
-            return Err(CodecError::UnexpectedEof {
+        let literal_len = read_len(data, &mut cursor)?;
+        let literals = cursor
+            .checked_add(literal_len)
+            .and_then(|end| data.get(cursor..end))
+            .ok_or(CodecError::UnexpectedEof {
                 context: "lz literal run",
-            });
-        }
-        out.extend_from_slice(&data[cursor..cursor + literal_len]);
+            })?;
+        out.extend_from_slice(literals);
         cursor += literal_len;
 
-        if out.len() >= expected_len {
-            break;
-        }
-        if cursor >= data.len() {
-            // No match token follows the final literal run.
+        if out.len() >= expected_len || cursor >= data.len() {
+            // The block is complete, or no match token follows the final
+            // literal run.
             break;
         }
 
-        let (match_len, used) = varint::decode_u64(&data[cursor..])?;
-        cursor += used;
-        let (distance, used) = varint::decode_u64(&data[cursor..])?;
-        cursor += used;
-        let match_len = match_len as usize;
-        let distance = distance as usize;
+        let match_len = read_len(data, &mut cursor)?;
+        let distance = read_len(data, &mut cursor)?;
         if distance == 0 || distance > out.len() {
             return Err(CodecError::InvalidMatch {
                 distance,
                 produced: out.len(),
             });
         }
-        // Byte-by-byte copy supports overlapping matches (distance < len).
+        // Reject an overrunning match before copying it: a corrupt length
+        // must not size the output.
+        if match_len > expected_len - out.len() {
+            return Err(CodecError::LengthMismatch {
+                expected: expected_len,
+                actual: out.len().saturating_add(match_len),
+            });
+        }
         let start = out.len() - distance;
-        for i in 0..match_len {
-            let byte = out[start + i];
-            out.push(byte);
+        let mut remaining = match_len;
+        while remaining > 0 {
+            let chunk = remaining.min(out.len() - start);
+            out.extend_from_within(start..start + chunk);
+            remaining -= chunk;
         }
     }
 
@@ -170,6 +211,182 @@ pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time decoder this module shipped before bulk match
+    /// copy, kept as its differential oracle. (It sizes nothing up front, so
+    /// feed it only blocks whose lengths are small.)
+    fn decompress_bytewise(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        let (expected_len, mut cursor) = varint::decode_u64(data)?;
+        let expected_len = expected_len as usize;
+        out.clear();
+        while out.len() < expected_len {
+            let (literal_len, used) = varint::decode_u64(&data[cursor..])?;
+            cursor += used;
+            let literal_len = literal_len as usize;
+            if cursor + literal_len > data.len() {
+                return Err(CodecError::UnexpectedEof {
+                    context: "lz literal run",
+                });
+            }
+            out.extend_from_slice(&data[cursor..cursor + literal_len]);
+            cursor += literal_len;
+            if out.len() >= expected_len || cursor >= data.len() {
+                break;
+            }
+            let (match_len, used) = varint::decode_u64(&data[cursor..])?;
+            cursor += used;
+            let (distance, used) = varint::decode_u64(&data[cursor..])?;
+            cursor += used;
+            let (match_len, distance) = (match_len as usize, distance as usize);
+            if distance == 0 || distance > out.len() {
+                return Err(CodecError::InvalidMatch {
+                    distance,
+                    produced: out.len(),
+                });
+            }
+            let start = out.len() - distance;
+            for i in 0..match_len {
+                let byte = out[start + i];
+                out.push(byte);
+            }
+        }
+        if out.len() != expected_len {
+            return Err(CodecError::LengthMismatch {
+                expected: expected_len,
+                actual: out.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Asserts both decoders return the same bytes or the same error.
+    fn assert_matches_bytewise(block: &[u8]) {
+        let (mut new, mut old) = (vec![1u8, 2, 3], Vec::new());
+        let got = decompress_into(block, &mut new);
+        assert_eq!(got, decompress_bytewise(block, &mut old), "block {block:?}");
+        if got.is_ok() {
+            assert_eq!(new, old, "block {block:?}");
+        }
+    }
+
+    /// Serializes hand-made tokens `(literals, match_len, distance)` under a
+    /// declared length.
+    fn forge(declared: usize, tokens: &[(Vec<u8>, usize, usize)]) -> Vec<u8> {
+        let mut block = Vec::new();
+        varint::encode_u64(declared as u64, &mut block);
+        for (literals, match_len, distance) in tokens {
+            varint::encode_u64(literals.len() as u64, &mut block);
+            block.extend_from_slice(literals);
+            varint::encode_u64(*match_len as u64, &mut block);
+            varint::encode_u64(*distance as u64, &mut block);
+        }
+        block
+    }
+
+    proptest! {
+        #[test]
+        fn bulk_copy_matches_bytewise_on_compressed_data(
+            runs in vec((vec(any::<u8>(), 1..10), 1usize..30), 0..12),
+        ) {
+            // Short random phrases repeated: every match shape the
+            // compressor emits, overlapping ones included.
+            let data: Vec<u8> = runs
+                .iter()
+                .flat_map(|(phrase, times)| phrase.iter().copied().cycle().take(phrase.len() * times))
+                .collect();
+            let block = compress(&data);
+            prop_assert_eq!(decompress(&block).unwrap(), data);
+            for cut in 0..=block.len() {
+                assert_matches_bytewise(&block[..cut]);
+            }
+        }
+
+        #[test]
+        fn bulk_copy_matches_bytewise_on_forged_tokens(
+            raw in vec((vec(any::<u8>(), 0..6), 0usize..40, 0usize..24), 1..8),
+            first in vec(any::<u8>(), 1..10),
+            declared_mode in 0u8..5,
+        ) {
+            // Mostly-valid streams: distances are folded into what has been
+            // produced, except that a zero stays zero (an invalid match).
+            let mut tokens = Vec::new();
+            let mut produced = 0usize;
+            let mut match_ends = Vec::new();
+            for (i, (mut literals, match_len, distance)) in raw.into_iter().enumerate() {
+                if i == 0 {
+                    literals = first.clone();
+                }
+                produced += literals.len();
+                let distance = if distance == 0 { 0 } else { 1 + distance % produced };
+                produced += match_len;
+                match_ends.push(produced);
+                tokens.push((literals, match_len, distance));
+            }
+            let declared = match declared_mode {
+                0 => produced,
+                // Ends exactly at a match boundary, with tokens left over.
+                1 => match_ends[0],
+                2 => match_ends[match_ends.len() / 2],
+                // A final match that overruns by one; a block one byte short.
+                3 => produced.saturating_sub(1),
+                _ => produced + 1,
+            };
+            assert_matches_bytewise(&forge(declared, &tokens));
+        }
+    }
+
+    #[test]
+    fn overlapping_matches_at_every_short_distance_match_bytewise() {
+        let seed: Vec<u8> = (1..=9).collect();
+        for distance in 1..=9 {
+            for match_len in 0..=40 {
+                let tokens = [(seed.clone(), match_len, distance)];
+                let block = forge(seed.len() + match_len, &tokens);
+                let mut out = Vec::new();
+                decompress_into(&block, &mut out).unwrap();
+                let period = &seed[seed.len() - distance..];
+                assert!(out[seed.len()..]
+                    .iter()
+                    .zip(period.iter().cycle())
+                    .all(|(a, b)| a == b));
+                assert_matches_bytewise(&block);
+            }
+        }
+    }
+
+    #[test]
+    fn a_match_past_the_declared_length_is_rejected_before_it_is_copied() {
+        // Declares 8 bytes, then asks for a 2^40-byte match.
+        let block = forge(8, &[(b"ab".to_vec(), 1 << 40, 1)]);
+        let mut out = Vec::new();
+        assert!(matches!(
+            decompress_into(&block, &mut out),
+            Err(CodecError::LengthMismatch { expected: 8, .. })
+        ));
+        assert!(out.capacity() < 1 << 20);
+    }
+
+    #[test]
+    fn a_huge_declared_length_does_not_size_the_output() {
+        let block = forge(1 << 50, &[(b"abcd".to_vec(), 4, 2)]);
+        let mut out = Vec::new();
+        assert!(decompress_into(&block, &mut out).is_err());
+        assert!(out.capacity() <= MAX_UPFRONT_RESERVE);
+    }
+
+    #[test]
+    fn word_at_a_time_match_extension_finds_the_first_difference() {
+        let a: Vec<u8> = (0..40).collect();
+        for split in 0..40 {
+            let mut b = a.clone();
+            b[split] ^= 0x10;
+            assert_eq!(common_prefix_len(&a, &b), split);
+            assert_eq!(common_prefix_len(&a, &b[..split]), split);
+        }
+        assert_eq!(common_prefix_len(&a, &a[..33]), 33);
+    }
 
     #[test]
     fn round_trip_empty_and_tiny() {

@@ -34,6 +34,7 @@ pub fn encode_u64(value: u64, out: &mut Vec<u8>) -> usize {
 /// Returns [`CodecError::UnexpectedEof`] if the input ends mid-varint and
 /// [`CodecError::VarintOverflow`] if the encoding exceeds
 /// [`MAX_VARINT_LEN`] bytes.
+#[inline]
 pub fn decode_u64(input: &[u8]) -> Result<(u64, usize)> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
@@ -48,6 +49,23 @@ pub fn decode_u64(input: &[u8]) -> Result<(u64, usize)> {
         shift += 7;
     }
     Err(CodecError::UnexpectedEof { context: "varint" })
+}
+
+/// Decodes the varint at `*cursor` in `input` and advances the cursor past
+/// it — [`decode_u64`] for callers walking a buffer.
+///
+/// # Errors
+///
+/// Same error conditions as [`decode_u64`]; the cursor is left where it was.
+///
+/// # Panics
+///
+/// Panics if `*cursor > input.len()`.
+#[inline]
+pub fn read_u64(input: &[u8], cursor: &mut usize) -> Result<u64> {
+    let (value, used) = decode_u64(&input[*cursor..])?;
+    *cursor += used;
+    Ok(value)
 }
 
 /// Zigzag-encodes a signed integer so small magnitudes use few varint bytes.
@@ -78,11 +96,25 @@ pub fn decode_i64(input: &[u8]) -> Result<(i64, usize)> {
 /// Encodes a slice of `u64` values as back-to-back varints.
 pub fn encode_u64_slice(values: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 2);
-    encode_u64(values.len() as u64, &mut out);
-    for &v in values {
-        encode_u64(v, &mut out);
-    }
+    encode_u64_seq(values.len(), values.iter().copied(), &mut out);
     out
+}
+
+/// Appends the [`encode_u64_slice`] encoding of the `count` values the
+/// iterator yields — for callers whose values are not contiguous in memory
+/// and would otherwise have to gather them first.
+///
+/// # Panics
+///
+/// Panics if the iterator does not yield exactly `count` values.
+pub fn encode_u64_seq(count: usize, values: impl Iterator<Item = u64>, out: &mut Vec<u8>) {
+    encode_u64(count as u64, out);
+    let mut written = 0usize;
+    for v in values {
+        encode_u64(v, out);
+        written += 1;
+    }
+    assert_eq!(written, count, "declared and yielded value counts differ");
 }
 
 /// Decodes a slice previously produced by [`encode_u64_slice`], returning the
@@ -106,12 +138,72 @@ pub fn decode_u64_slice(input: &[u8]) -> Result<(Vec<u64>, usize)> {
 ///
 /// Returns a [`CodecError`] if the stream is truncated or malformed.
 pub fn decode_u64_slice_into(input: &[u8], values: &mut Vec<u64>) -> Result<usize> {
-    let (len, mut cursor) = decode_u64(input)?;
     values.clear();
-    values.reserve(len as usize);
-    for _ in 0..len {
-        let (v, used) = decode_u64(&input[cursor..])?;
-        values.push(v);
+    decode_u64_slice_append(input, values)
+}
+
+/// Decodes a slice previously produced by [`encode_u64_slice`] onto the end
+/// of `values`, leaving what is already there in place, and returns the
+/// number of bytes consumed. On error the appended tail is unspecified.
+///
+/// # Errors
+///
+/// Returns a [`CodecError`] if the stream is truncated or malformed.
+pub fn decode_u64_slice_append(input: &[u8], values: &mut Vec<u64>) -> Result<usize> {
+    let (count, cursor) = decode_count(input)?;
+    let base = values.len();
+    values.resize(base + count, 0);
+    let used = decode_run(&input[cursor..], &mut values[base..], |raw| raw)?;
+    Ok(cursor + used)
+}
+
+/// Reads the value count that prefixes a varint stream. A varint occupies at
+/// least one byte, so a count larger than the remaining input is a truncated
+/// (or corrupt) stream — rejected here, before anything is sized from it.
+pub(crate) fn decode_count(input: &[u8]) -> Result<(usize, usize)> {
+    let (count, cursor) = decode_u64(input)?;
+    match usize::try_from(count) {
+        Ok(count) if count <= input.len() - cursor => Ok((count, cursor)),
+        _ => Err(CodecError::UnexpectedEof { context: "varint" }),
+    }
+}
+
+/// Decodes `out.len()` back-to-back varints from the front of `input`,
+/// storing `map(raw)` for each, and returns the number of bytes consumed.
+///
+/// While at least [`MAX_VARINT_LEN`] bytes remain a value is decoded from a
+/// fixed-size window — one bounds decision per value, none per byte — and
+/// the last few values fall back to [`decode_u64`], as does a malformed
+/// value, so both paths report the same error.
+#[inline]
+pub(crate) fn decode_run(
+    input: &[u8],
+    out: &mut [u64],
+    mut map: impl FnMut(u64) -> u64,
+) -> Result<usize> {
+    let mut cursor = 0usize;
+    let mut done = 0usize;
+    'window: while done < out.len() {
+        let Some(window) = input.get(cursor..cursor + MAX_VARINT_LEN) else {
+            break;
+        };
+        let window: &[u8; MAX_VARINT_LEN] = window.try_into().expect("window length");
+        let mut value = 0u64;
+        for (i, &byte) in window.iter().enumerate() {
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte & 0x80 == 0 {
+                out[done] = map(value);
+                done += 1;
+                cursor += i + 1;
+                continue 'window;
+            }
+        }
+        // Ten continuation bytes: the byte loop below names the error.
+        break;
+    }
+    for slot in &mut out[done..] {
+        let (value, used) = decode_u64(&input[cursor..])?;
+        *slot = map(value);
         cursor += used;
     }
     Ok(cursor)
@@ -120,6 +212,114 @@ pub fn decode_u64_slice_into(input: &[u8], values: &mut Vec<u64>) -> Result<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The value-at-a-time slice decoder this module shipped before the
+    /// windowed one, kept as its differential oracle.
+    fn decode_u64_slice_bytewise(input: &[u8], values: &mut Vec<u64>) -> Result<usize> {
+        let (len, mut cursor) = decode_u64(input)?;
+        values.clear();
+        for _ in 0..len {
+            let (v, used) = decode_u64(&input[cursor..])?;
+            values.push(v);
+            cursor += used;
+        }
+        Ok(cursor)
+    }
+
+    /// Asserts the windowed and byte-wise decoders agree on `input`: same
+    /// values and cursor, or the same error.
+    fn assert_matches_bytewise(input: &[u8]) {
+        let (mut new, mut old) = (vec![7u64; 3], Vec::new());
+        let got = decode_u64_slice_into(input, &mut new);
+        let want = decode_u64_slice_bytewise(input, &mut old);
+        assert_eq!(got, want, "input {input:?}");
+        if want.is_ok() {
+            assert_eq!(new, old, "input {input:?}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn windowed_slice_decode_matches_bytewise(
+            raw in vec((any::<u64>(), 0u32..64), 0..40),
+            trailing in vec(any::<u8>(), 0..12),
+        ) {
+            // Shifting spreads the values over every encoded width, and the
+            // trailing bytes move the window/tail boundary across the stream.
+            let values: Vec<u64> = raw.iter().map(|&(v, shift)| v >> shift).collect();
+            let mut encoded = encode_u64_slice(&values);
+            let stream_len = encoded.len();
+            encoded.extend_from_slice(&trailing);
+            let mut decoded = Vec::new();
+            prop_assert_eq!(decode_u64_slice_into(&encoded, &mut decoded), Ok(stream_len));
+            prop_assert_eq!(&decoded, &values);
+            assert_matches_bytewise(&encoded);
+            for cut in 0..stream_len {
+                assert_matches_bytewise(&encoded[..cut]);
+            }
+        }
+    }
+
+    #[test]
+    fn widest_values_decode_in_the_window_and_in_the_tail() {
+        // 9- and 10-byte encodings, alone and followed by 0..=11 bytes, so
+        // each is decoded once by the tail loop and once from a full window.
+        for value in [1u64 << 56, (1 << 63) - 1, 1 << 63, u64::MAX] {
+            for padding in 0..12 {
+                let mut encoded = encode_u64_slice(&[3, value, 5]);
+                encoded.extend(std::iter::repeat_n(0xffu8, padding));
+                let mut decoded = Vec::new();
+                decode_u64_slice_into(&encoded, &mut decoded).unwrap();
+                assert_eq!(decoded, [3, value, 5]);
+                assert_matches_bytewise(&encoded);
+            }
+        }
+    }
+
+    #[test]
+    fn overlong_values_error_the_same_way_in_window_and_tail() {
+        for continuation_bytes in 9..13 {
+            for padding in [0usize, 1, 12] {
+                let mut encoded = vec![2u8, 1];
+                encoded.extend(std::iter::repeat_n(0x80u8, continuation_bytes));
+                encoded.extend(std::iter::repeat_n(0u8, padding));
+                assert_matches_bytewise(&encoded);
+            }
+        }
+    }
+
+    #[test]
+    fn append_keeps_what_the_buffer_held() {
+        let mut values = vec![1u64, 2];
+        let encoded = encode_u64_slice(&[300, u64::MAX]);
+        assert_eq!(
+            decode_u64_slice_append(&encoded, &mut values),
+            Ok(encoded.len())
+        );
+        assert_eq!(values, [1, 2, 300, u64::MAX]);
+    }
+
+    #[test]
+    fn a_count_the_input_cannot_hold_is_rejected_before_sizing_anything() {
+        // Claims 2^62 values with three bytes of payload.
+        let mut forged = Vec::new();
+        encode_u64(1 << 62, &mut forged);
+        forged.extend_from_slice(&[1, 2, 3]);
+        let mut values = Vec::new();
+        assert!(matches!(
+            decode_u64_slice_into(&forged, &mut values),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+        assert_eq!(values.capacity(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "declared and yielded value counts differ")]
+    fn a_seq_that_yields_fewer_values_than_declared_panics() {
+        encode_u64_seq(3, [1u64, 2].into_iter(), &mut Vec::new());
+    }
 
     #[test]
     fn round_trip_u64_boundaries() {

@@ -361,8 +361,8 @@ struct FillCtx {
 
 fn fill_worker_loop(ctx: &FillCtx) {
     let mut local = ReaderMetrics::default();
-    // Long-lived decode scratch: decompression buffer, lengths stream,
-    // stripe staging batch. The blob buffer inside is pool-owned: installed
+    // Long-lived decode scratch: decompression buffer and lengths stream.
+    // The blob buffer inside is pool-owned: installed
     // here from the blob pool (a `usize::MAX` hint asks for the largest
     // shelved buffer) and returned on exit, so the allocation survives this
     // worker's retirement and warms its replacement across scaling churn.

@@ -61,9 +61,11 @@ pub fn fill_file_columnar(
 
 /// Columnar fill into a caller-provided (typically pool-recycled) batch —
 /// the buffer-reusing variant of [`fill_file_columnar`] the streaming fill
-/// workers run: with a long-lived [`FileReadScratch`] and a recycled batch,
-/// steady-state fill decodes with no heap allocation beyond the fetched
-/// blob itself. On error the batch contents are unspecified.
+/// workers run. The blob is fetched into the scratch's recycled buffer and
+/// decoded straight from it (footer parsed in place, stripes decoded onto
+/// the end of `out`), so once the scratch and the batch have each held a
+/// file this large, a fill performs no heap allocation. On error the batch
+/// contents are unspecified.
 ///
 /// # Errors
 ///
@@ -77,11 +79,8 @@ pub fn fill_file_columnar_into(
     metrics: &mut ReaderMetrics,
 ) -> recd_storage::Result<()> {
     let start = Instant::now();
-    // Fetch into the scratch's recycled blob buffer — the last hot-path
-    // allocation the fill workers had left.
     let bytes_read = store.blob_store().get_into(path, scratch.blob_buf())?;
-    let file = DwrfFile::from_blob(scratch.blob())?;
-    file.read_all_columnar_into(schema, scratch, out)?;
+    scratch.read_fetched_columnar_into(schema, out)?;
     metrics.fill.record(start.elapsed(), bytes_read, out.len());
     Ok(())
 }

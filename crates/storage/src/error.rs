@@ -46,6 +46,12 @@ pub enum StorageError {
 }
 
 impl StorageError {
+    pub(crate) fn corrupt(reason: &str) -> Self {
+        StorageError::Corrupt {
+            reason: reason.to_string(),
+        }
+    }
+
     /// Whether the error is a transient injected fault that a bounded-retry
     /// policy should retry rather than surface.
     pub fn is_transient(&self) -> bool {

@@ -58,21 +58,18 @@ pub fn encode_stripe(schema: &Schema, samples: &[Sample]) -> (Vec<u8>, StripeSta
         }
     }
 
-    // Sparse columns: lengths stream + values stream per feature.
+    // Sparse columns: lengths stream + values stream per feature, written
+    // straight into the stripe buffer.
     for spec in schema.sparse_features() {
         let fi = spec.id.index();
-        let lengths: Vec<u64> = samples
-            .iter()
-            .map(|s| s.sparse.get(fi).map(|l| l.len() as u64).unwrap_or(0))
-            .collect();
-        let mut values: Vec<u64> = Vec::new();
-        for s in samples {
-            if let Some(list) = s.sparse.get(fi) {
-                values.extend_from_slice(list);
-            }
-        }
-        buf.extend_from_slice(&varint::encode_u64_slice(&lengths));
-        buf.extend_from_slice(&varint::encode_u64_slice(&values));
+        let lists = || {
+            samples
+                .iter()
+                .map(move |s| s.sparse.get(fi).map_or(&[][..], Vec::as_slice))
+        };
+        varint::encode_u64_seq(samples.len(), lists().map(|l| l.len() as u64), &mut buf);
+        let value_count = lists().map(<[u64]>::len).sum();
+        varint::encode_u64_seq(value_count, lists().flatten().copied(), &mut buf);
     }
 
     let encoded_bytes = buf.len();
@@ -88,8 +85,8 @@ pub fn encode_stripe(schema: &Schema, samples: &[Sample]) -> (Vec<u8>, StripeSta
 
 /// Reusable scratch buffers for the in-place stripe decoders: the
 /// decompressed block and the per-feature lengths stream. A fill worker
-/// holds one `DecodeScratch` for its whole lifetime, so steady-state decode
-/// allocates nothing beyond buffer growth.
+/// holds one `DecodeScratch` for its whole lifetime; once both buffers have
+/// grown to the largest stripe seen, a decode allocates nothing here.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     buf: Vec<u8>,
@@ -103,7 +100,8 @@ pub struct DecodeScratch {
 /// flat buffer without materializing per-row `Vec`s: header columns move in
 /// as decoded, dense values are strided into one row-major buffer, and each
 /// sparse feature's value stream decodes directly into its
-/// [`SparseColumn`] with offsets prefix-summed from the lengths stream.
+/// [`SparseColumn`](recd_data::SparseColumn) with offsets prefix-summed from
+/// the lengths stream.
 ///
 /// # Errors
 ///
@@ -116,10 +114,10 @@ pub fn decode_stripe_columnar(schema: &Schema, block: &[u8]) -> Result<ColumnarB
 
 /// Decodes a stripe into a caller-provided (typically recycled) batch,
 /// clearing it first — the buffer-reusing variant of
-/// [`decode_stripe_columnar`] that the streaming fill workers run: with a
-/// long-lived [`DecodeScratch`] and a pooled batch, a steady-state decode
-/// performs no heap allocation at all. On error the batch contents are
-/// unspecified (a recycled batch is cleared before reuse anyway).
+/// [`decode_stripe_columnar`]. With a [`DecodeScratch`] and a batch that
+/// have both already held a stripe at least this large, the decode performs
+/// no heap allocation. On error the batch contents are unspecified (a
+/// recycled batch is cleared before reuse anyway).
 ///
 /// # Errors
 ///
@@ -130,91 +128,101 @@ pub fn decode_stripe_columnar_into(
     scratch: &mut DecodeScratch,
     out: &mut ColumnarBatch,
 ) -> Result<()> {
-    let dense_cols = schema.dense_count();
-    out.reset(dense_cols, schema.sparse_count());
+    out.reset(schema.dense_count(), schema.sparse_count());
+    decode_stripe_append(block, scratch, out)?;
+    check_decoded(out)
+}
+
+/// The whole-batch validation every decode entry point finishes with, once
+/// per stripe or per file — not once per appended stripe.
+pub(crate) fn check_decoded(out: &ColumnarBatch) -> Result<()> {
+    out.check_invariants()
+        .map_err(|err| StorageError::corrupt(&err.to_string()))
+}
+
+/// Decodes a stripe onto the end of `out`, which must already have the
+/// stripe's column shape and satisfy the batch invariants: every stream is
+/// decoded in place after the rows `out` already holds, and sparse offsets
+/// continue from the values already there, so a file's stripes concatenate
+/// without a staging batch.
+///
+/// Every count read from the block is checked against the bytes that remain
+/// before anything is sized from it. The caller runs [`check_decoded`] when
+/// it has appended its last stripe.
+pub(crate) fn decode_stripe_append(
+    block: &[u8],
+    scratch: &mut DecodeScratch,
+    out: &mut ColumnarBatch,
+) -> Result<()> {
     Compressor::Lz.decompress_into(block, &mut scratch.buf)?;
     let buf = scratch.buf.as_slice();
-    let mut cursor = 0usize;
+    let (rows, mut cursor) = varint::decode_u64(buf)?;
 
-    let (rows, used) = varint::decode_u64(&buf[cursor..])?;
-    cursor += used;
-    let rows = rows as usize;
+    // A count that does not fit cannot match any decoded column below.
+    let rows = usize::try_from(rows).unwrap_or(usize::MAX);
 
     let columns = out.columns_mut();
+    let dense_cols = columns.dense_cols;
+    let base_rows = columns.labels.len();
 
-    cursor += delta::decode_into(&buf[cursor..], columns.sessions)?;
-    cursor += delta::decode_into(&buf[cursor..], columns.requests)?;
-    cursor += delta::decode_into(&buf[cursor..], columns.timestamps)?;
-    if columns.sessions.len() != rows
-        || columns.requests.len() != rows
-        || columns.timestamps.len() != rows
+    // Each header stream bounds its own count by the bytes it has left, so
+    // agreeing with all three also bounds `rows` by the block.
+    cursor += delta::decode_append(&buf[cursor..], columns.sessions)?;
+    cursor += delta::decode_append(&buf[cursor..], columns.requests)?;
+    cursor += delta::decode_append(&buf[cursor..], columns.timestamps)?;
+    if columns.sessions.len() - base_rows != rows
+        || columns.requests.len() - base_rows != rows
+        || columns.timestamps.len() - base_rows != rows
     {
-        return Err(StorageError::Corrupt {
-            reason: "header column length mismatch".to_string(),
-        });
+        return Err(StorageError::corrupt("header column length mismatch"));
     }
 
-    columns.labels.reserve(rows);
-    for _ in 0..rows {
-        if cursor + 4 > buf.len() {
-            return Err(StorageError::Corrupt {
-                reason: "label column truncated".to_string(),
-            });
-        }
-        columns.labels.push(f32::from_le_bytes([
-            buf[cursor],
-            buf[cursor + 1],
-            buf[cursor + 2],
-            buf[cursor + 3],
-        ]));
-        cursor += 4;
-    }
-
-    columns.dense.resize(rows * dense_cols, 0.0);
-    for col in 0..dense_cols {
-        for row in 0..rows {
-            if cursor + 4 > buf.len() {
-                return Err(StorageError::Corrupt {
-                    reason: "dense column truncated".to_string(),
-                });
+    // Labels and dense columns are fixed-width: one length check covers both.
+    let fixed = rows
+        .checked_mul(4 * (1 + dense_cols))
+        .and_then(|len| buf.get(cursor..cursor.checked_add(len)?))
+        .ok_or_else(|| StorageError::corrupt("label or dense column truncated"))?;
+    cursor += fixed.len();
+    let (labels, dense) = fixed.split_at(rows * 4);
+    let le_f32 = |bytes: &[u8]| f32::from_le_bytes(bytes.try_into().expect("4-byte chunk"));
+    columns.labels.extend(labels.chunks_exact(4).map(le_f32));
+    // Stored column-major, decoded row-major.
+    let dense_base = columns.dense.len();
+    columns.dense.resize(dense_base + rows * dense_cols, 0.0);
+    if rows > 0 {
+        let rows_out = &mut columns.dense[dense_base..];
+        for (col, stream) in dense.chunks_exact(rows * 4).enumerate() {
+            let slots = rows_out[col..].iter_mut().step_by(dense_cols);
+            for (slot, bytes) in slots.zip(stream.chunks_exact(4)) {
+                *slot = le_f32(bytes);
             }
-            columns.dense[row * dense_cols + col] = f32::from_le_bytes([
-                buf[cursor],
-                buf[cursor + 1],
-                buf[cursor + 2],
-                buf[cursor + 3],
-            ]);
-            cursor += 4;
         }
     }
 
     for column in columns.sparse.iter_mut() {
         cursor += varint::decode_u64_slice_into(&buf[cursor..], &mut scratch.lengths)?;
-        let (values, offsets) = column.parts_mut();
-        cursor += varint::decode_u64_slice_into(&buf[cursor..], values)?;
         if scratch.lengths.len() != rows {
-            return Err(StorageError::Corrupt {
-                reason: "sparse lengths column length mismatch".to_string(),
-            });
+            return Err(StorageError::corrupt(
+                "sparse lengths column length mismatch",
+            ));
         }
-        offsets.clear();
-        offsets.reserve(rows + 1);
-        offsets.push(0);
-        let mut total = 0usize;
-        for &len in &scratch.lengths {
-            total += len as usize;
-            offsets.push(total);
-        }
-        if total != values.len() {
-            return Err(StorageError::Corrupt {
-                reason: "sparse values column length mismatch".to_string(),
-            });
+        let (values, offsets) = column.parts_mut();
+        cursor += varint::decode_u64_slice_append(&buf[cursor..], values)?;
+        // Offsets continue from the values the column already held. A
+        // saturated sum cannot equal a buffer length, so overflow reads as
+        // the mismatch it is.
+        let mut end = *offsets.last().expect("offsets hold a leading zero");
+        offsets.extend(scratch.lengths.iter().map(|&len| {
+            end = end.saturating_add(usize::try_from(len).unwrap_or(usize::MAX));
+            end
+        }));
+        if end != values.len() {
+            return Err(StorageError::corrupt(
+                "sparse values column length mismatch",
+            ));
         }
     }
-
-    out.check_invariants().map_err(|err| StorageError::Corrupt {
-        reason: err.to_string(),
-    })
+    Ok(())
 }
 
 /// Decodes a stripe produced by [`encode_stripe`] into row-wise samples.
@@ -231,10 +239,208 @@ pub fn decode_stripe(schema: &Schema, block: &[u8]) -> Result<Vec<Sample>> {
     Ok(decode_stripe_columnar(schema, block)?.into_samples())
 }
 
+/// The stripe decoder this module shipped before in-place decode, kept as
+/// the differential oracle: every value read one at a time, every stripe
+/// decoded into a batch of its own for the caller to
+/// [`append`](ColumnarBatch::append).
 #[cfg(test)]
-mod tests {
+pub(crate) mod oracle {
     use super::*;
+    use recd_data::SparseColumn;
+
+    fn varint_stream(buf: &[u8], cursor: &mut usize) -> Result<Vec<u64>> {
+        let (len, used) = varint::decode_u64(&buf[*cursor..])?;
+        *cursor += used;
+        let mut values = Vec::new();
+        for _ in 0..len {
+            let (v, used) = varint::decode_u64(&buf[*cursor..])?;
+            values.push(v);
+            *cursor += used;
+        }
+        Ok(values)
+    }
+
+    fn delta_stream(buf: &[u8], cursor: &mut usize) -> Result<Vec<u64>> {
+        let (len, used) = varint::decode_u64(&buf[*cursor..])?;
+        *cursor += used;
+        let mut values = Vec::new();
+        let mut prev = 0u64;
+        for i in 0..len {
+            if i == 0 {
+                let (v, used) = varint::decode_u64(&buf[*cursor..])?;
+                *cursor += used;
+                prev = v;
+            } else {
+                let (d, used) = varint::decode_i64(&buf[*cursor..])?;
+                *cursor += used;
+                prev = prev.wrapping_add(d as u64);
+            }
+            values.push(prev);
+        }
+        Ok(values)
+    }
+
+    fn f32_at(buf: &[u8], cursor: &mut usize, what: &str) -> Result<f32> {
+        let bytes = buf
+            .get(*cursor..*cursor + 4)
+            .ok_or_else(|| StorageError::corrupt(what))?;
+        *cursor += 4;
+        Ok(f32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+    }
+
+    pub(crate) fn decode_stripe_staged(schema: &Schema, block: &[u8]) -> Result<ColumnarBatch> {
+        let dense_cols = schema.dense_count();
+        let buf = Compressor::Lz.decompress(block)?;
+        let mut cursor = 0usize;
+        let (rows, used) = varint::decode_u64(&buf)?;
+        cursor += used;
+        let rows = rows as usize;
+
+        let sessions = delta_stream(&buf, &mut cursor)?;
+        let requests = delta_stream(&buf, &mut cursor)?;
+        let timestamps = delta_stream(&buf, &mut cursor)?;
+        if sessions.len() != rows || requests.len() != rows || timestamps.len() != rows {
+            return Err(StorageError::corrupt("header column length mismatch"));
+        }
+        let mut labels = Vec::new();
+        for _ in 0..rows {
+            labels.push(f32_at(&buf, &mut cursor, "label column truncated")?);
+        }
+        let mut dense = vec![0.0; rows * dense_cols];
+        for col in 0..dense_cols {
+            for row in 0..rows {
+                dense[row * dense_cols + col] =
+                    f32_at(&buf, &mut cursor, "dense column truncated")?;
+            }
+        }
+        let mut sparse = Vec::new();
+        for _ in 0..schema.sparse_count() {
+            let lengths = varint_stream(&buf, &mut cursor)?;
+            let values = varint_stream(&buf, &mut cursor)?;
+            if lengths.len() != rows {
+                return Err(StorageError::corrupt(
+                    "sparse lengths column length mismatch",
+                ));
+            }
+            sparse.push(
+                SparseColumn::from_lengths(values, &lengths)
+                    .map_err(|err| StorageError::corrupt(&err.to_string()))?,
+            );
+        }
+        ColumnarBatch::from_parts(
+            sessions, requests, timestamps, labels, dense, dense_cols, sparse,
+        )
+        .map_err(|err| StorageError::corrupt(&err.to_string()))
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use recd_data::{FeatureClass, RequestId, SessionId, Timestamp};
     use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
+
+    /// One drawn row: header ids, then `(value, shift)` pairs that spread
+    /// the sparse ids over every varint width.
+    type RawRow = (u64, u64, u64, Vec<(u64, u32)>);
+
+    /// Strategy for a small table of any column shape, `dense_cols == 0`,
+    /// `sparse_cols == 0` and zero rows included.
+    pub(crate) fn table_strategy() -> impl Strategy<Value = (usize, usize, Vec<RawRow>)> {
+        (
+            0usize..3,
+            0usize..4,
+            vec(
+                (
+                    0u64..5,
+                    any::<u64>(),
+                    0u64..1 << 40,
+                    vec((any::<u64>(), 0u32..64), 0..12),
+                ),
+                0..40,
+            ),
+        )
+    }
+
+    /// Expands a drawn table into a schema and samples: each row's ids are
+    /// dealt round-robin over the sparse features.
+    pub(crate) fn build_table(
+        dense_cols: usize,
+        sparse_cols: usize,
+        raw: &[RawRow],
+    ) -> (Schema, Vec<Sample>) {
+        let mut builder = Schema::builder();
+        for d in 0..dense_cols {
+            builder = builder.dense(&format!("d{d}"));
+        }
+        for f in 0..sparse_cols {
+            builder = builder.sparse(&format!("f{f}"), FeatureClass::User, 2.0, 0.5, 1000);
+        }
+        let schema = builder.build().unwrap();
+        let samples = raw
+            .iter()
+            .map(|(session, request, millis, ids)| {
+                let mut sparse = vec![Vec::new(); sparse_cols];
+                for (i, &(id, shift)) in ids.iter().enumerate() {
+                    if sparse_cols > 0 {
+                        sparse[i % sparse_cols].push(id >> shift);
+                    }
+                }
+                Sample::builder(
+                    SessionId::new(*session),
+                    RequestId::new(*request),
+                    Timestamp::from_millis(*millis),
+                )
+                .label((request % 3) as f32)
+                .dense(
+                    (0..dense_cols)
+                        .map(|d| (request % 7) as f32 + d as f32)
+                        .collect(),
+                )
+                .sparse(sparse)
+                .build()
+            })
+            .collect();
+        (schema, samples)
+    }
+
+    proptest! {
+        #[test]
+        fn in_place_decode_matches_the_staged_oracle(
+            (dense_cols, sparse_cols, raw) in table_strategy(),
+        ) {
+            let (schema, samples) = build_table(dense_cols, sparse_cols, &raw);
+            let (block, _) = encode_stripe(&schema, &samples);
+            let staged = oracle::decode_stripe_staged(&schema, &block).unwrap();
+            let mut scratch = DecodeScratch::default();
+            let mut out = ColumnarBatch::default();
+            decode_stripe_columnar_into(&schema, &block, &mut scratch, &mut out).unwrap();
+            prop_assert_eq!(&out, &staged);
+            prop_assert_eq!(out.to_samples(), samples);
+            // Appending a second copy continues every column and offset.
+            decode_stripe_append(&block, &mut scratch, &mut out).unwrap();
+            check_decoded(&out).unwrap();
+            let mut twice = staged.clone();
+            twice.append(&staged).unwrap();
+            prop_assert_eq!(&out, &twice);
+        }
+    }
+
+    #[test]
+    fn a_row_count_the_block_cannot_hold_is_corrupt_not_an_allocation() {
+        // A stripe of the right shape whose row count claims 2^40 rows.
+        let (schema, _) = partition();
+        let mut buf = Vec::new();
+        varint::encode_u64(1 << 40, &mut buf);
+        buf.extend_from_slice(&delta::encode(&[1, 2, 3]));
+        let block = Compressor::Lz.compress(&buf);
+        assert!(matches!(
+            decode_stripe_columnar(&schema, &block),
+            Err(StorageError::Corrupt { .. } | StorageError::Codec(_))
+        ));
+    }
 
     fn partition() -> (Schema, Vec<Sample>) {
         let gen = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
@@ -275,15 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_blocks_are_columnar_errors_too() {
-        let (schema, samples) = partition();
-        let (block, _) = encode_stripe(&schema, &samples[..16]);
-        for cut in [0, 1, block.len() / 2, block.len().saturating_sub(1)] {
-            assert!(decode_stripe_columnar(&schema, &block[..cut]).is_err());
-        }
-    }
-
-    #[test]
     fn empty_stripe_round_trip() {
         let (schema, _) = partition();
         let (block, stats) = encode_stripe(&schema, &[]);
@@ -307,20 +504,5 @@ mod tests {
             clustered_stats.compression_ratio(),
             interleaved_stats.compression_ratio()
         );
-    }
-
-    #[test]
-    fn corrupted_blocks_are_errors_not_panics() {
-        let (schema, samples) = partition();
-        let (block, _) = encode_stripe(&schema, &samples[..16]);
-        for cut in [0, 1, block.len() / 2, block.len().saturating_sub(1)] {
-            assert!(decode_stripe(&schema, &block[..cut]).is_err());
-        }
-        let mut flipped = block.clone();
-        if let Some(byte) = flipped.get_mut(8) {
-            *byte ^= 0xff;
-        }
-        // Either an error or (rarely) a benign decode difference — never a panic.
-        let _ = decode_stripe(&schema, &flipped);
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Regenerates BENCH_pipeline.json: runs the convert-path criterion benches
-# (the offline criterion shim prints one mean per benchmark) and parses the
-# output into a JSON snapshot, so the repo's performance trajectory has a
+# Regenerates BENCH_pipeline.json: runs the convert-path and codec criterion
+# benches (the offline criterion shim prints one mean per benchmark) and
+# parses the output into a JSON snapshot, so the repo's performance trajectory has a
 # commit-anchored record. Run from anywhere inside the repo:
 #
 #   scripts/bench_snapshot.sh
@@ -25,8 +25,8 @@ if ! command -v cargo >/dev/null 2>&1; then
   exit 1
 fi
 
-echo "running convert-path + fan-out + continuous-etl benches (this takes a minute)..." >&2
-if ! cargo bench -p recd-bench --bench columnar --bench dedup_conversion --bench fanout --bench etl_stream >"$bench_log" 2>&1; then
+echo "running convert-path + codec + fan-out + continuous-etl benches (this takes a minute)..." >&2
+if ! cargo bench -p recd-bench --bench columnar --bench dedup_conversion --bench codec --bench fanout --bench etl_stream >"$bench_log" 2>&1; then
   echo "bench_snapshot: cargo bench failed; last lines of its output:" >&2
   tail -20 "$bench_log" >&2
   exit 1
@@ -62,6 +62,18 @@ mean_ns() {
   got=$(normalize | awk -v n="$1" '$1 == n { print $2 }' | head -1)
   if [ -z "$got" ]; then
     echo "bench_snapshot: benchmark '$1' missing from the bench output" >&2
+    exit 1
+  fi
+  echo "$got"
+}
+
+# Prints the declared throughput (the number only) of one benchmark; fails
+# the script if the bench is absent or declared none.
+thrpt() {
+  local got
+  got=$(normalize | awk -v n="$1" '$1 == n { print $3 }' | head -1)
+  if [ -z "$got" ]; then
+    echo "bench_snapshot: benchmark '$1' missing from the bench output or has no throughput" >&2
     exit 1
   fi
   echo "$got"
@@ -143,6 +155,13 @@ fanout_4=$(mean_ns "dpp_fanout/trainers_4")
 scaleup=$(mean_ns "dpp_scaleup/first_grow")
 tail_to_trainer=$(mean_ns "etl_stream/tail_to_trainer")
 seal_to_ingest=$(mean_ns "etl_stream/seal_to_ingest")
+# Decoded column-stream MiB per second through one clustered 64-row RM1
+# stripe: the per-layer figure under the reader's fill phase.
+stripe_decode=$(thrpt "stripe_decode/clustered")
+
+# Before/after rows are written by hand in the PR that claims them and
+# carried forward verbatim from the committed snapshot.
+before_after=$(awk '/"before_after": \[/ { keep = 1 } keep { print } keep && /^  \],?$/ { exit }' BENCH_pipeline.json 2>/dev/null || true)
 
 git_rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 git_dirty=false
@@ -156,7 +175,7 @@ fi
   echo "  \"generated_utc\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
   echo "  \"git_rev\": \"$git_rev\","
   echo "  \"git_dirty\": $git_dirty,"
-  echo '  "command": "scripts/bench_snapshot.sh (cargo bench -p recd-bench --bench columnar --bench dedup_conversion --bench fanout --bench etl_stream)",'
+  echo '  "command": "scripts/bench_snapshot.sh (cargo bench -p recd-bench --bench columnar --bench dedup_conversion --bench codec --bench fanout --bench etl_stream)",'
   echo '  "derived": {'
   echo "    \"datagen_convert_512_speedup_columnar_vs_rowwise\": $(ratio "$convert_row" "$convert_col"),"
   echo "    \"pipeline_fill_convert_speedup_columnar_vs_rowwise\": $(ratio "$fill_row" "$fill_col"),"
@@ -170,8 +189,10 @@ fi
   echo "    \"pipeline_records_per_second\": $pipeline_rps,"
   echo "    \"fleet_rebalance_ms\": $fleet_rebalance_ms,"
   echo "    \"storage_load_balance_wait_ms\": $storage_wait_ms,"
-  echo "    \"storage_cache_hit_ratio\": $cache_hit_ratio"
+  echo "    \"storage_cache_hit_ratio\": $cache_hit_ratio,"
+  echo "    \"stripe_decode_clustered_mb_per_s\": $stripe_decode"
   echo '  },'
+  if [ -n "$before_after" ]; then echo "$before_after"; fi
   echo '  "benches": ['
   normalize | awk '{
     line = sprintf("    {\"name\": \"%s\", \"mean_ns\": %s", $1, $2)
