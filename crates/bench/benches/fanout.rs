@@ -7,14 +7,14 @@
 //!   precisely the multi-trainer capacity the paper's DPP tier exists to
 //!   provide.
 //! * `dpp_scaleup/first_grow` — latency from fill-pressure onset to the
-//!   scaling controller's first observed grow event (sustain window plus
+//!   PID controller's first observed grow event (queue saturation plus
 //!   detection), measured under an injected storage latency that a single
 //!   fill worker cannot hide.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use recd_bench::BenchFixture;
 use recd_core::DataLoaderConfig;
-use recd_dpp::{DppConfig, DppService, ScalerConfig, ShardPolicy, TrainerAssignPolicy};
+use recd_dpp::{CtrlConfig, DppConfig, DppService, ShardPolicy, TrainerAssignPolicy};
 use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_storage::{StoredPartition, TableStore, TectonicSim};
 use std::sync::Arc;
@@ -104,11 +104,7 @@ fn bench_scaleup_latency(c: &mut Criterion) {
                 .with_compute_workers(2)
                 .with_shards(2)
                 .with_queue_depth(4)
-                .with_scaling(
-                    ScalerConfig::bounds(1, 4)
-                        .with_sustain_ticks(2)
-                        .with_tick_period(Duration::from_millis(4)),
-                )
+                .with_ctrl(CtrlConfig::bounds(1, 4).with_tick_period(Duration::from_millis(4)))
                 .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64));
             let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
             let source = handle.snapshot_source();

@@ -49,8 +49,8 @@ use recd_core::DataLoaderConfig;
 use recd_data::LogRecord;
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd_dpp::{
-    CtrlConfig, DppConfig, DppReport, Driver, Feed, FleetConfig, FleetReport, ScalerConfig,
-    ShardPolicy, TailFeed, Topology, TrainerAssignPolicy,
+    CtrlConfig, DppConfig, DppReport, Driver, Feed, FleetConfig, FleetReport, ShardPolicy,
+    TailFeed, Topology, TrainerAssignPolicy,
 };
 use recd_etl::{cluster_by_session, EtlServiceReport, EtlStreamConfig, TableLayout};
 use recd_obs::{sample_value, MetricFamily, MetricsServer, SampleValue};
@@ -72,7 +72,7 @@ struct Args {
     policy: ShardPolicy,
     trainers: usize,
     assign: TrainerAssignPolicy,
-    min_workers: Option<usize>,
+    min_workers: usize,
     max_workers: Option<usize>,
     ctrl: bool,
     ctrl_kp: Option<f64>,
@@ -111,7 +111,7 @@ fn parse_args() -> Result<Args, String> {
         policy: ShardPolicy::SessionAffine,
         trainers: 0,
         assign: TrainerAssignPolicy::ShardPinned,
-        min_workers: None,
+        min_workers: 1,
         max_workers: None,
         ctrl: false,
         ctrl_kp: None,
@@ -203,14 +203,15 @@ fn parse_args() -> Result<Args, String> {
                     }
                 }
             }
+            // Worker bounds enable the controller exactly like --ctrl does.
             "--min-workers" => {
-                args.min_workers = Some(
-                    value("--min-workers")?
-                        .parse()
-                        .map_err(|e| format!("--min-workers: {e}"))?,
-                )
+                args.ctrl = true;
+                args.min_workers = value("--min-workers")?
+                    .parse()
+                    .map_err(|e| format!("--min-workers: {e}"))?;
             }
             "--max-workers" => {
+                args.ctrl = true;
                 args.max_workers = Some(
                     value("--max-workers")?
                         .parse()
@@ -339,17 +340,19 @@ fn parse_args() -> Result<Args, String> {
                      \n  --policy session|file|row  sharding policy (default session)\
                      \n  --trainers N             fan out to N simulated trainers (default 0 = collect)\
                      \n  --assign pinned|least|rr trainer lane assignment (default pinned)\
-                     \n  --min-workers N          enable dynamic scaling: pool lower bound\
-                     \n  --max-workers N          enable dynamic scaling: pool upper bound\
                      \n  --ctrl                   close the control loop: a cross-tier PID\
                      \n                           controller samples trainer lanes, DPP queues,\
                      \n                           and ETL tail lag, resizes both worker pools,\
-                     \n                           and gates the ETL pump (replaces the watermark\
-                     \n                           scaler when both are enabled; exports the\
+                     \n                           and gates the ETL pump (exports the\
                      \n                           recd_ctrl_* metric families)\
-                     \n  --ctrl-kp F              proportional gain (default 2.0; requires --ctrl)\
-                     \n  --ctrl-ki F              integral gain (default 1.0; requires --ctrl)\
-                     \n  --ctrl-kd F              derivative gain (default 0.0; requires --ctrl)\
+                     \n  --min-workers N          controller pool lower bound (default 1, at\
+                     \n                           least 1; enables the controller like --ctrl)\
+                     \n  --max-workers N          controller pool upper bound (default: the larger\
+                     \n                           initial pool, at least --min-workers; enables\
+                     \n                           the controller like --ctrl)\
+                     \n  --ctrl-kp F              proportional gain (default 2.0; requires the controller)\
+                     \n  --ctrl-ki F              integral gain (default 1.0; requires the controller)\
+                     \n  --ctrl-kd F              derivative gain (default 0.0; requires the controller)\
                      \n  --tail                   continuous mode: tail the raw log stream through\
                      \n                           the streaming ETL (join/cluster/seal/land) and\
                      \n                           ingest partitions as they land\
@@ -402,7 +405,19 @@ fn parse_args() -> Result<Args, String> {
         return Err("--scrape-once requires --metrics-port".to_string());
     }
     if (args.ctrl_kp.is_some() || args.ctrl_ki.is_some() || args.ctrl_kd.is_some()) && !args.ctrl {
-        return Err("--ctrl-kp/--ctrl-ki/--ctrl-kd require --ctrl".to_string());
+        return Err(
+            "--ctrl-kp/--ctrl-ki/--ctrl-kd require --ctrl (or --min-workers/--max-workers)"
+                .to_string(),
+        );
+    }
+    if args.min_workers == 0 {
+        return Err("--min-workers must be at least 1".to_string());
+    }
+    if let Some(max_workers) = args.max_workers.filter(|&max| max < args.min_workers) {
+        return Err(format!(
+            "--max-workers {max_workers} is below --min-workers {}",
+            args.min_workers
+        ));
     }
     if (args.chaos_seed.is_some() || args.chaos_plan.is_some()) && !args.tail {
         return Err(
@@ -629,41 +644,22 @@ fn main() {
     .with_queue_depth(args.queue_depth)
     .with_policy(args.policy)
     .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64));
-    let min = args.min_workers.unwrap_or(1);
-    let max = args
-        .max_workers
-        .unwrap_or_else(|| min.max(args.fill_workers).max(args.compute_workers));
-    if args.min_workers.is_some() || args.max_workers.is_some() {
-        let scaling = ScalerConfig::bounds(min, max).with_tick_period(Duration::from_millis(20));
-        println!(
-            "scaling: workers elastic in [{}, {}], watermarks {:.0}%/{:.0}%, every {:?}",
-            scaling.min_fill,
-            scaling.max_fill,
-            scaling.high_watermark * 100.0,
-            scaling.low_watermark * 100.0,
-            scaling.tick_period
-        );
-        config = config.with_scaling(scaling);
-    }
     if args.ctrl {
-        // The closed control loop: a cross-tier PID controller replaces the
-        // watermark scaler and samples every queue tier; in tail mode the
-        // driver hands it the ETL tail lag so lag can veto trainer
-        // backpressure.
+        // The closed control loop: a cross-tier PID controller samples every
+        // queue tier and sizes both pools; in tail mode the driver hands it
+        // the ETL tail lag so lag can veto trainer backpressure.
+        let min = args.min_workers;
+        let max = args
+            .max_workers
+            .unwrap_or_else(|| min.max(args.fill_workers).max(args.compute_workers));
         let kp = args.ctrl_kp.unwrap_or(2.0);
         let ki = args.ctrl_ki.unwrap_or(1.0);
         let kd = args.ctrl_kd.unwrap_or(0.0);
-        let ctrl = CtrlConfig::bounds(min, max)
-            .with_gains(kp, ki, kd)
-            .with_tick_period(Duration::from_millis(20));
         println!(
-            "control: {}PID kp={kp} ki={ki} kd={kd}, workers in [{min}, {max}], setpoint {:.2}, lane high {:.2}, lag escape {}ms",
+            "control: {}PID kp={kp} ki={ki} kd={kd}, workers in [{min}, {max}]",
             if args.hosts > 0 { "per-host " } else { "" },
-            ctrl.setpoint,
-            ctrl.lane_high,
-            ctrl.lag_high_ms
         );
-        config = config.with_ctrl(ctrl);
+        config = config.with_ctrl(CtrlConfig::bounds(min, max).with_gains(kp, ki, kd));
     }
     let topology = if args.hosts > 0 {
         // Every host runs the full shard set; the coordinator routes each
@@ -916,7 +912,7 @@ fn print_dpp_report(r: &DppReport) {
     }
     if !r.scale_events.is_empty() {
         println!(
-            "scaling: peak {} fill / {} compute workers, {} events:",
+            "resizes: peak {} fill / {} compute workers, {} events:",
             r.peak_fill_workers,
             r.peak_compute_workers,
             r.scale_events.len()

@@ -1,35 +1,37 @@
-//! The cross-tier PID control loop: one controller that closes the loop
-//! from the trainers all the way back to the ETL pump.
+//! The sizing policy: one cross-tier PID controller that owns the worker
+//! pools and closes the loop from the trainers all the way back to the ETL
+//! pump.
 //!
-//! The watermark scaler ([`crate::scaler`]) reads only the DPP input/work
-//! queues, so two end-to-end failure modes stay invisible to it: when the
-//! *trainers* are the bottleneck the pump keeps buffering at the DPP input
-//! queue (the work queue looks healthy — compute is blocked downstream, not
-//! starved upstream), and compute pools never scale *down* while lanes are
-//! full. This controller samples three tiers on the shared
-//! [`ScaleClock`] — DPP input/work queue fractions, trainer-lane depth
-//! fractions, and the ETL tail lag — and emits three coordinated
-//! actuations:
+//! Each tick on the shared [`ScaleClock`] it samples three tiers — the DPP
+//! input/work queue fractions, the worst trainer lane's depth fraction, and
+//! the ETL tail lag — and emits two coordinated actuations:
 //!
-//! 1. **a pump-rate signal**: [`PumpGate`] turns red while any trainer lane
-//!    sits above [`CtrlConfig::lane_high`], so the ETL service slows or
-//!    pauses pumping instead of buffering at the DPP input queue (with a
-//!    tail-lag escape hatch: a pump is never held back once the ETL has
-//!    fallen more than [`CtrlConfig::lag_high_ms`] behind the tail);
-//! 2. **grow/shrink targets** for the fill and compute pools driven by PID
-//!    error terms instead of watermark+sustain counters — including scaling
-//!    compute *down* when lanes are full, which the watermark heuristic can
-//!    never do because a blocked compute pool keeps its work queue drained;
-//! 3. **exported `recd_ctrl_*` metrics** (setpoint, per-pool error and
-//!    integral, actuation counters, pump-gate state) via the
-//!    [`recd_obs::Collector`] implementation on [`CtrlShared`].
+//! 1. **grow/shrink targets** for the fill and compute pools, one PID per
+//!    pool over `queue fraction − SETPOINT`, each kept inside its
+//!    `PoolControls` bounds. The compute error also subtracts a lane
+//!    penalty, so compute scales *down* while lanes are full — more compute
+//!    workers cannot help when their output has nowhere to go;
+//! 2. **a pump-rate signal**: [`PumpGate`] turns red while any trainer lane
+//!    sits at or above `LANE_HIGH`, so the ETL service slows or pauses
+//!    pumping instead of buffering at the DPP input queue (with a tail-lag
+//!    escape hatch: a pump is never held back once the ETL has fallen more
+//!    than `LAG_HIGH_MS` behind the tail).
+//!
+//! Submission backpressure is not an actuation: the bounded input channel
+//! already blocks `submit_file` at capacity, and that saturation is the very
+//! signal the fill PID grows on.
+//!
+//! Every quantity is exported as a `recd_ctrl_*` metric (setpoint, per-pool
+//! error and integral, actuation counters, pump-gate state) via the
+//! [`recd_obs::Collector`] implementation on [`CtrlShared`].
 //!
 //! The controller is *conservative by construction*: it only changes when
 //! work happens (pump timing, worker population), never what the work is.
 //! Routing stays single-threaded and order-restored, so batch composition —
 //! and therefore every trainer-batch union — is byte-identical with the
-//! controller on, off, or tuned badly. The equivalence suite in
-//! `crates/pipeline/tests/control.rs` pins this.
+//! controller on, off, or tuned badly. `crates/dpp/tests/scaling.rs` pins
+//! the pool behaviour on a stepped clock and the equivalence suite in
+//! `crates/pipeline/tests/control.rs` pins the unions.
 
 use crate::scaler::{PoolControls, ScaleClock, ScaleEvent};
 use recd_obs::{Collector, MetricsBuf};
@@ -47,7 +49,21 @@ const ACTUATION_THRESHOLD: f64 = 1.0;
 /// cannot wind up an arbitrarily large backlog of future actuations.
 const INTEGRAL_CLAMP: f64 = 5.0;
 
-/// PID controller configuration: gains, setpoints, pool bounds, cadence.
+/// Queue-fraction setpoint both pools steer toward: queues half full — busy
+/// enough to batch well, slack enough to absorb jitter.
+const SETPOINT: f64 = 0.5;
+
+/// Trainer-lane depth fraction at or above which lanes count as the
+/// bottleneck: the pump gate turns red and the compute error term is
+/// penalized toward shrink.
+const LANE_HIGH: f64 = 0.75;
+
+/// ETL tail lag (ms of log time) above which the pump gate is forced green
+/// regardless of lane pressure, so backpressure can never starve the ETL
+/// into unbounded lag.
+const LAG_HIGH_MS: u64 = 300_000;
+
+/// PID controller configuration: gains, pool bounds, cadence.
 #[derive(Clone)]
 pub struct CtrlConfig {
     /// Proportional gain on the queue-fraction error.
@@ -56,17 +72,6 @@ pub struct CtrlConfig {
     pub ki: f64,
     /// Derivative gain on the per-tick error delta.
     pub kd: f64,
-    /// Queue-fraction setpoint the pools steer toward (default 0.5: queues
-    /// half full — busy enough to batch well, slack enough to absorb jitter).
-    pub setpoint: f64,
-    /// Trainer-lane depth fraction at or above which lanes count as the
-    /// bottleneck: the pump gate turns red and the compute error term is
-    /// penalized toward shrink (default 0.75).
-    pub lane_high: f64,
-    /// ETL tail lag (ms of log time) above which the pump gate is forced
-    /// green regardless of lane pressure, so backpressure can never starve
-    /// the ETL into unbounded lag (default 300 000 ms).
-    pub lag_high_ms: u64,
     /// Fill pool lower bound.
     pub min_fill: usize,
     /// Fill pool upper bound.
@@ -92,9 +97,7 @@ impl CtrlConfig {
     /// Creates a PID policy with the given worker bounds shared by both
     /// pools and default gains `kp=2, ki=1, kd=0`: a saturated queue
     /// (error 0.5) actuates immediately, a queue at 3/4 (error 0.25)
-    /// actuates on the second sustained tick — matching the watermark
-    /// scaler's reaction time while adding the integral memory and the
-    /// trainer/ETL signals it lacks.
+    /// actuates on the second sustained tick, sampling every 20ms.
     pub fn bounds(min_workers: usize, max_workers: usize) -> Self {
         let min = min_workers.max(1);
         let max = max_workers.max(min);
@@ -102,9 +105,6 @@ impl CtrlConfig {
             kp: 2.0,
             ki: 1.0,
             kd: 0.0,
-            setpoint: 0.5,
-            lane_high: 0.75,
-            lag_high_ms: 300_000,
             min_fill: min,
             max_fill: max,
             min_compute: min,
@@ -121,27 +121,6 @@ impl CtrlConfig {
         self.kp = kp;
         self.ki = ki;
         self.kd = kd;
-        self
-    }
-
-    /// Overrides the queue-fraction setpoint.
-    #[must_use]
-    pub fn with_setpoint(mut self, setpoint: f64) -> Self {
-        self.setpoint = setpoint.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Overrides the trainer-lane bottleneck fraction.
-    #[must_use]
-    pub fn with_lane_high(mut self, lane_high: f64) -> Self {
-        self.lane_high = lane_high.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Overrides the tail-lag escape hatch.
-    #[must_use]
-    pub fn with_lag_high_ms(mut self, lag_high_ms: u64) -> Self {
-        self.lag_high_ms = lag_high_ms;
         self
     }
 
@@ -190,9 +169,6 @@ impl std::fmt::Debug for CtrlConfig {
             .field("kp", &self.kp)
             .field("ki", &self.ki)
             .field("kd", &self.kd)
-            .field("setpoint", &self.setpoint)
-            .field("lane_high", &self.lane_high)
-            .field("lag_high_ms", &self.lag_high_ms)
             .field("min_fill", &self.min_fill)
             .field("max_fill", &self.max_fill)
             .field("min_compute", &self.min_compute)
@@ -228,7 +204,6 @@ pub struct CtrlReport {
 /// and the metrics registry all see one instance.
 #[derive(Debug, Default)]
 pub struct CtrlShared {
-    setpoint_bits: AtomicU64,
     fill_error_bits: AtomicU64,
     fill_integral_bits: AtomicU64,
     compute_error_bits: AtomicU64,
@@ -280,7 +255,7 @@ impl Collector for CtrlShared {
             "recd_ctrl_setpoint",
             "Queue-fraction setpoint the PID controller steers toward",
             &[],
-            load_f64(&self.setpoint_bits),
+            SETPOINT,
         );
         out.gauge(
             "recd_ctrl_error",
@@ -382,8 +357,10 @@ pub(crate) struct PidParams {
     /// attached (batch mode), in which case the escape hatch never fires.
     pub(crate) tail_lag_probe: Option<Box<dyn Fn() -> u64 + Send>>,
     pub(crate) events: Arc<Mutex<Vec<ScaleEvent>>>,
-    /// Invoked after any resize with the pools' new target sizes (same
-    /// contract as the watermark controller's `on_resize`).
+    /// Invoked after any resize (grow or shrink) with the pools' new target
+    /// sizes, so the service keeps its batch pools sized to the live
+    /// in-flight population — smaller after a shrink, restored after a
+    /// grow.
     pub(crate) on_resize: Box<dyn Fn(usize, usize) + Send>,
 }
 
@@ -420,7 +397,6 @@ pub(crate) fn spawn_pid_controller(params: PidParams) -> JoinHandle<()> {
                 events,
                 on_resize,
             } = params;
-            store_f64(&shared.setpoint_bits, config.setpoint);
             let mut fill_pid = PidState::default();
             let mut compute_pid = PidState::default();
             while clock.wait_tick() {
@@ -442,14 +418,13 @@ pub(crate) fn spawn_pid_controller(params: PidParams) -> JoinHandle<()> {
                 // PID error terms. The compute error subtracts a lane
                 // penalty: full lanes mean compute output has nowhere to go,
                 // so more compute workers cannot help and existing ones
-                // should retire — the "scale compute *down* on full lanes"
-                // actuation the watermark heuristic cannot express.
-                let fill_error = input_frac - config.setpoint;
+                // should retire.
+                let fill_error = input_frac - SETPOINT;
                 // The multiplier must dominate the largest possible queue
                 // error (0.5 at a saturated work queue): 4.0 makes fully
                 // saturated lanes (penalty 1.0) outweigh any queue pressure.
-                let lane_penalty = 4.0 * (lane_frac - config.lane_high).max(0.0);
-                let compute_error = work_frac - config.setpoint - lane_penalty;
+                let lane_penalty = 4.0 * (lane_frac - LANE_HIGH).max(0.0);
+                let compute_error = work_frac - SETPOINT - lane_penalty;
                 store_f64(&shared.fill_error_bits, fill_error);
                 store_f64(&shared.compute_error_bits, compute_error);
 
@@ -460,27 +435,21 @@ pub(crate) fn spawn_pid_controller(params: PidParams) -> JoinHandle<()> {
 
                 let mut resized = false;
                 resized |= actuate_pool(
-                    &config,
                     &*clock,
                     &shared,
                     &fill,
                     &mut fill_pid,
                     fill_control,
                     input_depth,
-                    config.min_fill,
-                    config.max_fill,
                     &events,
                 );
                 resized |= actuate_pool(
-                    &config,
                     &*clock,
                     &shared,
                     &compute,
                     &mut compute_pid,
                     compute_control,
                     work_depth,
-                    config.min_compute,
-                    config.max_compute,
                     &events,
                 );
                 if resized {
@@ -489,9 +458,9 @@ pub(crate) fn spawn_pid_controller(params: PidParams) -> JoinHandle<()> {
 
                 // The pump-rate signal: hold the ETL pump while any trainer
                 // lane is the bottleneck — unless the ETL has already fallen
-                // `lag_high_ms` behind the tail, in which case catching up
+                // `LAG_HIGH_MS` behind the tail, in which case catching up
                 // outranks lane backpressure.
-                let want_pause = lane_frac >= config.lane_high && tail_lag_ms <= config.lag_high_ms;
+                let want_pause = lane_frac >= LANE_HIGH && tail_lag_ms <= LAG_HIGH_MS;
                 let was_paused = shared.pump_paused.swap(want_pause, Ordering::AcqRel);
                 if want_pause != was_paused {
                     shared.actuations.fetch_add(1, Ordering::Relaxed);
@@ -508,22 +477,19 @@ pub(crate) fn spawn_pid_controller(params: PidParams) -> JoinHandle<()> {
         .expect("spawn pid controller")
 }
 
-/// Applies one pool's control signal. Returns `true` on a resize.
-#[allow(clippy::too_many_arguments)]
+/// Applies one pool's control signal within the pool's bounds. Returns
+/// `true` on a resize.
 fn actuate_pool(
-    _config: &CtrlConfig,
     clock: &dyn ScaleClock,
     shared: &CtrlShared,
     pool: &PoolControls,
     pid: &mut PidState,
     control: f64,
     queue_depth: usize,
-    min: usize,
-    max: usize,
     events: &Arc<Mutex<Vec<ScaleEvent>>>,
 ) -> bool {
     let target = pool.governor.target();
-    if control >= ACTUATION_THRESHOLD && target < max {
+    if control >= ACTUATION_THRESHOLD && target < pool.max {
         pool.governor.adopt((pool.spawn)());
         events.lock().expect("scale events lock").push(ScaleEvent {
             at_seconds: clock.now_seconds(),
@@ -537,7 +503,7 @@ fn actuate_pool(
         pid.integral = 0.0;
         return true;
     }
-    if control <= -ACTUATION_THRESHOLD && target > min {
+    if control <= -ACTUATION_THRESHOLD && target > pool.min {
         pool.governor.request_retire();
         events.lock().expect("scale events lock").push(ScaleEvent {
             at_seconds: clock.now_seconds(),
@@ -690,6 +656,12 @@ mod tests {
         assert_eq!(h.fill_governor.target(), 1, "fill must shrink back to min");
         let report = h.shared.report();
         assert!(report.shrinks >= 2, "report {report:?}");
+        // A shrink is a resize too: the batch pools follow the population
+        // down only if `on_resize` hears about it.
+        assert!(
+            h.resizes.lock().unwrap().ends_with(&[(2, 1), (1, 1)]),
+            "on_resize must fire on every PID shrink"
+        );
         h.finish();
     }
 
@@ -704,8 +676,7 @@ mod tests {
 
         // Lanes saturate: the pump gate turns red on the next tick, and the
         // lane penalty drives the compute control negative even though the
-        // work queue is still full — the scale-down the watermark heuristic
-        // can never produce.
+        // work queue is still full.
         h.lane_depth.store(8, Ordering::Relaxed);
         let gate = PumpGate::new(Arc::clone(&h.shared));
         let mut paused_ticks = 0;
@@ -736,9 +707,9 @@ mod tests {
 
     #[test]
     fn tail_lag_escape_hatch_overrides_lane_backpressure() {
-        let h = harness(CtrlConfig::bounds(1, 8).with_lag_high_ms(1_000));
+        let h = harness(CtrlConfig::bounds(1, 8));
         h.lane_depth.store(8, Ordering::Relaxed);
-        h.tail_lag.store(5_000, Ordering::Relaxed);
+        h.tail_lag.store(LAG_HIGH_MS + 1, Ordering::Relaxed);
         for _ in 0..3 {
             assert!(h.clock.step());
         }
@@ -765,7 +736,7 @@ mod tests {
             recd_obs::sample_value(&families, name, labels)
                 .unwrap_or_else(|| panic!("family {name} {labels:?} missing from the ctrl export"))
         };
-        assert!((value("recd_ctrl_setpoint", &[]) - 0.5).abs() < 1e-9);
+        assert_eq!(value("recd_ctrl_setpoint", &[]), 0.5);
         assert!(value("recd_ctrl_ticks_total", &[]) >= 1.0);
         assert!(value("recd_ctrl_actuations_total", &[]) >= 1.0);
         assert!(value("recd_ctrl_error", &[("pool", "fill")]).abs() <= 1.0);

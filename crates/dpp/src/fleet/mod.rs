@@ -1,6 +1,6 @@
 //! The disaggregated multi-host DPP fleet: M simulated preprocessing hosts
 //! — each a complete, nearly-unchanged [`DppService`](crate::DppService)
-//! with its own fill/compute pools, batch pools, and scaler — serving N
+//! with its own fill/compute pools, batch pools, and controller — serving N
 //! trainer lanes through a fault-tolerant control plane.
 //!
 //! ```text

@@ -38,12 +38,14 @@
 //!   the bounded spillover is exhausted. [`DppHandle::flush_partition`]
 //!   injects a barrier that guarantees partition boundaries are fully
 //!   delivered before it returns.
-//! * **Dynamic worker scaling** ([`DppConfig::with_scaling`]): a controller
-//!   thread samples queue-depth gauges on a [`ScaleClock`] and grows or
-//!   shrinks the fill and compute pools between configured bounds, recording
-//!   every resize as a [`ScaleEvent`]. Batch pools shrink along with the
-//!   worker population. Because routing is single-threaded and
-//!   order-restored, scaling never changes the emitted batches.
+//! * **Dynamic worker sizing** ([`DppConfig::with_ctrl`]): one controller
+//!   thread samples the DPP queues, the trainer lanes, and the ETL tail lag
+//!   on a [`ScaleClock`], grows or shrinks the fill and compute pools
+//!   between configured bounds — recording every resize as a [`ScaleEvent`]
+//!   — and gates the ETL pump while trainer lanes are full (see
+//!   [`control`]). Batch pools shrink along with the worker population.
+//!   Because routing is single-threaded and order-restored, resizing never
+//!   changes the emitted batches.
 //!
 //! [`driver`] is the one loop that feeds either topology — a single service
 //! or a [`DppFleet`] — from a log tail through the streaming ETL, under an
@@ -84,7 +86,7 @@ pub use metrics::{
     DppReport, DppSnapshot, ServiceCounters, TrainerLaneReport, TrainerLaneSnapshot,
 };
 pub use pool::{BatchPool, PoolStats, Reclaim};
-pub use scaler::{ManualClock, ScaleClock, ScaleEvent, ScalerConfig, WallClock};
+pub use scaler::{ManualClock, ScaleClock, ScaleEvent, WallClock};
 pub use service::{
     DppConfig, DppError, DppHandle, DppOutput, DppService, ShardPolicy, SnapshotSource,
 };

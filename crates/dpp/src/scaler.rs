@@ -1,16 +1,18 @@
-//! Queue-depth-driven dynamic worker scaling: a controller thread samples
-//! the pipeline's backpressure gauges on a clock and grows or shrinks the
-//! fill and compute pools between configured bounds.
+//! Elastic worker-pool mechanism: the bookkeeping one pool needs so its
+//! population can change while the service runs. The sizing *policy* — when
+//! to grow or shrink, and by how much — lives in [`crate::control`]; nothing
+//! here decides anything.
 //!
-//! The control signal is *sustained* pressure, not instantaneous depth: a
-//! queue must sit at or above the high watermark for
-//! [`ScalerConfig::sustain_ticks`] consecutive samples before a worker is
-//! added, and at or below the low watermark equally long before one is
-//! retired. Retirement is cooperative — workers poll a retire counter
-//! between (and after) work items, so a scale-down never preempts an
-//! in-flight decode or conversion, and because routing is single-threaded
-//! and order-restored, **scaling never changes the emitted batches**, only
-//! the wall-clock it takes to emit them.
+//! * `PoolGovernor` counts live workers and pending retirements and owns
+//!   every spawned thread's join handle. Retirement is cooperative — workers
+//!   poll a retire counter between (and after) work items, so a scale-down
+//!   never preempts an in-flight decode or conversion, and because routing
+//!   is single-threaded and order-restored, **resizing never changes the
+//!   emitted batches**, only the wall-clock it takes to emit them.
+//! * `PoolControls` is what the controller holds per pool: the governor,
+//!   the `[min, max]` bounds, a probe of the queue feeding the pool, and a
+//!   spawner.
+//! * [`ScaleEvent`] records one resize for reports.
 //!
 //! Time is abstracted behind [`ScaleClock`] so the controller is fully
 //! deterministic under test: the production [`WallClock`] ticks on a period,
@@ -20,123 +22,11 @@
 //! aggregator polls on the very same abstraction.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 pub use recd_obs::{ManualClock, ScaleClock, WallClock};
-
-/// Dynamic-scaling configuration: pool bounds, pressure watermarks, and the
-/// sampling cadence.
-#[derive(Clone)]
-pub struct ScalerConfig {
-    /// Fill pool lower bound (never retired below this).
-    pub min_fill: usize,
-    /// Fill pool upper bound (never grown above this).
-    pub max_fill: usize,
-    /// Compute pool lower bound.
-    pub min_compute: usize,
-    /// Compute pool upper bound.
-    pub max_compute: usize,
-    /// Queue-depth fraction (of the queue capacity) at or above which a pool
-    /// is considered under pressure.
-    pub high_watermark: f64,
-    /// Queue-depth fraction at or below which a pool is considered idle.
-    pub low_watermark: f64,
-    /// Consecutive pressured (or idle) ticks required before scaling acts.
-    pub sustain_ticks: u32,
-    /// Wall-clock sampling period (ignored when a custom clock is
-    /// installed).
-    pub tick_period: Duration,
-    /// Clock override for deterministic tests; `None` uses a [`WallClock`]
-    /// ticking every `tick_period`.
-    pub clock: Option<Arc<dyn ScaleClock>>,
-}
-
-impl ScalerConfig {
-    /// Creates a scaling policy with the same `[min, max]` worker bounds for
-    /// the fill and compute pools and default watermarks: pressure at ≥ 3/4
-    /// of a queue's capacity, idle at ≤ 1/8, acting after 3 sustained ticks,
-    /// sampling every 20ms.
-    pub fn bounds(min_workers: usize, max_workers: usize) -> Self {
-        let min = min_workers.max(1);
-        let max = max_workers.max(min);
-        Self {
-            min_fill: min,
-            max_fill: max,
-            min_compute: min,
-            max_compute: max,
-            high_watermark: 0.75,
-            low_watermark: 0.125,
-            sustain_ticks: 3,
-            tick_period: Duration::from_millis(20),
-            clock: None,
-        }
-    }
-
-    /// Overrides the fill pool bounds.
-    #[must_use]
-    pub fn with_fill_bounds(mut self, min: usize, max: usize) -> Self {
-        self.min_fill = min.max(1);
-        self.max_fill = max.max(self.min_fill);
-        self
-    }
-
-    /// Overrides the compute pool bounds.
-    #[must_use]
-    pub fn with_compute_bounds(mut self, min: usize, max: usize) -> Self {
-        self.min_compute = min.max(1);
-        self.max_compute = max.max(self.min_compute);
-        self
-    }
-
-    /// Overrides the pressure watermarks (fractions of queue capacity).
-    #[must_use]
-    pub fn with_watermarks(mut self, high: f64, low: f64) -> Self {
-        self.high_watermark = high.clamp(0.0, 1.0);
-        self.low_watermark = low.clamp(0.0, self.high_watermark);
-        self
-    }
-
-    /// Overrides how many consecutive ticks of pressure (or idleness) are
-    /// required before the controller acts.
-    #[must_use]
-    pub fn with_sustain_ticks(mut self, ticks: u32) -> Self {
-        self.sustain_ticks = ticks.max(1);
-        self
-    }
-
-    /// Overrides the wall-clock sampling period.
-    #[must_use]
-    pub fn with_tick_period(mut self, period: Duration) -> Self {
-        self.tick_period = period;
-        self
-    }
-
-    /// Installs a custom clock (e.g. a [`ManualClock`] in tests).
-    #[must_use]
-    pub fn with_clock(mut self, clock: Arc<dyn ScaleClock>) -> Self {
-        self.clock = Some(clock);
-        self
-    }
-}
-
-impl std::fmt::Debug for ScalerConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScalerConfig")
-            .field("min_fill", &self.min_fill)
-            .field("max_fill", &self.max_fill)
-            .field("min_compute", &self.min_compute)
-            .field("max_compute", &self.max_compute)
-            .field("high_watermark", &self.high_watermark)
-            .field("low_watermark", &self.low_watermark)
-            .field("sustain_ticks", &self.sustain_ticks)
-            .field("tick_period", &self.tick_period)
-            .field("custom_clock", &self.clock.is_some())
-            .finish()
-    }
-}
 
 /// One recorded pool resize.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -164,22 +54,36 @@ impl ScaleEvent {
 /// cooperative retirements, and every spawned thread's join handle.
 #[derive(Debug, Default)]
 pub(crate) struct PoolGovernor {
-    live: AtomicUsize,
-    retiring: AtomicUsize,
+    /// Live workers in the high half, pending retirements in the low half.
+    /// One word, so a claimed retirement leaves both counts in one step:
+    /// were they two atomics, `target()` could see the claim before the
+    /// worker stopped counting as live, read a pool one larger than it is,
+    /// and let the controller retire it through its floor.
+    counts: AtomicU64,
     spawned_total: AtomicUsize,
     peak_live: AtomicUsize,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
+
+/// One live worker in [`PoolGovernor::counts`]; pending retirements count
+/// in units of 1 below it.
+const LIVE: u64 = 1 << 32;
 
 impl PoolGovernor {
     pub(crate) fn new() -> Self {
         Self::default()
     }
 
+    /// `(live, retiring)` as of one instant.
+    fn counts(&self) -> (usize, usize) {
+        let counts = self.counts.load(Ordering::Acquire);
+        ((counts / LIVE) as usize, (counts % LIVE) as usize)
+    }
+
     /// Registers a newly spawned worker.
     pub(crate) fn adopt(&self, handle: JoinHandle<()>) {
-        let live = self.live.fetch_add(1, Ordering::AcqRel) + 1;
-        self.peak_live.fetch_max(live, Ordering::AcqRel);
+        let live = self.counts.fetch_add(LIVE, Ordering::AcqRel) / LIVE + 1;
+        self.peak_live.fetch_max(live as usize, Ordering::AcqRel);
         self.handles.lock().expect("governor lock").push(handle);
     }
 
@@ -190,7 +94,7 @@ impl PoolGovernor {
 
     /// Currently live workers.
     pub(crate) fn live(&self) -> usize {
-        self.live.load(Ordering::Acquire)
+        self.counts().0
     }
 
     /// High-water mark of live workers.
@@ -201,39 +105,29 @@ impl PoolGovernor {
     /// Live workers minus pending retirements — the count the pool is
     /// converging toward.
     pub(crate) fn target(&self) -> usize {
-        self.live
-            .load(Ordering::Acquire)
-            .saturating_sub(self.retiring.load(Ordering::Acquire))
+        let (live, retiring) = self.counts();
+        live.saturating_sub(retiring)
     }
 
     /// Asks one worker to retire at its next poll.
     pub(crate) fn request_retire(&self) {
-        self.retiring.fetch_add(1, Ordering::AcqRel);
+        self.counts.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Called by workers between items: claims a pending retirement, if any.
     /// A `true` return means "this worker must exit now".
     pub(crate) fn try_retire(&self) -> bool {
-        loop {
-            let pending = self.retiring.load(Ordering::Acquire);
-            if pending == 0 {
-                return false;
-            }
-            if self
-                .retiring
-                .compare_exchange(pending, pending - 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.live.fetch_sub(1, Ordering::AcqRel);
-                return true;
-            }
-        }
+        self.counts
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |counts| {
+                (counts % LIVE != 0).then(|| counts - LIVE - 1)
+            })
+            .is_ok()
     }
 
     /// Called by workers exiting for any non-retirement reason (end of
     /// stream) so the live gauge stays truthful during drain.
     pub(crate) fn note_exit(&self) {
-        self.live.fetch_sub(1, Ordering::AcqRel);
+        self.counts.fetch_sub(LIVE, Ordering::AcqRel);
     }
 
     /// Takes every join handle accumulated so far (initial and dynamically
@@ -251,206 +145,59 @@ pub(crate) struct PoolControls {
     pub(crate) max: usize,
     /// Reads the depth of the queue feeding this pool.
     pub(crate) queue_probe: Box<dyn Fn() -> usize + Send>,
-    /// Capacity of that queue (the watermark base).
+    /// Capacity of that queue (the base of its fill fraction).
     pub(crate) queue_capacity: usize,
     /// Spawns one more worker into the pool.
     pub(crate) spawn: Box<dyn Fn() -> JoinHandle<()> + Send>,
-}
-
-pub(crate) struct ControllerParams {
-    pub(crate) config: ScalerConfig,
-    pub(crate) clock: Arc<dyn ScaleClock>,
-    pub(crate) fill: PoolControls,
-    pub(crate) compute: PoolControls,
-    pub(crate) events: Arc<Mutex<Vec<ScaleEvent>>>,
-    /// Invoked after any resize (grow or shrink) with the pools' new target
-    /// sizes, so the service keeps its batch pools sized to the live
-    /// in-flight population — smaller after a shrink, restored after a
-    /// grow.
-    pub(crate) on_resize: Box<dyn Fn(usize, usize) + Send>,
-}
-
-/// Per-pool sustained-pressure state.
-#[derive(Default)]
-struct Pressure {
-    above: u32,
-    below: u32,
-}
-
-/// Spawns the scaling controller thread.
-pub(crate) fn spawn_controller(params: ControllerParams) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("dpp-scaler".to_string())
-        .spawn(move || {
-            let ControllerParams {
-                config,
-                clock,
-                fill,
-                compute,
-                events,
-                on_resize,
-            } = params;
-            let mut fill_pressure = Pressure::default();
-            let mut compute_pressure = Pressure::default();
-            while clock.wait_tick() {
-                let mut resized = false;
-                resized |= evaluate(&config, &*clock, &fill, &mut fill_pressure, &events);
-                resized |= evaluate(&config, &*clock, &compute, &mut compute_pressure, &events);
-                if resized {
-                    on_resize(fill.governor.target(), compute.governor.target());
-                }
-            }
-        })
-        .expect("spawn scaling controller")
-}
-
-/// One pool's scaling decision for one tick. Returns `true` when the pool
-/// was resized in either direction.
-fn evaluate(
-    config: &ScalerConfig,
-    clock: &dyn ScaleClock,
-    pool: &PoolControls,
-    pressure: &mut Pressure,
-    events: &Arc<Mutex<Vec<ScaleEvent>>>,
-) -> bool {
-    let depth = (pool.queue_probe)();
-    let capacity = pool.queue_capacity.max(1);
-    let high = ((config.high_watermark * capacity as f64).ceil() as usize).max(1);
-    let low = (config.low_watermark * capacity as f64).floor() as usize;
-    if depth >= high {
-        pressure.above += 1;
-        pressure.below = 0;
-    } else if depth <= low {
-        pressure.below += 1;
-        pressure.above = 0;
-    } else {
-        pressure.above = 0;
-        pressure.below = 0;
-    }
-
-    let target = pool.governor.target();
-    if pressure.above >= config.sustain_ticks && target < pool.max {
-        pool.governor.adopt((pool.spawn)());
-        events.lock().expect("scale events lock").push(ScaleEvent {
-            at_seconds: clock.now_seconds(),
-            pool: pool.name.to_string(),
-            from: target,
-            to: target + 1,
-            queue_depth: depth,
-        });
-        pressure.above = 0;
-        // A grow is a resize too: without reporting it, `on_resize` never
-        // fires on the way back up and the batch pools stay stuck at their
-        // shrunken capacity after a shrink → grow flap.
-        return true;
-    }
-    if pressure.below >= config.sustain_ticks && target > pool.min {
-        pool.governor.request_retire();
-        events.lock().expect("scale events lock").push(ScaleEvent {
-            at_seconds: clock.now_seconds(),
-            pool: pool.name.to_string(),
-            from: target,
-            to: target - 1,
-            queue_depth: depth,
-        });
-        pressure.below = 0;
-        return true;
-    }
-    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Harness for driving `evaluate` directly: a pool whose queue depth is
-    /// an atomic the test sets, with spawn hooked to a trivial thread.
-    fn test_pool(depth: Arc<AtomicUsize>, capacity: usize, min: usize, max: usize) -> PoolControls {
-        let governor = Arc::new(PoolGovernor::new());
-        governor.adopt(std::thread::spawn(|| {}));
-        PoolControls {
-            name: "fill",
-            governor,
-            min,
-            max,
-            queue_probe: Box::new(move || depth.load(Ordering::Relaxed)),
-            queue_capacity: capacity,
-            spawn: Box::new(|| std::thread::spawn(|| {})),
-        }
-    }
-
-    /// Flap regression: alternating pressured / dead-band samples must never
-    /// accumulate toward an action — every non-qualifying sample resets both
-    /// sustain counters.
+    /// A claimed retirement must leave `retiring` and `live` in one step.
+    /// If `target()` can observe the claim before the worker stops counting
+    /// as live, a controller that samples in that window sees a pool one
+    /// larger than it is and retires it through its floor. Deliberately
+    /// adversarial: the "controller" samples as fast as it can while workers
+    /// claim retirements.
     #[test]
-    fn dead_band_samples_reset_sustain_counters() {
-        let config = ScalerConfig::bounds(1, 4).with_sustain_ticks(2);
-        let clock = ManualClock::new();
-        let depth = Arc::new(AtomicUsize::new(0));
-        let pool = test_pool(Arc::clone(&depth), 8, 1, 4);
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let mut pressure = Pressure::default();
-
-        // high watermark = ceil(0.75 * 8) = 6, low = floor(0.125 * 8) = 1.
-        // Alternate pressured (6) and dead-band (3) samples far longer than
-        // sustain_ticks: no grow may ever fire.
-        for _ in 0..6 {
-            depth.store(6, Ordering::Relaxed);
-            assert!(!evaluate(&config, &clock, &pool, &mut pressure, &events));
-            depth.store(3, Ordering::Relaxed);
-            assert!(!evaluate(&config, &clock, &pool, &mut pressure, &events));
-        }
-        assert!(
-            events.lock().unwrap().is_empty(),
-            "alternating high/mid samples must never scale"
-        );
-        // Same for the idle side: alternating idle / dead-band never shrinks.
-        for _ in 0..6 {
-            depth.store(0, Ordering::Relaxed);
-            assert!(!evaluate(&config, &clock, &pool, &mut pressure, &events));
-            depth.store(3, Ordering::Relaxed);
-            assert!(!evaluate(&config, &clock, &pool, &mut pressure, &events));
-        }
-        assert!(events.lock().unwrap().is_empty());
-        for handle in pool.governor.take_handles() {
-            handle.join().unwrap();
-        }
-    }
-
-    /// A grow must report itself as a resize so `on_resize` restores batch
-    /// pool capacity after a shrink → grow flap (the controller loop only
-    /// invokes `on_resize` when `evaluate` returns true).
-    #[test]
-    fn sustained_pressure_grows_and_reports_the_resize() {
-        let config = ScalerConfig::bounds(1, 4).with_sustain_ticks(2);
-        let clock = ManualClock::new();
-        let depth = Arc::new(AtomicUsize::new(8));
-        let pool = test_pool(Arc::clone(&depth), 8, 1, 4);
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let mut pressure = Pressure::default();
-
-        assert!(!evaluate(&config, &clock, &pool, &mut pressure, &events));
-        assert!(
-            evaluate(&config, &clock, &pool, &mut pressure, &events),
-            "the sustained grow must report a resize"
-        );
-        assert_eq!(pool.governor.target(), 2);
-        {
-            let events = events.lock().unwrap();
-            assert_eq!(events.len(), 1);
-            assert!(events[0].is_grow());
-        }
-
-        // And the shrink side still reports too.
-        depth.store(0, Ordering::Relaxed);
-        assert!(!evaluate(&config, &clock, &pool, &mut pressure, &events));
-        assert!(
-            evaluate(&config, &clock, &pool, &mut pressure, &events),
-            "the sustained shrink must report a resize"
-        );
-        assert_eq!(pool.governor.target(), 1);
-        for handle in pool.governor.take_handles() {
-            handle.join().unwrap();
+    fn retirements_never_take_the_pool_below_the_floor() {
+        const FLOOR: usize = 1;
+        for _ in 0..200 {
+            let governor = Arc::new(PoolGovernor::new());
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    let governor = Arc::clone(&governor);
+                    std::thread::spawn(move || {
+                        while !governor.try_retire() {
+                            std::thread::yield_now();
+                        }
+                    })
+                })
+                .collect();
+            for _ in 0..4 {
+                governor.adopt(std::thread::spawn(|| {}));
+            }
+            // Retire down to the floor, one request per observed surplus.
+            while governor.live() > FLOOR {
+                if governor.target() > FLOOR {
+                    governor.request_retire();
+                }
+            }
+            // Settle: every request issued so far gets claimed.
+            while governor.target() != governor.live() {
+                std::thread::yield_now();
+            }
+            assert_eq!(governor.live(), FLOOR, "pool retired through its floor");
+            // Release the one worker still polling.
+            governor.request_retire();
+            for worker in workers {
+                worker.join().unwrap();
+            }
+            for handle in governor.take_handles() {
+                handle.join().unwrap();
+            }
         }
     }
 

@@ -17,7 +17,7 @@
 //!   each shard's rows into `batch_size` chunks. Because routing is
 //!   single-threaded and order-restored, batch composition is a pure
 //!   function of the submitted file sequence — output does not depend on
-//!   worker counts, scheduling, or dynamic scaling.
+//!   worker counts, scheduling, or pool resizes.
 //! * **Compute workers** run the shared [`PhaseEngine`] (IKJT conversion O3,
 //!   deduplicated preprocessing O4) over coalesced chunks concurrently.
 //! * The **sink** resequences finished batches per shard and either collects
@@ -27,9 +27,10 @@
 //!
 //! Every queue is bounded: a slow stage blocks its upstream all the way back
 //! to `submit_file`, which is the service's backpressure contract over
-//! *in-flight* work. With [`DppConfig::with_scaling`], a controller thread
-//! additionally grows and shrinks the fill and compute pools from sustained
-//! queue-depth pressure (see [`crate::scaler`]).
+//! *in-flight* work, and the only submission backpressure there is. With
+//! [`DppConfig::with_ctrl`], one controller thread additionally grows and
+//! shrinks the fill and compute pools and gates the ETL pump (see
+//! [`crate::control`]).
 
 use crate::channel::{bounded, Gauge, Receiver, RecvTimeout, Sender};
 use crate::checkpoint::DppCheckpoint;
@@ -38,10 +39,7 @@ use crate::metrics::{
     DppReport, DppSnapshot, ServiceCounters, TrainerLaneReport, TrainerLaneSnapshot,
 };
 use crate::pool::{BatchPool, BlobScratch};
-use crate::scaler::{
-    spawn_controller, ControllerParams, PoolControls, PoolGovernor, ScaleClock, ScaleEvent,
-    ScalerConfig, WallClock,
-};
+use crate::scaler::{PoolControls, PoolGovernor, ScaleClock, ScaleEvent, WallClock};
 use crate::sink::{
     run_sink, BarrierState, LaneSender, LaneShared, OutBatch, SinkInput, SinkParams,
     TrainerAssignPolicy, TrainerBatch, TrainerHandle,
@@ -62,12 +60,6 @@ use std::time::Duration;
 
 /// How often blocked workers wake to check for cooperative retirement.
 const WORKER_POLL: Duration = Duration::from_millis(2);
-
-/// Longest a PID-throttled submit waits for the input queue to drain below
-/// the controller's setpoint before pushing anyway. The throttle shapes
-/// arrival bursts; this cap guarantees liveness no matter what the
-/// controller does.
-const SUBMIT_THROTTLE_CAP: Duration = Duration::from_secs(2);
 
 /// Most per-worker pool shelves a service creates; beyond this, workers
 /// share shelves modulo the count (sharing is correct, just more lock
@@ -137,12 +129,9 @@ pub struct DppConfig {
     /// Capacity of each per-trainer lane (that trainer's backpressure
     /// window).
     pub trainer_queue_depth: usize,
-    /// Dynamic worker scaling policy; `None` keeps the pools fixed.
-    pub scaling: Option<ScalerConfig>,
-    /// Cross-tier PID control policy; `None` (the default) keeps today's
-    /// behaviour byte-identically. When set it supersedes `scaling`: the PID
-    /// controller owns the fill/compute pool targets *and* adds the
-    /// trainer-lane pump gate plus the PID-throttled submit path (see
+    /// The sizing policy; `None` (the default) keeps the pools fixed at
+    /// `fill_workers` / `compute_workers`. When set, the PID controller owns
+    /// the fill/compute pool targets and the trainer-lane pump gate (see
     /// [`crate::control`]).
     pub ctrl: Option<CtrlConfig>,
     /// Bounded-retry policy for storage-facing fill reads, with the chaos
@@ -160,7 +149,7 @@ impl DppConfig {
     /// Creates a configuration with production-flavored defaults: 2 fill
     /// workers, 2 compute workers, one shard per compute worker,
     /// session-affine routing, a backpressure window of 8 items per queue,
-    /// the collect sink, and no dynamic scaling.
+    /// the collect sink, and fixed pools.
     pub fn new(reader: ReaderConfig) -> Self {
         Self {
             reader,
@@ -172,7 +161,6 @@ impl DppConfig {
             trainers: 0,
             assign_policy: TrainerAssignPolicy::ShardPinned,
             trainer_queue_depth: 8,
-            scaling: None,
             ctrl: None,
             chaos_retry: None,
             pipeline_factory: PreprocessPipeline::new,
@@ -237,18 +225,9 @@ impl DppConfig {
         self
     }
 
-    /// Enables queue-depth-driven dynamic worker scaling. The initial
-    /// `fill_workers` / `compute_workers` counts are clamped into the
-    /// policy's bounds at start.
-    #[must_use]
-    pub fn with_scaling(mut self, scaling: ScalerConfig) -> Self {
-        self.scaling = Some(scaling);
-        self
-    }
-
-    /// Enables the cross-tier PID control loop. The initial worker counts
-    /// are clamped into the policy's bounds at start; when both `ctrl` and
-    /// `scaling` are set, `ctrl` wins (one controller owns the pools).
+    /// Enables the cross-tier PID control loop. The initial `fill_workers` /
+    /// `compute_workers` counts are clamped into the policy's bounds at
+    /// start.
     #[must_use]
     pub fn with_ctrl(mut self, ctrl: CtrlConfig) -> Self {
         self.ctrl = Some(ctrl);
@@ -764,21 +743,13 @@ impl DppService {
         let scale_events: Arc<Mutex<Vec<ScaleEvent>>> = Arc::new(Mutex::new(Vec::new()));
 
         // Worker counts start clamped into the controller bounds (when any
-        // exist — the PID controller supersedes the watermark scaler); the
-        // pools size for the maximum population they may grow to.
+        // exist); the pools size for the maximum population they may grow to.
         let (initial_fill, initial_compute, max_fill, max_compute) = if let Some(c) = &config.ctrl {
             (
                 config.fill_workers.clamp(c.min_fill, c.max_fill),
                 config.compute_workers.clamp(c.min_compute, c.max_compute),
                 c.max_fill,
                 c.max_compute,
-            )
-        } else if let Some(s) = &config.scaling {
-            (
-                config.fill_workers.clamp(s.min_fill, s.max_fill),
-                config.compute_workers.clamp(s.min_compute, s.max_compute),
-                s.max_fill,
-                s.max_compute,
             )
         } else {
             (
@@ -848,7 +819,7 @@ impl DppService {
         }
 
         // Worker spawners: one closure per pool, usable both for the initial
-        // population and by the scaling controller. Each call clones its
+        // population and by the controller. Each call clones its
         // captured channel ends for the new thread.
         let spawn_fill: Box<dyn Fn() -> JoinHandle<()> + Send> = {
             let input_rx = input_rx.clone();
@@ -968,9 +939,8 @@ impl DppService {
                 .expect("spawn sink")
         };
 
-        // Exactly one controller takes ownership of the spawners: the PID
-        // control loop when configured, else the watermark scaler; without
-        // either they are dropped here, releasing their channel clones.
+        // The controller, when configured, takes ownership of the spawners;
+        // without it they are dropped here, releasing their channel clones.
         let ctrl_shared = config
             .ctrl
             .as_ref()
@@ -1038,55 +1008,7 @@ impl DppService {
             };
             Some((clock, spawn_pid_controller(params)))
         } else {
-            match config.scaling.clone() {
-                Some(scaling) => {
-                    let clock: Arc<dyn ScaleClock> = scaling
-                        .clock
-                        .clone()
-                        .unwrap_or_else(|| Arc::new(WallClock::new(scaling.tick_period)));
-                    let resize_batch = Arc::clone(&batch_pool);
-                    let resize_converted = Arc::clone(&converted_pool);
-                    let queue_depth = config.queue_depth;
-                    let shards = config.shards;
-                    let params = ControllerParams {
-                        config: scaling.clone(),
-                        clock: Arc::clone(&clock),
-                        fill: PoolControls {
-                            name: "fill",
-                            governor: Arc::clone(&fill_gov),
-                            min: scaling.min_fill,
-                            max: scaling.max_fill,
-                            queue_probe: {
-                                let gauge = input_gauge.clone();
-                                Box::new(move || gauge.len())
-                            },
-                            queue_capacity: config.queue_depth,
-                            spawn: spawn_fill,
-                        },
-                        compute: PoolControls {
-                            name: "compute",
-                            governor: Arc::clone(&compute_gov),
-                            min: scaling.min_compute,
-                            max: scaling.max_compute,
-                            queue_probe: {
-                                let gauge = work_gauge.clone();
-                                Box::new(move || gauge.len())
-                            },
-                            queue_capacity: config.queue_depth,
-                            spawn: spawn_compute,
-                        },
-                        events: Arc::clone(&scale_events),
-                        on_resize: Box::new(move |fill_target, compute_target| {
-                            resize_batch.set_capacity(
-                                queue_depth * 2 + shards + fill_target + compute_target,
-                            );
-                            resize_converted.set_capacity(queue_depth * 2 + compute_target);
-                        }),
-                    };
-                    Some((clock, spawn_controller(params)))
-                }
-                None => None,
-            }
+            None
         };
         drop(input_rx);
 
@@ -1289,21 +1211,6 @@ impl DppHandle {
     }
 
     fn submit_with_shard(&mut self, path: String, shard: Option<usize>) {
-        // The PID controller's third actuation surface: shape submission
-        // bursts so the input queue rides at the setpoint instead of
-        // slamming into its capacity wall. A bounded wait — fill workers
-        // drain independently, and the cap pushes through regardless — so
-        // this only ever delays a submission, never reorders or drops one:
-        // batch composition stays a pure function of submission order.
-        if let Some(ctrl) = &self.config.ctrl {
-            let threshold = ((self.config.queue_depth as f64 * ctrl.setpoint).ceil() as usize)
-                .clamp(1, self.config.queue_depth);
-            let mut waited = Duration::ZERO;
-            while self.gauges.input_gauge.len() >= threshold && waited < SUBMIT_THROTTLE_CAP {
-                std::thread::sleep(WORKER_POLL);
-                waited += WORKER_POLL;
-            }
-        }
         let task = FillTask::File {
             seq: self.next_file_seq,
             path,
@@ -1442,7 +1349,7 @@ impl DppHandle {
     }
 
     /// Gracefully shuts down: closes the input, lets every stage drain, joins
-    /// all workers (including the scaling controller and any dynamically
+    /// all workers (including the controller and any dynamically
     /// spawned workers), and returns the collected batches plus the final
     /// report.
     ///
@@ -1485,9 +1392,7 @@ impl DppHandle {
         // end-of-stream.
         if let Some((clock, controller)) = controller {
             clock.shutdown();
-            controller
-                .join()
-                .expect("scaling controller must not panic");
+            controller.join().expect("controller must not panic");
         }
         // Closing the input cascades end-of-stream through every stage.
         drop(input);

@@ -183,8 +183,6 @@ pub struct PipelineRunner {
     chaos: Option<FaultPlan>,
     storage: StorageSimConfig,
     ctrl: Option<CtrlConfig>,
-    continuous_queue_depth: Option<usize>,
-    continuous_file_shape: Option<(usize, usize)>,
 }
 
 impl PipelineRunner {
@@ -202,8 +200,6 @@ impl PipelineRunner {
             chaos: None,
             storage: StorageSimConfig::default(),
             ctrl: None,
-            continuous_queue_depth: None,
-            continuous_file_shape: None,
         }
     }
 
@@ -320,33 +316,6 @@ impl PipelineRunner {
     #[must_use]
     pub fn with_ctrl(mut self, ctrl: CtrlConfig) -> Self {
         self.ctrl = Some(ctrl);
-        self
-    }
-
-    /// Overrides the continuous DPP tier's bounded queue depth (stage queues
-    /// and trainer lanes alike). Queue depth only changes when submissions
-    /// block, never what is produced — the control-loop tests shrink it so
-    /// backpressure dynamics are observable on small workloads.
-    #[must_use]
-    pub fn with_continuous_queue_depth(mut self, depth: usize) -> Self {
-        self.continuous_queue_depth = Some(depth.max(1));
-        self
-    }
-
-    /// Overrides the continuous table store's file shape
-    /// (`rows_per_stripe`, `stripes_per_file`; default `(64, 4)`). Smaller
-    /// files mean each sealed partition lands as a longer submission burst —
-    /// how the control-loop tests make input-queue dynamics observable on
-    /// small workloads. Both runs of an equivalence pair must share the
-    /// shape: file boundaries feed shard routing, so the shape participates
-    /// in batch composition.
-    #[must_use]
-    pub fn with_continuous_file_shape(
-        mut self,
-        rows_per_stripe: usize,
-        stripes_per_file: usize,
-    ) -> Self {
-        self.continuous_file_shape = Some((rows_per_stripe.max(1), stripes_per_file.max(1)));
         self
     }
 
@@ -543,15 +512,11 @@ impl PipelineRunner {
         let tail_config = TailConfig::default()
             .with_jitter_ms(2_000)
             .with_seed(spec.sized_workload().seed);
-        let (rows, stripes) = self.continuous_file_shape.unwrap_or((64, 4));
-        let store = Arc::new(TableStore::new(self.storage.build(), rows, stripes));
+        let store = Arc::new(TableStore::new(self.storage.build(), 64, 4));
 
         let mut dpp = DppConfig::new(reader_config.clone())
             .with_compute_workers(workers)
             .with_fill_workers(2);
-        if let Some(depth) = self.continuous_queue_depth {
-            dpp = dpp.with_queue_depth(depth).with_trainer_queue_depth(depth);
-        }
         if let Some(ctrl) = &self.ctrl {
             dpp = dpp.with_ctrl(ctrl.clone());
         }

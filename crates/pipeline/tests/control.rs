@@ -1,18 +1,24 @@
 //! End-to-end control-loop equivalence: the unified PID backpressure
-//! controller may change *when* work happens — pool sizes, pump timing,
-//! submission pacing — but never *what* is produced. A controller-on run
-//! must deliver the **byte-identical trainer-batch union** of a
-//! controller-off run under the same barrier schedule, fault-free and under
-//! slow-trainer chaos alike; and with trainers as the bottleneck the
-//! controller must demonstrably flatten the DPP input-queue peak.
+//! controller may change *when* work happens — pool sizes, pump timing —
+//! but never *what* is produced. A controller-on run must deliver the
+//! **byte-identical trainer-batch union** of a controller-off run under the
+//! same barrier schedule, fault-free and under slow-trainer chaos alike.
 //!
 //! The controller-off oracle is the same runner without `with_ctrl`: it
 //! executes the identical pump/checkpoint cadence, so any divergence is
 //! attributable to the controller leaking into the payload path.
+//!
+//! No wall clock decides an outcome here: controller-on runs tick on a
+//! `ManualClock` that a stepper thread advances as fast as the controller
+//! evaluates, so the controller samples however short the run is. What the
+//! controller *does* with its samples (grow, shrink, pump gate, bounds) is
+//! pinned by `recd-dpp`'s `control.rs` unit harness and `tests/scaling.rs`.
 
 use recd_chaos::FaultPlan;
-use recd_dpp::{CtrlConfig, TrainerBatch};
+use recd_dpp::{CtrlConfig, ManualClock, ScaleClock, TrainerBatch};
+use recd_pipeline::run::PipelineArtifacts;
 use recd_pipeline::{PipelineRunner, RecdConfig, RmPreset, RmSpec};
+use std::sync::Arc;
 
 const WORKERS: usize = 2;
 const TRAINERS: usize = 3;
@@ -21,9 +27,7 @@ const BATCH: usize = 128;
 /// Every lane stalled within one pump window (the plan rejects same-instant
 /// duplicates of a fault kind, so the stalls stagger by one 60s pump step
 /// and overlap in wall time), twice: with every consumer paused the trainer
-/// tier is unambiguously the bottleneck, so the controller's lane signal
-/// fires (pump gate, compute shrink, submission pacing) while the
-/// uncontrolled run just piles partitions into the input queue.
+/// tier is the bottleneck for as long as the stalls last.
 const SLOW_TRAINER_PLAN: &str = "1800000:stall-trainer:0:300;1860000:stall-trainer:1:300;\
                                  1920000:stall-trainer:2:300;3000000:stall-trainer:0:300;\
                                  3060000:stall-trainer:1:300;3120000:stall-trainer:2:300";
@@ -38,8 +42,31 @@ fn runner() -> PipelineRunner {
         .with_continuous_trainers(TRAINERS)
 }
 
-fn ctrl() -> CtrlConfig {
-    CtrlConfig::bounds(1, 4)
+/// Runs `runner` under the PID controller on a stepped clock. Every `step`
+/// returns once the controller finished that evaluation and the loop ends
+/// when the service shuts the clock down, so the controller samples at
+/// least once however short the run is (fleet hosts share the one clock;
+/// the first host to finish stops it for all).
+fn run_controlled(runner: PipelineRunner) -> PipelineArtifacts {
+    let clock = Arc::new(ManualClock::new());
+    let stepper = {
+        let clock = Arc::clone(&clock);
+        std::thread::spawn(move || while clock.step() {})
+    };
+    let artifacts = runner
+        .with_ctrl(CtrlConfig::bounds(1, 4).with_clock(clock as Arc<dyn ScaleClock>))
+        .run(BATCH);
+    stepper.join().expect("stepper");
+    let report = artifacts
+        .report
+        .continuous
+        .as_ref()
+        .expect("continuous")
+        .dpp
+        .ctrl
+        .expect("controller-on runs report ctrl");
+    assert!(report.ticks > 0, "the controller must have sampled");
+    artifacts
 }
 
 /// Sorts a delivered union into its canonical (shard, seq) order.
@@ -83,10 +110,8 @@ fn controller_off_and_on_deliver_identical_unions() {
         "controller-off runs must not grow a ctrl report"
     );
 
-    let on = runner().with_ctrl(ctrl()).run(BATCH);
+    let on = run_controlled(runner());
     let on_report = on.report.continuous.as_ref().expect("continuous");
-    let ctrl_report = on_report.dpp.ctrl.expect("controller-on runs report ctrl");
-    assert!(ctrl_report.ticks > 0, "the controller must have sampled");
     assert_eq!(
         on_report.dpp.samples, off_report.dpp.samples,
         "controller must not change delivered sample count"
@@ -94,41 +119,22 @@ fn controller_off_and_on_deliver_identical_unions() {
     assert_union_identical(&off_union, &canonical(on.continuous_batches), "ctrl on");
 }
 
+/// At the parent of the PR that removed submission pacing this plan never
+/// turned the pump gate red (`pump_pauses: 0`; the only actuations were the
+/// two start-up shrinks), so whether it does is not asserted: the pump
+/// gate's coverage is the unit harness in `recd-dpp`'s `control.rs`.
 #[test]
-fn controller_actuates_and_flattens_the_input_queue_under_slow_trainers() {
-    // Fine-grained files make each sealed partition land as a long
-    // submission burst, so the input-queue dynamics are observable on this
-    // small workload: the uncontrolled run slams the burst into the queue's
-    // capacity wall while the controller's submission pacing holds pending
-    // input near the setpoint (4 of 8). Both runs share the shape — file
-    // boundaries participate in batch composition.
-    let runner = || runner().with_continuous_file_shape(16, 1);
+fn controller_under_slow_trainers_delivers_the_uncontrolled_union() {
     let plan = FaultPlan::parse(SLOW_TRAINER_PLAN).expect("plan parses");
-    let planned = plan.len();
+    let planned = plan.len() as u64;
     let off = runner().with_chaos(plan.clone()).run(BATCH);
     let off_chaos = off.report.chaos.clone().expect("chaos report");
-    assert_eq!(off_chaos.faults_fired, planned as u64);
-    let off_peak = off
-        .report
-        .continuous
-        .as_ref()
-        .expect("continuous")
-        .dpp
-        .peak_input_queue_depth;
+    assert_eq!(off_chaos.faults_fired, planned);
     let off_union = canonical(off.continuous_batches);
 
-    let on = runner().with_chaos(plan).with_ctrl(ctrl()).run(BATCH);
-    let on_report = on.report.continuous.as_ref().expect("continuous");
-    let ctrl_report = on_report.dpp.ctrl.expect("ctrl report");
-    assert!(
-        ctrl_report.actuations > 0,
-        "stalled lanes must drive the controller to actuate"
-    );
-    let on_peak = on_report.dpp.peak_input_queue_depth;
-    assert!(
-        on_peak < off_peak,
-        "controller must flatten the input-queue peak: on {on_peak} vs off {off_peak}"
-    );
+    let on = run_controlled(runner().with_chaos(plan));
+    let on_chaos = on.report.chaos.clone().expect("chaos report");
+    assert_eq!(on_chaos.faults_fired, planned);
     assert_union_identical(
         &off_union,
         &canonical(on.continuous_batches),
@@ -146,9 +152,6 @@ fn controller_on_fleet_matches_the_controller_off_fleet_union() {
         off_union.len()
     );
 
-    let on = runner().with_hosts(3).with_ctrl(ctrl()).run(BATCH);
-    let on_report = on.report.continuous.as_ref().expect("continuous");
-    let ctrl_report = on_report.dpp.ctrl.expect("per-host ctrl aggregates");
-    assert!(ctrl_report.ticks > 0, "host controllers must have sampled");
+    let on = run_controlled(runner().with_hosts(3));
     assert_union_identical(&off_union, &canonical(on.continuous_batches), "fleet ctrl");
 }

@@ -99,8 +99,9 @@ fi
 # Sustained end-to-end throughput with the control loop closed: the same
 # continuous run, but with the PID backpressure controller engaged (--ctrl),
 # lifted from the controller run's derived line. This is the figure the
-# control loop must sustain — pacing is allowed to reshape *when* work
-# happens, never to cost throughput. Guarded by the gate as higher-is-better.
+# control loop must sustain — resizing pools and gating the pump may reshape
+# *when* work happens, never cost throughput. Guarded by the gate as
+# higher-is-better.
 echo "running controller-on pipeline throughput probe..." >&2
 pipeline_rps=$(cargo run --release -q -p recd-dpp --bin recd-dpp -- \
   --tail --trainers 2 --assign least --ctrl --quiet 2>>"$bench_log" \
