@@ -1,15 +1,27 @@
-//! Benchmarks of the trainer forward pass: baseline (per-row) vs
-//! deduplicated (per-slot) execution of embedding lookup + pooling (O5/O7).
+//! Benchmarks of the trainer: the pooling kernels on one flat sequence, the
+//! forward pass, and the full SGD step — baseline (per-row) vs deduplicated
+//! (per-slot) execution of embedding lookup + pooling (O5–O7).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use recd_bench::BenchFixture;
-use recd_trainer::{pool_sequence, Dlrm, DlrmConfig, ExecutionMode, PoolingKind};
+use recd_core::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
+use recd_data::{SampleBatch, Schema};
+use recd_datagen::DatasetGenerator;
+use recd_etl::cluster_by_session;
+use recd_pipeline::RmPreset;
+use recd_reader::PreprocessPipeline;
+use recd_trainer::{pool_sequence, Dlrm, DlrmConfig, ExecutionMode, PoolScratch, PoolingKind};
+
+/// Sequence length the reader delivers: RM1 histories are 96 ids long and
+/// the standard preprocessing (`TruncateList`) caps them at 64.
+const SEQ_LEN: usize = 64;
+const DIM: usize = 64;
 
 fn bench_pool_sequence(c: &mut Criterion) {
-    let sequence: Vec<Vec<f32>> = (0..96)
-        .map(|i| (0..64).map(|j| ((i * 64 + j) as f32).sin()).collect())
-        .collect();
-    let mut group = c.benchmark_group("pool_one_sequence_96x64");
+    let sequence: Vec<f32> = (0..SEQ_LEN * DIM).map(|i| (i as f32).sin()).collect();
+    let mut scratch = PoolScratch::default();
+    let mut out = [0.0f32; DIM];
+    let mut group = c.benchmark_group("pool_one_sequence_64x64");
     group.sample_size(30);
     for kind in [
         PoolingKind::Sum,
@@ -19,7 +31,7 @@ fn bench_pool_sequence(c: &mut Criterion) {
         PoolingKind::Transformer,
     ] {
         group.bench_function(format!("{kind:?}").to_lowercase(), |b| {
-            b.iter(|| pool_sequence(kind, black_box(&sequence), 64))
+            b.iter(|| pool_sequence(kind, black_box(&sequence), DIM, &mut scratch, &mut out))
         });
     }
     group.finish();
@@ -42,5 +54,42 @@ fn bench_dlrm_forward(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pool_sequence, bench_dlrm_forward);
+/// One session-clustered, preprocessed RM1 batch of 512 rows, as the
+/// `train_rm1` workload's trainer lane receives it.
+fn rm1_batch() -> (Schema, ConvertedBatch) {
+    let workload = RmPreset::Rm1.spec().workload.with_sessions(80);
+    let partition = DatasetGenerator::new(workload).generate_partition();
+    let mut rows = cluster_by_session(&partition.samples);
+    rows.truncate(512);
+    let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&partition.schema));
+    let mut batch = converter
+        .convert(&SampleBatch::new(rows))
+        .expect("generated rows convert");
+    PreprocessPipeline::standard(1 << 20, SEQ_LEN).apply(&mut batch);
+    (partition.schema, batch)
+}
+
+fn bench_dlrm_train_step(c: &mut Criterion) {
+    let (schema, batch) = rm1_batch();
+    let config = DlrmConfig::from_schema(&schema, DIM, PoolingKind::Transformer);
+    let mut group = c.benchmark_group("dlrm_train_step_512");
+    group.sample_size(10);
+    for (name, mode) in [
+        ("baseline_kjt_path", ExecutionMode::Baseline),
+        ("dedup_ikjt_path", ExecutionMode::Deduplicated),
+    ] {
+        group.bench_function(name, |b| {
+            let mut model = Dlrm::new(config.clone());
+            b.iter(|| model.train_step(black_box(&batch), mode))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_pool_sequence,
+    bench_dlrm_forward,
+    bench_dlrm_train_step
+);
 criterion_main!(benches);

@@ -537,31 +537,6 @@ impl InverseKeyedJaggedTensor {
             .map(|&slot| per_slot[slot].clone())
             .collect())
     }
-
-    /// Expands a flat `[slot_count() * width]` per-slot buffer to a flat
-    /// `[batch_size() * width]` per-row buffer through the shared inverse
-    /// lookup, by offset-based slicing — the allocation-free counterpart of
-    /// [`InverseKeyedJaggedTensor::expand_per_slot`] for fixed-width rows
-    /// (e.g. pooled embedding vectors). One output buffer is allocated; no
-    /// per-row container is ever cloned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BatchSizeMismatch`] if `per_slot` does not hold
-    /// exactly `slot_count() * width` values.
-    pub fn expand_per_slot_concat<T: Copy>(&self, per_slot: &[T], width: usize) -> Result<Vec<T>> {
-        if per_slot.len() != self.slot_count() * width {
-            return Err(CoreError::BatchSizeMismatch {
-                expected: self.slot_count() * width,
-                actual: per_slot.len(),
-            });
-        }
-        let mut out = Vec::with_capacity(self.batch_size * width);
-        for &slot in &self.inverse_lookup {
-            out.extend_from_slice(&per_slot[slot * width..(slot + 1) * width]);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -727,21 +702,6 @@ mod tests {
             vec![0],
         );
         assert!(wrong_key_count.is_err());
-    }
-
-    #[test]
-    fn expand_per_slot_concat_slices_by_offset() {
-        let kjt = figure5_group();
-        let ikjt = InverseKeyedJaggedTensor::dedup_from_kjt(&kjt, &[f(2), f(3)]).unwrap();
-        // Two slots of width 2, expanded to three rows.
-        let expanded = ikjt
-            .expand_per_slot_concat(&[1.0f32, 2.0, 3.0, 4.0], 2)
-            .unwrap();
-        assert_eq!(expanded, vec![1.0, 2.0, 1.0, 2.0, 3.0, 4.0]);
-        assert!(matches!(
-            ikjt.expand_per_slot_concat(&[1.0f32], 2),
-            Err(CoreError::BatchSizeMismatch { .. })
-        ));
     }
 
     #[test]

@@ -3,25 +3,25 @@
 //! MLP producing a click probability (paper §2.2, Figure 2).
 
 use crate::embedding::EmbeddingTable;
-use crate::nn::{bce_loss, sigmoid, Mlp};
-use crate::pooling::{pool_sequence, PoolingKind};
+use crate::nn::{axpy, bce_loss, dot, sigmoid, Mlp, MlpActivations};
+use crate::pooling::{pool_sequence, PoolScratch, PoolingKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recd_core::{ConvertedBatch, JaggedTensor};
 use recd_data::{FeatureId, Schema};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Whether the model executes the baseline (KJT) or deduplicated (IKJT)
 /// path for grouped features.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// Expand every IKJT back to a KJT first, then process one row at a time
-    /// (what a pre-RecD trainer does).
+    /// Process every feature one batch row at a time, reading a grouped
+    /// feature's rows back through the inverse lookup (the work a pre-RecD
+    /// trainer does on the expanded KJT).
     Baseline,
     /// O5–O7: look up, pool, and run sequence modules once per deduplicated
-    /// slot, then expand the pooled outputs through the shared inverse
-    /// lookup.
+    /// slot; the interaction reads each row's pooled vector through the
+    /// shared inverse lookup.
     #[default]
     Deduplicated,
 }
@@ -41,6 +41,10 @@ pub struct ForwardStats {
     /// memory O5 reduces).
     pub activation_values: usize,
 }
+
+/// Average list length from which [`DlrmConfig::from_schema`] treats a
+/// feature as a sequence (user-history) feature.
+pub const SEQUENCE_MIN_AVG_LEN: f64 = 16.0;
 
 /// Model architecture configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -66,9 +70,9 @@ pub struct DlrmConfig {
 }
 
 impl DlrmConfig {
-    /// Builds a model configuration from a dataset schema: features named
-    /// `user_seq*` (long histories) get `sequence_pooling`, everything else
-    /// gets sum pooling.
+    /// Builds a model configuration from a dataset schema: features whose
+    /// schema `avg_len` is at least [`SEQUENCE_MIN_AVG_LEN`] (long histories)
+    /// get `sequence_pooling`, everything else gets sum pooling.
     pub fn from_schema(
         schema: &Schema,
         embedding_dim: usize,
@@ -78,7 +82,7 @@ impl DlrmConfig {
             .sparse_features()
             .iter()
             .map(|spec| {
-                let kind = if spec.avg_len >= 16.0 {
+                let kind = if spec.avg_len >= SEQUENCE_MIN_AVG_LEN {
                     sequence_pooling
                 } else {
                     PoolingKind::Sum
@@ -133,17 +137,140 @@ pub struct Dlrm {
     config: DlrmConfig,
     bottom: Mlp,
     top: Mlp,
-    tables: HashMap<FeatureId, EmbeddingTable>,
-    pooling: HashMap<FeatureId, PoolingKind>,
+    /// One table per entry of `config.feature_pooling`, in that order.
+    tables: Vec<EmbeddingTable>,
+    ws: Workspace,
+}
+
+/// Every buffer a step touches, flat and row-major. The first batch sizes
+/// them and later ones reuse them, so a steady-state step allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    /// Bottom-MLP input, used when the batch's dense shape is not the model's.
+    dense: Vec<f32>,
+    bottom: MlpActivations,
+    top: MlpActivations,
+    /// Every `dim`-wide interaction input of the batch: one all-zero row,
+    /// the bottom MLP's output per batch row, then per feature one pooled
+    /// vector per *unit* — a dedup slot for a grouped feature in
+    /// [`ExecutionMode::Deduplicated`], a batch row otherwise.
+    vectors: Vec<f32>,
+    /// `[batch × n_vectors]` offsets into `vectors`: a row's interaction
+    /// inputs. A grouped feature is read through the inverse lookup here
+    /// (O6) — pooled slots are indexed, never expanded per row.
+    index: Vec<usize>,
+    /// Where each feature's units start in `vectors`.
+    bases: Vec<usize>,
+    /// One gathered `[len × dim]` embedding sequence.
+    sequence: Vec<f32>,
+    pool: PoolScratch,
+    /// Top-MLP input, `[batch × interaction_dim]`.
+    interaction: Vec<f32>,
+    probs: Vec<f32>,
+    /// One row's gradient per interaction input, `[n_vectors × dim]`.
+    row_grads: Vec<f32>,
+    /// Gradients summed per unit, laid out like `vectors` (the zero row's
+    /// place is a sink nobody reads).
+    unit_grads: Vec<f32>,
+}
+
+/// One feature's id lists in a batch, resolved once per pass.
+struct Units<'a> {
+    tensor: &'a JaggedTensor<u64>,
+    /// Unit → row of `tensor`; identity when `None`.
+    unit_slots: Option<&'a [usize]>,
+    /// Batch row → unit; identity when `None`.
+    row_units: Option<&'a [usize]>,
+}
+
+impl<'a> Units<'a> {
+    /// Finds `feature` in the KJT or in one of the IKJTs. A grouped feature
+    /// has one unit per dedup slot in Deduplicated mode (O5 + O7: look up and
+    /// pool once per slot) and one per batch row in Baseline mode, which
+    /// reads each row's list back through the inverse lookup — the work a
+    /// pre-RecD trainer does on the expanded KJT.
+    fn locate(batch: &'a ConvertedBatch, feature: FeatureId, mode: ExecutionMode) -> Option<Self> {
+        let (tensor, inverse) = match batch.kjt.feature(feature) {
+            Some(tensor) => (tensor, None),
+            None => batch
+                .ikjts
+                .iter()
+                .find_map(|ikjt| Some((ikjt.feature(feature)?, Some(ikjt.inverse_lookup()))))?,
+        };
+        let (unit_slots, row_units) = match mode {
+            ExecutionMode::Baseline => (inverse, None),
+            ExecutionMode::Deduplicated => (None, inverse),
+        };
+        Some(Self {
+            tensor,
+            unit_slots,
+            row_units,
+        })
+    }
+
+    fn count(&self) -> usize {
+        self.unit_slots
+            .map_or(self.tensor.row_count(), <[usize]>::len)
+    }
+
+    /// The id list unit `unit` looks up and pools.
+    fn ids(&self, unit: usize) -> &'a [u64] {
+        let slot = self.unit_slots.map_or(unit, |slots| slots[unit]);
+        self.tensor.get(slot).unwrap_or(&[])
+    }
+
+    /// The unit holding batch row `row`'s pooled vector, if it has one.
+    fn of_row(&self, row: usize) -> Option<usize> {
+        let unit = self
+            .row_units
+            .map_or(Some(row), |units| units.get(row).copied())?;
+        debug_assert!(unit < self.count(), "inverse lookup past the slot count");
+        (unit < self.count()).then_some(unit)
+    }
+}
+
+/// Whether the backward pass reaches the embedding table of a feature pooled
+/// with `kind` (the sequence modules are forward-only).
+fn trains(kind: PoolingKind) -> bool {
+    matches!(kind, PoolingKind::Sum | PoolingKind::Mean)
+}
+
+/// The bottom MLP's `[batch × width]` input: the batch's dense matrix itself
+/// when it has that shape, else a zero-padded (or truncated) copy in `padded`.
+fn dense_input<'a>(batch: &'a ConvertedBatch, width: usize, padded: &'a mut Vec<f32>) -> &'a [f32] {
+    let dense = &batch.dense;
+    if dense.cols() == width && dense.rows() == batch.batch_size {
+        return dense.data();
+    }
+    padded.clear();
+    padded.resize(batch.batch_size * width, 0.0);
+    let n = width.min(dense.cols());
+    for (r, out) in padded
+        .chunks_exact_mut(width)
+        .enumerate()
+        .take(dense.rows())
+    {
+        out[..n].copy_from_slice(&dense.row(r)[..n]);
+    }
+    padded
 }
 
 impl Dlrm {
     /// Builds the model from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `embedding_dim` is zero or the bottom MLP does not end at
+    /// it: the bottom output is one of the interaction's input vectors.
     pub fn new(config: DlrmConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut bottom_dims = vec![config.dense_features.max(1)];
         bottom_dims.extend(&config.bottom_mlp);
         let bottom = Mlp::new(&bottom_dims, &mut rng);
+        assert!(
+            config.embedding_dim > 0 && bottom.out_dim() == config.embedding_dim,
+            "the bottom MLP must end at a non-zero embedding_dim"
+        );
 
         let n_features = config.feature_pooling.len();
         // Interaction output: bottom vector (d) + pairwise dots among
@@ -158,23 +285,19 @@ impl Dlrm {
             .feature_pooling
             .iter()
             .map(|&(feature, _)| {
-                (
-                    feature,
-                    EmbeddingTable::new(
-                        config.hash_buckets,
-                        config.embedding_dim,
-                        config.seed ^ (feature.raw() as u64 + 1),
-                    ),
+                EmbeddingTable::new(
+                    config.hash_buckets,
+                    config.embedding_dim,
+                    config.seed ^ (feature.raw() as u64 + 1),
                 )
             })
             .collect();
-        let pooling = config.feature_pooling.iter().copied().collect();
         Self {
             config,
             bottom,
             top,
             tables,
-            pooling,
+            ws: Workspace::default(),
         }
     }
 
@@ -183,10 +306,16 @@ impl Dlrm {
         &self.config
     }
 
+    /// The embedding tables, one per entry of the configuration's
+    /// `feature_pooling`, in that order.
+    pub fn tables(&self) -> &[EmbeddingTable] {
+        &self.tables
+    }
+
     /// Total embedding parameter bytes (for the memory report).
     pub fn embedding_parameter_bytes(&self) -> usize {
         self.tables
-            .values()
+            .iter()
             .map(EmbeddingTable::parameter_bytes)
             .sum()
     }
@@ -196,59 +325,6 @@ impl Dlrm {
         self.bottom.parameter_count() + self.top.parameter_count()
     }
 
-    /// Pools one feature for every row of the batch, honoring the execution
-    /// mode. Returns the per-row pooled vectors as one flat matrix.
-    fn pool_feature(
-        &mut self,
-        feature: FeatureId,
-        batch: &ConvertedBatch,
-        mode: ExecutionMode,
-        stats: &mut ForwardStats,
-    ) -> PooledRows {
-        let dim = self.config.embedding_dim;
-        let kind = *self.pooling.get(&feature).unwrap_or(&PoolingKind::Sum);
-        let table = self
-            .tables
-            .get_mut(&feature)
-            .expect("feature must have a table");
-
-        // Locate the feature: either in the KJT or in one of the IKJTs.
-        if let Some(tensor) = batch.kjt.feature(feature) {
-            return pool_rows(table, kind, tensor, dim, stats);
-        }
-        for ikjt in &batch.ikjts {
-            let Some(slot_tensor) = ikjt.feature(feature) else {
-                continue;
-            };
-            return match mode {
-                ExecutionMode::Baseline => {
-                    // Expand first, then process every row.
-                    let expanded =
-                        recd_core::jagged_index_select(slot_tensor, ikjt.inverse_lookup())
-                            .expect("ikjt lookup is valid");
-                    pool_rows(table, kind, &expanded, dim, stats)
-                }
-                ExecutionMode::Deduplicated => {
-                    // Process each slot once, then broadcast (O5 + O7). The
-                    // expansion is an offset-based slice copy through the
-                    // inverse lookup — no per-row Vec is cloned.
-                    let per_slot = pool_rows(table, kind, slot_tensor, dim, stats);
-                    PooledRows {
-                        data: ikjt
-                            .expand_per_slot_concat(&per_slot.data, dim)
-                            .expect("slot count matches pooled outputs"),
-                        dim,
-                    }
-                }
-            };
-        }
-        // Feature absent from the batch: pool to zeros.
-        PooledRows {
-            data: vec![0.0; batch.batch_size * dim],
-            dim,
-        }
-    }
-
     /// Forward pass over a converted batch, returning per-row click
     /// probabilities and work counters.
     pub fn forward(
@@ -256,257 +332,202 @@ impl Dlrm {
         batch: &ConvertedBatch,
         mode: ExecutionMode,
     ) -> (Vec<f32>, ForwardStats) {
-        let (probs, _, stats) = self.forward_full(batch, mode);
-        (probs, stats)
+        let stats = self.forward_pass(batch, mode);
+        (self.ws.probs.clone(), stats)
     }
 
-    /// Forward pass that also returns the interaction-input vectors needed by
-    /// the backward pass.
-    fn forward_full(
-        &mut self,
-        batch: &ConvertedBatch,
-        mode: ExecutionMode,
-    ) -> (Vec<f32>, ForwardCache, ForwardStats) {
+    /// Forward pass into the workspace: probabilities land in `ws.probs`,
+    /// everything the backward pass needs stays in the other buffers.
+    fn forward_pass(&mut self, batch: &ConvertedBatch, mode: ExecutionMode) -> ForwardStats {
+        let Self {
+            config,
+            bottom,
+            top,
+            tables,
+            ws,
+        } = self;
         let mut stats = ForwardStats::default();
-        let dim = self.config.embedding_dim;
-        let batch_size = batch.batch_size;
+        let dim = config.embedding_dim;
+        let rows = batch.batch_size;
+        let n_vectors = tables.len() + 1;
 
         // Bottom MLP over dense features, straight off the columnar dense
         // matrix — no per-row copy.
-        let zero = [0.0f32];
-        let mut bottom_acts = Vec::with_capacity(batch_size);
-        for row in 0..batch_size {
-            let dense: &[f32] = if batch.dense.cols() == 0 {
-                &zero
-            } else {
-                batch.dense.row(row)
+        let dense = dense_input(batch, bottom.in_dim(), &mut ws.dense);
+        bottom.forward_batch(dense, &mut ws.bottom);
+        stats.mlp_flops += bottom.flops() * rows as u64;
+
+        ws.vectors.clear();
+        ws.vectors.resize(dim, 0.0);
+        ws.vectors.extend_from_slice(ws.bottom.output());
+        ws.index.clear();
+        ws.index.resize(rows * n_vectors, 0);
+        for (r, offsets) in ws.index.chunks_exact_mut(n_vectors).enumerate() {
+            offsets[0] = (1 + r) * dim;
+        }
+
+        // Look up and pool every sparse feature, one vector per unit.
+        ws.bases.clear();
+        for (f, (&(feature, kind), table)) in
+            config.feature_pooling.iter().zip(&*tables).enumerate()
+        {
+            let base = ws.vectors.len();
+            ws.bases.push(base);
+            // A feature absent from the batch leaves every row on the zero
+            // vector.
+            let Some(units) = Units::locate(batch, feature, mode) else {
+                continue;
             };
-            bottom_acts.push(self.bottom.forward_cached(dense));
-        }
-        stats.mlp_flops += self.bottom.flops() * batch_size as u64;
-
-        // Pool every sparse feature.
-        let features: Vec<FeatureId> = self
-            .config
-            .feature_pooling
-            .iter()
-            .map(|&(f, _)| f)
-            .collect();
-        let mut pooled_per_feature: Vec<PooledRows> = Vec::with_capacity(features.len());
-        for &feature in &features {
-            pooled_per_feature.push(self.pool_feature(feature, batch, mode, &mut stats));
-        }
-
-        // Interaction + top MLP per row. The interaction borrows the bottom
-        // activation and the flat pooled matrices in place; the backward
-        // pass re-borrows the same rows from the cache instead of cloning
-        // them per row.
-        let mut probs = Vec::with_capacity(batch_size);
-        let mut top_acts = Vec::with_capacity(batch_size);
-        for (row, bottom_act) in bottom_acts.iter().enumerate() {
-            let bottom_out: &[f32] = bottom_act.last().expect("bottom output");
-            let mut vectors: Vec<&[f32]> = Vec::with_capacity(features.len() + 1);
-            vectors.push(bottom_out);
-            for pooled in &pooled_per_feature {
-                vectors.push(pooled.row(row));
+            ws.vectors.resize(base + units.count() * dim, 0.0);
+            for (unit, out) in ws.vectors[base..].chunks_exact_mut(dim).enumerate() {
+                let ids = units.ids(unit);
+                stats.emb_lookups += ids.len() as u64;
+                stats.activation_values += ids.len() * dim;
+                stats.pooling_flops += kind.flops_per_row(ids.len(), dim);
+                stats.pooled_rows += 1;
+                if kind == PoolingKind::Sum {
+                    // Fast path: fused lookup + sum.
+                    table.lookup_pooled_into(ids, out);
+                } else {
+                    table.lookup_sequence_into(ids, &mut ws.sequence);
+                    pool_sequence(kind, &ws.sequence, dim, &mut ws.pool, out);
+                }
             }
-            let interaction = pairwise_dot_interaction(&vectors, dim);
-            stats.mlp_flops += (vectors.len() * vectors.len() / 2) as u64 * dim as u64;
-            let acts = self.top.forward_cached(&interaction);
-            let logit = acts.last().expect("top output")[0];
-            probs.push(sigmoid(logit));
-            top_acts.push(acts);
+            for (r, offsets) in ws.index.chunks_exact_mut(n_vectors).enumerate() {
+                if let Some(unit) = units.of_row(r) {
+                    offsets[f + 1] = base + unit * dim;
+                }
+            }
         }
-        stats.mlp_flops += self.top.flops() * batch_size as u64;
 
-        (
-            probs,
-            ForwardCache {
-                bottom_acts,
-                top_acts,
-                pooled: pooled_per_feature,
-                features,
-            },
-            stats,
-        )
+        // Interaction per row, then the top MLP over the whole batch.
+        let width = top.in_dim();
+        ws.interaction.clear();
+        ws.interaction.resize(rows * width, 0.0);
+        let offsets = ws.index.chunks_exact(n_vectors);
+        for (offsets, out) in offsets.zip(ws.interaction.chunks_exact_mut(width)) {
+            interaction_forward(&ws.vectors, offsets, dim, out);
+        }
+        stats.mlp_flops += (rows * (n_vectors * n_vectors / 2)) as u64 * dim as u64;
+        top.forward_batch(&ws.interaction, &mut ws.top);
+        stats.mlp_flops += top.flops() * rows as u64;
+        let logits = ws.top.output().chunks_exact(top.out_dim());
+        ws.probs.clear();
+        ws.probs.extend(logits.map(|logit| sigmoid(logit[0])));
+        stats
     }
 
     /// One SGD training step over a batch: forward, BCE loss, backward
     /// through the top MLP, the interaction, the bottom MLP, and the
     /// embedding tables of sum/mean-pooled features. Returns the mean loss.
     ///
+    /// The MLPs take one SGD update per row, in row order. An embedding
+    /// table takes one update per unit — the rows sharing a dedup slot first
+    /// sum their gradients through the inverse lookup — which is the same
+    /// total update, since the forward pass is already cached.
+    ///
     /// Sequence pooling modules (attention/transformer) are forward-only in
     /// this reproduction; configure the model with
     /// [`DlrmConfig::with_sum_pooling`] for end-to-end training experiments.
     pub fn train_step(&mut self, batch: &ConvertedBatch, mode: ExecutionMode) -> f32 {
-        let lr = self.config.learning_rate;
-        let dim = self.config.embedding_dim;
-        let (probs, cache, _) = self.forward_full(batch, mode);
-        let batch_size = batch.batch_size.max(1);
+        self.forward_pass(batch, mode);
+        let Self {
+            config,
+            bottom,
+            top,
+            tables,
+            ws,
+        } = self;
+        let lr = config.learning_rate;
+        let dim = config.embedding_dim;
+        let n_vectors = tables.len() + 1;
+        let batch_size = batch.batch_size.max(1) as f32;
+        let dense = dense_input(batch, bottom.in_dim(), &mut ws.dense);
+        ws.row_grads.resize(n_vectors * dim, 0.0);
+        ws.unit_grads.clear();
+        ws.unit_grads.resize(ws.vectors.len(), 0.0);
 
         let mut total_loss = 0.0;
-        for (row, &p) in probs.iter().enumerate() {
-            let label = batch.labels[row];
+        let inputs = dense
+            .chunks_exact(bottom.in_dim())
+            .zip(ws.interaction.chunks_exact(top.in_dim()))
+            .zip(ws.index.chunks_exact(n_vectors));
+        for (row, ((dense, interaction), offsets)) in inputs.enumerate() {
+            let (p, label) = (ws.probs[row], batch.labels[row]);
             total_loss += bce_loss(p, label);
             // dL/dlogit for sigmoid + BCE, averaged over the batch.
-            let grad_logit = (p - label) / batch_size as f32;
-
-            // Top MLP backward.
-            let grad_interaction = self.top.backward(&cache.top_acts[row], &[grad_logit], lr);
-
-            // Interaction backward, over the same borrowed rows the forward
-            // pass used.
-            let bottom_out: &[f32] = cache.bottom_acts[row].last().expect("bottom output");
-            let mut vectors: Vec<&[f32]> = Vec::with_capacity(cache.pooled.len() + 1);
-            vectors.push(bottom_out);
-            for pooled in &cache.pooled {
-                vectors.push(pooled.row(row));
-            }
-            let grads = pairwise_dot_interaction_backward(&vectors, dim, &grad_interaction);
-
-            // Bottom MLP backward.
-            self.bottom.backward(&cache.bottom_acts[row], &grads[0], lr);
-
-            // Embedding backward for sum/mean pooled features.
-            for (fi, &feature) in cache.features.iter().enumerate() {
-                let kind = *self.pooling.get(&feature).unwrap_or(&PoolingKind::Sum);
-                if !matches!(kind, PoolingKind::Sum | PoolingKind::Mean) {
-                    continue;
+            let grad_logit = (p - label) / batch_size;
+            let grad = top.backward_row(interaction, &mut ws.top, row, &[grad_logit], lr);
+            interaction_backward(&ws.vectors, offsets, dim, grad, &mut ws.row_grads);
+            let (bottom_grad, feature_grads) = ws.row_grads.split_at(dim);
+            bottom.backward_row(dense, &mut ws.bottom, row, bottom_grad, lr);
+            let features = config.feature_pooling.iter().zip(&offsets[1..]);
+            for ((&(_, kind), &at), grad) in features.zip(feature_grads.chunks_exact(dim)) {
+                if trains(kind) {
+                    axpy(&mut ws.unit_grads[at..at + dim], 1.0, grad);
                 }
-                let ids = row_ids(batch, feature, row);
-                if ids.is_empty() {
-                    continue;
-                }
-                let mut grad = grads[fi + 1].clone();
-                if matches!(kind, PoolingKind::Mean) {
-                    let n = ids.len() as f32;
-                    for g in &mut grad {
-                        *g /= n;
-                    }
-                }
-                self.tables
-                    .get_mut(&feature)
-                    .expect("table exists")
-                    .apply_pooled_gradient(&ids, &grad, lr);
             }
         }
-        total_loss / batch_size as f32
+
+        let features = config.feature_pooling.iter().zip(tables).zip(&ws.bases);
+        for ((&(feature, kind), table), &base) in features {
+            let Some(units) = Units::locate(batch, feature, mode).filter(|_| trains(kind)) else {
+                continue;
+            };
+            let grads = ws.unit_grads[base..].chunks_exact(dim).take(units.count());
+            for (unit, grad) in grads.enumerate() {
+                let ids = units.ids(unit);
+                let rate = match kind {
+                    PoolingKind::Mean => lr / ids.len().max(1) as f32,
+                    _ => lr,
+                };
+                table.apply_pooled_gradient(ids, grad, rate);
+            }
+        }
+        total_loss / batch_size
     }
 }
 
-/// Per-row cache needed by the backward pass. Pooled activations stay in
-/// their flat per-feature [`PooledRows`] matrices; the backward pass borrows
-/// rows out of them rather than materializing per-row vectors.
-struct ForwardCache {
-    bottom_acts: Vec<Vec<Vec<f32>>>,
-    top_acts: Vec<Vec<Vec<f32>>>,
-    pooled: Vec<PooledRows>,
-    features: Vec<FeatureId>,
-}
-
-/// Looks up the logical ids of `feature` at `row`, whichever container holds
-/// the feature.
-fn row_ids(batch: &ConvertedBatch, feature: FeatureId, row: usize) -> Vec<u64> {
-    if let Some(tensor) = batch.kjt.feature(feature) {
-        return tensor.row(row).to_vec();
-    }
-    for ikjt in &batch.ikjts {
-        if ikjt.feature(feature).is_some() {
-            return ikjt
-                .row(feature, row)
-                .map(<[u64]>::to_vec)
-                .unwrap_or_default();
+/// DLRM pairwise-dot interaction of one row: its first vector, then the dot
+/// products of every vector pair. `offsets` locates the row's vectors, each
+/// `dim` wide, in `vectors`.
+fn interaction_forward(vectors: &[f32], offsets: &[usize], dim: usize, out: &mut [f32]) {
+    let vector = |at: usize| &vectors[at..at + dim];
+    out[..dim].copy_from_slice(vector(offsets[0]));
+    let mut pairs = out[dim..].iter_mut();
+    for (i, &a) in offsets.iter().enumerate() {
+        for (&b, pair) in offsets[i + 1..].iter().zip(&mut pairs) {
+            *pair = dot(vector(a), vector(b));
         }
     }
-    Vec::new()
 }
 
-/// Pooled vectors for a run of rows (or slots), stored as one flat
-/// `[rows * dim]` matrix instead of a `Vec` per row.
-struct PooledRows {
-    data: Vec<f32>,
-    dim: usize,
-}
-
-impl PooledRows {
-    /// Borrows the pooled vector of row `i`.
-    fn row(&self, i: usize) -> &[f32] {
-        &self.data[i * self.dim..(i + 1) * self.dim]
-    }
-}
-
-/// Pools every row of a jagged tensor through one embedding table.
-fn pool_rows(
-    table: &mut EmbeddingTable,
-    kind: PoolingKind,
-    tensor: &JaggedTensor<u64>,
-    dim: usize,
-    stats: &mut ForwardStats,
-) -> PooledRows {
-    let mut out = Vec::with_capacity(tensor.row_count() * dim);
-    for row in tensor.iter() {
-        stats.emb_lookups += row.len() as u64;
-        stats.activation_values += row.len() * dim;
-        let pooled = match kind {
-            PoolingKind::Sum => {
-                // Fast path: fused lookup + sum.
-                stats.pooling_flops += kind.flops_per_row(row.len(), dim);
-                table.lookup_pooled(row)
-            }
-            _ => {
-                let sequence = table.lookup_sequence(row);
-                let (pooled, cost) = pool_sequence(kind, &sequence, dim);
-                stats.pooling_flops += cost.flops;
-                pooled
-            }
-        };
-        stats.pooled_rows += 1;
-        out.extend_from_slice(&pooled);
-    }
-    PooledRows { data: out, dim }
-}
-
-/// DLRM pairwise-dot interaction: concatenates the first vector with the dot
-/// products of every vector pair.
-fn pairwise_dot_interaction(vectors: &[&[f32]], dim: usize) -> Vec<f32> {
-    let mut out = Vec::with_capacity(dim + vectors.len() * (vectors.len() - 1) / 2);
-    out.extend_from_slice(vectors[0]);
-    for i in 0..vectors.len() {
-        for j in (i + 1)..vectors.len() {
-            let dot: f32 = vectors[i].iter().zip(vectors[j]).map(|(a, b)| a * b).sum();
-            out.push(dot);
-        }
-    }
-    out
-}
-
-/// Backward of [`pairwise_dot_interaction`]: returns the gradient with
-/// respect to each input vector.
-fn pairwise_dot_interaction_backward(
-    vectors: &[&[f32]],
+/// Backward of [`interaction_forward`]: writes the gradient with respect to
+/// each of the row's vectors into `grads`, `[offsets.len() × dim]`.
+fn interaction_backward(
+    vectors: &[f32],
+    offsets: &[usize],
     dim: usize,
     grad_output: &[f32],
-) -> Vec<Vec<f32>> {
-    let mut grads: Vec<Vec<f32>> = vectors.iter().map(|v| vec![0.0; v.len()]).collect();
+    grads: &mut [f32],
+) {
+    let vector = |at: usize| &vectors[at..at + dim];
     // Pass-through part for the first vector.
-    for d in 0..dim.min(grad_output.len()) {
-        grads[0][d] += grad_output[d];
-    }
-    let mut k = dim;
-    for i in 0..vectors.len() {
-        for j in (i + 1)..vectors.len() {
-            if k >= grad_output.len() {
-                break;
-            }
-            let g = grad_output[k];
-            k += 1;
-            for d in 0..dim {
-                grads[i][d] += g * vectors[j][d];
-                grads[j][d] += g * vectors[i][d];
-            }
+    grads.fill(0.0);
+    grads[..dim].copy_from_slice(&grad_output[..dim]);
+    let mut pairs = grad_output[dim..].iter();
+    for (i, &a) in offsets.iter().enumerate() {
+        let (head, tail) = grads.split_at_mut((i + 1) * dim);
+        let grad_a = &mut head[i * dim..];
+        for ((&b, grad_b), &g) in offsets[i + 1..]
+            .iter()
+            .zip(tail.chunks_exact_mut(dim))
+            .zip(&mut pairs)
+        {
+            axpy(grad_a, g, vector(b));
+            axpy(grad_b, g, vector(a));
         }
     }
-    grads
 }
 
 #[cfg(test)]
@@ -619,29 +640,34 @@ mod tests {
 
     #[test]
     fn interaction_backward_matches_numerical_gradient() {
-        let a = vec![0.3f32, -0.2, 0.5];
-        let b = vec![1.0f32, 0.1, -0.4];
-        let c = vec![-0.7f32, 0.2, 0.9];
-        let vectors: Vec<&[f32]> = vec![&a, &b, &c];
-        let out = pairwise_dot_interaction(&vectors, 3);
+        // Vectors a, b, c of dimension 3, flat; b sits last in the buffer to
+        // show the offsets, not the storage order, name the vectors.
+        let vectors = [0.3f32, -0.2, 0.5, -0.7, 0.2, 0.9, 1.0, 0.1, -0.4];
+        let offsets = [0, 6, 3];
+        let forward = |vectors: &[f32]| {
+            let mut out = [0.0f32; 6];
+            interaction_forward(vectors, &offsets, 3, &mut out);
+            out
+        };
+        let out = forward(&vectors);
+        assert_eq!(out[..3], vectors[..3]);
+        assert!((out[3] - (0.3 - 0.02 - 0.2)).abs() < 1e-6, "a.b first");
         let grad_out: Vec<f32> = (0..out.len()).map(|i| 0.1 * (i as f32 + 1.0)).collect();
-        let grads = pairwise_dot_interaction_backward(&vectors, 3, &grad_out);
+        let mut grads = [f32::NAN; 9];
+        interaction_backward(&vectors, &offsets, 3, &grad_out, &mut grads);
 
         // Numerical check for vector b, coordinate 1.
         let eps = 1e-3f32;
-        let mut b_plus = b.clone();
-        b_plus[1] += eps;
-        let mut b_minus = b.clone();
-        b_minus[1] -= eps;
-        let f = |bv: &Vec<f32>| {
-            let vs: Vec<&[f32]> = vec![&a, bv, &c];
-            pairwise_dot_interaction(&vs, 3)
+        let f = |delta: f32| {
+            let mut moved = vectors;
+            moved[7] += delta;
+            forward(&moved)
                 .iter()
                 .zip(&grad_out)
                 .map(|(o, g)| o * g)
                 .sum::<f32>()
         };
-        let numerical = (f(&b_plus) - f(&b_minus)) / (2.0 * eps);
-        assert!((grads[1][1] - numerical).abs() < 1e-2);
+        let numerical = (f(eps) - f(-eps)) / (2.0 * eps);
+        assert!((grads[3 + 1] - numerical).abs() < 1e-2);
     }
 }

@@ -1,5 +1,6 @@
 //! Embedding tables: the model-parallel half of a DLRM.
 
+use crate::nn::axpy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -13,9 +14,6 @@ pub struct EmbeddingTable {
     weights: Vec<f32>,
     rows: usize,
     dim: usize,
-    /// Number of single-row lookups performed since creation (the paper's
-    /// "EMB lookups" — the quantity O5 reduces).
-    lookups: u64,
 }
 
 impl EmbeddingTable {
@@ -27,12 +25,7 @@ impl EmbeddingTable {
         let weights = (0..rows * dim)
             .map(|_| rng.gen_range(-0.01..0.01))
             .collect();
-        Self {
-            weights,
-            rows,
-            dim,
-            lookups: 0,
-        }
+        Self { weights, rows, dim }
     }
 
     /// Embedding dimension.
@@ -50,60 +43,34 @@ impl EmbeddingTable {
         self.weights.len() * 4
     }
 
-    /// Number of single-row lookups performed so far.
-    pub fn lookup_count(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Resets the lookup counter.
-    pub fn reset_lookup_count(&mut self) {
-        self.lookups = 0;
-    }
-
     fn row_index(&self, id: u64) -> usize {
         (id % self.rows as u64) as usize
     }
 
     /// Looks up one id's embedding row.
-    pub fn lookup(&mut self, id: u64) -> &[f32] {
-        self.lookups += 1;
+    pub fn lookup(&self, id: u64) -> &[f32] {
         let r = self.row_index(id);
         &self.weights[r * self.dim..(r + 1) * self.dim]
     }
 
     /// Sum-pools the embeddings of an id list into `out` (which must have
-    /// length `dim`). Returns the number of lookups performed.
-    pub fn lookup_pooled_into(&mut self, ids: &[u64], out: &mut [f32]) -> usize {
+    /// length `dim`).
+    pub fn lookup_pooled_into(&self, ids: &[u64], out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.dim);
         out.fill(0.0);
         for &id in ids {
-            let r = self.row_index(id);
-            let row = &self.weights[r * self.dim..(r + 1) * self.dim];
-            for (o, w) in out.iter_mut().zip(row) {
-                *o += w;
-            }
+            axpy(out, 1.0, self.lookup(id));
         }
-        self.lookups += ids.len() as u64;
-        ids.len()
     }
 
-    /// Sum-pools the embeddings of an id list, returning a fresh vector.
-    pub fn lookup_pooled(&mut self, ids: &[u64]) -> Vec<f32> {
-        let mut out = vec![0.0; self.dim];
-        self.lookup_pooled_into(ids, &mut out);
-        out
-    }
-
-    /// Looks up every id of a list as separate (unpooled) embedding vectors —
-    /// the input of sequence pooling modules.
-    pub fn lookup_sequence(&mut self, ids: &[u64]) -> Vec<Vec<f32>> {
-        self.lookups += ids.len() as u64;
-        ids.iter()
-            .map(|&id| {
-                let r = self.row_index(id);
-                self.weights[r * self.dim..(r + 1) * self.dim].to_vec()
-            })
-            .collect()
+    /// Gathers every id of a list as separate (unpooled) embedding rows into
+    /// one flat `[ids.len() × dim]` matrix — the input of sequence pooling
+    /// modules. `out` is overwritten and keeps its capacity.
+    pub fn lookup_sequence_into(&self, ids: &[u64], out: &mut Vec<f32>) {
+        out.clear();
+        for &id in ids {
+            out.extend_from_slice(self.lookup(id));
+        }
     }
 
     /// SGD update for a sum-pooled lookup: every id in the list receives the
@@ -112,10 +79,11 @@ impl EmbeddingTable {
         debug_assert_eq!(grad.len(), self.dim);
         for &id in ids {
             let r = self.row_index(id);
-            let row = &mut self.weights[r * self.dim..(r + 1) * self.dim];
-            for (w, g) in row.iter_mut().zip(grad) {
-                *w -= learning_rate * g;
-            }
+            axpy(
+                &mut self.weights[r * self.dim..(r + 1) * self.dim],
+                -learning_rate,
+                grad,
+            );
         }
     }
 }
@@ -126,7 +94,7 @@ mod tests {
 
     #[test]
     fn lookup_and_pooling_are_consistent() {
-        let mut table = EmbeddingTable::new(100, 8, 3);
+        let table = EmbeddingTable::new(100, 8, 3);
         assert_eq!(table.dim(), 8);
         assert_eq!(table.row_count(), 100);
         assert_eq!(table.parameter_bytes(), 100 * 8 * 4);
@@ -135,25 +103,17 @@ mod tests {
         let b = table.lookup(105).to_vec();
         assert_eq!(a, b, "ids map to rows modulo the table size");
 
-        let pooled = table.lookup_pooled(&[5, 5]);
+        let mut pooled = vec![f32::NAN; 8];
+        table.lookup_pooled_into(&[5, 5], &mut pooled);
         let expected: Vec<f32> = a.iter().map(|v| v * 2.0).collect();
         for (p, e) in pooled.iter().zip(&expected) {
             assert!((p - e).abs() < 1e-6);
         }
-        let seq = table.lookup_sequence(&[5, 7]);
-        assert_eq!(seq.len(), 2);
-        assert_eq!(seq[0], a);
-    }
-
-    #[test]
-    fn lookup_counter_tracks_work() {
-        let mut table = EmbeddingTable::new(10, 4, 0);
-        table.lookup(1);
-        table.lookup_pooled(&[1, 2, 3]);
-        table.lookup_sequence(&[4, 5]);
-        assert_eq!(table.lookup_count(), 6);
-        table.reset_lookup_count();
-        assert_eq!(table.lookup_count(), 0);
+        let mut seq = vec![f32::NAN; 3];
+        table.lookup_sequence_into(&[5, 7], &mut seq);
+        assert_eq!(seq.len(), 2 * 8, "one flat [len x dim] matrix");
+        assert_eq!(seq[..8], a);
+        assert_eq!(&seq[8..], table.lookup(7));
     }
 
     #[test]
@@ -169,8 +129,10 @@ mod tests {
 
     #[test]
     fn empty_list_pools_to_zero() {
-        let mut table = EmbeddingTable::new(10, 4, 0);
-        assert_eq!(table.lookup_pooled(&[]), vec![0.0; 4]);
+        let table = EmbeddingTable::new(10, 4, 0);
+        let mut pooled = vec![f32::NAN; 4];
+        table.lookup_pooled_into(&[], &mut pooled);
+        assert_eq!(pooled, vec![0.0; 4]);
     }
 
     #[test]

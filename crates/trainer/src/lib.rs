@@ -34,8 +34,8 @@ pub use cost::{
     ClusterSpec, GpuSpec, IterationBreakdown, IterationCost, MemoryReport, TrainerOptimizations,
     WorkStats,
 };
-pub use dlrm::{Dlrm, DlrmConfig, ExecutionMode, ForwardStats};
+pub use dlrm::{Dlrm, DlrmConfig, ExecutionMode, ForwardStats, SEQUENCE_MIN_AVG_LEN};
 pub use embedding::EmbeddingTable;
-pub use nn::{bce_loss, Linear, Mlp};
-pub use pooling::{pool_sequence, PoolingCost, PoolingKind};
+pub use nn::{bce_loss, Linear, Mlp, MlpActivations};
+pub use pooling::{pool_sequence, PoolScratch, PoolingCost, PoolingKind};
 pub use train::{TrainReport, Trainer, TrainerConfig};

@@ -6,6 +6,7 @@
 //! deduplicates by running the module once per IKJT slot instead of once per
 //! batch row.
 
+use crate::nn::{axpy, dot, vecmat, TILE};
 use serde::{Deserialize, Serialize};
 
 /// The pooling function applied to a feature's embedding sequence.
@@ -71,162 +72,178 @@ fn softmax_in_place(scores: &mut [f32]) {
     }
 }
 
-/// Pools one sequence of embedding vectors into a single vector, returning
-/// the pooled vector and the FLOPs spent.
+/// Buffers the sequence modules work in; grown on first use, reused after.
+#[derive(Debug, Clone, Default)]
+pub struct PoolScratch {
+    /// Transformer: the sequence transposed, `[dim × len]`.
+    transposed: Vec<f32>,
+    /// Transformer: the `[len × len]` score matrix. Attention: `len` scores.
+    scores: Vec<f32>,
+    /// Transformer: one attended row. Attention: the query. `dim` wide.
+    row: Vec<f32>,
+}
+
+/// Pools one sequence of embedding vectors — `sequence` is a flat row-major
+/// `[len × dim]` matrix — into `out` (`dim` wide, overwritten), returning the
+/// FLOPs spent.
 ///
 /// An empty sequence pools to the zero vector.
 pub fn pool_sequence(
     kind: PoolingKind,
-    sequence: &[Vec<f32>],
+    sequence: &[f32],
     dim: usize,
-) -> (Vec<f32>, PoolingCost) {
+    scratch: &mut PoolScratch,
+    out: &mut [f32],
+) -> PoolingCost {
+    debug_assert_eq!(out.len(), dim);
+    let len = sequence.len() / dim.max(1);
     let cost = PoolingCost {
-        flops: kind.flops_per_row(sequence.len(), dim),
+        flops: kind.flops_per_row(len, dim),
         rows: 1,
     };
-    if sequence.is_empty() {
-        return (vec![0.0; dim], cost);
+    out.fill(0.0);
+    if len == 0 {
+        return cost;
     }
-    let pooled = match kind {
-        PoolingKind::Sum => {
-            let mut out = vec![0.0f32; dim];
-            for e in sequence {
-                for (o, v) in out.iter_mut().zip(e) {
-                    *o += v;
-                }
-            }
-            out
-        }
+    let rows = || sequence.chunks_exact(dim);
+    let sum_rows = |acc: &mut [f32]| rows().for_each(|e| axpy(acc, 1.0, e));
+    let n = len as f32;
+    match kind {
+        PoolingKind::Sum => sum_rows(out),
         PoolingKind::Mean => {
-            let mut out = vec![0.0f32; dim];
-            for e in sequence {
-                for (o, v) in out.iter_mut().zip(e) {
-                    *o += v;
-                }
-            }
-            let n = sequence.len() as f32;
-            for o in &mut out {
-                *o /= n;
-            }
-            out
+            sum_rows(out);
+            out.iter_mut().for_each(|o| *o /= n);
         }
         PoolingKind::Max => {
-            let mut out = vec![f32::NEG_INFINITY; dim];
-            for e in sequence {
+            out.fill(f32::NEG_INFINITY);
+            for e in rows() {
                 for (o, v) in out.iter_mut().zip(e) {
                     *o = o.max(*v);
                 }
             }
-            out
         }
         PoolingKind::Attention => {
             // Query = mean of the sequence; attention weights from dot products.
-            let mut query = vec![0.0f32; dim];
-            for e in sequence {
-                for (q, v) in query.iter_mut().zip(e) {
-                    *q += v;
-                }
-            }
-            let n = sequence.len() as f32;
-            for q in &mut query {
-                *q /= n;
-            }
+            let PoolScratch {
+                scores, row: query, ..
+            } = scratch;
+            query.clear();
+            query.resize(dim, 0.0);
+            sum_rows(query);
+            query.iter_mut().for_each(|q| *q /= n);
             let scale = 1.0 / (dim as f32).sqrt();
-            let mut scores: Vec<f32> = sequence
-                .iter()
-                .map(|e| e.iter().zip(&query).map(|(a, b)| a * b).sum::<f32>() * scale)
-                .collect();
-            softmax_in_place(&mut scores);
-            let mut out = vec![0.0f32; dim];
-            for (e, &w) in sequence.iter().zip(&scores) {
-                for (o, v) in out.iter_mut().zip(e) {
-                    *o += w * v;
-                }
-            }
-            out
+            scores.clear();
+            scores.extend(rows().map(|e| dot(e, query) * scale));
+            softmax_in_place(scores);
+            vecmat(scores, sequence, dim, out);
         }
-        PoolingKind::Transformer => {
-            // One round of scaled dot-product self-attention (weights tied to
-            // the identity projection to stay parameter-free), followed by a
-            // squared-ReLU feed-forward, then mean pooling.
-            let scale = 1.0 / (dim as f32).sqrt();
-            let mut attended: Vec<Vec<f32>> = Vec::with_capacity(sequence.len());
-            for q in sequence {
-                let mut scores: Vec<f32> = sequence
-                    .iter()
-                    .map(|k| q.iter().zip(k).map(|(a, b)| a * b).sum::<f32>() * scale)
-                    .collect();
-                softmax_in_place(&mut scores);
-                let mut out = vec![0.0f32; dim];
-                for (v, &w) in sequence.iter().zip(&scores) {
-                    for (o, x) in out.iter_mut().zip(v) {
-                        *o += w * x;
-                    }
-                }
-                // Feed-forward: squared ReLU with a residual connection.
-                for (o, x) in out.iter_mut().zip(q) {
-                    let h = (*o).max(0.0);
-                    *o = x + h * h;
-                }
-                attended.push(out);
-            }
-            let mut out = vec![0.0f32; dim];
-            for e in &attended {
-                for (o, v) in out.iter_mut().zip(e) {
-                    *o += v;
-                }
-            }
-            let n = attended.len() as f32;
-            for o in &mut out {
-                *o /= n;
-            }
-            out
+        PoolingKind::Transformer => transformer_pool(sequence, len, dim, scratch, out),
+    }
+    cost
+}
+
+/// One round of scaled dot-product self-attention (weights tied to the
+/// identity projection to stay parameter-free), followed by a squared-ReLU
+/// feed-forward with a residual, then mean pooling — accumulated into `out`,
+/// which the caller zeroed.
+fn transformer_pool(x: &[f32], len: usize, dim: usize, scratch: &mut PoolScratch, out: &mut [f32]) {
+    let PoolScratch {
+        transposed,
+        scores,
+        row: attended,
+    } = scratch;
+    // With Xᵀ at hand a score row is a row of X times a matrix: stride-1
+    // loads and no horizontal reduction.
+    transposed.clear();
+    transposed.resize(dim * len, 0.0);
+    for (i, e) in x.chunks_exact(dim).enumerate() {
+        for (d, &v) in e.iter().enumerate() {
+            transposed[d * len + i] = v;
         }
-    };
-    (pooled, cost)
+    }
+    // S = X·Xᵀ is symmetric: compute each row up to the tile holding its
+    // diagonal, mirror the rest from the rows below.
+    scores.clear();
+    scores.resize(len * len, 0.0);
+    for (i, (e, row)) in x
+        .chunks_exact(dim)
+        .zip(scores.chunks_exact_mut(len))
+        .enumerate()
+    {
+        let end = (i + 1).next_multiple_of(TILE).min(len);
+        vecmat(e, transposed, len, &mut row[..end]);
+    }
+    for i in 0..len {
+        for j in i + 1..len {
+            scores[i * len + j] = scores[j * len + i];
+        }
+    }
+    let scale = 1.0 / (dim as f32).sqrt();
+    attended.clear();
+    attended.resize(dim, 0.0);
+    for (q, weights) in x.chunks_exact(dim).zip(scores.chunks_exact_mut(len)) {
+        weights.iter_mut().for_each(|s| *s *= scale);
+        softmax_in_place(weights);
+        vecmat(weights, x, dim, attended);
+        // Feed-forward (squared ReLU, residual) fused with the mean's sum.
+        for ((o, &a), &q) in out.iter_mut().zip(attended.iter()).zip(q) {
+            let h = a.max(0.0);
+            *o += q + h * h;
+        }
+    }
+    out.iter_mut().for_each(|o| *o /= len as f32);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sequence() -> Vec<Vec<f32>> {
-        vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 0.0]]
+    /// Three rows of dimension 2.
+    const SEQUENCE: [f32; 6] = [1.0, 2.0, 3.0, 4.0, 5.0, 0.0];
+
+    fn pool(kind: PoolingKind, sequence: &[f32], dim: usize) -> (Vec<f32>, PoolingCost) {
+        let mut out = vec![f32::NAN; dim];
+        let cost = pool_sequence(kind, sequence, dim, &mut PoolScratch::default(), &mut out);
+        (out, cost)
     }
 
     #[test]
     fn elementwise_pooling_values() {
-        let (sum, _) = pool_sequence(PoolingKind::Sum, &sequence(), 2);
-        assert_eq!(sum, vec![9.0, 6.0]);
-        let (mean, _) = pool_sequence(PoolingKind::Mean, &sequence(), 2);
-        assert_eq!(mean, vec![3.0, 2.0]);
-        let (max, _) = pool_sequence(PoolingKind::Max, &sequence(), 2);
-        assert_eq!(max, vec![5.0, 4.0]);
+        assert_eq!(pool(PoolingKind::Sum, &SEQUENCE, 2).0, vec![9.0, 6.0]);
+        assert_eq!(pool(PoolingKind::Mean, &SEQUENCE, 2).0, vec![3.0, 2.0]);
+        assert_eq!(pool(PoolingKind::Max, &SEQUENCE, 2).0, vec![5.0, 4.0]);
     }
 
     #[test]
     fn attention_output_is_a_convex_combination() {
-        let (out, cost) = pool_sequence(PoolingKind::Attention, &sequence(), 2);
+        let (out, cost) = pool(PoolingKind::Attention, &SEQUENCE, 2);
         // Each output coordinate must lie within the min/max of inputs.
-        for d in 0..2 {
-            let min = sequence()
-                .iter()
-                .map(|e| e[d])
-                .fold(f32::INFINITY, f32::min);
-            let max = sequence()
-                .iter()
-                .map(|e| e[d])
-                .fold(f32::NEG_INFINITY, f32::max);
-            assert!(out[d] >= min - 1e-5 && out[d] <= max + 1e-5);
+        for (d, &o) in out.iter().enumerate() {
+            let column = SEQUENCE.iter().skip(d).step_by(2);
+            let min = column.clone().copied().fold(f32::INFINITY, f32::min);
+            let max = column.copied().fold(f32::NEG_INFINITY, f32::max);
+            assert!(o >= min - 1e-5 && o <= max + 1e-5);
         }
         assert!(cost.flops > 0);
     }
 
     #[test]
     fn transformer_pooling_is_deterministic_and_costly() {
-        let (a, cost_a) = pool_sequence(PoolingKind::Transformer, &sequence(), 2);
-        let (b, _) = pool_sequence(PoolingKind::Transformer, &sequence(), 2);
-        assert_eq!(a, b);
+        // One scratch across calls of different shapes: stale contents of a
+        // larger earlier sequence must not leak into a smaller later one.
+        let mut scratch = PoolScratch::default();
+        let mut big = [0.0f32; 4];
+        pool_sequence(
+            PoolingKind::Transformer,
+            &[0.5; 20],
+            4,
+            &mut scratch,
+            &mut big,
+        );
+        let mut a = [0.0f32; 2];
+        let cost_a = pool_sequence(PoolingKind::Transformer, &SEQUENCE, 2, &mut scratch, &mut a);
+        let (b, _) = pool(PoolingKind::Transformer, &SEQUENCE, 2);
+        assert_eq!(a.to_vec(), b);
         let sum_cost = PoolingKind::Sum.flops_per_row(3, 2);
         assert!(
             cost_a.flops > sum_cost,
@@ -255,8 +272,7 @@ mod tests {
             PoolingKind::Attention,
             PoolingKind::Transformer,
         ] {
-            let (out, _) = pool_sequence(kind, &[], 3);
-            assert_eq!(out, vec![0.0; 3]);
+            assert_eq!(pool(kind, &[], 3).0, vec![0.0; 3]);
         }
     }
 }

@@ -1,0 +1,56 @@
+//! The trainer step through the facade: the flat DLRM kernels run here in
+//! tier-1, at the `train_rm1` workload's settings (Transformer pooling,
+//! embedding dimension 64) and through a real SGD loop.
+
+use recd::core::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
+use recd::data::{SampleBatch, Schema};
+use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
+use recd::etl::cluster_by_session;
+use recd::trainer::{Dlrm, DlrmConfig, ExecutionMode, PoolingKind};
+
+/// The first 96 rows of a session-clustered Tiny partition, deduplicated.
+fn clustered_batch() -> (Schema, ConvertedBatch) {
+    let partition =
+        DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny)).generate_partition();
+    let mut rows = cluster_by_session(&partition.samples);
+    rows.truncate(96);
+    let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&partition.schema));
+    let batch = converter.convert(&SampleBatch::new(rows)).unwrap();
+    assert!(batch.dedupe_factor() > 1.5, "clustered rows share slots");
+    (partition.schema, batch)
+}
+
+/// The benchmark's model shape with smaller tables: initialising 4 096 rows
+/// per feature is most of a debug-build test's time.
+fn config(schema: &Schema, sequence_pooling: PoolingKind) -> DlrmConfig {
+    let mut config = DlrmConfig::from_schema(schema, 64, sequence_pooling);
+    config.hash_buckets = 512;
+    config
+}
+
+#[test]
+fn transformer_pooling_agrees_across_execution_modes_at_dim_64() {
+    let (schema, batch) = clustered_batch();
+    let mut model = Dlrm::new(config(&schema, PoolingKind::Transformer));
+    let (dedup, dedup_stats) = model.forward(&batch, ExecutionMode::Deduplicated);
+    let (baseline, baseline_stats) = model.forward(&batch, ExecutionMode::Baseline);
+    assert_eq!(dedup.len(), batch.batch_size);
+    for (row, (a, b)) in dedup.iter().zip(&baseline).enumerate() {
+        assert!((a - b).abs() < 1e-5, "row {row}: {a} vs {b}");
+    }
+    assert!(dedup_stats.pooling_flops < baseline_stats.pooling_flops);
+    assert!(dedup_stats.emb_lookups < baseline_stats.emb_lookups);
+    assert_eq!(dedup_stats.mlp_flops, baseline_stats.mlp_flops);
+}
+
+#[test]
+fn ten_train_steps_with_sum_pooling_lower_the_loss() {
+    let (schema, batch) = clustered_batch();
+    let config = config(&schema, PoolingKind::Sum).with_sum_pooling();
+    let mut model = Dlrm::new(config);
+    let losses: Vec<f32> = (0..10)
+        .map(|_| model.train_step(&batch, ExecutionMode::Deduplicated))
+        .collect();
+    assert!(losses.iter().all(|loss| loss.is_finite()), "{losses:?}");
+    assert!(losses[9] < losses[0], "{losses:?}");
+}
