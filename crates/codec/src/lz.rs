@@ -27,10 +27,15 @@ const MAX_DISTANCE: usize = 64 * 1024;
 /// Number of hash-table buckets (power of two).
 const HASH_BUCKETS: usize = 1 << 15;
 
+/// The four bytes at `pos`, as the word the match finder hashes and compares.
 #[inline]
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    ((v.wrapping_mul(2_654_435_761)) >> 17) as usize & (HASH_BUCKETS - 1)
+fn load4(data: &[u8], pos: usize) -> u32 {
+    u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4-byte window"))
+}
+
+#[inline]
+fn hash4(word: u32) -> usize {
+    ((word.wrapping_mul(2_654_435_761)) >> 17) as usize & (HASH_BUCKETS - 1)
 }
 
 /// Length of the common prefix of `a` and `b`, compared eight bytes at a
@@ -67,11 +72,18 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut pos = 0usize;
 
     while pos + MIN_MATCH <= data.len() {
-        let h = hash4(&data[pos..]);
+        let word = load4(data, pos);
+        let h = hash4(word);
         let candidate = head[h];
         head[h] = pos;
 
-        let match_len = if candidate != usize::MAX && pos - candidate <= MAX_DISTANCE {
+        // A candidate whose first four bytes differ cannot reach MIN_MATCH:
+        // one word compare rejects it (most candidates, on low-redundancy
+        // input) before anything is sliced for the prefix scan.
+        let match_len = if candidate != usize::MAX
+            && pos - candidate <= MAX_DISTANCE
+            && load4(data, candidate) == word
+        {
             // Extend the match as far as it goes.
             common_prefix_len(&data[candidate..], &data[pos..])
         } else {
@@ -92,7 +104,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
             let end = pos + match_len;
             let mut p = pos + 1;
             while p + MIN_MATCH <= end && p + MIN_MATCH <= data.len() {
-                head[hash4(&data[p..])] = p;
+                head[hash4(load4(data, p))] = p;
                 p += 1;
             }
             pos = end;
@@ -259,6 +271,97 @@ mod tests {
             });
         }
         Ok(())
+    }
+
+    /// `compress` as this module shipped it before the word-compare reject:
+    /// every in-range candidate goes to the prefix scan. Kept verbatim as
+    /// the differential oracle — the stored bytes may not change.
+    fn compress_unfiltered(data: &[u8]) -> Vec<u8> {
+        let hash4 = |bytes: &[u8]| {
+            let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            ((v.wrapping_mul(2_654_435_761)) >> 17) as usize & (HASH_BUCKETS - 1)
+        };
+        let mut out = Vec::with_capacity(data.len() / 2 + 16);
+        varint::encode_u64(data.len() as u64, &mut out);
+        if data.is_empty() {
+            return out;
+        }
+
+        let mut head = vec![usize::MAX; HASH_BUCKETS];
+        let mut literal_start = 0usize;
+        let mut pos = 0usize;
+
+        while pos + MIN_MATCH <= data.len() {
+            let h = hash4(&data[pos..]);
+            let candidate = head[h];
+            head[h] = pos;
+
+            let match_len = if candidate != usize::MAX && pos - candidate <= MAX_DISTANCE {
+                common_prefix_len(&data[candidate..], &data[pos..])
+            } else {
+                0
+            };
+
+            if match_len >= MIN_MATCH {
+                let distance = pos - candidate;
+                let literals = &data[literal_start..pos];
+                varint::encode_u64(literals.len() as u64, &mut out);
+                out.extend_from_slice(literals);
+                varint::encode_u64(match_len as u64, &mut out);
+                varint::encode_u64(distance as u64, &mut out);
+
+                let end = pos + match_len;
+                let mut p = pos + 1;
+                while p + MIN_MATCH <= end && p + MIN_MATCH <= data.len() {
+                    head[hash4(&data[p..])] = p;
+                    p += 1;
+                }
+                pos = end;
+                literal_start = pos;
+            } else {
+                pos += 1;
+            }
+        }
+
+        let literals = &data[literal_start..];
+        varint::encode_u64(literals.len() as u64, &mut out);
+        out.extend_from_slice(literals);
+        out
+    }
+
+    /// Eight distinct words that share a hash bucket. The multiplier is odd,
+    /// so it has an inverse mod 2^32; stepping a word by the inverse steps
+    /// the product by one, far below the bucket's lowest bit (2^17).
+    fn colliding_words() -> Vec<[u8; 4]> {
+        const K: u32 = 2_654_435_761;
+        let inverse = (0..5).fold(K, |x, _| {
+            x.wrapping_mul(2u32.wrapping_sub(K.wrapping_mul(x)))
+        });
+        assert_eq!(K.wrapping_mul(inverse), 1);
+        let words: Vec<u32> = (0..8).map(|i| 0x0102_0304 + i * inverse).collect();
+        assert!(words.iter().all(|&w| hash4(w) == hash4(words[0])));
+        words.into_iter().map(u32::to_le_bytes).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn word_reject_leaves_the_token_stream_byte_identical(
+            runs in vec((vec(0u8..4, 1..12), 1usize..6), 0..40),
+            picks in vec(0usize..8, 0..120),
+        ) {
+            // Phrases over four symbols repeat (real matches, overlapping
+            // ones included); between them, words that collide in the hash
+            // table without being equal — the candidates the reject drops.
+            let words = colliding_words();
+            let mut picks = picks.into_iter();
+            let mut data = Vec::new();
+            for (phrase, times) in &runs {
+                data.extend(phrase.iter().copied().cycle().take(phrase.len() * times));
+                data.extend(picks.by_ref().take(3).flat_map(|i| words[i]));
+            }
+            data.extend(picks.flat_map(|i| words[i]));
+            prop_assert_eq!(compress(&data), compress_unfiltered(&data));
+        }
     }
 
     /// Asserts both decoders return the same bytes or the same error.

@@ -26,6 +26,26 @@ pub fn encode_u64(value: u64, out: &mut Vec<u8>) -> usize {
     }
 }
 
+/// Writes the varint encoding of `value` to the front of `buf` and returns
+/// the number of bytes written — [`encode_u64`] for callers that sized a
+/// whole record's worth of output once instead of growing a `Vec` per byte.
+///
+/// # Panics
+///
+/// Panics if `buf` is shorter than the encoding ([`MAX_VARINT_LEN`] bytes
+/// always suffice).
+#[inline]
+pub fn write_u64(mut value: u64, buf: &mut [u8]) -> usize {
+    let mut written = 0;
+    while value >= 0x80 {
+        buf[written] = value as u8 | 0x80;
+        value >>= 7;
+        written += 1;
+    }
+    buf[written] = value as u8;
+    written + 1
+}
+
 /// Decodes a varint from the front of `input`, returning the value and the
 /// number of bytes consumed.
 ///

@@ -38,7 +38,7 @@ pub use stream::{
     EtlStream, EtlStreamConfig, ManualClock, SealReason, SealedPartition,
 };
 
-use recd_data::{LogRecord, Schema};
+use recd_data::{LogRecord, Sample, Schema};
 
 /// Table layout produced by the ETL stage.
 #[derive(
@@ -51,6 +51,18 @@ pub enum TableLayout {
     /// RecD O2: rows clustered by session id, sorted by timestamp within a
     /// session.
     ClusteredBySession,
+}
+
+impl TableLayout {
+    /// Orders rows the caller owns into this layout, in place: the one call
+    /// the batch job and the streaming seal share, so streamed and batch
+    /// partitions cannot drift apart.
+    pub(crate) fn lay_out(self, samples: &mut [Sample]) {
+        match self {
+            TableLayout::TimeOrdered => partition::interleave_in_place(samples),
+            TableLayout::ClusteredBySession => partition::cluster_in_place(samples),
+        }
+    }
 }
 
 /// End-to-end ETL driver: join, partition, and lay out rows.
@@ -91,10 +103,7 @@ impl EtlJob {
         }
         let mut partitions = HourlyPartitioner::partition(samples);
         for partition in &mut partitions {
-            partition.samples = match self.layout {
-                TableLayout::TimeOrdered => interleave_by_time(&partition.samples),
-                TableLayout::ClusteredBySession => cluster_by_session(&partition.samples),
-            };
+            self.layout.lay_out(&mut partition.samples);
             debug_assert!(partition
                 .samples
                 .iter()

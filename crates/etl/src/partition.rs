@@ -1,9 +1,9 @@
 //! Hourly table partitioning and row layout (time-ordered vs clustered by
 //! session).
 
-use recd_data::{Sample, SampleBatch};
+use recd_data::{Sample, SampleBatch, SessionId, Timestamp};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// One hourly table partition, as landed into the warehouse.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -58,8 +58,14 @@ impl HourlyPartitioner {
 /// Baseline row layout: order rows by inference time (sessions interleave).
 pub fn interleave_by_time(samples: &[Sample]) -> Vec<Sample> {
     let mut out = samples.to_vec();
-    out.sort_by_key(|s| (s.timestamp, s.request_id));
+    interleave_in_place(&mut out);
     out
+}
+
+/// [`interleave_by_time`] over rows the caller owns: what the batch job and
+/// the streaming seal run, so neither copies a partition to order it.
+pub(crate) fn interleave_in_place(samples: &mut [Sample]) {
+    samples.sort_by_key(|s| (s.timestamp, s.request_id));
 }
 
 /// RecD O2 row layout: `CLUSTER BY session_id SORT BY timestamp` — all of a
@@ -67,23 +73,29 @@ pub fn interleave_by_time(samples: &[Sample]) -> Vec<Sample> {
 /// Sessions themselves are ordered by their first timestamp so the partition
 /// remains roughly chronological.
 pub fn cluster_by_session(samples: &[Sample]) -> Vec<Sample> {
-    let mut first_seen: BTreeMap<u64, u64> = BTreeMap::new();
-    for s in samples {
-        let entry = first_seen
-            .entry(s.session_id.raw())
-            .or_insert(s.timestamp.as_millis());
-        *entry = (*entry).min(s.timestamp.as_millis());
-    }
     let mut out = samples.to_vec();
-    out.sort_by_key(|s| {
+    cluster_in_place(&mut out);
+    out
+}
+
+/// [`cluster_by_session`] over rows the caller owns. Each row's key — and
+/// its session's first-seen lookup — is computed once, not per comparison.
+pub(crate) fn cluster_in_place(samples: &mut [Sample]) {
+    let mut first_seen: HashMap<SessionId, Timestamp> = HashMap::new();
+    for s in samples.iter() {
+        first_seen
+            .entry(s.session_id)
+            .and_modify(|first| *first = (*first).min(s.timestamp))
+            .or_insert(s.timestamp);
+    }
+    samples.sort_by_cached_key(|s| {
         (
-            first_seen[&s.session_id.raw()],
+            first_seen[&s.session_id],
             s.session_id,
             s.timestamp,
             s.request_id,
         )
     });
-    out
 }
 
 #[cfg(test)]
@@ -164,5 +176,73 @@ mod tests {
         assert!(HourlyPartitioner::partition(Vec::new()).is_empty());
         assert!(cluster_by_session(&[]).is_empty());
         assert!(interleave_by_time(&[]).is_empty());
+    }
+
+    /// `interleave_by_time` as it shipped before the in-place layouts: copy,
+    /// then a stable sort. Kept as the differential oracle.
+    fn interleave_oracle(samples: &[Sample]) -> Vec<Sample> {
+        let mut out = samples.to_vec();
+        out.sort_by_key(|s| (s.timestamp, s.request_id));
+        out
+    }
+
+    /// `cluster_by_session` as it shipped before the in-place layouts: copy,
+    /// then a stable sort that looks the session's first timestamp up in a
+    /// `BTreeMap` on every comparison. Kept as the differential oracle.
+    fn cluster_oracle(samples: &[Sample]) -> Vec<Sample> {
+        let mut first_seen: BTreeMap<u64, u64> = BTreeMap::new();
+        for s in samples {
+            let entry = first_seen
+                .entry(s.session_id.raw())
+                .or_insert(s.timestamp.as_millis());
+            *entry = (*entry).min(s.timestamp.as_millis());
+        }
+        let mut out = samples.to_vec();
+        out.sort_by_key(|s| {
+            (
+                first_seen[&s.session_id.raw()],
+                s.session_id,
+                s.timestamp,
+                s.request_id,
+            )
+        });
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn in_place_layouts_match_the_copying_oracles(
+            rows in proptest::collection::vec((0u64..5, 0u64..4, 0u64..6), 0..40),
+        ) {
+            // Five sessions over six timestamps: sessions share a first-seen
+            // time, rows share a timestamp inside a session, and with four
+            // request ids some rows share the whole key — only a stable sort
+            // keeps those in input order (the payload tells them apart).
+            let samples: Vec<Sample> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(session, request, ts))| {
+                    Sample::builder(
+                        SessionId::new(session),
+                        RequestId::new(request),
+                        Timestamp::from_millis(ts),
+                    )
+                    .sparse(vec![vec![i as u64]])
+                    .build()
+                })
+                .collect();
+            let (mut clustered, mut interleaved) = (samples.clone(), samples.clone());
+            cluster_in_place(&mut clustered);
+            interleave_in_place(&mut interleaved);
+            proptest::prop_assert_eq!(clustered, cluster_oracle(&samples));
+            proptest::prop_assert_eq!(interleaved, interleave_oracle(&samples));
+        }
+    }
+
+    #[test]
+    fn one_row_is_its_own_layout() {
+        let row = [sample(3, 9, 42)];
+        assert_eq!(cluster_by_session(&row), row);
+        assert_eq!(interleave_by_time(&row), row);
     }
 }

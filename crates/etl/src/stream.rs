@@ -55,7 +55,7 @@ use crate::TableLayout;
 use recd_chaos::{ChaosCounters, RetryPolicy};
 use recd_codec::hash_ids;
 use recd_data::{EventLog, FeatureLog, LogRecord, Sample, Schema, Timestamp};
-use recd_scribe::LogTail;
+use recd_scribe::{LogTail, TailEvent};
 use recd_storage::{StorageError, StorageReport, StoredPartition, TableStore};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -575,20 +575,17 @@ impl EtlStream {
     }
 
     /// Lays out one hour's buffers and queues the sealed partition. Final
-    /// ordering is delegated to the *same* layout functions the batch path
-    /// uses ([`cluster_by_session`](crate::cluster_by_session) /
-    /// [`interleave_by_time`](crate::interleave_by_time)), so the two paths
-    /// cannot drift apart; the per-session buffers feed them a
-    /// session-grouped collection order.
+    /// ordering is delegated to the *same* in-place layout the batch path
+    /// runs (the one behind [`cluster_by_session`](crate::cluster_by_session)
+    /// / [`interleave_by_time`](crate::interleave_by_time)), so the two paths
+    /// cannot drift apart; the per-session buffers feed it a session-grouped
+    /// collection order, and the rows are moved, never copied.
     fn seal(&mut self, hour: u64, open: OpenHour, reason: SealReason) {
-        let mut collected = Vec::with_capacity(open.rows);
+        let mut samples = Vec::with_capacity(open.rows);
         for buf in open.sessions.into_values() {
-            collected.extend(buf.rows);
+            samples.extend(buf.rows);
         }
-        let samples = match self.config.layout {
-            TableLayout::ClusteredBySession => crate::cluster_by_session(&collected),
-            TableLayout::TimeOrdered => crate::interleave_by_time(&collected),
-        };
+        self.config.layout.lay_out(&mut samples);
         self.buffered_rows -= samples.len();
         self.counters.sealed_partitions += 1;
         self.counters.sealed_rows += samples.len() as u64;
@@ -776,7 +773,14 @@ pub struct EtlServiceOutput {
 /// `DppHandle::ingest_partition`.
 #[derive(Debug)]
 pub struct EtlService {
-    tail: LogTail,
+    /// The tail's unconsumed events, owned: a record is moved into the
+    /// stream, never cloned out of a borrowed tail.
+    events: std::vec::IntoIter<TailEvent>,
+    /// Events consumed since the tail's start — [`LogTail::cursor`] of the
+    /// tail this service took over.
+    tail_cursor: usize,
+    /// Arrival time of the tail's final event.
+    tail_end_ms: u64,
     stream: EtlStream,
     store: Arc<TableStore>,
     schema: Schema,
@@ -793,7 +797,9 @@ pub struct EtlService {
 }
 
 impl EtlService {
-    /// Creates a service tailing `tail` into `table` of the given store.
+    /// Creates a service tailing `tail` into `table` of the given store. The
+    /// service takes the tail's remaining events for itself; to replay the
+    /// stream later, keep a clone of the tail.
     pub fn new(
         tail: LogTail,
         config: EtlStreamConfig,
@@ -802,7 +808,9 @@ impl EtlService {
         table: impl Into<String>,
     ) -> Self {
         Self {
-            tail,
+            tail_cursor: tail.cursor(),
+            tail_end_ms: tail.end_ms(),
+            events: tail.into_remaining(),
             stream: EtlStream::new(config),
             store,
             schema,
@@ -835,7 +843,9 @@ impl EtlService {
     ) -> Self {
         tail.rewind_to(checkpoint.tail_cursor);
         Self {
-            tail,
+            tail_cursor: checkpoint.tail_cursor,
+            tail_end_ms: tail.end_ms(),
+            events: tail.into_remaining(),
             stream: EtlStream::restore(config, checkpoint.stream),
             store,
             schema,
@@ -872,7 +882,7 @@ impl EtlService {
             .collect();
         hour_seal_counts.sort_unstable();
         EtlCheckpoint {
-            tail_cursor: self.tail.cursor(),
+            tail_cursor: self.tail_cursor,
             stream: self.stream.checkpoint(),
             hour_seal_counts,
             landed: self.landed.clone(),
@@ -888,7 +898,7 @@ impl EtlService {
 
     /// Returns true once every tail event has been consumed.
     pub fn tail_drained(&self) -> bool {
-        self.tail.is_drained()
+        self.events.len() == 0
     }
 
     /// A point-in-time view of the underlying stream.
@@ -903,10 +913,15 @@ impl EtlService {
     where
         F: FnMut(&StoredPartition, &TablePartition),
     {
-        let Self { tail, stream, .. } = self;
-        for event in tail.poll(now_ms) {
-            stream.push(event.record.clone());
+        // Events are in arrival order, so the due ones are a prefix.
+        let due = self
+            .events
+            .as_slice()
+            .partition_point(|event| event.arrival_ms <= now_ms);
+        for event in self.events.by_ref().take(due) {
+            self.stream.push(event.record);
         }
+        self.tail_cursor += due;
         let landed = self.land_sealed(sink);
         self.publish_gauges(now_ms);
         landed
@@ -919,16 +934,12 @@ impl EtlService {
     where
         F: FnMut(&StoredPartition, &TablePartition),
     {
-        let end = self.tail.end_ms();
-        {
-            let Self { tail, stream, .. } = &mut self;
-            while let Some(event) = tail.next_event() {
-                stream.push(event.record.clone());
-            }
+        for event in self.events.by_ref() {
+            self.stream.push(event.record);
         }
         self.stream.finish();
         self.land_sealed(sink);
-        self.publish_gauges(end);
+        self.publish_gauges(self.tail_end_ms);
         let report = EtlServiceReport {
             etl: self.stream.report(),
             storage: self.storage.clone(),
@@ -949,7 +960,7 @@ impl EtlService {
         F: FnMut(&StoredPartition, &TablePartition),
     {
         let step = step_ms.max(1);
-        while !self.tail.is_drained() {
+        while !self.tail_drained() {
             let now = clock.advance(step);
             self.pump(now, sink);
         }
@@ -1053,7 +1064,7 @@ impl EtlService {
         gauges.tail_lag_ms.store(lag, Ordering::Relaxed);
         gauges
             .tail_remaining
-            .store(self.tail.remaining() as u64, Ordering::Relaxed);
+            .store(self.events.len() as u64, Ordering::Relaxed);
         self.peak_tail_lag_ms = self.peak_tail_lag_ms.max(lag);
     }
 }
@@ -1188,6 +1199,69 @@ mod tests {
                 + c.orphaned_events
                 + c.downsampled
         );
+    }
+
+    /// Runs `service` to completion in 500 ms pumps and returns every landed
+    /// blob as `(path, bytes)`.
+    fn landed_bytes(service: EtlService, store: &TableStore) -> Vec<(String, Vec<u8>)> {
+        let output = service.run(ManualClock::new(), 500, &mut |_, _| {});
+        let paths = output.landed.iter().flat_map(|p| p.files.iter());
+        paths
+            .map(|path| {
+                let blob = store.blob_store().get(path).expect("landed blob present");
+                (path.clone(), blob.to_vec())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_service_owns_a_copy_of_its_tail_and_resumes_from_a_fresh_one() {
+        use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
+        use recd_scribe::TailConfig;
+        use recd_storage::TectonicSim;
+
+        let generator = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
+        let (records, _) = generator.generate_logs();
+        let schema = generator.schema().clone();
+        let tail = LogTail::new(records, &TailConfig::default().with_seed(3));
+        let config = EtlStreamConfig::new(TableLayout::ClusteredBySession).with_window_ms(10_000);
+        let store = || Arc::new(TableStore::new(TectonicSim::new(2), 32, 2));
+        let service = |tail: LogTail, store: &Arc<TableStore>| {
+            EtlService::new(tail, config, Arc::clone(store), schema.clone(), "t")
+        };
+
+        // Two services fed clones land the same bytes, and the tail they
+        // were cloned from has not moved.
+        let reference_store = store();
+        let reference = landed_bytes(service(tail.clone(), &reference_store), &reference_store);
+        assert!(!reference.is_empty());
+        let replay_store = store();
+        let replayed = landed_bytes(service(tail.clone(), &replay_store), &replay_store);
+        assert_eq!(replayed, reference);
+        assert_eq!((tail.cursor(), tail.remaining()), (0, tail.len()));
+
+        // Crash mid-stream; resume from the checkpoint over a fresh tail.
+        let crash_store = store();
+        let mut crashing = service(tail.clone(), &crash_store);
+        crashing.pump(tail.end_ms() / 2, &mut |_, _| {});
+        let checkpoint = crashing.checkpoint();
+        assert!(0 < checkpoint.tail_cursor && checkpoint.tail_cursor < tail.len());
+        assert!(!crashing.tail_drained());
+        assert_eq!(
+            crashing.gauges().tail_remaining.load(Ordering::Relaxed) as usize,
+            tail.len() - checkpoint.tail_cursor
+        );
+        drop(crashing);
+        let resumed = EtlService::resume_from(
+            tail.clone(),
+            config,
+            Arc::clone(&crash_store),
+            schema.clone(),
+            "t",
+            checkpoint.clone(),
+        );
+        assert_eq!(resumed.checkpoint().tail_cursor, checkpoint.tail_cursor);
+        assert_eq!(landed_bytes(resumed, &crash_store), reference);
     }
 
     #[test]

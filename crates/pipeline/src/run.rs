@@ -449,7 +449,7 @@ impl PipelineRunner {
         let mut continuous_batches = Vec::new();
         let continuous = self.continuous_workers.map(|workers| {
             let (report, chaos, batches) =
-                self.run_continuous(workers, &drained, layout, &schema, &reader_config);
+                self.run_continuous(workers, drained, layout, &schema, &reader_config);
             chaos_report = chaos;
             continuous_batches = batches;
             report
@@ -503,7 +503,7 @@ impl PipelineRunner {
     fn run_continuous(
         &self,
         workers: usize,
-        drained: &[LogRecord],
+        drained: Vec<LogRecord>,
         layout: TableLayout,
         schema: &Schema,
         reader_config: &ReaderConfig,
@@ -550,7 +550,7 @@ impl PipelineRunner {
         };
 
         let feed = Feed::Tail(TailFeed {
-            tail: LogTail::new(drained.to_vec(), &tail_config),
+            tail: LogTail::new(drained, &tail_config),
             stream: EtlStreamConfig::new(layout).with_window_ms(10_000),
             table: spec.preset.name().to_string(),
             step_ms: 60_000,

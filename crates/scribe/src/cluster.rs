@@ -194,10 +194,11 @@ impl ScribeCluster {
         self.flush();
         let compressor = self.config.compressor;
         let mut records = Vec::new();
+        let mut raw = Vec::new();
         for shard in &mut self.shards {
             for block in shard.blocks.drain(..) {
-                let raw = compressor.decompress(&block).map_err(WireError::from)?;
-                records.extend(decode_all(&raw)?);
+                compressor.decompress_into(&block, &mut raw)?;
+                decode_all(&raw, &mut records)?;
             }
         }
         Ok(records)

@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recd_codec::varint;
+use recd_codec::{varint, CodecError};
 use recd_data::{EventLog, FeatureLog, LogRecord, RequestId, SessionId, Timestamp};
 use std::error::Error;
 use std::fmt;
@@ -16,6 +16,9 @@ pub enum WireError {
     Truncated,
     /// The record tag byte was not a known record kind.
     UnknownTag(u8),
+    /// The bytes are there but cannot be what an encoder wrote: an overlong
+    /// varint in a record, or a block the compressor rejects.
+    Corrupt(CodecError),
 }
 
 impl fmt::Display for WireError {
@@ -23,64 +26,114 @@ impl fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "wire record is truncated"),
             WireError::UnknownTag(tag) => write!(f, "unknown wire record tag {tag}"),
+            WireError::Corrupt(err) => write!(f, "wire bytes are corrupt: {err}"),
         }
     }
 }
 
 impl Error for WireError {}
 
-impl From<recd_codec::CodecError> for WireError {
-    fn from(_: recd_codec::CodecError) -> Self {
-        WireError::Truncated
+impl From<CodecError> for WireError {
+    fn from(err: CodecError) -> Self {
+        match err {
+            CodecError::UnexpectedEof { .. } => WireError::Truncated,
+            other => WireError::Corrupt(other),
+        }
     }
 }
 
 const TAG_FEATURE: u8 = 1;
 const TAG_EVENT: u8 = 2;
 
-/// Appends the wire encoding of a record to `out`.
+/// Write cursor over bytes the caller sized to a record's upper bound, so a
+/// field costs an indexed store instead of a `Vec` capacity check per byte.
+struct Writer<'a> {
+    buf: &'a mut [u8],
+    at: usize,
+}
+
+impl Writer<'_> {
+    fn varint(&mut self, value: u64) {
+        self.at += varint::write_u64(value, &mut self.buf[self.at..]);
+    }
+
+    fn float(&mut self, value: f32) {
+        self.buf[self.at..self.at + 4].copy_from_slice(&value.to_le_bytes());
+        self.at += 4;
+    }
+}
+
+/// Appends the wire encoding of a record to `out`:
+///
+/// ```text
+/// record  := tag:u8 varint(request_id) varint(session_id) varint(timestamp_ms) body
+/// feature := varint(dense_count) f32_le* varint(list_count) list*   -- tag 1
+/// list    := varint(id_count) varint(id)*
+/// event   := f32_le(label)                                          -- tag 2
+/// ```
+///
+/// Ids and counts are LEB128 varints (what the DWRF stripes use), so an id
+/// costs the bytes it needs rather than eight.
 pub fn encode_record(record: &LogRecord, out: &mut Vec<u8>) {
+    let (tag, varints, floats) = match record {
+        LogRecord::Feature(f) => (
+            TAG_FEATURE,
+            5 + f.sparse.len() + f.sparse.iter().map(Vec::len).sum::<usize>(),
+            f.dense.len(),
+        ),
+        LogRecord::Event(_) => (TAG_EVENT, 3, 1),
+    };
+    // Grow to the record's upper bound once, write by index, return the slack.
+    let start = out.len();
+    out.resize(start + 1 + varints * varint::MAX_VARINT_LEN + floats * 4, 0);
+    out[start] = tag;
+    let mut w = Writer {
+        buf: &mut out[start..],
+        at: 1,
+    };
+    w.varint(record.request_id().raw());
+    w.varint(record.session_id().raw());
+    w.varint(record.timestamp().as_millis());
     match record {
         LogRecord::Feature(f) => {
-            out.push(TAG_FEATURE);
-            varint::encode_u64(f.request_id.raw(), out);
-            varint::encode_u64(f.session_id.raw(), out);
-            varint::encode_u64(f.timestamp.as_millis(), out);
-            varint::encode_u64(f.dense.len() as u64, out);
+            w.varint(f.dense.len() as u64);
             for &v in &f.dense {
-                out.extend_from_slice(&v.to_le_bytes());
+                w.float(v);
             }
-            varint::encode_u64(f.sparse.len() as u64, out);
+            w.varint(f.sparse.len() as u64);
             for list in &f.sparse {
-                varint::encode_u64(list.len() as u64, out);
+                w.varint(list.len() as u64);
                 for &id in list {
-                    out.extend_from_slice(&id.to_le_bytes());
+                    w.varint(id);
                 }
             }
         }
-        LogRecord::Event(e) => {
-            out.push(TAG_EVENT);
-            varint::encode_u64(e.request_id.raw(), out);
-            varint::encode_u64(e.session_id.raw(), out);
-            varint::encode_u64(e.timestamp.as_millis(), out);
-            out.extend_from_slice(&e.label.to_le_bytes());
-        }
+        LogRecord::Event(e) => w.float(e.label),
     }
+    let end = start + w.at;
+    out.truncate(end);
 }
 
 fn take<'a>(input: &'a [u8], cursor: &mut usize, n: usize) -> Result<&'a [u8], WireError> {
-    if *cursor + n > input.len() {
-        return Err(WireError::Truncated);
-    }
-    let slice = &input[*cursor..*cursor + n];
-    *cursor += n;
+    let end = cursor.checked_add(n).ok_or(WireError::Truncated)?;
+    let slice = input.get(*cursor..end).ok_or(WireError::Truncated)?;
+    *cursor = end;
     Ok(slice)
 }
 
-fn take_varint(input: &[u8], cursor: &mut usize) -> Result<u64, WireError> {
-    let (value, used) = varint::decode_u64(&input[*cursor..])?;
-    *cursor += used;
-    Ok(value)
+fn le_f32(bytes: &[u8]) -> f32 {
+    f32::from_le_bytes(bytes.try_into().expect("4-byte field"))
+}
+
+/// Reads an element count and bounds it by the bytes that remain (every
+/// element occupies at least `min_bytes`), so a corrupt count is an error
+/// before it can size an allocation.
+fn take_count(input: &[u8], cursor: &mut usize, min_bytes: usize) -> Result<usize, WireError> {
+    let count = varint::read_u64(input, cursor)?;
+    match usize::try_from(count) {
+        Ok(count) if count <= (input.len() - *cursor) / min_bytes => Ok(count),
+        _ => Err(WireError::Truncated),
+    }
 }
 
 /// Decodes one record from the front of `input`, returning the record and the
@@ -88,80 +141,62 @@ fn take_varint(input: &[u8], cursor: &mut usize) -> Result<u64, WireError> {
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] if the record is truncated or has an unknown tag.
+/// Returns a [`WireError`] if the record is truncated, has an unknown tag,
+/// or holds a malformed varint.
 pub fn decode_record(input: &[u8]) -> Result<(LogRecord, usize), WireError> {
     let mut cursor = 0usize;
-    let tag = *take(input, &mut cursor, 1)?.first().expect("one byte");
-    match tag {
-        TAG_FEATURE => {
-            let request_id = RequestId::new(take_varint(input, &mut cursor)?);
-            let session_id = SessionId::new(take_varint(input, &mut cursor)?);
-            let timestamp = Timestamp::from_millis(take_varint(input, &mut cursor)?);
-            let dense_len = take_varint(input, &mut cursor)? as usize;
-            let mut dense = Vec::with_capacity(dense_len);
-            for _ in 0..dense_len {
-                let bytes = take(input, &mut cursor, 4)?;
-                dense.push(f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]));
-            }
-            let sparse_len = take_varint(input, &mut cursor)? as usize;
-            let mut sparse = Vec::with_capacity(sparse_len);
-            for _ in 0..sparse_len {
-                let list_len = take_varint(input, &mut cursor)? as usize;
-                let mut list = Vec::with_capacity(list_len);
-                for _ in 0..list_len {
-                    let bytes = take(input, &mut cursor, 8)?;
-                    list.push(u64::from_le_bytes([
-                        bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6],
-                        bytes[7],
-                    ]));
-                }
-                sparse.push(list);
-            }
-            Ok((
-                LogRecord::Feature(FeatureLog {
-                    request_id,
-                    session_id,
-                    timestamp,
-                    dense,
-                    sparse,
-                }),
-                cursor,
-            ))
-        }
-        TAG_EVENT => {
-            let request_id = RequestId::new(take_varint(input, &mut cursor)?);
-            let session_id = SessionId::new(take_varint(input, &mut cursor)?);
-            let timestamp = Timestamp::from_millis(take_varint(input, &mut cursor)?);
-            let bytes = take(input, &mut cursor, 4)?;
-            let label = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-            Ok((
-                LogRecord::Event(EventLog {
-                    request_id,
-                    session_id,
-                    timestamp,
-                    label,
-                }),
-                cursor,
-            ))
-        }
-        other => Err(WireError::UnknownTag(other)),
+    let tag = take(input, &mut cursor, 1)?[0];
+    if tag != TAG_FEATURE && tag != TAG_EVENT {
+        return Err(WireError::UnknownTag(tag));
     }
+    let request_id = RequestId::new(varint::read_u64(input, &mut cursor)?);
+    let session_id = SessionId::new(varint::read_u64(input, &mut cursor)?);
+    let timestamp = Timestamp::from_millis(varint::read_u64(input, &mut cursor)?);
+    let record = if tag == TAG_EVENT {
+        LogRecord::Event(EventLog {
+            request_id,
+            session_id,
+            timestamp,
+            label: le_f32(take(input, &mut cursor, 4)?),
+        })
+    } else {
+        let dense_len = take_count(input, &mut cursor, 4)?;
+        let dense = take(input, &mut cursor, dense_len * 4)?;
+        let dense = dense.chunks_exact(4).map(le_f32).collect();
+        let sparse_len = take_count(input, &mut cursor, 1)?;
+        let mut sparse = Vec::with_capacity(sparse_len);
+        for _ in 0..sparse_len {
+            // A list is a count-prefixed varint run: the codec's windowed
+            // bulk decoder reads it, count bound included.
+            let (list, used) = varint::decode_u64_slice(&input[cursor..])?;
+            cursor += used;
+            sparse.push(list);
+        }
+        LogRecord::Feature(FeatureLog {
+            request_id,
+            session_id,
+            timestamp,
+            dense,
+            sparse,
+        })
+    };
+    Ok((record, cursor))
 }
 
-/// Decodes every record in a buffer.
+/// Decodes every record in a buffer onto the end of `records`.
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] if any record is malformed.
-pub fn decode_all(input: &[u8]) -> Result<Vec<LogRecord>, WireError> {
-    let mut records = Vec::new();
+/// Returns a [`WireError`] if any record is malformed; the records decoded
+/// before it stay appended.
+pub fn decode_all(input: &[u8], records: &mut Vec<LogRecord>) -> Result<(), WireError> {
     let mut cursor = 0;
     while cursor < input.len() {
         let (record, used) = decode_record(&input[cursor..])?;
         records.push(record);
         cursor += used;
     }
-    Ok(records)
+    Ok(())
 }
 
 /// Arrival-process knobs of a [`LogTail`].
@@ -326,6 +361,15 @@ impl LogTail {
         self.cursor == self.events.len()
     }
 
+    /// Consumes the tail and hands over the events not yet consumed, in
+    /// arrival order — for a consumer that keeps each record instead of
+    /// copying it out of a borrowed event. Clone the tail first to be able to
+    /// replay it.
+    pub fn into_remaining(mut self) -> std::vec::IntoIter<TailEvent> {
+        self.events.drain(..self.cursor);
+        self.events.into_iter()
+    }
+
     /// Rewinds to the start: the next consumption replays the identical
     /// arrival sequence.
     pub fn rewind(&mut self) {
@@ -398,7 +442,8 @@ mod tests {
         encode_record(&feature_record(), &mut buf);
         encode_record(&event_record(), &mut buf);
         encode_record(&feature_record(), &mut buf);
-        let records = decode_all(&buf).unwrap();
+        let mut records = Vec::new();
+        decode_all(&buf, &mut records).unwrap();
         assert_eq!(records.len(), 3);
         assert_eq!(records[1], event_record());
     }

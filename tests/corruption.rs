@@ -1,12 +1,17 @@
-//! Tier-1 slice of the storage crate's mutation sweep
-//! (`crates/storage/tests/mutation_sweep.rs`): every single-bit flip and
+//! Tier-1 slices of the two mutation sweeps: stored bytes
+//! (`crates/storage/tests/mutation_sweep.rs`) and scribe blocks
+//! (`crates/scribe/tests/mutation_sweep.rs`). Every single-bit flip and
 //! every prefix truncation of a real 16-row stripe, as a block and as a file
-//! blob, must come back `Ok` or `Err`. On a fill worker a panic loses the
-//! worker and an allocation sized by a corrupt count aborts the process;
-//! an `Err` is recorded and the pipeline moves on.
+//! blob, and of a real scribe block, compressed and raw, must come back `Ok`
+//! or `Err`. On a fill worker a panic loses the worker and an allocation
+//! sized by a corrupt count aborts the process; an `Err` is recorded and the
+//! pipeline moves on.
 
-use recd::data::ColumnarBatch;
+use recd::codec::Compressor;
+use recd::data::{ColumnarBatch, LogRecord};
 use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
+use recd::scribe::wire::decode_all;
+use recd::scribe::{encode_record, WireError};
 use recd::storage::{
     decode_stripe_columnar_into, encode_stripe, DecodeScratch, DwrfFile, DwrfWriter,
     FileReadScratch,
@@ -65,4 +70,40 @@ fn no_bit_flip_or_truncation_of_a_stored_stripe_panics_or_aborts() {
     file.read_all_columnar_into(&schema, &mut scratch, &mut out)
         .unwrap();
     assert_eq!(out.to_samples(), rows);
+}
+
+#[test]
+fn no_bit_flip_or_truncation_of_a_scribe_block_panics_or_aborts() {
+    // One session's first records, as a session-keyed shard buffers them.
+    let (logs, _) =
+        DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny)).generate_logs();
+    let session = logs[0].session_id();
+    let records: Vec<LogRecord> = logs
+        .into_iter()
+        .filter(|r| r.session_id() == session)
+        .take(8)
+        .collect();
+    let mut raw = Vec::new();
+    for record in &records {
+        encode_record(record, &mut raw);
+    }
+    let block = Compressor::Lz.compress(&raw);
+
+    let (mut scratch, mut decoded) = (Vec::new(), Vec::new());
+    let mut drain = |block: &[u8], decoded: &mut Vec<LogRecord>| -> Result<(), WireError> {
+        decoded.clear();
+        Compressor::Lz.decompress_into(block, &mut scratch)?;
+        decode_all(&scratch, decoded)
+    };
+    sweep(&block, block.len(), |mutated| {
+        let _ = drain(mutated, &mut decoded);
+    });
+    sweep(&raw, raw.len(), |mutated| {
+        decoded.clear();
+        let _ = decode_all(mutated, &mut decoded);
+    });
+
+    // Unmutated, the block drains to the records that were ingested.
+    drain(&block, &mut decoded).unwrap();
+    assert_eq!(decoded, records);
 }
