@@ -1,7 +1,7 @@
-//! Benchmarks of the columnar zero-copy fill→convert path against the
-//! row-wise path it replaces, swept over low/high dedup-factor and
-//! wide/narrow sparse distributions, plus the end-to-end
-//! decode+convert comparison on the default datagen workload.
+//! Benchmarks of the columnar zero-copy fill→convert path, swept over
+//! low/high dedup-factor and wide/narrow sparse distributions, plus
+//! decode+convert on the default datagen workload and the flat process
+//! phase against its row-wise reference.
 //!
 //! `scripts/bench_snapshot.sh` parses this bench's output into
 //! `BENCH_pipeline.json`, the repo's performance trajectory record.
@@ -9,9 +9,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use recd_bench::BenchFixture;
 use recd_core::{DataLoaderConfig, FeatureConverter, InverseKeyedJaggedTensor};
-use recd_data::{ColumnarBatch, FeatureId, RequestId, Sample, SampleBatch, SessionId, Timestamp};
+use recd_data::{ColumnarBatch, FeatureId, RequestId, Sample, SessionId, Timestamp};
 use recd_reader::PreprocessPipeline;
-use recd_storage::{decode_stripe, decode_stripe_columnar, encode_stripe};
+use recd_storage::{decode_stripe_columnar, encode_stripe};
 
 const BATCH: usize = 512;
 
@@ -95,20 +95,15 @@ fn scenario_converter() -> FeatureConverter {
     )
 }
 
-/// Convert phase only: row-wise `convert` vs `convert_columnar` over
-/// prebuilt batches, across the dup-factor/width sweep.
+/// Convert phase only: `convert_columnar` over prebuilt batches, across
+/// the dup-factor/width sweep.
 fn bench_convert_scenarios(c: &mut Criterion) {
     let converter = scenario_converter();
     let mut group = c.benchmark_group("columnar_convert");
     group.sample_size(20);
     for s in SCENARIOS {
-        let samples = scenario_samples(s);
-        let batch = SampleBatch::new(samples.clone());
-        let columnar = ColumnarBatch::from_samples(&samples, 2, 2);
-        group.throughput(Throughput::Elements(batch.sparse_value_count() as u64));
-        group.bench_with_input(BenchmarkId::new("rowwise", s.name), &batch, |b, batch| {
-            b.iter(|| converter.convert(black_box(batch)).unwrap())
-        });
+        let columnar = ColumnarBatch::from_samples(&scenario_samples(s), 2, 2);
+        group.throughput(Throughput::Elements(columnar.sparse_value_count() as u64));
         group.bench_with_input(
             BenchmarkId::new("columnar", s.name),
             &columnar,
@@ -118,27 +113,14 @@ fn bench_convert_scenarios(c: &mut Criterion) {
     group.finish();
 }
 
-/// IKJT dedup only: the flat-table columnar dedup vs the row-wise batch
-/// dedup, across the sweep.
+/// IKJT dedup only: the flat-table columnar dedup, across the sweep.
 fn bench_dedup_scenarios(c: &mut Criterion) {
     let group_features = [FeatureId::new(0), FeatureId::new(1)];
     let mut group = c.benchmark_group("columnar_dedup");
     group.sample_size(20);
     for s in SCENARIOS {
-        let samples = scenario_samples(s);
-        let batch = SampleBatch::new(samples.clone());
-        let columnar = ColumnarBatch::from_samples(&samples, 2, 2);
-        group.throughput(Throughput::Elements(batch.sparse_value_count() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("from_batch", s.name),
-            &batch,
-            |b, batch| {
-                b.iter(|| {
-                    InverseKeyedJaggedTensor::dedup_from_batch(black_box(batch), &group_features)
-                        .unwrap()
-                })
-            },
-        );
+        let columnar = ColumnarBatch::from_samples(&scenario_samples(s), 2, 2);
+        group.throughput(Throughput::Elements(columnar.sparse_value_count() as u64));
         group.bench_with_input(
             BenchmarkId::new("from_columnar", s.name),
             &columnar,
@@ -158,17 +140,13 @@ fn bench_dedup_scenarios(c: &mut Criterion) {
 
 /// Convert phase on the default datagen workload (the same fixture and
 /// batch size as `dedup_conversion`'s `feature_conversion/recd_ikjt/512`,
-/// for cross-version comparison): row-wise vs columnar conversion.
+/// for cross-version comparison).
 fn bench_convert_datagen(c: &mut Criterion) {
     let fixture = BenchFixture::new(80);
-    let batch = fixture.batch(BATCH);
     let columnar = fixture.columnar_batch(BATCH);
     let mut group = c.benchmark_group("datagen_convert_512");
     group.sample_size(20);
-    group.throughput(Throughput::Elements(batch.sparse_value_count() as u64));
-    group.bench_function("rowwise", |b| {
-        b.iter(|| fixture.dedup_converter.convert(black_box(&batch)).unwrap())
-    });
+    group.throughput(Throughput::Elements(columnar.sparse_value_count() as u64));
     group.bench_function("columnar", |b| {
         b.iter(|| {
             fixture
@@ -180,10 +158,9 @@ fn bench_convert_datagen(c: &mut Criterion) {
     group.finish();
 }
 
-/// The headline comparison on the default datagen workload: one stored
-/// stripe decoded and converted, row-wise (materialize `Vec<Sample>`, then
-/// `convert`) vs columnar (flat decode, then `convert_columnar`). This is
-/// the path every reader and streaming compute worker runs per batch.
+/// One stored stripe of the default datagen workload decoded flat and
+/// converted with `convert_columnar` — the decode + convert work the
+/// streaming service's fill and compute workers do per batch.
 fn bench_fill_convert_datagen(c: &mut Criterion) {
     let fixture = BenchFixture::new(120);
     let rows = &fixture.samples[..BATCH.min(fixture.samples.len())];
@@ -193,15 +170,6 @@ fn bench_fill_convert_datagen(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_fill_convert");
     group.sample_size(20);
     group.throughput(Throughput::Elements(values as u64));
-    group.bench_function("rowwise", |b| {
-        b.iter(|| {
-            let samples = decode_stripe(&fixture.schema, black_box(&block)).unwrap();
-            fixture
-                .dedup_converter
-                .convert(&SampleBatch::new(samples))
-                .unwrap()
-        })
-    });
     group.bench_function("columnar", |b| {
         b.iter(|| {
             let batch = decode_stripe_columnar(&fixture.schema, black_box(&block)).unwrap();

@@ -11,7 +11,7 @@ fn bench_conversion(c: &mut Criterion) {
     let mut group = c.benchmark_group("feature_conversion");
     group.sample_size(15);
     for &batch_size in &[128usize, 512] {
-        let batch = fixture.batch(batch_size);
+        let batch = fixture.columnar_batch(batch_size);
         group.bench_with_input(
             BenchmarkId::new("baseline_kjt", batch_size),
             &batch,
@@ -19,7 +19,7 @@ fn bench_conversion(c: &mut Criterion) {
                 b.iter(|| {
                     fixture
                         .baseline_converter
-                        .convert_baseline(black_box(batch))
+                        .convert_columnar_baseline(black_box(batch))
                         .unwrap()
                 })
             },
@@ -27,7 +27,14 @@ fn bench_conversion(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("recd_ikjt", batch_size),
             &batch,
-            |b, batch| b.iter(|| fixture.dedup_converter.convert(black_box(batch)).unwrap()),
+            |b, batch| {
+                b.iter(|| {
+                    fixture
+                        .dedup_converter
+                        .convert_columnar(black_box(batch))
+                        .unwrap()
+                })
+            },
         );
     }
     group.finish();

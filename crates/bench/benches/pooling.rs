@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use recd_bench::BenchFixture;
 use recd_core::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
-use recd_data::{SampleBatch, Schema};
+use recd_data::{ColumnarBatch, Schema};
 use recd_datagen::DatasetGenerator;
 use recd_etl::cluster_by_session;
 use recd_pipeline::RmPreset;
@@ -62,11 +62,13 @@ fn rm1_batch() -> (Schema, ConvertedBatch) {
     let mut rows = cluster_by_session(&partition.samples);
     rows.truncate(512);
     let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&partition.schema));
+    let schema = partition.schema;
+    let rows = ColumnarBatch::from_samples(&rows, schema.dense_count(), schema.sparse_count());
     let mut batch = converter
-        .convert(&SampleBatch::new(rows))
+        .convert_columnar(&rows)
         .expect("generated rows convert");
     PreprocessPipeline::standard(1 << 20, SEQ_LEN).apply(&mut batch);
-    (partition.schema, batch)
+    (schema, batch)
 }
 
 fn bench_dlrm_train_step(c: &mut Criterion) {

@@ -1,14 +1,13 @@
-//! Benchmarks of the streaming DPP service vs. the one-shot reader tier:
-//! end-to-end wall-clock over the same landed partition, across compute
-//! worker counts. Streaming throughput should scale with workers because
-//! fill, conversion (O3), and preprocessing (O4) overlap across the
-//! pipeline's bounded queues.
+//! Benchmarks of the streaming DPP service: end-to-end wall-clock over one
+//! landed partition, across worker counts. Throughput should scale with
+//! workers because fill, conversion (O3), and preprocessing (O4) overlap
+//! across the pipeline's bounded queues.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use recd_bench::BenchFixture;
 use recd_core::DataLoaderConfig;
 use recd_dpp::{DppConfig, DppService, ShardPolicy};
-use recd_reader::{PreprocessPipeline, ReaderConfig, ReaderTier};
+use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_storage::{StoredPartition, TableStore, TectonicSim};
 use std::sync::Arc;
 
@@ -37,20 +36,10 @@ fn reader_config(schema: &recd_data::Schema) -> ReaderConfig {
     ReaderConfig::new(128, DataLoaderConfig::from_schema(schema))
 }
 
-fn bench_streaming_vs_one_shot(c: &mut Criterion) {
+fn bench_streaming_workers(c: &mut Criterion) {
     let f = landed_fixture();
     let mut group = c.benchmark_group("dpp_end_to_end");
     group.sample_size(10);
-
-    group.bench_function("one_shot_tier_2_readers", |b| {
-        b.iter(|| {
-            let tier = ReaderTier::new(2, reader_config(&f.schema), || {
-                PreprocessPipeline::standard(1 << 20, 64)
-            });
-            tier.run(black_box(&f.store), &f.schema, &f.partition)
-                .unwrap()
-        })
-    });
 
     for workers in [1, 2, 4, 8] {
         group.bench_with_input(
@@ -77,5 +66,5 @@ fn bench_streaming_vs_one_shot(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_streaming_vs_one_shot);
+criterion_group!(benches, bench_streaming_workers);
 criterion_main!(benches);

@@ -49,23 +49,25 @@ fn bench_dedup_and_select(c: &mut Criterion) {
     });
 }
 
-fn bench_kjt_from_batch(c: &mut Criterion) {
+fn bench_kjt_from_columnar(c: &mut Criterion) {
     let fixture = BenchFixture::new(60);
-    let batch = fixture.batch(256);
+    let batch = fixture.columnar_batch(256);
     let features: Vec<FeatureId> = fixture
         .schema
         .sparse_features()
         .iter()
         .map(|f| f.id)
         .collect();
-    c.bench_function("kjt_from_batch_256_rows", |b| {
-        b.iter(|| KeyedJaggedTensor::from_batch(black_box(&batch), black_box(&features)).unwrap())
+    c.bench_function("kjt_from_columnar_256_rows", |b| {
+        b.iter(|| {
+            KeyedJaggedTensor::from_columnar(black_box(&batch), black_box(&features)).unwrap()
+        })
     });
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_dedup_and_select, bench_kjt_from_batch
+    targets = bench_dedup_and_select, bench_kjt_from_columnar
 }
 criterion_main!(benches);

@@ -15,7 +15,7 @@
 #![warn(missing_docs)]
 
 use recd_core::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
-use recd_data::{Sample, SampleBatch, Schema};
+use recd_data::{ColumnarBatch, Sample, Schema};
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd_etl::cluster_by_session;
 
@@ -51,14 +51,9 @@ impl BenchFixture {
         }
     }
 
-    /// The first `batch_size` samples as a batch.
-    pub fn batch(&self, batch_size: usize) -> SampleBatch {
-        SampleBatch::new(self.samples[..batch_size.min(self.samples.len())].to_vec())
-    }
-
     /// The first `batch_size` samples in columnar form (schema-shaped).
-    pub fn columnar_batch(&self, batch_size: usize) -> recd_data::ColumnarBatch {
-        recd_data::ColumnarBatch::from_samples(
+    pub fn columnar_batch(&self, batch_size: usize) -> ColumnarBatch {
+        ColumnarBatch::from_samples(
             &self.samples[..batch_size.min(self.samples.len())],
             self.schema.dense_count(),
             self.schema.sparse_count(),
@@ -68,14 +63,14 @@ impl BenchFixture {
     /// A deduplicated converted batch of the given size.
     pub fn dedup_batch(&self, batch_size: usize) -> ConvertedBatch {
         self.dedup_converter
-            .convert(&self.batch(batch_size))
+            .convert_columnar(&self.columnar_batch(batch_size))
             .expect("fixture conversion succeeds")
     }
 
     /// A baseline converted batch of the given size.
     pub fn baseline_batch(&self, batch_size: usize) -> ConvertedBatch {
         self.baseline_converter
-            .convert_baseline(&self.batch(batch_size))
+            .convert_columnar_baseline(&self.columnar_batch(batch_size))
             .expect("fixture conversion succeeds")
     }
 }

@@ -6,7 +6,7 @@ use crate::dense::DenseMatrix;
 use crate::ikjt::InverseKeyedJaggedTensor;
 use crate::kjt::KeyedJaggedTensor;
 use crate::{CoreError, Result};
-use recd_data::{ColumnarBatch, FeatureId, SampleBatch, Schema};
+use recd_data::{ColumnarBatch, FeatureId, Schema};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -198,7 +198,7 @@ impl ConvertedBatch {
     }
 }
 
-/// Converts batches of rows into tensors according to a
+/// Converts columnar batches into tensors according to a
 /// [`DataLoaderConfig`], deduplicating the configured groups (O3).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeatureConverter {
@@ -223,61 +223,14 @@ impl FeatureConverter {
         &self.config
     }
 
-    /// Converts one batch of samples into tensors.
+    /// Converts one columnar batch into tensors. Labels and dense values
+    /// copy over as whole buffers, each KJT feature is two flat copies, and
+    /// the dedup groups run the allocation-free columnar IKJT path.
     ///
     /// # Errors
     ///
-    /// Returns an error if the configuration references a feature twice or a
-    /// sample does not carry a configured feature.
-    pub fn convert(&self, batch: &SampleBatch) -> Result<ConvertedBatch> {
-        self.config.validate()?;
-        let labels = batch.iter().map(|s| s.label).collect();
-        let dense = DenseMatrix::from_batch(batch, self.config.dense_features);
-        let kjt = KeyedJaggedTensor::from_batch(batch, &self.config.kjt_features)?;
-        let ikjts = self
-            .config
-            .dedup_groups
-            .iter()
-            .map(|group| InverseKeyedJaggedTensor::dedup_from_batch(batch, group))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ConvertedBatch {
-            batch_size: batch.len(),
-            labels,
-            dense,
-            kjt,
-            ikjts,
-        })
-    }
-
-    /// Converts a batch without any deduplication, regardless of the
-    /// configured groups (all features land in the KJT). This is the
-    /// baseline conversion path used for comparisons.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`FeatureConverter::convert`].
-    pub fn convert_baseline(&self, batch: &SampleBatch) -> Result<ConvertedBatch> {
-        let labels = batch.iter().map(|s| s.label).collect();
-        let dense = DenseMatrix::from_batch(batch, self.config.dense_features);
-        let kjt = KeyedJaggedTensor::from_batch(batch, &self.all_features)?;
-        Ok(ConvertedBatch {
-            batch_size: batch.len(),
-            labels,
-            dense,
-            kjt,
-            ikjts: Vec::new(),
-        })
-    }
-
-    /// Converts one columnar batch into tensors — the flat counterpart of
-    /// [`FeatureConverter::convert`], producing a value-identical
-    /// [`ConvertedBatch`]. Labels and dense values copy over as whole
-    /// buffers, each KJT feature is two flat copies, and the dedup groups
-    /// run the allocation-free columnar IKJT path.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`FeatureConverter::convert`].
+    /// Returns an error if the configuration references a feature twice or
+    /// the batch does not carry a configured feature.
     pub fn convert_columnar(&self, batch: &ColumnarBatch) -> Result<ConvertedBatch> {
         let mut out = ConvertedBatch::default();
         self.convert_columnar_into(batch, &mut crate::DedupScratch::default(), &mut out)?;
@@ -294,8 +247,8 @@ impl FeatureConverter {
     ///
     /// # Errors
     ///
-    /// Same error conditions as [`FeatureConverter::convert`]; on error the
-    /// shell's contents are unspecified.
+    /// Same error conditions as [`FeatureConverter::convert_columnar`]; on
+    /// error the shell's contents are unspecified.
     pub fn convert_columnar_into(
         &self,
         batch: &ColumnarBatch,
@@ -318,12 +271,15 @@ impl FeatureConverter {
         Ok(())
     }
 
-    /// Converts a columnar batch without any deduplication — the flat
-    /// counterpart of [`FeatureConverter::convert_baseline`].
+    /// Converts a columnar batch without any deduplication, regardless of
+    /// the configured groups (all features land in the KJT) — the baseline
+    /// conversion used for comparisons. Equal to
+    /// [`FeatureConverter::convert_columnar`] under a configuration with no
+    /// dedup groups.
     ///
     /// # Errors
     ///
-    /// Same error conditions as [`FeatureConverter::convert`].
+    /// Same error conditions as [`FeatureConverter::convert_columnar`].
     pub fn convert_columnar_baseline(&self, batch: &ColumnarBatch) -> Result<ConvertedBatch> {
         let mut out = ConvertedBatch::default();
         self.convert_columnar_baseline_into(batch, &mut out)?;
@@ -336,8 +292,8 @@ impl FeatureConverter {
     ///
     /// # Errors
     ///
-    /// Same error conditions as [`FeatureConverter::convert`]; on error the
-    /// shell's contents are unspecified.
+    /// Same error conditions as [`FeatureConverter::convert_columnar`]; on
+    /// error the shell's contents are unspecified.
     pub fn convert_columnar_baseline_into(
         &self,
         batch: &ColumnarBatch,
@@ -357,6 +313,7 @@ impl FeatureConverter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DedupScratch;
     use recd_data::{FeatureClass, RequestId, Sample, SessionId, Timestamp};
 
     fn f(i: u32) -> FeatureId {
@@ -367,13 +324,14 @@ mod tests {
     type Figure5Row = (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>, f32);
 
     /// Builds the exact batch of Figure 5: features a, b, c, d over 3 rows.
-    fn figure5_batch() -> SampleBatch {
+    fn figure5_batch() -> ColumnarBatch {
         let rows: Vec<Figure5Row> = vec![
             (vec![1, 2], vec![3, 4, 5], vec![7, 8], vec![9], 1.0),
             (vec![1, 2], vec![4, 5, 6], vec![7, 8], vec![9], 0.0),
             (vec![1, 2], vec![3, 4, 5], vec![10], vec![11], 1.0),
         ];
-        rows.into_iter()
+        let samples: Vec<Sample> = rows
+            .into_iter()
             .enumerate()
             .map(|(i, (a, b, c, d, label))| {
                 Sample::builder(
@@ -386,7 +344,8 @@ mod tests {
                 .sparse(vec![a, b, c, d])
                 .build()
             })
-            .collect()
+            .collect();
+        ColumnarBatch::from_samples(&samples, 1, 4)
     }
 
     fn figure5_config() -> DataLoaderConfig {
@@ -400,7 +359,7 @@ mod tests {
     #[test]
     fn figure5_conversion() {
         let converted = FeatureConverter::new(figure5_config())
-            .convert(&figure5_batch())
+            .convert_columnar(&figure5_batch())
             .unwrap();
         assert_eq!(converted.batch_size, 3);
         assert_eq!(converted.labels, vec![1.0, 0.0, 1.0]);
@@ -429,42 +388,62 @@ mod tests {
     }
 
     #[test]
-    fn columnar_conversion_is_value_identical_to_row_wise() {
+    fn into_variants_refill_any_shell_identically() {
         let batch = figure5_batch();
-        let columnar = ColumnarBatch::from_samples(batch.samples(), 1, 4);
         let converter = FeatureConverter::new(figure5_config());
+        let fresh = converter.convert_columnar(&batch).unwrap();
+        let base = converter.convert_columnar_baseline(&batch).unwrap();
 
-        let row_wise = converter.convert(&batch).unwrap();
-        let col_wise = converter.convert_columnar(&columnar).unwrap();
-        assert_eq!(row_wise, col_wise);
+        // A dirty shell of another shape refills to the one-shot result.
+        let mut shell = base.clone();
+        let mut scratch = DedupScratch::default();
+        converter
+            .convert_columnar_into(&batch, &mut scratch, &mut shell)
+            .unwrap();
+        assert_eq!(shell, fresh);
+        converter
+            .convert_columnar_baseline_into(&batch, &mut shell)
+            .unwrap();
+        assert_eq!(shell, base);
 
-        let row_base = converter.convert_baseline(&batch).unwrap();
-        let col_base = converter.convert_columnar_baseline(&columnar).unwrap();
-        assert_eq!(row_base, col_base);
-
-        // Empty columnar batches convert cleanly too.
+        // Empty batches convert cleanly too.
         let empty = converter
             .convert_columnar(&ColumnarBatch::new(1, 4))
             .unwrap();
         assert_eq!(empty.batch_size, 0);
+        assert!(empty.labels.is_empty());
         assert_eq!(empty.dedupe_factor(), 1.0);
     }
 
     #[test]
     fn baseline_conversion_keeps_everything_in_kjt() {
         let converter = FeatureConverter::new(figure5_config());
-        let baseline = converter.convert_baseline(&figure5_batch()).unwrap();
+        let baseline = converter
+            .convert_columnar_baseline(&figure5_batch())
+            .unwrap();
         assert!(baseline.ikjts.is_empty());
         assert_eq!(baseline.kjt.feature_count(), 4);
         assert_eq!(baseline.dedupe_factor(), 1.0);
 
-        let recd = converter.convert(&figure5_batch()).unwrap();
+        let recd = converter.convert_columnar(&figure5_batch()).unwrap();
         assert_eq!(
             baseline.logical_sparse_values(),
             recd.logical_sparse_values(),
             "deduplication must not change the logical data"
         );
         assert!(recd.sparse_payload_bytes() <= baseline.sparse_payload_bytes());
+
+        // O3 off is a configuration, not a second converter: with no dedup
+        // groups the deduplicating path emits the baseline batch.
+        let no_groups = DataLoaderConfig::new()
+            .with_kjt_features([f(0), f(1), f(2), f(3)])
+            .with_dense_features(1);
+        assert_eq!(
+            FeatureConverter::new(no_groups)
+                .convert_columnar(&figure5_batch())
+                .unwrap(),
+            baseline
+        );
     }
 
     #[test]
@@ -477,7 +456,7 @@ mod tests {
             Err(CoreError::DuplicateFeatureInConfig { .. })
         ));
         let err = FeatureConverter::new(config)
-            .convert(&figure5_batch())
+            .convert_columnar(&figure5_batch())
             .unwrap_err();
         assert!(matches!(err, CoreError::DuplicateFeatureInConfig { .. }));
     }
@@ -508,15 +487,5 @@ mod tests {
         let baseline = DataLoaderConfig::baseline_from_schema(&schema);
         assert!(baseline.dedup_groups.is_empty());
         assert_eq!(baseline.kjt_features.len(), 2);
-    }
-
-    #[test]
-    fn empty_batch_conversion() {
-        let converted = FeatureConverter::new(figure5_config())
-            .convert(&SampleBatch::empty())
-            .unwrap();
-        assert_eq!(converted.batch_size, 0);
-        assert!(converted.labels.is_empty());
-        assert_eq!(converted.dedupe_factor(), 1.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Dense feature matrices (batch-major float features).
 
 use crate::{CoreError, Result};
-use recd_data::{ColumnarBatch, SampleBatch};
+use recd_data::ColumnarBatch;
 use serde::{Deserialize, Serialize};
 
 /// A row-major `[batch_size, feature_count]` matrix of dense feature values.
@@ -41,22 +41,10 @@ impl DenseMatrix {
         Ok(Self { data, rows, cols })
     }
 
-    /// Extracts the dense features of a batch into a matrix. Samples with
-    /// fewer dense values than `cols` are zero-padded; extra values are
-    /// ignored.
-    pub fn from_batch(batch: &SampleBatch, cols: usize) -> Self {
-        let mut m = Self::zeros(batch.len(), cols);
-        for (i, sample) in batch.iter().enumerate() {
-            let n = sample.dense.len().min(cols);
-            m.data[i * cols..i * cols + n].copy_from_slice(&sample.dense[..n]);
-        }
-        m
-    }
-
     /// Extracts the dense features of a columnar batch. When the batch's
     /// dense width already matches `cols` (the common, schema-driven case)
     /// this is a single flat buffer copy; otherwise rows are zero-padded or
-    /// truncated like [`DenseMatrix::from_batch`].
+    /// truncated to `cols`.
     pub fn from_columnar(batch: &ColumnarBatch, cols: usize) -> Self {
         let mut m = Self::default();
         m.assign_from_columnar(batch, cols);
@@ -158,27 +146,24 @@ mod tests {
     }
 
     #[test]
-    fn from_batch_pads_and_truncates() {
-        let batch: SampleBatch = vec![
-            Sample::builder(
+    fn from_columnar_pads_and_truncates() {
+        let batch = ColumnarBatch::from_samples(
+            &[Sample::builder(
                 SessionId::new(1),
                 RequestId::new(0),
                 Timestamp::from_millis(0),
             )
-            .dense(vec![1.0])
-            .build(),
-            Sample::builder(
-                SessionId::new(1),
-                RequestId::new(1),
-                Timestamp::from_millis(1),
-            )
-            .dense(vec![2.0, 3.0, 4.0])
-            .build(),
-        ]
-        .into_iter()
-        .collect();
-        let m = DenseMatrix::from_batch(&batch, 2);
-        assert_eq!(m.row(0), &[1.0, 0.0]);
-        assert_eq!(m.row(1), &[2.0, 3.0]);
+            .dense(vec![1.0, 2.0, 3.0])
+            .build()],
+            3,
+            0,
+        );
+        assert_eq!(DenseMatrix::from_columnar(&batch, 2).row(0), &[1.0, 2.0]);
+        let padded = DenseMatrix::from_columnar(&batch, 4);
+        assert_eq!(padded.row(0), &[1.0, 2.0, 3.0, 0.0]);
+        assert_eq!(
+            DenseMatrix::from_columnar(&batch, 3).data(),
+            &[1.0, 2.0, 3.0]
+        );
     }
 }

@@ -6,7 +6,7 @@ use crate::kjt::KeyedJaggedTensor;
 use crate::select::jagged_index_select;
 use crate::{CoreError, Result};
 use recd_codec::Hasher64;
-use recd_data::{ColumnarBatch, FeatureId, SampleBatch};
+use recd_data::{ColumnarBatch, FeatureId};
 use serde::{Deserialize, Serialize};
 
 /// Sentinel marking an unoccupied [`DedupTable`] bucket.
@@ -131,35 +131,19 @@ impl InverseKeyedJaggedTensor {
             .iter()
             .map(|&key| kjt.feature_required(key))
             .collect::<Result<_>>()?;
-        Ok(Self::dedup_rows(group, &tensors, kjt.batch_size()))
-    }
-
-    /// Deduplicates the listed feature group directly from a batch of
-    /// samples (the row-wise feature-conversion path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::MissingSparseFeature`] if a sample does not carry
-    /// one of the grouped features.
-    pub fn dedup_from_batch(batch: &SampleBatch, group: &[FeatureId]) -> Result<Self> {
-        for sample in batch.iter() {
-            for &key in group {
-                if key.index() >= sample.sparse.len() {
-                    return Err(CoreError::MissingSparseFeature {
-                        feature: key,
-                        available: sample.sparse.len(),
-                    });
-                }
-            }
-        }
-        let samples = batch.samples();
-        Ok(Self::dedup_core(group, batch.len(), |fi, row| {
-            samples[row].sparse[group[fi].index()].as_slice()
-        }))
+        let mut out = Self::default();
+        Self::dedup_core_into(
+            group,
+            kjt.batch_size(),
+            |fi, row| tensors[fi].row(row),
+            &mut DedupScratch::default(),
+            &mut out,
+        );
+        Ok(out)
     }
 
     /// Deduplicates the listed feature group straight off a columnar batch's
-    /// sparse columns — the flat fill→convert hot path. Row views are slices
+    /// sparse columns — the fill→convert hot path. Row views are slices
     /// into the batch's contiguous value buffers, so no per-row data is
     /// materialized at any point.
     ///
@@ -168,20 +152,9 @@ impl InverseKeyedJaggedTensor {
     /// Returns [`CoreError::MissingSparseFeature`] if the batch carries
     /// fewer sparse columns than a grouped feature's index.
     pub fn dedup_from_columnar(batch: &ColumnarBatch, group: &[FeatureId]) -> Result<Self> {
-        let columns: Vec<&recd_data::SparseColumn> = group
-            .iter()
-            .map(|&key| {
-                batch
-                    .sparse_column(key.index())
-                    .ok_or(CoreError::MissingSparseFeature {
-                        feature: key,
-                        available: batch.sparse_cols(),
-                    })
-            })
-            .collect::<Result<_>>()?;
-        Ok(Self::dedup_core(group, batch.len(), |fi, row| {
-            columns[fi].row(row)
-        }))
+        let mut out = Self::default();
+        Self::dedup_from_columnar_into(batch, group, &mut DedupScratch::default(), &mut out)?;
+        Ok(out)
     }
 
     /// Deduplicates a feature group off a columnar batch into a
@@ -220,33 +193,6 @@ impl InverseKeyedJaggedTensor {
             out,
         );
         Ok(())
-    }
-
-    /// Core dedup routine over per-feature row views.
-    fn dedup_rows(
-        group: &[FeatureId],
-        per_feature: &[&JaggedTensor<u64>],
-        batch_size: usize,
-    ) -> Self {
-        Self::dedup_core(group, batch_size, |fi, row| per_feature[fi].row(row))
-    }
-
-    /// One-shot wrapper over [`InverseKeyedJaggedTensor::dedup_core_into`]
-    /// with throwaway scratch and output.
-    fn dedup_core<'a>(
-        group: &[FeatureId],
-        batch_size: usize,
-        row_view: impl Fn(usize, usize) -> &'a [u64],
-    ) -> Self {
-        let mut out = Self::default();
-        Self::dedup_core_into(
-            group,
-            batch_size,
-            row_view,
-            &mut DedupScratch::default(),
-            &mut out,
-        );
-        out
     }
 
     /// Precomputes one digest per row over the whole feature group, then
@@ -705,8 +651,8 @@ mod tests {
     }
 
     #[test]
-    fn columnar_dedup_matches_batch_dedup() {
-        use recd_data::{ColumnarBatch, RequestId, Sample, SessionId, Timestamp};
+    fn columnar_dedup_groups_rows_by_their_whole_tuple() {
+        use recd_data::{RequestId, Sample, SessionId, Timestamp};
         let rows: Vec<Vec<Vec<u64>>> = vec![
             vec![vec![7, 8], vec![9]],
             vec![vec![7, 8], vec![9]],
@@ -726,14 +672,23 @@ mod tests {
                 .build()
             })
             .collect();
-        let batch: SampleBatch = samples.iter().cloned().collect();
         let columnar = ColumnarBatch::from_samples(&samples, 0, 2);
         let group = [f(0), f(1)];
-        let from_batch = InverseKeyedJaggedTensor::dedup_from_batch(&batch, &group).unwrap();
-        let from_columnar =
-            InverseKeyedJaggedTensor::dedup_from_columnar(&columnar, &group).unwrap();
-        assert_eq!(from_batch, from_columnar);
-        assert_eq!(from_columnar.inverse_lookup(), &[0, 0, 1, 2]);
+        let ikjt = InverseKeyedJaggedTensor::dedup_from_columnar(&columnar, &group).unwrap();
+        assert_eq!(ikjt.inverse_lookup(), &[0, 0, 1, 2]);
+        assert_eq!(ikjt.feature(f(0)).unwrap().values(), &[7, 8, 10]);
+        assert_eq!(ikjt.feature(f(1)).unwrap().values(), &[9, 11, 9]);
+        assert!(ikjt.check_invariants().is_ok());
+
+        let mut recycled = InverseKeyedJaggedTensor::default();
+        InverseKeyedJaggedTensor::dedup_from_columnar_into(
+            &columnar,
+            &group,
+            &mut DedupScratch::default(),
+            &mut recycled,
+        )
+        .unwrap();
+        assert_eq!(recycled, ikjt);
         assert!(matches!(
             InverseKeyedJaggedTensor::dedup_from_columnar(&columnar, &[f(5)]),
             Err(CoreError::MissingSparseFeature { .. })

@@ -3,7 +3,7 @@
 
 use crate::jagged::JaggedTensor;
 use crate::{CoreError, Result};
-use recd_data::{ColumnarBatch, FeatureId, SampleBatch};
+use recd_data::{ColumnarBatch, FeatureId};
 use serde::{Deserialize, Serialize};
 
 /// A keyed collection of jagged tensors, one per sparse feature, each with
@@ -13,16 +13,17 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use recd_core::KeyedJaggedTensor;
-/// use recd_data::{FeatureId, RequestId, Sample, SessionId, Timestamp};
+/// use recd_data::{ColumnarBatch, FeatureId, RequestId, Sample, SessionId, Timestamp};
 ///
-/// let samples: recd_data::SampleBatch = (0..2)
+/// let samples: Vec<Sample> = (0..2)
 ///     .map(|i| {
 ///         Sample::builder(SessionId::new(1), RequestId::new(i), Timestamp::from_millis(i))
 ///             .sparse(vec![vec![i, i + 1]])
 ///             .build()
 ///     })
 ///     .collect();
-/// let kjt = KeyedJaggedTensor::from_batch(&samples, &[FeatureId::new(0)])?;
+/// let batch = ColumnarBatch::from_samples(&samples, 0, 1);
+/// let kjt = KeyedJaggedTensor::from_columnar(&batch, &[FeatureId::new(0)])?;
 /// assert_eq!(kjt.batch_size(), 2);
 /// assert_eq!(kjt.feature(FeatureId::new(0)).unwrap().row(1), &[1, 2]);
 /// # Ok::<(), recd_core::CoreError>(())
@@ -60,34 +61,9 @@ impl KeyedJaggedTensor {
         Ok(kjt)
     }
 
-    /// Extracts the listed sparse features from a batch of samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::MissingSparseFeature`] if a sample does not carry
-    /// one of the requested features.
-    pub fn from_batch(batch: &SampleBatch, features: &[FeatureId]) -> Result<Self> {
-        let mut kjt = Self::empty(batch.len());
-        for &feature in features {
-            let mut tensor = JaggedTensor::new();
-            for sample in batch.iter() {
-                if feature.index() >= sample.sparse.len() {
-                    return Err(CoreError::MissingSparseFeature {
-                        feature,
-                        available: sample.sparse.len(),
-                    });
-                }
-                tensor.push_row(&sample.sparse[feature.index()]);
-            }
-            kjt.insert(feature, tensor)?;
-        }
-        Ok(kjt)
-    }
-
     /// Extracts the listed sparse features from a columnar batch. Each
     /// feature's jagged tensor is built from two flat buffer copies (values
-    /// and offsets) instead of one `push_row` per sample — the columnar
-    /// convert path's KJT constructor.
+    /// and offsets) — the convert path's KJT constructor.
     ///
     /// # Errors
     ///
@@ -236,8 +212,8 @@ mod tests {
     use super::*;
     use recd_data::{RequestId, Sample, SessionId, Timestamp};
 
-    fn batch() -> SampleBatch {
-        (0..3u64)
+    fn batch() -> ColumnarBatch {
+        let samples: Vec<Sample> = (0..3u64)
             .map(|i| {
                 Sample::builder(
                     SessionId::new(1),
@@ -247,13 +223,15 @@ mod tests {
                 .sparse(vec![vec![i, i + 1], vec![100 + i]])
                 .build()
             })
-            .collect()
+            .collect();
+        ColumnarBatch::from_samples(&samples, 0, 2)
     }
 
     #[test]
-    fn from_batch_extracts_features_in_order() {
-        let kjt = KeyedJaggedTensor::from_batch(&batch(), &[FeatureId::new(1), FeatureId::new(0)])
-            .unwrap();
+    fn from_columnar_extracts_features_in_order() {
+        let kjt =
+            KeyedJaggedTensor::from_columnar(&batch(), &[FeatureId::new(1), FeatureId::new(0)])
+                .unwrap();
         assert_eq!(kjt.batch_size(), 3);
         assert_eq!(kjt.feature_count(), 2);
         assert_eq!(kjt.keys(), &[FeatureId::new(1), FeatureId::new(0)]);
@@ -265,7 +243,7 @@ mod tests {
 
     #[test]
     fn missing_feature_is_an_error() {
-        let err = KeyedJaggedTensor::from_batch(&batch(), &[FeatureId::new(9)]).unwrap_err();
+        let err = KeyedJaggedTensor::from_columnar(&batch(), &[FeatureId::new(9)]).unwrap_err();
         assert!(matches!(err, CoreError::MissingSparseFeature { .. }));
     }
 
@@ -287,7 +265,7 @@ mod tests {
 
     #[test]
     fn feature_required_and_iter() {
-        let kjt = KeyedJaggedTensor::from_batch(&batch(), &[FeatureId::new(0)]).unwrap();
+        let kjt = KeyedJaggedTensor::from_columnar(&batch(), &[FeatureId::new(0)]).unwrap();
         assert!(kjt.feature_required(FeatureId::new(0)).is_ok());
         assert!(matches!(
             kjt.feature_required(FeatureId::new(5)),
@@ -299,8 +277,9 @@ mod tests {
 
     #[test]
     fn payload_bytes_sums_feature_tensors() {
-        let kjt = KeyedJaggedTensor::from_batch(&batch(), &[FeatureId::new(0), FeatureId::new(1)])
-            .unwrap();
+        let kjt =
+            KeyedJaggedTensor::from_columnar(&batch(), &[FeatureId::new(0), FeatureId::new(1)])
+                .unwrap();
         let expected: usize = kjt.iter().map(|(_, t)| t.payload_bytes()).sum();
         assert_eq!(kjt.payload_bytes(), expected);
     }

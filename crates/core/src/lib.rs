@@ -14,7 +14,7 @@
 //!   synchronously-updated features against one shared `inverse_lookup`.
 //!   Partial IKJTs (paper §7) additionally capture shifted lists.
 //! * [`FeatureConverter`] — the reader-side feature-conversion step that
-//!   turns a batch of rows into KJTs and IKJTs, detecting duplicates by
+//!   turns a columnar batch into KJTs and IKJTs, detecting duplicates by
 //!   hashing (O3).
 //! * [`jagged_index_select`] — index select directly over jagged tensors,
 //!   avoiding the densify-then-select memory blowup (O6).
@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use recd_core::{DataLoaderConfig, FeatureConverter};
-//! use recd_data::{FeatureId, RequestId, Sample, SessionId, Timestamp};
+//! use recd_data::{ColumnarBatch, FeatureId, RequestId, Sample, SessionId, Timestamp};
 //!
 //! // Three samples from one session; feature 0 never changes, feature 1 does.
 //! let rows = vec![
@@ -46,7 +46,8 @@
 //! let config = DataLoaderConfig::new()
 //!     .with_kjt_features([FeatureId::new(1)])
 //!     .with_dedup_group([FeatureId::new(0)]);
-//! let converted = FeatureConverter::new(config).convert(&samples.into_iter().collect())?;
+//! let batch = ColumnarBatch::from_samples(&samples, 0, 2);
+//! let converted = FeatureConverter::new(config).convert_columnar(&batch)?;
 //!
 //! // The deduplicated feature stores one slot for three rows.
 //! let ikjt = &converted.ikjts[0];

@@ -5,10 +5,9 @@
 //! paper's production DPP setting (RecD runs *continuously* under heavy
 //! load, not as a one-shot job).
 //!
-//! Where [`recd_reader::ReaderTier`] is a batch runner — hand it a stored
-//! partition, get every batch back — this crate decomposes the same
-//! fill → convert (O3) → preprocess (O4) phases into **pipeline stages
-//! connected by bounded channels**:
+//! This service is the repository's only reader: it runs the
+//! fill → convert (O3) → preprocess (O4) phases of [`recd_reader`] as
+//! **pipeline stages connected by bounded channels**:
 //!
 //! * a pool of *fill workers* decodes DWRF files concurrently,
 //! * a deterministic *router* restores submission order, shards rows (by
@@ -51,12 +50,13 @@
 //! or a [`DppFleet`] — from a log tail through the streaming ETL, under an
 //! optional chaos plan; `PipelineRunner` and the `recd-dpp` CLI both call it.
 //!
-//! Under [`ShardPolicy::FileRoundRobin`] with `shards == readers`, the
-//! service's concatenated output is **identical** to the one-shot
-//! [`recd_reader::ReaderTier`] over the same files — the integration tests
-//! assert this sample for sample, and the fan-out tests assert the
-//! multiset union across trainer lanes matches the single-sink baseline for
-//! every assignment policy.
+//! Under [`ShardPolicy::FileRoundRobin`] with `shards` readers, the
+//! service's collected output is **identical** to a serial reference reader
+//! that gives reader *r* every file *i* with `i % shards == r` — the
+//! integration tests assert this batch for batch (and `PipelineRunner::run`
+//! reads landed partitions exactly this way), and the fan-out tests assert
+//! the multiset union across trainer lanes matches the single-sink baseline
+//! for every assignment policy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

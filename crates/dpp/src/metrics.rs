@@ -104,9 +104,15 @@ pub struct TrainerLaneReport {
     pub delivered_batches: u64,
     /// Samples delivered onto the lane.
     pub delivered_samples: u64,
-    /// Batches the trainer pulled.
+    /// Batches the trainer had pulled when
+    /// [`DppHandle::finish`](crate::DppHandle::finish) took this report — a
+    /// snapshot: a trainer still draining its lane keeps counting on its
+    /// [`TrainerHandle::consumed_batches`](crate::TrainerHandle::consumed_batches),
+    /// so this is at most `delivered_batches`.
     pub consumed_batches: u64,
-    /// Samples the trainer pulled.
+    /// Samples the trainer had pulled when
+    /// [`DppHandle::finish`](crate::DppHandle::finish) took this report — a
+    /// snapshot, like `consumed_batches`.
     pub consumed_samples: u64,
     /// Batches discarded because the trainer dropped its handle mid-run.
     pub dropped_batches: u64,

@@ -76,10 +76,10 @@ const LATENCY_BOUNDS: &[f64] = &[
 /// How the router assigns incoming rows to shard lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPolicy {
-    /// Whole files round-robin across shards by submission index — mirrors
-    /// the batch [`ReaderTier`](recd_reader::ReaderTier) file assignment, so
-    /// with `shards == readers` the emitted batches are identical to the
-    /// one-shot tier's.
+    /// Whole files round-robin across shards by submission index, so shard
+    /// *r* reads files *i* with `i % shards == r` in order and the collected
+    /// output is shard-major: every batch of shard 0, then shard 1, and so
+    /// on — what `PipelineRunner::run` reads each landed partition with.
     FileRoundRobin,
     /// Each row routes by a hash of its session id, so a session's rows
     /// always land in the same shard and stay adjacent in its accumulator.
@@ -107,8 +107,7 @@ impl ShardPolicy {
 /// Configuration of the streaming service.
 #[derive(Debug, Clone)]
 pub struct DppConfig {
-    /// Batch assembly and dataloader configuration (shared with the batch
-    /// reader tier).
+    /// Batch assembly and dataloader configuration.
     pub reader: ReaderConfig,
     /// Initial concurrent fill (decode) workers.
     pub fill_workers: usize,

@@ -1,39 +1,45 @@
-//! Integration tests for the streaming DPP service: byte-identical
-//! equivalence with the one-shot reader tier, session-affinity preservation,
-//! graceful shutdown, and error surfacing.
+//! Integration tests for the streaming DPP service: batch-for-batch
+//! equality with a serial reference reader, what RecD's reader-side
+//! optimizations buy (dedup egress, O4 work, clustering), session-affinity
+//! preservation, graceful shutdown, and error surfacing.
 
-use recd_core::{DataLoaderConfig, JaggedTensor};
+use recd_core::{ConvertedBatch, DataLoaderConfig, JaggedTensor};
+use recd_data::ColumnarBatch;
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
-use recd_dpp::{DppConfig, DppService, ShardPolicy};
+use recd_dpp::{DppConfig, DppReport, DppService, ShardPolicy};
 use recd_etl::cluster_by_session;
-use recd_reader::{PreprocessPipeline, ReaderConfig, ReaderTier, SparseTransform};
-use recd_storage::{StoredPartition, TableStore, TectonicSim};
+use recd_reader::{
+    fill_file_columnar_into, PhaseEngine, PreprocessPipeline, ReaderConfig, ReaderMetrics,
+    SparseTransform,
+};
+use recd_storage::{FileReadScratch, StoredPartition, TableStore, TectonicSim};
 use std::sync::Arc;
 
 struct Fixture {
     schema: recd_data::Schema,
     store: Arc<TableStore>,
+    /// The partition landed session-clustered (hour 0).
     partition: StoredPartition,
+    /// The same rows landed in generation (time-interleaved) order (hour 1).
+    interleaved: StoredPartition,
     rows: usize,
 }
 
-fn fixture(clustered: bool) -> Fixture {
+fn fixture() -> Fixture {
     let generator = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
     let partition = generator.generate_partition();
-    let samples = if clustered {
-        cluster_by_session(&partition.samples)
-    } else {
-        partition.samples.clone()
-    };
+    let samples = cluster_by_session(&partition.samples);
     // Small stripes so the partition spans many files and the pipeline
     // actually streams.
     let store = Arc::new(TableStore::new(TectonicSim::new(4), 16, 1));
     let (stored, _) = store.land_partition(&partition.schema, "t", 0, &samples);
+    let (interleaved, _) = store.land_partition(&partition.schema, "t", 1, &partition.samples);
     assert!(stored.files.len() >= 4, "fixture must span several files");
     Fixture {
         schema: partition.schema,
         store,
         partition: stored,
+        interleaved,
         rows: samples.len(),
     }
 }
@@ -42,51 +48,175 @@ fn reader_config(schema: &recd_data::Schema, batch_size: usize) -> ReaderConfig 
     ReaderConfig::new(batch_size, DataLoaderConfig::from_schema(schema))
 }
 
-/// The acceptance criterion: with file-round-robin sharding and
-/// `shards == readers`, the streaming service's concatenated output is
-/// sample-for-sample identical to the one-shot `ReaderTier`, for any worker
-/// count.
+fn standard_pipeline() -> PreprocessPipeline {
+    PreprocessPipeline::standard(1 << 20, 64)
+}
+
+/// The serial reference reader the service is held to: reader `r` of
+/// `readers` takes files `i` with `i % readers == r`, fills them one by one
+/// into a single columnar buffer, cuts it into `batch_size` chunks and runs
+/// convert + process on each; readers' outputs concatenate in reader order.
+fn reference_read(
+    f: &Fixture,
+    files: &[String],
+    config: &ReaderConfig,
+    readers: usize,
+) -> (Vec<ConvertedBatch>, ReaderMetrics) {
+    let (mut batches, mut metrics) = (Vec::new(), ReaderMetrics::default());
+    for r in 0..readers {
+        let mut rows = ColumnarBatch::new(f.schema.dense_count(), f.schema.sparse_count());
+        let mut file = rows.clone();
+        let mut scratch = FileReadScratch::default();
+        for path in files.iter().skip(r).step_by(readers) {
+            file.clear();
+            fill_file_columnar_into(
+                &f.store,
+                &f.schema,
+                path,
+                &mut scratch,
+                &mut file,
+                &mut metrics,
+            )
+            .expect("landed file reads back");
+            rows.append(&file).expect("one schema, one shape");
+        }
+        let mut engine = PhaseEngine::new(config.clone(), standard_pipeline());
+        for start in (0..rows.len()).step_by(config.batch_size) {
+            let chunk = rows.slice_rows(start..(start + config.batch_size).min(rows.len()));
+            let mut batch = ConvertedBatch::default();
+            engine
+                .run_batch_columnar_into(&chunk, &mut batch, &mut metrics)
+                .expect("reference conversion");
+            batches.push(batch);
+        }
+    }
+    (batches, metrics)
+}
+
+/// The work counters of a run — everything but the wall-clock timings.
+fn work(mut metrics: ReaderMetrics) -> ReaderMetrics {
+    metrics.fill.cpu_nanos = 0;
+    metrics.convert.cpu_nanos = 0;
+    metrics.process.cpu_nanos = 0;
+    metrics
+}
+
+/// One collect-mode run over `partitions` with file-round-robin sharding.
+fn run_file_round_robin(
+    f: &Fixture,
+    config: ReaderConfig,
+    shards: usize,
+    compute_workers: usize,
+    partitions: &[&StoredPartition],
+) -> (Vec<ConvertedBatch>, DppReport) {
+    let config = DppConfig::new(config)
+        .with_policy(ShardPolicy::FileRoundRobin)
+        .with_shards(shards)
+        .with_fill_workers(2)
+        .with_compute_workers(compute_workers)
+        .with_pipeline_factory(standard_pipeline);
+    let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
+    for partition in partitions {
+        handle.submit_partition(partition);
+    }
+    let output = handle.finish().expect("clean run");
+    (output.batches, output.report)
+}
+
+/// The acceptance criterion: with file-round-robin sharding over `shards`
+/// lanes, the service's collected output is batch-for-batch identical to
+/// the serial reference reader with as many readers — over two partitions,
+/// with and without dedup groups, for any worker count — and every landed
+/// row comes out exactly once.
 #[test]
 fn streaming_output_matches_one_shot_reader_tier() {
-    let f = fixture(true);
-    let readers = 3;
-
-    let tier = ReaderTier::new(readers, reader_config(&f.schema, 64), || {
-        PreprocessPipeline::standard(1 << 20, 64)
-    });
-    let (outputs, tier_report) = tier.run(&f.store, &f.schema, &f.partition).unwrap();
-    let one_shot: Vec<_> = outputs.into_iter().flat_map(|o| o.batches).collect();
-
-    for compute_workers in [1, 2, 4] {
-        let config = DppConfig::new(reader_config(&f.schema, 64))
-            .with_policy(ShardPolicy::FileRoundRobin)
-            .with_shards(readers)
-            .with_fill_workers(2)
-            .with_compute_workers(compute_workers)
-            .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64));
-        let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
-        handle.submit_partition(&f.partition);
-        let output = handle.finish().expect("clean run");
-
-        assert_eq!(
-            output.batches.len(),
-            one_shot.len(),
-            "batch count must match at {compute_workers} workers"
-        );
-        for (i, (streamed, batch)) in output.batches.iter().zip(&one_shot).enumerate() {
-            assert_eq!(
-                streamed, batch,
-                "batch {i} diverged at {compute_workers} workers"
+    let f = fixture();
+    let shards = 3;
+    let files: Vec<String> = [&f.partition, &f.interleaved]
+        .iter()
+        .flat_map(|p| p.files.iter().cloned())
+        .collect();
+    for dataloader in [
+        DataLoaderConfig::from_schema(&f.schema),
+        DataLoaderConfig::baseline_from_schema(&f.schema),
+    ] {
+        let config = ReaderConfig::new(64, dataloader);
+        let (reference, reference_metrics) = reference_read(&f, &files, &config, shards);
+        for compute_workers in [1, 2, 4] {
+            let (batches, report) = run_file_round_robin(
+                &f,
+                config.clone(),
+                shards,
+                compute_workers,
+                &[&f.partition, &f.interleaved],
             );
+            assert_eq!(
+                batches.len(),
+                reference.len(),
+                "batch count must match at {compute_workers} workers"
+            );
+            for (i, (streamed, batch)) in batches.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    streamed, batch,
+                    "batch {i} diverged at {compute_workers} workers"
+                );
+            }
+            assert_eq!(work(report.reader_metrics), work(reference_metrics));
+            assert_eq!(report.samples, 2 * f.rows);
+            assert_eq!(
+                batches.iter().map(|b| b.batch_size).sum::<usize>(),
+                2 * f.rows
+            );
+            assert_eq!(report.compute_workers, compute_workers);
+            assert!(report.samples_per_second > 0.0);
         }
-        assert_eq!(output.report.samples, tier_report.metrics.samples);
-        assert_eq!(
-            output.report.reader_metrics.egress_bytes,
-            tier_report.metrics.egress_bytes
-        );
-        assert_eq!(output.report.compute_workers, compute_workers);
-        assert!(output.report.samples_per_second > 0.0);
     }
+}
+
+/// O3 + O4 on the service: over the same clustered partition, the
+/// deduplicating configuration sends fewer bytes toward trainers than the
+/// baseline one and preprocesses fewer values.
+#[test]
+fn dedup_service_sends_fewer_bytes_and_preprocesses_fewer_values_than_baseline() {
+    let f = fixture();
+    let run = |dataloader| {
+        run_file_round_robin(
+            &f,
+            ReaderConfig::new(128, dataloader),
+            2,
+            2,
+            &[&f.partition],
+        )
+        .1
+    };
+    let recd = run(DataLoaderConfig::from_schema(&f.schema));
+    let baseline = run(DataLoaderConfig::baseline_from_schema(&f.schema));
+    assert_eq!(recd.samples, baseline.samples);
+    assert!(
+        recd.egress_bytes < baseline.egress_bytes,
+        "dedup egress {} should be below baseline {}",
+        recd.egress_bytes,
+        baseline.egress_bytes
+    );
+    assert!(recd.reader_metrics.process.items < baseline.reader_metrics.process.items);
+}
+
+/// O2 on the service: the same rows landed session-clustered dedupe better
+/// in-batch than landed in time-interleaved order.
+#[test]
+fn clustered_partitions_dedupe_better_than_interleaved() {
+    let f = fixture();
+    let run =
+        |partition| run_file_round_robin(&f, reader_config(&f.schema, 128), 2, 2, &[partition]).1;
+    let clustered = run(&f.partition);
+    let interleaved = run(&f.interleaved);
+    assert_eq!(clustered.samples, interleaved.samples);
+    assert!(
+        clustered.dedupe_factor > interleaved.dedupe_factor,
+        "clustering should increase the in-batch dedupe factor ({:.2} vs {:.2})",
+        clustered.dedupe_factor,
+        interleaved.dedupe_factor
+    );
 }
 
 /// Session-affine sharding preserves the in-batch dedup factor that O1/O2
@@ -94,7 +224,7 @@ fn streaming_output_matches_one_shot_reader_tier() {
 /// destroys it.
 #[test]
 fn session_affine_sharding_preserves_dedup_factor() {
-    let f = fixture(true);
+    let f = fixture();
     let run = |policy: ShardPolicy| {
         let config = DppConfig::new(reader_config(&f.schema, 64))
             .with_policy(policy)
@@ -146,7 +276,7 @@ impl SparseTransform for SlowIdentity {
 /// deadlocking the drain.
 #[test]
 fn finish_drains_all_in_flight_work_under_backpressure() {
-    let f = fixture(true);
+    let f = fixture();
     let config = DppConfig::new(reader_config(&f.schema, 32))
         .with_queue_depth(2)
         .with_compute_workers(1)
@@ -176,7 +306,7 @@ fn finish_drains_all_in_flight_work_under_backpressure() {
 /// still byte-deterministic.
 #[test]
 fn batch_pool_recycles_buffers_at_steady_state() {
-    let f = fixture(true);
+    let f = fixture();
     // Misses can occur for every concurrently live shell before the first
     // recycles land (worst case ≈ 2*queue_depth + shards + workers ≈ 14
     // here), so the run must be long enough that the 10% miss budget
@@ -187,7 +317,7 @@ fn batch_pool_recycles_buffers_at_steady_state() {
         .with_compute_workers(2)
         .with_shards(2)
         .with_queue_depth(4)
-        .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64));
+        .with_pipeline_factory(standard_pipeline);
     let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
     for _ in 0..rounds {
         handle.submit_partition(&f.partition);
@@ -229,12 +359,12 @@ fn batch_pool_recycles_buffers_at_steady_state() {
 /// value-identical to a run with no recycling at all.
 #[test]
 fn converted_shells_recycle_through_the_consumer_loop() {
-    let f = fixture(true);
+    let f = fixture();
     let run = |recycle: bool| {
         let config = DppConfig::new(reader_config(&f.schema, 32))
             .with_compute_workers(2)
             .with_shards(2)
-            .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64));
+            .with_pipeline_factory(standard_pipeline);
         let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
         let pool = handle.converted_pool();
         for round in 0..4 {
@@ -265,7 +395,7 @@ fn converted_shells_recycle_through_the_consumer_loop() {
 /// and still returns the report.
 #[test]
 fn missing_file_surfaces_as_error_without_deadlock() {
-    let f = fixture(true);
+    let f = fixture();
     let config = DppConfig::new(reader_config(&f.schema, 64));
     let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
     handle.submit_file("does-not-exist");

@@ -11,12 +11,13 @@
 use crate::config::{RecdConfig, RmPreset, RmSpec};
 use crate::run::{evaluate_trainer, PipelineRunner};
 use recd_core::{DataLoaderConfig, DedupeModel, FeatureConverter};
-use recd_data::SampleBatch;
+use recd_data::{ColumnarBatch, Sample};
 use recd_datagen::{
     characterize, CharacterizationReport, DatasetGenerator, WorkloadConfig, WorkloadPreset,
 };
 use recd_etl::cluster_by_session;
 use recd_obs::ManualClock;
+use recd_reader::{ReaderCostModel, ReaderMetrics};
 use recd_scribe::{ScribeCluster, ScribeConfig, ShardKeyPolicy};
 use recd_storage::{NodeConfig, PlacementPolicy, TableStore, TectonicSim};
 use recd_trainer::{
@@ -250,8 +251,8 @@ pub fn fig7(scale: ExperimentScale) -> Fig7Report {
                     baseline.report.trainer.throughput,
                 ),
                 reader_speedup: ratio(
-                    recd.report.reader.per_reader_throughput(),
-                    baseline.report.reader.per_reader_throughput(),
+                    ReaderCostModel::default().samples_per_cpu_second(&recd.report.reader),
+                    ReaderCostModel::default().samples_per_cpu_second(&baseline.report.reader),
                 ),
                 storage_improvement: ratio(
                     recd.report.storage.compression_ratio(),
@@ -727,11 +728,11 @@ pub fn fig10(scale: ExperimentScale) -> Fig10Report {
             let batch = scale.batch(spec.baseline_batch);
             let baseline = PipelineRunner::new(spec.clone(), RecdConfig::baseline()).run(batch);
             let recd = PipelineRunner::new(spec, RecdConfig::full()).run(batch);
-            let cost_model = recd_reader::ReaderCostModel::default();
-            let b = baseline.report.reader.metrics;
-            let r = recd.report.reader.metrics;
+            let cost_model = ReaderCostModel::default();
+            let b = baseline.report.reader;
+            let r = recd.report.reader;
             let b_total = cost_model.nanos_per_sample(&b).max(1e-9);
-            let per_sample = |m: recd_reader::ReaderMetrics| {
+            let per_sample = |m: ReaderMetrics| {
                 let samples = m.samples.max(1) as f64;
                 let (fill, convert, process) = cost_model.phase_nanos(&m);
                 (
@@ -832,11 +833,11 @@ pub fn table4(scale: ExperimentScale) -> Table4Report {
     .run(batch);
     let fig9_report = fig9(scale);
 
-    let cost_model = recd_reader::ReaderCostModel::default();
-    let (baseline_fill, _, _) = cost_model.phase_nanos(&baseline.report.reader.metrics);
+    let cost_model = ReaderCostModel::default();
+    let (baseline_fill, _, _) = cost_model.phase_nanos(&baseline.report.reader);
     let (clustered_fill, clustered_convert, clustered_process) =
-        cost_model.phase_nanos(&clustered.report.reader.metrics);
-    let (_, ikjt_convert, ikjt_process) = cost_model.phase_nanos(&ikjt.report.reader.metrics);
+        cost_model.phase_nanos(&clustered.report.reader);
+    let (_, ikjt_convert, ikjt_process) = cost_model.phase_nanos(&ikjt.report.reader);
     let fill_reduction = 1.0 - clustered_fill / baseline_fill.max(1.0);
     let convert_overhead = ikjt_convert / clustered_convert.max(1.0) - 1.0;
     let process_reduction = 1.0 - ikjt_process / clustered_process.max(1.0);
@@ -998,8 +999,13 @@ pub fn dedupe_factor_sweep(scale: ExperimentScale) -> DedupeFactorReport {
             let schema = generator.schema().clone();
             let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&schema));
             let take = batch_size.min(clustered.len());
+            let batch = ColumnarBatch::from_samples(
+                &clustered[..take],
+                schema.dense_count(),
+                schema.sparse_count(),
+            );
             let converted = converter
-                .convert(&SampleBatch::new(clustered[..take].to_vec()))
+                .convert_columnar(&batch)
                 .expect("conversion of generated batch succeeds");
             rows.push(DedupeFactorRow {
                 samples_per_session: s,
@@ -1064,16 +1070,18 @@ pub fn accuracy(scale: ExperimentScale) -> AccuracyReport {
     let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&schema));
 
     let clustered = cluster_by_session(&partition.samples);
-    let make_batches = |samples: &[recd_data::Sample], dedup: bool| {
-        SampleBatch::new(samples.to_vec())
+    let make_batches = |samples: &[Sample], dedup: bool| {
+        samples
             .chunks(64)
-            .iter()
-            .map(|b| {
+            .map(|chunk| {
+                let batch =
+                    ColumnarBatch::from_samples(chunk, schema.dense_count(), schema.sparse_count());
                 if dedup {
-                    converter.convert(b).expect("conversion succeeds")
+                    converter.convert_columnar(&batch)
                 } else {
-                    converter.convert_baseline(b).expect("conversion succeeds")
+                    converter.convert_columnar_baseline(&batch)
                 }
+                .expect("conversion succeeds")
             })
             .collect::<Vec<_>>()
     };

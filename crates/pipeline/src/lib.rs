@@ -7,7 +7,7 @@
 //! paper draws them:
 //!
 //! ```text
-//! datagen ──logs──▶ scribe (O1) ──▶ etl (O2) ──▶ storage ──▶ reader tier (O3, O4)
+//! datagen ──logs──▶ scribe (O1) ──▶ etl (O2) ──▶ storage ──▶ DPP service (O3, O4)
 //!                                                              │
 //!                                                              ▼
 //!                                              trainer cost model + executable DLRM (O5–O7)
@@ -17,7 +17,9 @@
 //! * [`RmPreset`] provides scaled-down analogues of the paper's RM1/RM2/RM3
 //!   production models.
 //! * [`PipelineRunner`] runs one configuration end to end and produces a
-//!   [`PipelineReport`] with storage, reader, and trainer measurements.
+//!   [`PipelineReport`] with storage, reader, and trainer measurements; its
+//!   reader tier is the `recd_dpp` service, one collect-mode run per landed
+//!   partition.
 //!   `with_continuous` additionally runs the streaming tail → ETL → DPP
 //!   pipeline through the one driver in `recd_dpp::driver` (the runner only
 //!   builds its configs and maps its report); `with_hosts` makes that DPP

@@ -10,7 +10,7 @@ use recd_dpp::{
     ShardPolicy, TailFeed, Topology, TrainerAssignPolicy, TrainerBatch,
 };
 use recd_etl::{EtlJob, EtlServiceReport, EtlStreamConfig, TableLayout};
-use recd_reader::{PreprocessPipeline, ReaderConfig, ReaderTier, TierReport};
+use recd_reader::{ReaderConfig, ReaderMetrics};
 use recd_scribe::{LogTail, ScribeCluster, ScribeConfig, ScribeReport, ShardKeyPolicy, TailConfig};
 use recd_storage::{NodeConfig, StorageReport, TableStore, TectonicSim};
 use recd_trainer::{
@@ -34,8 +34,11 @@ pub struct PipelineReport {
     pub scribe: ScribeReport,
     /// Storage byte accounting (O2).
     pub storage: StorageReport,
-    /// Reader tier accounting (O3, O4).
-    pub reader: TierReport,
+    /// Reader tier accounting (O3, O4): the per-phase work counters of the
+    /// DPP service runs that read every landed partition. Figures 7 and 10
+    /// and Table 4 model reader time from these counters through
+    /// [`ReaderCostModel`](recd_reader::ReaderCostModel).
+    pub reader: ReaderMetrics,
     /// Modeled training iteration cost (O5–O7).
     pub trainer: IterationCost,
     /// Modeled GPU memory usage.
@@ -46,10 +49,6 @@ pub struct PipelineReport {
     pub read_bytes: usize,
     /// Total bytes readers sent toward trainers.
     pub egress_bytes: usize,
-    /// Streaming DPP service accounting (wall-clock throughput, queue
-    /// peaks), present when the runner was configured with
-    /// [`PipelineRunner::with_streaming`].
-    pub streaming: Option<DppReport>,
     /// Continuous-pipeline accounting (log tail → streaming ETL → land →
     /// `recd-dpp` ingest), present when the runner was configured with
     /// [`PipelineRunner::with_continuous`].
@@ -115,7 +114,8 @@ pub struct ContinuousDerived {
 pub struct PipelineArtifacts {
     /// The dataset schema.
     pub schema: Schema,
-    /// Preprocessed batches, in storage order.
+    /// Preprocessed batches, partition by partition; within a partition,
+    /// shard-major under file round-robin (see [`PipelineRunner::run`]).
     pub batches: Vec<ConvertedBatch>,
     /// The model configuration derived from the RM spec.
     pub model: DlrmConfig,
@@ -174,9 +174,6 @@ impl StorageSimConfig {
 pub struct PipelineRunner {
     spec: RmSpec,
     config: RecdConfig,
-    readers: usize,
-    streaming_workers: Option<usize>,
-    streaming_trainers: usize,
     continuous_workers: Option<usize>,
     continuous_trainers: usize,
     hosts: usize,
@@ -191,9 +188,6 @@ impl PipelineRunner {
         Self {
             spec,
             config,
-            readers: 2,
-            streaming_workers: None,
-            streaming_trainers: 0,
             continuous_workers: None,
             continuous_trainers: 0,
             hosts: 0,
@@ -208,36 +202,6 @@ impl PipelineRunner {
     #[must_use]
     pub fn with_storage(mut self, storage: StorageSimConfig) -> Self {
         self.storage = storage;
-        self
-    }
-
-    /// Overrides the number of reader nodes.
-    #[must_use]
-    pub fn with_readers(mut self, readers: usize) -> Self {
-        self.readers = readers.max(1);
-        self
-    }
-
-    /// Additionally drives the streaming `recd-dpp` service (with the given
-    /// compute worker count) over the landed partitions and records its
-    /// wall-clock throughput in [`PipelineReport::streaming`].
-    #[must_use]
-    pub fn with_streaming(mut self, compute_workers: usize) -> Self {
-        self.streaming_workers = Some(compute_workers.max(1));
-        self
-    }
-
-    /// In streaming mode, fans preprocessed batches out to `trainers`
-    /// simulated trainer endpoints (shard-pinned assignment), each consuming
-    /// its own bounded lane concurrently. The per-trainer delivery and
-    /// consumption accounting lands in
-    /// [`DppReport::trainers`](recd_dpp::DppReport) inside
-    /// [`PipelineReport::streaming`]. Passing `0` keeps the collect sink
-    /// (the default); no effect unless [`PipelineRunner::with_streaming`] is
-    /// also set.
-    #[must_use]
-    pub fn with_streaming_trainers(mut self, trainers: usize) -> Self {
-        self.streaming_trainers = trainers;
         self
     }
 
@@ -360,7 +324,7 @@ impl PipelineRunner {
         let partitions = EtlJob::new(layout).run(&schema, &drained);
 
         // 4. Storage: land every partition as DWRF-like files in Tectonic.
-        let table_store = TableStore::new(self.storage.build(), 64, 4);
+        let table_store = Arc::new(TableStore::new(self.storage.build(), 64, 4));
         let mut storage_report = StorageReport::default();
         let mut stored_partitions = Vec::new();
         for partition in &partitions {
@@ -375,72 +339,35 @@ impl PipelineRunner {
         }
         table_store.blob_store().reset_read_counters();
 
-        // 5. Reader tier (O3, O4): fill, convert, preprocess.
+        // 5. Reader tier (O3, O4): fill, convert, preprocess. One DPP
+        // service per landed partition keeps the batches partition-major;
+        // within a partition, files round-robin across the default two
+        // shards and the collected output is shard-major.
         let dataloader = if config.o3_ikjt {
             DataLoaderConfig::from_schema(&schema)
         } else {
             DataLoaderConfig::baseline_from_schema(&schema)
         };
-        let mut reader_config = ReaderConfig::new(batch_size, dataloader);
-        if !config.o3_ikjt {
-            reader_config = reader_config.without_dedup();
-        }
-        let tier = ReaderTier::new(self.readers, reader_config.clone(), PreprocessPipeline::new);
-        let mut reader_report = TierReport {
-            readers: self.readers,
-            ..TierReport::default()
-        };
+        let reader_config = ReaderConfig::new(batch_size, dataloader);
+        let mut reader = ReaderMetrics::default();
         let mut batches = Vec::new();
         for stored in &stored_partitions {
-            let (outputs, report) = tier
-                .run(&table_store, &schema, stored)
-                .expect("reader tier over freshly-landed partitions succeeds");
-            reader_report.metrics += report.metrics;
-            for output in outputs {
-                batches.extend(output.batches);
-            }
-        }
-        let read_bytes = table_store.blob_store().stats().read_bytes;
-        let egress_bytes = reader_report.metrics.egress_bytes;
-
-        // 5b. Optional streaming mode: run the recd-dpp service over the same
-        // landed partitions and record its wall-clock throughput. (After the
-        // read_bytes capture so the one-shot accounting stays untouched.)
-        let streaming = self.streaming_workers.map(|workers| {
-            let mut dpp_config = DppConfig::new(reader_config.clone())
-                .with_policy(ShardPolicy::SessionAffine)
-                .with_shards(workers)
-                .with_compute_workers(workers)
-                .with_fill_workers(2);
-            if self.streaming_trainers > 0 {
-                dpp_config = dpp_config.with_trainers(self.streaming_trainers);
-            }
             let mut handle = DppService::start(
-                dpp_config,
-                std::sync::Arc::new(table_store.clone()),
+                DppConfig::new(reader_config.clone()).with_policy(ShardPolicy::FileRoundRobin),
+                Arc::clone(&table_store),
                 schema.clone(),
             );
-            // Simulated trainers: each drains its own lane concurrently so
-            // per-trainer flow control (not the runner) paces delivery.
-            let consumers: Vec<_> = handle
-                .take_trainers()
-                .into_iter()
-                .map(|trainer| std::thread::spawn(move || trainer.drain().len()))
-                .collect();
-            for stored in &stored_partitions {
-                handle.submit_partition(stored);
-            }
-            let report = handle
+            handle.submit_partition(stored);
+            let output = handle
                 .finish()
-                .expect("streaming over freshly-landed partitions succeeds")
-                .report;
-            for consumer in consumers {
-                consumer.join().expect("trainer consumer thread");
-            }
-            report
-        });
+                .expect("reading freshly-landed partitions succeeds");
+            reader += output.report.reader_metrics;
+            batches.extend(output.batches);
+        }
+        let read_bytes = table_store.blob_store().stats().read_bytes;
+        let egress_bytes = reader.egress_bytes;
 
-        // 5c. Optional continuous mode: tail the same drained log stream
+        // 5b. Optional continuous mode: tail the same drained log stream
         // through the streaming ETL service (incremental join, watermarked
         // hourly seals, landing) and hand every landed partition straight to
         // a running recd-dpp service — under the chaos engine when a fault
@@ -474,13 +401,12 @@ impl PipelineRunner {
             samples,
             scribe: scribe_report,
             storage: storage_report,
-            reader: reader_report,
+            reader,
             trainer,
             memory,
             dedupe_factor,
             read_bytes,
             egress_bytes,
-            streaming,
             continuous,
             chaos: chaos_report,
         };
@@ -692,54 +618,12 @@ mod tests {
         );
         // Most batches carry IKJTs under the full config.
         assert!(artifacts.batches.iter().any(|b| !b.ikjts.is_empty()));
-    }
-
-    #[test]
-    fn streaming_mode_reports_live_throughput() {
-        let artifacts = PipelineRunner::new(small_spec(), RecdConfig::full())
-            .with_streaming(2)
-            .run(128);
-        let report = artifacts.report;
-        let streaming = report.streaming.expect("streaming report requested");
-        assert_eq!(streaming.compute_workers, 2);
-        assert_eq!(streaming.samples, report.samples);
-        assert!(streaming.samples_per_second > 0.0);
-        assert!(
-            streaming.dedupe_factor > 1.0,
-            "session-affine sharding must preserve dedup"
-        );
-        // Streaming egress uses the same dedup path, so it stays in the same
-        // ballpark as the one-shot reader's.
-        assert!(streaming.egress_bytes > 0);
-
-        let without = PipelineRunner::new(small_spec(), RecdConfig::full()).run(128);
-        assert!(without.report.streaming.is_none());
-    }
-
-    #[test]
-    fn streaming_fan_out_reports_per_trainer_sections() {
-        let artifacts = PipelineRunner::new(small_spec(), RecdConfig::full())
-            .with_streaming(2)
-            .with_streaming_trainers(3)
-            .run(128);
-        let report = artifacts.report;
-        let streaming = report.streaming.expect("streaming report requested");
-        assert_eq!(
-            streaming.trainers.len(),
-            3,
-            "one report section per trainer"
-        );
-        assert_eq!(streaming.assign_policy, "shard_pinned");
-        // Every emitted sample was delivered to (and consumed by) exactly
-        // one trainer.
-        let delivered: u64 = streaming.trainers.iter().map(|t| t.delivered_samples).sum();
-        let consumed: u64 = streaming.trainers.iter().map(|t| t.consumed_samples).sum();
-        assert_eq!(delivered as usize, report.samples);
-        assert_eq!(consumed, delivered, "trainers drained everything");
-        assert!(streaming
-            .trainers
-            .iter()
-            .all(|t| t.dropped_batches == 0 && t.consumed_batches == t.delivered_batches));
+        // The reader accounting is the DPP runs' own, batch for batch.
+        let reader = artifacts.report.reader;
+        assert_eq!(reader.samples, artifacts.report.samples);
+        assert_eq!(reader.batches, artifacts.batches.len());
+        assert_eq!(reader.egress_bytes, artifacts.report.egress_bytes);
+        assert_eq!(reader.barrier_flushes, 0, "no barriers in a collect run");
     }
 
     #[test]

@@ -14,23 +14,21 @@
 //!   and their outputs stay deduplicated, cutting both reader CPU time and
 //!   reader→trainer network bytes.
 //!
-//! [`ReaderNode`] implements fill/convert/process with per-phase CPU-time and
-//! byte accounting ([`ReaderMetrics`]); [`ReaderTier`] runs several readers
-//! over a partition's files in parallel.
+//! [`fill_file_columnar_into`] (fill) and [`PhaseEngine`] (convert +
+//! process) implement the phases once, with per-phase CPU-time and byte
+//! accounting ([`ReaderMetrics`]). The streaming `recd-dpp` service is the
+//! only reader: its fill workers call the first and its compute workers own
+//! one engine each.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod metrics;
 pub mod phases;
-pub mod reader;
-pub mod tier;
 pub mod transforms;
 
 pub use metrics::{PhaseMetrics, ReaderCostModel, ReaderMetrics};
-pub use phases::{fill_file, fill_file_columnar, fill_file_columnar_into, PhaseEngine};
-pub use reader::{ReaderConfig, ReaderNode, ReaderOutput};
-pub use tier::{ReaderTier, TierReport};
+pub use phases::{fill_file_columnar_into, PhaseEngine, ReaderConfig};
 pub use transforms::{
     DenseNormalize, HashBucketize, PreprocessPipeline, PreprocessStats, SparseTransform,
     TransformScratch, TruncateList,

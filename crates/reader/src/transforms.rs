@@ -408,10 +408,10 @@ impl PreprocessPipeline {
 mod tests {
     use super::*;
     use recd_core::{DataLoaderConfig, FeatureConverter};
-    use recd_data::{FeatureId, RequestId, Sample, SampleBatch, SessionId, Timestamp};
+    use recd_data::{ColumnarBatch, FeatureId, RequestId, Sample, SessionId, Timestamp};
 
-    fn batch_with_duplicates() -> SampleBatch {
-        (0..6u64)
+    fn batch_with_duplicates() -> ColumnarBatch {
+        let samples: Vec<Sample> = (0..6u64)
             .map(|i| {
                 Sample::builder(
                     SessionId::new(i / 3),
@@ -423,7 +423,8 @@ mod tests {
                 .sparse(vec![vec![100 + (i / 3), 200 + (i / 3), 300], vec![i]])
                 .build()
             })
-            .collect()
+            .collect();
+        ColumnarBatch::from_samples(&samples, 2, 2)
     }
 
     fn converted(dedup: bool) -> recd_core::ConvertedBatch {
@@ -438,7 +439,7 @@ mod tests {
                 .with_dense_features(2)
         };
         FeatureConverter::new(config)
-            .convert(&batch_with_duplicates())
+            .convert_columnar(&batch_with_duplicates())
             .unwrap()
     }
 

@@ -406,7 +406,7 @@ impl MemoryReport {
 mod tests {
     use super::*;
     use recd_core::{DataLoaderConfig, FeatureConverter};
-    use recd_data::SampleBatch;
+    use recd_data::ColumnarBatch;
     use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
     use recd_etl::cluster_by_session;
 
@@ -414,12 +414,16 @@ mod tests {
         let gen = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
         let p = gen.generate_partition();
         let clustered = cluster_by_session(&p.samples);
-        let sample_batch = SampleBatch::new(clustered[..128.min(clustered.len())].to_vec());
+        let rows = ColumnarBatch::from_samples(
+            &clustered[..128.min(clustered.len())],
+            p.schema.dense_count(),
+            p.schema.sparse_count(),
+        );
         let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&p.schema));
         let converted = if dedup {
-            converter.convert(&sample_batch).unwrap()
+            converter.convert_columnar(&rows).unwrap()
         } else {
-            converter.convert_baseline(&sample_batch).unwrap()
+            converter.convert_columnar_baseline(&rows).unwrap()
         };
         (p.schema, converted)
     }

@@ -534,7 +534,7 @@ fn interaction_backward(
 mod tests {
     use super::*;
     use recd_core::{DataLoaderConfig, FeatureConverter};
-    use recd_data::SampleBatch;
+    use recd_data::ColumnarBatch;
     use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
     use recd_etl::cluster_by_session;
 
@@ -542,13 +542,17 @@ mod tests {
         let gen = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
         let p = gen.generate_partition();
         let clustered = cluster_by_session(&p.samples);
-        let batch = SampleBatch::new(clustered[..128.min(clustered.len())].to_vec());
+        let batch = ColumnarBatch::from_samples(
+            &clustered[..128.min(clustered.len())],
+            p.schema.dense_count(),
+            p.schema.sparse_count(),
+        );
         let config = DataLoaderConfig::from_schema(&p.schema);
         let converter = FeatureConverter::new(config);
         let converted = if dedup {
-            converter.convert(&batch).unwrap()
+            converter.convert_columnar(&batch).unwrap()
         } else {
-            converter.convert_baseline(&batch).unwrap()
+            converter.convert_columnar_baseline(&batch).unwrap()
         };
         (p.schema, converted)
     }

@@ -107,7 +107,7 @@ mod tests {
     use super::*;
     use crate::pooling::PoolingKind;
     use recd_core::{DataLoaderConfig, FeatureConverter};
-    use recd_data::SampleBatch;
+    use recd_data::ColumnarBatch;
     use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
     use recd_etl::cluster_by_session;
 
@@ -116,14 +116,18 @@ mod tests {
         let p = gen.generate_partition();
         let clustered = cluster_by_session(&p.samples);
         let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&p.schema));
-        let batches = SampleBatch::new(clustered)
+        let batches = clustered
             .chunks(64)
-            .iter()
-            .map(|b| {
+            .map(|rows| {
+                let b = ColumnarBatch::from_samples(
+                    rows,
+                    p.schema.dense_count(),
+                    p.schema.sparse_count(),
+                );
                 if dedup {
-                    converter.convert(b).unwrap()
+                    converter.convert_columnar(&b).unwrap()
                 } else {
-                    converter.convert_baseline(b).unwrap()
+                    converter.convert_columnar_baseline(&b).unwrap()
                 }
             })
             .collect();

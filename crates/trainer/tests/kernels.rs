@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recd_core::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
-use recd_data::{SampleBatch, Schema};
+use recd_data::{ColumnarBatch, Sample, Schema};
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd_etl::cluster_by_session;
 use recd_pipeline::RmPreset;
@@ -65,19 +65,24 @@ proptest! {
     }
 }
 
-/// A session-clustered Tiny batch of `len` rows: `convert` turns it into
-/// IKJTs, `convert_baseline` into one plain KJT.
+/// `rows` in the schema's columnar shape.
+fn columns(schema: &Schema, rows: &[Sample]) -> ColumnarBatch {
+    ColumnarBatch::from_samples(rows, schema.dense_count(), schema.sparse_count())
+}
+
+/// A session-clustered Tiny batch of `len` rows: `convert_columnar` turns it
+/// into IKJTs, `convert_columnar_baseline` into one plain KJT.
 fn tiny_batch(dedup: bool, len: usize) -> (Schema, ConvertedBatch) {
     let partition =
         DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny)).generate_partition();
     let mut rows = cluster_by_session(&partition.samples);
     rows.truncate(len);
     let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&partition.schema));
-    let rows = SampleBatch::new(rows);
+    let rows = columns(&partition.schema, &rows);
     let batch = if dedup {
-        converter.convert(&rows)
+        converter.convert_columnar(&rows)
     } else {
-        converter.convert_baseline(&rows)
+        converter.convert_columnar_baseline(&rows)
     };
     (partition.schema, batch.unwrap())
 }
@@ -195,7 +200,7 @@ fn deduplicated_mode_divides_grouped_work_by_the_dedupe_factor() {
     let loader = DataLoaderConfig::from_schema(&partition.schema);
     let grouped: Vec<_> = loader.dedup_groups.iter().flatten().copied().collect();
     let batch = FeatureConverter::new(loader)
-        .convert(&SampleBatch::new(rows))
+        .convert_columnar(&columns(&partition.schema, &rows))
         .unwrap();
     let factor = batch.dedupe_factor();
     assert!(factor > 2.0, "an RM1 batch duplicates heavily: {factor}");

@@ -7,7 +7,7 @@
 //! own threads out of it.
 
 use recd_core::{DataLoaderConfig, FeatureConverter};
-use recd_data::SampleBatch;
+use recd_data::ColumnarBatch;
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd_etl::cluster_by_session;
 use recd_trainer::{Dlrm, DlrmConfig, ExecutionMode, PoolingKind};
@@ -62,11 +62,16 @@ fn a_warm_train_step_allocates_nothing() {
     let partition =
         DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny)).generate_partition();
     let rows = cluster_by_session(&partition.samples);
-    let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&partition.schema));
+    let schema = &partition.schema;
+    let converter = FeatureConverter::new(DataLoaderConfig::from_schema(schema));
     // Two batches of one shape (64 rows) holding different sessions, so the
     // second has its own slot counts and list lengths.
     let batches: Vec<_> = [&rows[..64], &rows[64..128]]
-        .map(|rows| converter.convert(&SampleBatch::new(rows.to_vec())).unwrap())
+        .map(|rows| {
+            let rows =
+                ColumnarBatch::from_samples(rows, schema.dense_count(), schema.sparse_count());
+            converter.convert_columnar(&rows).unwrap()
+        })
         .into();
 
     // Transformer features are forward-only; the mean features exercise the

@@ -13,6 +13,7 @@
 use recd::data::FeatureClass;
 use recd::datagen::{DedupPolicy, FeatureProfile, WorkloadConfig, WorkloadPreset};
 use recd::pipeline::{PipelineRunner, RecdConfig, RmPreset, RmSpec};
+use recd::reader::ReaderCostModel;
 use recd::trainer::PoolingKind;
 
 fn ecommerce_spec() -> RmSpec {
@@ -94,11 +95,14 @@ fn main() {
         r.read_bytes as f64 / 1048576.0,
         r.egress_bytes as f64 / 1048576.0
     );
+    let cost_model = ReaderCostModel::default();
+    let (b_reader, r_reader) = (
+        cost_model.samples_per_cpu_second(&b.reader),
+        cost_model.samples_per_cpu_second(&r.reader),
+    );
     println!(
-        "per-reader throughput        : {:.0} -> {:.0} samples/cpu-s ({:.2}x)",
-        b.reader.per_reader_throughput(),
-        r.reader.per_reader_throughput(),
-        r.reader.per_reader_throughput() / b.reader.per_reader_throughput().max(1e-9)
+        "per-reader throughput        : {b_reader:.0} -> {r_reader:.0} samples/cpu-s ({:.2}x)",
+        r_reader / b_reader.max(1e-9)
     );
     println!(
         "in-batch dedupe factor       : {:.2}x -> {:.2}x",

@@ -2,10 +2,10 @@
 //! IKJTs, inspect the savings, and verify the deduplicated trainer path
 //! produces the same predictions as the baseline path.
 //!
-//! Run with: `cargo run --example quickstart`
+//! Run with: `cargo run --release --example quickstart`
 
 use recd::core::{DataLoaderConfig, DedupeModel, FeatureConverter};
-use recd::data::SampleBatch;
+use recd::data::{ColumnarBatch, SampleBatch};
 use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd::etl::cluster_by_session;
 use recd::trainer::{Dlrm, DlrmConfig, ExecutionMode, PoolingKind};
@@ -39,8 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. Convert the batch: declared dedup groups become IKJTs (RecD O3).
+    let columns =
+        ColumnarBatch::from_samples(batch.samples(), schema.dense_count(), schema.sparse_count());
     let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&schema));
-    let converted = converter.convert(&batch)?;
+    let converted = converter.convert_columnar(&columns)?;
     println!(
         "converted batch: {} logical sparse values stored as {} ({:.2}x dedupe factor)",
         converted.logical_sparse_values(),

@@ -6,8 +6,8 @@
 #
 #   scripts/bench_snapshot.sh
 #
-# The snapshot includes derived speedups for the columnar-vs-rowwise pairs
-# the README's Performance section quotes. Override the output path with
+# The snapshot includes derived speedups for the flat-vs-rowwise process
+# pairs the README's Performance section quotes. Override the output path with
 # BENCH_SNAPSHOT_OUT (the regression gate writes fresh snapshots to a temp
 # file this way). The script fails loudly — nonzero exit, message on stderr —
 # when the bench binaries are missing or produce no parseable timings, so a
@@ -143,10 +143,6 @@ if [ -z "$storage_wait_ms" ] || [ -z "$cache_hit_ratio" ]; then
   exit 1
 fi
 
-convert_row=$(mean_ns "datagen_convert_512/rowwise")
-convert_col=$(mean_ns "datagen_convert_512/columnar")
-fill_row=$(mean_ns "pipeline_fill_convert/rowwise")
-fill_col=$(mean_ns "pipeline_fill_convert/columnar")
 proc_row=$(mean_ns "preprocess/rowwise/baseline")
 proc_flat=$(mean_ns "preprocess/flat/baseline")
 proc_row_dedup=$(mean_ns "preprocess/rowwise/dedup")
@@ -178,8 +174,6 @@ fi
   echo "  \"git_dirty\": $git_dirty,"
   echo '  "command": "scripts/bench_snapshot.sh (cargo bench -p recd-bench --bench columnar --bench dedup_conversion --bench codec --bench fanout --bench etl_stream)",'
   echo '  "derived": {'
-  echo "    \"datagen_convert_512_speedup_columnar_vs_rowwise\": $(ratio "$convert_row" "$convert_col"),"
-  echo "    \"pipeline_fill_convert_speedup_columnar_vs_rowwise\": $(ratio "$fill_row" "$fill_col"),"
   echo "    \"process_speedup_flat_vs_rowwise\": $(ratio "$proc_row" "$proc_flat"),"
   echo "    \"process_speedup_flat_vs_rowwise_dedup\": $(ratio "$proc_row_dedup" "$proc_flat_dedup"),"
   echo "    \"dpp_fanout_speedup_trainers4_vs_1\": $(ratio "$fanout_1" "$fanout_4"),"

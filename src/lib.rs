@@ -17,7 +17,7 @@
 //! | [`scribe`] | `recd-scribe` | sharded message log (O1) |
 //! | [`etl`] | `recd-etl` | join, hourly partitioning, CLUSTER BY session (O2), downsampling |
 //! | [`storage`] | `recd-storage` | DWRF-like columnar files + Tectonic-like blob store |
-//! | [`reader`] | `recd-reader` | fill/convert/process reader tier (O3, O4) |
+//! | [`reader`] | `recd-reader` | fill/convert/process reader phases (O3, O4) the DPP service runs |
 //! | [`dpp`] | `recd-dpp` | streaming DPP service: sharded, backpressured, multi-worker preprocessing |
 //! | [`obs`] | `recd-obs` | observability plane: metrics registry, Prometheus exposition endpoint, cross-tier aggregator |
 //! | [`trainer`] | `recd-trainer` | executable DLRM + hybrid-parallel cost model (O5–O7) |
@@ -29,16 +29,18 @@
 //! use recd::core::{DataLoaderConfig, FeatureConverter};
 //! use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 //! use recd::etl::cluster_by_session;
-//! use recd::data::SampleBatch;
+//! use recd::data::ColumnarBatch;
 //!
 //! // Generate a session-centric workload, cluster it, and deduplicate a batch.
 //! let generator = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
 //! let partition = generator.generate_partition();
+//! let schema = &partition.schema;
 //! let clustered = cluster_by_session(&partition.samples);
-//! let batch = SampleBatch::new(clustered[..64.min(clustered.len())].to_vec());
+//! let rows = &clustered[..64.min(clustered.len())];
+//! let batch = ColumnarBatch::from_samples(rows, schema.dense_count(), schema.sparse_count());
 //!
-//! let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&partition.schema));
-//! let converted = converter.convert(&batch)?;
+//! let converter = FeatureConverter::new(DataLoaderConfig::from_schema(schema));
+//! let converted = converter.convert_columnar(&batch)?;
 //! assert!(converted.dedupe_factor() > 1.0);
 //! # Ok::<(), recd::core::CoreError>(())
 //! ```

@@ -3,7 +3,7 @@
 //! facade, with every RecD optimization toggled.
 
 use recd::core::{DataLoaderConfig, FeatureConverter};
-use recd::data::SampleBatch;
+use recd::data::ColumnarBatch;
 use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd::etl::cluster_by_session;
 use recd::pipeline::experiments::{self, ExperimentScale};
@@ -100,13 +100,15 @@ fn conversion_round_trips_after_clustering() {
     let generator = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
     let partition = generator.generate_partition();
     let clustered = cluster_by_session(&partition.samples);
-    let batch = SampleBatch::new(clustered[..100.min(clustered.len())].to_vec());
-    let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&partition.schema));
-    let converted = converter.convert(&batch).unwrap();
+    let rows = &clustered[..100.min(clustered.len())];
+    let schema = &partition.schema;
+    let batch = ColumnarBatch::from_samples(rows, schema.dense_count(), schema.sparse_count());
+    let converter = FeatureConverter::new(DataLoaderConfig::from_schema(schema));
+    let converted = converter.convert_columnar(&batch).unwrap();
     for ikjt in &converted.ikjts {
         let expanded = ikjt.to_kjt().unwrap();
         for (feature, tensor) in expanded.iter() {
-            for (row_idx, sample) in batch.iter().enumerate() {
+            for (row_idx, sample) in rows.iter().enumerate() {
                 assert_eq!(
                     tensor.row(row_idx),
                     sample.sparse[feature.index()].as_slice()

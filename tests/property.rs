@@ -7,10 +7,11 @@ use recd::core::{
     jagged_index_select, DataLoaderConfig, FeatureConverter, InverseKeyedJaggedTensor,
     JaggedTensor, KeyedJaggedTensor, PartialIkjt,
 };
-use recd::data::{ColumnarBatch, FeatureId, RequestId, Sample, SampleBatch, SessionId, Timestamp};
+use recd::data::{ColumnarBatch, FeatureId, RequestId, Sample, Schema, SessionId, Timestamp};
 use recd::etl::cluster_by_session;
 use recd::reader::{HashBucketize, PreprocessPipeline, SparseTransform, TruncateList};
 use recd::storage::{decode_stripe, decode_stripe_columnar, encode_stripe};
+use std::collections::HashMap;
 
 /// One drawn duplication tuple: `(session, f0, f1)`.
 type DupTuple = (u64, Vec<u64>, Vec<u64>);
@@ -49,6 +50,72 @@ fn dup_samples(dup_factor: usize, tuples: &[DupTuple]) -> Vec<Sample> {
         }
     }
     samples
+}
+
+/// A schema whose two user features share one dedup group and whose item
+/// feature stays in the KJT, so `DataLoaderConfig::from_schema` exercises a
+/// grouped IKJT next to a KJT and `baseline_from_schema` an all-KJT batch.
+fn grouped_schema() -> Schema {
+    Schema::builder()
+        .dense("d0")
+        .dense("d1")
+        .dedup_groups(1)
+        .sparse_with(
+            "u0",
+            recd::data::FeatureClass::User,
+            4.0,
+            0.9,
+            1 << 20,
+            64,
+            Some(recd::data::DedupGroupId::new(0)),
+        )
+        .sparse_with(
+            "u1",
+            recd::data::FeatureClass::User,
+            2.0,
+            0.9,
+            1 << 20,
+            64,
+            Some(recd::data::DedupGroupId::new(0)),
+        )
+        .sparse("item", recd::data::FeatureClass::Item, 2.0, 0.1, 1 << 20)
+        .build()
+        .unwrap()
+}
+
+/// Samples for [`grouped_schema`]: `dup_samples`' rows plus a per-row item
+/// id, with `u1` knocked out of sync with `u0` on every `desync`-th row so
+/// the group tuple, not either feature alone, decides a duplicate.
+fn grouped_samples(dup_factor: usize, tuples: &[DupTuple], desync: usize) -> Vec<Sample> {
+    dup_samples(dup_factor, tuples)
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut sample)| {
+            if i % desync == desync - 1 {
+                sample.sparse[1].push(1_000 + i as u64);
+            }
+            sample.sparse.push(vec![i as u64 % 7]);
+            sample
+        })
+        .collect()
+}
+
+/// The naive dedup oracle: walk the rows in order and give each distinct
+/// group tuple the next slot the first time it is seen. Returns the
+/// distinct tuples in slot order and each row's slot.
+fn first_seen_slots(tuples: Vec<Vec<Vec<u64>>>) -> (Vec<Vec<Vec<u64>>>, Vec<usize>) {
+    let mut slots: HashMap<Vec<Vec<u64>>, usize> = HashMap::new();
+    let mut distinct = Vec::new();
+    let inverse = tuples
+        .into_iter()
+        .map(|tuple| {
+            *slots.entry(tuple.clone()).or_insert_with(|| {
+                distinct.push(tuple);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    (distinct, inverse)
 }
 
 /// Strategy for a batch of rows for one feature: ids drawn from a small
@@ -169,42 +236,72 @@ proptest! {
         );
     }
 
-    /// `dedup_from_columnar` ⇄ `dedup_from_batch` produce identical IKJTs —
-    /// same slots, same inverse lookup, same tensors — across random
-    /// dup-factor distributions, and the full columnar conversion is
-    /// value-identical to the row-wise conversion.
+    /// Conversion against an independent row-wise oracle: for random batches
+    /// under `from_schema` (a grouped IKJT beside a KJT) and
+    /// `baseline_from_schema` (all KJT), every IKJT's slot *i* holds the
+    /// *i*-th distinct group tuple in first-seen order, its inverse lookup
+    /// is the oracle's, and expanding it through that lookup gives back the
+    /// input rows; KJT rows, dense values and labels equal the input too.
     #[test]
     fn columnar_dedup_and_convert_match_row_wise(
-        (dup_factor, tuples) in dup_batch_strategy()
+        (dup_factor, tuples) in dup_batch_strategy(),
+        desync in 1usize..8,
     ) {
-        let samples = dup_samples(dup_factor, &tuples);
-        let batch: SampleBatch = samples.iter().cloned().collect();
-        let columnar = ColumnarBatch::from_samples(&samples, 2, 2);
+        let schema = grouped_schema();
+        let samples = grouped_samples(dup_factor, &tuples, desync);
+        let columnar =
+            ColumnarBatch::from_samples(&samples, schema.dense_count(), schema.sparse_count());
+        let baseline_config = DataLoaderConfig::baseline_from_schema(&schema);
+        // O3 off is a configuration, not a second converter: with no dedup
+        // groups the deduplicating entry point emits the baseline batch.
+        let baseline = FeatureConverter::new(baseline_config.clone());
+        prop_assert_eq!(
+            baseline.convert_columnar(&columnar).unwrap(),
+            baseline.convert_columnar_baseline(&columnar).unwrap()
+        );
 
-        for group in [vec![FeatureId::new(0)], vec![FeatureId::new(0), FeatureId::new(1)]] {
-            let from_batch = InverseKeyedJaggedTensor::dedup_from_batch(&batch, &group).unwrap();
-            let from_columnar =
-                InverseKeyedJaggedTensor::dedup_from_columnar(&columnar, &group).unwrap();
-            prop_assert_eq!(&from_batch, &from_columnar);
-            prop_assert!(from_columnar.check_invariants().is_ok());
-            // Duplicated tuples must actually share slots.
-            prop_assert!(from_columnar.slot_count() <= tuples.len().max(1));
-            prop_assert_eq!(from_batch.to_kjt().unwrap(), from_columnar.to_kjt().unwrap());
+        for config in [DataLoaderConfig::from_schema(&schema), baseline_config] {
+            let converted = FeatureConverter::new(config.clone())
+                .convert_columnar(&columnar)
+                .unwrap();
+            prop_assert_eq!(converted.batch_size, samples.len());
+            let labels: Vec<f32> = samples.iter().map(|s| s.label).collect();
+            prop_assert_eq!(&converted.labels, &labels);
+            for (row, sample) in samples.iter().enumerate() {
+                prop_assert_eq!(converted.dense.row(row), sample.dense.as_slice());
+            }
+            prop_assert_eq!(converted.kjt.keys(), config.kjt_features.as_slice());
+            for &feature in &config.kjt_features {
+                let tensor = converted.kjt.feature(feature).unwrap();
+                for (row, sample) in samples.iter().enumerate() {
+                    prop_assert_eq!(tensor.row(row), sample.sparse[feature.index()].as_slice());
+                }
+            }
+
+            prop_assert_eq!(converted.ikjts.len(), config.dedup_groups.len());
+            for (group, ikjt) in config.dedup_groups.iter().zip(&converted.ikjts) {
+                let (distinct, inverse) = first_seen_slots(
+                    samples
+                        .iter()
+                        .map(|s| group.iter().map(|f| s.sparse[f.index()].clone()).collect())
+                        .collect(),
+                );
+                prop_assert_eq!(ikjt.inverse_lookup(), inverse.as_slice());
+                prop_assert_eq!(ikjt.slot_count(), distinct.len());
+                for (k, &feature) in group.iter().enumerate() {
+                    let slots = ikjt.feature(feature).unwrap();
+                    for (slot, tuple) in distinct.iter().enumerate() {
+                        prop_assert_eq!(slots.row(slot), tuple[k].as_slice());
+                    }
+                    for (row, sample) in samples.iter().enumerate() {
+                        prop_assert_eq!(
+                            ikjt.row(feature, row).unwrap(),
+                            sample.sparse[feature.index()].as_slice()
+                        );
+                    }
+                }
+            }
         }
-
-        let config = DataLoaderConfig::new()
-            .with_kjt_features([FeatureId::new(1)])
-            .with_dedup_group([FeatureId::new(0)])
-            .with_dense_features(2);
-        let converter = FeatureConverter::new(config);
-        prop_assert_eq!(
-            converter.convert(&batch).unwrap(),
-            converter.convert_columnar(&columnar).unwrap()
-        );
-        prop_assert_eq!(
-            converter.convert_baseline(&batch).unwrap(),
-            converter.convert_columnar_baseline(&columnar).unwrap()
-        );
     }
 
     /// Flat in-place transforms ⇄ old row-wise transforms: for any jagged
@@ -242,7 +339,7 @@ proptest! {
         max_len in 1usize..12,
     ) {
         let samples = dup_samples(dup_factor, &tuples);
-        let batch: SampleBatch = samples.iter().cloned().collect();
+        let batch = ColumnarBatch::from_samples(&samples, 2, 2);
         let dedup_config = DataLoaderConfig::new()
             .with_kjt_features([FeatureId::new(1)])
             .with_dedup_group([FeatureId::new(0)])
@@ -250,7 +347,7 @@ proptest! {
         let pipeline = PreprocessPipeline::standard(buckets, max_len);
 
         let converter = FeatureConverter::new(dedup_config);
-        let mut flat = converter.convert(&batch).unwrap();
+        let mut flat = converter.convert_columnar(&batch).unwrap();
         let mut rowwise = flat.clone();
         let flat_stats = pipeline.apply(&mut flat);
         let rowwise_stats = pipeline.apply_rowwise(&mut rowwise);
@@ -259,7 +356,7 @@ proptest! {
 
         // O4 ⇄ baseline logical equality: transforming once per slot and
         // expanding equals transforming every row of the baseline KJT.
-        let mut baseline = converter.convert_baseline(&batch).unwrap();
+        let mut baseline = converter.convert_columnar_baseline(&batch).unwrap();
         let baseline_stats = pipeline.apply(&mut baseline);
         prop_assert_eq!(flat_stats.logical_values, baseline_stats.logical_values);
         prop_assert!(flat_stats.values_processed <= baseline_stats.values_processed);

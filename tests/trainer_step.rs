@@ -3,7 +3,7 @@
 //! embedding dimension 64) and through a real SGD loop.
 
 use recd::core::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
-use recd::data::{SampleBatch, Schema};
+use recd::data::{ColumnarBatch, Schema};
 use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd::etl::cluster_by_session;
 use recd::trainer::{Dlrm, DlrmConfig, ExecutionMode, PoolingKind};
@@ -14,10 +14,12 @@ fn clustered_batch() -> (Schema, ConvertedBatch) {
         DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny)).generate_partition();
     let mut rows = cluster_by_session(&partition.samples);
     rows.truncate(96);
-    let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&partition.schema));
-    let batch = converter.convert(&SampleBatch::new(rows)).unwrap();
+    let schema = partition.schema;
+    let rows = ColumnarBatch::from_samples(&rows, schema.dense_count(), schema.sparse_count());
+    let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&schema));
+    let batch = converter.convert_columnar(&rows).unwrap();
     assert!(batch.dedupe_factor() > 1.5, "clustered rows share slots");
-    (partition.schema, batch)
+    (schema, batch)
 }
 
 /// The benchmark's model shape with smaller tables: initialising 4 096 rows
