@@ -71,15 +71,28 @@ fn rm1_batch() -> (Schema, ConvertedBatch) {
     (schema, batch)
 }
 
-fn bench_dlrm_train_step(c: &mut Criterion) {
+/// The RM1 Transformer d64 model on [`rm1_batch`], forward pass alone
+/// (`dlrm_forward_512`, the part split across workers) and the full SGD step
+/// (`dlrm_train_step_512`), in both execution modes.
+fn bench_dlrm_rm1(c: &mut Criterion) {
     let (schema, batch) = rm1_batch();
     let config = DlrmConfig::from_schema(&schema, DIM, PoolingKind::Transformer);
-    let mut group = c.benchmark_group("dlrm_train_step_512");
-    group.sample_size(10);
-    for (name, mode) in [
+    let modes = [
         ("baseline_kjt_path", ExecutionMode::Baseline),
         ("dedup_ikjt_path", ExecutionMode::Deduplicated),
-    ] {
+    ];
+    let mut group = c.benchmark_group("dlrm_forward_512");
+    group.sample_size(10);
+    for (name, mode) in modes {
+        group.bench_function(name, |b| {
+            let mut model = Dlrm::new(config.clone());
+            b.iter(|| model.forward(black_box(&batch), mode))
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("dlrm_train_step_512");
+    group.sample_size(10);
+    for (name, mode) in modes {
         group.bench_function(name, |b| {
             let mut model = Dlrm::new(config.clone());
             b.iter(|| model.train_step(black_box(&batch), mode))
@@ -92,6 +105,6 @@ criterion_group!(
     benches,
     bench_pool_sequence,
     bench_dlrm_forward,
-    bench_dlrm_train_step
+    bench_dlrm_rm1
 );
 criterion_main!(benches);

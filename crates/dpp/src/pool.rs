@@ -250,20 +250,28 @@ impl<T: Reclaim> BatchPool<T> {
         fresh()
     }
 
-    /// Reclaims a shell onto `worker`'s shelf for the next acquire; drops it
-    /// if that shelf is full.
+    /// Reclaims a shell onto `worker`'s shelf for the next acquire, or onto
+    /// the next sibling with room when that shelf is full; drops it only when
+    /// every shelf is full. Recycling is one-sided — the router and compute
+    /// worker 0 both return to shelf 0 — so a shelf-local budget would drop
+    /// shells the pool has room for, and the acquires they would have served
+    /// would allocate.
     pub fn recycle_for(&self, worker: usize, mut shell: T) {
         let class = shell.size_class();
         shell.reclaim();
         let per_shelf = self.per_shelf_capacity();
-        let home = worker % self.shelves.len();
-        let mut shelf = self.shelves[home].lock().expect("pool lock");
-        if shelf.len() < per_shelf {
-            shelf.push((class, shell));
-            self.recycled.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.discarded.fetch_add(1, Ordering::Relaxed);
+        let shelves = self.shelves.len();
+        for offset in 0..shelves {
+            let mut shelf = self.shelves[(worker + offset) % shelves]
+                .lock()
+                .expect("pool lock");
+            if shelf.len() < per_shelf {
+                shelf.push((class, shell));
+                self.recycled.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
         }
+        self.discarded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Takes a recycled shell off shelf 0, or constructs a fresh one.
@@ -424,19 +432,21 @@ mod tests {
     }
 
     #[test]
-    fn shelf_budget_splits_across_workers() {
+    fn a_full_shelf_spills_to_its_sibling_and_only_a_full_pool_discards() {
         let pool: BatchPool<BlobScratch> = BatchPool::with_shelves(4, 2);
-        // Per-shelf budget is ceil(4/2) = 2: a third recycle to the same
-        // worker discards even though the global budget has room.
-        pool.recycle_for(0, blob(1));
-        pool.recycle_for(0, blob(1));
-        pool.recycle_for(0, blob(1));
+        // Per-shelf budget is ceil(4/2) = 2: worker 0's third and fourth
+        // recycles land on worker 1's shelf, which the global budget has room
+        // for; only the fifth, with every shelf full, is dropped.
+        for _ in 0..5 {
+            pool.recycle_for(0, blob(1));
+        }
         let stats = pool.stats();
-        assert_eq!(stats.recycled, 2);
+        assert_eq!(stats.recycled, 4);
         assert_eq!(stats.discarded, 1);
-        // The sibling shelf still has its own budget.
-        pool.recycle_for(1, blob(1));
-        assert_eq!(pool.stats().recycled, 3);
-        assert_eq!(pool.idle(), 3);
+        assert_eq!(pool.idle(), 4);
+        // Worker 1 is served from its own shelf, no steal.
+        pool.acquire_for(1, 0, || blob(0));
+        pool.acquire_for(1, 0, || blob(0));
+        assert_eq!(pool.stats().steals, 0);
     }
 }

@@ -11,7 +11,8 @@
 //! * Every inter-stage payload is a flat [`ColumnarBatch`] — the service
 //!   never shuttles per-sample `Vec`s between threads.
 //! * **Fill workers** decode DWRF files concurrently (the fill phase),
-//!   straight into columnar buffers.
+//!   straight into columnar buffers, at most one filled queue plus one file
+//!   each ahead of the file the router is on.
 //! * The **router** restores file submission order (decode finishes out of
 //!   order), shards rows by the configured [`ShardPolicy`], and coalesces
 //!   each shard's rows into `batch_size` chunks. Because routing is
@@ -54,7 +55,7 @@ use recd_reader::{
 use recd_storage::{FileReadScratch, StorageError, StoredPartition, TableStore};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -65,6 +66,19 @@ const WORKER_POLL: Duration = Duration::from_millis(2);
 /// share shelves modulo the count (sharing is correct, just more lock
 /// traffic).
 const MAX_POOL_SHELVES: usize = 8;
+
+/// How many files fill workers may hold ahead of the router: the one in the
+/// router's hand, a full filled queue, and one being decoded per worker.
+fn route_window(queue_depth: usize, fill: usize) -> usize {
+    1 + queue_depth + fill
+}
+
+/// The most columnar batches a service holds at once: the route window's
+/// files, one accumulator per shard plus a full one being handed on, the
+/// work queue, and one chunk per compute worker.
+fn batch_pool_capacity(queue_depth: usize, shards: usize, fill: usize, compute: usize) -> usize {
+    route_window(queue_depth, fill) + shards + 1 + queue_depth + compute
+}
 
 /// Bucket bounds (seconds) of the per-batch convert/process latency
 /// histograms — exponential-ish from 10µs to 250ms, which brackets a
@@ -320,6 +334,48 @@ impl std::fmt::Display for DppError {
 
 impl std::error::Error for DppError {}
 
+/// How far fill workers may decode ahead of the router. The router restores
+/// submission order, so without a bound one stalled fill (a slow get, a
+/// descheduled thread) lets its siblings park decoded files in the reorder
+/// buffer without limit, each holding a pool shell. A fill worker holds file
+/// `seq` until `seq < routed + width`; the lowest outstanding seq always
+/// passes, so the window cannot deadlock.
+struct RouteWindow {
+    /// The next seq the router needs: every seq below it is routed and its
+    /// shell recycled.
+    routed: Mutex<u64>,
+    advanced: Condvar,
+    width: u64,
+}
+
+impl RouteWindow {
+    /// Blocks until file `seq` is inside the window.
+    fn enter(&self, seq: u64) {
+        let routed = self.routed.lock().expect("route window lock");
+        drop(
+            self.advanced
+                .wait_while(routed, |routed| seq >= routed.saturating_add(self.width))
+                .expect("route window lock"),
+        );
+    }
+
+    /// Slides the window to start at `routed`; `u64::MAX` opens it for good.
+    fn advance(&self, routed: u64) {
+        *self.routed.lock().expect("route window lock") = routed;
+        self.advanced.notify_all();
+    }
+}
+
+/// Opens the window when the router stops, however it stops, so no fill
+/// worker stays parked at it.
+struct OpenOnDrop<'a>(&'a RouteWindow);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.advance(u64::MAX);
+    }
+}
+
 /// Shared context of every fill worker, initial or dynamically spawned.
 struct FillCtx {
     /// This worker's id — its home shelf in the per-worker pools.
@@ -333,6 +389,7 @@ struct FillCtx {
     errors: Arc<Mutex<Vec<String>>>,
     batch_pool: Arc<BatchPool<ColumnarBatch>>,
     blob_pool: Arc<BatchPool<BlobScratch>>,
+    window: Arc<RouteWindow>,
     governor: Arc<PoolGovernor>,
     chaos_retry: Option<(RetryPolicy, Arc<ChaosCounters>)>,
 }
@@ -359,6 +416,7 @@ fn fill_worker_loop(ctx: &FillCtx) {
             RecvTimeout::Item(FillTask::File { seq, path, shard }) => {
                 // Decode into a pool-recycled batch; misses only occur while
                 // the pipeline's population warms up.
+                ctx.window.enter(seq);
                 let mut rows = ctx.batch_pool.acquire_for(ctx.worker, row_hint, || {
                     ColumnarBatch::new(ctx.schema.dense_count(), ctx.schema.sparse_count())
                 });
@@ -567,6 +625,7 @@ struct RouterCtx {
     sparse_cols: usize,
     counters: Arc<ServiceCounters>,
     batch_pool: Arc<BatchPool<ColumnarBatch>>,
+    window: Arc<RouteWindow>,
     phase_metrics: Arc<Mutex<ReaderMetrics>>,
     /// Files routed by previous incarnations of this service (a resumed
     /// run); seeds the file → shard rotation so FileRoundRobin placement is
@@ -582,6 +641,7 @@ fn router_loop(ctx: RouterCtx) {
             ColumnarBatch::with_capacity(ctx.dense_cols, ctx.sparse_cols, ctx.batch_size)
         })
     };
+    let _open = OpenOnDrop(&ctx.window);
     let mut pending: BTreeMap<u64, FilledPayload> = BTreeMap::new();
     let mut next_seq = 0u64;
     // FileRoundRobin counts *files*, not submission seqs: barriers occupy a
@@ -677,6 +737,7 @@ fn router_loop(ctx: RouterCtx) {
                     }
                 }
             }
+            ctx.window.advance(next_seq);
         }
     }
     // End of stream: flush partial accumulators in shard order.
@@ -759,15 +820,20 @@ impl DppService {
             )
         };
 
+        let window = Arc::new(RouteWindow {
+            routed: Mutex::new(0),
+            advanced: Condvar::new(),
+            width: route_window(config.queue_depth, max_fill) as u64,
+        });
         // The swap-buffer arena: every ColumnarBatch in flight — decoded
         // files, shard accumulators, coalesced work chunks — is drawn from
         // and recycled into this one pool, so steady-state batches allocate
-        // nothing. Capacity covers the maximum in-flight population (both
-        // queues plus every stage's working set) with headroom; dynamic
-        // scale-downs shrink it again. One shelf per fill worker keeps the
-        // hot acquire path uncontended and size-class-matched.
+        // nothing. Capacity is the most that can be in flight, so no shell
+        // is ever dropped and misses never exceed it; dynamic scale-downs
+        // shrink it again. One shelf per fill worker keeps the hot acquire
+        // path uncontended and size-class-matched.
         let batch_pool: Arc<BatchPool<ColumnarBatch>> = Arc::new(BatchPool::with_shelves(
-            config.queue_depth * 2 + config.shards + max_fill + max_compute,
+            batch_pool_capacity(config.queue_depth, config.shards, max_fill, max_compute),
             max_fill.clamp(1, MAX_POOL_SHELVES),
         ));
         // Converted-batch shells flow compute → sink → consumer; the
@@ -830,6 +896,7 @@ impl DppService {
             let errors = Arc::clone(&errors);
             let batch_pool = Arc::clone(&batch_pool);
             let blob_pool = Arc::clone(&blob_pool);
+            let window = Arc::clone(&window);
             let governor = Arc::clone(&fill_gov);
             let chaos_retry = config.chaos_retry.clone();
             Box::new(move || {
@@ -845,6 +912,7 @@ impl DppService {
                     errors: Arc::clone(&errors),
                     batch_pool: Arc::clone(&batch_pool),
                     blob_pool: Arc::clone(&blob_pool),
+                    window: Arc::clone(&window),
                     governor: Arc::clone(&governor),
                     chaos_retry: chaos_retry.clone(),
                 };
@@ -910,6 +978,7 @@ impl DppService {
                 sparse_cols: schema.sparse_count(),
                 counters: Arc::clone(&counters),
                 batch_pool: Arc::clone(&batch_pool),
+                window,
                 phase_metrics: Arc::clone(&phase_metrics),
                 files_routed_base: checkpoint.files_routed,
             };
@@ -1000,8 +1069,12 @@ impl DppService {
                 tail_lag_probe,
                 events: Arc::clone(&scale_events),
                 on_resize: Box::new(move |fill_target, compute_target| {
-                    resize_batch
-                        .set_capacity(queue_depth * 2 + shards + fill_target + compute_target);
+                    resize_batch.set_capacity(batch_pool_capacity(
+                        queue_depth,
+                        shards,
+                        fill_target,
+                        compute_target,
+                    ));
                     resize_converted.set_capacity(queue_depth * 2 + compute_target);
                 }),
             };

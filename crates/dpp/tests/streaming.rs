@@ -307,10 +307,16 @@ fn finish_drains_all_in_flight_work_under_backpressure() {
 #[test]
 fn batch_pool_recycles_buffers_at_steady_state() {
     let f = fixture();
-    // Misses can occur for every concurrently live shell before the first
-    // recycles land (worst case ≈ 2*queue_depth + shards + workers ≈ 14
-    // here), so the run must be long enough that the 10% miss budget
-    // comfortably exceeds that population regardless of scheduling.
+    // At most this many shells are in flight at once, however the threads
+    // are scheduled: the route window (the file in the router's hand, a
+    // full filled queue of 4, one file per fill worker: 1 + 4 + 2), one
+    // accumulator per shard plus a full one being handed on (2 + 1), a full
+    // work queue (4), and one chunk per compute worker (2). The pool shelves
+    // as many, so a drained pipeline drops no shell, and a miss needs every
+    // shelf empty: misses stay at this population (plus one for each acquire
+    // that scanned a shelf just before a recycle landed on it), a few
+    // percent of the ≥ 24 × 16 acquires.
+    let live = (1 + 4 + 2) + (2 + 1) + 4 + 2;
     let rounds = 24;
     let config = DppConfig::new(reader_config(&f.schema, 32))
         .with_fill_workers(2)
@@ -331,9 +337,10 @@ fn batch_pool_recycles_buffers_at_steady_state() {
         acquires as usize >= rounds * f.partition.files.len(),
         "fills alone should acquire at least once per file"
     );
+    assert_eq!(pool.capacity, live);
     assert!(
         pool.reuse_rate() > 0.9,
-        "steady-state buffer reuse must exceed 90% (got {:.1}% over {acquires} acquires)",
+        "steady-state buffer reuse must exceed 90% (got {:.1}% over {acquires} acquires: {pool:?})",
         pool.reuse_rate() * 100.0
     );
     // The blob-scratch pool closes the same loop around `get_into`, one

@@ -10,6 +10,7 @@ use rand::SeedableRng;
 use recd_core::{ConvertedBatch, JaggedTensor};
 use recd_data::{FeatureId, Schema};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Whether the model executes the baseline (KJT) or deduplicated (IKJT)
 /// path for grouped features.
@@ -143,7 +144,8 @@ pub struct Dlrm {
 }
 
 /// Every buffer a step touches, flat and row-major. The first batch sizes
-/// them and later ones reuse them, so a steady-state step allocates nothing.
+/// them and later ones reuse them, so a steady-state step allocates nothing
+/// but the forward workers' thread spawns.
 #[derive(Debug, Clone, Default)]
 struct Workspace {
     /// Bottom-MLP input, used when the batch's dense shape is not the model's.
@@ -159,11 +161,15 @@ struct Workspace {
     /// inputs. A grouped feature is read through the inverse lookup here
     /// (O6) — pooled slots are indexed, never expanded per row.
     index: Vec<usize>,
-    /// Where each feature's units start in `vectors`.
+    /// Where each feature's units start in `vectors`, then where the last
+    /// feature's end.
     bases: Vec<usize>,
-    /// One gathered `[len × dim]` embedding sequence.
-    sequence: Vec<f32>,
-    pool: PoolScratch,
+    /// Pooling cost over the flat unit space: entry `u` sums
+    /// [`PoolingKind::flops_per_row`] over units `0..u`, so the forward
+    /// workers can cut it into runs of equal cost.
+    costs: Vec<u64>,
+    /// One per forward worker; the calling thread is the last.
+    workers: Vec<Worker>,
     /// Top-MLP input, `[batch × interaction_dim]`.
     interaction: Vec<f32>,
     probs: Vec<f32>,
@@ -172,6 +178,15 @@ struct Workspace {
     /// Gradients summed per unit, laid out like `vectors` (the zero row's
     /// place is a sink nobody reads).
     unit_grads: Vec<f32>,
+}
+
+/// What one forward worker pools with, and the work it counted doing so.
+#[derive(Debug, Clone, Default)]
+struct Worker {
+    /// One gathered `[len × dim]` embedding sequence.
+    sequence: Vec<f32>,
+    pool: PoolScratch,
+    stats: ForwardStats,
 }
 
 /// One feature's id lists in a batch, resolved once per pass.
@@ -292,12 +307,16 @@ impl Dlrm {
                 )
             })
             .collect();
+        let workers = std::thread::available_parallelism().map_or(1, usize::from);
         Self {
             config,
             bottom,
             top,
             tables,
-            ws: Workspace::default(),
+            ws: Workspace {
+                workers: vec![Worker::default(); workers],
+                ..Workspace::default()
+            },
         }
     }
 
@@ -338,6 +357,11 @@ impl Dlrm {
 
     /// Forward pass into the workspace: probabilities land in `ws.probs`,
     /// everything the backward pass needs stays in the other buffers.
+    ///
+    /// Lookup + pooling and the interaction run on one worker per entry of
+    /// `ws.workers`, each over its own contiguous run of units or rows; every
+    /// unit and row is computed exactly as one thread computes it, so the
+    /// results do not depend on the worker count.
     fn forward_pass(&mut self, batch: &ConvertedBatch, mode: ExecutionMode) -> ForwardStats {
         let Self {
             config,
@@ -366,11 +390,15 @@ impl Dlrm {
             offsets[0] = (1 + r) * dim;
         }
 
-        // Look up and pool every sparse feature, one vector per unit.
+        // Lay every feature's units out one after another, point the rows at
+        // them, and price each unit by its pooling FLOPs.
+        let first = ws.vectors.len();
+        let mut cost = 0;
+        let mut longest = 0;
         ws.bases.clear();
-        for (f, (&(feature, kind), table)) in
-            config.feature_pooling.iter().zip(&*tables).enumerate()
-        {
+        ws.costs.clear();
+        ws.costs.push(cost);
+        for (f, &(feature, kind)) in config.feature_pooling.iter().enumerate() {
             let base = ws.vectors.len();
             ws.bases.push(base);
             // A feature absent from the batch leaves every row on the zero
@@ -379,19 +407,13 @@ impl Dlrm {
                 continue;
             };
             ws.vectors.resize(base + units.count() * dim, 0.0);
-            for (unit, out) in ws.vectors[base..].chunks_exact_mut(dim).enumerate() {
-                let ids = units.ids(unit);
-                stats.emb_lookups += ids.len() as u64;
-                stats.activation_values += ids.len() * dim;
-                stats.pooling_flops += kind.flops_per_row(ids.len(), dim);
-                stats.pooled_rows += 1;
-                if kind == PoolingKind::Sum {
-                    // Fast path: fused lookup + sum.
-                    table.lookup_pooled_into(ids, out);
-                } else {
-                    table.lookup_sequence_into(ids, &mut ws.sequence);
-                    pool_sequence(kind, &ws.sequence, dim, &mut ws.pool, out);
+            for unit in 0..units.count() {
+                let len = units.ids(unit).len();
+                if kind != PoolingKind::Sum {
+                    longest = longest.max(len);
                 }
+                cost += kind.flops_per_row(len, dim);
+                ws.costs.push(cost);
             }
             for (r, offsets) in ws.index.chunks_exact_mut(n_vectors).enumerate() {
                 if let Some(unit) = units.of_row(r) {
@@ -399,15 +421,83 @@ impl Dlrm {
                 }
             }
         }
+        ws.bases.push(ws.vectors.len());
+        // Sized here, so that no worker thread ever allocates.
+        for worker in &mut ws.workers {
+            worker.sequence.clear();
+            worker.sequence.reserve(longest * dim);
+            worker.pool.reserve(longest, dim);
+        }
 
-        // Interaction per row, then the top MLP over the whole batch.
+        // Look up and pool every unit; worker `w` starts at the first unit
+        // with `w / workers` of the total cost before it.
+        let workers = ws.workers.len() as u128;
+        let split = |w: usize| {
+            let share = u128::from(cost) * w as u128;
+            ws.costs
+                .partition_point(|&c| u128::from(c) * workers < share)
+        };
+        run_split(
+            &mut ws.workers,
+            &mut ws.vectors[first..],
+            dim,
+            split,
+            |range, out, worker| {
+                let stats = &mut worker.stats;
+                *stats = ForwardStats::default();
+                let (from, to) = (first + range.start * dim, first + range.end * dim);
+                let features = config.feature_pooling.iter().zip(tables.iter());
+                for ((&(feature, kind), table), span) in features.zip(ws.bases.windows(2)) {
+                    let (start, end) = (span[0].max(from), span[1].min(to));
+                    let Some(units) = Units::locate(batch, feature, mode).filter(|_| start < end)
+                    else {
+                        continue;
+                    };
+                    let outs = out[start - from..end - from].chunks_exact_mut(dim);
+                    for (unit, out) in ((start - span[0]) / dim..).zip(outs) {
+                        let ids = units.ids(unit);
+                        stats.emb_lookups += ids.len() as u64;
+                        stats.activation_values += ids.len() * dim;
+                        stats.pooling_flops += kind.flops_per_row(ids.len(), dim);
+                        stats.pooled_rows += 1;
+                        if kind == PoolingKind::Sum {
+                            // Fast path: fused lookup + sum.
+                            table.lookup_pooled_into(ids, out);
+                        } else {
+                            table.lookup_sequence_into(ids, &mut worker.sequence);
+                            pool_sequence(kind, &worker.sequence, dim, &mut worker.pool, out);
+                        }
+                    }
+                }
+            },
+        );
+        for worker in &ws.workers {
+            let counted = &worker.stats;
+            stats.emb_lookups += counted.emb_lookups;
+            stats.activation_values += counted.activation_values;
+            stats.pooling_flops += counted.pooling_flops;
+            stats.pooled_rows += counted.pooled_rows;
+        }
+
+        // Interaction per row, each worker over an equal block of rows, then
+        // the top MLP over the whole batch.
         let width = top.in_dim();
         ws.interaction.clear();
         ws.interaction.resize(rows * width, 0.0);
-        let offsets = ws.index.chunks_exact(n_vectors);
-        for (offsets, out) in offsets.zip(ws.interaction.chunks_exact_mut(width)) {
-            interaction_forward(&ws.vectors, offsets, dim, out);
-        }
+        let workers = ws.workers.len();
+        run_split(
+            &mut ws.workers,
+            &mut ws.interaction,
+            width,
+            |w| rows * w / workers,
+            |range, out, _| {
+                let offsets = ws.index[range.start * n_vectors..range.end * n_vectors]
+                    .chunks_exact(n_vectors);
+                for (offsets, out) in offsets.zip(out.chunks_exact_mut(width)) {
+                    interaction_forward(&ws.vectors, offsets, dim, out);
+                }
+            },
+        );
         stats.mlp_flops += (rows * (n_vectors * n_vectors / 2)) as u64 * dim as u64;
         top.forward_batch(&ws.interaction, &mut ws.top);
         stats.mlp_flops += top.flops() * rows as u64;
@@ -458,7 +548,9 @@ impl Dlrm {
             // dL/dlogit for sigmoid + BCE, averaged over the batch.
             let grad_logit = (p - label) / batch_size;
             let grad = top.backward_row(interaction, &mut ws.top, row, &[grad_logit], lr);
-            interaction_backward(&ws.vectors, offsets, dim, grad, &mut ws.row_grads);
+            // Only the bottom's and the trained features' gradients are read.
+            let reads = |v: usize| v == 0 || trains(config.feature_pooling[v - 1].1);
+            interaction_backward(&ws.vectors, offsets, dim, grad, reads, &mut ws.row_grads);
             let (bottom_grad, feature_grads) = ws.row_grads.split_at(dim);
             bottom.backward_row(dense, &mut ws.bottom, row, bottom_grad, lr);
             let features = config.feature_pooling.iter().zip(&offsets[1..]);
@@ -488,6 +580,42 @@ impl Dlrm {
     }
 }
 
+/// Cuts the `width`-wide items of `out` into one contiguous run per worker —
+/// run `w` starts at item `split(w)`, the last one ends at the last item —
+/// and calls `work(items, run, worker)` on each. The last worker works on
+/// the calling thread and the others on scoped threads; a lone worker starts
+/// no thread at all (a scope alone allocates).
+fn run_split(
+    workers: &mut [Worker],
+    out: &mut [f32],
+    width: usize,
+    split: impl Fn(usize) -> usize,
+    work: impl Fn(Range<usize>, &mut [f32], &mut Worker) + Sync,
+) {
+    let count = out.len() / width;
+    let (mut rest, mut start) = (out, 0);
+    let mut carve = |end: usize| {
+        let end = end.clamp(start, count);
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut((end - start) * width);
+        rest = tail;
+        (std::mem::replace(&mut start, end)..end, run)
+    };
+    let (own, helpers) = workers.split_last_mut().expect("a model has a worker");
+    if helpers.is_empty() {
+        let (items, run) = carve(count);
+        return work(items, run, own);
+    }
+    std::thread::scope(|scope| {
+        for (w, worker) in helpers.iter_mut().enumerate() {
+            let (items, run) = carve(split(w + 1));
+            let work = &work;
+            scope.spawn(move || work(items, run, worker));
+        }
+        let (items, run) = carve(count);
+        work(items, run, own);
+    });
+}
+
 /// DLRM pairwise-dot interaction of one row: its first vector, then the dot
 /// products of every vector pair. `offsets` locates the row's vectors, each
 /// `dim` wide, in `vectors`.
@@ -503,12 +631,15 @@ fn interaction_forward(vectors: &[f32], offsets: &[usize], dim: usize, out: &mut
 }
 
 /// Backward of [`interaction_forward`]: writes the gradient with respect to
-/// each of the row's vectors into `grads`, `[offsets.len() × dim]`.
+/// each of the row's vectors that `reads` names into `grads`,
+/// `[offsets.len() × dim]`, and leaves the others zero. A read gradient sums
+/// its terms in the same order whichever others are read.
 fn interaction_backward(
     vectors: &[f32],
     offsets: &[usize],
     dim: usize,
     grad_output: &[f32],
+    reads: impl Fn(usize) -> bool,
     grads: &mut [f32],
 ) {
     let vector = |at: usize| &vectors[at..at + dim];
@@ -519,13 +650,15 @@ fn interaction_backward(
     for (i, &a) in offsets.iter().enumerate() {
         let (head, tail) = grads.split_at_mut((i + 1) * dim);
         let grad_a = &mut head[i * dim..];
-        for ((&b, grad_b), &g) in offsets[i + 1..]
-            .iter()
-            .zip(tail.chunks_exact_mut(dim))
-            .zip(&mut pairs)
-        {
-            axpy(grad_a, g, vector(b));
-            axpy(grad_b, g, vector(a));
+        let read_a = reads(i);
+        let others = offsets[i + 1..].iter().zip(tail.chunks_exact_mut(dim));
+        for (j, ((&b, grad_b), &g)) in (i + 1..).zip(others.zip(&mut pairs)) {
+            if read_a {
+                axpy(grad_a, g, vector(b));
+            }
+            if reads(j) {
+                axpy(grad_b, g, vector(a));
+            }
         }
     }
 }
@@ -533,17 +666,184 @@ fn interaction_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recd_core::{DataLoaderConfig, FeatureConverter};
+    use recd_core::{DataLoaderConfig, FeatureConverter, KeyedJaggedTensor};
     use recd_data::ColumnarBatch;
     use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
     use recd_etl::cluster_by_session;
+    use recd_pipeline::RmPreset;
+
+    const MODES: [ExecutionMode; 2] = [ExecutionMode::Baseline, ExecutionMode::Deduplicated];
+
+    /// A session-clustered RM1 batch: eight Transformer-pooled histories,
+    /// 96 ids long, in dedup groups.
+    fn rm1_batch(rows: usize) -> (Schema, ConvertedBatch) {
+        let workload = RmPreset::Rm1.spec().workload.with_sessions(20);
+        workload_batch(workload, rows, true)
+    }
+
+    /// `schema`'s model at width 8 with Transformer sequence pooling and one
+    /// feature on mean pooling, so a step trains tables next to forward-only
+    /// ones. Small tables keep the unoptimised build quick.
+    fn mixed_config(schema: &Schema) -> DlrmConfig {
+        let mut config = DlrmConfig::from_schema(schema, 8, PoolingKind::Transformer);
+        config.hash_buckets = 1 << 8;
+        if let Some((_, kind)) = config
+            .feature_pooling
+            .iter_mut()
+            .find(|(_, kind)| *kind == PoolingKind::Sum)
+        {
+            *kind = PoolingKind::Mean;
+        }
+        config
+    }
+
+    /// [`interaction_backward`] computing every vector's gradient, read or
+    /// not: the oracle the skipping loop must match bit for bit.
+    fn interaction_backward_all(
+        vectors: &[f32],
+        offsets: &[usize],
+        dim: usize,
+        grad_output: &[f32],
+        grads: &mut [f32],
+    ) {
+        let vector = |at: usize| &vectors[at..at + dim];
+        grads.fill(0.0);
+        grads[..dim].copy_from_slice(&grad_output[..dim]);
+        let mut pairs = grad_output[dim..].iter();
+        for (i, &a) in offsets.iter().enumerate() {
+            let (head, tail) = grads.split_at_mut((i + 1) * dim);
+            let grad_a = &mut head[i * dim..];
+            for ((&b, grad_b), &g) in offsets[i + 1..]
+                .iter()
+                .zip(tail.chunks_exact_mut(dim))
+                .zip(&mut pairs)
+            {
+                axpy(grad_a, g, vector(b));
+                axpy(grad_b, g, vector(a));
+            }
+        }
+    }
+
+    #[test]
+    fn interaction_backward_skips_only_the_gradients_nobody_reads() {
+        let (schema, batch) = rm1_batch(64);
+        let config = mixed_config(&schema);
+        let reads = |v: usize| v == 0 || trains(config.feature_pooling[v - 1].1);
+        let unread = (0..=config.feature_pooling.len()).filter(|&v| !reads(v));
+        assert_eq!(unread.count(), 8, "RM1's eight Transformer histories");
+        let mut model = Dlrm::new(config.clone());
+        model.forward_pass(&batch, ExecutionMode::Deduplicated);
+        let ws = &model.ws;
+        let n_vectors = config.feature_pooling.len() + 1;
+        let width = model.top.in_dim();
+        let grad_output: Vec<f32> = (0..width).map(|i| (i as f32 * 0.37).sin()).collect();
+        let (mut got, mut want) = (vec![f32::NAN; n_vectors * 8], vec![f32::NAN; n_vectors * 8]);
+        for offsets in ws.index.chunks_exact(n_vectors) {
+            interaction_backward(&ws.vectors, offsets, 8, &grad_output, reads, &mut got);
+            interaction_backward_all(&ws.vectors, offsets, 8, &grad_output, &mut want);
+            for (v, (got, want)) in got.chunks_exact(8).zip(want.chunks_exact(8)).enumerate() {
+                let bits = |grad: &[f32]| grad.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                if reads(v) {
+                    assert_eq!(bits(got), bits(want), "vector {v}");
+                } else {
+                    assert!(got.iter().all(|&g| g == 0.0), "vector {v} is never read");
+                }
+            }
+        }
+    }
+
+    /// A model like `config` whose forward pass runs on `workers` workers.
+    fn on_workers(config: &DlrmConfig, workers: usize) -> Dlrm {
+        let mut model = Dlrm::new(config.clone());
+        model.ws.workers = vec![Worker::default(); workers];
+        model
+    }
+
+    /// Everything a run leaves behind, as bits: the forward pass's
+    /// probabilities, ten training losses, then every embedding row — and
+    /// the forward pass's work counters.
+    fn run_bits(
+        model: &mut Dlrm,
+        batch: &ConvertedBatch,
+        mode: ExecutionMode,
+    ) -> (Vec<u32>, ForwardStats) {
+        let (probs, stats) = model.forward(batch, mode);
+        let mut bits: Vec<u32> = probs.iter().map(|p| p.to_bits()).collect();
+        bits.extend((0..10).map(|_| model.train_step(batch, mode).to_bits()));
+        for table in model.tables() {
+            for id in 0..table.row_count() as u64 {
+                bits.extend(table.lookup(id).iter().map(|v| v.to_bits()));
+            }
+        }
+        (bits, stats)
+    }
+
+    /// Keeps the first `keep(list, len)` ids of every id list of `batch`.
+    fn cut_lists(batch: &mut ConvertedBatch, keep: impl Fn(usize, usize) -> usize) {
+        let grouped = batch.ikjts.iter_mut().flat_map(|ikjt| ikjt.iter_mut());
+        for (_, tensor) in batch.kjt.iter_mut().chain(grouped) {
+            let cut = |values: &mut Vec<u64>, offsets: &mut Vec<usize>| {
+                let (mut start, mut kept) = (0, 0);
+                for (list, end) in offsets[1..].iter_mut().enumerate() {
+                    let len = keep(list, *end - start);
+                    values.copy_within(start..start + len, kept);
+                    (start, kept) = (*end, kept + len);
+                    *end = kept;
+                }
+                values.truncate(kept);
+            };
+            tensor.edit_flat(cut).unwrap();
+        }
+    }
+
+    #[test]
+    fn the_worker_count_changes_no_bit() {
+        let tiny = WorkloadConfig::preset(WorkloadPreset::Tiny);
+        let (schema, full) = workload_batch(tiny.clone(), 64, true);
+        // Edge cases: a KJT feature absent from the batch, and every
+        // feature's first id list empty.
+        let mut edited = full.clone();
+        let kept = edited.kjt.iter().skip(1).map(|(key, t)| (key, t.clone()));
+        edited.kjt = KeyedJaggedTensor::from_tensors(kept.collect()).unwrap();
+        cut_lists(&mut edited, |list, len| if list == 0 { 0 } else { len });
+        // Two rows: fewer units per feature, and fewer rows, than workers.
+        let (_, two_rows) = workload_batch(tiny, 2, true);
+        // Histories cut from 96 to 16 ids keep the unoptimised build quick.
+        let (rm1_schema, mut rm1) = rm1_batch(32);
+        cut_lists(&mut rm1, |_, len| len.min(16));
+        let cases = [
+            ("tiny", &schema, &full),
+            ("absent feature, empty lists", &schema, &edited),
+            ("two rows", &schema, &two_rows),
+            ("rm1", &rm1_schema, &rm1),
+        ];
+        for (name, schema, batch) in cases {
+            let config = mixed_config(schema);
+            for mode in MODES {
+                let want = run_bits(&mut on_workers(&config, 1), batch, mode);
+                for workers in [2, 3, 8] {
+                    let (bits, stats) = run_bits(&mut on_workers(&config, workers), batch, mode);
+                    assert_eq!(stats, want.1, "{name} {mode:?} on {workers} workers");
+                    assert!(bits == want.0, "{name} {mode:?} on {workers} workers");
+                }
+            }
+        }
+    }
 
     fn converted_batch(dedup: bool) -> (Schema, ConvertedBatch) {
-        let gen = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
-        let p = gen.generate_partition();
+        workload_batch(WorkloadConfig::preset(WorkloadPreset::Tiny), 128, dedup)
+    }
+
+    /// The first `rows` session-clustered rows of a `workload` partition.
+    fn workload_batch(
+        workload: WorkloadConfig,
+        rows: usize,
+        dedup: bool,
+    ) -> (Schema, ConvertedBatch) {
+        let p = DatasetGenerator::new(workload).generate_partition();
         let clustered = cluster_by_session(&p.samples);
         let batch = ColumnarBatch::from_samples(
-            &clustered[..128.min(clustered.len())],
+            &clustered[..rows.min(clustered.len())],
             p.schema.dense_count(),
             p.schema.sparse_count(),
         );
@@ -658,7 +958,7 @@ mod tests {
         assert!((out[3] - (0.3 - 0.02 - 0.2)).abs() < 1e-6, "a.b first");
         let grad_out: Vec<f32> = (0..out.len()).map(|i| 0.1 * (i as f32 + 1.0)).collect();
         let mut grads = [f32::NAN; 9];
-        interaction_backward(&vectors, &offsets, 3, &grad_out, &mut grads);
+        interaction_backward(&vectors, &offsets, 3, &grad_out, |_| true, &mut grads);
 
         // Numerical check for vector b, coordinate 1.
         let eps = 1e-3f32;

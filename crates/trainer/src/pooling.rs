@@ -83,6 +83,21 @@ pub struct PoolScratch {
     row: Vec<f32>,
 }
 
+impl PoolScratch {
+    /// Empties the buffers and makes room for pooling any sequence of up to
+    /// `len` rows of width `dim`, which then allocates nothing.
+    pub(crate) fn reserve(&mut self, len: usize, dim: usize) {
+        for (buffer, size) in [
+            (&mut self.transposed, dim * len),
+            (&mut self.scores, len * len),
+            (&mut self.row, dim),
+        ] {
+            buffer.clear();
+            buffer.reserve(size);
+        }
+    }
+}
+
 /// Pools one sequence of embedding vectors — `sequence` is a flat row-major
 /// `[len × dim]` matrix — into `out` (`dim` wide, overwritten), returning the
 /// FLOPs spent.

@@ -1,10 +1,11 @@
 //! The steady-state step guarantee, counted: once a model's workspace has
-//! held a batch, `train_step` on batches of that shape performs zero heap
-//! allocations — forward, backward and embedding updates, in either mode.
+//! held a batch, `train_step` on batches of that shape allocates nothing but
+//! what starting its forward workers costs — forward, backward and embedding
+//! updates, in either mode, on the calling thread and on every worker.
 //!
-//! One test in this file, so nothing else in the process allocates on the
-//! counted thread; the counter is thread-local to keep the test harness's
-//! own threads out of it.
+//! The counter is global, so a worker thread's allocation counts too. One
+//! test in this file, so nothing else in the process allocates while the
+//! counter is armed.
 
 use recd_core::{DataLoaderConfig, FeatureConverter};
 use recd_data::ColumnarBatch;
@@ -12,22 +13,22 @@ use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd_etl::cluster_by_session;
 use recd_trainer::{Dlrm, DlrmConfig, ExecutionMode, PoolingKind};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::thread;
 
-thread_local! {
-    /// `Some(n)` while this thread is counting; const-initialized and
-    /// `Copy`, so touching it never allocates.
-    static ALLOCATIONS: Cell<Option<usize>> = const { Cell::new(None) };
-}
+static ARMED: AtomicBool = AtomicBool::new(false);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 fn count_one() {
-    ALLOCATIONS.with(|n| n.set(n.get().map(|n| n + 1)));
+    if ARMED.load(Ordering::SeqCst) {
+        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 struct CountAllocations;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a thread-local counter bump.
+// `GlobalAlloc` contract; the only addition is an atomic counter bump.
 unsafe impl GlobalAlloc for CountAllocations {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
@@ -48,17 +49,17 @@ unsafe impl GlobalAlloc for CountAllocations {
 #[global_allocator]
 static ALLOCATOR: CountAllocations = CountAllocations;
 
-/// Allocations (and reallocations) `f` performs on this thread.
+/// Allocations (and reallocations) any thread performs while `f` runs.
 fn allocations_in(f: impl FnOnce()) -> usize {
-    ALLOCATIONS.with(|n| n.set(Some(0)));
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
     f();
-    ALLOCATIONS
-        .with(|n| n.replace(None))
-        .expect("counting was on")
+    ARMED.store(false, Ordering::SeqCst);
+    ALLOCATIONS.load(Ordering::SeqCst)
 }
 
 #[test]
-fn a_warm_train_step_allocates_nothing() {
+fn a_warm_train_step_allocates_nothing_but_its_worker_spawns() {
     let partition =
         DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny)).generate_partition();
     let rows = cluster_by_session(&partition.samples);
@@ -83,6 +84,14 @@ fn a_warm_train_step_allocates_nothing() {
             break;
         }
     }
+    // A step's forward pass runs two split phases (pooling, interaction) on
+    // one worker per core. Each phase opens one scope and spawns every worker
+    // but the calling thread's; a lone worker opens no scope.
+    let workers = thread::available_parallelism().map_or(1, usize::from);
+    let per_step = |scope: usize, spawn: usize| match workers {
+        1 => 0,
+        _ => 2 * (scope + (workers - 1) * spawn),
+    };
     for mode in [ExecutionMode::Deduplicated, ExecutionMode::Baseline] {
         let mut model = Dlrm::new(config.clone());
         // The counter counts: a cold step has a workspace to grow.
@@ -92,13 +101,27 @@ fn a_warm_train_step_allocates_nothing() {
         assert!(cold > 0);
         model.train_step(&batches[1], mode);
 
+        // What a scope and one empty spawn in it cost, measured after the
+        // cold steps have spawned (and so set up the runtime's lazy state).
+        let scope = allocations_in(|| thread::scope(|_| {}));
+        let scope_and_spawn = allocations_in(|| {
+            thread::scope(|scope| {
+                scope.spawn(|| {});
+            })
+        });
+        let spawn = scope_and_spawn - scope;
+
         let mut losses = [0.0f32; 4];
         let warm = allocations_in(|| {
             for (loss, batch) in losses.iter_mut().zip(batches.iter().cycle()) {
                 *loss = model.train_step(batch, mode);
             }
         });
-        assert_eq!(warm, 0, "{mode:?}");
+        assert_eq!(
+            warm,
+            losses.len() * per_step(scope, spawn),
+            "{mode:?}: {workers} workers, a scope costs {scope} and a spawn {spawn} allocations"
+        );
         assert!(losses.iter().all(|loss| loss.is_finite()));
     }
 }
