@@ -321,12 +321,12 @@ impl FaultPlan {
 
     /// Generates a deterministic host-level plan for an M-host fleet: one
     /// host is killed and later rejoined, another is partitioned from the
-    /// control plane, with a storage brown-out, a transient get burst, and —
-    /// with more than one lane — a trainer stall riding along. The kill
-    /// always precedes the rejoin by at least a fifth of the horizon so the
-    /// death has time to be detected between them. Falls back to
-    /// [`FaultPlan::seeded`] when `hosts < 2` (killing the only host would
-    /// strand the stream by construction). Deterministic in
+    /// control plane (only when `hosts >= 3`), with a storage brown-out, a
+    /// transient get burst, and — with more than one lane — a trainer stall
+    /// riding along. The kill always precedes the rejoin by at least a fifth
+    /// of the horizon so the death has time to be detected between them.
+    /// Falls back to [`FaultPlan::seeded`] when `hosts < 2` (killing the
+    /// only host would strand the stream by construction). Deterministic in
     /// `(seed, horizon_ms, lanes, hosts)`.
     pub fn seeded_fleet(seed: u64, horizon_ms: u64, lanes: usize, hosts: usize) -> Self {
         if hosts < 2 {
@@ -338,8 +338,11 @@ impl FaultPlan {
             seed,
             faults: Vec::new(),
         };
-        // The killed and partitioned hosts are distinct, so at least one
-        // host stays reachable throughout.
+        // The killed and partitioned hosts are distinct, and a third host
+        // exists, so at least one host stays reachable throughout. On two
+        // hosts the partitioned one would be the killed one's only heir: a
+        // partition detected between the kill and the rejoin would leave no
+        // live host, so there is no partition.
         let killed = rng.gen_range(0..hosts);
         let partitioned = (killed + 1 + rng.gen_range(0..hosts - 1)) % hosts;
         let kill_at = rng.gen_range(span / 5..(2 * span) / 5);
@@ -348,13 +351,15 @@ impl FaultPlan {
             at_ms: kill_at,
             kind: FaultKind::KillHost { host: killed },
         });
-        plan.faults.push(ScheduledFault {
-            at_ms: rng.gen_range(span / 4..span / 2),
-            kind: FaultKind::PartitionHost {
-                host: partitioned,
-                ms: span / rng.gen_range(6u64..12),
-            },
-        });
+        if hosts > 2 {
+            plan.faults.push(ScheduledFault {
+                at_ms: rng.gen_range(span / 4..span / 2),
+                kind: FaultKind::PartitionHost {
+                    host: partitioned,
+                    ms: span / rng.gen_range(6u64..12),
+                },
+            });
+        }
         plan.faults.push(ScheduledFault {
             at_ms: rejoin_at,
             kind: FaultKind::RejoinHost { host: killed },
@@ -602,6 +607,26 @@ mod tests {
             FaultPlan::seeded_fleet(7, 3_600_000, 2, 1),
             FaultPlan::seeded(7, 3_600_000, 2)
         );
+    }
+
+    #[test]
+    fn two_host_fleet_plans_kill_and_rejoin_but_never_partition() {
+        for seed in [1u64, 7, 42] {
+            let plan = FaultPlan::seeded_fleet(seed, 3_600_000, 2, 2);
+            let kinds: Vec<FaultKind> = plan.faults().iter().map(|f| f.kind).collect();
+            assert!(kinds
+                .iter()
+                .any(|k| matches!(k, FaultKind::KillHost { .. })));
+            assert!(kinds
+                .iter()
+                .any(|k| matches!(k, FaultKind::RejoinHost { .. })));
+            assert!(
+                kinds
+                    .iter()
+                    .all(|k| !matches!(k, FaultKind::PartitionHost { .. })),
+                "a partition of the only survivor leaves no live host: {plan}"
+            );
+        }
     }
 
     #[test]

@@ -38,8 +38,6 @@ pub enum DataError {
         /// The offending group id (raw value).
         group: u32,
     },
-    /// An operation required a non-empty batch but the batch had no samples.
-    EmptyBatch,
     /// A columnar batch's buffers violated a shape invariant.
     ColumnarInvariant {
         /// What went wrong.
@@ -68,7 +66,6 @@ impl fmt::Display for DataError {
             DataError::UnknownDedupGroup { group } => {
                 write!(f, "dedup group {group} was referenced but never declared")
             }
-            DataError::EmptyBatch => write!(f, "operation requires a non-empty batch"),
             DataError::ColumnarInvariant { reason } => {
                 write!(f, "columnar batch invariant violated: {reason}")
             }

@@ -6,9 +6,8 @@
 //! workspace: strongly-typed identifiers ([`SessionId`], [`RequestId`],
 //! [`FeatureId`]), feature values ([`IdList`], [`ScoreList`]), training
 //! [`Sample`]s, raw inference-time logs ([`FeatureLog`], [`EventLog`]), the
-//! dataset [`Schema`] describing every dense and sparse feature, and batches
-//! of samples ([`SampleBatch`]) as they flow from the data-generation
-//! pipeline through storage, readers, and trainers.
+//! dataset [`Schema`] describing every dense and sparse feature, and the
+//! flat [`ColumnarBatch`] rows travel in from storage to the trainers.
 //!
 //! The types here intentionally carry no behavior beyond construction,
 //! validation, and size accounting. The interesting machinery — columnar
@@ -32,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod columnar;
 pub mod error;
 pub mod ids;
@@ -40,7 +38,6 @@ pub mod log;
 pub mod sample;
 pub mod schema;
 
-pub use batch::SampleBatch;
 pub use columnar::{ColumnarBatch, ColumnsMut, SparseColumn};
 pub use error::DataError;
 pub use ids::{FeatureId, RequestId, SessionId, ShardId, Timestamp, UserId};

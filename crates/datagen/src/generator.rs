@@ -6,7 +6,7 @@ use crate::distributions::LogNormalSampler;
 use crate::session::SessionGenerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use recd_data::{LogRecord, RequestId, Sample, SampleBatch, Schema, SessionId};
+use recd_data::{LogRecord, RequestId, Sample, Schema, SessionId};
 
 /// One generated hourly partition: the schema and its samples in
 /// inference-time order (sessions interleaved, as the baseline pipeline
@@ -30,11 +30,6 @@ impl GeneratedPartition {
     /// Returns true if the partition holds no samples.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// The partition's samples as a batch (preserving interleaved order).
-    pub fn to_batch(&self) -> SampleBatch {
-        SampleBatch::new(self.samples.clone())
     }
 
     /// Average samples per session across the partition.
@@ -208,12 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_conversion_preserves_order() {
+    fn partition_accounts_its_payload() {
         let gen = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
-        let partition = gen.generate_partition();
-        let batch = partition.to_batch();
-        assert_eq!(batch.len(), partition.len());
-        assert_eq!(batch.samples()[0], partition.samples[0]);
-        assert!(partition.payload_bytes() > 0);
+        assert!(gen.generate_partition().payload_bytes() > 0);
     }
 }

@@ -57,6 +57,8 @@ use recd_obs::{sample_value, MetricFamily, MetricsServer, SampleValue};
 use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_scribe::{LogTail, TailConfig};
 use recd_storage::{NodeConfig, TableStore, TectonicSim};
+use std::fmt::Display;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -139,62 +141,32 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
+        let it = &mut it;
         match flag.as_str() {
             "--preset" => {
-                args.preset = match value("--preset")?.as_str() {
+                args.preset = match value::<String>(it, &flag)?.as_str() {
                     "tiny" => WorkloadPreset::Tiny,
                     "small" => WorkloadPreset::Small,
                     other => return Err(format!("unknown preset '{other}' (tiny|small)")),
                 }
             }
-            "--sessions" => {
-                args.sessions = Some(
-                    value("--sessions")?
-                        .parse()
-                        .map_err(|e| format!("--sessions: {e}"))?,
-                )
-            }
-            "--batch-size" => {
-                args.batch_size = value("--batch-size")?
-                    .parse()
-                    .map_err(|e| format!("--batch-size: {e}"))?
-            }
-            "--fill-workers" => {
-                args.fill_workers = value("--fill-workers")?
-                    .parse()
-                    .map_err(|e| format!("--fill-workers: {e}"))?
-            }
-            "--workers" => {
-                args.compute_workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
-            }
-            "--queue-depth" => {
-                args.queue_depth = value("--queue-depth")?
-                    .parse()
-                    .map_err(|e| format!("--queue-depth: {e}"))?
-            }
+            "--sessions" => args.sessions = Some(value(it, &flag)?),
+            "--batch-size" => args.batch_size = value(it, &flag)?,
+            "--fill-workers" => args.fill_workers = value(it, &flag)?,
+            "--workers" => args.compute_workers = value(it, &flag)?,
+            "--shards" => args.shards = value(it, &flag)?,
+            "--queue-depth" => args.queue_depth = value(it, &flag)?,
             "--policy" => {
-                args.policy = match value("--policy")?.as_str() {
+                args.policy = match value::<String>(it, &flag)?.as_str() {
                     "session" => ShardPolicy::SessionAffine,
                     "file" => ShardPolicy::FileRoundRobin,
                     "row" => ShardPolicy::RowRoundRobin,
                     other => return Err(format!("unknown policy '{other}' (session|file|row)")),
                 }
             }
-            "--trainers" => {
-                args.trainers = value("--trainers")?
-                    .parse()
-                    .map_err(|e| format!("--trainers: {e}"))?
-            }
+            "--trainers" => args.trainers = value(it, &flag)?,
             "--assign" => {
-                args.assign = match value("--assign")?.as_str() {
+                args.assign = match value::<String>(it, &flag)?.as_str() {
                     "pinned" => TrainerAssignPolicy::ShardPinned,
                     "least" => TrainerAssignPolicy::LeastLoaded,
                     "rr" => TrainerAssignPolicy::RoundRobin,
@@ -206,125 +178,39 @@ fn parse_args() -> Result<Args, String> {
             // Worker bounds enable the controller exactly like --ctrl does.
             "--min-workers" => {
                 args.ctrl = true;
-                args.min_workers = value("--min-workers")?
-                    .parse()
-                    .map_err(|e| format!("--min-workers: {e}"))?;
+                args.min_workers = value(it, &flag)?;
             }
             "--max-workers" => {
                 args.ctrl = true;
-                args.max_workers = Some(
-                    value("--max-workers")?
-                        .parse()
-                        .map_err(|e| format!("--max-workers: {e}"))?,
-                )
+                args.max_workers = Some(value(it, &flag)?);
             }
             "--ctrl" => args.ctrl = true,
-            "--ctrl-kp" => {
-                args.ctrl_kp = Some(
-                    value("--ctrl-kp")?
-                        .parse()
-                        .map_err(|e| format!("--ctrl-kp: {e}"))?,
-                )
-            }
-            "--ctrl-ki" => {
-                args.ctrl_ki = Some(
-                    value("--ctrl-ki")?
-                        .parse()
-                        .map_err(|e| format!("--ctrl-ki: {e}"))?,
-                )
-            }
-            "--ctrl-kd" => {
-                args.ctrl_kd = Some(
-                    value("--ctrl-kd")?
-                        .parse()
-                        .map_err(|e| format!("--ctrl-kd: {e}"))?,
-                )
-            }
+            "--ctrl-kp" => args.ctrl_kp = Some(value(it, &flag)?),
+            "--ctrl-ki" => args.ctrl_ki = Some(value(it, &flag)?),
+            "--ctrl-kd" => args.ctrl_kd = Some(value(it, &flag)?),
             "--tail" => args.tail = true,
-            "--tail-rate" => {
-                args.tail_rate_ms = value("--tail-rate")?
-                    .parse()
-                    .map_err(|e| format!("--tail-rate: {e}"))?
-            }
-            "--tail-jitter-ms" => {
-                args.tail_jitter_ms = value("--tail-jitter-ms")?
-                    .parse()
-                    .map_err(|e| format!("--tail-jitter-ms: {e}"))?
-            }
-            "--tail-late-frac" => {
-                args.tail_late_frac = value("--tail-late-frac")?
-                    .parse()
-                    .map_err(|e| format!("--tail-late-frac: {e}"))?
-            }
-            "--tail-late-ms" => {
-                args.tail_late_ms = value("--tail-late-ms")?
-                    .parse()
-                    .map_err(|e| format!("--tail-late-ms: {e}"))?
-            }
-            "--tail-window-ms" => {
-                args.tail_window_ms = value("--tail-window-ms")?
-                    .parse()
-                    .map_err(|e| format!("--tail-window-ms: {e}"))?
-            }
-            "--tail-seal-rows" => {
-                args.tail_seal_rows = Some(
-                    value("--tail-seal-rows")?
-                        .parse()
-                        .map_err(|e| format!("--tail-seal-rows: {e}"))?,
-                )
-            }
-            "--tail-seed" => {
-                args.tail_seed = value("--tail-seed")?
-                    .parse()
-                    .map_err(|e| format!("--tail-seed: {e}"))?
-            }
-            "--hosts" => {
-                args.hosts = value("--hosts")?
-                    .parse()
-                    .map_err(|e| format!("--hosts: {e}"))?
-            }
-            "--heartbeat-ms" => {
-                args.heartbeat_ms = value("--heartbeat-ms")?
-                    .parse()
-                    .map_err(|e| format!("--heartbeat-ms: {e}"))?
-            }
+            "--tail-rate" => args.tail_rate_ms = value(it, &flag)?,
+            "--tail-jitter-ms" => args.tail_jitter_ms = value(it, &flag)?,
+            "--tail-late-frac" => args.tail_late_frac = value(it, &flag)?,
+            "--tail-late-ms" => args.tail_late_ms = value(it, &flag)?,
+            "--tail-window-ms" => args.tail_window_ms = value(it, &flag)?,
+            "--tail-seal-rows" => args.tail_seal_rows = Some(value(it, &flag)?),
+            "--tail-seed" => args.tail_seed = value(it, &flag)?,
+            "--hosts" => args.hosts = value(it, &flag)?,
+            "--heartbeat-ms" => args.heartbeat_ms = value(it, &flag)?,
             "--rebalance" => {
-                args.rebalance = match value("--rebalance")?.as_str() {
+                args.rebalance = match value::<String>(it, &flag)?.as_str() {
                     "on" => true,
                     "off" => false,
                     other => return Err(format!("unknown rebalance mode '{other}' (on|off)")),
                 }
             }
-            "--chaos-seed" => {
-                args.chaos_seed = Some(
-                    value("--chaos-seed")?
-                        .parse()
-                        .map_err(|e| format!("--chaos-seed: {e}"))?,
-                )
-            }
-            "--chaos-plan" => args.chaos_plan = Some(value("--chaos-plan")?),
-            "--storage-rate" => {
-                args.storage_rate = value("--storage-rate")?
-                    .parse()
-                    .map_err(|e| format!("--storage-rate: {e}"))?
-            }
-            "--storage-bw" => {
-                args.storage_bw = value("--storage-bw")?
-                    .parse()
-                    .map_err(|e| format!("--storage-bw: {e}"))?
-            }
-            "--cache-mb" => {
-                args.cache_mb = value("--cache-mb")?
-                    .parse()
-                    .map_err(|e| format!("--cache-mb: {e}"))?
-            }
-            "--metrics-port" => {
-                args.metrics_port = Some(
-                    value("--metrics-port")?
-                        .parse()
-                        .map_err(|e| format!("--metrics-port: {e}"))?,
-                )
-            }
+            "--chaos-seed" => args.chaos_seed = Some(value(it, &flag)?),
+            "--chaos-plan" => args.chaos_plan = Some(value(it, &flag)?),
+            "--storage-rate" => args.storage_rate = value(it, &flag)?,
+            "--storage-bw" => args.storage_bw = value(it, &flag)?,
+            "--cache-mb" => args.cache_mb = value(it, &flag)?,
+            "--metrics-port" => args.metrics_port = Some(value(it, &flag)?),
             "--scrape-once" => args.scrape_once = true,
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
@@ -441,6 +327,18 @@ fn parse_args() -> Result<Args, String> {
         );
     }
     Ok(args)
+}
+
+/// The argument after `flag`, parsed — the one owner of the "requires a
+/// value" and "`flag`: parse error" rejections.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let raw = args
+        .next()
+        .ok_or_else(|| format!("{flag} requires a value"))?;
+    raw.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 /// Builds the blob store for this invocation: 8 simulated nodes, with the

@@ -32,11 +32,28 @@
 //! controller on, off, or tuned badly. `crates/dpp/tests/scaling.rs` pins
 //! the pool behaviour on a stepped clock and the equivalence suite in
 //! `crates/pipeline/tests/control.rs` pins the unions.
+//!
+//! The mechanism the policy drives lives here too:
+//!
+//! * `PoolGovernor` counts one pool's live workers and pending retirements
+//!   and owns every spawned thread's join handle. Retirement is cooperative
+//!   — workers poll between (and after) work items, so a scale-down never
+//!   preempts an in-flight decode or conversion.
+//! * `PoolControls` is what the controller holds per pool: the governor,
+//!   the `[min, max]` bounds, a probe of the queue feeding the pool, and a
+//!   spawner.
+//! * [`ScaleEvent`] records one resize for reports.
+//!
+//! Time is abstracted behind [`ScaleClock`] so the controller is fully
+//! deterministic under test: the production [`WallClock`](crate::WallClock)
+//! ticks on a period, while [`ManualClock::step`](crate::ManualClock::step)
+//! grants exactly one evaluation and returns only after the controller
+//! finished it. The clocks live in `recd-obs` because the metrics aggregator
+//! polls on the very same abstraction.
 
-use crate::scaler::{PoolControls, ScaleClock, ScaleEvent};
-use recd_obs::{Collector, MetricsBuf};
+use recd_obs::{Collector, MetricsBuf, ScaleClock};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -84,7 +101,7 @@ pub struct CtrlConfig {
     /// installed).
     pub tick_period: Duration,
     /// Clock override for deterministic tests; `None` uses a
-    /// [`WallClock`](crate::scaler::WallClock) ticking every `tick_period`.
+    /// [`WallClock`](crate::WallClock) ticking every `tick_period`.
     pub clock: Option<Arc<dyn ScaleClock>>,
     /// Reads the ETL tail lag in ms of log time — the third tier's signal,
     /// injected by whoever owns the `EtlService` (the continuous runner).
@@ -148,7 +165,7 @@ impl CtrlConfig {
     }
 
     /// Installs a custom clock (e.g. a
-    /// [`ManualClock`](crate::scaler::ManualClock) in tests).
+    /// [`ManualClock`](crate::ManualClock) in tests).
     #[must_use]
     pub fn with_clock(mut self, clock: Arc<dyn ScaleClock>) -> Self {
         self.clock = Some(clock);
@@ -196,6 +213,39 @@ pub struct CtrlReport {
     pub pump_pauses: u64,
     /// Pump-gate green transitions (resumes).
     pub pump_resumes: u64,
+}
+
+impl std::ops::AddAssign for CtrlReport {
+    fn add_assign(&mut self, other: Self) {
+        self.ticks += other.ticks;
+        self.actuations += other.actuations;
+        self.grows += other.grows;
+        self.shrinks += other.shrinks;
+        self.pump_pauses += other.pump_pauses;
+        self.pump_resumes += other.pump_resumes;
+    }
+}
+
+/// One recorded pool resize.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ScaleEvent {
+    /// Clock seconds when the decision was made.
+    pub at_seconds: f64,
+    /// `"fill"` or `"compute"`.
+    pub pool: String,
+    /// Worker count before the event.
+    pub from: usize,
+    /// Worker count the event moves toward.
+    pub to: usize,
+    /// The queue depth that triggered the decision.
+    pub queue_depth: usize,
+}
+
+impl ScaleEvent {
+    /// Whether this event grew the pool.
+    pub fn is_grow(&self) -> bool {
+        self.to > self.from
+    }
 }
 
 /// The controller's shared live state: the pump gate flag the ETL side
@@ -343,6 +393,103 @@ impl PumpGate {
     }
 }
 
+/// Shared bookkeeping of one elastic worker pool: the live count, pending
+/// cooperative retirements, and every spawned thread's join handle.
+#[derive(Debug, Default)]
+pub(crate) struct PoolGovernor {
+    /// Live workers in the high half, pending retirements in the low half.
+    /// One word, so a claimed retirement leaves both counts in one step:
+    /// were they two atomics, `target()` could see the claim before the
+    /// worker stopped counting as live, read a pool one larger than it is,
+    /// and let the controller retire it through its floor.
+    counts: AtomicU64,
+    spawned_total: AtomicUsize,
+    peak_live: AtomicUsize,
+    handles: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// One live worker in [`PoolGovernor::counts`]; pending retirements count
+/// in units of 1 below it.
+const LIVE: u64 = 1 << 32;
+
+impl PoolGovernor {
+    /// `(live, retiring)` as of one instant.
+    fn counts(&self) -> (usize, usize) {
+        let counts = self.counts.load(Ordering::Acquire);
+        ((counts / LIVE) as usize, (counts % LIVE) as usize)
+    }
+
+    /// Registers a newly spawned worker.
+    pub(crate) fn adopt(&self, handle: JoinHandle<()>) {
+        let live = self.counts.fetch_add(LIVE, Ordering::AcqRel) / LIVE + 1;
+        self.peak_live.fetch_max(live as usize, Ordering::AcqRel);
+        self.handles.lock().expect("governor lock").push(handle);
+    }
+
+    /// Reserves the next worker id (used for thread names).
+    pub(crate) fn next_worker_id(&self) -> usize {
+        self.spawned_total.fetch_add(1, Ordering::AcqRel)
+    }
+
+    /// Currently live workers.
+    pub(crate) fn live(&self) -> usize {
+        self.counts().0
+    }
+
+    /// High-water mark of live workers.
+    pub(crate) fn peak_live(&self) -> usize {
+        self.peak_live.load(Ordering::Acquire)
+    }
+
+    /// Live workers minus pending retirements — the count the pool is
+    /// converging toward.
+    pub(crate) fn target(&self) -> usize {
+        let (live, retiring) = self.counts();
+        live.saturating_sub(retiring)
+    }
+
+    /// Asks one worker to retire at its next poll.
+    pub(crate) fn request_retire(&self) {
+        self.counts.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Called by workers between items: claims a pending retirement, if any.
+    /// A `true` return means "this worker must exit now".
+    pub(crate) fn try_retire(&self) -> bool {
+        self.counts
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |counts| {
+                (counts % LIVE != 0).then(|| counts - LIVE - 1)
+            })
+            .is_ok()
+    }
+
+    /// Called by workers exiting for any non-retirement reason (end of
+    /// stream) so the live gauge stays truthful during drain.
+    pub(crate) fn note_exit(&self) {
+        self.counts.fetch_sub(LIVE, Ordering::AcqRel);
+    }
+
+    /// Takes every join handle accumulated so far (initial and dynamically
+    /// spawned workers alike).
+    pub(crate) fn take_handles(&self) -> Vec<JoinHandle<()>> {
+        std::mem::take(&mut *self.handles.lock().expect("governor lock"))
+    }
+}
+
+/// Everything the controller thread needs to steer one pool.
+pub(crate) struct PoolControls {
+    pub(crate) name: &'static str,
+    pub(crate) governor: Arc<PoolGovernor>,
+    pub(crate) min: usize,
+    pub(crate) max: usize,
+    /// Reads the depth of the queue feeding this pool.
+    pub(crate) queue_probe: Box<dyn Fn() -> usize + Send>,
+    /// Capacity of that queue (the base of its fill fraction).
+    pub(crate) queue_capacity: usize,
+    /// Spawns one more worker into the pool.
+    pub(crate) spawn: Box<dyn Fn() -> JoinHandle<()> + Send>,
+}
+
 /// Everything the PID controller thread needs.
 pub(crate) struct PidParams {
     pub(crate) config: CtrlConfig,
@@ -385,146 +532,180 @@ impl PidState {
 pub(crate) fn spawn_pid_controller(params: PidParams) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("dpp-pid-ctrl".to_string())
-        .spawn(move || {
-            let PidParams {
-                config,
-                clock,
-                shared,
-                fill,
-                compute,
-                lane_probe,
-                tail_lag_probe,
-                events,
-                on_resize,
-            } = params;
-            let mut fill_pid = PidState::default();
-            let mut compute_pid = PidState::default();
-            while clock.wait_tick() {
-                shared.ticks.fetch_add(1, Ordering::Relaxed);
-
-                // Sample all three tiers on this tick.
-                let input_depth = (fill.queue_probe)();
-                let work_depth = (compute.queue_probe)();
-                let input_frac = input_depth as f64 / fill.queue_capacity.max(1) as f64;
-                let work_frac = work_depth as f64 / compute.queue_capacity.max(1) as f64;
-                let (lane_depth, lane_capacity) = lane_probe();
-                let lane_frac = if lane_capacity == 0 {
-                    0.0
-                } else {
-                    lane_depth as f64 / lane_capacity as f64
-                };
-                let tail_lag_ms = tail_lag_probe.as_ref().map_or(0, |probe| probe());
-
-                // PID error terms. The compute error subtracts a lane
-                // penalty: full lanes mean compute output has nowhere to go,
-                // so more compute workers cannot help and existing ones
-                // should retire.
-                let fill_error = input_frac - SETPOINT;
-                // The multiplier must dominate the largest possible queue
-                // error (0.5 at a saturated work queue): 4.0 makes fully
-                // saturated lanes (penalty 1.0) outweigh any queue pressure.
-                let lane_penalty = 4.0 * (lane_frac - LANE_HIGH).max(0.0);
-                let compute_error = work_frac - SETPOINT - lane_penalty;
-                store_f64(&shared.fill_error_bits, fill_error);
-                store_f64(&shared.compute_error_bits, compute_error);
-
-                let fill_control = fill_pid.advance(&config, fill_error);
-                let compute_control = compute_pid.advance(&config, compute_error);
-                store_f64(&shared.fill_integral_bits, fill_pid.integral);
-                store_f64(&shared.compute_integral_bits, compute_pid.integral);
-
-                let mut resized = false;
-                resized |= actuate_pool(
-                    &*clock,
-                    &shared,
-                    &fill,
-                    &mut fill_pid,
-                    fill_control,
-                    input_depth,
-                    &events,
-                );
-                resized |= actuate_pool(
-                    &*clock,
-                    &shared,
-                    &compute,
-                    &mut compute_pid,
-                    compute_control,
-                    work_depth,
-                    &events,
-                );
-                if resized {
-                    on_resize(fill.governor.target(), compute.governor.target());
-                }
-
-                // The pump-rate signal: hold the ETL pump while any trainer
-                // lane is the bottleneck — unless the ETL has already fallen
-                // `LAG_HIGH_MS` behind the tail, in which case catching up
-                // outranks lane backpressure.
-                let want_pause = lane_frac >= LANE_HIGH && tail_lag_ms <= LAG_HIGH_MS;
-                let was_paused = shared.pump_paused.swap(want_pause, Ordering::AcqRel);
-                if want_pause != was_paused {
-                    shared.actuations.fetch_add(1, Ordering::Relaxed);
-                    if want_pause {
-                        shared.pump_pauses.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        shared.pump_resumes.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            // Never leave the pump gated after shutdown.
-            shared.pump_paused.store(false, Ordering::Release);
-        })
+        .spawn(move || params.run())
         .expect("spawn pid controller")
 }
 
-/// Applies one pool's control signal within the pool's bounds. Returns
-/// `true` on a resize.
-fn actuate_pool(
-    clock: &dyn ScaleClock,
-    shared: &CtrlShared,
-    pool: &PoolControls,
-    pid: &mut PidState,
-    control: f64,
-    queue_depth: usize,
-    events: &Arc<Mutex<Vec<ScaleEvent>>>,
-) -> bool {
-    let target = pool.governor.target();
-    if control >= ACTUATION_THRESHOLD && target < pool.max {
-        pool.governor.adopt((pool.spawn)());
-        events.lock().expect("scale events lock").push(ScaleEvent {
-            at_seconds: clock.now_seconds(),
-            pool: pool.name.to_string(),
-            from: target,
-            to: target + 1,
-            queue_depth,
-        });
-        shared.actuations.fetch_add(1, Ordering::Relaxed);
-        shared.grows.fetch_add(1, Ordering::Relaxed);
-        pid.integral = 0.0;
-        return true;
+impl PidParams {
+    /// One evaluation per clock tick until the clock shuts down.
+    fn run(self) {
+        let (shared, fill, compute) = (&self.shared, &self.fill, &self.compute);
+        let mut fill_pid = PidState::default();
+        let mut compute_pid = PidState::default();
+        while self.clock.wait_tick() {
+            shared.ticks.fetch_add(1, Ordering::Relaxed);
+
+            // Sample all three tiers on this tick.
+            let input_depth = (fill.queue_probe)();
+            let work_depth = (compute.queue_probe)();
+            let input_frac = input_depth as f64 / fill.queue_capacity.max(1) as f64;
+            let work_frac = work_depth as f64 / compute.queue_capacity.max(1) as f64;
+            let (lane_depth, lane_capacity) = (self.lane_probe)();
+            let lane_frac = if lane_capacity == 0 {
+                0.0
+            } else {
+                lane_depth as f64 / lane_capacity as f64
+            };
+            let tail_lag_ms = self.tail_lag_probe.as_ref().map_or(0, |probe| probe());
+
+            // PID error terms. The compute error subtracts a lane penalty:
+            // full lanes mean compute output has nowhere to go, so more
+            // compute workers cannot help and existing ones should retire.
+            let fill_error = input_frac - SETPOINT;
+            // The multiplier must dominate the largest possible queue error
+            // (0.5 at a saturated work queue): 4.0 makes fully saturated
+            // lanes (penalty 1.0) outweigh any queue pressure.
+            let lane_penalty = 4.0 * (lane_frac - LANE_HIGH).max(0.0);
+            let compute_error = work_frac - SETPOINT - lane_penalty;
+            store_f64(&shared.fill_error_bits, fill_error);
+            store_f64(&shared.compute_error_bits, compute_error);
+
+            let fill_control = fill_pid.advance(&self.config, fill_error);
+            let compute_control = compute_pid.advance(&self.config, compute_error);
+            store_f64(&shared.fill_integral_bits, fill_pid.integral);
+            store_f64(&shared.compute_integral_bits, compute_pid.integral);
+
+            // `|`, not `||`: both pools act on every tick.
+            let resized = self.actuate(fill, &mut fill_pid, fill_control, input_depth)
+                | self.actuate(compute, &mut compute_pid, compute_control, work_depth);
+            if resized {
+                (self.on_resize)(fill.governor.target(), compute.governor.target());
+            }
+
+            // The pump-rate signal: hold the ETL pump while any trainer lane
+            // is the bottleneck — unless the ETL has already fallen
+            // `LAG_HIGH_MS` behind the tail, in which case catching up
+            // outranks lane backpressure.
+            let want_pause = lane_frac >= LANE_HIGH && tail_lag_ms <= LAG_HIGH_MS;
+            let was_paused = shared.pump_paused.swap(want_pause, Ordering::AcqRel);
+            if want_pause != was_paused {
+                shared.actuations.fetch_add(1, Ordering::Relaxed);
+                if want_pause {
+                    shared.pump_pauses.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    shared.pump_resumes.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        // Never leave the pump gated after shutdown.
+        shared.pump_paused.store(false, Ordering::Release);
     }
-    if control <= -ACTUATION_THRESHOLD && target > pool.min {
-        pool.governor.request_retire();
-        events.lock().expect("scale events lock").push(ScaleEvent {
-            at_seconds: clock.now_seconds(),
-            pool: pool.name.to_string(),
-            from: target,
-            to: target - 1,
-            queue_depth,
-        });
-        shared.actuations.fetch_add(1, Ordering::Relaxed);
-        shared.shrinks.fetch_add(1, Ordering::Relaxed);
+
+    /// Applies one pool's control signal within the pool's bounds. Returns
+    /// `true` on a resize.
+    fn actuate(
+        &self,
+        pool: &PoolControls,
+        pid: &mut PidState,
+        control: f64,
+        queue_depth: usize,
+    ) -> bool {
+        let target = pool.governor.target();
+        let to = if control >= ACTUATION_THRESHOLD && target < pool.max {
+            pool.governor.adopt((pool.spawn)());
+            self.shared.grows.fetch_add(1, Ordering::Relaxed);
+            target + 1
+        } else if control <= -ACTUATION_THRESHOLD && target > pool.min {
+            pool.governor.request_retire();
+            self.shared.shrinks.fetch_add(1, Ordering::Relaxed);
+            target - 1
+        } else {
+            return false;
+        };
+        self.events
+            .lock()
+            .expect("scale events lock")
+            .push(ScaleEvent {
+                at_seconds: self.clock.now_seconds(),
+                pool: pool.name.to_string(),
+                from: target,
+                to,
+                queue_depth,
+            });
+        self.shared.actuations.fetch_add(1, Ordering::Relaxed);
         pid.integral = 0.0;
-        return true;
+        true
     }
-    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scaler::{ManualClock, PoolGovernor};
-    use std::sync::atomic::AtomicUsize;
+    use recd_obs::ManualClock;
+
+    /// A claimed retirement must leave `retiring` and `live` in one step.
+    /// If `target()` can observe the claim before the worker stops counting
+    /// as live, a controller that samples in that window sees a pool one
+    /// larger than it is and retires it through its floor. Deliberately
+    /// adversarial: the "controller" samples as fast as it can while workers
+    /// claim retirements.
+    #[test]
+    fn retirements_never_take_the_pool_below_the_floor() {
+        const FLOOR: usize = 1;
+        for _ in 0..200 {
+            let governor = Arc::new(PoolGovernor::default());
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    let governor = Arc::clone(&governor);
+                    std::thread::spawn(move || {
+                        while !governor.try_retire() {
+                            std::thread::yield_now();
+                        }
+                    })
+                })
+                .collect();
+            for _ in 0..4 {
+                governor.adopt(std::thread::spawn(|| {}));
+            }
+            // Retire down to the floor, one request per observed surplus.
+            while governor.live() > FLOOR {
+                if governor.target() > FLOOR {
+                    governor.request_retire();
+                }
+            }
+            // Settle: every request issued so far gets claimed.
+            while governor.target() != governor.live() {
+                std::thread::yield_now();
+            }
+            assert_eq!(governor.live(), FLOOR, "pool retired through its floor");
+            // Release the one worker still polling.
+            governor.request_retire();
+            for worker in workers {
+                worker.join().unwrap();
+            }
+            for handle in governor.take_handles() {
+                handle.join().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn governor_retirement_bookkeeping() {
+        let governor = PoolGovernor::default();
+        governor.adopt(std::thread::spawn(|| {}));
+        governor.adopt(std::thread::spawn(|| {}));
+        assert_eq!(governor.live(), 2);
+        assert_eq!(governor.peak_live(), 2);
+        assert!(!governor.try_retire(), "no retirement requested yet");
+        governor.request_retire();
+        assert_eq!(governor.target(), 1);
+        assert!(governor.try_retire());
+        assert!(!governor.try_retire(), "request must be claimed once");
+        assert_eq!(governor.live(), 1);
+        for handle in governor.take_handles() {
+            handle.join().unwrap();
+        }
+    }
 
     struct Harness {
         clock: Arc<ManualClock>,
@@ -549,9 +730,9 @@ mod tests {
         let work_depth = Arc::new(AtomicUsize::new(0));
         let lane_depth = Arc::new(AtomicUsize::new(0));
         let tail_lag = Arc::new(AtomicU64::new(0));
-        let fill_governor = Arc::new(PoolGovernor::new());
+        let fill_governor = Arc::new(PoolGovernor::default());
         fill_governor.adopt(std::thread::spawn(|| {}));
-        let compute_governor = Arc::new(PoolGovernor::new());
+        let compute_governor = Arc::new(PoolGovernor::default());
         compute_governor.adopt(std::thread::spawn(|| {}));
         let events = Arc::new(Mutex::new(Vec::new()));
         let resizes = Arc::new(Mutex::new(Vec::new()));

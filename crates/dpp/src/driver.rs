@@ -114,6 +114,9 @@ pub enum DriverError {
     LandedFleet,
     /// A partition barrier did not resolve: the DPP tier tore down mid-run.
     Barrier,
+    /// Every fleet host was declared dead, so no host is left to inherit
+    /// their shards (a fault plan that kills or partitions the last host).
+    NoLiveHost,
     /// The DPP tier finished with fill or conversion errors.
     Service {
         /// One message per failure (fleet entries name their host).
@@ -134,6 +137,10 @@ impl std::fmt::Display for DriverError {
             ),
             Self::LandedFleet => write!(f, "a fleet requires a tail feed"),
             Self::Barrier => write!(f, "a partition barrier did not resolve"),
+            Self::NoLiveHost => write!(
+                f,
+                "every fleet host is dead; no host can inherit its shards"
+            ),
             Self::Service { errors } => write!(
                 f,
                 "streaming DPP run finished with {} error(s): {}",
@@ -234,7 +241,7 @@ enum Source {
 /// Single service versus fleet: the only place the two differ.
 enum Backend {
     Single(DppHandle),
-    Fleet(FleetHandle),
+    Fleet(Box<FleetHandle>),
 }
 
 impl Backend {
@@ -245,17 +252,29 @@ impl Backend {
         };
     }
 
-    fn flush_partition(&mut self) -> bool {
-        match self {
+    fn flush_partition(&mut self) -> Result<(), DriverError> {
+        let flushed = match self {
             Self::Single(handle) => handle.flush_partition(),
             Self::Fleet(fleet) => fleet.flush_partition(),
-        }
+        };
+        self.some_host_live()?;
+        flushed.then_some(()).ok_or(DriverError::Barrier)
     }
 
     /// Heartbeats, death detection, partition healing (fleet only).
-    fn tick(&mut self, now_ms: u64) {
+    fn tick(&mut self, now_ms: u64) -> Result<(), DriverError> {
         if let Self::Fleet(fleet) = self {
             fleet.tick(now_ms);
+        }
+        self.some_host_live()
+    }
+
+    /// A death (detected by a tick or a barrier round) that left a fleet no
+    /// live host to inherit its shards ends the run.
+    fn some_host_live(&self) -> Result<(), DriverError> {
+        match self {
+            Self::Fleet(fleet) if fleet.hosts_live() == 0 => Err(DriverError::NoLiveHost),
+            _ => Ok(()),
         }
     }
 
@@ -501,7 +520,7 @@ impl Driver {
                 }
                 registry.register(Arc::new(federation));
                 registry.register(handle.counters());
-                (Backend::Fleet(handle), None, None)
+                (Backend::Fleet(Box::new(handle)), None, None)
             }
         };
         registry.register(Arc::new(store.blob_store().clone()));
@@ -536,6 +555,7 @@ impl Driver {
     /// # Errors
     ///
     /// [`DriverError::Barrier`] if the DPP tier tore down under a barrier,
+    /// [`DriverError::NoLiveHost`] if a fleet lost its last host,
     /// [`DriverError::Service`] if it finished with errors. Every thread is
     /// joined before an error returns.
     pub fn run(self, consume: Consume) -> Result<DriverOutput, DriverError> {
@@ -591,7 +611,7 @@ fn pump(
     let mut pumps = 0u64;
     while !tail.etl.tail_drained() {
         let now = clock.advance(tail.step_ms);
-        backend.tick(now);
+        backend.tick(now)?;
         if let Some(chaos) = tail.chaos.as_mut() {
             for action in chaos.injector.poll(now) {
                 match (action, &mut *backend) {
@@ -637,9 +657,7 @@ fn pump(
         );
         pumps += 1;
         if barrier {
-            if !backend.flush_partition() {
-                return Err(DriverError::Barrier);
-            }
+            backend.flush_partition()?;
             if let Some(chaos) = tail.chaos.as_mut() {
                 if pumps.is_multiple_of(CHECKPOINT_EVERY_PUMPS) {
                     chaos.checkpoint = tail.etl.checkpoint();
@@ -652,8 +670,8 @@ fn pump(
         .finish(&mut |stored: &StoredPartition, _sealed: &TablePartition| {
             backend.ingest_partition(stored);
         });
-    if barrier && !backend.flush_partition() {
-        return Err(DriverError::Barrier);
+    if barrier {
+        backend.flush_partition()?;
     }
     let chaos = tail.chaos.map(|mut chaos| chaos.injector.finish());
     Ok((Some(output.report), chaos))

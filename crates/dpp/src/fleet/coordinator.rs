@@ -4,10 +4,9 @@
 use super::host::{start_host, FleetShared, HostRuntime};
 use super::obs::{FleetCounters, HostProbe};
 use super::{FleetConfig, FleetOutput, FleetReport};
-use crate::channel::{bounded, Gauge};
 use crate::checkpoint::DppCheckpoint;
-use crate::metrics::{DppReport, TrainerLaneReport};
-use crate::sink::{LaneSender, LaneShared, TrainerBatch, TrainerHandle};
+use crate::metrics::{per_second, DppReport};
+use crate::sink::{TrainerHandle, TrainerLanes};
 use recd_data::Schema;
 use recd_obs::MetricsRegistry;
 use recd_storage::{StoredPartition, TableStore};
@@ -63,62 +62,39 @@ impl DppFleet {
     /// set; shard `s` initially lives on host `s % hosts`.
     pub fn start(config: FleetConfig, store: Arc<TableStore>, schema: Schema) -> FleetHandle {
         assert!(config.hosts >= 1, "a fleet needs at least one host");
-        let shards = config.host.shards.max(1);
-        let counters = Arc::new(FleetCounters::new(config.hosts));
-
-        let mut lanes = Vec::new();
-        let mut trainers = Vec::new();
-        let mut lane_shared = Vec::new();
-        let mut lane_gauges = Vec::new();
-        for trainer in 0..config.trainers.max(1) {
-            let (tx, rx) = bounded::<TrainerBatch>(config.trainer_queue_depth.max(1));
-            let shared = Arc::new(LaneShared::default());
-            lane_gauges.push(rx.gauge());
-            trainers.push(TrainerHandle::new(trainer, rx, Arc::clone(&shared)));
-            lane_shared.push(Arc::clone(&shared));
-            lanes.push(LaneSender { tx, shared });
-        }
-        let shared = Arc::new(FleetShared {
-            delivered_through: Mutex::new(vec![0u64; shards]),
-            lanes,
-        });
-
-        let mut slots = Vec::new();
-        for host in 0..config.hosts {
-            let runtime = start_host(
-                host,
-                &config,
-                shards,
-                &store,
-                &schema,
-                DppCheckpoint::default(),
-                &shared,
-                &counters,
-            );
-            let probe = Arc::new(HostProbe::default());
-            probe.set(runtime.handle.snapshot_source());
-            let registry = Arc::new(MetricsRegistry::new());
-            registry.register(Arc::clone(&probe) as Arc<dyn recd_obs::Collector>);
-            slots.push(HostSlot {
-                runtime: Some(runtime),
-                live: true,
-                reachable: Reach::Up,
-                last_beat_ms: 0,
-                pending: Vec::new(),
-                checkpoint: DppCheckpoint::default(),
-                registry,
-                probe,
-            });
-        }
-
-        let hosts = config.hosts;
-        let handle = FleetHandle {
+        let (hosts, shards) = (config.hosts, config.host.shards.max(1));
+        let (lanes, senders, trainers) =
+            TrainerLanes::open(config.trainers.max(1), config.trainer_queue_depth.max(1));
+        let fleet = Arc::new(FleetShared {
             config,
             shards,
             store,
             schema,
-            counters,
-            shared,
+            counters: Arc::new(FleetCounters::new(hosts)),
+            delivered_through: Mutex::new(vec![0u64; shards]),
+            lanes: senders,
+        });
+        let slots = (0..hosts)
+            .map(|host| {
+                let runtime = start_host(host, &fleet, DppCheckpoint::default());
+                let probe = Arc::new(HostProbe::default());
+                probe.set(runtime.handle.snapshot_source());
+                let registry = Arc::new(MetricsRegistry::new());
+                registry.register(Arc::clone(&probe) as Arc<dyn recd_obs::Collector>);
+                HostSlot {
+                    runtime: Some(runtime),
+                    live: true,
+                    reachable: Reach::Up,
+                    last_beat_ms: 0,
+                    pending: Vec::new(),
+                    checkpoint: DppCheckpoint::default(),
+                    registry,
+                    probe,
+                }
+            })
+            .collect();
+        let handle = FleetHandle {
+            fleet,
             slots,
             placement: (0..shards).map(|s| s % hosts).collect(),
             cuts: vec![0u64; shards],
@@ -129,8 +105,7 @@ impl DppFleet {
             next_file_idx: 0,
             now_ms: 0,
             trainers,
-            lane_shared,
-            lane_gauges,
+            lanes,
             rebalance_requests: Arc::new(AtomicBool::new(false)),
             reapers: Vec::new(),
             started: Instant::now(),
@@ -162,12 +137,7 @@ impl FleetController {
 /// like [`DppHandle`](crate::DppHandle): submissions, ticks, faults, and
 /// barriers all happen from the coordinator's thread.
 pub struct FleetHandle {
-    config: FleetConfig,
-    shards: usize,
-    store: Arc<TableStore>,
-    schema: Schema,
-    counters: Arc<FleetCounters>,
-    shared: Arc<FleetShared>,
+    fleet: Arc<FleetShared>,
     slots: Vec<HostSlot>,
     /// `placement[s]` = host that currently owns shard `s`.
     placement: Vec<usize>,
@@ -182,8 +152,7 @@ pub struct FleetHandle {
     next_file_idx: u64,
     now_ms: u64,
     trainers: Vec<TrainerHandle>,
-    lane_shared: Vec<Arc<LaneShared>>,
-    lane_gauges: Vec<Gauge<TrainerBatch>>,
+    lanes: TrainerLanes,
     rebalance_requests: Arc<AtomicBool>,
     /// Joiners for torn-down incarnations' `finish()` calls.
     reapers: Vec<JoinHandle<()>>,
@@ -197,7 +166,7 @@ impl FleetHandle {
     /// composition independent of fleet topology and failures.
     pub fn submit_file(&mut self, path: impl Into<String>) {
         let path = path.into();
-        let shard = (self.next_file_idx % self.shards as u64) as usize;
+        let shard = (self.next_file_idx % self.fleet.shards as u64) as usize;
         self.next_file_idx += 1;
         self.interval_files[shard].push(path.clone());
         self.route(shard, path);
@@ -225,18 +194,20 @@ impl FleetHandle {
     }
 
     fn route(&mut self, shard: usize, path: String) {
-        let host = self.placement[shard];
-        let slot = &mut self.slots[host];
-        if slot.live && slot.reachable == Reach::Up {
-            slot.runtime
+        let slot = &mut self.slots[self.placement[shard]];
+        match (slot.live, slot.reachable) {
+            (true, Reach::Up) => slot
+                .runtime
                 .as_mut()
                 .expect("a live, reachable host has a runtime")
                 .handle
-                .submit_file_to_shard(path, shard);
-        } else {
+                .submit_file_to_shard(path, shard),
             // Unreachable (or killed-but-undetected): the file waits here
             // until the partition heals or detection replays the interval.
-            slot.pending.push((shard, path));
+            (true, _) => slot.pending.push((shard, path)),
+            // Orphaned by a death that left no live host: the interval log
+            // replays the file to whichever host rejoins and adopts the shard.
+            (false, _) => {}
         }
     }
 
@@ -247,7 +218,7 @@ impl FleetHandle {
     pub fn tick(&mut self, now_ms: u64) {
         self.now_ms = self.now_ms.max(now_ms);
         let now = self.now_ms;
-        self.counters.set_now(now);
+        self.fleet.counters.set_now(now);
         for host in 0..self.slots.len() {
             let Reach::Partitioned { until_ms } = self.slots[host].reachable else {
                 continue;
@@ -258,8 +229,8 @@ impl FleetHandle {
             if self.slots[host].live {
                 // Healed before anyone noticed: a flap. Flush what queued.
                 self.slots[host].reachable = Reach::Up;
-                self.counters.note_flap();
-                self.counters.set_host_up(host, true);
+                self.fleet.counters.note_flap();
+                self.fleet.counters.set_host_up(host, true);
                 let pending = std::mem::take(&mut self.slots[host].pending);
                 for (shard, path) in pending {
                     self.slots[host]
@@ -280,13 +251,13 @@ impl FleetHandle {
             let slot = &mut self.slots[host];
             if slot.live && slot.reachable == Reach::Up {
                 slot.last_beat_ms = now;
-                self.counters.note_heartbeat(host, now);
+                self.fleet.counters.note_heartbeat(host, now);
             }
         }
         for host in 0..self.slots.len() {
             if self.slots[host].live
                 && now.saturating_sub(self.slots[host].last_beat_ms)
-                    > self.config.heartbeat_timeout_ms
+                    > self.fleet.config.heartbeat_timeout_ms
             {
                 self.declare_dead(host);
             }
@@ -298,8 +269,8 @@ impl FleetHandle {
     /// round fails).
     pub fn kill_host(&mut self, host: usize) {
         let host = host % self.slots.len();
-        self.counters.note_kill();
-        self.counters.set_host_up(host, false);
+        self.fleet.counters.note_kill();
+        self.fleet.counters.set_host_up(host, false);
         self.slots[host].reachable = Reach::Down;
         self.teardown_runtime(host);
     }
@@ -320,16 +291,18 @@ impl FleetHandle {
             },
             _ => Reach::Partitioned { until_ms: until },
         };
-        self.counters.note_partition();
-        self.counters.set_host_up(host, false);
+        self.fleet.counters.note_partition();
+        self.fleet.counters.set_host_up(host, false);
     }
 
     /// Applies a `rejoin-host` fault: restarts the host as a fresh
     /// incarnation resumed from the coordinator's last checkpoint for it.
     /// The rejoined host owns no shards until the next rebalance steals some
-    /// back. A host that is still up and reachable is left alone; a host
-    /// that is down but not yet *declared* dead is declared first (the
-    /// restart is itself proof the old incarnation is gone).
+    /// back — except shards orphaned by a death that left no live host,
+    /// which it adopts at once, replaying the interval. A host that is still
+    /// up and reachable is left alone; a host that is down but not yet
+    /// *declared* dead is declared first (the restart is itself proof the old
+    /// incarnation is gone).
     pub fn rejoin_host(&mut self, host: usize) {
         let host = host % self.slots.len();
         if self.slots[host].live && self.slots[host].reachable == Reach::Up {
@@ -339,25 +312,23 @@ impl FleetHandle {
             self.declare_dead(host);
         }
         self.teardown_runtime(host);
-        let runtime = start_host(
-            host,
-            &self.config,
-            self.shards,
-            &self.store,
-            &self.schema,
-            self.slots[host].checkpoint.clone(),
-            &self.shared,
-            &self.counters,
-        );
+        let orphaned: Vec<usize> = (0..self.fleet.shards)
+            .filter(|&s| !self.slots[self.placement[s]].live)
+            .collect();
+        let runtime = start_host(host, &self.fleet, self.slots[host].checkpoint.clone());
         self.slots[host].probe.set(runtime.handle.snapshot_source());
         self.slots[host].runtime = Some(runtime);
         self.slots[host].live = true;
         self.slots[host].reachable = Reach::Up;
         self.slots[host].last_beat_ms = self.now_ms;
-        self.counters.note_rejoin();
-        self.counters.note_heartbeat(host, self.now_ms);
-        self.counters.set_host_up(host, true);
-        self.counters.set_hosts_live(self.live_count());
+        for shard in orphaned {
+            self.place_shard(shard, host, true);
+            self.fleet.counters.note_replacement();
+        }
+        self.fleet.counters.note_rejoin();
+        self.fleet.counters.note_heartbeat(host, self.now_ms);
+        self.fleet.counters.set_host_up(host, true);
+        self.fleet.counters.set_hosts_live(self.live_count());
         self.refresh_owned_gauges();
     }
 
@@ -370,12 +341,16 @@ impl FleetHandle {
     ///
     /// Like [`DppHandle::flush_partition`](crate::DppHandle::flush_partition),
     /// fleet trainers must keep consuming while this runs. Returns `false`
-    /// if a host service tore down before its barrier resolved.
+    /// if a host service tore down before its barrier resolved, or if no
+    /// live host is left to resolve it.
     pub fn flush_partition(&mut self) -> bool {
         for host in 0..self.slots.len() {
             if self.slots[host].live && self.slots[host].reachable != Reach::Up {
                 self.declare_dead(host);
             }
+        }
+        if self.live_count() == 0 {
+            return false;
         }
         for host in 0..self.slots.len() {
             if self.slots[host].live {
@@ -405,14 +380,14 @@ impl FleetHandle {
                     .first()
                     .map(|lane| lane.delivered_batches)
                     .unwrap_or(0);
-                if runtime.collector.processed.load(Ordering::Acquire) >= delivered {
+                if runtime.collector.state.processed.load(Ordering::Acquire) >= delivered {
                     break;
                 }
                 std::thread::sleep(QUIESCE_POLL);
             }
         }
         self.cuts = self
-            .shared
+            .fleet
             .delivered_through
             .lock()
             .expect("watermark lock")
@@ -425,8 +400,8 @@ impl FleetHandle {
         for files in &mut self.interval_files {
             files.clear();
         }
-        self.counters.note_barrier();
-        if self.config.rebalance || self.rebalance_requests.swap(false, Ordering::AcqRel) {
+        self.fleet.counters.note_barrier();
+        if self.fleet.config.rebalance || self.rebalance_requests.swap(false, Ordering::AcqRel) {
             self.rebalance();
         }
         true
@@ -436,24 +411,26 @@ impl FleetHandle {
     /// its shards on the least-loaded live host, and replays the current
     /// interval's files for those shards. A killed host's runtime is
     /// reaped; a partitioned host keeps running as a zombie whose late
-    /// deliveries the watermark dedups.
+    /// deliveries the watermark dedups. When no live host is left the shards
+    /// stay orphaned on the dead one — [`hosts_live`](Self::hosts_live)
+    /// reads 0 and barriers fail — until a rejoined host adopts them.
     fn declare_dead(&mut self, host: usize) {
         self.slots[host].live = false;
         self.slots[host].pending.clear();
-        self.counters.note_death();
-        self.counters.set_hosts_live(self.live_count());
+        self.fleet.counters.note_death();
+        self.fleet.counters.set_hosts_live(self.live_count());
         if self.slots[host].reachable == Reach::Down {
             self.teardown_runtime(host);
         }
-        let owned: Vec<usize> = (0..self.shards)
+        let owned: Vec<usize> = (0..self.fleet.shards)
             .filter(|&s| self.placement[s] == host)
             .collect();
         for shard in owned {
-            let target = self
-                .least_loaded_live()
-                .expect("at least one live host must remain to inherit shards");
+            let Some(target) = self.least_loaded_live() else {
+                break;
+            };
             self.place_shard(shard, target, true);
-            self.counters.note_replacement();
+            self.fleet.counters.note_replacement();
         }
         self.refresh_owned_gauges();
     }
@@ -488,7 +465,8 @@ impl FleetHandle {
                 .runtime
                 .as_ref()
                 .expect("placement target is live")
-                .collector;
+                .collector
+                .state;
             let seen = collector.local_seen.lock().expect("local_seen lock")[shard];
             let base = self.cuts[shard]
                 .checked_sub(seen)
@@ -498,7 +476,7 @@ impl FleetHandle {
         if replay {
             let files = self.interval_files[shard].clone();
             for path in files {
-                self.counters.note_replayed_file();
+                self.fleet.counters.note_replayed_file();
                 self.slots[target]
                     .runtime
                     .as_mut()
@@ -534,20 +512,22 @@ impl FleetHandle {
             if self.owned_count(donor) <= self.owned_count(taker) + 1 {
                 break;
             }
-            let shard = (0..self.shards)
+            let shard = (0..self.fleet.shards)
                 .rev()
                 .find(|&s| self.placement[s] == donor)
                 .expect("donor owns at least one shard");
             self.place_shard(shard, taker, false);
             moves += 1;
         }
-        self.counters.note_rebalance(moves, clock.elapsed());
+        self.fleet.counters.note_rebalance(moves, clock.elapsed());
         self.refresh_owned_gauges();
     }
 
     fn refresh_owned_gauges(&self) {
         for host in 0..self.slots.len() {
-            self.counters.set_shards_owned(host, self.owned_count(host));
+            self.fleet
+                .counters
+                .set_shards_owned(host, self.owned_count(host));
         }
     }
 
@@ -575,7 +555,7 @@ impl FleetHandle {
     /// [`Collector`](recd_obs::Collector) — register it on a scrape
     /// registry).
     pub fn counters(&self) -> Arc<FleetCounters> {
-        Arc::clone(&self.counters)
+        Arc::clone(&self.fleet.counters)
     }
 
     /// A cloneable controller for cross-thread control requests.
@@ -608,7 +588,7 @@ impl FleetHandle {
 
     /// Global shard count.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.fleet.shards
     }
 
     /// Gracefully shuts the fleet down: finishes every running incarnation
@@ -636,23 +616,23 @@ impl FleetHandle {
             let _ = reaper.join();
         }
         let report = FleetReport {
-            hosts: self.config.hosts,
-            shards: self.shards,
+            hosts: self.fleet.config.hosts,
+            shards: self.fleet.shards,
             hosts_live_at_finish: self.live_count(),
-            heartbeats: self.counters.heartbeats(),
-            deaths_detected: self.counters.deaths_detected(),
-            kills: self.counters.kills(),
-            partitions: self.counters.partitions(),
-            rejoins: self.counters.rejoins(),
-            flaps: self.counters.flaps(),
-            barriers: self.counters.barriers(),
-            shard_replacements: self.counters.shard_replacements(),
-            rebalance_moves: self.counters.rebalance_moves(),
-            rebalance_ms: self.counters.rebalance_ms(),
-            replayed_files: self.counters.replayed_files(),
-            duplicate_batches_dropped: self.counters.duplicate_batches_dropped(),
-            forwarded_batches: self.counters.forwarded_batches(),
-            forwarded_samples: self.counters.forwarded_samples(),
+            heartbeats: self.fleet.counters.heartbeats(),
+            deaths_detected: self.fleet.counters.deaths_detected(),
+            kills: self.fleet.counters.kills(),
+            partitions: self.fleet.counters.partitions(),
+            rejoins: self.fleet.counters.rejoins(),
+            flaps: self.fleet.counters.flaps(),
+            barriers: self.fleet.counters.barriers(),
+            shard_replacements: self.fleet.counters.shard_replacements(),
+            rebalance_moves: self.fleet.counters.rebalance_moves(),
+            rebalance_ms: self.fleet.counters.rebalance_ms(),
+            replayed_files: self.fleet.counters.replayed_files(),
+            duplicate_batches_dropped: self.fleet.counters.duplicate_batches_dropped(),
+            forwarded_batches: self.fleet.counters.forwarded_batches(),
+            forwarded_samples: self.fleet.counters.forwarded_samples(),
         };
         let dpp = self.aggregate_report(&host_reports);
         FleetOutput {
@@ -669,8 +649,8 @@ impl FleetHandle {
     /// still running at finish.
     fn aggregate_report(&self, host_reports: &[(usize, DppReport)]) -> DppReport {
         let wall_seconds = self.started.elapsed().as_secs_f64();
-        let samples = self.counters.forwarded_samples() as usize;
-        let batches = self.counters.forwarded_batches() as usize;
+        let samples = self.fleet.counters.forwarded_samples() as usize;
+        let batches = self.fleet.counters.forwarded_batches() as usize;
         let mut batch_pool = crate::pool::PoolStats::default();
         let mut converted_pool = crate::pool::PoolStats::default();
         let mut blob_pool = crate::pool::PoolStats::default();
@@ -681,27 +661,11 @@ impl FleetHandle {
         let mut dedupe_weighted = 0.0f64;
         let mut dedupe_samples = 0usize;
         for (_, report) in host_reports {
-            for (total, part) in [
-                (&mut batch_pool, &report.batch_pool),
-                (&mut converted_pool, &report.converted_pool),
-                (&mut blob_pool, &report.blob_pool),
-            ] {
-                total.hits += part.hits;
-                total.misses += part.misses;
-                total.recycled += part.recycled;
-                total.discarded += part.discarded;
-                total.trimmed += part.trimmed;
-                total.steals += part.steals;
-                total.capacity += part.capacity;
-            }
-            if let Some(host_ctrl) = &report.ctrl {
-                let total = ctrl.get_or_insert_with(Default::default);
-                total.ticks += host_ctrl.ticks;
-                total.actuations += host_ctrl.actuations;
-                total.grows += host_ctrl.grows;
-                total.shrinks += host_ctrl.shrinks;
-                total.pump_pauses += host_ctrl.pump_pauses;
-                total.pump_resumes += host_ctrl.pump_resumes;
+            batch_pool += report.batch_pool;
+            converted_pool += report.converted_pool;
+            blob_pool += report.blob_pool;
+            if let Some(host_ctrl) = report.ctrl {
+                *ctrl.get_or_insert_with(Default::default) += host_ctrl;
             }
             reader_metrics += report.reader_metrics;
             scale_events.extend(report.scale_events.iter().cloned());
@@ -712,11 +676,11 @@ impl FleetHandle {
         let max_of =
             |f: fn(&DppReport) -> usize| host_reports.iter().map(|(_, r)| f(r)).max().unwrap_or(0);
         DppReport {
-            fill_workers: self.config.host.fill_workers,
-            compute_workers: self.config.host.compute_workers,
+            fill_workers: self.fleet.config.host.fill_workers,
+            compute_workers: self.fleet.config.host.compute_workers,
             peak_fill_workers: max_of(|r| r.peak_fill_workers),
             peak_compute_workers: max_of(|r| r.peak_compute_workers),
-            shards: self.shards,
+            shards: self.fleet.shards,
             policy: "fleet_round_robin".to_string(),
             assign_policy: "shard_pinned".to_string(),
             wall_seconds,
@@ -724,11 +688,7 @@ impl FleetHandle {
             duplicate_ingests: self.duplicate_ingests,
             samples,
             batches,
-            samples_per_second: if wall_seconds > 0.0 {
-                samples as f64 / wall_seconds
-            } else {
-                0.0
-            },
+            samples_per_second: per_second(samples as u64, wall_seconds),
             egress_bytes,
             dedupe_factor: if dedupe_samples > 0 {
                 dedupe_weighted / dedupe_samples as f64
@@ -739,21 +699,7 @@ impl FleetHandle {
             peak_filled_queue_depth: max_of(|r| r.peak_filled_queue_depth),
             peak_work_queue_depth: max_of(|r| r.peak_work_queue_depth),
             peak_output_queue_depth: max_of(|r| r.peak_output_queue_depth),
-            trainers: self
-                .lane_shared
-                .iter()
-                .zip(&self.lane_gauges)
-                .enumerate()
-                .map(|(trainer, (shared, gauge))| TrainerLaneReport {
-                    trainer,
-                    delivered_batches: shared.delivered_batches(),
-                    delivered_samples: shared.delivered_samples(),
-                    consumed_batches: shared.consumed_batches(),
-                    consumed_samples: shared.consumed_samples(),
-                    dropped_batches: shared.dropped_batches(),
-                    peak_queue_depth: gauge.peak_depth(),
-                })
-                .collect(),
+            trainers: self.lanes.report(),
             scale_events,
             batch_pool,
             converted_pool,

@@ -20,10 +20,18 @@ use std::time::Duration;
 /// How often a quiet collector re-checks its stop flag.
 const COLLECTOR_POLL: Duration = Duration::from_millis(2);
 
-/// State shared between the coordinator and every host collector: the
-/// fleet's trainer lanes and the per-shard global delivery watermark that
-/// makes forwarding exactly-once.
+/// Everything the coordinator and every host collector share for the
+/// fleet's whole life, declared once: the host template, the global shard
+/// count, the store, the control-plane counters, the fleet's trainer lanes
+/// and the per-shard global delivery watermark that makes forwarding
+/// exactly-once.
 pub(super) struct FleetShared {
+    pub(super) config: FleetConfig,
+    /// Global shard count `S`: every host runs all of them.
+    pub(super) shards: usize,
+    pub(super) store: Arc<TableStore>,
+    pub(super) schema: Schema,
+    pub(super) counters: Arc<FleetCounters>,
     /// `delivered_through[s]` = the next global sequence number expected for
     /// shard `s`. A collector holding a batch with a smaller global seq is
     /// seeing a replayed/late duplicate and drops it.
@@ -39,24 +47,29 @@ pub(super) struct HostRuntime {
     pub(super) collector: CollectorHandle,
 }
 
-/// The coordinator's grip on one collector thread.
-pub(super) struct CollectorHandle {
-    thread: JoinHandle<()>,
-    stop: Arc<AtomicBool>,
+/// What one collector thread shares with the coordinator.
+pub(super) struct Collector {
+    stop: AtomicBool,
     /// Host-lane batches fully processed (deduped or forwarded). The barrier
     /// quiesce spins until this catches up with the host lane's delivered
     /// count.
-    pub(super) processed: Arc<AtomicU64>,
+    pub(super) processed: AtomicU64,
     /// `bases[s]`: global seq of this incarnation's host-local seq 0 for
     /// shard `s`. Set by the coordinator at placement time (collector holds
     /// no in-flight work for a shard when its base changes — placements
     /// happen at barriers or onto hosts that never owned the shard this
     /// interval).
-    pub(super) bases: Arc<Mutex<Vec<u64>>>,
+    pub(super) bases: Mutex<Vec<u64>>,
     /// `local_seen[s]`: host-local batches of shard `s` this incarnation has
     /// delivered — the collector's resequence cursor, read by the
     /// coordinator to compute rebases.
-    pub(super) local_seen: Arc<Mutex<Vec<u64>>>,
+    pub(super) local_seen: Mutex<Vec<u64>>,
+}
+
+/// The coordinator's grip on one collector thread.
+pub(super) struct CollectorHandle {
+    thread: JoinHandle<()>,
+    pub(super) state: Arc<Collector>,
 }
 
 impl CollectorHandle {
@@ -64,7 +77,7 @@ impl CollectorHandle {
     /// joins. Whatever is still parked on the host lane is left for the
     /// host's own sink accounting.
     pub(super) fn stop_and_join(self) {
-        self.stop.store(true, Ordering::Release);
+        self.state.stop.store(true, Ordering::Release);
         let _ = self.thread.join();
     }
 
@@ -75,89 +88,56 @@ impl CollectorHandle {
     }
 }
 
-/// Starts one host incarnation: a full `shards`-shard service with a single
+/// Starts one host incarnation: a full `S`-shard service with a single
 /// shard-pinned trainer lane, resumed from `checkpoint`, plus its collector.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn start_host(
     host: usize,
-    config: &FleetConfig,
-    shards: usize,
-    store: &Arc<TableStore>,
-    schema: &Schema,
+    fleet: &Arc<FleetShared>,
     checkpoint: DppCheckpoint,
-    shared: &Arc<FleetShared>,
-    counters: &Arc<FleetCounters>,
 ) -> HostRuntime {
-    let mut host_cfg = config.host.clone();
-    host_cfg.shards = shards;
+    let mut host_cfg = fleet.config.host.clone();
+    host_cfg.shards = fleet.shards;
     // One pinned lane per host: the collector is the lane's only consumer
     // and re-fans onto the fleet lanes, so per-shard order survives intact.
     host_cfg.trainers = 1;
     host_cfg.assign_policy = TrainerAssignPolicy::ShardPinned;
-    let mut handle = DppService::resume(host_cfg, Arc::clone(store), schema.clone(), checkpoint);
+    let store = Arc::clone(&fleet.store);
+    let mut handle = DppService::resume(host_cfg, store, fleet.schema.clone(), checkpoint);
     let trainer = handle
         .take_trainers()
         .pop()
         .expect("host service has exactly one lane");
     let converted_pool = handle.converted_pool();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let processed = Arc::new(AtomicU64::new(0));
-    let bases = Arc::new(Mutex::new(vec![0u64; shards]));
-    let local_seen = Arc::new(Mutex::new(vec![0u64; shards]));
-
+    let state = Arc::new(Collector {
+        stop: AtomicBool::new(false),
+        processed: AtomicU64::new(0),
+        bases: Mutex::new(vec![0u64; fleet.shards]),
+        local_seen: Mutex::new(vec![0u64; fleet.shards]),
+    });
     let thread = {
-        let stop = Arc::clone(&stop);
-        let processed = Arc::clone(&processed);
-        let bases = Arc::clone(&bases);
-        let local_seen = Arc::clone(&local_seen);
-        let shared = Arc::clone(shared);
-        let counters = Arc::clone(counters);
+        let (state, fleet) = (Arc::clone(&state), Arc::clone(fleet));
         std::thread::Builder::new()
             .name(format!("fleet-h{host}"))
-            .spawn(move || {
-                collector_loop(
-                    trainer,
-                    converted_pool,
-                    stop,
-                    processed,
-                    bases,
-                    local_seen,
-                    shared,
-                    counters,
-                )
-            })
+            .spawn(move || collector_loop(&trainer, &converted_pool, &state, &fleet))
             .expect("spawn fleet collector")
     };
-
     HostRuntime {
         handle,
-        collector: CollectorHandle {
-            thread,
-            stop,
-            processed,
-            bases,
-            local_seen,
-        },
+        collector: CollectorHandle { thread, state },
     }
 }
 
 /// The collector body: pull from the host's single pinned lane, rebase each
 /// batch's host-local `(shard, seq)` onto the global sequence, dedup against
 /// the fleet watermark, and forward onto the owning fleet lane.
-#[allow(clippy::too_many_arguments)]
 fn collector_loop(
-    trainer: TrainerHandle,
-    converted_pool: Arc<BatchPool<ConvertedBatch>>,
-    stop: Arc<AtomicBool>,
-    processed: Arc<AtomicU64>,
-    bases: Arc<Mutex<Vec<u64>>>,
-    local_seen: Arc<Mutex<Vec<u64>>>,
-    shared: Arc<FleetShared>,
-    counters: Arc<FleetCounters>,
+    trainer: &TrainerHandle,
+    converted_pool: &BatchPool<ConvertedBatch>,
+    collector: &Collector,
+    fleet: &FleetShared,
 ) {
     loop {
-        if stop.load(Ordering::Acquire) {
+        if collector.stop.load(Ordering::Acquire) {
             return;
         }
         let item = match trainer.recv_timeout(COLLECTOR_POLL) {
@@ -169,13 +149,13 @@ fn collector_loop(
         let global = {
             // The host's sink resequences per shard, so local seqs arrive
             // contiguously; the cursor doubles as the count already seen.
-            let mut seen = local_seen.lock().expect("local_seen lock");
+            let mut seen = collector.local_seen.lock().expect("local_seen lock");
             assert_eq!(
                 item.seq, seen[shard],
                 "host lane must deliver shard {shard} in local sequence order"
             );
             seen[shard] += 1;
-            bases.lock().expect("bases lock")[shard] + item.seq
+            collector.bases.lock().expect("bases lock")[shard] + item.seq
         };
         {
             // Dedup + forward under one lock so global per-shard order on
@@ -183,9 +163,9 @@ fn collector_loop(
             // replacement race at the watermark frontier. The lane send can
             // block on backpressure while held — that simply serializes
             // collectors the same way one sink would.
-            let mut through = shared.delivered_through.lock().expect("watermark lock");
+            let mut through = fleet.delivered_through.lock().expect("watermark lock");
             if global < through[shard] {
-                counters.note_duplicate_dropped();
+                fleet.counters.note_duplicate_dropped();
                 converted_pool.recycle(item.batch);
             } else {
                 assert_eq!(
@@ -193,8 +173,8 @@ fn collector_loop(
                     "shard {shard} watermark gap: replay must regenerate contiguously"
                 );
                 through[shard] += 1;
-                let lane_idx = shard % shared.lanes.len();
-                let lane = &shared.lanes[lane_idx];
+                let lane_idx = shard % fleet.lanes.len();
+                let lane = &fleet.lanes[lane_idx];
                 let samples = item.batch.batch_size as u64;
                 let forwarded = TrainerBatch {
                     trainer: lane_idx,
@@ -202,24 +182,12 @@ fn collector_loop(
                     seq: global,
                     batch: item.batch,
                 };
-                if lane.shared.is_dead() {
-                    lane.shared.note_dropped();
-                    converted_pool.recycle(forwarded.batch);
-                } else {
-                    match lane.tx.send(forwarded) {
-                        Ok(()) => {
-                            lane.shared.note_delivery(1, samples);
-                            counters.note_forwarded(samples);
-                        }
-                        Err(crate::channel::SendError(rejected)) => {
-                            lane.shared.mark_dead();
-                            lane.shared.note_dropped();
-                            converted_pool.recycle(rejected.batch);
-                        }
-                    }
+                match lane.send(forwarded) {
+                    None => fleet.counters.note_forwarded(samples),
+                    Some(rejected) => lane.drop_batch(rejected.batch, converted_pool),
                 }
             }
         }
-        processed.fetch_add(1, Ordering::AcqRel);
+        collector.processed.fetch_add(1, Ordering::AcqRel);
     }
 }

@@ -23,7 +23,7 @@ struct HostGauges {
 /// `recd_fleet_*` metric families. Shared between the coordinator (writer)
 /// and the observability plane (reader); also read at finish to build the
 /// [`FleetReport`](super::FleetReport).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FleetCounters {
     now_ms: AtomicU64,
     hosts_live: AtomicU64,
@@ -47,29 +47,15 @@ pub struct FleetCounters {
 impl FleetCounters {
     /// Zeroed counters for a fleet of `hosts` hosts (all initially live).
     pub(super) fn new(hosts: usize) -> Self {
-        let counters = Self {
-            now_ms: AtomicU64::new(0),
-            hosts_live: AtomicU64::new(hosts as u64),
-            heartbeats: AtomicU64::new(0),
-            deaths_detected: AtomicU64::new(0),
-            kills: AtomicU64::new(0),
-            partitions: AtomicU64::new(0),
-            rejoins: AtomicU64::new(0),
-            flaps: AtomicU64::new(0),
-            barriers: AtomicU64::new(0),
-            shard_replacements: AtomicU64::new(0),
-            rebalance_moves: AtomicU64::new(0),
-            rebalance_nanos: AtomicU64::new(0),
-            replayed_files: AtomicU64::new(0),
-            duplicate_batches_dropped: AtomicU64::new(0),
-            forwarded_batches: AtomicU64::new(0),
-            forwarded_samples: AtomicU64::new(0),
-            per_host: (0..hosts).map(|_| HostGauges::default()).collect(),
+        let up = || HostGauges {
+            up: AtomicU64::new(1),
+            ..HostGauges::default()
         };
-        for gauges in &counters.per_host {
-            gauges.up.store(1, Ordering::Relaxed);
+        Self {
+            hosts_live: AtomicU64::new(hosts as u64),
+            per_host: (0..hosts).map(|_| up()).collect(),
+            ..Self::default()
         }
-        counters
     }
 
     pub(super) fn set_now(&self, now_ms: u64) {

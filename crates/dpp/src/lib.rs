@@ -50,6 +50,13 @@
 //! or a [`DppFleet`] — from a log tail through the streaming ETL, under an
 //! optional chaos plan; `PipelineRunner` and the `recd-dpp` CLI both call it.
 //!
+//! Modules: [`service`] (the stages and the one state they share),
+//! [`sink`] (resequencing, trainer lanes and their delivery — for the
+//! service and the fleet alike), [`control`] (the PID policy and the pool
+//! governors it drives), [`pool`] (batch-shell arenas), [`channel`]
+//! (bounded queues), [`fleet`], [`driver`], [`checkpoint`], [`metrics`]
+//! (snapshot and report types) and [`obs`] (their metric families).
+//!
 //! Under [`ShardPolicy::FileRoundRobin`] with `shards` readers, the
 //! service's collected output is **identical** to a serial reference reader
 //! that gives reader *r* every file *i* with `i % shards == r` — the
@@ -69,13 +76,12 @@ pub mod fleet;
 pub mod metrics;
 pub mod obs;
 pub mod pool;
-pub mod scaler;
 pub mod service;
 pub mod sink;
 
 pub use channel::{bounded, Receiver, RecvTimeout, SendError, Sender};
 pub use checkpoint::DppCheckpoint;
-pub use control::{CtrlConfig, CtrlReport, CtrlShared, PumpGate};
+pub use control::{CtrlConfig, CtrlReport, CtrlShared, PumpGate, ScaleEvent};
 pub use driver::{
     Consume, Driver, DriverError, DriverOutput, Feed, LaneReport, TailFeed, Topology,
 };
@@ -86,7 +92,9 @@ pub use metrics::{
     DppReport, DppSnapshot, ServiceCounters, TrainerLaneReport, TrainerLaneSnapshot,
 };
 pub use pool::{BatchPool, PoolStats, Reclaim};
-pub use scaler::{ManualClock, ScaleClock, ScaleEvent, WallClock};
+// The controller's clocks live in `recd-obs`: the metrics aggregator polls
+// on the same abstraction.
+pub use recd_obs::{ManualClock, ScaleClock, WallClock};
 pub use service::{
     DppConfig, DppError, DppHandle, DppOutput, DppService, ShardPolicy, SnapshotSource,
 };

@@ -1,17 +1,15 @@
 //! Live counters and final reports for the streaming service.
 
-use crate::control::CtrlReport;
+use crate::control::{CtrlReport, ScaleEvent};
 use crate::pool::PoolStats;
-use crate::scaler::ScaleEvent;
 use recd_reader::ReaderMetrics;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Shared live counters, updated by every stage as work flows through.
 /// Gauges for queue depths live on the channels themselves; this struct only
-/// holds monotonic counters plus the service start time.
-#[derive(Debug)]
+/// holds monotonic counters.
+#[derive(Debug, Default)]
 pub struct ServiceCounters {
     /// Files accepted into the fill queue.
     pub files_submitted: AtomicU64,
@@ -39,34 +37,9 @@ pub struct ServiceCounters {
     pub stored_sparse_values: AtomicU64,
     /// Stage errors (failed fills or conversions).
     pub errors: AtomicU64,
-    started: Instant,
-}
-
-impl Default for ServiceCounters {
-    fn default() -> Self {
-        Self {
-            files_submitted: AtomicU64::new(0),
-            partitions_ingested: AtomicU64::new(0),
-            duplicate_ingests: AtomicU64::new(0),
-            files_filled: AtomicU64::new(0),
-            rows_routed: AtomicU64::new(0),
-            batches_out: AtomicU64::new(0),
-            samples_out: AtomicU64::new(0),
-            egress_bytes: AtomicU64::new(0),
-            logical_sparse_values: AtomicU64::new(0),
-            stored_sparse_values: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            started: Instant::now(),
-        }
-    }
 }
 
 impl ServiceCounters {
-    /// Seconds since the service started.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
     /// Average in-batch dedup factor over everything emitted so far.
     pub fn dedupe_factor(&self) -> f64 {
         let logical = self.logical_sparse_values.load(Ordering::Relaxed);
@@ -76,6 +49,15 @@ impl ServiceCounters {
         } else {
             logical as f64 / stored as f64
         }
+    }
+}
+
+/// A throughput figure: `samples` over `seconds`, 0 before any time passed.
+pub(crate) fn per_second(samples: u64, seconds: f64) -> f64 {
+    if seconds > 0.0 {
+        samples as f64 / seconds
+    } else {
+        0.0
     }
 }
 

@@ -111,6 +111,18 @@ pub struct PoolStats {
     pub capacity: usize,
 }
 
+impl std::ops::AddAssign for PoolStats {
+    fn add_assign(&mut self, other: Self) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.recycled += other.recycled;
+        self.discarded += other.discarded;
+        self.trimmed += other.trimmed;
+        self.steals += other.steals;
+        self.capacity += other.capacity;
+    }
+}
+
 impl PoolStats {
     /// Fraction of acquires served without allocation, in `[0, 1]`.
     /// Returns 0 when nothing was acquired.

@@ -35,20 +35,20 @@
 
 use crate::channel::{bounded, Gauge, Receiver, RecvTimeout, Sender};
 use crate::checkpoint::DppCheckpoint;
-use crate::control::{spawn_pid_controller, CtrlConfig, CtrlShared, PidParams, PumpGate};
-use crate::metrics::{
-    DppReport, DppSnapshot, ServiceCounters, TrainerLaneReport, TrainerLaneSnapshot,
+use crate::control::{
+    spawn_pid_controller, CtrlConfig, CtrlShared, PidParams, PoolControls, PoolGovernor, PumpGate,
+    ScaleEvent,
 };
+use crate::metrics::{per_second, DppReport, DppSnapshot, ServiceCounters};
 use crate::pool::{BatchPool, BlobScratch};
-use crate::scaler::{PoolControls, PoolGovernor, ScaleClock, ScaleEvent, WallClock};
 use crate::sink::{
-    run_sink, BarrierState, LaneSender, LaneShared, OutBatch, SinkInput, SinkParams,
-    TrainerAssignPolicy, TrainerBatch, TrainerHandle,
+    run_sink, BarrierState, OutBatch, SinkInput, SinkParams, TrainerAssignPolicy, TrainerHandle,
+    TrainerLanes,
 };
 use recd_chaos::{ChaosCounters, RetryPolicy};
 use recd_core::ConvertedBatch;
 use recd_data::{ColumnarBatch, Schema};
-use recd_obs::{Histogram, HistogramSnapshot};
+use recd_obs::{Histogram, HistogramSnapshot, ScaleClock, WallClock};
 use recd_reader::{
     fill_file_columnar_into, PhaseEngine, PreprocessPipeline, ReaderConfig, ReaderMetrics,
 };
@@ -57,7 +57,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How often blocked workers wake to check for cooperative retirement.
 const WORKER_POLL: Duration = Duration::from_millis(2);
@@ -78,6 +78,12 @@ fn route_window(queue_depth: usize, fill: usize) -> usize {
 /// work queue, and one chunk per compute worker.
 fn batch_pool_capacity(queue_depth: usize, shards: usize, fill: usize, compute: usize) -> usize {
     route_window(queue_depth, fill) + shards + 1 + queue_depth + compute
+}
+
+/// Converted shells in flight: the output queue, one per compute worker, and
+/// as many again in the consumer's hands.
+fn converted_pool_capacity(queue_depth: usize, compute: usize) -> usize {
+    queue_depth * 2 + compute
 }
 
 /// Bucket bounds (seconds) of the per-batch convert/process latency
@@ -376,25 +382,218 @@ impl Drop for OpenOnDrop<'_> {
     }
 }
 
-/// Shared context of every fill worker, initial or dynamically spawned.
-struct FillCtx {
-    /// This worker's id — its home shelf in the per-worker pools.
-    worker: usize,
-    input_rx: Receiver<FillTask>,
-    filled_tx: Sender<FilledFile>,
+/// Everything one running service shares, declared once. The fill, compute
+/// and router threads, the pool spawners, the controller's probes,
+/// [`SnapshotSource`] and [`DppHandle`] all hold one `Arc` of it; a thread
+/// context adds only its worker id and channel ends. A live snapshot and the
+/// final report are two reads of it.
+///
+/// It holds no channel end — only passive gauges — so end-of-stream still
+/// cascades when the handle closes the input, however long a monitor keeps
+/// a [`SnapshotSource`].
+struct State {
+    /// When the service started: the origin of every rate it reports.
+    started: Instant,
+    config: DppConfig,
     store: Arc<TableStore>,
     schema: Schema,
-    counters: Arc<ServiceCounters>,
-    phase_metrics: Arc<Mutex<ReaderMetrics>>,
-    errors: Arc<Mutex<Vec<String>>>,
-    batch_pool: Arc<BatchPool<ColumnarBatch>>,
-    blob_pool: Arc<BatchPool<BlobScratch>>,
-    window: Arc<RouteWindow>,
-    governor: Arc<PoolGovernor>,
-    chaos_retry: Option<(RetryPolicy, Arc<ChaosCounters>)>,
+    counters: ServiceCounters,
+    /// Combined per-phase accounting; every worker merges its own at exit.
+    phase_metrics: Mutex<ReaderMetrics>,
+    /// One message per failed fill or conversion.
+    errors: Mutex<Vec<String>>,
+    /// The swap-buffer arena: every ColumnarBatch in flight — decoded files,
+    /// shard accumulators, coalesced work chunks — is drawn from and
+    /// recycled into this one pool, so steady-state batches allocate
+    /// nothing. Capacity is the most that can be in flight, so no shell is
+    /// ever dropped and misses never exceed it; dynamic scale-downs shrink
+    /// it again. One shelf per fill worker keeps the hot acquire path
+    /// uncontended and size-class-matched.
+    batch_pool: BatchPool<ColumnarBatch>,
+    /// Converted-batch shells flow compute → sink → consumer; the consumer
+    /// recycles them back through [`DppHandle::converted_pool`]. External
+    /// consumers recycle from arbitrary threads, so this pool stays
+    /// single-shelf (size classing still applies).
+    converted_pool: Arc<BatchPool<ConvertedBatch>>,
+    /// `get_into` blob buffers: pool-owned so decode allocations survive
+    /// worker retirement/respawn. One per live fill worker plus one spare
+    /// covers the whole population.
+    blob_pool: BatchPool<BlobScratch>,
+    window: RouteWindow,
+    fill_gov: Arc<PoolGovernor>,
+    compute_gov: Arc<PoolGovernor>,
+    /// Per-batch compute-phase latency distributions, shared by every
+    /// compute worker (including dynamically spawned ones).
+    convert_hist: Histogram,
+    process_hist: Histogram,
+    scale_events: Arc<Mutex<Vec<ScaleEvent>>>,
+    /// Trainer lanes (fan-out mode; empty in collect mode).
+    lanes: TrainerLanes,
+    input_gauge: Gauge<FillTask>,
+    filled_gauge: Gauge<FilledFile>,
+    work_gauge: Gauge<WorkItem>,
+    out_gauge: Gauge<SinkInput>,
+    barriers: BarrierState,
+    /// The controller's live state; `None` without [`DppConfig::with_ctrl`].
+    ctrl: Option<Arc<CtrlShared>>,
 }
 
-fn fill_worker_loop(ctx: &FillCtx) {
+impl State {
+    /// Accounts one failed fill or conversion.
+    fn record_error(&self, message: String) {
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        self.errors.lock().expect("error list lock").push(message);
+    }
+
+    /// Sizes the batch pools for `fill` fill and `compute` compute workers.
+    fn size_pools(&self, fill: usize, compute: usize) {
+        let depth = self.config.queue_depth;
+        self.batch_pool.set_capacity(batch_pool_capacity(
+            depth,
+            self.config.shards,
+            fill,
+            compute,
+        ));
+        self.converted_pool
+            .set_capacity(converted_pool_capacity(depth, compute));
+    }
+
+    fn reader_metrics(&self) -> ReaderMetrics {
+        *self.phase_metrics.lock().expect("phase metrics lock")
+    }
+
+    fn snapshot(&self) -> DppSnapshot {
+        let elapsed = self.started.elapsed().as_secs_f64();
+        let samples = self.counters.samples_out.load(Ordering::Relaxed);
+        let (scale_ups, scale_downs) = {
+            let events = self.scale_events.lock().expect("scale events lock");
+            let ups = events.iter().filter(|e| e.is_grow()).count() as u64;
+            (ups, events.len() as u64 - ups)
+        };
+        let counters = &self.counters;
+        DppSnapshot {
+            elapsed_seconds: elapsed,
+            files_submitted: counters.files_submitted.load(Ordering::Relaxed),
+            partitions_ingested: counters.partitions_ingested.load(Ordering::Relaxed),
+            duplicate_ingests: counters.duplicate_ingests.load(Ordering::Relaxed),
+            files_filled: counters.files_filled.load(Ordering::Relaxed),
+            rows_routed: counters.rows_routed.load(Ordering::Relaxed),
+            batches_out: counters.batches_out.load(Ordering::Relaxed),
+            samples_out: samples,
+            egress_bytes: counters.egress_bytes.load(Ordering::Relaxed),
+            samples_per_second: per_second(samples, elapsed),
+            dedupe_factor: counters.dedupe_factor(),
+            input_queue_depth: self.input_gauge.len(),
+            filled_queue_depth: self.filled_gauge.len(),
+            work_queue_depth: self.work_gauge.len(),
+            output_queue_depth: self.out_gauge.len(),
+            fill_workers_live: self.fill_gov.live(),
+            compute_workers_live: self.compute_gov.live(),
+            scale_ups,
+            scale_downs,
+            trainers: self.lanes.snapshot(),
+            batch_pool: self.batch_pool.stats(),
+            converted_pool: self.converted_pool.stats(),
+            blob_pool: self.blob_pool.stats(),
+            errors: counters.errors.load(Ordering::Relaxed),
+        }
+    }
+
+    fn report(&self) -> DppReport {
+        let wall_seconds = self.started.elapsed().as_secs_f64();
+        let samples = self.counters.samples_out.load(Ordering::Relaxed);
+        let counters = &self.counters;
+        DppReport {
+            fill_workers: self.config.fill_workers,
+            compute_workers: self.config.compute_workers,
+            peak_fill_workers: self.fill_gov.peak_live(),
+            peak_compute_workers: self.compute_gov.peak_live(),
+            shards: self.config.shards,
+            policy: self.config.policy.name().to_string(),
+            assign_policy: self.config.assign_policy.name().to_string(),
+            wall_seconds,
+            partitions_ingested: counters.partitions_ingested.load(Ordering::Relaxed),
+            duplicate_ingests: counters.duplicate_ingests.load(Ordering::Relaxed),
+            samples: samples as usize,
+            batches: counters.batches_out.load(Ordering::Relaxed) as usize,
+            samples_per_second: per_second(samples, wall_seconds),
+            egress_bytes: counters.egress_bytes.load(Ordering::Relaxed) as usize,
+            dedupe_factor: counters.dedupe_factor(),
+            peak_input_queue_depth: self.input_gauge.peak_depth(),
+            peak_filled_queue_depth: self.filled_gauge.peak_depth(),
+            peak_work_queue_depth: self.work_gauge.peak_depth(),
+            peak_output_queue_depth: self.out_gauge.peak_depth(),
+            trainers: self.lanes.report(),
+            scale_events: self.scale_events.lock().expect("scale events lock").clone(),
+            batch_pool: self.batch_pool.stats(),
+            converted_pool: self.converted_pool.stats(),
+            blob_pool: self.blob_pool.stats(),
+            ctrl: self.ctrl.as_ref().map(|shared| shared.report()),
+            reader_metrics: self.reader_metrics(),
+        }
+    }
+}
+
+/// One pool worker: its id — its home shelf in the per-worker pools — and
+/// its channel ends.
+struct Worker<I, O> {
+    id: usize,
+    rx: Receiver<I>,
+    tx: Sender<O>,
+    state: Arc<State>,
+}
+
+impl<I, O> Worker<I, O> {
+    /// Feeds every item to `step` until end of stream, a failed hand-off
+    /// (`step` returns `false`: the run is being torn down), or a claimed
+    /// retirement; a worker that leaves for any other reason than
+    /// retirement tells `governor`, so the live gauge stays truthful during
+    /// drain.
+    fn run(&self, governor: &PoolGovernor, mut step: impl FnMut(I) -> bool) {
+        loop {
+            let live = match self.rx.recv_timeout(WORKER_POLL) {
+                RecvTimeout::Item(item) => step(item),
+                RecvTimeout::Timeout => true,
+                RecvTimeout::Disconnected => false,
+            };
+            if !live {
+                break;
+            }
+            if governor.try_retire() {
+                return;
+            }
+        }
+        governor.note_exit();
+    }
+}
+
+/// Spawns one more pool worker.
+type Spawner = Box<dyn Fn() -> JoinHandle<()> + Send>;
+
+/// The spawner of one pool, usable both for the initial population and by
+/// the controller: each call runs `body` on a new named thread over clones
+/// of the pool's channel ends, with an id from the pool's governor.
+fn spawner<I: Send + 'static, O: Send + 'static>(
+    state: &Arc<State>,
+    pool: &'static str,
+    (governor, rx, tx): (&Arc<PoolGovernor>, Receiver<I>, Sender<O>),
+    body: fn(&Worker<I, O>),
+) -> Spawner {
+    let (state, governor) = (Arc::clone(state), Arc::clone(governor));
+    Box::new(move || {
+        let worker = Worker {
+            id: governor.next_worker_id(),
+            rx: rx.clone(),
+            tx: tx.clone(),
+            state: Arc::clone(&state),
+        };
+        spawn_named(format!("dpp-{pool}-{}", worker.id), move || body(&worker))
+    })
+}
+
+fn fill_worker_loop(ctx: &Worker<FillTask, FilledFile>) {
+    let state = &*ctx.state;
+    let (dense_cols, sparse_cols) = (state.schema.dense_count(), state.schema.sparse_count());
     let mut local = ReaderMetrics::default();
     // Long-lived decode scratch: decompression buffer and lengths stream.
     // The blob buffer inside is pool-owned: installed
@@ -403,230 +602,145 @@ fn fill_worker_loop(ctx: &FillCtx) {
     // worker's retirement and warms its replacement across scaling churn.
     let mut scratch = FileReadScratch::default();
     scratch.install_blob(
-        ctx.blob_pool
-            .acquire_for(ctx.worker, usize::MAX, BlobScratch::default)
+        state
+            .blob_pool
+            .acquire_for(ctx.id, usize::MAX, BlobScratch::default)
             .0,
     );
     // Size hint for the next decode target: files in one table are near-
     // uniform, so the previous file's row count is the best predictor.
     let mut row_hint = 0usize;
-    let mut retired = false;
-    loop {
-        match ctx.input_rx.recv_timeout(WORKER_POLL) {
-            RecvTimeout::Item(FillTask::File { seq, path, shard }) => {
-                // Decode into a pool-recycled batch; misses only occur while
-                // the pipeline's population warms up.
-                ctx.window.enter(seq);
-                let mut rows = ctx.batch_pool.acquire_for(ctx.worker, row_hint, || {
-                    ColumnarBatch::new(ctx.schema.dense_count(), ctx.schema.sparse_count())
-                });
-                // A failed attempt may leave the batch partially decoded, so
-                // every attempt starts from an empty shell of the right
-                // shape; under chaos retry, transient injected faults then
-                // degrade to a short backoff instead of losing the file.
-                let mut attempt = || {
-                    rows.reset(ctx.schema.dense_count(), ctx.schema.sparse_count());
-                    fill_file_columnar_into(
-                        &ctx.store,
-                        &ctx.schema,
-                        &path,
-                        &mut scratch,
-                        &mut rows,
-                        &mut local,
-                    )
-                };
-                let outcome = match &ctx.chaos_retry {
-                    Some((policy, chaos)) => {
-                        policy.run(Some(chaos), StorageError::is_transient, attempt)
-                    }
-                    None => attempt(),
-                };
-                match outcome {
-                    Ok(()) => {
-                        ctx.counters.files_filled.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(err) => {
-                        ctx.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        ctx.errors
-                            .lock()
-                            .expect("error list lock")
-                            .push(format!("fill {path}: {err}"));
-                        // The router skips empty row sets, so ordering
-                        // survives fill failures: reset the batch to an
-                        // empty tombstone of the right shape.
-                        rows.reset(ctx.schema.dense_count(), ctx.schema.sparse_count());
-                    }
+    ctx.run(&state.fill_gov, |task| match task {
+        FillTask::File { seq, path, shard } => {
+            // Decode into a pool-recycled batch; misses only occur while the
+            // pipeline's population warms up.
+            state.window.enter(seq);
+            let mut rows = state.batch_pool.acquire_for(ctx.id, row_hint, || {
+                ColumnarBatch::new(dense_cols, sparse_cols)
+            });
+            // A failed attempt may leave the batch partially decoded, so
+            // every attempt starts from an empty shell of the right shape;
+            // under chaos retry, transient injected faults then degrade to a
+            // short backoff instead of losing the file.
+            let mut attempt = || {
+                rows.reset(dense_cols, sparse_cols);
+                fill_file_columnar_into(
+                    &state.store,
+                    &state.schema,
+                    &path,
+                    &mut scratch,
+                    &mut rows,
+                    &mut local,
+                )
+            };
+            let outcome = match &state.config.chaos_retry {
+                Some((policy, chaos)) => {
+                    policy.run(Some(chaos), StorageError::is_transient, attempt)
                 }
-                row_hint = rows.len();
-                // A failed send means the run is being torn down; exit
-                // quietly.
-                if ctx
-                    .filled_tx
-                    .send(FilledFile {
-                        seq,
-                        payload: FilledPayload::Rows { rows, shard },
-                    })
-                    .is_err()
-                {
-                    break;
+                None => attempt(),
+            };
+            match outcome {
+                Ok(()) => {
+                    state.counters.files_filled.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(err) => {
+                    state.record_error(format!("fill {path}: {err}"));
+                    // The router skips empty row sets, so ordering survives
+                    // fill failures: reset the batch to an empty tombstone of
+                    // the right shape.
+                    rows.reset(dense_cols, sparse_cols);
                 }
             }
-            RecvTimeout::Item(FillTask::Barrier { seq, id }) => {
-                // Barriers don't decode anything — they only need to occupy
-                // their position in the restored submission order.
-                if ctx
-                    .filled_tx
-                    .send(FilledFile {
-                        seq,
-                        payload: FilledPayload::Barrier(id),
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            RecvTimeout::Timeout => {}
-            RecvTimeout::Disconnected => break,
+            row_hint = rows.len();
+            let payload = FilledPayload::Rows { rows, shard };
+            ctx.tx.send(FilledFile { seq, payload }).is_ok()
         }
-        if ctx.governor.try_retire() {
-            retired = true;
-            break;
+        // Barriers don't decode anything — they only need to occupy their
+        // position in the restored submission order.
+        FillTask::Barrier { seq, id } => {
+            let payload = FilledPayload::Barrier(id);
+            ctx.tx.send(FilledFile { seq, payload }).is_ok()
         }
-    }
-    if !retired {
-        ctx.governor.note_exit();
-    }
+    });
     // Hand the blob allocation back for the next worker generation.
-    ctx.blob_pool
-        .recycle_for(ctx.worker, BlobScratch(scratch.take_blob()));
-    *ctx.phase_metrics.lock().expect("phase metrics lock") += local;
+    state
+        .blob_pool
+        .recycle_for(ctx.id, BlobScratch(scratch.take_blob()));
+    *state.phase_metrics.lock().expect("phase metrics lock") += local;
 }
 
-/// Shared context of every compute worker.
-struct ComputeCtx {
-    /// This worker's id — its home shelf in the per-worker pools.
-    worker: usize,
-    work_rx: Receiver<WorkItem>,
-    out_tx: Sender<SinkInput>,
-    reader: ReaderConfig,
-    pipeline_factory: fn() -> PreprocessPipeline,
-    counters: Arc<ServiceCounters>,
-    phase_metrics: Arc<Mutex<ReaderMetrics>>,
-    errors: Arc<Mutex<Vec<String>>>,
-    batch_pool: Arc<BatchPool<ColumnarBatch>>,
-    converted_pool: Arc<BatchPool<ConvertedBatch>>,
-    governor: Arc<PoolGovernor>,
-    convert_hist: Arc<Histogram>,
-    process_hist: Arc<Histogram>,
-}
-
-fn compute_worker_loop(ctx: &ComputeCtx) {
-    let mut engine = PhaseEngine::new(ctx.reader.clone(), (ctx.pipeline_factory)());
+fn compute_worker_loop(ctx: &Worker<WorkItem, SinkInput>) {
+    let state = &*ctx.state;
+    let mut engine = PhaseEngine::new(
+        state.config.reader.clone(),
+        (state.config.pipeline_factory)(),
+    );
     let mut local = ReaderMetrics::default();
-    let mut retired = false;
-    loop {
-        match ctx.work_rx.recv_timeout(WORKER_POLL) {
-            RecvTimeout::Item(item) => {
-                // Convert into a shell from the converted pool (hits require
-                // a consumer recycling shells) sized for this chunk, then
-                // hand the drained columnar chunk straight back to the fill
-                // workers.
-                let mut batch =
-                    ctx.converted_pool
-                        .acquire_for(0, item.rows.len(), ConvertedBatch::default);
-                // Per-batch phase latency = the engine's own phase-CPU delta
-                // around this one batch, so the histograms see exactly what
-                // the aggregate PhaseMetrics see, bucketed.
-                let convert_before = local.convert.cpu_nanos;
-                let process_before = local.process.cpu_nanos;
-                let outcome = engine.run_batch_columnar_into(&item.rows, &mut batch, &mut local);
-                ctx.convert_hist
-                    .observe((local.convert.cpu_nanos - convert_before) as f64 / 1e9);
-                ctx.process_hist
-                    .observe((local.process.cpu_nanos - process_before) as f64 / 1e9);
-                ctx.batch_pool.recycle_for(ctx.worker, item.rows);
-                match outcome {
-                    Ok(()) => {
-                        ctx.counters.batches_out.fetch_add(1, Ordering::Relaxed);
-                        ctx.counters
-                            .samples_out
-                            .fetch_add(batch.batch_size as u64, Ordering::Relaxed);
-                        ctx.counters.egress_bytes.fetch_add(
-                            (batch.sparse_payload_bytes() + batch.dense.payload_bytes()) as u64,
-                            Ordering::Relaxed,
-                        );
-                        ctx.counters
-                            .logical_sparse_values
-                            .fetch_add(batch.logical_sparse_values() as u64, Ordering::Relaxed);
-                        ctx.counters
-                            .stored_sparse_values
-                            .fetch_add(batch.stored_sparse_values() as u64, Ordering::Relaxed);
-                        if ctx
-                            .out_tx
-                            .send(SinkInput::Batch(OutBatch {
-                                shard: item.shard,
-                                seq: item.seq,
-                                batch,
-                            }))
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    Err(err) => {
-                        ctx.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        ctx.errors
-                            .lock()
-                            .expect("error list lock")
-                            .push(format!("convert shard {}: {err}", item.shard));
-                        // The shell's contents are unspecified after a
-                        // failed convert, but every refill overwrites them —
-                        // keep the warm buffers in the loop.
-                        ctx.converted_pool.recycle(batch);
-                        // The sequence slot must still be accounted: the
-                        // sink's resequencer would otherwise wait on the
-                        // hole forever, stalling the shard's whole tail and
-                        // any barrier cut past it.
-                        if ctx
-                            .out_tx
-                            .send(SinkInput::Skip {
-                                shard: item.shard,
-                                seq: item.seq,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                }
+    ctx.run(&state.compute_gov, |item| {
+        // Convert into a shell from the converted pool (hits require a
+        // consumer recycling shells) sized for this chunk, then hand the
+        // drained columnar chunk straight back to the fill workers.
+        let mut batch =
+            state
+                .converted_pool
+                .acquire_for(0, item.rows.len(), ConvertedBatch::default);
+        // Per-batch phase latency = the engine's own phase-CPU delta around
+        // this one batch, so the histograms see exactly what the aggregate
+        // PhaseMetrics see, bucketed.
+        let convert_before = local.convert.cpu_nanos;
+        let process_before = local.process.cpu_nanos;
+        let outcome = engine.run_batch_columnar_into(&item.rows, &mut batch, &mut local);
+        state
+            .convert_hist
+            .observe((local.convert.cpu_nanos - convert_before) as f64 / 1e9);
+        state
+            .process_hist
+            .observe((local.process.cpu_nanos - process_before) as f64 / 1e9);
+        state.batch_pool.recycle_for(ctx.id, item.rows);
+        let (shard, seq) = (item.shard, item.seq);
+        match outcome {
+            Ok(()) => {
+                let counters = &state.counters;
+                counters.batches_out.fetch_add(1, Ordering::Relaxed);
+                counters
+                    .samples_out
+                    .fetch_add(batch.batch_size as u64, Ordering::Relaxed);
+                counters.egress_bytes.fetch_add(
+                    (batch.sparse_payload_bytes() + batch.dense.payload_bytes()) as u64,
+                    Ordering::Relaxed,
+                );
+                counters
+                    .logical_sparse_values
+                    .fetch_add(batch.logical_sparse_values() as u64, Ordering::Relaxed);
+                counters
+                    .stored_sparse_values
+                    .fetch_add(batch.stored_sparse_values() as u64, Ordering::Relaxed);
+                let out = OutBatch { shard, seq, batch };
+                ctx.tx.send(SinkInput::Batch(out)).is_ok()
             }
-            RecvTimeout::Timeout => {}
-            RecvTimeout::Disconnected => break,
+            Err(err) => {
+                state.record_error(format!("convert shard {shard}: {err}"));
+                // The shell's contents are unspecified after a failed
+                // convert, but every refill overwrites them — keep the warm
+                // buffers in the loop.
+                state.converted_pool.recycle(batch);
+                // The sequence slot must still be accounted: the sink's
+                // resequencer would otherwise wait on the hole forever,
+                // stalling the shard's whole tail and any barrier cut past
+                // it.
+                ctx.tx.send(SinkInput::Skip { shard, seq }).is_ok()
+            }
         }
-        if ctx.governor.try_retire() {
-            retired = true;
-            break;
-        }
-    }
-    if !retired {
-        ctx.governor.note_exit();
-    }
-    *ctx.phase_metrics.lock().expect("phase metrics lock") += local;
+    });
+    *state.phase_metrics.lock().expect("phase metrics lock") += local;
 }
 
+/// The router's channel ends.
 struct RouterCtx {
     filled_rx: Receiver<FilledFile>,
     work_tx: Sender<WorkItem>,
     out_tx: Sender<SinkInput>,
-    policy: ShardPolicy,
-    shards: usize,
-    batch_size: usize,
-    dense_cols: usize,
-    sparse_cols: usize,
-    counters: Arc<ServiceCounters>,
-    batch_pool: Arc<BatchPool<ColumnarBatch>>,
-    window: Arc<RouteWindow>,
-    phase_metrics: Arc<Mutex<ReaderMetrics>>,
+    state: Arc<State>,
     /// Files routed by previous incarnations of this service (a resumed
     /// run); seeds the file → shard rotation so FileRoundRobin placement is
     /// a function of the *cumulative* submission order across a crash.
@@ -634,14 +748,18 @@ struct RouterCtx {
 }
 
 fn router_loop(ctx: RouterCtx) {
+    let state = &*ctx.state;
+    let (policy, shards) = (state.config.policy, state.config.shards);
+    let batch_size = state.config.reader.batch_size;
+    let (dense_cols, sparse_cols) = (state.schema.dense_count(), state.schema.sparse_count());
     // Accumulators come off the pool: at steady state a shard's next buffer
     // is a batch some compute worker just finished with.
     let fresh = || {
-        ctx.batch_pool.acquire(|| {
-            ColumnarBatch::with_capacity(ctx.dense_cols, ctx.sparse_cols, ctx.batch_size)
-        })
+        state
+            .batch_pool
+            .acquire(|| ColumnarBatch::with_capacity(dense_cols, sparse_cols, batch_size))
     };
-    let _open = OpenOnDrop(&ctx.window);
+    let _open = OpenOnDrop(&state.window);
     let mut pending: BTreeMap<u64, FilledPayload> = BTreeMap::new();
     let mut next_seq = 0u64;
     // FileRoundRobin counts *files*, not submission seqs: barriers occupy a
@@ -650,8 +768,8 @@ fn router_loop(ctx: RouterCtx) {
     // Shard accumulators are columnar too: routing a row is a handful of
     // flat-buffer appends, not a Sample move, and the buffers amortize
     // across batches.
-    let mut accumulators: Vec<ColumnarBatch> = (0..ctx.shards).map(|_| fresh()).collect();
-    let mut shard_seqs = vec![0u64; ctx.shards];
+    let mut accumulators: Vec<ColumnarBatch> = (0..shards).map(|_| fresh()).collect();
+    let mut shard_seqs = vec![0u64; shards];
     let mut row_rr = 0usize;
     let mut local = ReaderMetrics::default();
     let emit = |shard: usize, rows: ColumnarBatch, shard_seqs: &mut Vec<u64>| -> bool {
@@ -671,7 +789,8 @@ fn router_loop(ctx: RouterCtx) {
                 } => {
                     let file_idx = files_routed;
                     files_routed += 1;
-                    ctx.counters
+                    state
+                        .counters
                         .rows_routed
                         .fetch_add(rows.len() as u64, Ordering::Relaxed);
                     for row in 0..rows.len() {
@@ -680,24 +799,22 @@ fn router_loop(ctx: RouterCtx) {
                             // file-granular global sharding) overrides the
                             // policy; the file still occupies its rotation
                             // slot so mixed usage stays deterministic.
-                            Some(s) => s.min(ctx.shards - 1),
-                            None => match ctx.policy {
-                                ShardPolicy::FileRoundRobin => {
-                                    (file_idx % ctx.shards as u64) as usize
-                                }
+                            Some(s) => s.min(shards - 1),
+                            None => match policy {
+                                ShardPolicy::FileRoundRobin => (file_idx % shards as u64) as usize,
                                 ShardPolicy::SessionAffine => {
                                     (recd_codec::hash_ids(&[rows.session_id(row).raw()])
-                                        % ctx.shards as u64)
+                                        % shards as u64)
                                         as usize
                                 }
                                 ShardPolicy::RowRoundRobin => {
-                                    row_rr = (row_rr + 1) % ctx.shards;
+                                    row_rr = (row_rr + 1) % shards;
                                     row_rr
                                 }
                             },
                         };
                         accumulators[shard].push_row_from(&rows, row);
-                        if accumulators[shard].len() >= ctx.batch_size {
+                        if accumulators[shard].len() >= batch_size {
                             let full = std::mem::replace(&mut accumulators[shard], fresh());
                             if !emit(shard, full, &mut shard_seqs) {
                                 break 'stream;
@@ -706,7 +823,7 @@ fn router_loop(ctx: RouterCtx) {
                     }
                     // The decoded file's rows have all been copied into
                     // accumulators; its buffers go back to the fill workers.
-                    ctx.batch_pool.recycle(rows);
+                    state.batch_pool.recycle(rows);
                 }
                 FilledPayload::Barrier(id) => {
                     // Partition boundary: everything submitted before the
@@ -737,7 +854,7 @@ fn router_loop(ctx: RouterCtx) {
                     }
                 }
             }
-            ctx.window.advance(next_seq);
+            state.window.advance(next_seq);
         }
     }
     // End of stream: flush partial accumulators in shard order.
@@ -746,7 +863,18 @@ fn router_loop(ctx: RouterCtx) {
             break;
         }
     }
-    *ctx.phase_metrics.lock().expect("phase metrics lock") += local;
+    *state.phase_metrics.lock().expect("phase metrics lock") += local;
+}
+
+/// Spawns one named service thread.
+fn spawn_named<T: Send + 'static>(
+    name: String,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> JoinHandle<T> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("spawn DPP service thread")
 }
 
 /// The long-running streaming preprocessing service. [`DppService::start`]
@@ -785,351 +913,186 @@ impl DppService {
         schema: Schema,
         checkpoint: DppCheckpoint,
     ) -> DppHandle {
-        let counters = Arc::new(ServiceCounters::default());
+        let started = Instant::now();
         // Cumulative feed counters continue across the crash so dashboards
         // and reports see one logical run.
-        counters
-            .files_submitted
-            .store(checkpoint.files_routed, Ordering::Relaxed);
-        counters
-            .partitions_ingested
-            .store(checkpoint.partitions_ingested, Ordering::Relaxed);
-        counters
-            .duplicate_ingests
-            .store(checkpoint.duplicate_ingests, Ordering::Relaxed);
-        let phase_metrics = Arc::new(Mutex::new(ReaderMetrics::default()));
-        let errors = Arc::new(Mutex::new(Vec::new()));
-        let barriers = Arc::new(BarrierState::default());
-        let scale_events: Arc<Mutex<Vec<ScaleEvent>>> = Arc::new(Mutex::new(Vec::new()));
+        let counters = ServiceCounters {
+            files_submitted: checkpoint.files_routed.into(),
+            partitions_ingested: checkpoint.partitions_ingested.into(),
+            duplicate_ingests: checkpoint.duplicate_ingests.into(),
+            ..ServiceCounters::default()
+        };
 
         // Worker counts start clamped into the controller bounds (when any
         // exist); the pools size for the maximum population they may grow to.
-        let (initial_fill, initial_compute, max_fill, max_compute) = if let Some(c) = &config.ctrl {
-            (
+        let (initial_fill, initial_compute, max_fill, max_compute) = match &config.ctrl {
+            Some(c) => (
                 config.fill_workers.clamp(c.min_fill, c.max_fill),
                 config.compute_workers.clamp(c.min_compute, c.max_compute),
                 c.max_fill,
                 c.max_compute,
-            )
-        } else {
-            (
+            ),
+            None => (
                 config.fill_workers,
                 config.compute_workers,
                 config.fill_workers,
                 config.compute_workers,
-            )
+            ),
         };
+        let depth = config.queue_depth;
+        let shelves = max_fill.clamp(1, MAX_POOL_SHELVES);
 
-        let window = Arc::new(RouteWindow {
-            routed: Mutex::new(0),
-            advanced: Condvar::new(),
-            width: route_window(config.queue_depth, max_fill) as u64,
+        let (input_tx, input_rx) = bounded::<FillTask>(depth);
+        let (filled_tx, filled_rx) = bounded::<FilledFile>(depth);
+        let (work_tx, work_rx) = bounded::<WorkItem>(depth);
+        let (out_tx, out_rx) = bounded::<SinkInput>(depth);
+        let (lanes, lane_senders, trainers) =
+            TrainerLanes::open(config.trainers, config.trainer_queue_depth);
+
+        let state = Arc::new(State {
+            started,
+            store,
+            counters,
+            phase_metrics: Mutex::new(ReaderMetrics::default()),
+            errors: Mutex::new(Vec::new()),
+            batch_pool: BatchPool::with_shelves(
+                batch_pool_capacity(depth, config.shards, max_fill, max_compute),
+                shelves,
+            ),
+            converted_pool: Arc::new(BatchPool::new(converted_pool_capacity(depth, max_compute))),
+            blob_pool: BatchPool::with_shelves(max_fill + 1, shelves),
+            window: RouteWindow {
+                routed: Mutex::new(0),
+                advanced: Condvar::new(),
+                width: route_window(depth, max_fill) as u64,
+            },
+            fill_gov: Arc::default(),
+            compute_gov: Arc::default(),
+            convert_hist: Histogram::new(LATENCY_BOUNDS),
+            process_hist: Histogram::new(LATENCY_BOUNDS),
+            scale_events: Arc::default(),
+            lanes,
+            input_gauge: input_rx.gauge(),
+            filled_gauge: filled_rx.gauge(),
+            work_gauge: work_rx.gauge(),
+            out_gauge: out_rx.gauge(),
+            barriers: BarrierState::default(),
+            ctrl: config.ctrl.as_ref().map(|_| Arc::default()),
+            config,
+            schema,
         });
-        // The swap-buffer arena: every ColumnarBatch in flight — decoded
-        // files, shard accumulators, coalesced work chunks — is drawn from
-        // and recycled into this one pool, so steady-state batches allocate
-        // nothing. Capacity is the most that can be in flight, so no shell
-        // is ever dropped and misses never exceed it; dynamic scale-downs
-        // shrink it again. One shelf per fill worker keeps the hot acquire
-        // path uncontended and size-class-matched.
-        let batch_pool: Arc<BatchPool<ColumnarBatch>> = Arc::new(BatchPool::with_shelves(
-            batch_pool_capacity(config.queue_depth, config.shards, max_fill, max_compute),
-            max_fill.clamp(1, MAX_POOL_SHELVES),
-        ));
-        // Converted-batch shells flow compute → sink → consumer; the
-        // consumer recycles them back through DppHandle::converted_pool.
-        // External consumers recycle from arbitrary threads, so this pool
-        // stays single-shelf (size classing still applies).
-        let converted_pool: Arc<BatchPool<ConvertedBatch>> =
-            Arc::new(BatchPool::new(config.queue_depth * 2 + max_compute));
-        // `get_into` blob buffers: pool-owned so decode allocations survive
-        // worker retirement/respawn. One per live fill worker plus one spare
-        // covers the whole population.
-        let blob_pool: Arc<BatchPool<BlobScratch>> = Arc::new(BatchPool::with_shelves(
-            max_fill + 1,
-            max_fill.clamp(1, MAX_POOL_SHELVES),
-        ));
 
-        let (input_tx, input_rx) = bounded::<FillTask>(config.queue_depth);
-        let (filled_tx, filled_rx) = bounded::<FilledFile>(config.queue_depth);
-        let (work_tx, work_rx) = bounded::<WorkItem>(config.queue_depth);
-        let (out_tx, out_rx) = bounded::<SinkInput>(config.queue_depth);
-
-        let input_gauge = input_rx.gauge();
-        let filled_gauge = filled_rx.gauge();
-        let work_gauge = work_rx.gauge();
-        let out_gauge = out_rx.gauge();
-
-        let fill_gov = Arc::new(PoolGovernor::new());
-        let compute_gov = Arc::new(PoolGovernor::new());
-
-        // Per-batch compute-phase latency distributions, shared by every
-        // compute worker (including dynamically spawned ones) and read by
-        // the observability plane.
-        let convert_hist = Arc::new(Histogram::new(LATENCY_BOUNDS));
-        let process_hist = Arc::new(Histogram::new(LATENCY_BOUNDS));
-
-        // Trainer lanes (fan-out mode).
-        let mut lanes = Vec::new();
-        let mut trainer_handles = Vec::new();
-        let mut lane_shared = Vec::new();
-        let mut lane_gauges = Vec::new();
-        for trainer in 0..config.trainers {
-            let (tx, rx) = bounded::<TrainerBatch>(config.trainer_queue_depth);
-            let shared = Arc::new(LaneShared::default());
-            lane_gauges.push(rx.gauge());
-            trainer_handles.push(TrainerHandle::new(trainer, rx, Arc::clone(&shared)));
-            lane_shared.push(Arc::clone(&shared));
-            lanes.push(LaneSender { tx, shared });
-        }
-
-        // Worker spawners: one closure per pool, usable both for the initial
-        // population and by the controller. Each call clones its
-        // captured channel ends for the new thread.
-        let spawn_fill: Box<dyn Fn() -> JoinHandle<()> + Send> = {
-            let input_rx = input_rx.clone();
-            let filled_tx = filled_tx.clone();
-            let store = Arc::clone(&store);
-            let schema = schema.clone();
-            let counters = Arc::clone(&counters);
-            let phase_metrics = Arc::clone(&phase_metrics);
-            let errors = Arc::clone(&errors);
-            let batch_pool = Arc::clone(&batch_pool);
-            let blob_pool = Arc::clone(&blob_pool);
-            let window = Arc::clone(&window);
-            let governor = Arc::clone(&fill_gov);
-            let chaos_retry = config.chaos_retry.clone();
-            Box::new(move || {
-                let worker = governor.next_worker_id();
-                let ctx = FillCtx {
-                    worker,
-                    input_rx: input_rx.clone(),
-                    filled_tx: filled_tx.clone(),
-                    store: Arc::clone(&store),
-                    schema: schema.clone(),
-                    counters: Arc::clone(&counters),
-                    phase_metrics: Arc::clone(&phase_metrics),
-                    errors: Arc::clone(&errors),
-                    batch_pool: Arc::clone(&batch_pool),
-                    blob_pool: Arc::clone(&blob_pool),
-                    window: Arc::clone(&window),
-                    governor: Arc::clone(&governor),
-                    chaos_retry: chaos_retry.clone(),
-                };
-                std::thread::Builder::new()
-                    .name(format!("dpp-fill-{worker}"))
-                    .spawn(move || fill_worker_loop(&ctx))
-                    .expect("spawn fill worker")
-            })
-        };
-        let spawn_compute: Box<dyn Fn() -> JoinHandle<()> + Send> = {
-            let work_rx = work_rx.clone();
-            let out_tx = out_tx.clone();
-            let reader = config.reader.clone();
-            let pipeline_factory = config.pipeline_factory;
-            let counters = Arc::clone(&counters);
-            let phase_metrics = Arc::clone(&phase_metrics);
-            let errors = Arc::clone(&errors);
-            let batch_pool = Arc::clone(&batch_pool);
-            let converted_pool = Arc::clone(&converted_pool);
-            let governor = Arc::clone(&compute_gov);
-            let convert_hist = Arc::clone(&convert_hist);
-            let process_hist = Arc::clone(&process_hist);
-            Box::new(move || {
-                let worker = governor.next_worker_id();
-                let ctx = ComputeCtx {
-                    worker,
-                    work_rx: work_rx.clone(),
-                    out_tx: out_tx.clone(),
-                    reader: reader.clone(),
-                    pipeline_factory,
-                    counters: Arc::clone(&counters),
-                    phase_metrics: Arc::clone(&phase_metrics),
-                    errors: Arc::clone(&errors),
-                    batch_pool: Arc::clone(&batch_pool),
-                    converted_pool: Arc::clone(&converted_pool),
-                    governor: Arc::clone(&governor),
-                    convert_hist: Arc::clone(&convert_hist),
-                    process_hist: Arc::clone(&process_hist),
-                };
-                std::thread::Builder::new()
-                    .name(format!("dpp-compute-{worker}"))
-                    .spawn(move || compute_worker_loop(&ctx))
-                    .expect("spawn compute worker")
-            })
-        };
+        let fill_pool = (&state.fill_gov, input_rx, filled_tx);
+        let spawn_fill = spawner(&state, "fill", fill_pool, fill_worker_loop);
+        let compute_pool = (&state.compute_gov, work_rx, out_tx.clone());
+        let spawn_compute = spawner(&state, "compute", compute_pool, compute_worker_loop);
 
         for _ in 0..initial_fill {
-            fill_gov.adopt(spawn_fill());
+            state.fill_gov.adopt(spawn_fill());
         }
         for _ in 0..initial_compute {
-            compute_gov.adopt(spawn_compute());
+            state.compute_gov.adopt(spawn_compute());
         }
 
         let router = {
             let ctx = RouterCtx {
                 filled_rx,
                 work_tx,
-                out_tx: out_tx.clone(),
-                policy: config.policy,
-                shards: config.shards,
-                batch_size: config.reader.batch_size,
-                dense_cols: schema.dense_count(),
-                sparse_cols: schema.sparse_count(),
-                counters: Arc::clone(&counters),
-                batch_pool: Arc::clone(&batch_pool),
-                window,
-                phase_metrics: Arc::clone(&phase_metrics),
+                out_tx,
+                state: Arc::clone(&state),
                 files_routed_base: checkpoint.files_routed,
             };
-            std::thread::Builder::new()
-                .name("dpp-router".to_string())
-                .spawn(move || router_loop(ctx))
-                .expect("spawn router")
+            spawn_named("dpp-router".to_string(), move || router_loop(ctx))
         };
 
         let sink = {
-            let params = SinkParams {
-                out_rx,
-                shards: config.shards,
-                lanes,
-                policy: config.assign_policy,
-                // The spillover lets healthy trainers keep receiving while
-                // one lane is full; once it overflows the sink blocks and
-                // ordinary backpressure takes over.
-                park_capacity: config.trainer_queue_depth * config.trainers.max(1),
-                barriers: Arc::clone(&barriers),
-                converted_pool: Arc::clone(&converted_pool),
-            };
-            std::thread::Builder::new()
-                .name("dpp-sink".to_string())
-                .spawn(move || run_sink(params))
-                .expect("spawn sink")
+            let state = Arc::clone(&state);
+            spawn_named("dpp-sink".to_string(), move || {
+                run_sink(SinkParams {
+                    out_rx,
+                    shards: state.config.shards,
+                    lanes: lane_senders,
+                    policy: state.config.assign_policy,
+                    // The spillover lets healthy trainers keep receiving
+                    // while one lane is full; once it overflows the sink
+                    // blocks and ordinary backpressure takes over.
+                    park_capacity: state.config.trainer_queue_depth * state.config.trainers.max(1),
+                    barriers: &state.barriers,
+                    converted_pool: &state.converted_pool,
+                })
+            })
         };
 
         // The controller, when configured, takes ownership of the spawners;
         // without it they are dropped here, releasing their channel clones.
-        let ctrl_shared = config
+        let controller = state
+            .config
             .ctrl
-            .as_ref()
-            .map(|_| Arc::new(CtrlShared::default()));
-        let controller = if let Some(ctrl) = config.ctrl.clone() {
-            let clock: Arc<dyn ScaleClock> = ctrl
-                .clock
-                .clone()
-                .unwrap_or_else(|| Arc::new(WallClock::new(ctrl.tick_period)));
-            let resize_batch = Arc::clone(&batch_pool);
-            let resize_converted = Arc::clone(&converted_pool);
-            let queue_depth = config.queue_depth;
-            let shards = config.shards;
-            // The lane signal is the *worst* lane's fill fraction: one
-            // stalled trainer is a bottleneck even while its siblings drain.
-            let lane_probe: Box<dyn Fn() -> (usize, usize) + Send> = {
-                let gauges: Vec<Gauge<TrainerBatch>> = lane_gauges.clone();
-                let capacity = if gauges.is_empty() {
+            .clone()
+            .zip(state.ctrl.clone())
+            .map(|(ctrl, shared)| {
+                let clock: Arc<dyn ScaleClock> = ctrl
+                    .clock
+                    .clone()
+                    .unwrap_or_else(|| Arc::new(WallClock::new(ctrl.tick_period)));
+                let probe = |depth: fn(&State) -> usize| -> Box<dyn Fn() -> usize + Send> {
+                    let state = Arc::clone(&state);
+                    Box::new(move || depth(&state))
+                };
+                // The lane signal is the *worst* lane's fill fraction: one
+                // stalled trainer is a bottleneck even while its siblings drain.
+                let lane_capacity = if state.config.trainers == 0 {
                     0
                 } else {
-                    config.trainer_queue_depth
+                    state.config.trainer_queue_depth
                 };
-                Box::new(move || (gauges.iter().map(Gauge::len).max().unwrap_or(0), capacity))
-            };
-            let tail_lag_probe = ctrl
-                .tail_lag_probe
-                .clone()
-                .map(|probe| Box::new(move || probe()) as Box<dyn Fn() -> u64 + Send>);
-            let params = PidParams {
-                config: ctrl.clone(),
-                clock: Arc::clone(&clock),
-                shared: Arc::clone(ctrl_shared.as_ref().expect("ctrl shared exists")),
-                fill: PoolControls {
-                    name: "fill",
-                    governor: Arc::clone(&fill_gov),
-                    min: ctrl.min_fill,
-                    max: ctrl.max_fill,
-                    queue_probe: {
-                        let gauge = input_gauge.clone();
-                        Box::new(move || gauge.len())
+                let lane_state = Arc::clone(&state);
+                let resize_state = Arc::clone(&state);
+                let params = PidParams {
+                    clock: Arc::clone(&clock),
+                    shared,
+                    fill: PoolControls {
+                        name: "fill",
+                        governor: Arc::clone(&state.fill_gov),
+                        min: ctrl.min_fill,
+                        max: ctrl.max_fill,
+                        queue_probe: probe(|state| state.input_gauge.len()),
+                        queue_capacity: depth,
+                        spawn: spawn_fill,
                     },
-                    queue_capacity: config.queue_depth,
-                    spawn: spawn_fill,
-                },
-                compute: PoolControls {
-                    name: "compute",
-                    governor: Arc::clone(&compute_gov),
-                    min: ctrl.min_compute,
-                    max: ctrl.max_compute,
-                    queue_probe: {
-                        let gauge = work_gauge.clone();
-                        Box::new(move || gauge.len())
+                    compute: PoolControls {
+                        name: "compute",
+                        governor: Arc::clone(&state.compute_gov),
+                        min: ctrl.min_compute,
+                        max: ctrl.max_compute,
+                        queue_probe: probe(|state| state.work_gauge.len()),
+                        queue_capacity: depth,
+                        spawn: spawn_compute,
                     },
-                    queue_capacity: config.queue_depth,
-                    spawn: spawn_compute,
-                },
-                lane_probe,
-                tail_lag_probe,
-                events: Arc::clone(&scale_events),
-                on_resize: Box::new(move |fill_target, compute_target| {
-                    resize_batch.set_capacity(batch_pool_capacity(
-                        queue_depth,
-                        shards,
-                        fill_target,
-                        compute_target,
-                    ));
-                    resize_converted.set_capacity(queue_depth * 2 + compute_target);
-                }),
-            };
-            Some((clock, spawn_pid_controller(params)))
-        } else {
-            None
-        };
-        drop(input_rx);
-
-        // Passive gauges for live snapshots: they read depths without
-        // participating in the channels' disconnect bookkeeping, so failure
-        // detection (e.g. after a worker panic) is unaffected by monitoring.
-        let gauges = SnapshotSource {
-            counters: Arc::clone(&counters),
-            input_gauge,
-            filled_gauge,
-            work_gauge,
-            out_gauge,
-            batch_pool: Arc::clone(&batch_pool),
-            converted_pool: Arc::clone(&converted_pool),
-            blob_pool: Arc::clone(&blob_pool),
-            fill_gov: Arc::clone(&fill_gov),
-            compute_gov: Arc::clone(&compute_gov),
-            scale_events: Arc::clone(&scale_events),
-            lanes: lane_shared
-                .iter()
-                .cloned()
-                .zip(lane_gauges.iter().cloned())
-                .collect(),
-            phase_metrics: Arc::clone(&phase_metrics),
-            convert_hist,
-            process_hist,
-        };
+                    lane_probe: Box::new(move || (lane_state.lanes.deepest(), lane_capacity)),
+                    tail_lag_probe: ctrl
+                        .tail_lag_probe
+                        .clone()
+                        .map(|probe| Box::new(move || probe()) as Box<dyn Fn() -> u64 + Send>),
+                    events: Arc::clone(&state.scale_events),
+                    on_resize: Box::new(move |fill, compute| {
+                        resize_state.size_pools(fill, compute)
+                    }),
+                    config: ctrl,
+                };
+                (clock, spawn_pid_controller(params))
+            });
 
         DppHandle {
-            config,
+            state,
             input: input_tx,
             next_file_seq: 0,
             next_barrier_id: checkpoint.next_barrier_id,
             ingested: checkpoint.ingested.into_iter().collect(),
-            barriers,
-            counters,
-            phase_metrics,
-            errors,
-            gauges,
-            trainers: trainer_handles,
-            fill_gov,
-            compute_gov,
-            scale_events,
-            lane_shared,
-            lane_gauges,
+            trainers,
             router,
             sink,
             controller,
-            ctrl_shared,
         }
     }
 }
@@ -1138,121 +1101,47 @@ impl DppService {
 /// to a monitoring thread while the [`DppHandle`] keeps feeding (or is
 /// consumed by [`DppHandle::finish`]).
 #[derive(Clone)]
-pub struct SnapshotSource {
-    counters: Arc<ServiceCounters>,
-    input_gauge: Gauge<FillTask>,
-    filled_gauge: Gauge<FilledFile>,
-    work_gauge: Gauge<WorkItem>,
-    out_gauge: Gauge<SinkInput>,
-    batch_pool: Arc<BatchPool<ColumnarBatch>>,
-    converted_pool: Arc<BatchPool<ConvertedBatch>>,
-    blob_pool: Arc<BatchPool<BlobScratch>>,
-    fill_gov: Arc<PoolGovernor>,
-    compute_gov: Arc<PoolGovernor>,
-    scale_events: Arc<Mutex<Vec<ScaleEvent>>>,
-    lanes: Vec<(Arc<LaneShared>, Gauge<TrainerBatch>)>,
-    phase_metrics: Arc<Mutex<ReaderMetrics>>,
-    convert_hist: Arc<Histogram>,
-    process_hist: Arc<Histogram>,
-}
+pub struct SnapshotSource(Arc<State>);
 
 impl SnapshotSource {
     /// A copy of the combined per-phase reader accounting across all
     /// workers, as of now.
     pub fn reader_metrics(&self) -> ReaderMetrics {
-        *self.phase_metrics.lock().expect("phase metrics lock")
+        self.0.reader_metrics()
     }
 
     /// Distribution of per-batch IKJT conversion latency (seconds) across
     /// all compute workers so far.
     pub fn convert_latency(&self) -> HistogramSnapshot {
-        self.convert_hist.snapshot()
+        self.0.convert_hist.snapshot()
     }
 
     /// Distribution of per-batch preprocessing latency (seconds) across all
     /// compute workers so far.
     pub fn process_latency(&self) -> HistogramSnapshot {
-        self.process_hist.snapshot()
+        self.0.process_hist.snapshot()
     }
 
     /// Takes a live snapshot of throughput, progress, queue depths, worker
     /// pool sizes, and per-trainer lane state.
     pub fn snapshot(&self) -> DppSnapshot {
-        let elapsed = self.counters.elapsed_seconds();
-        let samples = self.counters.samples_out.load(Ordering::Relaxed);
-        let (scale_ups, scale_downs) = {
-            let events = self.scale_events.lock().expect("scale events lock");
-            let ups = events.iter().filter(|e| e.is_grow()).count() as u64;
-            (ups, events.len() as u64 - ups)
-        };
-        DppSnapshot {
-            elapsed_seconds: elapsed,
-            files_submitted: self.counters.files_submitted.load(Ordering::Relaxed),
-            partitions_ingested: self.counters.partitions_ingested.load(Ordering::Relaxed),
-            duplicate_ingests: self.counters.duplicate_ingests.load(Ordering::Relaxed),
-            files_filled: self.counters.files_filled.load(Ordering::Relaxed),
-            rows_routed: self.counters.rows_routed.load(Ordering::Relaxed),
-            batches_out: self.counters.batches_out.load(Ordering::Relaxed),
-            samples_out: samples,
-            egress_bytes: self.counters.egress_bytes.load(Ordering::Relaxed),
-            samples_per_second: if elapsed > 0.0 {
-                samples as f64 / elapsed
-            } else {
-                0.0
-            },
-            dedupe_factor: self.counters.dedupe_factor(),
-            input_queue_depth: self.input_gauge.len(),
-            filled_queue_depth: self.filled_gauge.len(),
-            work_queue_depth: self.work_gauge.len(),
-            output_queue_depth: self.out_gauge.len(),
-            fill_workers_live: self.fill_gov.live(),
-            compute_workers_live: self.compute_gov.live(),
-            scale_ups,
-            scale_downs,
-            trainers: self
-                .lanes
-                .iter()
-                .enumerate()
-                .map(|(trainer, (shared, gauge))| TrainerLaneSnapshot {
-                    trainer,
-                    queue_depth: gauge.len(),
-                    delivered_batches: shared.delivered_batches(),
-                    delivered_samples: shared.delivered_samples(),
-                    consumed_batches: shared.consumed_batches(),
-                })
-                .collect(),
-            batch_pool: self.batch_pool.stats(),
-            converted_pool: self.converted_pool.stats(),
-            blob_pool: self.blob_pool.stats(),
-            errors: self.counters.errors.load(Ordering::Relaxed),
-        }
+        self.0.snapshot()
     }
 }
 
 /// The feeding/monitoring handle of a running [`DppService`].
 pub struct DppHandle {
-    config: DppConfig,
+    state: Arc<State>,
     input: Sender<FillTask>,
     next_file_seq: u64,
     next_barrier_id: u64,
     /// Blob-store prefixes of every partition ingested so far — the replay
     /// dedup set (see [`DppHandle::ingest_partition`]).
     ingested: HashSet<String>,
-    barriers: Arc<BarrierState>,
-    counters: Arc<ServiceCounters>,
-    phase_metrics: Arc<Mutex<ReaderMetrics>>,
-    errors: Arc<Mutex<Vec<String>>>,
-    gauges: SnapshotSource,
     trainers: Vec<TrainerHandle>,
-    fill_gov: Arc<PoolGovernor>,
-    compute_gov: Arc<PoolGovernor>,
-    scale_events: Arc<Mutex<Vec<ScaleEvent>>>,
-    lane_shared: Vec<Arc<LaneShared>>,
-    lane_gauges: Vec<Gauge<TrainerBatch>>,
     router: JoinHandle<()>,
     sink: JoinHandle<BTreeMap<(usize, u64), ConvertedBatch>>,
     controller: Option<(Arc<dyn ScaleClock>, JoinHandle<()>)>,
-    ctrl_shared: Option<Arc<CtrlShared>>,
 }
 
 impl DppHandle {
@@ -1274,10 +1163,10 @@ impl DppHandle {
     ///
     /// `shard` must be within this service's shard range.
     pub fn submit_file_to_shard(&mut self, path: impl Into<String>, shard: usize) {
+        let shards = self.state.config.shards;
         assert!(
-            shard < self.config.shards,
-            "shard {shard} out of range for a {}-shard service",
-            self.config.shards
+            shard < shards,
+            "shard {shard} out of range for a {shards}-shard service"
         );
         self.submit_with_shard(path.into(), Some(shard));
     }
@@ -1289,7 +1178,8 @@ impl DppHandle {
             shard,
         };
         self.next_file_seq += 1;
-        self.counters
+        self.state
+            .counters
             .files_submitted
             .fetch_add(1, Ordering::Relaxed);
         // The only way every receiver disappears is a torn-down run; the
@@ -1318,15 +1208,12 @@ impl DppHandle {
     /// at-least-once upstream replay composes to an exactly-once feed.
     pub fn ingest_partition(&mut self, partition: &StoredPartition) -> bool {
         let key = StoredPartition::prefix(&partition.table, partition.hour);
+        let counters = &self.state.counters;
         if !self.ingested.insert(key) {
-            self.counters
-                .duplicate_ingests
-                .fetch_add(1, Ordering::Relaxed);
+            counters.duplicate_ingests.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        self.counters
-            .partitions_ingested
-            .fetch_add(1, Ordering::Relaxed);
+        counters.partitions_ingested.fetch_add(1, Ordering::Relaxed);
         self.submit_partition(partition);
         true
     }
@@ -1340,10 +1227,11 @@ impl DppHandle {
     pub fn checkpoint(&self) -> DppCheckpoint {
         let mut ingested: Vec<String> = self.ingested.iter().cloned().collect();
         ingested.sort_unstable();
+        let counters = &self.state.counters;
         DppCheckpoint {
-            files_routed: self.counters.files_submitted.load(Ordering::Relaxed),
-            partitions_ingested: self.counters.partitions_ingested.load(Ordering::Relaxed),
-            duplicate_ingests: self.counters.duplicate_ingests.load(Ordering::Relaxed),
+            files_routed: counters.files_submitted.load(Ordering::Relaxed),
+            partitions_ingested: counters.partitions_ingested.load(Ordering::Relaxed),
+            duplicate_ingests: counters.duplicate_ingests.load(Ordering::Relaxed),
             next_barrier_id: self.next_barrier_id,
             ingested,
         }
@@ -1370,7 +1258,7 @@ impl DppHandle {
         if self.input.send(task).is_err() {
             return false;
         }
-        self.barriers.wait(id)
+        self.state.barriers.wait(id)
     }
 
     /// Takes the per-trainer pull endpoints (fan-out mode; empty when the
@@ -1384,13 +1272,13 @@ impl DppHandle {
 
     /// Takes a live snapshot of throughput, progress, and queue depths.
     pub fn snapshot(&self) -> DppSnapshot {
-        self.gauges.snapshot()
+        self.state.snapshot()
     }
 
     /// Returns a cloneable snapshot source that outlives this handle — hand
     /// it to a monitoring thread while the handle keeps feeding.
     pub fn snapshot_source(&self) -> SnapshotSource {
-        self.gauges.clone()
+        SnapshotSource(Arc::clone(&self.state))
     }
 
     /// The ETL pump gate — the PID controller's pump-rate actuation
@@ -1399,7 +1287,8 @@ impl DppHandle {
     /// [`PumpGate::pump_allowed`] before each pump and backs off (bounded)
     /// while full trainer lanes hold the gate red.
     pub fn pump_gate(&self) -> Option<PumpGate> {
-        self.ctrl_shared
+        self.state
+            .ctrl
             .as_ref()
             .map(|s| PumpGate::new(Arc::clone(s)))
     }
@@ -1409,7 +1298,7 @@ impl DppHandle {
     /// metrics registry to export them) and the actuation counters. `None`
     /// unless the service runs with [`DppConfig::with_ctrl`].
     pub fn ctrl_shared(&self) -> Option<Arc<CtrlShared>> {
-        self.ctrl_shared.clone()
+        self.state.ctrl.clone()
     }
 
     /// The converted-batch shell pool. A consumer that is done with an
@@ -1417,7 +1306,7 @@ impl DppHandle {
     /// refill the shell's tensors in place instead of allocating, closing
     /// the compute → sink → consumer → compute buffer loop.
     pub fn converted_pool(&self) -> Arc<BatchPool<ConvertedBatch>> {
-        Arc::clone(&self.gauges.converted_pool)
+        Arc::clone(&self.state.converted_pool)
     }
 
     /// Gracefully shuts down: closes the input, lets every stage drain, joins
@@ -1438,26 +1327,13 @@ impl DppHandle {
     /// conversion failed during the run.
     pub fn finish(self) -> Result<DppOutput, DppError> {
         let DppHandle {
-            config,
+            state,
             input,
-            counters,
-            phase_metrics,
-            errors,
-            gauges,
             trainers,
-            fill_gov,
-            compute_gov,
-            scale_events,
-            lane_shared,
-            lane_gauges,
             router,
             sink,
             controller,
-            ctrl_shared,
-            barriers: _,
-            next_file_seq: _,
-            next_barrier_id: _,
-            ingested: _,
+            ..
         } = self;
         // The controller owns clones of the inter-stage channel ends (inside
         // its spawners); it must exit before downstream stages can observe
@@ -1472,69 +1348,20 @@ impl DppHandle {
         // dropping them lets the sink account those batches as dropped
         // instead of blocking the drain.
         drop(trainers);
-        for handle in fill_gov.take_handles() {
+        for handle in state.fill_gov.take_handles() {
             handle.join().expect("fill worker must not panic");
         }
         router.join().expect("router must not panic");
-        for handle in compute_gov.take_handles() {
+        for handle in state.compute_gov.take_handles() {
             handle.join().expect("compute worker must not panic");
         }
         let collected = sink.join().expect("sink must not panic");
 
-        let wall_seconds = counters.elapsed_seconds();
-        let samples = counters.samples_out.load(Ordering::Relaxed) as usize;
-        let reader_metrics = *phase_metrics.lock().expect("phase metrics lock");
-        let report = DppReport {
-            fill_workers: config.fill_workers,
-            compute_workers: config.compute_workers,
-            peak_fill_workers: fill_gov.peak_live(),
-            peak_compute_workers: compute_gov.peak_live(),
-            shards: config.shards,
-            policy: config.policy.name().to_string(),
-            assign_policy: config.assign_policy.name().to_string(),
-            wall_seconds,
-            partitions_ingested: counters.partitions_ingested.load(Ordering::Relaxed),
-            duplicate_ingests: counters.duplicate_ingests.load(Ordering::Relaxed),
-            samples,
-            batches: counters.batches_out.load(Ordering::Relaxed) as usize,
-            samples_per_second: if wall_seconds > 0.0 {
-                samples as f64 / wall_seconds
-            } else {
-                0.0
-            },
-            egress_bytes: counters.egress_bytes.load(Ordering::Relaxed) as usize,
-            dedupe_factor: counters.dedupe_factor(),
-            peak_input_queue_depth: gauges.input_gauge.peak_depth(),
-            peak_filled_queue_depth: gauges.filled_gauge.peak_depth(),
-            peak_work_queue_depth: gauges.work_gauge.peak_depth(),
-            peak_output_queue_depth: gauges.out_gauge.peak_depth(),
-            trainers: lane_shared
-                .iter()
-                .zip(&lane_gauges)
-                .enumerate()
-                .map(|(trainer, (shared, gauge))| TrainerLaneReport {
-                    trainer,
-                    delivered_batches: shared.delivered_batches(),
-                    delivered_samples: shared.delivered_samples(),
-                    consumed_batches: shared.consumed_batches(),
-                    consumed_samples: shared.consumed_samples(),
-                    dropped_batches: shared.dropped_batches(),
-                    peak_queue_depth: gauge.peak_depth(),
-                })
-                .collect(),
-            scale_events: scale_events.lock().expect("scale events lock").clone(),
-            batch_pool: gauges.batch_pool.stats(),
-            converted_pool: gauges.converted_pool.stats(),
-            blob_pool: gauges.blob_pool.stats(),
-            ctrl: ctrl_shared.as_ref().map(|shared| shared.report()),
-            reader_metrics,
-        };
-
-        let errors = std::mem::take(&mut *errors.lock().expect("error list lock"));
         let output = DppOutput {
             batches: collected.into_values().collect(),
-            report,
+            report: state.report(),
         };
+        let errors = std::mem::take(&mut *state.errors.lock().expect("error list lock"));
         if errors.is_empty() {
             Ok(output)
         } else {

@@ -20,8 +20,15 @@
 //! [`flush_partition`](crate::DppHandle::flush_partition) barrier with
 //! per-shard sequence cuts, and the sink completes the barrier once every
 //! batch below the cut has been pushed onto its trainer lane.
+//!
+//! Trainer lanes exist once, here: `TrainerLanes::open` builds a lane set —
+//! the sending halves, the [`TrainerHandle`]s and the lane state both
+//! reports read — for a service and for a fleet alike, and a lane's
+//! dead-aware delivery is `LaneSender::send`.
 
-use crate::channel::{Receiver, RecvTimeout, Sender};
+use crate::channel::{bounded, Gauge, Receiver, RecvTimeout, SendError, Sender};
+use crate::metrics::{TrainerLaneReport, TrainerLaneSnapshot};
+use crate::pool::BatchPool;
 use recd_core::ConvertedBatch;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -73,7 +80,7 @@ pub struct TrainerBatch {
 /// Per-lane counters shared between the sink (delivery side) and the
 /// [`TrainerHandle`] (consumption side).
 #[derive(Debug, Default)]
-pub(crate) struct LaneShared {
+struct LaneShared {
     delivered_batches: AtomicU64,
     delivered_samples: AtomicU64,
     consumed_batches: AtomicU64,
@@ -87,45 +94,161 @@ pub(crate) struct LaneShared {
 }
 
 impl LaneShared {
-    pub(crate) fn mark_dead(&self) {
+    fn mark_dead(&self) {
         self.dead.store(true, Ordering::Release);
     }
 
-    pub(crate) fn is_dead(&self) -> bool {
+    fn is_dead(&self) -> bool {
         self.dead.load(Ordering::Acquire)
     }
 
-    pub(crate) fn delivered_batches(&self) -> u64 {
+    fn delivered_batches(&self) -> u64 {
         self.delivered_batches.load(Ordering::Acquire)
     }
 
-    pub(crate) fn delivered_samples(&self) -> u64 {
+    fn delivered_samples(&self) -> u64 {
         self.delivered_samples.load(Ordering::Acquire)
     }
 
-    pub(crate) fn consumed_batches(&self) -> u64 {
+    fn consumed_batches(&self) -> u64 {
         self.consumed_batches.load(Ordering::Acquire)
     }
 
-    pub(crate) fn consumed_samples(&self) -> u64 {
+    fn consumed_samples(&self) -> u64 {
         self.consumed_samples.load(Ordering::Acquire)
     }
 
-    pub(crate) fn dropped_batches(&self) -> u64 {
+    fn dropped_batches(&self) -> u64 {
         self.dropped_batches.load(Ordering::Acquire)
     }
 
-    /// Accounts batches pushed onto this lane. Used by the sink's dispatcher
-    /// and by the fleet collectors, which deliver onto fleet-level lanes
-    /// without going through a sink.
-    pub(crate) fn note_delivery(&self, batches: u64, samples: u64) {
-        self.delivered_batches.fetch_add(batches, Ordering::AcqRel);
+    fn note_delivery(&self, samples: u64) {
+        self.delivered_batches.fetch_add(1, Ordering::AcqRel);
         self.delivered_samples.fetch_add(samples, Ordering::AcqRel);
     }
+}
 
-    /// Accounts one batch that could not be delivered (dead lane).
-    pub(crate) fn note_dropped(&self) {
-        self.dropped_batches.fetch_add(1, Ordering::AcqRel);
+/// The delivery side's sending half of one trainer lane: a service's sink
+/// or a fleet's host collectors.
+pub(crate) struct LaneSender {
+    tx: Sender<TrainerBatch>,
+    shared: Arc<LaneShared>,
+}
+
+impl LaneSender {
+    /// A lane is dead once its trainer dropped the handle. The tombstone is
+    /// authoritative (written inside the handle's `Drop` before the channel
+    /// half disconnects); `is_closed` is kept as a second signal for lanes
+    /// torn down through other paths.
+    fn is_dead(&self) -> bool {
+        self.shared.is_dead() || self.tx.is_closed()
+    }
+
+    /// Pushes `item` without blocking and accounts the delivery; hands the
+    /// item back (`Some`) while the lane is full (or gone).
+    fn try_send(&self, item: TrainerBatch) -> Option<TrainerBatch> {
+        let samples = item.batch.batch_size as u64;
+        match self.tx.try_send(item) {
+            Ok(()) => {
+                self.shared.note_delivery(samples);
+                None
+            }
+            Err(SendError(item)) => Some(item),
+        }
+    }
+
+    /// Delivers `item`, blocking while the lane is full, and accounts it. A
+    /// lane that is dead, or dies mid-send, is marked dead and hands the item
+    /// back (`Some`), for the caller to re-route or
+    /// [`drop_batch`](Self::drop_batch).
+    pub(crate) fn send(&self, item: TrainerBatch) -> Option<TrainerBatch> {
+        let samples = item.batch.batch_size as u64;
+        let rejected = if self.is_dead() {
+            Some(item)
+        } else {
+            self.tx.send(item).err().map(|SendError(item)| item)
+        };
+        match rejected {
+            None => self.shared.note_delivery(samples),
+            Some(_) => self.shared.mark_dead(),
+        }
+        rejected
+    }
+
+    /// Accounts a batch this lane could not take and recycles its shell
+    /// back into the compute loop.
+    pub(crate) fn drop_batch(&self, batch: ConvertedBatch, pool: &BatchPool<ConvertedBatch>) {
+        self.shared.mark_dead();
+        self.shared.dropped_batches.fetch_add(1, Ordering::AcqRel);
+        pool.recycle(batch);
+    }
+}
+
+/// The state of a set of trainer lanes that both reports read — per lane,
+/// the shared counters and a passive depth gauge (which, unlike a channel
+/// half, never keeps the lane open).
+#[derive(Default)]
+pub(crate) struct TrainerLanes(Vec<(Arc<LaneShared>, Gauge<TrainerBatch>)>);
+
+impl TrainerLanes {
+    /// Opens `count` bounded lanes of capacity `depth`: the lane set, the
+    /// sending halves for the delivery side, and one pull endpoint per
+    /// trainer.
+    pub(crate) fn open(count: usize, depth: usize) -> (Self, Vec<LaneSender>, Vec<TrainerHandle>) {
+        let mut lanes = Self::default();
+        let mut senders = Vec::with_capacity(count);
+        let mut handles = Vec::with_capacity(count);
+        for id in 0..count {
+            let (tx, rx) = bounded::<TrainerBatch>(depth);
+            let shared = Arc::new(LaneShared::default());
+            lanes.0.push((Arc::clone(&shared), rx.gauge()));
+            handles.push(TrainerHandle {
+                id,
+                rx,
+                shared: Arc::clone(&shared),
+            });
+            senders.push(LaneSender { tx, shared });
+        }
+        (lanes, senders, handles)
+    }
+
+    /// Depth of the fullest lane (0 without lanes).
+    pub(crate) fn deepest(&self) -> usize {
+        self.0
+            .iter()
+            .map(|(_, gauge)| gauge.len())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Every lane's live state.
+    pub(crate) fn snapshot(&self) -> Vec<TrainerLaneSnapshot> {
+        let lanes = self.0.iter().enumerate();
+        lanes
+            .map(|(trainer, (shared, gauge))| TrainerLaneSnapshot {
+                trainer,
+                queue_depth: gauge.len(),
+                delivered_batches: shared.delivered_batches(),
+                delivered_samples: shared.delivered_samples(),
+                consumed_batches: shared.consumed_batches(),
+            })
+            .collect()
+    }
+
+    /// Every lane's final accounting.
+    pub(crate) fn report(&self) -> Vec<TrainerLaneReport> {
+        let lanes = self.0.iter().enumerate();
+        lanes
+            .map(|(trainer, (shared, gauge))| TrainerLaneReport {
+                trainer,
+                delivered_batches: shared.delivered_batches(),
+                delivered_samples: shared.delivered_samples(),
+                consumed_batches: shared.consumed_batches(),
+                consumed_samples: shared.consumed_samples(),
+                dropped_batches: shared.dropped_batches(),
+                peak_queue_depth: gauge.peak_depth(),
+            })
+            .collect()
     }
 }
 
@@ -140,10 +263,6 @@ pub struct TrainerHandle {
 }
 
 impl TrainerHandle {
-    pub(crate) fn new(id: usize, rx: Receiver<TrainerBatch>, shared: Arc<LaneShared>) -> Self {
-        Self { id, rx, shared }
-    }
-
     /// This trainer's id (its lane index).
     pub fn id(&self) -> usize {
         self.id
@@ -306,13 +425,7 @@ pub(crate) enum SinkInput {
     Barrier { id: u64, cuts: Vec<u64> },
 }
 
-/// The sink's sending half of one trainer lane.
-pub(crate) struct LaneSender {
-    pub(crate) tx: Sender<TrainerBatch>,
-    pub(crate) shared: Arc<LaneShared>,
-}
-
-pub(crate) struct SinkParams {
+pub(crate) struct SinkParams<'a> {
     pub(crate) out_rx: Receiver<SinkInput>,
     pub(crate) shards: usize,
     /// Empty means collect mode: the legacy single sink that accumulates
@@ -321,10 +434,10 @@ pub(crate) struct SinkParams {
     pub(crate) policy: TrainerAssignPolicy,
     /// Total parked batches allowed across all lanes before the sink blocks.
     pub(crate) park_capacity: usize,
-    pub(crate) barriers: Arc<BarrierState>,
+    pub(crate) barriers: &'a BarrierState,
     /// Shell pool for batches that can't be delivered (dead trainer lane):
     /// their buffers go back into the compute loop instead of being dropped.
-    pub(crate) converted_pool: Arc<crate::pool::BatchPool<ConvertedBatch>>,
+    pub(crate) converted_pool: &'a BatchPool<ConvertedBatch>,
 }
 
 /// How often the sink retries parked batches while new input is quiet.
@@ -332,7 +445,7 @@ const PARK_RETRY: Duration = Duration::from_micros(200);
 
 /// The sink stage body. Returns the collected batches (empty in fan-out
 /// mode) keyed by `(shard, seq)` so iteration order is deterministic.
-pub(crate) fn run_sink(params: SinkParams) -> BTreeMap<(usize, u64), ConvertedBatch> {
+pub(crate) fn run_sink(params: SinkParams<'_>) -> BTreeMap<(usize, u64), ConvertedBatch> {
     let SinkParams {
         out_rx,
         shards,
@@ -394,7 +507,7 @@ pub(crate) fn run_sink(params: SinkParams) -> BTreeMap<(usize, u64), ConvertedBa
             &mut dispatcher,
             &mut collected,
         );
-        complete_barriers(&mut pending_barriers, &next_seq, &mut dispatcher, &barriers);
+        complete_barriers(&mut pending_barriers, &next_seq, &mut dispatcher, barriers);
     }
 
     // End of stream: every producer is gone, so whatever remains in the
@@ -419,23 +532,19 @@ pub(crate) fn run_sink(params: SinkParams) -> BTreeMap<(usize, u64), ConvertedBa
 
 /// The fan-out delivery state: trainer lanes, the bounded per-lane spillover
 /// of batches whose lane was full, and the round-robin cursor.
-struct Dispatcher {
+struct Dispatcher<'a> {
     lanes: Vec<LaneSender>,
     parked: Vec<VecDeque<TrainerBatch>>,
     parked_total: usize,
     park_capacity: usize,
     rr: usize,
     policy: TrainerAssignPolicy,
-    converted_pool: Arc<crate::pool::BatchPool<ConvertedBatch>>,
+    converted_pool: &'a BatchPool<ConvertedBatch>,
 }
 
-impl Dispatcher {
-    /// A lane is dead once its trainer dropped the handle. The tombstone is
-    /// authoritative (written inside the handle's `Drop` before the channel
-    /// half disconnects); `is_closed` is kept as a second signal for lanes
-    /// torn down through other paths.
+impl Dispatcher<'_> {
     fn lane_dead(&self, trainer: usize) -> bool {
-        self.lanes[trainer].shared.is_dead() || self.lanes[trainer].tx.is_closed()
+        self.lanes[trainer].is_dead()
     }
 
     /// The live (not dropped-handle) lane with the smallest backlog (queued
@@ -477,12 +586,8 @@ impl Dispatcher {
         self.least_loaded_live().filter(|&t| t != trainer)
     }
 
-    /// A batch destined for a dead lane is accounted and its shell recycled
-    /// back into the compute loop.
     fn drop_for_dead_lane(&self, trainer: usize, batch: ConvertedBatch) {
-        self.lanes[trainer].shared.mark_dead();
-        self.lanes[trainer].shared.note_dropped();
-        self.converted_pool.recycle(batch);
+        self.lanes[trainer].drop_batch(batch, self.converted_pool);
     }
 
     /// Pushes one batch onto its lane, parking it when the lane is full.
@@ -508,16 +613,12 @@ impl Dispatcher {
         } else {
             trainer
         };
-        let samples = item.batch.batch_size as u64;
         // Lane order is per-trainer FIFO: never overtake an already-parked
         // batch.
         if self.parked[trainer].is_empty() {
-            match self.lanes[trainer].tx.try_send(item) {
-                Ok(()) => {
-                    note_delivered(&self.lanes[trainer], 1, samples);
-                    return;
-                }
-                Err(crate::channel::SendError(item)) => {
+            match self.lanes[trainer].try_send(item) {
+                None => return,
+                Some(item) => {
                     self.parked[trainer].push_back(item);
                     self.parked_total += 1;
                 }
@@ -544,7 +645,6 @@ impl Dispatcher {
     fn retry_parked(&mut self) {
         for t in 0..self.lanes.len() {
             while let Some(mut item) = self.parked[t].pop_front() {
-                let samples = item.batch.batch_size as u64;
                 if self.lane_dead(t) {
                     self.parked_total -= 1;
                     match self.reroute_target(t) {
@@ -556,12 +656,9 @@ impl Dispatcher {
                     }
                     continue;
                 }
-                match self.lanes[t].tx.try_send(item) {
-                    Ok(()) => {
-                        note_delivered(&self.lanes[t], 1, samples);
-                        self.parked_total -= 1;
-                    }
-                    Err(crate::channel::SendError(item)) => {
+                match self.lanes[t].try_send(item) {
+                    None => self.parked_total -= 1,
+                    Some(item) => {
                         self.parked[t].push_front(item);
                         break;
                     }
@@ -571,23 +668,18 @@ impl Dispatcher {
     }
 
     /// Blocking-delivers one batch (used for spillover overflow and final
-    /// drain). A lane that disconnects mid-send re-routes the batch to a
-    /// live lane (load-balancing policies) or counts it as dropped
-    /// (shard-pinned / all lanes dead). The live set only shrinks, so the
-    /// re-route recursion is bounded.
+    /// drain). A dead lane re-routes the batch to a live lane
+    /// (load-balancing policies) or counts it as dropped (shard-pinned / all
+    /// lanes dead). The live set only shrinks, so the re-route recursion is
+    /// bounded.
     fn send_blocking(&mut self, trainer: usize, item: TrainerBatch) {
-        let samples = item.batch.batch_size as u64;
-        match self.lanes[trainer].tx.send(item) {
-            Ok(()) => note_delivered(&self.lanes[trainer], 1, samples),
-            Err(crate::channel::SendError(mut item)) => {
-                self.lanes[trainer].shared.mark_dead();
-                match self.reroute_target(trainer) {
-                    Some(target) => {
-                        item.trainer = target;
-                        self.send_blocking(target, item);
-                    }
-                    None => self.drop_for_dead_lane(trainer, item.batch),
+        if let Some(mut item) = self.lanes[trainer].send(item) {
+            match self.reroute_target(trainer) {
+                Some(target) => {
+                    item.trainer = target;
+                    self.send_blocking(target, item);
                 }
+                None => self.drop_for_dead_lane(trainer, item.batch),
             }
         }
     }
@@ -603,17 +695,13 @@ impl Dispatcher {
     }
 }
 
-fn note_delivered(lane: &LaneSender, batches: u64, samples: u64) {
-    lane.shared.note_delivery(batches, samples);
-}
-
 /// Delivers every batch whose shard cursor has reached it; a `None` slot (a
 /// failed conversion) just advances the cursor.
 fn advance(
     reorder: &mut BTreeMap<(usize, u64), Option<ConvertedBatch>>,
     next_seq: &mut [u64],
     policy: TrainerAssignPolicy,
-    dispatcher: &mut Dispatcher,
+    dispatcher: &mut Dispatcher<'_>,
     collected: &mut BTreeMap<(usize, u64), ConvertedBatch>,
 ) {
     for (shard, cursor) in next_seq.iter_mut().enumerate() {
@@ -653,7 +741,7 @@ fn advance(
 fn complete_barriers(
     pending: &mut VecDeque<(u64, Vec<u64>)>,
     next_seq: &[u64],
-    dispatcher: &mut Dispatcher,
+    dispatcher: &mut Dispatcher<'_>,
     barriers: &BarrierState,
 ) {
     while let Some((id, cuts)) = pending.front() {

@@ -2,13 +2,15 @@
 //! byte-identical between the direct single service, a fleet of one, a
 //! fleet of four, and a fleet of four under kill/partition/rejoin faults —
 //! plus the heartbeat edge cases (flap inside the detection window, a beat
-//! exactly at the timeout boundary, rebalance racing an in-flight barrier).
+//! exactly at the timeout boundary, rebalance racing an in-flight barrier)
+//! — and a fleet of one reports the same work, lane for lane, as the direct
+//! service, since both build and report their trainer lanes with one code.
 
 use recd_core::DataLoaderConfig;
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd_dpp::{
-    DppConfig, DppFleet, DppService, FleetConfig, FleetOutput, ShardPolicy, TrainerAssignPolicy,
-    TrainerBatch, TrainerHandle,
+    DppConfig, DppFleet, DppReport, DppService, FleetConfig, FleetOutput, ShardPolicy,
+    TrainerAssignPolicy, TrainerBatch, TrainerHandle,
 };
 use recd_etl::cluster_by_session;
 use recd_reader::{PreprocessPipeline, ReaderConfig};
@@ -95,6 +97,11 @@ fn canonical(drains: Vec<std::thread::JoinHandle<Vec<TrainerBatch>>>) -> Vec<Tra
 /// The golden baseline: today's single service, same global rotation, same
 /// flush points, shard-pinned lanes.
 fn run_direct(f: &Fixture) -> Vec<TrainerBatch> {
+    run_direct_with_report(f).0
+}
+
+/// [`run_direct`] plus the service's final report.
+fn run_direct_with_report(f: &Fixture) -> (Vec<TrainerBatch>, DppReport) {
     let config = host_config(&f.schema)
         .with_trainers(TRAINERS)
         .with_assign_policy(TrainerAssignPolicy::ShardPinned)
@@ -105,8 +112,8 @@ fn run_direct(f: &Fixture) -> Vec<TrainerBatch> {
         assert!(handle.ingest_partition(partition));
         assert!(handle.flush_partition());
     }
-    handle.finish().expect("clean direct run");
-    canonical(drains)
+    let report = handle.finish().expect("clean direct run").report;
+    (canonical(drains), report)
 }
 
 /// A fault-free fleet run over the same feed schedule.
@@ -197,6 +204,41 @@ fn fleet_union_matches_direct_service_for_one_and_four_hosts() {
     );
 }
 
+/// A fleet of one and the direct service place every file alike (file `i`
+/// on shard `i % S`, shard `s` on lane `s % N`) and build, deliver onto and
+/// report their trainer lanes with the same code, so their reports agree on
+/// the work done and on every lane's accounting.
+#[test]
+fn one_host_fleet_reports_the_same_work_and_lanes_as_the_direct_service() {
+    let f = fixture(3);
+    let (golden, direct) = run_direct_with_report(&f);
+    let (m1, out1) = run_fleet_plain(&f, 1);
+    assert_union_identical(&golden, &m1, "fleet M=1");
+    let fleet = &out1.dpp;
+    assert_eq!(fleet.samples, direct.samples);
+    assert_eq!(fleet.batches, direct.batches);
+    assert_eq!(fleet.egress_bytes, direct.egress_bytes);
+    // The fleet weights each host's factor by its samples: one host gives
+    // the same factor up to float rounding.
+    assert!(
+        (fleet.dedupe_factor - direct.dedupe_factor).abs() <= 1e-12 * direct.dedupe_factor,
+        "dedupe factor {} vs {}",
+        fleet.dedupe_factor,
+        direct.dedupe_factor
+    );
+    assert_eq!(fleet.trainers.len(), TRAINERS);
+    assert_eq!(direct.trainers.len(), TRAINERS);
+    for (f, d) in fleet.trainers.iter().zip(&direct.trainers) {
+        assert_eq!(f.trainer, d.trainer);
+        assert_eq!(
+            (f.delivered_batches, f.delivered_samples, f.dropped_batches),
+            (d.delivered_batches, d.delivered_samples, d.dropped_batches),
+            "lane {} accounting diverged",
+            d.trainer
+        );
+    }
+}
+
 /// Acceptance criterion: kill, long partition (zombie), and rejoin leave the
 /// union byte-identical, with full replay/rebalance/heartbeat accounting and
 /// zero dropped batches.
@@ -269,6 +311,49 @@ fn fleet_heals_kill_partition_rejoin_byte_identically() {
         "the zombie's full-file emissions must be deduped, not doubled"
     );
     assert_eq!(report.barriers, 6);
+}
+
+/// A death that leaves no live host orphans its shards; the host that
+/// rejoins adopts every one of them at the last barrier's cuts, and the
+/// union stays byte-identical.
+#[test]
+fn a_rejoin_into_a_fleet_with_no_live_host_adopts_every_shard() {
+    let f = fixture(4);
+    let golden = run_direct(&f);
+
+    let mut fleet = DppFleet::start(
+        fleet_config(&f.schema, 2),
+        Arc::clone(&f.store),
+        f.schema.clone(),
+    );
+    let drains = spawn_drains(fleet.take_trainers());
+    let mut now = 0;
+    for (interval, partition) in f.partitions.iter().enumerate() {
+        now += TICK_MS;
+        fleet.tick(now);
+        match interval {
+            1 => fleet.kill_host(1),
+            // The survivor drops off and is restarted at once: its death
+            // has no heir, so the fresh incarnation adopts every shard.
+            2 => {
+                fleet.partition_host(0, TICK_MS);
+                fleet.rejoin_host(0);
+                assert_eq!(fleet.hosts_live(), 1);
+                assert!(fleet.placement().iter().all(|&host| host == 0));
+            }
+            _ => {}
+        }
+        assert!(fleet.ingest_partition(partition));
+        assert!(
+            fleet.flush_partition(),
+            "barrier must survive interval {interval}"
+        );
+    }
+    let output = fleet.finish();
+    let union = canonical(drains);
+    assert_union_identical(&golden, &union, "fleet adopting orphans");
+    assert_zero_drops(&output, "fleet adopting orphans");
+    assert_eq!(output.report.deaths_detected, 2);
 }
 
 /// Heartbeat edge case: a host that flaps — partitions and heals within one

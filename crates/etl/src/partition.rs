@@ -1,7 +1,7 @@
 //! Hourly table partitioning and row layout (time-ordered vs clustered by
 //! session).
 
-use recd_data::{Sample, SampleBatch, SessionId, Timestamp};
+use recd_data::{Sample, SessionId, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -23,11 +23,6 @@ impl TablePartition {
     /// Returns true if the partition holds no rows.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// The partition's rows as a [`SampleBatch`], preserving order.
-    pub fn to_batch(&self) -> SampleBatch {
-        SampleBatch::new(self.samples.clone())
     }
 }
 
@@ -129,7 +124,6 @@ mod tests {
         assert_eq!(partitions[1].hour, 1);
         assert_eq!(partitions[2].hour, 2);
         assert!(!partitions[0].is_empty());
-        assert_eq!(partitions[0].to_batch().len(), 2);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use recd::core::{DataLoaderConfig, DedupeModel, FeatureConverter};
-use recd::data::{ColumnarBatch, SampleBatch};
+use recd::data::ColumnarBatch;
 use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd::etl::cluster_by_session;
+use recd::etl::downsample::samples_per_session;
 use recd::trainer::{Dlrm, DlrmConfig, ExecutionMode, PoolingKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,10 +26,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Cluster by session (RecD O2) so duplicates become adjacent, then
     //    take one training batch.
     let clustered = cluster_by_session(&partition.samples);
-    let batch = SampleBatch::new(clustered[..128.min(clustered.len())].to_vec());
+    let batch = &clustered[..128.min(clustered.len())];
 
     // 3. The analytical model says which features are worth deduplicating.
-    let model = DedupeModel::new(batch.len(), batch.samples_per_session()?);
+    let model = DedupeModel::new(batch.len(), samples_per_session(batch));
     for estimate in model.estimate_schema(&schema).iter().take(4) {
         println!(
             "  {:>12}: expected DedupeFactor {:.2} (worth it: {})",
@@ -39,8 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. Convert the batch: declared dedup groups become IKJTs (RecD O3).
-    let columns =
-        ColumnarBatch::from_samples(batch.samples(), schema.dense_count(), schema.sparse_count());
+    let columns = ColumnarBatch::from_samples(batch, schema.dense_count(), schema.sparse_count());
     let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&schema));
     let converted = converter.convert_columnar(&columns)?;
     println!(

@@ -2,7 +2,8 @@
 //! fleet} × {empty plan, seeded plan} on the tiny preset. Every case must
 //! deliver each joined sample exactly once with zero dropped batches, resume
 //! once per `crash-pump`, and deliver the same order-independent row union
-//! whatever the pump step. A pre-landed feed over a fleet is a typed error.
+//! whatever the pump step. A pre-landed feed over a fleet, and a fleet that
+//! loses every host, are typed errors.
 
 use recd::core::{ConvertedBatch, DataLoaderConfig};
 use recd::data::FeatureId;
@@ -42,9 +43,8 @@ fn rows(batch: &ConvertedBatch) -> impl Iterator<Item = Row> + '_ {
     })
 }
 
-/// Runs one tail-fed pipeline; returns the driver's output and the sorted
-/// row union its lanes delivered.
-fn run(hosts: usize, plan: &FaultPlan, step_ms: u64) -> (DriverOutput, Vec<Row>) {
+/// Builds the tail-fed driver for `hosts` (0 = a single service).
+fn driver(hosts: usize, plan: &FaultPlan, step_ms: u64) -> Driver {
     let (records, partition) =
         DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny)).generate_logs();
     let schema = partition.schema;
@@ -76,7 +76,13 @@ fn run(hosts: usize, plan: &FaultPlan, step_ms: u64) -> (DriverOutput, Vec<Row>)
         step_ms,
         plan: Some(plan.clone()),
     });
-    let driver = Driver::new(store, &schema, feed, topology).expect("plan fits the topology");
+    Driver::new(store, &schema, feed, topology).expect("plan fits the topology")
+}
+
+/// Runs one tail-fed pipeline; returns the driver's output and the sorted
+/// row union its lanes delivered.
+fn run(hosts: usize, plan: &FaultPlan, step_ms: u64) -> (DriverOutput, Vec<Row>) {
+    let driver = driver(hosts, plan, step_ms);
     let delivered = Arc::new(Mutex::new(Vec::<TrainerBatch>::new()));
     let consume: Consume = {
         let delivered = Arc::clone(&delivered);
@@ -100,17 +106,12 @@ fn every_topology_and_plan_delivers_exactly_once_at_any_pump_step() {
         .expect("tiny preset has records");
     for hosts in [0, 2] {
         // Single service: the seeded plan (trainer kill + stall, storage
-        // faults, one crash-pump). Fleet: a host death healed by a rejoin
-        // around a crash-pump — `seeded_fleet` also partitions a second
-        // host, which a 2-host fleet cannot survive.
+        // faults, one crash-pump). Fleet: the seeded fleet plan (a host
+        // death healed by a rejoin, storage faults, a trainer stall).
         let faulted = if hosts == 0 {
             FaultPlan::seeded(7, horizon, TRAINERS)
         } else {
-            FaultPlan::new()
-                .with_fault(horizon / 5, FaultKind::KillHost { host: 1 })
-                .with_fault(horizon / 3, FaultKind::FailGet { count: 3 })
-                .with_fault(horizon / 2, FaultKind::CrashEtlPump)
-                .with_fault(3 * horizon / 5, FaultKind::RejoinHost { host: 1 })
+            FaultPlan::seeded_fleet(7, horizon, TRAINERS, 2)
         };
         let plans = [FaultPlan::new(), faulted];
         for plan in plans {
@@ -148,6 +149,24 @@ fn every_topology_and_plan_delivers_exactly_once_at_any_pump_step() {
             );
         }
     }
+}
+
+/// A 2-host fleet that loses one host to a kill and the other to a
+/// partition before the rejoin has no host left to inherit the shards: the
+/// run ends in a typed error, not a panic.
+#[test]
+fn a_fleet_that_loses_every_host_returns_a_typed_error() {
+    let plan = FaultPlan::new()
+        .with_fault(300_000, FaultKind::KillHost { host: 1 })
+        .with_fault(
+            900_000,
+            FaultKind::PartitionHost {
+                host: 0,
+                ms: 600_000,
+            },
+        );
+    let result = driver(2, &plan, 60_000).run(Arc::new(|_: TrainerBatch| {}));
+    assert!(matches!(result, Err(DriverError::NoLiveHost)));
 }
 
 #[test]
