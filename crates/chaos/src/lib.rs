@@ -7,10 +7,12 @@
 //! browns out, DPP hosts crash or partition from the control plane, and the
 //! ETL pump restarts mid-hour — yet training must resume without losing or
 //! double-delivering a sample. This crate supplies the
-//! *schedule* side of that story; the checkpoint/resume side lives with each
-//! tier (`EtlService::checkpoint`/`resume_from`, `DppService::resume`), and
-//! the deterministic replay harness is the oracle that any fault schedule
-//! must converge to the fault-free trainer-batch union.
+//! *schedule* side of that story. The checkpoint/resume side lives with each
+//! tier as a plain in-memory copy of the state it restores
+//! (`EtlService::checkpoint`/`resume_from`,
+//! `DppHandle::checkpoint`/`DppService::resume`), and the deterministic
+//! replay harness is the oracle that any fault schedule must converge to the
+//! fault-free trainer-batch union.
 //!
 //! * [`FaultPlan`] — a seeded, clock-driven schedule of typed faults
 //!   ([`FaultKind`]), buildable programmatically, parsed from the CLI

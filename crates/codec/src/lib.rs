@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bytes;
 pub mod delta;
 pub mod dict;
 pub mod hash;
@@ -50,7 +49,6 @@ pub mod varint;
 use std::error::Error;
 use std::fmt;
 
-pub use bytes::{ByteReader, ByteWriter};
 pub use dict::Dictionary;
 pub use hash::{hash_bytes, hash_id, hash_ids, Hasher64};
 

@@ -564,11 +564,6 @@ impl ColumnarBatch {
             })
             .collect()
     }
-
-    /// Consumes the batch, materializing row-wise samples.
-    pub fn into_samples(self) -> Vec<Sample> {
-        self.to_samples()
-    }
 }
 
 /// Mutable views of a [`ColumnarBatch`]'s column buffers, produced by

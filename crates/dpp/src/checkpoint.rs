@@ -17,25 +17,12 @@
 //!   skips any partition it already consumed (dedup), which composes to
 //!   exactly-once.
 //!
-//! The wire format is the same hand-rolled little-endian framing as
-//! [`recd_etl::checkpoint`]: magic, version, flat fields, and a
-//! trailing-bytes check on decode. Decode failures surface as the shared
-//! [`CheckpointError`].
+//! The checkpoint is a plain in-memory value; the fleet keeps one per host
+//! and restarts a rejoining host from it.
 
-use recd_codec::{ByteReader, ByteWriter};
-use recd_etl::CheckpointError;
-
-/// Magic prefix of a serialized DPP checkpoint (`"RDCK"`, little-endian) —
-/// distinct from the ETL checkpoint magic so the two blob kinds cannot be
-/// confused.
-const MAGIC: u32 = u32::from_le_bytes(*b"RDCK");
-/// Current wire-format version.
-const VERSION: u16 = 1;
-
-/// Serializable state of a [`DppHandle`](crate::DppHandle) at a barrier
-/// boundary. Produced by
-/// [`DppHandle::checkpoint`](crate::DppHandle::checkpoint); consumed by
-/// [`DppService::resume`](crate::DppService::resume).
+/// State of a [`DppHandle`](crate::DppHandle) at a barrier boundary.
+/// Produced by [`DppHandle::checkpoint`](crate::DppHandle::checkpoint);
+/// consumed by [`DppService::resume`](crate::DppService::resume).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DppCheckpoint {
     /// Files submitted (and, at a barrier, fully routed) so far; seeds the
@@ -51,124 +38,4 @@ pub struct DppCheckpoint {
     /// Blob-store prefixes of every partition already ingested, sorted — the
     /// dedup set that makes at-least-once replay exactly-once.
     pub ingested: Vec<String>,
-}
-
-impl DppCheckpoint {
-    /// Serializes to the flat little-endian wire format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u32(MAGIC);
-        w.put_u64(VERSION as u64);
-        w.put_u64(self.files_routed);
-        w.put_u64(self.partitions_ingested);
-        w.put_u64(self.duplicate_ingests);
-        w.put_u64(self.next_barrier_id);
-        w.put_usize(self.ingested.len());
-        for key in &self.ingested {
-            w.put_str(key);
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes a blob produced by [`to_bytes`](Self::to_bytes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] on a wrong magic, an unsupported version,
-    /// a malformed field, or trailing bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = ByteReader::new(bytes);
-        let magic = r.get_u32()?;
-        if magic != MAGIC {
-            return Err(CheckpointError::BadMagic { found: magic });
-        }
-        let version = r.get_u64()? as u16;
-        if version != VERSION {
-            return Err(CheckpointError::UnsupportedVersion { found: version });
-        }
-        let files_routed = r.get_u64()?;
-        let partitions_ingested = r.get_u64()?;
-        let duplicate_ingests = r.get_u64()?;
-        let next_barrier_id = r.get_u64()?;
-        let count = r.get_usize()?;
-        let mut ingested = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            ingested.push(r.get_str()?);
-        }
-        if !r.is_exhausted() {
-            return Err(CheckpointError::TrailingBytes {
-                remaining: r.remaining(),
-            });
-        }
-        Ok(Self {
-            files_routed,
-            partitions_ingested,
-            duplicate_ingests,
-            next_barrier_id,
-            ingested,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn fixture() -> DppCheckpoint {
-        DppCheckpoint {
-            files_routed: 42,
-            partitions_ingested: 7,
-            duplicate_ingests: 2,
-            next_barrier_id: 9,
-            ingested: vec![
-                "events/hour=11/".to_string(),
-                "events/hour=12/".to_string(),
-                "events/hour=13/".to_string(),
-            ],
-        }
-    }
-
-    #[test]
-    fn round_trips_byte_exactly() {
-        let checkpoint = fixture();
-        let bytes = checkpoint.to_bytes();
-        let back = DppCheckpoint::from_bytes(&bytes).expect("decode");
-        assert_eq!(back, checkpoint);
-        assert_eq!(back.to_bytes(), bytes);
-    }
-
-    #[test]
-    fn empty_checkpoint_round_trips() {
-        let checkpoint = DppCheckpoint::default();
-        let back = DppCheckpoint::from_bytes(&checkpoint.to_bytes()).expect("decode");
-        assert_eq!(back, checkpoint);
-    }
-
-    #[test]
-    fn bad_magic_version_and_truncation_fail_loudly() {
-        let good = fixture().to_bytes();
-
-        let mut bad_magic = good.clone();
-        bad_magic[0] ^= 0xFF;
-        assert!(matches!(
-            DppCheckpoint::from_bytes(&bad_magic),
-            Err(CheckpointError::BadMagic { .. })
-        ));
-
-        let mut bad_version = good.clone();
-        bad_version[4] = 0xFF;
-        assert!(matches!(
-            DppCheckpoint::from_bytes(&bad_version),
-            Err(CheckpointError::UnsupportedVersion { .. })
-        ));
-
-        assert!(DppCheckpoint::from_bytes(&good[..good.len() - 1]).is_err());
-
-        let mut trailing = good;
-        trailing.push(0);
-        assert!(matches!(
-            DppCheckpoint::from_bytes(&trailing),
-            Err(CheckpointError::TrailingBytes { remaining: 1 })
-        ));
-    }
 }

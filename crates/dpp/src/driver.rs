@@ -15,7 +15,8 @@
 //!   schedule, which is what keeps trainer-batch unions byte-identical
 //!   across fleet sizes and fault schedules; trainer kills and pump crashes
 //!   fire at the top of the next pump, after that barrier's quiescence.
-//! * **checkpoint** only when a fault plan is present, every
+//! * **checkpoint** (an in-memory copy of the ETL service's state, sharing
+//!   its live gauges) only when a fault plan is present, every
 //!   fourth barrier (`CHECKPOINT_EVERY_PUMPS`), so a `crash-pump` genuinely
 //!   replays tail events that the ingest dedup must absorb.
 //!
@@ -189,7 +190,7 @@ pub struct DriverOutput {
 pub type Consume = Arc<dyn Fn(TrainerBatch) + Send + Sync>;
 
 /// The chaos engine's state for one run: the injector, the retry policy and
-/// counters both storage-facing tiers share, and everything a `crash-pump`
+/// counters both storage-facing tiers share, and what a `crash-pump`
 /// restarts the ETL service from.
 struct Chaos {
     injector: FaultInjector,
@@ -198,28 +199,18 @@ struct Chaos {
     /// Pristine copy of the tail, rewound to the checkpoint's cursor.
     replay: LogTail,
     checkpoint: EtlCheckpoint,
-    store: Arc<TableStore>,
-    schema: Schema,
 }
 
 impl Chaos {
     /// `crash-pump`: the in-memory service dies and a new one resumes from
     /// the latest checkpoint. The rewound tail replays everything since;
     /// re-landed partitions are idempotent and the ingest dedup skips the
-    /// re-offers. (The registry keeps the dead service's gauges — a second
-    /// registration would duplicate series.)
-    fn crash_and_resume(&self, stream: EtlStreamConfig, table: &str) -> EtlService {
+    /// re-offers. The checkpoint shares the live gauges, so the registry
+    /// and the controller's tail-lag probe follow the resumed service.
+    fn crash_and_resume(&self) -> EtlService {
         self.counters.note_pump_crash();
         let recovery_started = Instant::now();
-        let etl = EtlService::resume_from(
-            self.replay.clone(),
-            stream,
-            Arc::clone(&self.store),
-            self.schema.clone(),
-            table,
-            self.checkpoint.clone(),
-        )
-        .with_chaos_retry(self.policy, Arc::clone(&self.counters));
+        let etl = EtlService::resume_from(self.replay.clone(), self.checkpoint.clone());
         self.counters.note_resume(recovery_started.elapsed());
         etl
     }
@@ -227,8 +218,6 @@ impl Chaos {
 
 struct Tail {
     etl: EtlService,
-    stream: EtlStreamConfig,
-    table: String,
     step_ms: u64,
     chaos: Option<Chaos>,
 }
@@ -456,32 +445,35 @@ impl Driver {
                 // Only a fault plan can crash the pump, so only then is a
                 // pristine copy of the tail kept to restart from.
                 let replay = feed.plan.is_some().then(|| feed.tail.clone());
-                let mut etl = EtlService::new(
+                let etl = EtlService::new(
                     feed.tail,
                     feed.stream,
                     Arc::clone(&store),
                     schema.clone(),
-                    feed.table.clone(),
+                    feed.table,
                 );
-                let chaos = feed.plan.zip(replay).map(|(plan, replay)| {
-                    let injector = FaultInjector::new(&plan, store.blob_store().clone());
-                    Chaos {
-                        policy: RetryPolicy::storage_default(),
-                        counters: injector.counters(),
-                        injector,
-                        checkpoint: etl.checkpoint(),
-                        replay,
-                        store: Arc::clone(&store),
-                        schema: schema.clone(),
+                let (etl, chaos) = match feed.plan.zip(replay) {
+                    None => (etl, None),
+                    Some((plan, replay)) => {
+                        let injector = FaultInjector::new(&plan, store.blob_store().clone());
+                        let (policy, counters) =
+                            (RetryPolicy::storage_default(), injector.counters());
+                        // Every checkpoint carries the retry path, so a
+                        // resumed service lands through it too.
+                        let etl = etl.with_chaos_retry(policy, Arc::clone(&counters));
+                        let checkpoint = etl.checkpoint();
+                        let chaos = Chaos {
+                            injector,
+                            policy,
+                            counters,
+                            replay,
+                            checkpoint,
+                        };
+                        (etl, Some(chaos))
                     }
-                });
-                if let Some(chaos) = &chaos {
-                    etl = etl.with_chaos_retry(chaos.policy, Arc::clone(&chaos.counters));
-                }
+                };
                 Source::Tail(Box::new(Tail {
                     etl,
-                    stream: feed.stream,
-                    table: feed.table,
                     step_ms: feed.step_ms.max(1),
                     chaos,
                 }))
@@ -618,7 +610,7 @@ fn pump(
                     (FaultAction::StallTrainer { lane, ms }, _) => lanes.stall(lane, ms),
                     (FaultAction::KillTrainer { lane }, _) => lanes.kill(lane),
                     (FaultAction::CrashEtlPump, _) => {
-                        tail.etl = chaos.crash_and_resume(tail.stream, &tail.table);
+                        tail.etl = chaos.crash_and_resume();
                     }
                     (FaultAction::KillHost { host }, Backend::Fleet(fleet)) => {
                         fleet.kill_host(host);

@@ -54,8 +54,9 @@
 //! [`sink`] (resequencing, trainer lanes and their delivery — for the
 //! service and the fleet alike), [`control`] (the PID policy and the pool
 //! governors it drives), [`pool`] (batch-shell arenas), [`channel`]
-//! (bounded queues), [`fleet`], [`driver`], [`checkpoint`], [`metrics`]
-//! (snapshot and report types) and [`obs`] (their metric families).
+//! (bounded queues), [`fleet`], [`driver`], [`checkpoint`] (the in-memory
+//! barrier state a fleet host restarts from), [`metrics`] (snapshot and
+//! report types) and [`obs`] (their metric families).
 //!
 //! Under [`ShardPolicy::FileRoundRobin`] with `shards` readers, the
 //! service's collected output is **identical** to a serial reference reader

@@ -71,14 +71,14 @@ fn drive(
     mut handle: recd_dpp::DppHandle,
     parts: &[StoredPartition],
     checkpoint_after: bool,
-) -> (Vec<TrainerBatch>, Option<Vec<u8>>, DppReport) {
+) -> (Vec<TrainerBatch>, Option<DppCheckpoint>, DppReport) {
     let trainer = handle.take_trainers().remove(0);
     let consumer = std::thread::spawn(move || trainer.drain());
     for part in parts {
         handle.ingest_partition(part);
         assert!(handle.flush_partition(), "barrier must resolve");
     }
-    let checkpoint = checkpoint_after.then(|| handle.checkpoint().to_bytes());
+    let checkpoint = checkpoint_after.then(|| handle.checkpoint());
     let report = handle.finish().expect("clean run").report;
     (
         consumer.join().expect("trainer consumer"),
@@ -122,9 +122,7 @@ fn crash_replay_resume_is_byte_identical_and_exactly_once() {
     assert_eq!(first_report.partitions_ingested, 2);
     assert_eq!(first_report.duplicate_ingests, 0);
 
-    // The checkpoint survives serialization.
-    let checkpoint = DppCheckpoint::from_bytes(&checkpoint.expect("checkpoint taken"))
-        .expect("checkpoint must decode");
+    let checkpoint = checkpoint.expect("checkpoint taken");
     assert_eq!(checkpoint.files_routed as usize, files_before_crash);
     assert_eq!(checkpoint.ingested.len(), 2);
 

@@ -18,24 +18,25 @@
 //!   watermark-driven eviction, rolling per-session clustering buffers that
 //!   seal hourly [`TablePartition`]s, and a service loop ([`EtlService`])
 //!   that tails a Scribe log, lands sealed partitions through the storage
-//!   writer, and hands them to a running `recd-dpp` service.
+//!   writer, and hands them to a running `recd-dpp` service. After a crash
+//!   the service resumes from an [`EtlCheckpoint`], an in-memory copy of
+//!   its state taken at a pump boundary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod downsample;
 pub mod join;
 pub mod partition;
 pub mod stream;
 
-pub use checkpoint::{CheckpointError, EtlCheckpoint, EtlStreamState};
 pub use downsample::{downsample, DownsamplePolicy};
 pub use join::{join_logs, JoinOutput};
 pub use partition::{cluster_by_session, interleave_by_time, HourlyPartitioner, TablePartition};
 pub use stream::{
-    EtlCounters, EtlGauges, EtlReport, EtlService, EtlServiceOutput, EtlServiceReport, EtlSnapshot,
-    EtlStream, EtlStreamConfig, ManualClock, SealReason, SealedPartition,
+    EtlCheckpoint, EtlCounters, EtlGauges, EtlReport, EtlService, EtlServiceOutput,
+    EtlServiceReport, EtlSnapshot, EtlStream, EtlStreamConfig, ManualClock, SealReason,
+    SealedPartition,
 };
 
 use recd_data::{LogRecord, Sample, Schema};

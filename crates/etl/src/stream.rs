@@ -48,7 +48,6 @@
 //! deterministic replay tests in `tests/stream.rs` assert this down to the
 //! landed DWRF file bytes.
 
-use crate::checkpoint::{EtlCheckpoint, EtlStreamState};
 use crate::downsample::DownsamplePolicy;
 use crate::partition::TablePartition;
 use crate::TableLayout;
@@ -230,13 +229,13 @@ pub struct EtlReport {
 }
 
 /// Per-session rolling clustering buffer inside one open hour.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct SessionBuf {
     rows: Vec<Sample>,
 }
 
 /// One open (not yet sealed) hour bucket.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct OpenHour {
     sessions: HashMap<u64, SessionBuf>,
     rows: usize,
@@ -256,8 +255,9 @@ impl OpenHour {
 /// The incremental join + clustering + sealing state machine. Push records
 /// in arrival order; pull sealed partitions with
 /// [`EtlStream::drain_sealed`]; call [`EtlStream::finish`] at end of stream
-/// to flush everything that remains.
-#[derive(Debug)]
+/// to flush everything that remains. A clone is an independent copy that
+/// behaves identically record for record.
+#[derive(Debug, Clone)]
 pub struct EtlStream {
     config: EtlStreamConfig,
     pending_features: HashMap<u64, FeatureLog>,
@@ -424,83 +424,6 @@ impl EtlStream {
             layout: self.config.layout,
             counters: self.counters,
             final_watermark_ms: self.watermark,
-        }
-    }
-
-    /// Captures the stream's complete state as a serializable
-    /// [`EtlStreamState`]. Non-destructive; pair with
-    /// [`EtlStream::restore`] to rebuild an equivalent stream — the restored
-    /// copy behaves identically record-for-record, which the checkpoint
-    /// tests assert.
-    pub fn checkpoint(&self) -> EtlStreamState {
-        fn sorted_pairs<V: Clone>(map: &HashMap<u64, V>) -> Vec<(u64, V)> {
-            let mut pairs: Vec<_> = map.iter().map(|(&k, v)| (k, v.clone())).collect();
-            pairs.sort_by_key(|(k, _)| *k);
-            pairs
-        }
-        fn sorted_heap(heap: &BinaryHeap<Reverse<(u64, u64)>>) -> Vec<(u64, u64)> {
-            let mut entries: Vec<_> = heap.iter().map(|&Reverse(pair)| pair).collect();
-            entries.sort_unstable();
-            entries
-        }
-        let mut joined: Vec<_> = self.joined.iter().map(|(&k, &v)| (k, v)).collect();
-        joined.sort_unstable();
-        let open_hours = self
-            .open_hours
-            .iter()
-            .map(|(&hour, open)| {
-                let mut sessions: Vec<_> = open
-                    .sessions
-                    .iter()
-                    .map(|(&session, buf)| (session, buf.rows.clone()))
-                    .collect();
-                sessions.sort_by_key(|(session, _)| *session);
-                (hour, sessions)
-            })
-            .collect();
-        EtlStreamState {
-            pending_features: sorted_pairs(&self.pending_features),
-            pending_events: sorted_pairs(&self.pending_events),
-            joined,
-            feature_expiry: sorted_heap(&self.feature_expiry),
-            event_expiry: sorted_heap(&self.event_expiry),
-            joined_expiry: sorted_heap(&self.joined_expiry),
-            open_hours,
-            sealed: self.sealed.iter().cloned().collect(),
-            buffered_rows: self.buffered_rows as u64,
-            max_ts: self.max_ts,
-            watermark: self.watermark,
-            counters: self.counters,
-        }
-    }
-
-    /// Rebuilds a stream from a checkpointed [`EtlStreamState`]. The restored
-    /// stream is behaviorally identical to the one that produced the state:
-    /// same joins, same evictions, same seals, same counters.
-    pub fn restore(config: EtlStreamConfig, state: EtlStreamState) -> Self {
-        let mut open_hours: BTreeMap<u64, OpenHour> = BTreeMap::new();
-        for (hour, sessions) in state.open_hours {
-            let mut open = OpenHour::default();
-            for (session, rows) in sessions {
-                open.rows += rows.len();
-                open.sessions.insert(session, SessionBuf { rows });
-            }
-            open_hours.insert(hour, open);
-        }
-        Self {
-            config,
-            pending_features: state.pending_features.into_iter().collect(),
-            pending_events: state.pending_events.into_iter().collect(),
-            joined: state.joined.into_iter().collect(),
-            feature_expiry: state.feature_expiry.into_iter().map(Reverse).collect(),
-            event_expiry: state.event_expiry.into_iter().map(Reverse).collect(),
-            joined_expiry: state.joined_expiry.into_iter().map(Reverse).collect(),
-            open_hours,
-            sealed: state.sealed.into(),
-            buffered_rows: state.buffered_rows as usize,
-            max_ts: state.max_ts,
-            watermark: state.watermark,
-            counters: state.counters,
         }
     }
 
@@ -766,6 +689,47 @@ pub struct EtlServiceOutput {
     pub report: EtlServiceReport,
 }
 
+/// An [`EtlService`]'s state minus its unconsumed tail events: everything a
+/// crashed service resumes from. [`EtlService::checkpoint`] takes it at a
+/// pump boundary, where every sealed partition has landed, so the window of
+/// work in flight is empty: [`EtlService::resume_from`] re-tails from the
+/// cursor and replays the pure `push` state machine, whose output is a
+/// function of consumed-event order alone. The resumed run's landed bytes —
+/// and the trainer-batch union downstream — are byte-identical to an
+/// uninterrupted run's, which `crates/pipeline/tests/chaos.rs` asserts end
+/// to end.
+///
+/// The stream and the landing record are deep copies; the store, the live
+/// gauges and the chaos counters are shared, so a resumed service keeps
+/// publishing to the series a metrics registry already scrapes.
+#[derive(Debug, Clone)]
+pub struct EtlCheckpoint {
+    /// Events consumed since the tail's start — [`LogTail::cursor`] of the
+    /// tail the service took over.
+    tail_cursor: usize,
+    stream: EtlStream,
+    store: Arc<TableStore>,
+    schema: Schema,
+    table: String,
+    /// Seals per hour: a re-sealed hour lands under a `-r<N>` suffix.
+    hour_seal_counts: HashMap<u64, u64>,
+    landed: Vec<StoredPartition>,
+    storage: StorageReport,
+    gauges: Arc<EtlGauges>,
+    peak_tail_lag_ms: u64,
+    /// When set, partitions land through the fallible
+    /// [`TableStore::try_store_prepared`] path wrapped in this retry policy,
+    /// so injected transient storage faults degrade to a short backoff.
+    chaos: Option<(RetryPolicy, Arc<ChaosCounters>)>,
+}
+
+impl EtlCheckpoint {
+    /// Tail events the service had consumed when the checkpoint was taken.
+    pub fn tail_cursor(&self) -> usize {
+        self.tail_cursor
+    }
+}
+
 /// The continuous ETL service loop: tails a [`LogTail`], pushes arrivals
 /// through an [`EtlStream`], lands every sealed partition through the
 /// [`TableStore`] writer, and hands each landed partition to the caller's
@@ -776,24 +740,9 @@ pub struct EtlService {
     /// The tail's unconsumed events, owned: a record is moved into the
     /// stream, never cloned out of a borrowed tail.
     events: std::vec::IntoIter<TailEvent>,
-    /// Events consumed since the tail's start — [`LogTail::cursor`] of the
-    /// tail this service took over.
-    tail_cursor: usize,
     /// Arrival time of the tail's final event.
     tail_end_ms: u64,
-    stream: EtlStream,
-    store: Arc<TableStore>,
-    schema: Schema,
-    table: String,
-    hour_seal_counts: HashMap<u64, u64>,
-    landed: Vec<StoredPartition>,
-    storage: StorageReport,
-    gauges: Arc<EtlGauges>,
-    peak_tail_lag_ms: u64,
-    /// When set, partitions land through the fallible
-    /// [`TableStore::try_land_partition`] path wrapped in this retry policy,
-    /// so injected transient storage faults degrade to a short backoff.
-    chaos: Option<(RetryPolicy, Arc<ChaosCounters>)>,
+    state: EtlCheckpoint,
 }
 
 impl EtlService {
@@ -807,10 +756,8 @@ impl EtlService {
         schema: Schema,
         table: impl Into<String>,
     ) -> Self {
-        Self {
+        let state = EtlCheckpoint {
             tail_cursor: tail.cursor(),
-            tail_end_ms: tail.end_ms(),
-            events: tail.into_remaining(),
             stream: EtlStream::new(config),
             store,
             schema,
@@ -821,7 +768,8 @@ impl EtlService {
             gauges: Arc::new(EtlGauges::default()),
             peak_tail_lag_ms: 0,
             chaos: None,
-        }
+        };
+        Self::resume_from(tail, state)
     }
 
     /// Rebuilds a mid-stream service from an [`EtlCheckpoint`]. `tail` must
@@ -833,29 +781,12 @@ impl EtlService {
     /// run's landed output is byte-identical to an uninterrupted run.
     ///
     /// [`TailConfig`]: recd_scribe::TailConfig
-    pub fn resume_from(
-        mut tail: LogTail,
-        config: EtlStreamConfig,
-        store: Arc<TableStore>,
-        schema: Schema,
-        table: impl Into<String>,
-        checkpoint: EtlCheckpoint,
-    ) -> Self {
+    pub fn resume_from(mut tail: LogTail, checkpoint: EtlCheckpoint) -> Self {
         tail.rewind_to(checkpoint.tail_cursor);
         Self {
-            tail_cursor: checkpoint.tail_cursor,
             tail_end_ms: tail.end_ms(),
             events: tail.into_remaining(),
-            stream: EtlStream::restore(config, checkpoint.stream),
-            store,
-            schema,
-            table: table.into(),
-            hour_seal_counts: checkpoint.hour_seal_counts.into_iter().collect(),
-            landed: checkpoint.landed,
-            storage: checkpoint.storage,
-            gauges: Arc::new(EtlGauges::default()),
-            peak_tail_lag_ms: checkpoint.peak_tail_lag_ms,
-            chaos: None,
+            state: checkpoint,
         }
     }
 
@@ -865,35 +796,21 @@ impl EtlService {
     /// consumes injected fault budgets.
     #[must_use]
     pub fn with_chaos_retry(mut self, policy: RetryPolicy, counters: Arc<ChaosCounters>) -> Self {
-        self.chaos = Some((policy, counters));
+        self.state.chaos = Some((policy, counters));
         self
     }
 
-    /// Captures the service's complete state — tail cursor, stream state,
-    /// and landing record — at a pump boundary. The sealed queue is drained
-    /// by every pump, so the snapshot's in-flight window is empty and a
+    /// Copies the service's state at a pump boundary (see
+    /// [`EtlCheckpoint`]). The sealed queue is drained by every pump, so a
     /// [`EtlService::resume_from`] replay converges to the uninterrupted
     /// run's exact output.
     pub fn checkpoint(&self) -> EtlCheckpoint {
-        let mut hour_seal_counts: Vec<_> = self
-            .hour_seal_counts
-            .iter()
-            .map(|(&h, &c)| (h, c))
-            .collect();
-        hour_seal_counts.sort_unstable();
-        EtlCheckpoint {
-            tail_cursor: self.tail_cursor,
-            stream: self.stream.checkpoint(),
-            hour_seal_counts,
-            landed: self.landed.clone(),
-            storage: self.storage.clone(),
-            peak_tail_lag_ms: self.peak_tail_lag_ms,
-        }
+        self.state.clone()
     }
 
     /// Shared live gauges — hand a clone to a monitoring thread.
     pub fn gauges(&self) -> Arc<EtlGauges> {
-        Arc::clone(&self.gauges)
+        Arc::clone(&self.state.gauges)
     }
 
     /// Returns true once every tail event has been consumed.
@@ -903,7 +820,7 @@ impl EtlService {
 
     /// A point-in-time view of the underlying stream.
     pub fn snapshot(&self) -> EtlSnapshot {
-        self.stream.snapshot()
+        self.state.stream.snapshot()
     }
 
     /// Consumes every tail event that has arrived by `now_ms`, lands any
@@ -919,9 +836,9 @@ impl EtlService {
             .as_slice()
             .partition_point(|event| event.arrival_ms <= now_ms);
         for event in self.events.by_ref().take(due) {
-            self.stream.push(event.record);
+            self.state.stream.push(event.record);
         }
-        self.tail_cursor += due;
+        self.state.tail_cursor += due;
         let landed = self.land_sealed(sink);
         self.publish_gauges(now_ms);
         landed
@@ -935,19 +852,20 @@ impl EtlService {
         F: FnMut(&StoredPartition, &TablePartition),
     {
         for event in self.events.by_ref() {
-            self.stream.push(event.record);
+            self.state.stream.push(event.record);
         }
-        self.stream.finish();
+        self.state.stream.finish();
         self.land_sealed(sink);
         self.publish_gauges(self.tail_end_ms);
+        let state = self.state;
         let report = EtlServiceReport {
-            etl: self.stream.report(),
-            storage: self.storage.clone(),
-            landed_partitions: self.landed.len() as u64,
-            peak_tail_lag_ms: self.peak_tail_lag_ms,
+            etl: state.stream.report(),
+            storage: state.storage,
+            landed_partitions: state.landed.len() as u64,
+            peak_tail_lag_ms: state.peak_tail_lag_ms,
         };
         EtlServiceOutput {
-            landed: self.landed,
+            landed: state.landed,
             report,
         }
     }
@@ -974,28 +892,28 @@ impl EtlService {
     where
         F: FnMut(&StoredPartition, &TablePartition),
     {
+        let state = &mut self.state;
         let mut landed = 0usize;
-        for sealed in self.stream.drain_sealed() {
+        for sealed in state.stream.drain_sealed() {
             let hour = sealed.partition.hour;
-            let seal_idx = self.hour_seal_counts.entry(hour).or_insert(0);
+            let seal_idx = state.hour_seal_counts.entry(hour).or_insert(0);
             let table = if *seal_idx == 0 {
-                self.table.clone()
+                state.table.clone()
             } else {
-                format!("{}-r{}", self.table, seal_idx)
+                format!("{}-r{}", state.table, seal_idx)
             };
             *seal_idx += 1;
             let samples = &sealed.partition.samples;
-            let (stored, report) = match &self.chaos {
+            let store = &state.store;
+            let (stored, report) = match &state.chaos {
                 Some((policy, counters)) => {
                     // Serialize once; every backoff attempt re-tries only
                     // the puts, sharing the prepared blobs instead of
                     // re-encoding the partition.
-                    let prepared =
-                        self.store
-                            .prepare_partition(&self.schema, &table, hour, samples);
+                    let prepared = store.prepare_partition(&state.schema, &table, hour, samples);
                     policy
                         .run(Some(counters), StorageError::is_transient, || {
-                            self.store.try_store_prepared(&prepared)
+                            store.try_store_prepared(&prepared)
                         })
                         .unwrap_or_else(|_| {
                             // Retry budget exhausted: fall through to the
@@ -1004,24 +922,23 @@ impl EtlService {
                             // lost. The exhaustion is already counted.
                             // Landing is idempotent either way —
                             // deterministic bytes at deterministic paths.
-                            self.store.store_prepared(&prepared)
+                            store.store_prepared(&prepared)
                         })
                 }
-                None => self
-                    .store
-                    .land_partition(&self.schema, &table, hour, samples),
+                None => store.land_partition(&state.schema, &table, hour, samples),
             };
-            self.storage.absorb(&report);
+            state.storage.absorb(&report);
             sink(&stored, &sealed.partition);
-            self.landed.push(stored);
+            state.landed.push(stored);
             landed += 1;
         }
         landed
     }
 
     fn publish_gauges(&mut self, now_ms: u64) {
-        let snap = self.stream.snapshot();
-        let gauges = &self.gauges;
+        let state = &mut self.state;
+        let snap = state.stream.snapshot();
+        let gauges = &state.gauges;
         gauges
             .records_tailed
             .store(snap.counters.records, Ordering::Relaxed);
@@ -1052,7 +969,7 @@ impl EtlService {
             .store(snap.counters.sealed_partitions, Ordering::Relaxed);
         gauges
             .landed_partitions
-            .store(self.landed.len() as u64, Ordering::Relaxed);
+            .store(state.landed.len() as u64, Ordering::Relaxed);
         gauges
             .watermark_ms
             .store(snap.watermark_ms, Ordering::Relaxed);
@@ -1065,7 +982,7 @@ impl EtlService {
         gauges
             .tail_remaining
             .store(self.events.len() as u64, Ordering::Relaxed);
-        self.peak_tail_lag_ms = self.peak_tail_lag_ms.max(lag);
+        state.peak_tail_lag_ms = state.peak_tail_lag_ms.max(lag);
     }
 }
 
@@ -1245,22 +1162,16 @@ mod tests {
         let mut crashing = service(tail.clone(), &crash_store);
         crashing.pump(tail.end_ms() / 2, &mut |_, _| {});
         let checkpoint = crashing.checkpoint();
-        assert!(0 < checkpoint.tail_cursor && checkpoint.tail_cursor < tail.len());
+        let cursor = checkpoint.tail_cursor();
+        assert!(0 < cursor && cursor < tail.len());
         assert!(!crashing.tail_drained());
         assert_eq!(
             crashing.gauges().tail_remaining.load(Ordering::Relaxed) as usize,
-            tail.len() - checkpoint.tail_cursor
+            tail.len() - cursor
         );
         drop(crashing);
-        let resumed = EtlService::resume_from(
-            tail.clone(),
-            config,
-            Arc::clone(&crash_store),
-            schema.clone(),
-            "t",
-            checkpoint.clone(),
-        );
-        assert_eq!(resumed.checkpoint().tail_cursor, checkpoint.tail_cursor);
+        let resumed = EtlService::resume_from(tail.clone(), checkpoint);
+        assert_eq!(resumed.checkpoint().tail_cursor(), cursor);
         assert_eq!(landed_bytes(resumed, &crash_store), reference);
     }
 

@@ -33,12 +33,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod config;
 pub mod experiments;
 pub mod run;
 
-pub use checkpoint::PipelineCheckpoint;
 pub use config::{RecdConfig, RmPreset, RmSpec};
 pub use run::{
     ContinuousDerived, ContinuousReport, PipelineReport, PipelineRunner, StorageSimConfig,

@@ -27,13 +27,6 @@ pub enum StorageError {
         /// Fingerprint of the schema supplied by the reader.
         actual: u64,
     },
-    /// A stripe index was out of range.
-    StripeOutOfRange {
-        /// The requested stripe.
-        index: usize,
-        /// Number of stripes in the file.
-        stripes: usize,
-    },
     /// A transient fault injected by the chaos engine (see
     /// [`TectonicSim::fail_next_gets`](crate::TectonicSim::fail_next_gets)).
     /// Always retryable: the underlying blob (if any) is intact.
@@ -69,9 +62,6 @@ impl fmt::Display for StorageError {
                 f,
                 "schema fingerprint mismatch: file has {expected:#x}, reader supplied {actual:#x}"
             ),
-            StorageError::StripeOutOfRange { index, stripes } => {
-                write!(f, "stripe {index} out of range ({stripes} stripes)")
-            }
             StorageError::Injected { op, path } => {
                 write!(f, "injected transient {op} fault on `{path}`")
             }

@@ -1,8 +1,7 @@
 //! The DWRF-like file: a sequence of compressed stripes plus a footer.
 
 use crate::stripe::{
-    check_decoded, decode_stripe, decode_stripe_append, decode_stripe_columnar, encode_stripe,
-    DecodeScratch, StripeStats,
+    check_decoded, decode_stripe_append, encode_stripe, DecodeScratch, StripeStats,
 };
 use crate::{Result, StorageError};
 use recd_codec::{varint, Hasher64};
@@ -227,81 +226,17 @@ impl DwrfFile {
         &self.stripes
     }
 
-    /// Decodes one stripe.
+    /// Decodes every stripe, in file order, into a caller-provided
+    /// (typically recycled) batch, clearing it first. Each stripe decodes
+    /// straight onto the end of `out`; with a [`FileReadScratch`] and a
+    /// batch that have both already held a file this large, the read
+    /// performs no heap allocation. On error the batch contents are
+    /// unspecified.
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::StripeOutOfRange`] for a bad index,
-    /// [`StorageError::SchemaMismatch`] if `schema` differs from the writer's
-    /// schema, or a decode error for corrupt data.
-    pub fn read_stripe(&self, schema: &Schema, index: usize) -> Result<Vec<Sample>> {
-        self.check_schema(schema)?;
-        let footer = self
-            .stripes
-            .get(index)
-            .ok_or(StorageError::StripeOutOfRange {
-                index,
-                stripes: self.stripes.len(),
-            })?;
-        decode_stripe(
-            schema,
-            &self.body[footer.offset..footer.offset + footer.length],
-        )
-    }
-
-    /// Decodes one stripe into a [`ColumnarBatch`] (the flat fill path).
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`DwrfFile::read_stripe`].
-    pub fn read_stripe_columnar(&self, schema: &Schema, index: usize) -> Result<ColumnarBatch> {
-        self.check_schema(schema)?;
-        let footer = self
-            .stripes
-            .get(index)
-            .ok_or(StorageError::StripeOutOfRange {
-                index,
-                stripes: self.stripes.len(),
-            })?;
-        decode_stripe_columnar(
-            schema,
-            &self.body[footer.offset..footer.offset + footer.length],
-        )
-    }
-
-    /// Decodes every stripe, returning all rows in file order.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`DwrfFile::read_stripe`].
-    pub fn read_all(&self, schema: &Schema) -> Result<Vec<Sample>> {
-        Ok(self.read_all_columnar(schema)?.into_samples())
-    }
-
-    /// Decodes every stripe into one concatenated [`ColumnarBatch`], in file
-    /// order, without materializing any row-wise samples.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`DwrfFile::read_stripe`].
-    pub fn read_all_columnar(&self, schema: &Schema) -> Result<ColumnarBatch> {
-        // Not pre-sized: a footer's row count is input, and nothing in a
-        // compressed stripe bounds it.
-        let mut out = ColumnarBatch::new(schema.dense_count(), schema.sparse_count());
-        self.read_all_columnar_into(schema, &mut FileReadScratch::default(), &mut out)?;
-        Ok(out)
-    }
-
-    /// Decodes every stripe into a caller-provided (typically recycled)
-    /// batch, clearing it first — the buffer-reusing variant of
-    /// [`DwrfFile::read_all_columnar`]. Each stripe decodes straight onto
-    /// the end of `out`; with a [`FileReadScratch`] and a batch that have
-    /// both already held a file this large, the read performs no heap
-    /// allocation. On error the batch contents are unspecified.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`DwrfFile::read_stripe`].
+    /// Returns [`StorageError::SchemaMismatch`] if `schema` differs from the
+    /// writer's schema, or a decode error for corrupt data.
     pub fn read_all_columnar_into(
         &self,
         schema: &Schema,
@@ -316,17 +251,6 @@ impl DwrfFile {
             &mut scratch.decode,
             out,
         )
-    }
-
-    fn check_schema(&self, schema: &Schema) -> Result<()> {
-        let actual = schema_fingerprint(schema);
-        if actual != self.schema_fingerprint {
-            return Err(StorageError::SchemaMismatch {
-                expected: self.schema_fingerprint,
-                actual,
-            });
-        }
-        Ok(())
     }
 
     /// Serializes the file (body + footer) into one blob for the blob store.
@@ -420,7 +344,7 @@ impl<'a> DwrfWriter<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::stripe::oracle;
     use crate::stripe::tests::{build_table, table_strategy};
@@ -434,6 +358,13 @@ mod tests {
         (p.schema, p.samples)
     }
 
+    /// Every row of `file`, in file order.
+    pub(crate) fn read_rows(file: &DwrfFile, schema: &Schema) -> Result<Vec<Sample>> {
+        let mut out = ColumnarBatch::new(schema.dense_count(), schema.sparse_count());
+        file.read_all_columnar_into(schema, &mut FileReadScratch::default(), &mut out)?;
+        Ok(out.to_samples())
+    }
+
     #[test]
     fn write_read_round_trip() {
         let (schema, samples) = partition();
@@ -443,24 +374,8 @@ mod tests {
         assert_eq!(file.row_count(), samples.len());
         assert_eq!(file.stripe_count(), samples.len().div_ceil(32));
         assert_eq!(stats.len(), file.stripe_count());
-        assert_eq!(file.read_all(&schema).unwrap(), samples);
-        assert_eq!(file.read_stripe(&schema, 0).unwrap(), samples[..32]);
-        // The columnar read path sees the same rows without per-row allocs.
-        let columnar = file.read_all_columnar(&schema).unwrap();
-        assert_eq!(columnar.len(), samples.len());
-        assert_eq!(columnar.to_samples(), samples);
-        assert_eq!(
-            file.read_stripe_columnar(&schema, 1).unwrap().to_samples(),
-            samples[32..64.min(samples.len())]
-        );
-        assert!(matches!(
-            file.read_stripe_columnar(&schema, 999),
-            Err(StorageError::StripeOutOfRange { .. })
-        ));
-        assert!(matches!(
-            file.read_stripe(&schema, 999),
-            Err(StorageError::StripeOutOfRange { .. })
-        ));
+        assert_eq!(file.stripe_footers()[0].rows, 32);
+        assert_eq!(read_rows(&file, &schema).unwrap(), samples);
     }
 
     #[test]
@@ -472,7 +387,7 @@ mod tests {
         let blob = file.to_blob();
         let back = DwrfFile::from_blob(&blob).unwrap();
         assert_eq!(back, file);
-        assert_eq!(back.read_all(&schema).unwrap(), &samples[..48]);
+        assert_eq!(read_rows(&back, &schema).unwrap(), &samples[..48]);
         assert!(DwrfFile::from_blob(&blob[..blob.len() / 2]).is_err());
         assert!(DwrfFile::from_blob(&[]).is_err());
     }
@@ -602,7 +517,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            file.read_all(&other),
+            read_rows(&file, &other),
             Err(StorageError::SchemaMismatch { .. })
         ));
     }

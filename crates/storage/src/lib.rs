@@ -34,8 +34,7 @@ pub mod tectonic;
 pub use error::StorageError;
 pub use file::{DwrfFile, DwrfWriter, FileReadScratch};
 pub use stripe::{
-    decode_stripe, decode_stripe_columnar, decode_stripe_columnar_into, encode_stripe,
-    DecodeScratch, StripeStats,
+    decode_stripe_columnar, decode_stripe_columnar_into, encode_stripe, DecodeScratch, StripeStats,
 };
 pub use table::{PreparedPartition, StorageReport, StoredPartition, TableStore};
 pub use tectonic::{BlobStats, CacheStats, NodeConfig, NodeStats, PlacementPolicy, TectonicSim};

@@ -225,20 +225,6 @@ pub(crate) fn decode_stripe_append(
     Ok(())
 }
 
-/// Decodes a stripe produced by [`encode_stripe`] into row-wise samples.
-///
-/// This is a compatibility wrapper over [`decode_stripe_columnar`]: the
-/// columnar decode runs first (flat buffers only) and rows are materialized
-/// at the end, so even the row-wise path no longer builds intermediate
-/// vec-of-vec columns.
-///
-/// # Errors
-///
-/// Returns a [`StorageError`] if decompression or any column decode fails.
-pub fn decode_stripe(schema: &Schema, block: &[u8]) -> Result<Vec<Sample>> {
-    Ok(decode_stripe_columnar(schema, block)?.into_samples())
-}
-
 /// The stripe decoder this module shipped before in-place decode, kept as
 /// the differential oracle: every value read one at a time, every stripe
 /// decoded into a batch of its own for the caller to
@@ -456,12 +442,12 @@ pub(crate) mod tests {
         assert_eq!(stats.rows, stripe_rows.len());
         assert!(stats.compressed_bytes > 0);
         assert!(stats.encoded_bytes >= stats.compressed_bytes);
-        let decoded = decode_stripe(&schema, &block).unwrap();
-        assert_eq!(decoded, stripe_rows);
+        let decoded = decode_stripe_columnar(&schema, &block).unwrap();
+        assert_eq!(decoded.to_samples(), stripe_rows);
     }
 
     #[test]
-    fn columnar_and_row_wise_decodes_agree() {
+    fn columnar_decode_reads_rows_in_place() {
         let (schema, samples) = partition();
         let stripe_rows = &samples[..128.min(samples.len())];
         let (block, _) = encode_stripe(&schema, stripe_rows);
@@ -485,7 +471,7 @@ pub(crate) mod tests {
         let (schema, _) = partition();
         let (block, stats) = encode_stripe(&schema, &[]);
         assert_eq!(stats.rows, 0);
-        assert!(decode_stripe(&schema, &block).unwrap().is_empty());
+        assert!(decode_stripe_columnar(&schema, &block).unwrap().is_empty());
     }
 
     #[test]

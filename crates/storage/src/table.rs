@@ -86,7 +86,7 @@ impl PreparedPartition {
     }
 }
 
-/// Writes and reads table partitions.
+/// Lands table partitions into the blob store.
 #[derive(Debug, Clone)]
 pub struct TableStore {
     store: TectonicSim,
@@ -197,47 +197,6 @@ impl TableStore {
         let prepared = self.prepare_partition(schema, table, hour, samples);
         self.store_prepared(&prepared)
     }
-
-    /// Fallible variant of [`land_partition`](Self::land_partition) for
-    /// chaos-aware callers. Retry loops should prefer
-    /// [`prepare_partition`](Self::prepare_partition) +
-    /// [`try_store_prepared`](Self::try_store_prepared) so attempts after the
-    /// first don't re-encode the partition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::Injected`](crate::StorageError::Injected) when
-    /// a transient put fault fires mid-landing.
-    pub fn try_land_partition(
-        &self,
-        schema: &Schema,
-        table: &str,
-        hour: u64,
-        samples: &[Sample],
-    ) -> Result<(StoredPartition, StorageReport)> {
-        let prepared = self.prepare_partition(schema, table, hour, samples);
-        self.try_store_prepared(&prepared)
-    }
-
-    /// Reads every row of a stored partition back, in file/stripe order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StorageError`](crate::StorageError) if a blob is missing
-    /// or corrupt.
-    pub fn read_partition(
-        &self,
-        schema: &Schema,
-        partition: &StoredPartition,
-    ) -> Result<Vec<Sample>> {
-        let mut out = Vec::new();
-        for path in &partition.files {
-            let blob = self.store.get(path)?;
-            let file = DwrfFile::from_blob(&blob)?;
-            out.extend(file.read_all(schema)?);
-        }
-        Ok(out)
-    }
 }
 
 fn accumulate(report: &mut StorageReport, file: &DwrfFile, stats: &[StripeStats]) {
@@ -252,12 +211,27 @@ fn accumulate(report: &mut StorageReport, file: &DwrfFile, stats: &[StripeStats]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::file::tests::read_rows;
     use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 
     fn partition() -> (Schema, Vec<Sample>) {
         let gen = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
         let p = gen.generate_partition();
         (p.schema, p.samples)
+    }
+
+    /// Every row of a stored partition, in file order.
+    fn read_back(
+        store: &TableStore,
+        schema: &Schema,
+        stored: &StoredPartition,
+    ) -> Result<Vec<Sample>> {
+        let mut rows = Vec::new();
+        for path in &stored.files {
+            let file = DwrfFile::from_blob(&store.blob_store().get(path)?)?;
+            rows.extend(read_rows(&file, schema)?);
+        }
+        Ok(rows)
     }
 
     #[test]
@@ -270,8 +244,7 @@ mod tests {
         assert!(report.compression_ratio() > 1.0);
         assert!(report.stored_bytes > 0);
         assert_eq!(table_store.blob_store().stats().blobs, stored.files.len());
-        let read_back = table_store.read_partition(&schema, &stored).unwrap();
-        assert_eq!(read_back, samples);
+        assert_eq!(read_back(&table_store, &schema, &stored).unwrap(), samples);
         assert!(table_store.blob_store().stats().read_bytes > 0);
     }
 
@@ -310,8 +283,7 @@ mod tests {
         // The stored blobs are the prepared allocations, not copies.
         let first = store.blob_store().get(&stored.files[0]).unwrap();
         assert!(Arc::ptr_eq(&first, &prepared.blobs[0]));
-        let read_back = store.read_partition(&schema, &stored).unwrap();
-        assert_eq!(read_back, samples[..128]);
+        assert_eq!(read_back(&store, &schema, &stored).unwrap(), samples[..128]);
     }
 
     #[test]
@@ -320,6 +292,6 @@ mod tests {
         let store = TableStore::new(TectonicSim::new(2), 16, 1);
         let (mut stored, _) = store.land_partition(&schema, "t", 3, &samples[..32]);
         stored.files.push("t/hour=3/file-99999.dwrf".to_string());
-        assert!(store.read_partition(&schema, &stored).is_err());
+        assert!(read_back(&store, &schema, &stored).is_err());
     }
 }

@@ -3,9 +3,9 @@
 //! expectations were produced by the commit before the decode rewrite.
 
 use recd_codec::hash_bytes;
-use recd_data::{FeatureClass, RequestId, Sample, Schema, SessionId, Timestamp};
+use recd_data::{ColumnarBatch, FeatureClass, RequestId, Sample, Schema, SessionId, Timestamp};
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
-use recd_storage::{decode_stripe, encode_stripe, DwrfFile, DwrfWriter};
+use recd_storage::{decode_stripe_columnar, encode_stripe, DwrfFile, DwrfWriter, FileReadScratch};
 
 fn tiny_schema() -> Schema {
     Schema::builder()
@@ -35,6 +35,16 @@ fn tiny_rows() -> Vec<Sample> {
     ]
 }
 
+/// Every row of a serialized file, in file order.
+fn read_rows(blob: &[u8], schema: &Schema) -> Vec<Sample> {
+    let mut out = ColumnarBatch::new(schema.dense_count(), schema.sparse_count());
+    DwrfFile::from_blob(blob)
+        .unwrap()
+        .read_all_columnar_into(schema, &mut FileReadScratch::default(), &mut out)
+        .unwrap();
+    out.to_samples()
+}
+
 #[test]
 fn a_hand_made_stripe_and_file_encode_to_these_exact_bytes() {
     let schema = tiny_schema();
@@ -42,14 +52,14 @@ fn a_hand_made_stripe_and_file_encode_to_these_exact_bytes() {
     let (block, stats) = encode_stripe(&schema, &rows);
     assert_eq!(block, STRIPE_BYTES, "stripe block bytes changed");
     assert_eq!(stats.encoded_bytes, 80);
-    assert_eq!(decode_stripe(&schema, STRIPE_BYTES).unwrap(), rows);
+    let decoded = decode_stripe_columnar(&schema, STRIPE_BYTES).unwrap();
+    assert_eq!(decoded.to_samples(), rows);
 
     let mut writer = DwrfWriter::new(&schema, 2);
     writer.write(&rows);
     let blob = writer.finish().0.to_blob();
     assert_eq!(blob, FILE_BYTES, "file blob bytes changed");
-    let file = DwrfFile::from_blob(FILE_BYTES).unwrap();
-    assert_eq!(file.read_all(&schema).unwrap(), rows);
+    assert_eq!(read_rows(FILE_BYTES, &schema), rows);
 }
 
 #[test]
@@ -75,8 +85,7 @@ fn a_fixed_seed_partition_encodes_to_the_pinned_digests() {
         FILE_DIGEST,
         "file blob bytes changed"
     );
-    let file = DwrfFile::from_blob(&blob).unwrap();
-    assert_eq!(file.read_all(&partition.schema).unwrap(), rows);
+    assert_eq!(read_rows(&blob, &partition.schema), rows);
 }
 
 const STRIPE_BYTES: &[u8] = &[

@@ -2,7 +2,8 @@
 //! fleet} × {empty plan, seeded plan} on the tiny preset. Every case must
 //! deliver each joined sample exactly once with zero dropped batches, resume
 //! once per `crash-pump`, and deliver the same order-independent row union
-//! whatever the pump step. A pre-landed feed over a fleet, and a fleet that
+//! whatever the pump step. A resumed pump keeps publishing to the ETL gauges
+//! the registry scrapes. A pre-landed feed over a fleet, and a fleet that
 //! loses every host, are typed errors.
 
 use recd::core::{ConvertedBatch, DataLoaderConfig};
@@ -13,6 +14,7 @@ use recd::dpp::{
     TrainerAssignPolicy, TrainerBatch,
 };
 use recd::etl::{EtlStreamConfig, TableLayout};
+use recd::obs::sample_value;
 use recd::reader::ReaderConfig;
 use recd::scribe::{LogTail, TailConfig};
 use recd::storage::{TableStore, TectonicSim};
@@ -41,6 +43,17 @@ fn rows(batch: &ConvertedBatch) -> impl Iterator<Item = Row> + '_ {
         let dense = batch.dense.row(row).iter().map(|v| v.to_bits()).collect();
         (batch.labels[row].to_bits(), dense, sparse)
     })
+}
+
+/// The tiny preset's last record timestamp: the pump clock's horizon.
+fn horizon() -> u64 {
+    DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny))
+        .generate_logs()
+        .0
+        .iter()
+        .map(|r| r.timestamp().as_millis())
+        .max()
+        .expect("tiny preset has records")
 }
 
 /// Builds the tail-fed driver for `hosts` (0 = a single service).
@@ -97,13 +110,7 @@ fn run(hosts: usize, plan: &FaultPlan, step_ms: u64) -> (DriverOutput, Vec<Row>)
 
 #[test]
 fn every_topology_and_plan_delivers_exactly_once_at_any_pump_step() {
-    let horizon = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny))
-        .generate_logs()
-        .0
-        .iter()
-        .map(|r| r.timestamp().as_millis())
-        .max()
-        .expect("tiny preset has records");
+    let horizon = horizon();
     for hosts in [0, 2] {
         // Single service: the seeded plan (trainer kill + stall, storage
         // faults, one crash-pump). Fleet: the seeded fleet plan (a host
@@ -149,6 +156,32 @@ fn every_topology_and_plan_delivers_exactly_once_at_any_pump_step() {
             );
         }
     }
+}
+
+/// A `crash-pump` resumes the ETL service from a checkpoint that shares the
+/// live gauges, so after the run the registry reads the resumed service's
+/// final values, not the ones the dead service last published.
+#[test]
+fn a_resumed_pump_keeps_the_registered_etl_gauges_live() {
+    let plan = FaultPlan::new().with_fault(horizon() / 2, FaultKind::CrashEtlPump);
+    let driver = driver(0, &plan, 60_000);
+    let registry = driver.registry();
+    let output = driver
+        .run(Arc::new(|_: TrainerBatch| {}))
+        .expect("run finishes cleanly");
+    assert_eq!(output.chaos.map(|chaos| chaos.resumes), Some(1));
+    let etl = output.etl.expect("tail feed reports its ETL tier");
+    let families = registry.gather();
+    let value = |name| sample_value(&families, name, &[]).expect("ETL gauge registered");
+    assert_eq!(value("recd_etl_tail_remaining"), 0.0);
+    assert_eq!(
+        value("recd_etl_records_tailed_total"),
+        etl.etl.counters.records as f64
+    );
+    assert_eq!(
+        value("recd_etl_landed_partitions_total"),
+        etl.landed_partitions as f64
+    );
 }
 
 /// A 2-host fleet that loses one host to a kill and the other to a
