@@ -1,6 +1,5 @@
-//! The `recd-dpp` CLI: runs the streaming preprocessing service over a
-//! synthetic `recd-datagen` dataset and prints live metrics plus the final
-//! report.
+//! The `recd-dpp` CLI: runs the continuous pipeline over a synthetic
+//! `recd-datagen` log stream and prints live metrics plus the final report.
 //!
 //! ```text
 //! recd-dpp [--preset tiny|small] [--sessions N] [--batch-size N]
@@ -8,7 +7,7 @@
 //!          [--policy session|file|row] [--trainers N]
 //!          [--assign pinned|least|rr] [--min-workers N] [--max-workers N]
 //!          [--ctrl] [--ctrl-kp F] [--ctrl-ki F] [--ctrl-kd F]
-//!          [--tail] [--tail-rate N] [--tail-jitter-ms N]
+//!          [--tail-rate N] [--tail-jitter-ms N]
 //!          [--tail-late-frac F] [--tail-late-ms N] [--tail-window-ms N]
 //!          [--tail-seal-rows N] [--tail-seed N]
 //!          [--hosts M] [--heartbeat-ms N] [--rebalance on|off]
@@ -22,37 +21,32 @@
 //! pump schedule, the chaos harness, the trainer lanes and the metrics
 //! registry); what is left here is printing.
 //!
-//! With `--hosts M` (requires `--tail`) the DPP tier is disaggregated over
+//! Every run tails the raw log stream: a jittered, optionally straggling
+//! [`LogTail`] feeds the streaming ETL stage (incremental join → per-session
+//! clustering → hourly seals), and every sealed partition lands and is
+//! handed to the running service the moment it appears.
+//!
+//! With `--hosts M` the DPP tier is disaggregated over
 //! `M` simulated hosts behind the fault-tolerant control plane: the
 //! coordinator owns the file → shard placement, heartbeats every host on
 //! the pump clock, heals `kill-host`/`partition-host`/`rejoin-host` chaos
 //! faults with bounded replay, and federates every host's metrics registry
 //! into the shared `/metrics` endpoint under `host="h<i>"` labels.
 //!
-//! By default the dataset is batch-landed up front and submitted whole. With
-//! `--tail` the CLI instead runs the *continuous* pipeline: a jittered,
-//! optionally straggling [`LogTail`] over the raw log stream feeds the
-//! streaming ETL stage (incremental join → per-session clustering → hourly
-//! seals), and every sealed partition lands and is handed to the running
-//! service the moment it appears.
-//!
-//! Either way, every tier registers into the driver's one metrics registry:
-//! the live monitor renders its snapshot line *from the gathered families*
-//! (one formatting path for batch and tail mode), `--metrics-port`
-//! additionally serves them at `GET /metrics` in the Prometheus text
-//! exposition format (port `0` picks an ephemeral one), and the driver's
-//! aggregator polls the registry in the background to print a derived-rates
-//! report at the end.
+//! Every tier registers into the driver's one metrics registry: the live
+//! monitor renders its snapshot line *from the gathered families*, and
+//! `--metrics-port` additionally serves them at `GET /metrics` in the
+//! Prometheus text exposition format (port `0` picks an ephemeral one).
 
 use recd_chaos::{ChaosReport, FaultPlan};
 use recd_core::DataLoaderConfig;
 use recd_data::LogRecord;
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd_dpp::{
-    CtrlConfig, DppConfig, DppReport, Driver, Feed, FleetConfig, FleetReport, ShardPolicy,
-    TailFeed, Topology, TrainerAssignPolicy,
+    CtrlConfig, DppConfig, DppReport, Driver, FleetConfig, FleetReport, ShardPolicy, TailFeed,
+    Topology, TrainerAssignPolicy,
 };
-use recd_etl::{cluster_by_session, EtlServiceReport, EtlStreamConfig, TableLayout};
+use recd_etl::{EtlServiceReport, EtlStreamConfig, TableLayout};
 use recd_obs::{sample_value, MetricFamily, MetricsServer, SampleValue};
 use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_scribe::{LogTail, TailConfig};
@@ -80,7 +74,6 @@ struct Args {
     ctrl_kp: Option<f64>,
     ctrl_ki: Option<f64>,
     ctrl_kd: Option<f64>,
-    tail: bool,
     tail_rate_ms: u64,
     tail_jitter_ms: u64,
     tail_late_frac: f64,
@@ -119,7 +112,6 @@ fn parse_args() -> Result<Args, String> {
         ctrl_kp: None,
         ctrl_ki: None,
         ctrl_kd: None,
-        tail: false,
         tail_rate_ms: 60_000,
         tail_jitter_ms: 2_000,
         tail_late_frac: 0.0,
@@ -188,7 +180,6 @@ fn parse_args() -> Result<Args, String> {
             "--ctrl-kp" => args.ctrl_kp = Some(value(it, &flag)?),
             "--ctrl-ki" => args.ctrl_ki = Some(value(it, &flag)?),
             "--ctrl-kd" => args.ctrl_kd = Some(value(it, &flag)?),
-            "--tail" => args.tail = true,
             "--tail-rate" => args.tail_rate_ms = value(it, &flag)?,
             "--tail-jitter-ms" => args.tail_jitter_ms = value(it, &flag)?,
             "--tail-late-frac" => args.tail_late_frac = value(it, &flag)?,
@@ -239,9 +230,6 @@ fn parse_args() -> Result<Args, String> {
                      \n  --ctrl-kp F              proportional gain (default 2.0; requires the controller)\
                      \n  --ctrl-ki F              integral gain (default 1.0; requires the controller)\
                      \n  --ctrl-kd F              derivative gain (default 0.0; requires the controller)\
-                     \n  --tail                   continuous mode: tail the raw log stream through\
-                     \n                           the streaming ETL (join/cluster/seal/land) and\
-                     \n                           ingest partitions as they land\
                      \n  --tail-rate N            simulated ms of log time per pump step (default 60000)\
                      \n  --tail-jitter-ms N       arrival jitter bound (default 2000)\
                      \n  --tail-late-frac F       fraction of straggling records (default 0)\
@@ -250,18 +238,17 @@ fn parse_args() -> Result<Args, String> {
                      \n  --tail-seal-rows N       seal an open hour early at N rows\
                      \n  --tail-seed N            arrival-process seed (default 0)\
                      \n  --hosts M                disaggregate the DPP tier over M simulated hosts\
-                     \n                           behind the fault-tolerant control plane (requires\
-                     \n                           --tail; default 0 = single in-process service)\
+                     \n                           behind the fault-tolerant control plane\
+                     \n                           (default 0 = single in-process service)\
                      \n  --heartbeat-ms N         fleet heartbeat timeout: a host silent strictly\
                      \n                           longer than this is declared dead (default 120000)\
                      \n  --rebalance on|off       work-stealing shard rebalance at every barrier\
                      \n                           (default on)\
-                     \n  --chaos-seed N           run a seeded fault plan against the continuous\
-                     \n                           pipeline (requires --tail): storage brown-out,\
+                     \n  --chaos-seed N           run a seeded fault plan: storage brown-out,\
                      \n                           transient get/put failures, trainer kill+stall\
                      \n                           (when --trainers > 1), ETL pump crash-restart\
-                     \n  --chaos-plan SPEC        run an explicit fault plan (requires --tail);\
-                     \n                           semicolon-separated at_ms:kind[:args] entries:\
+                     \n  --chaos-plan SPEC        run an explicit fault plan, semicolon-separated\
+                     \n                           at_ms:kind[:args] entries:\
                      \n                           stall-trainer:LANE:MS | kill-trainer:LANE |\
                      \n                           slow-storage:FACTOR:MS | fail-get:COUNT |\
                      \n                           fail-put:COUNT | crash-pump | kill-host:HOST |\
@@ -305,12 +292,6 @@ fn parse_args() -> Result<Args, String> {
             args.min_workers
         ));
     }
-    if (args.chaos_seed.is_some() || args.chaos_plan.is_some()) && !args.tail {
-        return Err(
-            "--chaos-seed/--chaos-plan require --tail (faults drive the continuous pipeline)"
-                .to_string(),
-        );
-    }
     if args.chaos_seed.is_some() && args.chaos_plan.is_some() {
         return Err("--chaos-seed and --chaos-plan are mutually exclusive".to_string());
     }
@@ -319,12 +300,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if !(args.storage_bw.is_finite() && args.storage_bw > 0.0) {
         return Err("--storage-bw must be a finite, positive bytes/s figure".to_string());
-    }
-    if args.hosts > 0 && !args.tail {
-        return Err(
-            "--hosts requires --tail (the fleet's heartbeats ride the continuous pump clock)"
-                .to_string(),
-        );
     }
     Ok(args)
 }
@@ -373,10 +348,10 @@ fn print_storage_derived(sim: &TectonicSim) {
     }
 }
 
-/// Renders one live-monitor line from gathered metric families — the single
-/// formatting path for batch and tail mode. The ETL fragment appears exactly
-/// when the ETL tier is registered (its families are present), so the line
-/// shape is decided by the registry contents, not by a mode flag.
+/// Renders one live-monitor line from gathered metric families. The fleet
+/// fragment appears exactly when the fleet is registered (its families are
+/// present), so the line shape is decided by the registry contents, not by
+/// a mode flag.
 fn live_line(families: &[MetricFamily]) -> String {
     let v =
         |name: &str, labels: &[(&str, &str)]| sample_value(families, name, labels).unwrap_or(0.0);
@@ -394,18 +369,14 @@ fn live_line(families: &[MetricFamily]) -> String {
                 .collect()
         })
         .unwrap_or_default();
-    let etl_part = if families.iter().any(|f| f.name == "recd_etl_tail_lag_ms") {
-        format!(
-            "  etl lag={:.0}s open={}h/{}s sealed={} late={}",
-            v("recd_etl_tail_lag_ms", &[]) / 1_000.0,
-            v("recd_etl_open_hours", &[]) as u64,
-            v("recd_etl_open_sessions", &[]) as u64,
-            v("recd_etl_sealed_partitions_total", &[]) as u64,
-            v("recd_etl_late_drops_total", &[]) as u64,
-        )
-    } else {
-        String::new()
-    };
+    let etl_part = format!(
+        "  etl lag={:.0}s open={}h/{}s sealed={} late={}",
+        v("recd_etl_tail_lag_ms", &[]) / 1_000.0,
+        v("recd_etl_open_hours", &[]) as u64,
+        v("recd_etl_open_sessions", &[]) as u64,
+        v("recd_etl_sealed_partitions_total", &[]) as u64,
+        v("recd_etl_late_drops_total", &[]) as u64,
+    );
     let fleet_part = if families.iter().any(|f| f.name == "recd_fleet_hosts_live") {
         format!(
             "  fleet {}/{} live fwd={} dup={}",
@@ -463,10 +434,9 @@ fn chaos_plan(args: &Args, records: &[LogRecord]) -> Option<FaultPlan> {
     Some(plan)
 }
 
-/// Builds the feed (batch mode lands the clustered table up front; `--tail`
-/// keeps the raw log stream for the streaming ETL stage to join, cluster and
-/// land incrementally) and the service or fleet topology, hands both to the
-/// pipeline [`Driver`], and prints what it reports.
+/// Builds the tail feed (the raw log stream for the streaming ETL stage to
+/// join, cluster and land incrementally) and the service or fleet topology,
+/// hands both to the pipeline [`Driver`], and prints what it reports.
 fn main() {
     let args = parse_args().unwrap_or_else(|message| {
         eprintln!("recd-dpp: {message}");
@@ -478,58 +448,44 @@ fn main() {
     }
     let generator = DatasetGenerator::new(workload);
     let store = Arc::new(TableStore::new(build_blob_store(&args), 64, 2));
-    let (schema, feed) = if args.tail {
-        let (records, partition) = generator.generate_logs();
-        println!(
-            "dataset: tailing {} raw log records ({} samples once joined), jitter {}ms, {:.0}% stragglers (+{}ms), seed {}",
-            records.len(),
-            partition.len(),
-            args.tail_jitter_ms,
-            args.tail_late_frac * 100.0,
-            args.tail_late_ms,
-            args.tail_seed,
-        );
-        let plan = chaos_plan(&args, &records);
-        let tail_config = TailConfig::default()
-            .with_jitter_ms(args.tail_jitter_ms)
-            .with_lateness(args.tail_late_frac, args.tail_late_ms)
-            .with_seed(args.tail_seed);
-        let mut stream = EtlStreamConfig::new(TableLayout::ClusteredBySession)
-            .with_window_ms(args.tail_window_ms);
-        if let Some(rows) = args.tail_seal_rows {
-            stream = stream.with_size_watermark(rows);
-        }
-        println!(
-            "continuous: window {}ms, grace {}ms, {}, {}ms of log time per pump",
-            stream.window_ms,
-            stream.seal_grace_ms,
-            args.tail_seal_rows
-                .map_or("hour-boundary seals only".to_string(), |rows| format!(
-                    "size watermark {rows} rows"
-                )),
-            args.tail_rate_ms,
-        );
-        let feed = Feed::Tail(TailFeed {
-            tail: LogTail::new(records, &tail_config),
-            stream,
-            table: "tail".to_string(),
-            step_ms: args.tail_rate_ms,
-            plan,
-        });
-        (partition.schema, feed)
-    } else {
-        let partition = generator.generate_partition();
-        let clustered = cluster_by_session(&partition.samples);
-        let (stored, storage_report) =
-            store.land_partition(&partition.schema, "cli", 0, &clustered);
-        println!(
-            "dataset: {} samples in {} files ({} stored bytes)",
-            clustered.len(),
-            stored.files.len(),
-            storage_report.stored_bytes
-        );
-        (partition.schema, Feed::Landed(stored))
+    let (records, partition) = generator.generate_logs();
+    println!(
+        "dataset: tailing {} raw log records ({} samples once joined), jitter {}ms, {:.0}% stragglers (+{}ms), seed {}",
+        records.len(),
+        partition.len(),
+        args.tail_jitter_ms,
+        args.tail_late_frac * 100.0,
+        args.tail_late_ms,
+        args.tail_seed,
+    );
+    let plan = chaos_plan(&args, &records);
+    let tail_config = TailConfig::default()
+        .with_jitter_ms(args.tail_jitter_ms)
+        .with_lateness(args.tail_late_frac, args.tail_late_ms)
+        .with_seed(args.tail_seed);
+    let mut stream =
+        EtlStreamConfig::new(TableLayout::ClusteredBySession).with_window_ms(args.tail_window_ms);
+    if let Some(rows) = args.tail_seal_rows {
+        stream = stream.with_size_watermark(rows);
+    }
+    println!(
+        "continuous: window {}ms, grace {}ms, {}, {}ms of log time per pump",
+        stream.window_ms,
+        stream.seal_grace_ms,
+        args.tail_seal_rows
+            .map_or("hour-boundary seals only".to_string(), |rows| format!(
+                "size watermark {rows} rows"
+            )),
+        args.tail_rate_ms,
+    );
+    let feed = TailFeed {
+        tail: LogTail::new(records, &tail_config),
+        stream,
+        table: "tail".to_string(),
+        step_ms: args.tail_rate_ms,
+        plan,
     };
+    let schema = partition.schema;
 
     // Service (or per-host) template.
     let mut config = DppConfig::new(ReaderConfig::new(
@@ -544,8 +500,8 @@ fn main() {
     .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64));
     if args.ctrl {
         // The closed control loop: a cross-tier PID controller samples every
-        // queue tier and sizes both pools; in tail mode the driver hands it
-        // the ETL tail lag so lag can veto trainer backpressure.
+        // queue tier and sizes both pools; the driver hands it the ETL tail
+        // lag so lag can veto trainer backpressure.
         let min = args.min_workers;
         let max = args
             .max_workers
@@ -607,8 +563,7 @@ fn main() {
         std::process::exit(2);
     });
 
-    // The live monitor and the /metrics endpoint read the same registry the
-    // driver's aggregator polls.
+    // The live monitor and the /metrics endpoint read the driver's registry.
     let registry = driver.registry();
     let server = args.metrics_port.map(|port| {
         let server = MetricsServer::start(Arc::clone(&registry), port)
@@ -656,9 +611,7 @@ fn main() {
             lane.trainer, lane.batches, lane.samples
         );
     }
-    if let Some(etl) = &output.etl {
-        print_etl_summary(etl);
-    }
+    print_etl_summary(&output.etl);
     if let Some((fleet, host_reports)) = &output.fleet {
         print_fleet_summary(fleet, host_reports);
     }
@@ -667,25 +620,16 @@ fn main() {
         print_chaos_summary(chaos);
     }
     // Machine-parseable lines — scripts/bench_snapshot.sh lifts these into
-    // BENCH_pipeline.json.
-    if args.tail {
-        if let Some(rate) = output.aggregator.derived().records_per_second {
-            println!("derived continuous_records_per_second {rate:.1}");
-        }
-        // Sustained end-to-end throughput: total delivered samples over the
-        // whole wall-clock run, the figure the bench gate tracks.
-        println!(
-            "derived pipeline_records_per_second {:.1}",
-            output.dpp.samples as f64 / output.wall_seconds.max(1e-9)
-        );
-    }
+    // BENCH_pipeline.json. Sustained end-to-end throughput: total delivered
+    // samples over the whole wall-clock run, the figure the bench gate tracks.
+    println!(
+        "derived pipeline_records_per_second {:.1}",
+        output.dpp.samples as f64 / output.wall_seconds.max(1e-9)
+    );
     if let Some((fleet, _)) = &output.fleet {
         println!("derived fleet_rebalance_ms {:.3}", fleet.rebalance_ms);
     }
     print_storage_derived(store.blob_store());
-    if !args.quiet {
-        println!("\n{}", output.aggregator.report());
-    }
     if let Some(server) = server {
         if args.scrape_once {
             let addr = server.local_addr();
@@ -731,7 +675,7 @@ fn print_fleet_summary(fr: &FleetReport, host_reports: &[(usize, DppReport)]) {
     }
 }
 
-/// The streaming-ETL half of a continuous run, as two summary lines.
+/// The streaming-ETL half of the run, as two summary lines.
 fn print_etl_summary(r: &EtlServiceReport) {
     let c = r.etl.counters;
     println!(

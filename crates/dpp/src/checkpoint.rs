@@ -7,11 +7,10 @@
 //! accumulators are empty. At that point the service's durable state reduces
 //! to counter baselines plus the set of already-ingested partition keys:
 //!
-//! * `files_routed` seeds the router's file → shard rotation so a resumed
-//!   [`ShardPolicy::FileRoundRobin`](crate::ShardPolicy::FileRoundRobin) run
-//!   continues the rotation exactly where the crashed instance stopped —
-//!   batch composition stays a pure function of the cumulative submission
-//!   order across the crash.
+//! * The counters continue across the crash, so reports read as one run.
+//!   The router needs no state: a barrier restarts the
+//!   [`ShardPolicy::FileRoundRobin`](crate::ShardPolicy::FileRoundRobin)
+//!   rotation, so a resumed run places files exactly as an uninterrupted one.
 //! * `ingested` makes replay idempotent: the upstream ETL stage replays its
 //!   log tail from *its* checkpoint cursor (at-least-once), and the service
 //!   skips any partition it already consumed (dedup), which composes to
@@ -25,8 +24,7 @@
 /// consumed by [`DppService::resume`](crate::DppService::resume).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DppCheckpoint {
-    /// Files submitted (and, at a barrier, fully routed) so far; seeds the
-    /// resumed router's file round-robin rotation.
+    /// Files submitted (and, at a barrier, fully routed) so far.
     pub files_routed: u64,
     /// Partitions ingested through the continuous feed path so far.
     pub partitions_ingested: u64,

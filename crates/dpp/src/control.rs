@@ -48,8 +48,8 @@
 //! deterministic under test: the production [`WallClock`](crate::WallClock)
 //! ticks on a period, while [`ManualClock::step`](crate::ManualClock::step)
 //! grants exactly one evaluation and returns only after the controller
-//! finished it. The clocks live in `recd-obs` because the metrics aggregator
-//! polls on the very same abstraction.
+//! finished it. The clocks live in `recd-obs`, beside the metrics they
+//! time.
 
 use recd_obs::{Collector, MetricsBuf, ScaleClock};
 use serde::{Deserialize, Serialize};

@@ -7,23 +7,26 @@
 //!
 //! ```text
 //! step clock → backend tick → due faults → pump gate → etl.pump → ingest
-//!            → barrier → checkpoint
+//!            (→ barrier per partition) → barrier → checkpoint
 //! ```
 //!
-//! * **barrier** after every pump iff the backend is a fleet or a fault plan
-//!   is present — batch boundaries are then a pure function of the landing
-//!   schedule, which is what keeps trainer-batch unions byte-identical
-//!   across fleet sizes and fault schedules; trainer kills and pump crashes
-//!   fire at the top of the next pump, after that barrier's quiescence.
+//! * **ingest** closes every newly ingested partition with a barrier, on
+//!   every topology, so no batch spans two landed partitions.
+//! * **barrier** after every pump as well iff the backend is a fleet or a
+//!   fault plan is present — batch boundaries are then a pure function of
+//!   the landing schedule, which is what keeps trainer-batch unions
+//!   byte-identical across fleet sizes and fault schedules; trainer kills
+//!   and pump crashes fire at the top of the next pump, after that
+//!   barrier's quiescence.
 //! * **checkpoint** (an in-memory copy of the ETL service's state, sharing
-//!   its live gauges) only when a fault plan is present, every
-//!   fourth barrier (`CHECKPOINT_EVERY_PUMPS`), so a `crash-pump` genuinely
-//!   replays tail events that the ingest dedup must absorb.
+//!   its live gauges) only when a fault plan is present, after every
+//!   fourth pump's barrier (`CHECKPOINT_EVERY_PUMPS`), so a `crash-pump`
+//!   genuinely replays tail events that the ingest dedup must absorb.
 //!
-//! The pump step is the one schedule value callers choose. Beside the
-//! schedule, a background aggregator polls the metrics registry every 100 ms
-//! of wall time (bracketed by one poll at the start and one at the end), for
-//! the batch feed too.
+//! The pump step is the one schedule value callers choose. A whole log in
+//! one service behind zero-jitter arrivals is the batch pipeline: with the
+//! per-partition barriers it reads each landed partition as a service of its
+//! own would.
 
 use crate::control::PumpGate;
 use crate::fleet::{DppFleet, FleetConfig, FleetHandle, FleetReport};
@@ -41,9 +44,7 @@ use recd_data::Schema;
 use recd_etl::{
     EtlCheckpoint, EtlService, EtlServiceReport, EtlStreamConfig, ManualClock, TablePartition,
 };
-use recd_obs::{
-    AggregatorConfig, Collector, MetricsAggregator, MetricsRegistry, RegistryFederation, WallClock,
-};
+use recd_obs::{Collector, MetricsRegistry, RegistryFederation};
 use recd_scribe::LogTail;
 use recd_storage::{StoredPartition, TableStore};
 use std::sync::atomic::Ordering;
@@ -53,13 +54,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A crash between checkpoints must replay real tail events, so the
-/// pipeline snapshots only at every fourth barrier.
+/// pipeline snapshots only after every fourth pump.
 const CHECKPOINT_EVERY_PUMPS: u64 = 4;
 
-/// Wall-clock period of the background aggregator poll.
-const AGGREGATOR_PERIOD: Duration = Duration::from_millis(100);
-
-/// The continuous feed: a replayable log tail pumped on a manual clock.
+/// The feed: a replayable log tail pumped on a manual clock.
 #[derive(Debug)]
 pub struct TailFeed {
     /// The unconsumed tail; a clone of it replays the identical stream.
@@ -73,15 +71,6 @@ pub struct TailFeed {
     /// Fault plan on the pump clock; `Some(empty)` is the fault-free
     /// reference that still runs the barrier/checkpoint schedule.
     pub plan: Option<FaultPlan>,
-}
-
-/// What the driver feeds the DPP tier with.
-#[derive(Debug)]
-pub enum Feed {
-    /// Tail → streaming ETL → land → ingest, one pump step at a time.
-    Tail(TailFeed),
-    /// One pre-landed partition, submitted whole (batch mode).
-    Landed(StoredPartition),
 }
 
 /// The DPP tier behind the feed.
@@ -110,9 +99,6 @@ pub enum DriverError {
         /// The fleet's host count.
         hosts: usize,
     },
-    /// A pre-landed feed over a fleet: the fleet's heartbeats ride the pump
-    /// clock, which only a tail feed steps.
-    LandedFleet,
     /// A partition barrier did not resolve: the DPP tier tore down mid-run.
     Barrier,
     /// Every fleet host was declared dead, so no host is left to inherit
@@ -136,7 +122,6 @@ impl std::fmt::Display for DriverError {
                 f,
                 "`{fault}` names host {host}, but --hosts {hosts} only has hosts 0..{hosts}"
             ),
-            Self::LandedFleet => write!(f, "a fleet requires a tail feed"),
             Self::Barrier => write!(f, "a partition barrier did not resolve"),
             Self::NoLiveHost => write!(
                 f,
@@ -169,8 +154,8 @@ pub struct LaneReport {
 
 /// Everything a finished run produced.
 pub struct DriverOutput {
-    /// Streaming-ETL accounting (`None` for [`Feed::Landed`]).
-    pub etl: Option<EtlServiceReport>,
+    /// Streaming-ETL accounting.
+    pub etl: EtlServiceReport,
     /// The service report, or the fleet-level aggregate.
     pub dpp: DppReport,
     /// Control-plane accounting and the final per-host reports of a fleet.
@@ -181,8 +166,6 @@ pub struct DriverOutput {
     pub lanes: Vec<LaneReport>,
     /// Wall-clock seconds from [`Driver::run`] to the last lane draining.
     pub wall_seconds: f64,
-    /// The aggregator that polled the registry on a wall-clock time axis.
-    pub aggregator: Arc<MetricsAggregator>,
 }
 
 /// What a lane does with each batch it pulls (collect it, recycle its
@@ -222,11 +205,6 @@ struct Tail {
     chaos: Option<Chaos>,
 }
 
-enum Source {
-    Tail(Box<Tail>),
-    Landed(StoredPartition),
-}
-
 /// Single service versus fleet: the only place the two differ.
 enum Backend {
     Single(DppHandle),
@@ -234,11 +212,17 @@ enum Backend {
 }
 
 impl Backend {
-    fn ingest_partition(&mut self, partition: &StoredPartition) {
-        match self {
+    /// Ingests a landed partition and, unless it is a replayed duplicate,
+    /// closes it with a barrier.
+    fn ingest_partition(&mut self, partition: &StoredPartition) -> Result<(), DriverError> {
+        let fresh = match self {
             Self::Single(handle) => handle.ingest_partition(partition),
             Self::Fleet(fleet) => fleet.ingest_partition(partition),
         };
+        if fresh {
+            self.flush_partition()?;
+        }
+        Ok(())
     }
 
     fn flush_partition(&mut self) -> Result<(), DriverError> {
@@ -401,7 +385,7 @@ impl Lanes {
 /// A started pipeline: the DPP tier runs, every tier is registered into
 /// [`registry`](Self::registry), and [`run`](Self::run) feeds it to the end.
 pub struct Driver {
-    source: Source,
+    tail: Tail,
     backend: Backend,
     registry: Arc<MetricsRegistry>,
     /// The controller's pump gate (single service under `with_ctrl` only:
@@ -421,70 +405,56 @@ impl Driver {
     /// # Errors
     ///
     /// [`DriverError::HostFaultWithoutFleet`] / [`DriverError::HostOutOfRange`]
-    /// when the plan names hosts this topology does not have;
-    /// [`DriverError::LandedFleet`] for a pre-landed feed over a fleet.
+    /// when the plan names hosts this topology does not have.
     pub fn new(
         store: Arc<TableStore>,
         schema: &Schema,
-        feed: Feed,
+        feed: TailFeed,
         topology: Topology,
     ) -> Result<Self, DriverError> {
-        let source = match feed {
-            Feed::Landed(_) if matches!(topology, Topology::Fleet(_)) => {
-                return Err(DriverError::LandedFleet)
-            }
-            Feed::Landed(stored) => Source::Landed(stored),
-            Feed::Tail(feed) => {
-                let hosts = match &topology {
-                    Topology::Single(_) => 0,
-                    Topology::Fleet(fleet) => fleet.hosts,
+        let hosts = match &topology {
+            Topology::Single(_) => 0,
+            Topology::Fleet(fleet) => fleet.hosts,
+        };
+        if let Some(plan) = &feed.plan {
+            validate_host_faults(plan, hosts)?;
+        }
+        // Only a fault plan can crash the pump, so only then is a pristine
+        // copy of the tail kept to restart from.
+        let replay = feed.plan.is_some().then(|| feed.tail.clone());
+        let etl = EtlService::new(
+            feed.tail,
+            feed.stream,
+            Arc::clone(&store),
+            schema.clone(),
+            feed.table,
+        );
+        let (etl, chaos) = match feed.plan.zip(replay) {
+            None => (etl, None),
+            Some((plan, replay)) => {
+                let injector = FaultInjector::new(&plan, store.blob_store().clone());
+                let (policy, counters) = (RetryPolicy::storage_default(), injector.counters());
+                // Every checkpoint carries the retry path, so a resumed
+                // service lands through it too.
+                let etl = etl.with_chaos_retry(policy, Arc::clone(&counters));
+                let checkpoint = etl.checkpoint();
+                let chaos = Chaos {
+                    injector,
+                    policy,
+                    counters,
+                    replay,
+                    checkpoint,
                 };
-                if let Some(plan) = &feed.plan {
-                    validate_host_faults(plan, hosts)?;
-                }
-                // Only a fault plan can crash the pump, so only then is a
-                // pristine copy of the tail kept to restart from.
-                let replay = feed.plan.is_some().then(|| feed.tail.clone());
-                let etl = EtlService::new(
-                    feed.tail,
-                    feed.stream,
-                    Arc::clone(&store),
-                    schema.clone(),
-                    feed.table,
-                );
-                let (etl, chaos) = match feed.plan.zip(replay) {
-                    None => (etl, None),
-                    Some((plan, replay)) => {
-                        let injector = FaultInjector::new(&plan, store.blob_store().clone());
-                        let (policy, counters) =
-                            (RetryPolicy::storage_default(), injector.counters());
-                        // Every checkpoint carries the retry path, so a
-                        // resumed service lands through it too.
-                        let etl = etl.with_chaos_retry(policy, Arc::clone(&counters));
-                        let checkpoint = etl.checkpoint();
-                        let chaos = Chaos {
-                            injector,
-                            policy,
-                            counters,
-                            replay,
-                            checkpoint,
-                        };
-                        (etl, Some(chaos))
-                    }
-                };
-                Source::Tail(Box::new(Tail {
-                    etl,
-                    step_ms: feed.step_ms.max(1),
-                    chaos,
-                }))
+                (etl, Some(chaos))
             }
         };
-        let tail = match &source {
-            Source::Tail(tail) => Some(&**tail),
-            Source::Landed(_) => None,
+        let tail = Tail {
+            etl,
+            step_ms: feed.step_ms.max(1),
+            chaos,
         };
-        // One registry for the live monitor, `/metrics` and the aggregator:
-        // the DPP tier, the blob store, the ETL gauges, the chaos counters.
+        // One registry for the live monitor and `/metrics`: the DPP tier,
+        // the blob store, the ETL gauges, the chaos counters.
         let registry = MetricsRegistry::new();
         let (backend, pump_gate, pool) = match topology {
             Topology::Single(dpp) => {
@@ -493,7 +463,7 @@ impl Driver {
                 // free-list sorting the caller's dataset teardown left the
                 // allocator (0.4 s after the CLI frees a 10k-session table).
                 let schema = schema.clone();
-                let handle = DppService::start(wire(dpp, tail), Arc::clone(&store), schema);
+                let handle = DppService::start(wire(dpp, &tail), Arc::clone(&store), schema);
                 registry.register(Arc::new(handle.snapshot_source()));
                 if let Some(ctrl) = handle.ctrl_shared() {
                     registry.register(ctrl);
@@ -502,7 +472,7 @@ impl Driver {
                 (Backend::Single(handle), gate, Some(pool))
             }
             Topology::Fleet(mut fleet) => {
-                fleet.host = wire(fleet.host, tail);
+                fleet.host = wire(fleet.host, &tail);
                 let handle = DppFleet::start(fleet, Arc::clone(&store), schema.clone());
                 // Host registries are stable across incarnations — a
                 // rejoined host keeps its `host="h<i>"` label.
@@ -516,14 +486,12 @@ impl Driver {
             }
         };
         registry.register(Arc::new(store.blob_store().clone()));
-        if let Some(tail) = tail {
-            registry.register(tail.etl.gauges());
-            if let Some(chaos) = &tail.chaos {
-                registry.register(Arc::clone(&chaos.counters) as Arc<dyn Collector>);
-            }
+        registry.register(tail.etl.gauges());
+        if let Some(chaos) = &tail.chaos {
+            registry.register(Arc::clone(&chaos.counters) as Arc<dyn Collector>);
         }
         Ok(Self {
-            source,
+            tail,
             backend,
             registry: Arc::new(registry),
             pump_gate,
@@ -553,29 +521,11 @@ impl Driver {
     pub fn run(self, consume: Consume) -> Result<DriverOutput, DriverError> {
         let mut backend = self.backend;
         let mut lanes = Lanes::spawn(backend.take_trainers(), &consume);
-        let aggregator = Arc::new(MetricsAggregator::new(
-            self.registry,
-            AggregatorConfig::default(),
-        ));
-        // Bracket the run with explicit polls so even runs shorter than the
-        // polling period produce a rate window.
         let started = Instant::now();
-        aggregator.poll_at(0.0);
-        let poller = aggregator.spawn(Arc::new(WallClock::new(AGGREGATOR_PERIOD)));
-
-        let fed = match (self.source, &mut backend) {
-            (Source::Tail(tail), backend) => pump(*tail, backend, &mut lanes, self.pump_gate),
-            (Source::Landed(stored), Backend::Single(handle)) => {
-                handle.submit_partition(&stored);
-                Ok((None, None))
-            }
-            (Source::Landed(_), Backend::Fleet(_)) => Err(DriverError::LandedFleet),
-        };
+        let fed = pump(self.tail, &mut backend, &mut lanes, self.pump_gate);
         let finished = backend.finish();
         let lanes = lanes.join();
-        poller.stop();
         let wall_seconds = started.elapsed().as_secs_f64();
-        aggregator.poll_at(wall_seconds);
 
         let (etl, chaos) = fed?;
         let (dpp, fleet) = finished?;
@@ -586,7 +536,6 @@ impl Driver {
             chaos,
             lanes,
             wall_seconds,
-            aggregator,
         })
     }
 }
@@ -597,7 +546,7 @@ fn pump(
     backend: &mut Backend,
     lanes: &mut Lanes,
     pump_gate: Option<PumpGate>,
-) -> Result<(Option<EtlServiceReport>, Option<ChaosReport>), DriverError> {
+) -> Result<(EtlServiceReport, Option<ChaosReport>), DriverError> {
     let barrier = matches!(backend, Backend::Fleet(_)) || tail.chaos.is_some();
     let mut clock = ManualClock::new();
     let mut pumps = 0u64;
@@ -641,12 +590,16 @@ fn pump(
                 std::thread::sleep(Duration::from_millis(2));
             }
         }
+        let mut ingested = Ok(());
         tail.etl.pump(
             now,
             &mut |stored: &StoredPartition, _sealed: &TablePartition| {
-                backend.ingest_partition(stored);
+                if ingested.is_ok() {
+                    ingested = backend.ingest_partition(stored);
+                }
             },
         );
+        ingested?;
         pumps += 1;
         if barrier {
             backend.flush_partition()?;
@@ -657,24 +610,27 @@ fn pump(
             }
         }
     }
+    let mut ingested = Ok(());
     let output = tail
         .etl
         .finish(&mut |stored: &StoredPartition, _sealed: &TablePartition| {
-            backend.ingest_partition(stored);
+            if ingested.is_ok() {
+                ingested = backend.ingest_partition(stored);
+            }
         });
+    ingested?;
     if barrier {
         backend.flush_partition()?;
     }
     let chaos = tail.chaos.map(|mut chaos| chaos.injector.finish());
-    Ok((Some(output.report), chaos))
+    Ok((output.report, chaos))
 }
 
 /// Routes DPP fills through the run's chaos retry counters and gives the
 /// controller (every host's, in a fleet) its escape hatch: the live ETL tail
 /// lag, so lane backpressure never holds the pump while the stream falls
 /// behind its log tail.
-fn wire(mut dpp: DppConfig, tail: Option<&Tail>) -> DppConfig {
-    let Some(tail) = tail else { return dpp };
+fn wire(mut dpp: DppConfig, tail: &Tail) -> DppConfig {
     if let Some(chaos) = &tail.chaos {
         dpp = dpp.with_chaos_retry(chaos.policy, Arc::clone(&chaos.counters));
     }

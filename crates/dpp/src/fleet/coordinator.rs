@@ -161,9 +161,10 @@ pub struct FleetHandle {
 
 impl FleetHandle {
     /// Submits one stored file. The coordinator owns the global placement:
-    /// file `i` of the submission sequence belongs to shard `i % S`
-    /// regardless of which host serves it, which is what keeps batch
-    /// composition independent of fleet topology and failures.
+    /// file `i` since the last barrier belongs to shard `i % S` regardless
+    /// of which host serves it — the single service's file round-robin —
+    /// which is what keeps batch composition independent of fleet topology
+    /// and failures.
     pub fn submit_file(&mut self, path: impl Into<String>) {
         let path = path.into();
         let shard = (self.next_file_idx % self.fleet.shards as u64) as usize;
@@ -332,9 +333,9 @@ impl FleetHandle {
         self.refresh_owned_gauges();
     }
 
-    /// Fleet-wide partition barrier. A barrier is a contact round: any live
-    /// host that cannot be reached fails it and is declared dead on the
-    /// spot. Every live host then flushes, the coordinator quiesces the
+    /// Fleet-wide partition barrier. It restarts the file → shard rotation,
+    /// and it is a contact round: any live host that cannot be reached fails
+    /// it and is declared dead on the spot. Every live host then flushes, the coordinator quiesces the
     /// collectors, advances the per-shard seq cuts, snapshots per-host
     /// checkpoints, truncates the replay log, and (if configured or
     /// requested) rebalances shard ownership.
@@ -344,6 +345,7 @@ impl FleetHandle {
     /// if a host service tore down before its barrier resolved, or if no
     /// live host is left to resolve it.
     pub fn flush_partition(&mut self) -> bool {
+        self.next_file_idx = 0;
         for host in 0..self.slots.len() {
             if self.slots[host].live && self.slots[host].reachable != Reach::Up {
                 self.declare_dead(host);
@@ -567,7 +569,7 @@ impl FleetHandle {
 
     /// Per-host metric registries, labelled `h0..hM-1` — each scrapes that
     /// host's live `recd_dpp_*` families across incarnations. Feed these to
-    /// a federation/aggregator with the label as the `host` tag.
+    /// a federation with the label as the `host` tag.
     pub fn host_registries(&self) -> Vec<(String, Arc<MetricsRegistry>)> {
         self.slots
             .iter()

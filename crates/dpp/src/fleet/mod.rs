@@ -11,8 +11,8 @@
 //!   replay)
 //! ```
 //!
-//! The coordinator owns the **global** file → shard placement: file `i` of
-//! the submission sequence belongs to shard `i % S`, and every file is
+//! The coordinator owns the **global** file → shard placement: file `i`
+//! since the last barrier belongs to shard `i % S`, and every file is
 //! submitted to exactly the host that currently owns its shard via
 //! [`DppHandle::submit_file_to_shard`](crate::DppHandle::submit_file_to_shard).
 //! Each host runs the full `S`-shard service with a single shard-pinned

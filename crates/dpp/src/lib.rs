@@ -61,8 +61,9 @@
 //! Under [`ShardPolicy::FileRoundRobin`] with `shards` readers, the
 //! service's collected output is **identical** to a serial reference reader
 //! that gives reader *r* every file *i* with `i % shards == r` — the
-//! integration tests assert this batch for batch (and `PipelineRunner::run`
-//! reads landed partitions exactly this way), and the fan-out tests assert
+//! integration tests assert this batch for batch. A barrier restarts the
+//! rotation, so `PipelineRunner::run`, which closes every landed partition
+//! with one, reads each partition exactly this way. The fan-out tests assert
 //! the multiset union across trainer lanes matches the single-sink baseline
 //! for every assignment policy.
 
@@ -83,9 +84,7 @@ pub mod sink;
 pub use channel::{bounded, Receiver, RecvTimeout, SendError, Sender};
 pub use checkpoint::DppCheckpoint;
 pub use control::{CtrlConfig, CtrlReport, CtrlShared, PumpGate, ScaleEvent};
-pub use driver::{
-    Consume, Driver, DriverError, DriverOutput, Feed, LaneReport, TailFeed, Topology,
-};
+pub use driver::{Consume, Driver, DriverError, DriverOutput, LaneReport, TailFeed, Topology};
 pub use fleet::{
     DppFleet, FleetConfig, FleetController, FleetCounters, FleetHandle, FleetOutput, FleetReport,
 };
@@ -93,8 +92,7 @@ pub use metrics::{
     DppReport, DppSnapshot, ServiceCounters, TrainerLaneReport, TrainerLaneSnapshot,
 };
 pub use pool::{BatchPool, PoolStats, Reclaim};
-// The controller's clocks live in `recd-obs`: the metrics aggregator polls
-// on the same abstraction.
+// The controller's clocks live in `recd-obs`.
 pub use recd_obs::{ManualClock, ScaleClock, WallClock};
 pub use service::{
     DppConfig, DppError, DppHandle, DppOutput, DppService, ShardPolicy, SnapshotSource,

@@ -99,7 +99,9 @@ pub enum ShardPolicy {
     /// Whole files round-robin across shards by submission index, so shard
     /// *r* reads files *i* with `i % shards == r` in order and the collected
     /// output is shard-major: every batch of shard 0, then shard 1, and so
-    /// on — what `PipelineRunner::run` reads each landed partition with.
+    /// on. The rotation restarts at every barrier, so behind per-partition
+    /// barriers a file's shard is its index within its partition — what
+    /// `PipelineRunner::run` reads the landed partitions with.
     FileRoundRobin,
     /// Each row routes by a hash of its session id, so a session's rows
     /// always land in the same shard and stay adjacent in its accumulator.
@@ -741,10 +743,6 @@ struct RouterCtx {
     work_tx: Sender<WorkItem>,
     out_tx: Sender<SinkInput>,
     state: Arc<State>,
-    /// Files routed by previous incarnations of this service (a resumed
-    /// run); seeds the file → shard rotation so FileRoundRobin placement is
-    /// a function of the *cumulative* submission order across a crash.
-    files_routed_base: u64,
 }
 
 fn router_loop(ctx: RouterCtx) {
@@ -762,9 +760,11 @@ fn router_loop(ctx: RouterCtx) {
     let _open = OpenOnDrop(&state.window);
     let mut pending: BTreeMap<u64, FilledPayload> = BTreeMap::new();
     let mut next_seq = 0u64;
-    // FileRoundRobin counts *files*, not submission seqs: barriers occupy a
-    // seq but must not shift the file → shard rotation.
-    let mut files_routed = ctx.files_routed_base;
+    // FileRoundRobin counts *files* since the last barrier, not submission
+    // seqs: a barrier restarts the rotation, so a file's shard depends only
+    // on its place within its partition (and a resume, which always starts
+    // at a barrier, needs no rotation state).
+    let mut files_routed = 0u64;
     // Shard accumulators are columnar too: routing a row is a handful of
     // flat-buffer appends, not a Sample move, and the buffers amortize
     // across batches.
@@ -839,6 +839,7 @@ fn router_loop(ctx: RouterCtx) {
                         }
                     }
                     local.barrier_flushes += 1;
+                    files_routed = 0;
                     // The cuts tell the sink exactly which per-shard
                     // sequence prefix precedes this barrier; arrival order
                     // at the sink is irrelevant.
@@ -892,8 +893,8 @@ impl DppService {
     }
 
     /// Starts the service continuing from a [`DppCheckpoint`] taken at a
-    /// barrier boundary by a previous incarnation: the file → shard rotation,
-    /// barrier-id sequence, ingest counters, and — crucially — the
+    /// barrier boundary by a previous incarnation: the barrier-id sequence,
+    /// ingest counters, and — crucially — the
     /// already-ingested partition dedup set all pick up where the crashed
     /// instance stopped. Re-offering a partition the checkpoint already
     /// covers is a no-op, so an at-least-once upstream replay feeds the
@@ -1000,7 +1001,6 @@ impl DppService {
                 work_tx,
                 out_tx,
                 state: Arc::clone(&state),
-                files_routed_base: checkpoint.files_routed,
             };
             spawn_named("dpp-router".to_string(), move || router_loop(ctx))
         };

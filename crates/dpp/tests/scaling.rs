@@ -208,8 +208,10 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
     assert!(out.report.peak_compute_workers <= MAX_COMPUTE);
 
     // The batch pool shrank along with the pools: its capacity started
-    // sized for the maximum population and scale-downs reduced it.
-    let initial_capacity = QUEUE_DEPTH * 2 + 2 + MAX_FILL + MAX_COMPUTE;
+    // sized for the maximum population (the route window of 1 + depth + max
+    // fill files, two shard accumulators plus one handed on, the work queue,
+    // one chunk per compute worker) and scale-downs reduced it.
+    let initial_capacity = (1 + QUEUE_DEPTH + MAX_FILL) + (2 + 1) + QUEUE_DEPTH + MAX_COMPUTE;
     assert!(
         out.report.batch_pool.capacity < initial_capacity,
         "batch pool capacity must shrink on scale-down ({} vs initial {})",

@@ -173,6 +173,76 @@ fn streaming_output_matches_one_shot_reader_tier() {
     }
 }
 
+/// A barrier restarts the file round-robin rotation: one service that
+/// ingests partitions of odd file counts, closing each with a barrier,
+/// delivers per shard, in order, exactly the batches of one fresh service
+/// per partition — which is what lets a single service read every landed
+/// partition as a service of its own would.
+#[test]
+fn a_barrier_restarts_the_file_rotation() {
+    let partition =
+        DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny)).generate_partition();
+    let samples = cluster_by_session(&partition.samples);
+    let schema = partition.schema;
+    // 8-row files: partitions of 3, 5 and 3 files, so a rotation carried
+    // across barriers would start the second and third on shard 1.
+    let store = Arc::new(TableStore::new(TectonicSim::new(4), 8, 1));
+    let cuts = [0, 24, 64, 88];
+    assert!(
+        samples.len() >= cuts[3],
+        "Tiny preset must provide enough rows"
+    );
+    let partitions: Vec<StoredPartition> = (0..3)
+        .map(|hour| {
+            let rows = &samples[cuts[hour]..cuts[hour + 1]];
+            store
+                .land_partition(&schema, "rotation", hour as u64, rows)
+                .0
+        })
+        .collect();
+    let files: Vec<usize> = partitions.iter().map(|p| p.files.len()).collect();
+    assert_eq!(files, [3, 5, 3]);
+
+    // Per shard, in sequence order: the batches one service delivers for
+    // `parts`, a barrier after each.
+    let per_shard = |parts: &[StoredPartition]| {
+        let config = DppConfig::new(reader_config(&schema, 16))
+            .with_policy(ShardPolicy::FileRoundRobin)
+            .with_shards(2)
+            .with_trainers(1)
+            .with_pipeline_factory(standard_pipeline);
+        let mut handle = DppService::start(config, Arc::clone(&store), schema.clone());
+        let trainer = handle.take_trainers().remove(0);
+        let consumer = std::thread::spawn(move || trainer.drain());
+        for part in parts {
+            assert!(handle.ingest_partition(part));
+            assert!(handle.flush_partition(), "barrier must resolve");
+        }
+        handle.finish().expect("clean run");
+        let mut delivered = consumer.join().expect("trainer consumer");
+        delivered.sort_by_key(|item| (item.shard, item.seq));
+        let mut shards: Vec<Vec<ConvertedBatch>> = vec![Vec::new(), Vec::new()];
+        for item in delivered {
+            shards[item.shard].push(item.batch);
+        }
+        shards
+    };
+    let mut fresh: Vec<Vec<ConvertedBatch>> = vec![Vec::new(), Vec::new()];
+    for part in &partitions {
+        for (shard, batches) in per_shard(std::slice::from_ref(part))
+            .into_iter()
+            .enumerate()
+        {
+            fresh[shard].extend(batches);
+        }
+    }
+    assert!(fresh.iter().all(|shard| !shard.is_empty()));
+    assert!(
+        per_shard(&partitions) == fresh,
+        "one service's shards diverged from fresh per-partition services"
+    );
+}
+
 /// O3 + O4 on the service: over the same clustered partition, the
 /// deduplicating configuration sends fewer bytes toward trainers than the
 /// baseline one and preprocesses fewer values.

@@ -66,43 +66,25 @@ impl TableLayout {
     }
 }
 
-/// End-to-end ETL driver: join, partition, and lay out rows.
+/// Batch ETL: join, partition, and lay out rows in one pass over a whole
+/// log. The pipeline runs the streaming [`EtlService`], which lands the
+/// same bytes; this job is the reference it is held to.
 #[derive(Debug, Clone)]
 pub struct EtlJob {
     layout: TableLayout,
-    downsample: Option<(DownsamplePolicy, f64, u64)>,
 }
 
 impl EtlJob {
     /// Creates an ETL job producing the given table layout.
     pub fn new(layout: TableLayout) -> Self {
-        Self {
-            layout,
-            downsample: None,
-        }
-    }
-
-    /// Enables downsampling with the given policy, keep-rate, and seed.
-    #[must_use]
-    pub fn with_downsampling(
-        mut self,
-        policy: DownsamplePolicy,
-        keep_rate: f64,
-        seed: u64,
-    ) -> Self {
-        self.downsample = Some((policy, keep_rate, seed));
-        self
+        Self { layout }
     }
 
     /// Runs the job: joins the raw logs and lands hourly partitions in the
     /// configured layout.
     pub fn run(&self, schema: &Schema, records: &[LogRecord]) -> Vec<TablePartition> {
         let joined = join_logs(records);
-        let mut samples = joined.samples;
-        if let Some((policy, keep_rate, seed)) = self.downsample {
-            samples = downsample(&samples, policy, keep_rate, seed);
-        }
-        let mut partitions = HourlyPartitioner::partition(samples);
+        let mut partitions = HourlyPartitioner::partition(joined.samples);
         for partition in &mut partitions {
             self.layout.lay_out(&mut partition.samples);
             debug_assert!(partition
@@ -148,18 +130,5 @@ mod tests {
             same as f64 / total.max(1) as f64
         };
         assert!(adjacency(&clustered) > adjacency(&baseline) + 0.2);
-    }
-
-    #[test]
-    fn downsampling_is_applied_inside_the_job() {
-        let gen = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
-        let (records, partition) = gen.generate_logs();
-        let schema = gen.schema().clone();
-        let sampled = EtlJob::new(TableLayout::ClusteredBySession)
-            .with_downsampling(DownsamplePolicy::PerSession, 0.5, 9)
-            .run(&schema, &records);
-        let total: usize = sampled.iter().map(|p| p.samples.len()).sum();
-        assert!(total < partition.len());
-        assert!(total > 0);
     }
 }

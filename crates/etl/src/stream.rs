@@ -89,7 +89,8 @@ pub struct EtlStreamConfig {
     /// both log halves of a request carry the same session and request ids,
     /// filtering records pre-join keeps exactly the samples a post-join
     /// batch downsample would keep — the sealed output stays byte-identical
-    /// to `EtlJob::with_downsampling` with the same parameters.
+    /// to joining, then [`downsample`](crate::downsample())-ing with the same
+    /// parameters.
     pub downsample: Option<(DownsamplePolicy, f64, u64)>,
 }
 
@@ -130,8 +131,8 @@ impl EtlStreamConfig {
     }
 
     /// Enables pre-join streaming downsampling with the given policy,
-    /// keep-rate, and seed (same parameters as
-    /// [`EtlJob::with_downsampling`](crate::EtlJob::with_downsampling)).
+    /// keep-rate, and seed (same parameters as the batch
+    /// [`downsample`](crate::downsample()) pass).
     #[must_use]
     pub fn with_downsample(mut self, policy: DownsamplePolicy, keep_rate: f64, seed: u64) -> Self {
         self.downsample = Some((policy, keep_rate, seed));

@@ -1,9 +1,6 @@
-//! The tick clocks shared by every polling controller in the workspace: the
-//! `recd-dpp` scaling controller and the [`MetricsAggregator`] both sample
-//! gauges on a [`ScaleClock`], so both are deterministic under test via
-//! [`ManualClock`].
-//!
-//! [`MetricsAggregator`]: crate::MetricsAggregator
+//! The tick clocks of the workspace's polling controller: the `recd-dpp`
+//! scaling controller samples gauges on a [`ScaleClock`], so it is
+//! deterministic under test via [`ManualClock`].
 
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};

@@ -3,7 +3,7 @@
 //! the single-pane view over a fleet of per-host registries.
 //!
 //! The federation is itself a [`Collector`]: register it on the parent
-//! [`MetricsRegistry`] and every parent gather (scrape, aggregator poll)
+//! [`MetricsRegistry`] and every parent gather (scrape, live-monitor render)
 //! fans out to the members. Members are added or replaced by label at any
 //! time — a host whose incarnation changed keeps its label and the fleet's
 //! dashboards never re-key.

@@ -11,27 +11,22 @@
 //!   Prometheus text exposition format (HELP/TYPE lines, label escaping,
 //!   deterministic family ordering) on a plain [`std::net::TcpListener`],
 //!   because the workspace is offline and ships no HTTP crate.
-//! * [`MetricsAggregator`] polls the registry on a [`ScaleClock`], keeps a
-//!   bounded ring of time-series points per metric, derives rates
-//!   (records/sec end-to-end, tail-lag trend, pool hit ratio), and renders a
-//!   one-shot text report — the single pane of glass a future multi-host
-//!   control plane will scrape per host.
+//! * [`RegistryFederation`] re-exports per-host registries into one parent
+//!   under `host="<label>"` tags — the fleet's single pane of glass.
 //!
 //! The clock abstraction ([`ScaleClock`], [`WallClock`], [`ManualClock`])
-//! lives here and is shared with the `recd-dpp` scaling controller: the
-//! production clock ticks on a period, while [`ManualClock::step`] grants
-//! exactly one evaluation for deterministic tests.
+//! lives here for the `recd-dpp` scaling controller: the production clock
+//! ticks on a period, while [`ManualClock::step`] grants exactly one
+//! evaluation for deterministic tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregator;
 pub mod clock;
 pub mod federation;
 pub mod registry;
 pub mod server;
 
-pub use aggregator::{AggregatorConfig, AggregatorHandle, DerivedMetrics, MetricsAggregator};
 pub use clock::{ManualClock, ScaleClock, WallClock};
 pub use federation::RegistryFederation;
 pub use registry::{

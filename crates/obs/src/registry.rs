@@ -403,8 +403,7 @@ pub fn render_families(families: &[MetricFamily]) -> String {
 
 /// Looks up a scalar sample by family name and a label subset (every pair in
 /// `labels` must match; an empty slice matches the family's first sample).
-/// The live-monitor render path and the aggregator's derived metrics both
-/// read values through this.
+/// The live-monitor render path reads values through this.
 pub fn sample_value(families: &[MetricFamily], name: &str, labels: &[(&str, &str)]) -> Option<f64> {
     let family = families.iter().find(|f| f.name == name)?;
     let sample = family.samples.iter().find(|s| {

@@ -251,12 +251,14 @@ pub fn fig7(scale: ExperimentScale) -> Fig7Report {
                     baseline.report.trainer.throughput,
                 ),
                 reader_speedup: ratio(
-                    ReaderCostModel::default().samples_per_cpu_second(&recd.report.reader),
-                    ReaderCostModel::default().samples_per_cpu_second(&baseline.report.reader),
+                    ReaderCostModel::default()
+                        .samples_per_cpu_second(&recd.report.dpp.reader_metrics),
+                    ReaderCostModel::default()
+                        .samples_per_cpu_second(&baseline.report.dpp.reader_metrics),
                 ),
                 storage_improvement: ratio(
-                    recd.report.storage.compression_ratio(),
-                    baseline.report.storage.compression_ratio(),
+                    recd.report.etl.storage.compression_ratio(),
+                    baseline.report.etl.storage.compression_ratio(),
                 ),
                 dedupe_factor: recd.report.dedupe_factor,
             }
@@ -535,6 +537,7 @@ pub fn table2(scale: ExperimentScale) -> Table2Report {
         let batch = artifacts
             .batches
             .iter()
+            .map(|b| &b.batch)
             .find(|b| b.batch_size > 0)
             .expect("at least one non-empty batch");
         let work = WorkStats::from_batch(batch, model, TrainerOptimizations::none());
@@ -729,8 +732,8 @@ pub fn fig10(scale: ExperimentScale) -> Fig10Report {
             let baseline = PipelineRunner::new(spec.clone(), RecdConfig::baseline()).run(batch);
             let recd = PipelineRunner::new(spec, RecdConfig::full()).run(batch);
             let cost_model = ReaderCostModel::default();
-            let b = baseline.report.reader;
-            let r = recd.report.reader;
+            let b = baseline.report.dpp.reader_metrics;
+            let r = recd.report.dpp.reader_metrics;
             let b_total = cost_model.nanos_per_sample(&b).max(1e-9);
             let per_sample = |m: ReaderMetrics| {
                 let samples = m.samples.max(1) as f64;
@@ -834,10 +837,10 @@ pub fn table4(scale: ExperimentScale) -> Table4Report {
     let fig9_report = fig9(scale);
 
     let cost_model = ReaderCostModel::default();
-    let (baseline_fill, _, _) = cost_model.phase_nanos(&baseline.report.reader);
+    let (baseline_fill, _, _) = cost_model.phase_nanos(&baseline.report.dpp.reader_metrics);
     let (clustered_fill, clustered_convert, clustered_process) =
-        cost_model.phase_nanos(&clustered.report.reader);
-    let (_, ikjt_convert, ikjt_process) = cost_model.phase_nanos(&ikjt.report.reader);
+        cost_model.phase_nanos(&clustered.report.dpp.reader_metrics);
+    let (_, ikjt_convert, ikjt_process) = cost_model.phase_nanos(&ikjt.report.dpp.reader_metrics);
     let fill_reduction = 1.0 - clustered_fill / baseline_fill.max(1.0);
     let convert_overhead = ikjt_convert / clustered_convert.max(1.0) - 1.0;
     let process_reduction = 1.0 - ikjt_process / clustered_process.max(1.0);
@@ -862,8 +865,8 @@ pub fn table4(scale: ExperimentScale) -> Table4Report {
             optimization: "O2".to_string(),
             effect: format!(
                 "Storage: improves table compression by {:.2}x. Reader: reduces fill CPU time by {:.0}%",
-                clustered.report.storage.compression_ratio()
-                    / baseline.report.storage.compression_ratio(),
+                clustered.report.etl.storage.compression_ratio()
+                    / baseline.report.etl.storage.compression_ratio(),
                 fill_reduction * 100.0
             ),
         },

@@ -17,14 +17,12 @@
 //! * [`RmPreset`] provides scaled-down analogues of the paper's RM1/RM2/RM3
 //!   production models.
 //! * [`PipelineRunner`] runs one configuration end to end and produces a
-//!   [`PipelineReport`] with storage, reader, and trainer measurements; its
-//!   reader tier is the `recd_dpp` service, one collect-mode run per landed
-//!   partition.
-//!   `with_continuous` additionally runs the streaming tail → ETL → DPP
-//!   pipeline through the one driver in `recd_dpp::driver` (the runner only
-//!   builds its configs and maps its report); `with_hosts` makes that DPP
-//!   tier a multi-host fleet (`ContinuousReport::fleet` carries the
-//!   accounting) and `with_chaos` puts a fault plan on the pump clock.
+//!   [`PipelineReport`] with storage, reader, and trainer measurements. Past
+//!   Scribe, a run is one call of the driver in `recd_dpp::driver` (tail →
+//!   streaming ETL → land → DPP → trainer lanes); the runner only builds its
+//!   configs and maps its report. `with_continuous` jitters the tail and
+//!   shards by session, `with_hosts` makes the DPP tier a multi-host fleet
+//!   and `with_chaos` puts a fault plan on the pump clock.
 //! * [`experiments`] packages the paper's evaluation: Figures 3, 4, 7, 8, 9,
 //!   10 and Tables 2, 3, 4, plus the Scribe compression study, the
 //!   single-node study, the DedupeFactor sweep, and the accuracy-neutrality
@@ -38,6 +36,4 @@ pub mod experiments;
 pub mod run;
 
 pub use config::{RecdConfig, RmPreset, RmSpec};
-pub use run::{
-    ContinuousDerived, ContinuousReport, PipelineReport, PipelineRunner, StorageSimConfig,
-};
+pub use run::{PipelineReport, PipelineRunner, StorageSimConfig};

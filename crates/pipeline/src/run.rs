@@ -3,16 +3,16 @@
 use crate::config::{RecdConfig, RmSpec};
 use recd_chaos::{ChaosReport, FaultPlan};
 use recd_core::{ConvertedBatch, DataLoaderConfig};
-use recd_data::{LogRecord, Schema};
+use recd_data::Schema;
 use recd_datagen::DatasetGenerator;
 use recd_dpp::{
-    Consume, CtrlConfig, DppConfig, DppReport, DppService, Driver, Feed, FleetConfig, FleetReport,
-    ShardPolicy, TailFeed, Topology, TrainerAssignPolicy, TrainerBatch,
+    Consume, CtrlConfig, DppConfig, DppReport, Driver, FleetConfig, FleetReport, ShardPolicy,
+    TailFeed, Topology, TrainerAssignPolicy, TrainerBatch,
 };
-use recd_etl::{EtlJob, EtlServiceReport, EtlStreamConfig, TableLayout};
-use recd_reader::{ReaderConfig, ReaderMetrics};
+use recd_etl::{EtlServiceReport, EtlStreamConfig, TableLayout};
+use recd_reader::ReaderConfig;
 use recd_scribe::{LogTail, ScribeCluster, ScribeConfig, ScribeReport, ShardKeyPolicy, TailConfig};
-use recd_storage::{NodeConfig, StorageReport, TableStore, TectonicSim};
+use recd_storage::{NodeConfig, TableStore, TectonicSim};
 use recd_trainer::{
     ClusterSpec, DlrmConfig, IterationCost, MemoryReport, TrainerOptimizations, WorkStats,
 };
@@ -32,13 +32,19 @@ pub struct PipelineReport {
     pub samples: usize,
     /// Scribe tier byte accounting (O1).
     pub scribe: ScribeReport,
-    /// Storage byte accounting (O2).
-    pub storage: StorageReport,
-    /// Reader tier accounting (O3, O4): the per-phase work counters of the
-    /// DPP service runs that read every landed partition. Figures 7 and 10
-    /// and Table 4 model reader time from these counters through
+    /// Streaming ETL accounting (join, seals, landing); its `storage` is the
+    /// table's byte accounting (O2).
+    pub etl: EtlServiceReport,
+    /// The DPP tier's accounting (in a fleet, the fleet-level aggregate).
+    /// Its `reader_metrics` are the per-phase work counters (O3, O4) that
+    /// Figures 7 and 10 and Table 4 model reader time from through
     /// [`ReaderCostModel`](recd_reader::ReaderCostModel).
-    pub reader: ReaderMetrics,
+    pub dpp: DppReport,
+    /// Fleet control-plane accounting (heartbeats, deaths, replay,
+    /// rebalance), present when the runner was configured with
+    /// [`PipelineRunner::with_hosts`].
+    #[serde(default)]
+    pub fleet: Option<FleetReport>,
     /// Modeled training iteration cost (O5–O7).
     pub trainer: IterationCost,
     /// Modeled GPU memory usage.
@@ -49,64 +55,10 @@ pub struct PipelineReport {
     pub read_bytes: usize,
     /// Total bytes readers sent toward trainers.
     pub egress_bytes: usize,
-    /// Continuous-pipeline accounting (log tail → streaming ETL → land →
-    /// `recd-dpp` ingest), present when the runner was configured with
-    /// [`PipelineRunner::with_continuous`].
-    pub continuous: Option<ContinuousReport>,
     /// Chaos-engine accounting (faults fired, retries, backoff, pump
     /// crash/recovery), present when the runner was configured with
     /// [`PipelineRunner::with_chaos`].
     pub chaos: Option<ChaosReport>,
-}
-
-/// Accounting of one continuous (tail-fed) pipeline run: the streaming ETL
-/// stage's join/seal/land report plus the `recd-dpp` service report of the
-/// run that consumed its landed partitions as they appeared.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ContinuousReport {
-    /// Streaming ETL accounting (join, watermark, seals, landing).
-    pub etl: EtlServiceReport,
-    /// The consuming `recd-dpp` service's accounting
-    /// (`partitions_ingested` counts the hand-offs). In fleet mode this is
-    /// the fleet-level aggregate: `samples`/`batches` count unique forwarded
-    /// work, pool/queue/reader fields aggregate over host incarnations.
-    pub dpp: DppReport,
-    /// Fleet control-plane accounting (heartbeats, deaths, replay,
-    /// rebalance), present when the runner was configured with
-    /// [`PipelineRunner::with_hosts`].
-    #[serde(default)]
-    pub fleet: Option<FleetReport>,
-    /// Derived metrics captured by the observability plane's aggregator,
-    /// which polled the cross-tier registry every 100 ms of the run.
-    pub derived: ContinuousDerived,
-}
-
-/// A serializable mirror of the aggregator's
-/// [`DerivedMetrics`](recd_obs::DerivedMetrics) plus how many time series
-/// were tracked (`recd-obs` is dependency-free, so the serde projection
-/// lives here).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ContinuousDerived {
-    /// Samples emitted toward trainers per wall-clock second over the
-    /// aggregation window.
-    pub records_per_second: Option<f64>,
-    /// Trend of the ETL tail lag in ms per second of wall time; negative
-    /// means the streaming ETL is catching up.
-    pub tail_lag_trend_ms_per_s: Option<f64>,
-    /// Batch-pool hit ratio at the end of the run.
-    pub pool_hit_ratio: Option<f64>,
-    /// Worst per-pool hit ratio at the end of the run (the pool to look at
-    /// first when the aggregate dips).
-    #[serde(default)]
-    pub min_pool_hit_ratio: Option<f64>,
-    /// Sustained end-to-end throughput: samples that reached the trainer
-    /// side divided by the run's wall-clock seconds. Unlike
-    /// [`records_per_second`](Self::records_per_second) (an aggregation-
-    /// window rate), this is the whole-run number the bench gate tracks.
-    #[serde(default)]
-    pub pipeline_records_per_second: Option<f64>,
-    /// Distinct time series retained by the aggregator.
-    pub series_tracked: usize,
 }
 
 /// The report plus the artifacts downstream experiments reuse.
@@ -114,20 +66,12 @@ pub struct ContinuousDerived {
 pub struct PipelineArtifacts {
     /// The dataset schema.
     pub schema: Schema,
-    /// Preprocessed batches, partition by partition; within a partition,
-    /// shard-major under file round-robin (see [`PipelineRunner::run`]).
-    pub batches: Vec<ConvertedBatch>,
+    /// Every batch the trainer lanes delivered, in `(shard, seq)` order.
+    pub batches: Vec<TrainerBatch>,
     /// The model configuration derived from the RM spec.
     pub model: DlrmConfig,
     /// The run's measurements.
     pub report: PipelineReport,
-    /// Every batch the continuous fan-out lanes delivered, as collected by
-    /// the simulated trainer consumers. Empty unless the runner was
-    /// configured with both [`PipelineRunner::with_continuous`] (or
-    /// [`PipelineRunner::with_chaos`]) and
-    /// [`PipelineRunner::with_continuous_trainers`]. The chaos convergence
-    /// tests compare these unions across faulted and fault-free runs.
-    pub continuous_batches: Vec<TrainerBatch>,
 }
 
 /// Storage-tier knobs for every blob store a run builds: node count, the
@@ -197,65 +141,62 @@ impl PipelineRunner {
         }
     }
 
-    /// Overrides the storage-tier knobs (node queueing, cache) for every
-    /// blob store the run builds — batch, continuous, and fleet modes alike.
+    /// Overrides the storage-tier knobs (node queueing, cache) of the blob
+    /// store the run builds.
     #[must_use]
     pub fn with_storage(mut self, storage: StorageSimConfig) -> Self {
         self.storage = storage;
         self
     }
 
-    /// Additionally drives the *continuous* pipeline over the same log
-    /// stream: a jittered [`LogTail`] of the Scribe drain feeds a streaming
-    /// [`EtlService`](recd_etl::EtlService) (incremental join → per-session
-    /// clustering → hourly seal → land), and every landed partition is handed straight to a
-    /// running `recd-dpp` service via
-    /// [`ingest_partition`](recd_dpp::DppHandle::ingest_partition). The
-    /// combined accounting lands in [`PipelineReport::continuous`].
+    /// Runs the *continuous* arm: the Scribe drain arrives with up to 2 s of
+    /// jitter, and the DPP service routes sessions across `compute_workers`
+    /// shards with as many compute workers. Without it the run is the batch
+    /// arm: a punctual tail, and every landed partition read with files
+    /// round-robin over the default two shards.
     #[must_use]
     pub fn with_continuous(mut self, compute_workers: usize) -> Self {
         self.continuous_workers = Some(compute_workers.max(1));
         self
     }
 
-    /// In continuous mode, fans preprocessed batches out to `trainers`
-    /// simulated trainer lanes, each drained by its own consumer thread.
-    /// Lanes are assigned least-loaded (not shard-pinned) so a killed lane's
-    /// traffic re-routes to the survivors instead of being dropped — the
-    /// behavior the chaos engine's `kill-trainer` fault exercises. Passing
-    /// `0` keeps the collect sink (the default).
+    /// Fans preprocessed batches out to `trainers` simulated trainer lanes,
+    /// each drained by its own consumer thread. Lanes are assigned
+    /// least-loaded (not shard-pinned) so a killed lane's traffic re-routes
+    /// to the survivors instead of being dropped — the behavior the chaos
+    /// engine's `kill-trainer` fault exercises. `0` (the default) means one
+    /// lane.
     #[must_use]
     pub fn with_continuous_trainers(mut self, trainers: usize) -> Self {
         self.continuous_trainers = trainers;
         self
     }
 
-    /// In continuous mode, runs the DPP tier as a *disaggregated fleet* of
-    /// `hosts` simulated preprocessing hosts behind the fault-tolerant
-    /// control plane ([`recd_dpp::DppFleet`]): the coordinator owns the global
-    /// file → shard placement, heartbeats every host on the pump clock, and
-    /// heals `kill-host`/`partition-host`/`rejoin-host` chaos faults with
-    /// bounded replay from the per-pump barrier cuts. The global shard count
-    /// is fixed by the compute-worker count alone, so the union of trainer
-    /// batches is byte-identical for every fleet size and failure schedule.
-    /// Passing `0` (the default) keeps the original in-process single
-    /// service; the control-plane accounting lands in
-    /// [`ContinuousReport::fleet`].
+    /// Runs the DPP tier as a *disaggregated fleet* of `hosts` simulated
+    /// preprocessing hosts behind the fault-tolerant control plane
+    /// ([`recd_dpp::DppFleet`]): the coordinator owns the global file →
+    /// shard placement, heartbeats every host on the pump clock, and heals
+    /// `kill-host`/`partition-host`/`rejoin-host` chaos faults with bounded
+    /// replay from the per-pump barrier cuts. The global shard count is fixed
+    /// by the compute-worker count alone, so the union of trainer batches is
+    /// byte-identical for every fleet size and failure schedule. Passing `0`
+    /// (the default) keeps the in-process single service; the control-plane
+    /// accounting lands in [`PipelineReport::fleet`].
     #[must_use]
     pub fn with_hosts(mut self, hosts: usize) -> Self {
         self.hosts = hosts;
         self
     }
 
-    /// Runs the continuous pipeline under the given chaos [`FaultPlan`]:
-    /// storage faults apply directly to the continuous blob store, trainer
-    /// stall/kill faults apply to the fan-out lanes, and `crash-pump` tears
-    /// the ETL service down and resumes it from the latest ETL
-    /// checkpoint — replayed partitions are absorbed by the DPP
-    /// service's ingest dedup, so the trainer-batch union stays byte-
-    /// identical to a fault-free run. Implies continuous mode (with two
-    /// compute workers unless [`PipelineRunner::with_continuous`] overrides
-    /// it); the run's chaos accounting lands in [`PipelineReport::chaos`].
+    /// Runs the pipeline under the given chaos [`FaultPlan`]: storage faults
+    /// apply directly to the blob store, trainer stall/kill faults apply to
+    /// the fan-out lanes, and `crash-pump` tears the ETL service down and
+    /// resumes it from the latest ETL checkpoint — replayed partitions are
+    /// absorbed by the DPP service's ingest dedup, so the trainer-batch union
+    /// stays byte-identical to a fault-free run. Implies the continuous arm
+    /// (with two compute workers unless [`PipelineRunner::with_continuous`]
+    /// overrides it); the run's chaos accounting lands in
+    /// [`PipelineReport::chaos`].
     ///
     /// An *empty* plan is the canonical fault-free reference: it runs the
     /// identical barrier/checkpoint schedule with no faults, which is what
@@ -269,14 +210,13 @@ impl PipelineRunner {
         self
     }
 
-    /// In continuous mode, runs the DPP tier under the unified PID
-    /// backpressure controller: the controller samples trainer-lane depths,
-    /// the DPP queues, and the ETL tail lag, resizes the fill/compute pools
-    /// toward its queue setpoint, and holds the ETL pump while trainer
-    /// lanes are the bottleneck. The controller only changes *when* work
-    /// happens, never what is produced — trainer-batch unions stay
-    /// byte-identical to an uncontrolled run. The controller's accounting
-    /// lands in [`DppReport::ctrl`](recd_dpp::DppReport).
+    /// Runs the DPP tier under the unified PID backpressure controller: the
+    /// controller samples trainer-lane depths, the DPP queues, and the ETL
+    /// tail lag, resizes the fill/compute pools toward its queue setpoint,
+    /// and holds the ETL pump while trainer lanes are the bottleneck. The
+    /// controller only changes *when* work happens, never what is produced —
+    /// trainer-batch unions stay byte-identical to an uncontrolled run. The
+    /// controller's accounting lands in [`DppReport::ctrl`].
     #[must_use]
     pub fn with_ctrl(mut self, ctrl: CtrlConfig) -> Self {
         self.ctrl = Some(ctrl);
@@ -288,7 +228,13 @@ impl PipelineRunner {
         &self.spec
     }
 
-    /// Runs the pipeline with the given global batch size.
+    /// Runs the pipeline with the given global batch size: generate the
+    /// logs, drain them through Scribe, then hand the drained log to one
+    /// [`Driver`] run — tail → streaming ETL (join, hourly seal, layout,
+    /// land) → DPP service or fleet (O3, O4) → trainer lanes — whose
+    /// per-pump schedule is documented on [`recd_dpp::driver`]. The driver
+    /// closes every landed partition with a barrier, so no batch spans two
+    /// partitions.
     pub fn run(&self, batch_size: usize) -> PipelineArtifacts {
         let spec = &self.spec;
         let config = self.config;
@@ -315,74 +261,86 @@ impl PipelineRunner {
             .drain()
             .expect("scribe blocks written by this run decode");
 
-        // 3. ETL (O2): join, partition hourly, lay out rows.
+        // 3. One driver run: ETL (O2) and the DPP tier (O3, O4).
         let layout = if config.o2_cluster_by_session {
             TableLayout::ClusteredBySession
         } else {
             TableLayout::TimeOrdered
         };
-        let partitions = EtlJob::new(layout).run(&schema, &drained);
-
-        // 4. Storage: land every partition as DWRF-like files in Tectonic.
-        let table_store = Arc::new(TableStore::new(self.storage.build(), 64, 4));
-        let mut storage_report = StorageReport::default();
-        let mut stored_partitions = Vec::new();
-        for partition in &partitions {
-            let (stored, report) = table_store.land_partition(
-                &schema,
-                spec.preset.name(),
-                partition.hour,
-                &partition.samples,
-            );
-            storage_report.absorb(&report);
-            stored_partitions.push(stored);
-        }
-        table_store.blob_store().reset_read_counters();
-
-        // 5. Reader tier (O3, O4): fill, convert, preprocess. One DPP
-        // service per landed partition keeps the batches partition-major;
-        // within a partition, files round-robin across the default two
-        // shards and the collected output is shard-major.
         let dataloader = if config.o3_ikjt {
             DataLoaderConfig::from_schema(&schema)
         } else {
             DataLoaderConfig::baseline_from_schema(&schema)
         };
-        let reader_config = ReaderConfig::new(batch_size, dataloader);
-        let mut reader = ReaderMetrics::default();
-        let mut batches = Vec::new();
-        for stored in &stored_partitions {
-            let mut handle = DppService::start(
-                DppConfig::new(reader_config.clone()).with_policy(ShardPolicy::FileRoundRobin),
-                Arc::clone(&table_store),
-                schema.clone(),
-            );
-            handle.submit_partition(stored);
-            let output = handle
-                .finish()
-                .expect("reading freshly-landed partitions succeeds");
-            reader += output.report.reader_metrics;
-            batches.extend(output.batches);
+        let reader = ReaderConfig::new(batch_size, dataloader);
+        let (jitter_ms, mut dpp) = match self.continuous_workers {
+            None => (
+                0,
+                DppConfig::new(reader).with_policy(ShardPolicy::FileRoundRobin),
+            ),
+            Some(workers) => (
+                2_000,
+                DppConfig::new(reader)
+                    .with_compute_workers(workers)
+                    .with_fill_workers(2)
+                    .with_policy(ShardPolicy::SessionAffine)
+                    .with_shards(workers),
+            ),
+        };
+        if let Some(ctrl) = &self.ctrl {
+            dpp = dpp.with_ctrl(ctrl.clone());
         }
-        let read_bytes = table_store.blob_store().stats().read_bytes;
-        let egress_bytes = reader.egress_bytes;
+        // Every batch reaches the collector through a trainer lane.
+        let trainers = self.continuous_trainers.max(1);
+        let topology = if self.hosts > 0 {
+            // Host template. The global shard count is 3× the compute
+            // workers *independently of the fleet size*, so the coordinator's
+            // file → shard placement — and with it batch composition — is
+            // identical for every M: the byte-identity the fleet convergence
+            // tests assert. (The coordinator routes every file with an
+            // explicit shard override, so the shard policy is irrelevant.)
+            let shards = dpp.compute_workers * 3;
+            let host = dpp
+                .with_policy(ShardPolicy::FileRoundRobin)
+                .with_shards(shards);
+            Topology::Fleet(
+                FleetConfig::new(host)
+                    .with_hosts(self.hosts)
+                    .with_trainers(trainers),
+            )
+        } else {
+            Topology::Single(
+                dpp.with_trainers(trainers)
+                    .with_assign_policy(TrainerAssignPolicy::LeastLoaded),
+            )
+        };
+        let tail_config = TailConfig::default()
+            .with_jitter_ms(jitter_ms)
+            .with_seed(spec.sized_workload().seed);
+        let feed = TailFeed {
+            tail: LogTail::new(drained, &tail_config),
+            stream: EtlStreamConfig::new(layout).with_window_ms(10_000),
+            table: spec.preset.name().to_string(),
+            step_ms: 60_000,
+            plan: self.chaos.clone(),
+        };
+        let store = Arc::new(TableStore::new(self.storage.build(), 64, 4));
+        let driver = Driver::new(Arc::clone(&store), &schema, feed, topology)
+            .unwrap_or_else(|err| panic!("{err}"));
+        // Simulated trainers collect what their lanes deliver; killed lanes
+        // and survivors alike land in the one union.
+        let collected = Arc::new(Mutex::new(Vec::new()));
+        let consume: Consume = {
+            let collected = Arc::clone(&collected);
+            Arc::new(move |batch| collected.lock().expect("lane collector lock").push(batch))
+        };
+        let output = driver
+            .run(consume)
+            .unwrap_or_else(|err| panic!("pipeline run: {err}"));
+        let mut batches = std::mem::take(&mut *collected.lock().expect("lane collector lock"));
+        batches.sort_by_key(|b: &TrainerBatch| (b.shard, b.seq));
 
-        // 5b. Optional continuous mode: tail the same drained log stream
-        // through the streaming ETL service (incremental join, watermarked
-        // hourly seals, landing) and hand every landed partition straight to
-        // a running recd-dpp service — under the chaos engine when a fault
-        // plan was configured.
-        let mut chaos_report = None;
-        let mut continuous_batches = Vec::new();
-        let continuous = self.continuous_workers.map(|workers| {
-            let (report, chaos, batches) =
-                self.run_continuous(workers, drained, layout, &schema, &reader_config);
-            chaos_report = chaos;
-            continuous_batches = batches;
-            report
-        });
-
-        // 6. Trainer cost model (O5–O7) over the produced batches.
+        // 4. Trainer cost model (O5–O7) over the produced batches.
         let model = DlrmConfig::from_schema(&schema, spec.embedding_dim, spec.sequence_pooling);
         let opts = TrainerOptimizations {
             dedup_emb: config.o5_dedup_emb,
@@ -393,22 +351,21 @@ impl PipelineRunner {
         let (trainer, memory, dedupe_factor) =
             evaluate_trainer(&batches, &model, opts, &cluster, batch_size);
 
-        let samples = batches.iter().map(|b| b.batch_size).sum();
         let report = PipelineReport {
             rm: spec.preset.name().to_string(),
             config,
             batch_size,
-            samples,
+            samples: batches.iter().map(|b| b.batch.batch_size).sum(),
             scribe: scribe_report,
-            storage: storage_report,
-            reader,
+            etl: output.etl,
+            read_bytes: store.blob_store().stats().read_bytes,
+            egress_bytes: output.dpp.egress_bytes,
+            dpp: output.dpp,
+            fleet: output.fleet.map(|(report, _hosts)| report),
             trainer,
             memory,
             dedupe_factor,
-            read_bytes,
-            egress_bytes,
-            continuous,
-            chaos: chaos_report,
+            chaos: output.chaos,
         };
 
         PipelineArtifacts {
@@ -416,126 +373,22 @@ impl PipelineRunner {
             batches,
             model,
             report,
-            continuous_batches,
         }
-    }
-
-    /// Builds the continuous tier's configs — a jittered [`LogTail`] of the
-    /// Scribe drain pumped in one-minute steps, and either one `recd-dpp`
-    /// service or (under [`with_hosts`](Self::with_hosts)) a fleet — hands
-    /// them to the one pipeline [`Driver`], and maps its output. The
-    /// per-pump schedule (tick, faults, pump gate, barrier, checkpoint,
-    /// crash-resume) is documented on [`recd_dpp::driver`].
-    fn run_continuous(
-        &self,
-        workers: usize,
-        drained: Vec<LogRecord>,
-        layout: TableLayout,
-        schema: &Schema,
-        reader_config: &ReaderConfig,
-    ) -> (ContinuousReport, Option<ChaosReport>, Vec<TrainerBatch>) {
-        let spec = &self.spec;
-        let tail_config = TailConfig::default()
-            .with_jitter_ms(2_000)
-            .with_seed(spec.sized_workload().seed);
-        let store = Arc::new(TableStore::new(self.storage.build(), 64, 4));
-
-        let mut dpp = DppConfig::new(reader_config.clone())
-            .with_compute_workers(workers)
-            .with_fill_workers(2);
-        if let Some(ctrl) = &self.ctrl {
-            dpp = dpp.with_ctrl(ctrl.clone());
-        }
-        let topology = if self.hosts > 0 {
-            // Host template. The global shard count is 3× the compute
-            // workers *independently of the fleet size*, so the coordinator's
-            // file → shard placement — and with it batch composition — is
-            // identical for every M: the byte-identity the fleet convergence
-            // tests assert. (The coordinator routes every file with an
-            // explicit shard override, so the shard policy is irrelevant.)
-            // The fleet always fans out to real lanes; without requested
-            // trainers a single lane is drained and discarded.
-            let host = dpp
-                .with_policy(ShardPolicy::FileRoundRobin)
-                .with_shards(workers * 3);
-            Topology::Fleet(
-                FleetConfig::new(host)
-                    .with_hosts(self.hosts)
-                    .with_trainers(self.continuous_trainers.max(1)),
-            )
-        } else {
-            dpp = dpp
-                .with_policy(ShardPolicy::SessionAffine)
-                .with_shards(workers);
-            if self.continuous_trainers > 0 {
-                dpp = dpp
-                    .with_trainers(self.continuous_trainers)
-                    .with_assign_policy(TrainerAssignPolicy::LeastLoaded);
-            }
-            Topology::Single(dpp)
-        };
-
-        let feed = Feed::Tail(TailFeed {
-            tail: LogTail::new(drained, &tail_config),
-            stream: EtlStreamConfig::new(layout).with_window_ms(10_000),
-            table: spec.preset.name().to_string(),
-            step_ms: 60_000,
-            plan: self.chaos.clone(),
-        });
-        let driver =
-            Driver::new(store, schema, feed, topology).unwrap_or_else(|err| panic!("{err}"));
-        // Simulated trainers collect what their lanes deliver; killed lanes
-        // and survivors alike land in the one union.
-        let collected = Arc::new(Mutex::new(Vec::new()));
-        let consume: Consume = if self.continuous_trainers > 0 {
-            let collected = Arc::clone(&collected);
-            Arc::new(move |batch| collected.lock().expect("lane collector lock").push(batch))
-        } else {
-            Arc::new(drop)
-        };
-        let output = driver
-            .run(consume)
-            .unwrap_or_else(|err| panic!("continuous run: {err}"));
-
-        let derived = output.aggregator.derived();
-        let report = ContinuousReport {
-            etl: output.etl.expect("a tail feed reports its ETL tier"),
-            fleet: output.fleet.map(|(report, _hosts)| report),
-            derived: ContinuousDerived {
-                records_per_second: derived.records_per_second,
-                tail_lag_trend_ms_per_s: derived.tail_lag_trend_ms_per_s,
-                pool_hit_ratio: derived.pool_hit_ratio,
-                min_pool_hit_ratio: derived.min_pool_hit_ratio,
-                pipeline_records_per_second: Some(
-                    output.dpp.samples as f64 / output.wall_seconds.max(1e-9),
-                ),
-                series_tracked: output.aggregator.series_count(),
-            },
-            dpp: output.dpp,
-        };
-        let batches = std::mem::take(&mut *collected.lock().expect("lane collector lock"));
-        (report, output.chaos, batches)
     }
 }
 
 /// Averages the trainer cost model over the full-size batches of a run.
 pub fn evaluate_trainer(
-    batches: &[ConvertedBatch],
+    batches: &[TrainerBatch],
     model: &DlrmConfig,
     opts: TrainerOptimizations,
     cluster: &ClusterSpec,
     batch_size: usize,
 ) -> (IterationCost, MemoryReport, f64) {
     // Prefer full batches (the trailing batch is usually short).
-    let full: Vec<&ConvertedBatch> = batches
-        .iter()
-        .filter(|b| b.batch_size == batch_size)
-        .collect();
-    let considered: Vec<&ConvertedBatch> = if full.is_empty() {
-        batches.iter().collect()
-    } else {
-        full
-    };
+    let all = batches.iter().map(|b| &b.batch);
+    let full: Vec<&ConvertedBatch> = all.clone().filter(|b| b.batch_size == batch_size).collect();
+    let considered: Vec<&ConvertedBatch> = if full.is_empty() { all.collect() } else { full };
     if considered.is_empty() {
         return (IterationCost::default(), MemoryReport::default(), 1.0);
     }
@@ -596,7 +449,7 @@ mod tests {
         // O1: better Scribe compression.
         assert!(r.scribe.compression_ratio > b.scribe.compression_ratio);
         // O2: better table compression, fewer stored bytes.
-        assert!(r.storage.compression_ratio() > b.storage.compression_ratio());
+        assert!(r.etl.storage.compression_ratio() > b.etl.storage.compression_ratio());
         assert!(r.read_bytes < b.read_bytes);
         // O3/O4: smaller reader egress and real dedupe factor.
         assert!(r.egress_bytes < b.egress_bytes);
@@ -610,59 +463,53 @@ mod tests {
     #[test]
     fn artifacts_contain_usable_batches() {
         let artifacts = PipelineRunner::new(small_spec(), RecdConfig::full()).run(128);
-        assert!(!artifacts.batches.is_empty());
-        assert!(artifacts.batches.iter().all(|b| b.batch_size > 0));
+        let batches = &artifacts.batches;
+        assert!(!batches.is_empty());
+        assert!(batches.iter().all(|b| b.batch.batch_size > 0));
+        assert!(batches
+            .windows(2)
+            .all(|w| (w[0].shard, w[0].seq) < (w[1].shard, w[1].seq)));
         assert_eq!(
             artifacts.model.dense_features,
             artifacts.schema.dense_count()
         );
         // Most batches carry IKJTs under the full config.
-        assert!(artifacts.batches.iter().any(|b| !b.ikjts.is_empty()));
-        // The reader accounting is the DPP runs' own, batch for batch.
-        let reader = artifacts.report.reader;
-        assert_eq!(reader.samples, artifacts.report.samples);
-        assert_eq!(reader.batches, artifacts.batches.len());
-        assert_eq!(reader.egress_bytes, artifacts.report.egress_bytes);
-        assert_eq!(reader.barrier_flushes, 0, "no barriers in a collect run");
+        assert!(batches.iter().any(|b| !b.batch.ikjts.is_empty()));
+        // The reader accounting is the DPP run's own, batch for batch, and
+        // every landed partition was closed by one barrier.
+        let report = &artifacts.report;
+        let reader = report.dpp.reader_metrics;
+        assert_eq!(reader.samples, report.samples);
+        assert_eq!(reader.batches, batches.len());
+        assert_eq!(reader.egress_bytes, report.egress_bytes);
+        assert_eq!(reader.barrier_flushes as u64, report.etl.landed_partitions);
+        assert_eq!(report.dpp.partitions_ingested, report.etl.landed_partitions);
+        assert!(report.fleet.is_none() && report.chaos.is_none());
     }
 
     #[test]
-    fn continuous_mode_matches_the_batch_pipeline() {
-        let artifacts = PipelineRunner::new(small_spec(), RecdConfig::full())
+    fn continuous_arm_lands_and_delivers_what_the_batch_arm_does() {
+        let batch = PipelineRunner::new(small_spec(), RecdConfig::full()).run(128);
+        let continuous = PipelineRunner::new(small_spec(), RecdConfig::full())
             .with_continuous(2)
             .run(128);
-        let report = artifacts.report;
-        let continuous = report.continuous.expect("continuous report requested");
+        let (b, c) = (&batch.report, &continuous.report);
 
-        // The tail-fed ETL joined every record (the window covers the
-        // tail's jitter) and sealed the same rows the batch path landed.
-        let c = continuous.etl.etl.counters;
-        assert_eq!(c.late_drops, 0);
-        assert_eq!(c.orphaned_features, 0);
-        assert_eq!(c.orphaned_events, 0);
-        assert_eq!(c.sealed_rows as usize, report.samples);
-        assert!(continuous.etl.landed_partitions > 0);
-        assert_eq!(continuous.etl.storage.rows, report.storage.rows);
-        assert_eq!(
-            continuous.etl.storage.stored_bytes,
-            report.storage.stored_bytes
-        );
-
-        // Every landed partition was handed to the running dpp service, and
-        // the trainer-side sample count equals the batch pipeline's.
-        assert_eq!(
-            continuous.dpp.partitions_ingested,
-            continuous.etl.landed_partitions
-        );
-        assert_eq!(continuous.dpp.samples, report.samples);
-        assert!(continuous.dpp.dedupe_factor > 1.0);
+        // The jittered tail joined every record (the window covers the
+        // jitter) and sealed the same rows the punctual one landed.
+        let counters = c.etl.etl.counters;
+        assert_eq!(counters.late_drops, 0);
+        assert_eq!(counters.orphaned_features + counters.orphaned_events, 0);
+        assert_eq!(counters.sealed_rows as usize, c.samples);
+        assert_eq!(c.etl.storage, b.etl.storage);
+        assert_eq!(c.etl.landed_partitions, b.etl.landed_partitions);
+        assert_eq!(c.dpp.partitions_ingested, c.etl.landed_partitions);
+        assert_eq!(c.samples, b.samples);
+        assert!(c.dpp.dedupe_factor > 1.0);
         assert!(
-            continuous.fleet.is_none(),
+            c.fleet.is_none(),
             "single-service mode carries no fleet report"
         );
-
-        let without = PipelineRunner::new(small_spec(), RecdConfig::full()).run(128);
-        assert!(without.report.continuous.is_none());
     }
 
     #[test]

@@ -31,12 +31,6 @@ fn run_with(plan: FaultPlan) -> recd_pipeline::run::PipelineArtifacts {
         .run(BATCH)
 }
 
-/// Sorts a delivered union into its canonical (shard, seq) order.
-fn canonical(mut batches: Vec<TrainerBatch>) -> Vec<TrainerBatch> {
-    batches.sort_by_key(|b| (b.shard, b.seq));
-    batches
-}
-
 /// Asserts two canonical unions are byte-identical.
 fn assert_union_identical(reference: &[TrainerBatch], got: &[TrainerBatch], label: &str) {
     assert_eq!(
@@ -62,7 +56,7 @@ fn seeded_fault_plans_converge_to_the_fault_free_union() {
     let reference = run_with(FaultPlan::new());
     let ref_chaos = reference.report.chaos.clone().expect("chaos report");
     assert_eq!(ref_chaos.faults_fired, 0, "empty plan fires nothing");
-    let ref_union = canonical(reference.continuous_batches);
+    let ref_union = reference.batches;
     assert!(
         ref_union.len() >= 4,
         "reference must deliver several batches, got {}",
@@ -96,28 +90,24 @@ fn seeded_fault_plans_converge_to_the_fault_free_union() {
         );
         assert_eq!(chaos.retry_exhausted, 0, "{label}: budget must suffice");
 
-        let continuous = artifacts.report.continuous.as_ref().expect("continuous");
+        let report = &artifacts.report;
         assert!(
-            continuous
-                .dpp
-                .trainers
-                .iter()
-                .all(|t| t.dropped_batches == 0),
+            report.dpp.trainers.iter().all(|t| t.dropped_batches == 0),
             "{label}: killed-lane traffic must re-route, not drop"
         );
         assert_eq!(
-            continuous.dpp.samples, artifacts.report.samples,
-            "{label}: exactly-once — trainer-side samples match the batch pipeline"
+            report.dpp.samples as u64, report.etl.etl.counters.joined_samples,
+            "{label}: exactly-once — trainer-side samples match the joined samples"
         );
 
-        assert_union_identical(&ref_union, &canonical(artifacts.continuous_batches), &label);
+        assert_union_identical(&ref_union, &artifacts.batches, &label);
     }
 }
 
 #[test]
 fn hand_written_fault_plans_converge_to_the_fault_free_union() {
     let reference = run_with(FaultPlan::new());
-    let ref_union = canonical(reference.continuous_batches);
+    let ref_union = reference.batches;
 
     let plans = [
         // A mid-run trainer kill, a stall, and a storage brown-out.
@@ -133,11 +123,7 @@ fn hand_written_fault_plans_converge_to_the_fault_free_union() {
         let artifacts = run_with(plan);
         let chaos = artifacts.report.chaos.clone().expect("chaos report");
         assert_eq!(chaos.faults_fired, planned as u64, "plan `{spec}`");
-        assert_union_identical(
-            &ref_union,
-            &canonical(artifacts.continuous_batches),
-            &format!("plan `{spec}`"),
-        );
+        assert_union_identical(&ref_union, &artifacts.batches, &format!("plan `{spec}`"));
     }
 }
 
@@ -151,9 +137,5 @@ fn crash_restart_accounting_reaches_the_report() {
     assert!(chaos.recovery_ms >= 0.0);
     // The fault-free union still holds after a lone crash-restart.
     let reference = run_with(FaultPlan::new());
-    assert_union_identical(
-        &canonical(reference.continuous_batches),
-        &canonical(artifacts.continuous_batches),
-        "lone crash",
-    );
+    assert_union_identical(&reference.batches, &artifacts.batches, "lone crash");
 }

@@ -59,20 +59,11 @@ fn run_controlled(runner: PipelineRunner) -> PipelineArtifacts {
     stepper.join().expect("stepper");
     let report = artifacts
         .report
-        .continuous
-        .as_ref()
-        .expect("continuous")
         .dpp
         .ctrl
         .expect("controller-on runs report ctrl");
     assert!(report.ticks > 0, "the controller must have sampled");
     artifacts
-}
-
-/// Sorts a delivered union into its canonical (shard, seq) order.
-fn canonical(mut batches: Vec<TrainerBatch>) -> Vec<TrainerBatch> {
-    batches.sort_by_key(|b| (b.shard, b.seq));
-    batches
 }
 
 /// Asserts two canonical unions are byte-identical.
@@ -98,25 +89,25 @@ fn assert_union_identical(reference: &[TrainerBatch], got: &[TrainerBatch], labe
 #[test]
 fn controller_off_and_on_deliver_identical_unions() {
     let off = runner().run(BATCH);
-    let off_union = canonical(off.continuous_batches);
+    let off_union = off.batches;
     assert!(
         off_union.len() >= 4,
         "reference must deliver several batches, got {}",
         off_union.len()
     );
-    let off_report = off.report.continuous.as_ref().expect("continuous");
+    let off_report = &off.report;
     assert!(
         off_report.dpp.ctrl.is_none(),
         "controller-off runs must not grow a ctrl report"
     );
 
     let on = run_controlled(runner());
-    let on_report = on.report.continuous.as_ref().expect("continuous");
+    let on_report = &on.report;
     assert_eq!(
         on_report.dpp.samples, off_report.dpp.samples,
         "controller must not change delivered sample count"
     );
-    assert_union_identical(&off_union, &canonical(on.continuous_batches), "ctrl on");
+    assert_union_identical(&off_union, &on.batches, "ctrl on");
 }
 
 /// At the parent of the PR that removed submission pacing this plan never
@@ -130,22 +121,18 @@ fn controller_under_slow_trainers_delivers_the_uncontrolled_union() {
     let off = runner().with_chaos(plan.clone()).run(BATCH);
     let off_chaos = off.report.chaos.clone().expect("chaos report");
     assert_eq!(off_chaos.faults_fired, planned);
-    let off_union = canonical(off.continuous_batches);
+    let off_union = off.batches;
 
     let on = run_controlled(runner().with_chaos(plan));
     let on_chaos = on.report.chaos.clone().expect("chaos report");
     assert_eq!(on_chaos.faults_fired, planned);
-    assert_union_identical(
-        &off_union,
-        &canonical(on.continuous_batches),
-        "slow trainers",
-    );
+    assert_union_identical(&off_union, &on.batches, "slow trainers");
 }
 
 #[test]
 fn controller_on_fleet_matches_the_controller_off_fleet_union() {
     let off = runner().with_hosts(3).run(BATCH);
-    let off_union = canonical(off.continuous_batches);
+    let off_union = off.batches;
     assert!(
         off_union.len() >= 4,
         "fleet reference must deliver several batches, got {}",
@@ -153,5 +140,5 @@ fn controller_on_fleet_matches_the_controller_off_fleet_union() {
     );
 
     let on = run_controlled(runner().with_hosts(3));
-    assert_union_identical(&off_union, &canonical(on.continuous_batches), "fleet ctrl");
+    assert_union_identical(&off_union, &on.batches, "fleet ctrl");
 }

@@ -35,12 +35,6 @@ fn run_fleet(hosts: usize, plan: FaultPlan) -> recd_pipeline::run::PipelineArtif
         .run(BATCH)
 }
 
-/// Sorts a delivered union into its canonical (shard, seq) order.
-fn canonical(mut batches: Vec<TrainerBatch>) -> Vec<TrainerBatch> {
-    batches.sort_by_key(|b| (b.shard, b.seq));
-    batches
-}
-
 /// Asserts two canonical unions are byte-identical, including the
 /// shard-pinned lane assignment.
 fn assert_union_identical(reference: &[TrainerBatch], got: &[TrainerBatch], label: &str) {
@@ -63,73 +57,56 @@ fn assert_union_identical(reference: &[TrainerBatch], got: &[TrainerBatch], labe
 }
 
 fn assert_zero_drops(artifacts: &recd_pipeline::run::PipelineArtifacts, label: &str) {
-    let continuous = artifacts.report.continuous.as_ref().expect("continuous");
+    let report = &artifacts.report;
     assert!(
-        continuous
-            .dpp
-            .trainers
-            .iter()
-            .all(|t| t.dropped_batches == 0),
+        report.dpp.trainers.iter().all(|t| t.dropped_batches == 0),
         "{label}: no fleet lane may drop a batch"
     );
     assert_eq!(
-        continuous.dpp.samples, artifacts.report.samples,
-        "{label}: exactly-once — trainer-side samples match the batch pipeline"
+        report.dpp.samples as u64, report.etl.etl.counters.joined_samples,
+        "{label}: exactly-once — trainer-side samples match the joined samples"
     );
 }
 
 #[test]
 fn fleet_sizes_deliver_identical_unions() {
     let mut one = run_fleet(1, FaultPlan::new());
-    let reference = canonical(std::mem::take(&mut one.continuous_batches));
+    let reference = std::mem::take(&mut one.batches);
     assert!(
         reference.len() >= 4,
         "reference must deliver several batches, got {}",
         reference.len()
     );
     assert_zero_drops(&one, "fleet of one");
-    let fleet_one = one
-        .report
-        .continuous
-        .as_ref()
-        .expect("continuous")
-        .fleet
-        .clone()
-        .expect("fleet report");
+    let fleet_one = one.report.fleet.clone().expect("fleet report");
     assert_eq!(fleet_one.hosts, 1);
     assert_eq!(fleet_one.hosts_live_at_finish, 1);
     assert_eq!(fleet_one.deaths_detected, 0);
 
     let four = run_fleet(HOSTS, FaultPlan::new());
     assert_zero_drops(&four, "fleet of four");
-    let continuous = four.report.continuous.as_ref().expect("continuous");
-    let fleet = continuous.fleet.clone().expect("fleet report");
+    let fleet = four.report.fleet.clone().expect("fleet report");
     assert_eq!(fleet.hosts, HOSTS);
     assert_eq!(fleet.hosts_live_at_finish, HOSTS);
     assert_eq!(fleet.deaths_detected, 0);
     assert_eq!(fleet.kills + fleet.partitions + fleet.rejoins, 0);
     assert!(fleet.barriers > 0, "every pump ends in a fleet barrier");
     // Every pump ticks every live host once; the final barrier (after the
-    // tail drains) has no tick of its own.
+    // tail drains) has no tick of its own, nor has the barrier closing each
+    // ingested partition.
+    let pump_barriers = fleet.barriers - four.report.dpp.partitions_ingested;
     assert!(
-        fleet.heartbeats >= (fleet.barriers - 1) * HOSTS as u64,
+        fleet.heartbeats >= (pump_barriers - 1) * HOSTS as u64,
         "every live host beats at least once per pump"
     );
     assert_eq!(fleet.forwarded_batches as usize, reference.len());
-    // The per-host registries federate into the aggregator's registry, so
-    // the fleet run tracks strictly more series than one host would emit.
-    assert!(continuous.derived.series_tracked > 0);
 
-    assert_union_identical(
-        &reference,
-        &canonical(four.continuous_batches),
-        "fleet of four",
-    );
+    assert_union_identical(&reference, &four.batches, "fleet of four");
 }
 
 #[test]
 fn seeded_host_failure_schedules_converge() {
-    let reference = canonical(run_fleet(HOSTS, FaultPlan::new()).continuous_batches);
+    let reference = run_fleet(HOSTS, FaultPlan::new()).batches;
 
     for seed in [7u64, 23] {
         let plan = FaultPlan::seeded_fleet(seed, HORIZON_MS, TRAINERS, HOSTS);
@@ -144,8 +121,7 @@ fn seeded_host_failure_schedules_converge() {
             "{label}: every scheduled fault fires inside the run window"
         );
 
-        let continuous = artifacts.report.continuous.as_ref().expect("continuous");
-        let fleet = continuous.fleet.clone().expect("fleet report");
+        let fleet = artifacts.report.fleet.clone().expect("fleet report");
         assert_eq!(fleet.kills, 1, "{label}");
         assert_eq!(fleet.partitions, 1, "{label}");
         assert_eq!(fleet.rejoins, 1, "{label}");
@@ -164,13 +140,13 @@ fn seeded_host_failure_schedules_converge() {
         );
         assert_zero_drops(&artifacts, &label);
 
-        assert_union_identical(&reference, &canonical(artifacts.continuous_batches), &label);
+        assert_union_identical(&reference, &artifacts.batches, &label);
     }
 }
 
 #[test]
 fn hand_written_host_fault_plan_heals_to_full_strength() {
-    let reference = canonical(run_fleet(HOSTS, FaultPlan::new()).continuous_batches);
+    let reference = run_fleet(HOSTS, FaultPlan::new()).batches;
 
     // Kill one host, partition another past the heartbeat timeout, rejoin
     // both: the fleet must finish at full strength with the identical union.
@@ -200,8 +176,7 @@ fn hand_written_host_fault_plan_heals_to_full_strength() {
     let chaos = artifacts.report.chaos.clone().expect("chaos report");
     assert_eq!(chaos.faults_fired, planned as u64);
 
-    let continuous = artifacts.report.continuous.as_ref().expect("continuous");
-    let fleet = continuous.fleet.clone().expect("fleet report");
+    let fleet = artifacts.report.fleet.clone().expect("fleet report");
     assert_eq!(fleet.kills, 1);
     assert_eq!(fleet.partitions, 1);
     assert_eq!(fleet.rejoins, 2);
@@ -214,9 +189,5 @@ fn hand_written_host_fault_plan_heals_to_full_strength() {
     assert!(fleet.rebalance_moves > 0);
     assert_zero_drops(&artifacts, "heal plan");
 
-    assert_union_identical(
-        &reference,
-        &canonical(artifacts.continuous_batches),
-        "heal plan",
-    );
+    assert_union_identical(&reference, &artifacts.batches, "heal plan");
 }

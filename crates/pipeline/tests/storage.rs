@@ -3,7 +3,6 @@
 //! continuous run's trainer-batch union and the batch run's payload
 //! accounting must be byte-identical to the flat-latency path.
 
-use recd_dpp::TrainerBatch;
 use recd_pipeline::{PipelineRunner, RecdConfig, RmPreset, RmSpec, StorageSimConfig};
 use recd_storage::NodeConfig;
 
@@ -33,18 +32,13 @@ fn run_continuous(storage: StorageSimConfig) -> recd_pipeline::run::PipelineArti
         .run(BATCH)
 }
 
-fn canonical(mut batches: Vec<TrainerBatch>) -> Vec<TrainerBatch> {
-    batches.sort_by_key(|b| (b.shard, b.seq));
-    batches
-}
-
 #[test]
 fn queued_and_cached_storage_delivers_a_byte_identical_union() {
     let flat = run_continuous(StorageSimConfig::default());
     let realistic = run_continuous(realistic_storage());
 
-    let reference = canonical(flat.continuous_batches);
-    let got = canonical(realistic.continuous_batches);
+    let reference = flat.batches;
+    let got = realistic.batches;
     assert!(
         reference.len() >= 4,
         "reference must deliver several batches, got {}",
@@ -68,7 +62,7 @@ fn queued_and_cached_storage_delivers_a_byte_identical_union() {
     }
 
     // The landed bytes agree too: storage realism is latency-only.
-    assert_eq!(flat.report.storage, realistic.report.storage);
+    assert_eq!(flat.report.etl.storage, realistic.report.etl.storage);
     assert_eq!(flat.report.samples, realistic.report.samples);
 }
 
@@ -83,13 +77,14 @@ fn batch_pipeline_reports_agree_across_storage_models() {
     let realistic = run(realistic_storage());
 
     assert_eq!(flat.report.samples, realistic.report.samples);
-    assert_eq!(flat.report.storage, realistic.report.storage);
+    assert_eq!(flat.report.etl.storage, realistic.report.etl.storage);
     assert_eq!(flat.report.read_bytes, realistic.report.read_bytes);
     assert_eq!(flat.report.egress_bytes, realistic.report.egress_bytes);
     assert_eq!(flat.batches.len(), realistic.batches.len());
     for (i, (f, r)) in flat.batches.iter().zip(&realistic.batches).enumerate() {
         assert_eq!(
-            f, r,
+            (f.shard, f.seq, &f.batch),
+            (r.shard, r.seq, &r.batch),
             "preprocessed batch {i} diverged across storage models"
         );
     }

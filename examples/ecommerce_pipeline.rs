@@ -85,8 +85,8 @@ fn main() {
     );
     println!(
         "table compression ratio      : {:.2}x -> {:.2}x",
-        b.storage.compression_ratio(),
-        r.storage.compression_ratio()
+        b.etl.storage.compression_ratio(),
+        r.etl.storage.compression_ratio()
     );
     println!(
         "reader bytes read / sent     : {:.1} / {:.1} MiB -> {:.1} / {:.1} MiB",
@@ -97,8 +97,8 @@ fn main() {
     );
     let cost_model = ReaderCostModel::default();
     let (b_reader, r_reader) = (
-        cost_model.samples_per_cpu_second(&b.reader),
-        cost_model.samples_per_cpu_second(&r.reader),
+        cost_model.samples_per_cpu_second(&b.dpp.reader_metrics),
+        cost_model.samples_per_cpu_second(&r.dpp.reader_metrics),
     );
     println!(
         "per-reader throughput        : {b_reader:.0} -> {r_reader:.0} samples/cpu-s ({:.2}x)",

@@ -105,10 +105,10 @@ if $self_test; then
   tmp=$(mktemp -d)
   trap 'rm -rf "$tmp"' EXIT
 
-  echo "self-test 1/7: baseline vs itself must pass"
+  echo "self-test 1/6: baseline vs itself must pass"
   compare_snapshots "$baseline" "$baseline" >/dev/null
 
-  echo "self-test 2/7: a speedup drop beyond tolerance must fail"
+  echo "self-test 2/6: a speedup drop beyond tolerance must fail"
   awk '{
     if ($0 ~ /process_speedup_flat_vs_rowwise"/) sub(/: [0-9.]+/, ": 0.10")
     print
@@ -118,7 +118,7 @@ if $self_test; then
     exit 1
   fi
 
-  echo "self-test 3/7: a latency rise beyond tolerance must fail"
+  echo "self-test 3/6: a latency rise beyond tolerance must fail"
   awk '{
     if ($0 ~ /etl_stream_tail_to_trainer_ms"/) sub(/: [0-9.]+/, ": 999.0")
     print
@@ -128,9 +128,9 @@ if $self_test; then
     exit 1
   fi
 
-  echo "self-test 4/7: an end-to-end throughput drop beyond tolerance must fail"
+  echo "self-test 4/6: an end-to-end throughput drop beyond tolerance must fail"
   awk '{
-    if ($0 ~ /continuous_records_per_second"/) sub(/: [0-9.]+/, ": 1.0")
+    if ($0 ~ /pipeline_records_per_second"/) sub(/: [0-9.]+/, ": 1.0")
     print
   }' "$baseline" > "$tmp/throughput_drop.json"
   if compare_snapshots "$baseline" "$tmp/throughput_drop.json" >/dev/null 2>&1; then
@@ -138,7 +138,7 @@ if $self_test; then
     exit 1
   fi
 
-  echo "self-test 5/7: a cache hit-ratio drop beyond tolerance must fail"
+  echo "self-test 5/6: a cache hit-ratio drop beyond tolerance must fail"
   awk '{
     if ($0 ~ /storage_cache_hit_ratio"/) sub(/: [0-9.]+/, ": 0.01")
     print
@@ -148,17 +148,7 @@ if $self_test; then
     exit 1
   fi
 
-  echo "self-test 6/7: a controller-on pipeline throughput drop beyond tolerance must fail"
-  awk '{
-    if ($0 ~ /pipeline_records_per_second"/) sub(/: [0-9.]+/, ": 1.0")
-    print
-  }' "$baseline" > "$tmp/pipeline_drop.json"
-  if compare_snapshots "$baseline" "$tmp/pipeline_drop.json" >/dev/null 2>&1; then
-    echo "bench_gate self-test FAILED: controller-on throughput drop not caught" >&2
-    exit 1
-  fi
-
-  echo "self-test 7/7: a stripe-decode throughput drop beyond tolerance must fail"
+  echo "self-test 6/6: a stripe-decode throughput drop beyond tolerance must fail"
   awk '{
     if ($0 ~ /stripe_decode_clustered_mb_per_s"/) sub(/: [0-9.]+/, ": 1.0")
     print

@@ -83,28 +83,14 @@ ratio() {
   awk -v a="$1" -v b="$2" 'BEGIN { if (b > 0) printf "%.2f", a / b; else printf "0" }'
 }
 
-# Sustained end-to-end throughput of the continuous pipeline (tail -> ETL ->
-# DPP -> trainer fan-out), lifted from the CLI's machine-parseable derived
-# line. Guarded by the gate as higher-is-better.
-echo "running continuous end-to-end throughput probe..." >&2
-continuous_rps=$(cargo run --release -q -p recd-dpp --bin recd-dpp -- \
-  --tail --trainers 2 --assign least --quiet 2>>"$bench_log" \
-  | awk '/^derived continuous_records_per_second / { print $3 }')
-if [ -z "$continuous_rps" ]; then
-  echo "bench_snapshot: continuous probe printed no 'derived continuous_records_per_second' line" >&2
-  tail -20 "$bench_log" >&2
-  exit 1
-fi
-
-# Sustained end-to-end throughput with the control loop closed: the same
-# continuous run, but with the PID backpressure controller engaged (--ctrl),
-# lifted from the controller run's derived line. This is the figure the
-# control loop must sustain — resizing pools and gating the pump may reshape
-# *when* work happens, never cost throughput. Guarded by the gate as
-# higher-is-better.
+# Sustained end-to-end throughput of the pipeline (tail -> ETL -> DPP ->
+# trainer fan-out) with the control loop closed (--ctrl), lifted from the
+# CLI's machine-parseable derived line. This is the figure the control loop
+# must sustain — resizing pools and gating the pump may reshape *when* work
+# happens, never cost throughput. Guarded by the gate as higher-is-better.
 echo "running controller-on pipeline throughput probe..." >&2
 pipeline_rps=$(cargo run --release -q -p recd-dpp --bin recd-dpp -- \
-  --tail --trainers 2 --assign least --ctrl --quiet 2>>"$bench_log" \
+  --trainers 2 --assign least --ctrl --quiet 2>>"$bench_log" \
   | awk '/^derived pipeline_records_per_second / { print $3 }')
 if [ -z "$pipeline_rps" ]; then
   echo "bench_snapshot: controller probe printed no 'derived pipeline_records_per_second' line" >&2
@@ -118,7 +104,7 @@ fi
 # as lower-is-better (the _ms suffix).
 echo "running fleet rebalance probe..." >&2
 fleet_rebalance_ms=$(cargo run --release -q -p recd-dpp --bin recd-dpp -- \
-  --tail --hosts 3 --trainers 2 --chaos-seed 7 --quiet 2>>"$bench_log" \
+  --hosts 3 --trainers 2 --chaos-seed 7 --quiet 2>>"$bench_log" \
   | awk '/^derived fleet_rebalance_ms / { print $3 }')
 if [ -z "$fleet_rebalance_ms" ]; then
   echo "bench_snapshot: fleet probe printed no 'derived fleet_rebalance_ms' line" >&2
@@ -180,7 +166,6 @@ fi
   echo "    \"dpp_scaleup_first_grow_ms\": $(awk -v ns="$scaleup" 'BEGIN { printf "%.2f", ns / 1e6 }'),"
   echo "    \"etl_stream_tail_to_trainer_ms\": $(awk -v ns="$tail_to_trainer" 'BEGIN { printf "%.2f", ns / 1e6 }'),"
   echo "    \"etl_stream_seal_to_ingest_ms\": $(awk -v ns="$seal_to_ingest" 'BEGIN { printf "%.2f", ns / 1e6 }'),"
-  echo "    \"continuous_records_per_second\": $continuous_rps,"
   echo "    \"pipeline_records_per_second\": $pipeline_rps,"
   echo "    \"fleet_rebalance_ms\": $fleet_rebalance_ms,"
   echo "    \"storage_load_balance_wait_ms\": $storage_wait_ms,"

@@ -19,7 +19,7 @@
 //! | [`storage`] | `recd-storage` | DWRF-like columnar files + Tectonic-like blob store |
 //! | [`reader`] | `recd-reader` | fill/convert/process reader phases (O3, O4) the DPP service runs |
 //! | [`dpp`] | `recd-dpp` | streaming DPP service: sharded, backpressured, multi-worker preprocessing |
-//! | [`obs`] | `recd-obs` | observability plane: metrics registry, Prometheus exposition endpoint, cross-tier aggregator |
+//! | [`obs`] | `recd-obs` | observability plane: metrics registry, Prometheus exposition endpoint, per-host scrape federation |
 //! | [`trainer`] | `recd-trainer` | executable DLRM + hybrid-parallel cost model (O5–O7) |
 //! | [`pipeline`] | `recd-pipeline` | end-to-end runner, RM presets, experiment drivers |
 //!

@@ -3,14 +3,13 @@
 //! deliver each joined sample exactly once with zero dropped batches, resume
 //! once per `crash-pump`, and deliver the same order-independent row union
 //! whatever the pump step. A resumed pump keeps publishing to the ETL gauges
-//! the registry scrapes. A pre-landed feed over a fleet, and a fleet that
-//! loses every host, are typed errors.
+//! the registry scrapes. A fleet that loses every host is a typed error.
 
 use recd::core::{ConvertedBatch, DataLoaderConfig};
 use recd::data::FeatureId;
 use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd::dpp::{
-    Consume, DppConfig, Driver, DriverError, DriverOutput, Feed, FleetConfig, TailFeed, Topology,
+    Consume, DppConfig, Driver, DriverError, DriverOutput, FleetConfig, TailFeed, Topology,
     TrainerAssignPolicy, TrainerBatch,
 };
 use recd::etl::{EtlStreamConfig, TableLayout};
@@ -82,13 +81,13 @@ fn driver(hosts: usize, plan: &FaultPlan, step_ms: u64) -> Driver {
                 .with_assign_policy(TrainerAssignPolicy::LeastLoaded),
         )
     };
-    let feed = Feed::Tail(TailFeed {
+    let feed = TailFeed {
         tail: LogTail::new(records, &TailConfig::default().with_jitter_ms(2_000)),
         stream: EtlStreamConfig::new(TableLayout::ClusteredBySession).with_window_ms(10_000),
         table: "driver".to_string(),
         step_ms,
         plan: Some(plan.clone()),
-    });
+    };
     Driver::new(store, &schema, feed, topology).expect("plan fits the topology")
 }
 
@@ -130,8 +129,7 @@ fn every_topology_and_plan_delivers_exactly_once_at_any_pump_step() {
                 .count() as u64;
             let (output, union) = run(hosts, &plan, 60_000);
 
-            let etl = output.etl.as_ref().expect("tail feed reports its ETL tier");
-            let joined = etl.etl.counters.joined_samples;
+            let joined = output.etl.etl.counters.joined_samples;
             assert!(joined > 0, "{label}: nothing joined");
             let consumed: u64 = output.lanes.iter().map(|lane| lane.samples).sum();
             assert_eq!(
@@ -170,7 +168,7 @@ fn a_resumed_pump_keeps_the_registered_etl_gauges_live() {
         .run(Arc::new(|_: TrainerBatch| {}))
         .expect("run finishes cleanly");
     assert_eq!(output.chaos.map(|chaos| chaos.resumes), Some(1));
-    let etl = output.etl.expect("tail feed reports its ETL tier");
+    let etl = output.etl;
     let families = registry.gather();
     let value = |name| sample_value(&families, name, &[]).expect("ETL gauge registered");
     assert_eq!(value("recd_etl_tail_remaining"), 0.0);
@@ -200,19 +198,4 @@ fn a_fleet_that_loses_every_host_returns_a_typed_error() {
         );
     let result = driver(2, &plan, 60_000).run(Arc::new(|_: TrainerBatch| {}));
     assert!(matches!(result, Err(DriverError::NoLiveHost)));
-}
-
-#[test]
-fn a_pre_landed_feed_over_a_fleet_is_rejected_before_anything_starts() {
-    let partition =
-        DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny)).generate_partition();
-    let store = Arc::new(TableStore::new(TectonicSim::new(4), 64, 2));
-    let (stored, _) = store.land_partition(&partition.schema, "landed", 0, &partition.samples);
-    let dpp = DppConfig::new(ReaderConfig::new(
-        64,
-        DataLoaderConfig::from_schema(&partition.schema),
-    ));
-    let fleet = Topology::Fleet(FleetConfig::new(dpp).with_hosts(2));
-    let result = Driver::new(store, &partition.schema, Feed::Landed(stored), fleet);
-    assert!(matches!(result, Err(DriverError::LandedFleet)));
 }

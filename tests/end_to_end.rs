@@ -2,13 +2,18 @@
 //! Scribe → ETL → storage → readers → trainer model) run through the public
 //! facade, with every RecD optimization toggled.
 
-use recd::core::{DataLoaderConfig, FeatureConverter};
+use recd::core::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
 use recd::data::ColumnarBatch;
 use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
-use recd::etl::cluster_by_session;
+use recd::dpp::{DppConfig, DppService, ShardPolicy};
+use recd::etl::{cluster_by_session, EtlJob, TableLayout};
 use recd::pipeline::experiments::{self, ExperimentScale};
-use recd::pipeline::{PipelineRunner, RecdConfig, RmPreset};
+use recd::pipeline::{PipelineRunner, RecdConfig, RmPreset, RmSpec, StorageSimConfig};
+use recd::reader::{ReaderConfig, ReaderMetrics};
+use recd::scribe::{ScribeCluster, ScribeConfig, ShardKeyPolicy};
+use recd::storage::{StorageReport, TableStore};
 use recd::trainer::{Dlrm, DlrmConfig, ExecutionMode, PoolingKind};
+use std::sync::Arc;
 
 /// The headline end-to-end claim: enabling RecD improves storage efficiency,
 /// reader efficiency, and modeled trainer throughput at the same time, on
@@ -23,8 +28,8 @@ fn recd_improves_every_pipeline_stage() {
 
     assert_eq!(b.samples, r.samples);
     assert!(r.scribe.compression_ratio > b.scribe.compression_ratio);
-    assert!(r.storage.compression_ratio() > b.storage.compression_ratio());
-    assert!(r.storage.stored_bytes < b.storage.stored_bytes);
+    assert!(r.etl.storage.compression_ratio() > b.etl.storage.compression_ratio());
+    assert!(r.etl.storage.stored_bytes < b.etl.storage.stored_bytes);
     assert!(r.read_bytes < b.read_bytes);
     assert!(r.egress_bytes < b.egress_bytes);
     assert!(r.dedupe_factor > 1.2);
@@ -82,6 +87,7 @@ fn dedup_execution_is_logically_identical_end_to_end() {
     let batch = artifacts
         .batches
         .iter()
+        .map(|b| &b.batch)
         .find(|b| !b.ikjts.is_empty())
         .expect("at least one deduplicated batch");
     let config = DlrmConfig::from_schema(&artifacts.schema, 16, PoolingKind::Attention);
@@ -147,4 +153,132 @@ fn experiment_harness_covers_every_artifact() {
     }
     let table4 = experiments::table4(scale);
     assert_eq!(table4.rows.len(), 6);
+}
+
+/// What the hand-built batch pipeline produced.
+struct HandBuilt {
+    batches: Vec<ConvertedBatch>,
+    storage: StorageReport,
+    read_bytes: usize,
+    reader: ReaderMetrics,
+}
+
+/// The runner's pipeline as it was built by hand before it became one
+/// driver run: Scribe, batch `EtlJob`, `land_partition` per hourly
+/// partition, then one collect-mode `DppService` (files round-robin over its
+/// default two shards) per landed partition.
+fn hand_built(spec: &RmSpec, config: RecdConfig, batch_size: usize) -> HandBuilt {
+    let generator = DatasetGenerator::new(spec.sized_workload());
+    let schema = generator.schema().clone();
+    let (records, _) = generator.generate_logs();
+    let policy = if config.o1_log_sharding {
+        ShardKeyPolicy::SessionId
+    } else {
+        ShardKeyPolicy::RandomRequest
+    };
+    let mut scribe = ScribeCluster::new(ScribeConfig {
+        flush_bytes: 128 * 1024,
+        ..ScribeConfig::with_policy(policy)
+    });
+    scribe.ingest_all(&records);
+    scribe.flush();
+    let drained = scribe.drain().expect("scribe blocks decode");
+    let layout = if config.o2_cluster_by_session {
+        TableLayout::ClusteredBySession
+    } else {
+        TableLayout::TimeOrdered
+    };
+    let store = Arc::new(TableStore::new(StorageSimConfig::default().build(), 64, 4));
+    let mut storage = StorageReport::default();
+    let mut landed = Vec::new();
+    for partition in EtlJob::new(layout).run(&schema, &drained) {
+        let (stored, report) = store.land_partition(
+            &schema,
+            spec.preset.name(),
+            partition.hour,
+            &partition.samples,
+        );
+        storage.absorb(&report);
+        landed.push(stored);
+    }
+    store.blob_store().reset_read_counters();
+    let dataloader = if config.o3_ikjt {
+        DataLoaderConfig::from_schema(&schema)
+    } else {
+        DataLoaderConfig::baseline_from_schema(&schema)
+    };
+    let reader_config = ReaderConfig::new(batch_size, dataloader);
+    let (mut batches, mut reader) = (Vec::new(), ReaderMetrics::default());
+    for stored in &landed {
+        let mut handle = DppService::start(
+            DppConfig::new(reader_config.clone()).with_policy(ShardPolicy::FileRoundRobin),
+            Arc::clone(&store),
+            schema.clone(),
+        );
+        handle.submit_partition(stored);
+        let output = handle.finish().expect("landed partitions read back");
+        reader += output.report.reader_metrics;
+        batches.extend(output.batches);
+    }
+    HandBuilt {
+        batches,
+        storage,
+        read_bytes: store.blob_store().stats().read_bytes,
+        reader,
+    }
+}
+
+/// The work counters of a run, without its timings and barrier counters.
+fn work(mut metrics: ReaderMetrics) -> ReaderMetrics {
+    for phase in [
+        &mut metrics.fill,
+        &mut metrics.convert,
+        &mut metrics.process,
+    ] {
+        phase.cpu_nanos = 0;
+    }
+    metrics.barrier_flushes = 0;
+    metrics.flushed_partial_batches = 0;
+    metrics
+}
+
+/// One driver run reproduces the hand-built batch pipeline: the same
+/// batches byte for byte (in `(shard, seq)` rather than partition order),
+/// the same bytes landed, read and sent, and the same reader work — for the
+/// baseline and for every optimization on.
+#[test]
+fn one_driver_run_reproduces_the_hand_built_batch_pipeline() {
+    let spec = RmPreset::Rm1.spec().scaled_down(60);
+    for config in [RecdConfig::baseline(), RecdConfig::full()] {
+        let oracle = hand_built(&spec, config, 128);
+        let run = PipelineRunner::new(spec.clone(), config).run(128);
+        let report = &run.report;
+
+        let mut unmatched = oracle.batches;
+        assert_eq!(
+            run.batches.len(),
+            unmatched.len(),
+            "{config:?}: batch count"
+        );
+        for (i, delivered) in run.batches.iter().enumerate() {
+            let at = unmatched
+                .iter()
+                .position(|b| *b == delivered.batch)
+                .unwrap_or_else(|| panic!("{config:?}: batch {i} is not in the oracle's"));
+            unmatched.swap_remove(at);
+        }
+
+        assert_eq!(report.samples, oracle.reader.samples, "{config:?}");
+        assert_eq!(report.etl.storage, oracle.storage, "{config:?}");
+        assert_eq!(report.read_bytes, oracle.read_bytes, "{config:?}");
+        assert_eq!(
+            report.egress_bytes, oracle.reader.egress_bytes,
+            "{config:?}"
+        );
+        assert_eq!(
+            work(report.dpp.reader_metrics),
+            work(oracle.reader),
+            "{config:?}"
+        );
+    }
 }
