@@ -14,7 +14,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use recd_bench::BenchFixture;
 use recd_core::DataLoaderConfig;
-use recd_dpp::{CtrlConfig, DppConfig, DppService, ShardPolicy, TrainerAssignPolicy};
+use recd_dpp::{
+    CtrlConfig, DppConfig, DppHandle, DppReport, DppService, ShardPolicy, TrainerAssignPolicy,
+};
 use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_storage::{StoredPartition, TableStore, TectonicSim};
 use std::sync::Arc;
@@ -91,6 +93,23 @@ fn bench_fanout(c: &mut Criterion) {
     group.finish();
 }
 
+/// Runs `feed` against a started service while every trainer lane drains
+/// (and discards) on its own thread, then finishes the service and returns
+/// its report: a bench that times the service must never stall it.
+fn drain_run(mut handle: DppHandle, feed: impl FnOnce(&mut DppHandle)) -> DppReport {
+    let lanes: Vec<_> = handle
+        .take_trainers()
+        .into_iter()
+        .map(|lane| std::thread::spawn(move || while lane.recv().is_some() {}))
+        .collect();
+    feed(&mut handle);
+    let report = handle.finish().expect("clean bench run").report;
+    for lane in lanes {
+        lane.join().expect("lane drain");
+    }
+    report
+}
+
 fn bench_scaleup_latency(c: &mut Criterion) {
     let f = landed_fixture();
     let mut group = c.benchmark_group("dpp_scaleup");
@@ -106,17 +125,18 @@ fn bench_scaleup_latency(c: &mut Criterion) {
                 .with_queue_depth(4)
                 .with_ctrl(CtrlConfig::bounds(1, 4).with_tick_period(Duration::from_millis(4)))
                 .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64));
-            let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
+            let handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
             let source = handle.snapshot_source();
-            handle.submit_partition(&f.partition);
-            // The measured quantity: pressure onset → first grow event.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while source.snapshot().scale_ups == 0 {
-                assert!(Instant::now() < deadline, "controller never scaled up");
-                std::thread::yield_now();
-            }
-            f.blob.set_get_latency(Duration::ZERO);
-            handle.finish().expect("clean bench run")
+            drain_run(handle, |handle| {
+                handle.submit_partition(&f.partition);
+                // The measured quantity: pressure onset → first grow event.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while source.snapshot().scale_ups == 0 {
+                    assert!(Instant::now() < deadline, "controller never scaled up");
+                    std::thread::yield_now();
+                }
+                f.blob.set_get_latency(Duration::ZERO);
+            })
         })
     });
     group.finish();

@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use recd_bench::BenchFixture;
 use recd_core::DataLoaderConfig;
-use recd_dpp::{DppConfig, DppService, ShardPolicy};
+use recd_dpp::{DppConfig, DppHandle, DppReport, DppService, ShardPolicy};
 use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_storage::{StoredPartition, TableStore, TectonicSim};
 use std::sync::Arc;
@@ -36,6 +36,23 @@ fn reader_config(schema: &recd_data::Schema) -> ReaderConfig {
     ReaderConfig::new(128, DataLoaderConfig::from_schema(schema))
 }
 
+/// Runs `feed` against a started service while every trainer lane drains
+/// (and discards) on its own thread, then finishes the service and returns
+/// its report: a bench that times the service must never stall it.
+fn drain_run(mut handle: DppHandle, feed: impl FnOnce(&mut DppHandle)) -> DppReport {
+    let lanes: Vec<_> = handle
+        .take_trainers()
+        .into_iter()
+        .map(|lane| std::thread::spawn(move || while lane.recv().is_some() {}))
+        .collect();
+    feed(&mut handle);
+    let report = handle.finish().expect("clean bench run").report;
+    for lane in lanes {
+        lane.join().expect("lane drain");
+    }
+    report
+}
+
 fn bench_streaming_workers(c: &mut Criterion) {
     let f = landed_fixture();
     let mut group = c.benchmark_group("dpp_end_to_end");
@@ -55,10 +72,10 @@ fn bench_streaming_workers(c: &mut Criterion) {
                         .with_compute_workers(workers)
                         .with_shards(workers)
                         .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64));
-                    let mut handle =
-                        DppService::start(config, Arc::clone(&f.store), f.schema.clone());
-                    handle.submit_partition(black_box(&f.partition));
-                    handle.finish().expect("clean bench run")
+                    let handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
+                    drain_run(handle, |handle| {
+                        handle.submit_partition(black_box(&f.partition));
+                    })
                 })
             },
         );

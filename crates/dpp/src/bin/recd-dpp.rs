@@ -1,20 +1,6 @@
 //! The `recd-dpp` CLI: runs the continuous pipeline over a synthetic
 //! `recd-datagen` log stream and prints live metrics plus the final report.
-//!
-//! ```text
-//! recd-dpp [--preset tiny|small] [--sessions N] [--batch-size N]
-//!          [--fill-workers N] [--workers N] [--shards N] [--queue-depth N]
-//!          [--policy session|file|row] [--trainers N]
-//!          [--assign pinned|least|rr] [--min-workers N] [--max-workers N]
-//!          [--ctrl] [--ctrl-kp F] [--ctrl-ki F] [--ctrl-kd F]
-//!          [--tail-rate N] [--tail-jitter-ms N]
-//!          [--tail-late-frac F] [--tail-late-ms N] [--tail-window-ms N]
-//!          [--tail-seal-rows N] [--tail-seed N]
-//!          [--hosts M] [--heartbeat-ms N] [--rebalance on|off]
-//!          [--chaos-seed N | --chaos-plan SPEC]
-//!          [--metrics-port N] [--scrape-once]
-//!          [--quiet]
-//! ```
+//! `recd-dpp --help` lists the flags.
 //!
 //! The CLI parses flags, builds the feed and the service or fleet configs,
 //! and hands them to the one pipeline driver ([`recd_dpp::driver`] owns the
@@ -71,9 +57,6 @@ struct Args {
     min_workers: usize,
     max_workers: Option<usize>,
     ctrl: bool,
-    ctrl_kp: Option<f64>,
-    ctrl_ki: Option<f64>,
-    ctrl_kd: Option<f64>,
     tail_rate_ms: u64,
     tail_jitter_ms: u64,
     tail_late_frac: f64,
@@ -83,11 +66,9 @@ struct Args {
     tail_seed: u64,
     hosts: usize,
     heartbeat_ms: u64,
-    rebalance: bool,
     chaos_seed: Option<u64>,
     chaos_plan: Option<String>,
     storage_rate: f64,
-    storage_bw: f64,
     cache_mb: usize,
     metrics_port: Option<u16>,
     scrape_once: bool,
@@ -104,14 +85,11 @@ fn parse_args() -> Result<Args, String> {
         shards: 4,
         queue_depth: 8,
         policy: ShardPolicy::SessionAffine,
-        trainers: 0,
+        trainers: 1,
         assign: TrainerAssignPolicy::ShardPinned,
         min_workers: 1,
         max_workers: None,
         ctrl: false,
-        ctrl_kp: None,
-        ctrl_ki: None,
-        ctrl_kd: None,
         tail_rate_ms: 60_000,
         tail_jitter_ms: 2_000,
         tail_late_frac: 0.0,
@@ -121,11 +99,9 @@ fn parse_args() -> Result<Args, String> {
         tail_seed: 0,
         hosts: 0,
         heartbeat_ms: 120_000,
-        rebalance: true,
         chaos_seed: None,
         chaos_plan: None,
         storage_rate: 0.0,
-        storage_bw: 256.0 * 1024.0 * 1024.0,
         cache_mb: 0,
         metrics_port: None,
         scrape_once: false,
@@ -152,8 +128,7 @@ fn parse_args() -> Result<Args, String> {
                 args.policy = match value::<String>(it, &flag)?.as_str() {
                     "session" => ShardPolicy::SessionAffine,
                     "file" => ShardPolicy::FileRoundRobin,
-                    "row" => ShardPolicy::RowRoundRobin,
-                    other => return Err(format!("unknown policy '{other}' (session|file|row)")),
+                    other => return Err(format!("unknown policy '{other}' (session|file)")),
                 }
             }
             "--trainers" => args.trainers = value(it, &flag)?,
@@ -161,10 +136,7 @@ fn parse_args() -> Result<Args, String> {
                 args.assign = match value::<String>(it, &flag)?.as_str() {
                     "pinned" => TrainerAssignPolicy::ShardPinned,
                     "least" => TrainerAssignPolicy::LeastLoaded,
-                    "rr" => TrainerAssignPolicy::RoundRobin,
-                    other => {
-                        return Err(format!("unknown assign policy '{other}' (pinned|least|rr)"))
-                    }
+                    other => return Err(format!("unknown assign policy '{other}' (pinned|least)")),
                 }
             }
             // Worker bounds enable the controller exactly like --ctrl does.
@@ -177,9 +149,6 @@ fn parse_args() -> Result<Args, String> {
                 args.max_workers = Some(value(it, &flag)?);
             }
             "--ctrl" => args.ctrl = true,
-            "--ctrl-kp" => args.ctrl_kp = Some(value(it, &flag)?),
-            "--ctrl-ki" => args.ctrl_ki = Some(value(it, &flag)?),
-            "--ctrl-kd" => args.ctrl_kd = Some(value(it, &flag)?),
             "--tail-rate" => args.tail_rate_ms = value(it, &flag)?,
             "--tail-jitter-ms" => args.tail_jitter_ms = value(it, &flag)?,
             "--tail-late-frac" => args.tail_late_frac = value(it, &flag)?,
@@ -189,17 +158,9 @@ fn parse_args() -> Result<Args, String> {
             "--tail-seed" => args.tail_seed = value(it, &flag)?,
             "--hosts" => args.hosts = value(it, &flag)?,
             "--heartbeat-ms" => args.heartbeat_ms = value(it, &flag)?,
-            "--rebalance" => {
-                args.rebalance = match value::<String>(it, &flag)?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("unknown rebalance mode '{other}' (on|off)")),
-                }
-            }
             "--chaos-seed" => args.chaos_seed = Some(value(it, &flag)?),
             "--chaos-plan" => args.chaos_plan = Some(value(it, &flag)?),
             "--storage-rate" => args.storage_rate = value(it, &flag)?,
-            "--storage-bw" => args.storage_bw = value(it, &flag)?,
             "--cache-mb" => args.cache_mb = value(it, &flag)?,
             "--metrics-port" => args.metrics_port = Some(value(it, &flag)?),
             "--scrape-once" => args.scrape_once = true,
@@ -214,9 +175,9 @@ fn parse_args() -> Result<Args, String> {
                      \n  --workers N              convert/process workers (default 4)\
                      \n  --shards N               shard lanes (default 4)\
                      \n  --queue-depth N          backpressure window per queue (default 8)\
-                     \n  --policy session|file|row  sharding policy (default session)\
-                     \n  --trainers N             fan out to N simulated trainers (default 0 = collect)\
-                     \n  --assign pinned|least|rr trainer lane assignment (default pinned)\
+                     \n  --policy session|file    sharding policy (default session)\
+                     \n  --trainers N             simulated trainer lanes (default 1)\
+                     \n  --assign pinned|least    trainer lane assignment (default pinned)\
                      \n  --ctrl                   close the control loop: a cross-tier PID\
                      \n                           controller samples trainer lanes, DPP queues,\
                      \n                           and ETL tail lag, resizes both worker pools,\
@@ -227,9 +188,6 @@ fn parse_args() -> Result<Args, String> {
                      \n  --max-workers N          controller pool upper bound (default: the larger\
                      \n                           initial pool, at least --min-workers; enables\
                      \n                           the controller like --ctrl)\
-                     \n  --ctrl-kp F              proportional gain (default 2.0; requires the controller)\
-                     \n  --ctrl-ki F              integral gain (default 1.0; requires the controller)\
-                     \n  --ctrl-kd F              derivative gain (default 0.0; requires the controller)\
                      \n  --tail-rate N            simulated ms of log time per pump step (default 60000)\
                      \n  --tail-jitter-ms N       arrival jitter bound (default 2000)\
                      \n  --tail-late-frac F       fraction of straggling records (default 0)\
@@ -242,8 +200,6 @@ fn parse_args() -> Result<Args, String> {
                      \n                           (default 0 = single in-process service)\
                      \n  --heartbeat-ms N         fleet heartbeat timeout: a host silent strictly\
                      \n                           longer than this is declared dead (default 120000)\
-                     \n  --rebalance on|off       work-stealing shard rebalance at every barrier\
-                     \n                           (default on)\
                      \n  --chaos-seed N           run a seeded fault plan: storage brown-out,\
                      \n                           transient get/put failures, trainer kill+stall\
                      \n                           (when --trainers > 1), ETL pump crash-restart\
@@ -255,11 +211,9 @@ fn parse_args() -> Result<Args, String> {
                      \n                           partition-host:HOST:MS | rejoin-host:HOST\
                      \n                           (host faults require --hosts > 1)\
                      \n  --storage-rate N         enable the per-node storage queue model: each of\
-                     \n                           the 8 simulated nodes services N ops/s, so blob\
-                     \n                           get/put latency emerges from queue depth and\
-                     \n                           transfer size (default 0 = flat-latency store)\
-                     \n  --storage-bw BYTES       per-node storage bandwidth in bytes/s (default\
-                     \n                           268435456 = 256 MiB/s; requires --storage-rate)\
+                     \n                           the 8 simulated nodes services N ops/s at 256 MiB/s,\
+                     \n                           so blob get/put latency emerges from queue depth\
+                     \n                           and transfer size (default 0 = flat-latency store)\
                      \n  --cache-mb N             enable an N-MiB LRU blob cache in front of the\
                      \n                           storage nodes (default 0 = off); hits bypass the\
                      \n                           node queues\
@@ -277,12 +231,6 @@ fn parse_args() -> Result<Args, String> {
     if args.scrape_once && args.metrics_port.is_none() {
         return Err("--scrape-once requires --metrics-port".to_string());
     }
-    if (args.ctrl_kp.is_some() || args.ctrl_ki.is_some() || args.ctrl_kd.is_some()) && !args.ctrl {
-        return Err(
-            "--ctrl-kp/--ctrl-ki/--ctrl-kd require --ctrl (or --min-workers/--max-workers)"
-                .to_string(),
-        );
-    }
     if args.min_workers == 0 {
         return Err("--min-workers must be at least 1".to_string());
     }
@@ -297,9 +245,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if !(args.storage_rate.is_finite() && args.storage_rate >= 0.0) {
         return Err("--storage-rate must be a finite, non-negative ops/s figure".to_string());
-    }
-    if !(args.storage_bw.is_finite() && args.storage_bw > 0.0) {
-        return Err("--storage-bw must be a finite, positive bytes/s figure".to_string());
     }
     Ok(args)
 }
@@ -317,12 +262,12 @@ where
 }
 
 /// Builds the blob store for this invocation: 8 simulated nodes, with the
-/// per-node queue model when `--storage-rate` is set and the LRU cache tier
-/// when `--cache-mb` is set.
+/// per-node queue model (256 MiB/s per node) when `--storage-rate` is set and
+/// the LRU cache tier when `--cache-mb` is set.
 fn build_blob_store(args: &Args) -> TectonicSim {
     let mut sim = TectonicSim::new(8);
     if args.storage_rate > 0.0 {
-        sim = sim.with_node_config(NodeConfig::new(args.storage_rate, args.storage_bw));
+        sim = sim.with_node_config(NodeConfig::new(args.storage_rate, 256.0 * 1024.0 * 1024.0));
     }
     if args.cache_mb > 0 {
         sim = sim.with_cache(args.cache_mb * 1024 * 1024);
@@ -389,7 +334,7 @@ fn live_line(families: &[MetricFamily]) -> String {
         String::new()
     };
     format!(
-        "  [{:6.2}s] {:>8} samples  {:>9.0} samples/s  dedup {:>5.2}x  queues fill={} route={} work={} out={}  workers {}f/{}c{}{}{}",
+        "  [{:6.2}s] {:>8} samples  {:>9.0} samples/s  dedup {:>5.2}x  queues fill={} route={} work={} out={}  workers {}f/{}c  lanes [{}]{}{}",
         v("recd_dpp_uptime_seconds", &[]),
         v("recd_dpp_samples_out_total", &[]) as u64,
         v("recd_dpp_samples_per_second", &[]),
@@ -400,11 +345,7 @@ fn live_line(families: &[MetricFamily]) -> String {
         v("recd_dpp_queue_depth", &[("queue", "output")]) as u64,
         v("recd_dpp_workers_live", &[("pool", "fill")]) as u64,
         v("recd_dpp_workers_live", &[("pool", "compute")]) as u64,
-        if lanes.is_empty() {
-            String::new()
-        } else {
-            format!("  lanes [{}]", lanes.join(","))
-        },
+        lanes.join(","),
         etl_part,
         fleet_part,
     )
@@ -506,35 +447,29 @@ fn main() {
         let max = args
             .max_workers
             .unwrap_or_else(|| min.max(args.fill_workers).max(args.compute_workers));
-        let kp = args.ctrl_kp.unwrap_or(2.0);
-        let ki = args.ctrl_ki.unwrap_or(1.0);
-        let kd = args.ctrl_kd.unwrap_or(0.0);
         println!(
-            "control: {}PID kp={kp} ki={ki} kd={kd}, workers in [{min}, {max}]",
+            "control: {}PID, workers in [{min}, {max}]",
             if args.hosts > 0 { "per-host " } else { "" },
         );
-        config = config.with_ctrl(CtrlConfig::bounds(min, max).with_gains(kp, ki, kd));
+        config = config.with_ctrl(CtrlConfig::bounds(min, max));
     }
     let topology = if args.hosts > 0 {
         // Every host runs the full shard set; the coordinator routes each
         // file to the host owning its shard.
         println!(
-            "fleet: {} hosts x ({} fill + {} compute workers, {} shards each), {} trainer lanes, heartbeat timeout {}ms, rebalance {}",
+            "fleet: {} hosts x ({} fill + {} compute workers, {} shards each), {} trainer lanes, heartbeat timeout {}ms",
             args.hosts,
             args.fill_workers,
             args.compute_workers,
             args.shards,
             args.trainers.max(1),
             args.heartbeat_ms,
-            if args.rebalance { "on" } else { "off" },
         );
         Topology::Fleet(
             FleetConfig::new(config)
                 .with_hosts(args.hosts)
-                .with_trainers(args.trainers.max(1))
-                .with_trainer_queue_depth(args.queue_depth)
-                .with_heartbeat_timeout_ms(args.heartbeat_ms)
-                .with_rebalance(args.rebalance),
+                .with_trainers(args.trainers)
+                .with_heartbeat_timeout_ms(args.heartbeat_ms),
         )
     } else {
         println!(
@@ -545,16 +480,14 @@ fn main() {
             args.policy.name(),
             args.queue_depth
         );
-        if args.trainers > 0 {
-            println!(
-                "fan-out: {} trainers, assign policy {}",
-                args.trainers,
-                args.assign.name()
-            );
-            config = config
-                .with_trainers(args.trainers)
-                .with_assign_policy(args.assign);
-        }
+        config = config
+            .with_trainers(args.trainers)
+            .with_assign_policy(args.assign);
+        println!(
+            "fan-out: {} trainers, assign policy {}",
+            config.trainers,
+            args.assign.name()
+        );
         Topology::Single(config)
     };
 

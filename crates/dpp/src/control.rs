@@ -7,8 +7,9 @@
 //! the ETL tail lag — and emits two coordinated actuations:
 //!
 //! 1. **grow/shrink targets** for the fill and compute pools, one PID per
-//!    pool over `queue fraction − SETPOINT`, each kept inside its
-//!    `PoolControls` bounds. The compute error also subtracts a lane
+//!    pool over `queue fraction − SETPOINT` with the fixed gains `KP` and
+//!    `KI`, each kept inside the one `[min_workers, max_workers]` pair of
+//!    [`CtrlConfig`]. The compute error also subtracts a lane
 //!    penalty, so compute scales *down* while lanes are full — more compute
 //!    workers cannot help when their output has nowhere to go;
 //! 2. **a pump-rate signal**: [`PumpGate`] turns red while any trainer lane
@@ -29,7 +30,7 @@
 //! work happens (pump timing, worker population), never what the work is.
 //! Routing stays single-threaded and order-restored, so batch composition —
 //! and therefore every trainer-batch union — is byte-identical with the
-//! controller on, off, or tuned badly. `crates/dpp/tests/scaling.rs` pins
+//! controller on or off. `crates/dpp/tests/scaling.rs` pins
 //! the pool behaviour on a stepped clock and the equivalence suite in
 //! `crates/pipeline/tests/control.rs` pins the unions.
 //!
@@ -70,6 +71,13 @@ const INTEGRAL_CLAMP: f64 = 5.0;
 /// enough to batch well, slack enough to absorb jitter.
 const SETPOINT: f64 = 0.5;
 
+/// Proportional and integral gains (per tick) on the queue-fraction error:
+/// a saturated queue (error 0.5) actuates immediately, a queue at 3/4
+/// (error 0.25) actuates on the second sustained tick. There is no
+/// derivative term.
+const KP: f64 = 2.0;
+const KI: f64 = 1.0;
+
 /// Trainer-lane depth fraction at or above which lanes count as the
 /// bottleneck: the pump gate turns red and the compute error term is
 /// penalized toward shrink.
@@ -80,23 +88,13 @@ const LANE_HIGH: f64 = 0.75;
 /// into unbounded lag.
 const LAG_HIGH_MS: u64 = 300_000;
 
-/// PID controller configuration: gains, pool bounds, cadence.
+/// PID controller configuration: pool bounds and cadence.
 #[derive(Clone)]
 pub struct CtrlConfig {
-    /// Proportional gain on the queue-fraction error.
-    pub kp: f64,
-    /// Integral gain (per tick) on the accumulated error.
-    pub ki: f64,
-    /// Derivative gain on the per-tick error delta.
-    pub kd: f64,
-    /// Fill pool lower bound.
-    pub min_fill: usize,
-    /// Fill pool upper bound.
-    pub max_fill: usize,
-    /// Compute pool lower bound.
-    pub min_compute: usize,
-    /// Compute pool upper bound.
-    pub max_compute: usize,
+    /// Lower bound of both the fill and the compute pool.
+    pub min_workers: usize,
+    /// Upper bound of both the fill and the compute pool.
+    pub max_workers: usize,
     /// Wall-clock sampling period (ignored when a custom clock is
     /// installed).
     pub tick_period: Duration,
@@ -112,49 +110,16 @@ pub struct CtrlConfig {
 
 impl CtrlConfig {
     /// Creates a PID policy with the given worker bounds shared by both
-    /// pools and default gains `kp=2, ki=1, kd=0`: a saturated queue
-    /// (error 0.5) actuates immediately, a queue at 3/4 (error 0.25)
-    /// actuates on the second sustained tick, sampling every 20ms.
+    /// pools, sampling every 20ms.
     pub fn bounds(min_workers: usize, max_workers: usize) -> Self {
-        let min = min_workers.max(1);
-        let max = max_workers.max(min);
+        let min_workers = min_workers.max(1);
         Self {
-            kp: 2.0,
-            ki: 1.0,
-            kd: 0.0,
-            min_fill: min,
-            max_fill: max,
-            min_compute: min,
-            max_compute: max,
+            min_workers,
+            max_workers: max_workers.max(min_workers),
             tick_period: Duration::from_millis(20),
             clock: None,
             tail_lag_probe: None,
         }
-    }
-
-    /// Overrides the PID gains.
-    #[must_use]
-    pub fn with_gains(mut self, kp: f64, ki: f64, kd: f64) -> Self {
-        self.kp = kp;
-        self.ki = ki;
-        self.kd = kd;
-        self
-    }
-
-    /// Overrides the fill pool bounds.
-    #[must_use]
-    pub fn with_fill_bounds(mut self, min: usize, max: usize) -> Self {
-        self.min_fill = min.max(1);
-        self.max_fill = max.max(self.min_fill);
-        self
-    }
-
-    /// Overrides the compute pool bounds.
-    #[must_use]
-    pub fn with_compute_bounds(mut self, min: usize, max: usize) -> Self {
-        self.min_compute = min.max(1);
-        self.max_compute = max.max(self.min_compute);
-        self
     }
 
     /// Overrides the wall-clock sampling period.
@@ -183,13 +148,8 @@ impl CtrlConfig {
 impl std::fmt::Debug for CtrlConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CtrlConfig")
-            .field("kp", &self.kp)
-            .field("ki", &self.ki)
-            .field("kd", &self.kd)
-            .field("min_fill", &self.min_fill)
-            .field("max_fill", &self.max_fill)
-            .field("min_compute", &self.min_compute)
-            .field("max_compute", &self.max_compute)
+            .field("min_workers", &self.min_workers)
+            .field("max_workers", &self.max_workers)
             .field("tick_period", &self.tick_period)
             .field("custom_clock", &self.clock.is_some())
             .field("tail_lag_probe", &self.tail_lag_probe.is_some())
@@ -492,13 +452,11 @@ pub(crate) struct PoolControls {
 
 /// Everything the PID controller thread needs.
 pub(crate) struct PidParams {
-    pub(crate) config: CtrlConfig,
     pub(crate) clock: Arc<dyn ScaleClock>,
     pub(crate) shared: Arc<CtrlShared>,
     pub(crate) fill: PoolControls,
     pub(crate) compute: PoolControls,
-    /// Reads `(max per-lane depth, per-lane capacity)` across trainer lanes;
-    /// `(0, 0)` when the service has no lanes.
+    /// Reads `(max per-lane depth, per-lane capacity)` across trainer lanes.
     pub(crate) lane_probe: Box<dyn Fn() -> (usize, usize) + Send>,
     /// Reads the ETL tail lag in ms of log time; `None` when no ETL tier is
     /// attached (batch mode), in which case the escape hatch never fires.
@@ -515,16 +473,13 @@ pub(crate) struct PidParams {
 #[derive(Default)]
 struct PidState {
     integral: f64,
-    prev_error: f64,
 }
 
 impl PidState {
     /// Advances the PID one tick and returns the control signal.
-    fn advance(&mut self, config: &CtrlConfig, error: f64) -> f64 {
+    fn advance(&mut self, error: f64) -> f64 {
         self.integral = (self.integral + error).clamp(-INTEGRAL_CLAMP, INTEGRAL_CLAMP);
-        let derivative = error - self.prev_error;
-        self.prev_error = error;
-        config.kp * error + config.ki * self.integral + config.kd * derivative
+        KP * error + KI * self.integral
     }
 }
 
@@ -551,11 +506,7 @@ impl PidParams {
             let input_frac = input_depth as f64 / fill.queue_capacity.max(1) as f64;
             let work_frac = work_depth as f64 / compute.queue_capacity.max(1) as f64;
             let (lane_depth, lane_capacity) = (self.lane_probe)();
-            let lane_frac = if lane_capacity == 0 {
-                0.0
-            } else {
-                lane_depth as f64 / lane_capacity as f64
-            };
+            let lane_frac = lane_depth as f64 / lane_capacity.max(1) as f64;
             let tail_lag_ms = self.tail_lag_probe.as_ref().map_or(0, |probe| probe());
 
             // PID error terms. The compute error subtracts a lane penalty:
@@ -570,8 +521,8 @@ impl PidParams {
             store_f64(&shared.fill_error_bits, fill_error);
             store_f64(&shared.compute_error_bits, compute_error);
 
-            let fill_control = fill_pid.advance(&self.config, fill_error);
-            let compute_control = compute_pid.advance(&self.config, compute_error);
+            let fill_control = fill_pid.advance(fill_error);
+            let compute_control = compute_pid.advance(compute_error);
             store_f64(&shared.fill_integral_bits, fill_pid.integral);
             store_f64(&shared.compute_integral_bits, compute_pid.integral);
 
@@ -723,7 +674,7 @@ mod tests {
 
     /// Spawns a controller over fully synthetic probes: queue depths and
     /// tail lag are atomics the test sets, lanes have capacity 8.
-    fn harness(config: CtrlConfig) -> Harness {
+    fn harness() -> Harness {
         let clock = Arc::new(ManualClock::new());
         let shared = Arc::new(CtrlShared::default());
         let input_depth = Arc::new(AtomicUsize::new(0));
@@ -745,7 +696,6 @@ mod tests {
         let lag = Arc::clone(&tail_lag);
         let resize_log = Arc::clone(&resizes);
         let thread = spawn_pid_controller(PidParams {
-            config: config.with_clock(Arc::clone(&clock) as Arc<dyn ScaleClock>),
             clock: Arc::clone(&clock) as Arc<dyn ScaleClock>,
             shared: Arc::clone(&shared),
             fill: PoolControls {
@@ -803,7 +753,7 @@ mod tests {
 
     #[test]
     fn saturated_input_queue_grows_fill_and_fires_on_resize() {
-        let h = harness(CtrlConfig::bounds(1, 8));
+        let h = harness();
         // input_frac 1.0 → error 0.5 → control = 2*0.5 + 1*0.5 = 1.5 ≥ 1.
         h.input_depth.store(8, Ordering::Relaxed);
         assert!(h.clock.step());
@@ -822,7 +772,7 @@ mod tests {
 
     #[test]
     fn idle_queues_shrink_pools_toward_min_but_never_below() {
-        let h = harness(CtrlConfig::bounds(1, 8));
+        let h = harness();
         // Grow fill to 3 first.
         h.input_depth.store(8, Ordering::Relaxed);
         assert!(h.clock.step());
@@ -848,7 +798,7 @@ mod tests {
 
     #[test]
     fn full_lanes_pause_the_pump_and_shrink_compute() {
-        let h = harness(CtrlConfig::bounds(1, 8));
+        let h = harness();
         // Grow compute to 2 with a busy work queue and empty lanes.
         h.work_depth.store(8, Ordering::Relaxed);
         assert!(h.clock.step());
@@ -888,7 +838,7 @@ mod tests {
 
     #[test]
     fn tail_lag_escape_hatch_overrides_lane_backpressure() {
-        let h = harness(CtrlConfig::bounds(1, 8));
+        let h = harness();
         h.lane_depth.store(8, Ordering::Relaxed);
         h.tail_lag.store(LAG_HIGH_MS + 1, Ordering::Relaxed);
         for _ in 0..3 {
@@ -907,7 +857,7 @@ mod tests {
 
     #[test]
     fn ctrl_shared_exports_recd_ctrl_families() {
-        let h = harness(CtrlConfig::bounds(1, 8));
+        let h = harness();
         h.input_depth.store(8, Ordering::Relaxed);
         assert!(h.clock.step());
         let mut buf = MetricsBuf::new();

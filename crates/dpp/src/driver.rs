@@ -199,12 +199,6 @@ impl Chaos {
     }
 }
 
-struct Tail {
-    etl: EtlService,
-    step_ms: u64,
-    chaos: Option<Chaos>,
-}
-
 /// Single service versus fleet: the only place the two differ.
 enum Backend {
     Single(DppHandle),
@@ -385,7 +379,10 @@ impl Lanes {
 /// A started pipeline: the DPP tier runs, every tier is registered into
 /// [`registry`](Self::registry), and [`run`](Self::run) feeds it to the end.
 pub struct Driver {
-    tail: Tail,
+    etl: EtlService,
+    /// Simulated ms of log time per pump step (at least 1).
+    step_ms: u64,
+    chaos: Option<Chaos>,
     backend: Backend,
     registry: Arc<MetricsRegistry>,
     /// The controller's pump gate (single service under `with_ctrl` only:
@@ -448,11 +445,6 @@ impl Driver {
                 (etl, Some(chaos))
             }
         };
-        let tail = Tail {
-            etl,
-            step_ms: feed.step_ms.max(1),
-            chaos,
-        };
         // One registry for the live monitor and `/metrics`: the DPP tier,
         // the blob store, the ETL gauges, the chaos counters.
         let registry = MetricsRegistry::new();
@@ -463,7 +455,8 @@ impl Driver {
                 // free-list sorting the caller's dataset teardown left the
                 // allocator (0.4 s after the CLI frees a 10k-session table).
                 let schema = schema.clone();
-                let handle = DppService::start(wire(dpp, &tail), Arc::clone(&store), schema);
+                let dpp = wire(dpp, &etl, chaos.as_ref());
+                let handle = DppService::start(dpp, Arc::clone(&store), schema);
                 registry.register(Arc::new(handle.snapshot_source()));
                 if let Some(ctrl) = handle.ctrl_shared() {
                     registry.register(ctrl);
@@ -472,7 +465,7 @@ impl Driver {
                 (Backend::Single(handle), gate, Some(pool))
             }
             Topology::Fleet(mut fleet) => {
-                fleet.host = wire(fleet.host, &tail);
+                fleet.host = wire(fleet.host, &etl, chaos.as_ref());
                 let handle = DppFleet::start(fleet, Arc::clone(&store), schema.clone());
                 // Host registries are stable across incarnations — a
                 // rejoined host keeps its `host="h<i>"` label.
@@ -486,12 +479,14 @@ impl Driver {
             }
         };
         registry.register(Arc::new(store.blob_store().clone()));
-        registry.register(tail.etl.gauges());
-        if let Some(chaos) = &tail.chaos {
+        registry.register(etl.gauges());
+        if let Some(chaos) = &chaos {
             registry.register(Arc::clone(&chaos.counters) as Arc<dyn Collector>);
         }
         Ok(Self {
-            tail,
+            etl,
+            step_ms: feed.step_ms.max(1),
+            chaos,
             backend,
             registry: Arc::new(registry),
             pump_gate,
@@ -522,7 +517,14 @@ impl Driver {
         let mut backend = self.backend;
         let mut lanes = Lanes::spawn(backend.take_trainers(), &consume);
         let started = Instant::now();
-        let fed = pump(self.tail, &mut backend, &mut lanes, self.pump_gate);
+        let fed = pump(
+            self.etl,
+            self.step_ms,
+            self.chaos,
+            &mut backend,
+            &mut lanes,
+            self.pump_gate,
+        );
         let finished = backend.finish();
         let lanes = lanes.join();
         let wall_seconds = started.elapsed().as_secs_f64();
@@ -542,25 +544,25 @@ impl Driver {
 
 /// The pump loop — the only one in the workspace's `src/` trees.
 fn pump(
-    mut tail: Tail,
+    mut etl: EtlService,
+    step_ms: u64,
+    mut chaos: Option<Chaos>,
     backend: &mut Backend,
     lanes: &mut Lanes,
     pump_gate: Option<PumpGate>,
 ) -> Result<(EtlServiceReport, Option<ChaosReport>), DriverError> {
-    let barrier = matches!(backend, Backend::Fleet(_)) || tail.chaos.is_some();
+    let barrier = matches!(backend, Backend::Fleet(_)) || chaos.is_some();
     let mut clock = ManualClock::new();
     let mut pumps = 0u64;
-    while !tail.etl.tail_drained() {
-        let now = clock.advance(tail.step_ms);
+    while !etl.tail_drained() {
+        let now = clock.advance(step_ms);
         backend.tick(now)?;
-        if let Some(chaos) = tail.chaos.as_mut() {
+        if let Some(chaos) = chaos.as_mut() {
             for action in chaos.injector.poll(now) {
                 match (action, &mut *backend) {
                     (FaultAction::StallTrainer { lane, ms }, _) => lanes.stall(lane, ms),
                     (FaultAction::KillTrainer { lane }, _) => lanes.kill(lane),
-                    (FaultAction::CrashEtlPump, _) => {
-                        tail.etl = chaos.crash_and_resume();
-                    }
+                    (FaultAction::CrashEtlPump, _) => etl = chaos.crash_and_resume(),
                     (FaultAction::KillHost { host }, Backend::Fleet(fleet)) => {
                         fleet.kill_host(host);
                     }
@@ -591,7 +593,7 @@ fn pump(
             }
         }
         let mut ingested = Ok(());
-        tail.etl.pump(
+        etl.pump(
             now,
             &mut |stored: &StoredPartition, _sealed: &TablePartition| {
                 if ingested.is_ok() {
@@ -603,26 +605,24 @@ fn pump(
         pumps += 1;
         if barrier {
             backend.flush_partition()?;
-            if let Some(chaos) = tail.chaos.as_mut() {
+            if let Some(chaos) = chaos.as_mut() {
                 if pumps.is_multiple_of(CHECKPOINT_EVERY_PUMPS) {
-                    chaos.checkpoint = tail.etl.checkpoint();
+                    chaos.checkpoint = etl.checkpoint();
                 }
             }
         }
     }
     let mut ingested = Ok(());
-    let output = tail
-        .etl
-        .finish(&mut |stored: &StoredPartition, _sealed: &TablePartition| {
-            if ingested.is_ok() {
-                ingested = backend.ingest_partition(stored);
-            }
-        });
+    let output = etl.finish(&mut |stored: &StoredPartition, _sealed: &TablePartition| {
+        if ingested.is_ok() {
+            ingested = backend.ingest_partition(stored);
+        }
+    });
     ingested?;
     if barrier {
         backend.flush_partition()?;
     }
-    let chaos = tail.chaos.map(|mut chaos| chaos.injector.finish());
+    let chaos = chaos.map(|mut chaos| chaos.injector.finish());
     Ok((output.report, chaos))
 }
 
@@ -630,12 +630,12 @@ fn pump(
 /// controller (every host's, in a fleet) its escape hatch: the live ETL tail
 /// lag, so lane backpressure never holds the pump while the stream falls
 /// behind its log tail.
-fn wire(mut dpp: DppConfig, tail: &Tail) -> DppConfig {
-    if let Some(chaos) = &tail.chaos {
+fn wire(mut dpp: DppConfig, etl: &EtlService, chaos: Option<&Chaos>) -> DppConfig {
+    if let Some(chaos) = chaos {
         dpp = dpp.with_chaos_retry(chaos.policy, Arc::clone(&chaos.counters));
     }
     if let Some(ctrl) = dpp.ctrl.take() {
-        let gauges = tail.etl.gauges();
+        let gauges = etl.gauges();
         dpp = dpp.with_ctrl(
             ctrl.with_tail_lag_probe(Arc::new(move || gauges.tail_lag_ms.load(Ordering::Relaxed))),
         );

@@ -11,7 +11,7 @@ use recd_data::Schema;
 use recd_obs::MetricsRegistry;
 use recd_storage::{StoredPartition, TableStore};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -63,8 +63,10 @@ impl DppFleet {
     pub fn start(config: FleetConfig, store: Arc<TableStore>, schema: Schema) -> FleetHandle {
         assert!(config.hosts >= 1, "a fleet needs at least one host");
         let (hosts, shards) = (config.hosts, config.host.shards.max(1));
-        let (lanes, senders, trainers) =
-            TrainerLanes::open(config.trainers.max(1), config.trainer_queue_depth.max(1));
+        let (lanes, senders, trainers) = TrainerLanes::open(
+            config.trainers.max(1),
+            config.host.trainer_queue_depth.max(1),
+        );
         let fleet = Arc::new(FleetShared {
             config,
             shards,
@@ -106,30 +108,11 @@ impl DppFleet {
             now_ms: 0,
             trainers,
             lanes,
-            rebalance_requests: Arc::new(AtomicBool::new(false)),
             reapers: Vec::new(),
             started: Instant::now(),
         };
         handle.refresh_owned_gauges();
         handle
-    }
-}
-
-/// A cloneable control endpoint for a running fleet — currently carries the
-/// on-demand rebalance request, which the coordinator applies at the next
-/// barrier (the only point where every in-flight batch is accounted).
-#[derive(Debug, Clone)]
-pub struct FleetController {
-    rebalance: Arc<AtomicBool>,
-}
-
-impl FleetController {
-    /// Asks the coordinator to run one work-stealing rebalance at the next
-    /// [`FleetHandle::flush_partition`] barrier. Safe to call from any
-    /// thread, including while a barrier is in flight — the request is
-    /// consumed by whichever barrier observes it first.
-    pub fn request_rebalance(&self) {
-        self.rebalance.store(true, Ordering::Release);
     }
 }
 
@@ -153,7 +136,6 @@ pub struct FleetHandle {
     now_ms: u64,
     trainers: Vec<TrainerHandle>,
     lanes: TrainerLanes,
-    rebalance_requests: Arc<AtomicBool>,
     /// Joiners for torn-down incarnations' `finish()` calls.
     reapers: Vec<JoinHandle<()>>,
     started: Instant,
@@ -335,10 +317,11 @@ impl FleetHandle {
 
     /// Fleet-wide partition barrier. It restarts the file → shard rotation,
     /// and it is a contact round: any live host that cannot be reached fails
-    /// it and is declared dead on the spot. Every live host then flushes, the coordinator quiesces the
-    /// collectors, advances the per-shard seq cuts, snapshots per-host
-    /// checkpoints, truncates the replay log, and (if configured or
-    /// requested) rebalances shard ownership.
+    /// it and is declared dead on the spot. Every live host then flushes,
+    /// the coordinator quiesces the collectors, advances the per-shard seq
+    /// cuts, snapshots per-host checkpoints, truncates the replay log, and
+    /// rebalances shard ownership — the only point where every in-flight
+    /// batch is accounted.
     ///
     /// Like [`DppHandle::flush_partition`](crate::DppHandle::flush_partition),
     /// fleet trainers must keep consuming while this runs. Returns `false`
@@ -403,9 +386,7 @@ impl FleetHandle {
             files.clear();
         }
         self.fleet.counters.note_barrier();
-        if self.fleet.config.rebalance || self.rebalance_requests.swap(false, Ordering::AcqRel) {
-            self.rebalance();
-        }
+        self.rebalance();
         true
     }
 
@@ -558,13 +539,6 @@ impl FleetHandle {
     /// registry).
     pub fn counters(&self) -> Arc<FleetCounters> {
         Arc::clone(&self.fleet.counters)
-    }
-
-    /// A cloneable controller for cross-thread control requests.
-    pub fn controller(&self) -> FleetController {
-        FleetController {
-            rebalance: Arc::clone(&self.rebalance_requests),
-        }
     }
 
     /// Per-host metric registries, labelled `h0..hM-1` — each scrapes that

@@ -40,17 +40,15 @@
 //!   [`DppService::resume`](crate::DppService::resume) from the
 //!   coordinator's last checkpoint for that host, owning no shards until
 //!   the next rebalance steals some back.
-//! * **Work stealing** — at every barrier (always when
-//!   [`FleetConfig::with_rebalance`] is on, or on demand via
-//!   [`FleetController::request_rebalance`]) the coordinator moves shards
-//!   from the most- to the least-loaded live host until ownership counts
-//!   differ by at most one.
+//! * **Work stealing** — at every barrier the coordinator moves shards from
+//!   the most- to the least-loaded live host until ownership counts differ
+//!   by at most one.
 
 mod coordinator;
 mod host;
 mod obs;
 
-pub use coordinator::{DppFleet, FleetController, FleetHandle};
+pub use coordinator::{DppFleet, FleetHandle};
 pub use obs::FleetCounters;
 
 use crate::metrics::DppReport;
@@ -64,33 +62,26 @@ pub struct FleetConfig {
     pub hosts: usize,
     /// Number of fleet-level trainer lanes fed by the collectors.
     pub trainers: usize,
-    /// Capacity of each fleet trainer lane.
-    pub trainer_queue_depth: usize,
     /// A host whose last heartbeat is strictly older than this is declared
     /// dead by [`FleetHandle::tick`]. A beat exactly at the boundary keeps
     /// the host alive.
     pub heartbeat_timeout_ms: u64,
-    /// Run the work-stealing shard rebalance at every barrier (otherwise
-    /// only when a [`FleetController`] requested it).
-    pub rebalance: bool,
     /// Template for each host's service. `host.shards` is the **global**
     /// shard count `S`; every host is started with all `S` shards and only
     /// the owned subset receives traffic. `trainers`/`assign_policy` are
-    /// overridden (one shard-pinned lane per host).
+    /// overridden (one shard-pinned lane per host); `trainer_queue_depth`
+    /// sizes that lane and every fleet trainer lane.
     pub host: DppConfig,
 }
 
 impl FleetConfig {
-    /// Fleet defaults over a host template: 2 hosts, 1 trainer lane, the
-    /// host's trainer queue depth, a 2-minute heartbeat timeout (two
-    /// continuous-pipeline pump ticks), rebalance on.
+    /// Fleet defaults over a host template: 2 hosts, 1 trainer lane, a
+    /// 2-minute heartbeat timeout (two continuous-pipeline pump ticks).
     pub fn new(host: DppConfig) -> Self {
         Self {
             hosts: 2,
             trainers: 1,
-            trainer_queue_depth: host.trainer_queue_depth,
             heartbeat_timeout_ms: 120_000,
-            rebalance: true,
             host,
         }
     }
@@ -109,24 +100,10 @@ impl FleetConfig {
         self
     }
 
-    /// Sets each fleet trainer lane's capacity (minimum 1).
-    #[must_use]
-    pub fn with_trainer_queue_depth(mut self, depth: usize) -> Self {
-        self.trainer_queue_depth = depth.max(1);
-        self
-    }
-
     /// Sets the heartbeat timeout (minimum 1 ms).
     #[must_use]
     pub fn with_heartbeat_timeout_ms(mut self, ms: u64) -> Self {
         self.heartbeat_timeout_ms = ms.max(1);
-        self
-    }
-
-    /// Enables or disables the every-barrier work-stealing rebalance.
-    #[must_use]
-    pub fn with_rebalance(mut self, rebalance: bool) -> Self {
-        self.rebalance = rebalance;
         self
     }
 }

@@ -17,7 +17,7 @@
 //! * a pool of *compute workers* runs the shared
 //!   [`recd_reader::PhaseEngine`] over coalesced batches,
 //! * a *sink* resequences the output so results are deterministic for any
-//!   worker count.
+//!   worker count, and delivers every batch onto a trainer lane.
 //!
 //! Every queue is bounded, so a slow stage backpressures all the way to the
 //! producer: [`DppHandle::submit_file`] blocks instead of buffering without
@@ -28,15 +28,15 @@
 //! On top of that pipeline this crate provides the two elastic pieces of
 //! the paper's deployment story:
 //!
-//! * **Multi-trainer fan-out** ([`DppConfig::with_trainers`]): the sink
-//!   becomes a dispatch stage that resequences batches per shard and streams
-//!   them onto N bounded per-trainer lanes under a
-//!   [`TrainerAssignPolicy`]. Each [`TrainerHandle`] is an independent pull
-//!   endpoint with its own backpressure gauge and consumption counters, so
-//!   one slow trainer throttles its lane — not the whole service — until
-//!   the bounded spillover is exhausted. [`DppHandle::flush_partition`]
-//!   injects a barrier that guarantees partition boundaries are fully
-//!   delivered before it returns.
+//! * **Multi-trainer fan-out** ([`DppConfig::with_trainers`], one lane by
+//!   default): the sink resequences batches per shard and streams them onto
+//!   N bounded per-trainer lanes under a [`TrainerAssignPolicy`]. Each
+//!   [`TrainerHandle`] is an independent pull endpoint with its own
+//!   backpressure gauge and consumption counters, so one slow trainer
+//!   throttles its lane — not the whole service — until the bounded
+//!   spillover is exhausted. [`DppHandle::flush_partition`] injects a
+//!   barrier that guarantees partition boundaries are fully delivered
+//!   before it returns.
 //! * **Dynamic worker sizing** ([`DppConfig::with_ctrl`]): one controller
 //!   thread samples the DPP queues, the trainer lanes, and the ETL tail lag
 //!   on a [`ScaleClock`], grows or shrinks the fill and compute pools
@@ -59,13 +59,14 @@
 //! report types) and [`obs`] (their metric families).
 //!
 //! Under [`ShardPolicy::FileRoundRobin`] with `shards` readers, the
-//! service's collected output is **identical** to a serial reference reader
-//! that gives reader *r* every file *i* with `i % shards == r` — the
-//! integration tests assert this batch for batch. A barrier restarts the
+//! service's delivered output, put in `(shard, seq)` order, is
+//! **identical** to a serial reference reader that gives reader *r* every
+//! file *i* with `i % shards == r` — the integration tests assert this
+//! batch for batch. A barrier restarts the
 //! rotation, so `PipelineRunner::run`, which closes every landed partition
 //! with one, reads each partition exactly this way. The fan-out tests assert
-//! the multiset union across trainer lanes matches the single-sink baseline
-//! for every assignment policy.
+//! the multiset union across trainer lanes matches the one-lane baseline for
+//! every assignment policy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -85,9 +86,7 @@ pub use channel::{bounded, Receiver, RecvTimeout, SendError, Sender};
 pub use checkpoint::DppCheckpoint;
 pub use control::{CtrlConfig, CtrlReport, CtrlShared, PumpGate, ScaleEvent};
 pub use driver::{Consume, Driver, DriverError, DriverOutput, LaneReport, TailFeed, Topology};
-pub use fleet::{
-    DppFleet, FleetConfig, FleetController, FleetCounters, FleetHandle, FleetOutput, FleetReport,
-};
+pub use fleet::{DppFleet, FleetConfig, FleetCounters, FleetHandle, FleetOutput, FleetReport};
 pub use metrics::{
     DppReport, DppSnapshot, ServiceCounters, TrainerLaneReport, TrainerLaneSnapshot,
 };

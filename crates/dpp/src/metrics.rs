@@ -146,7 +146,7 @@ pub struct DppSnapshot {
     pub scale_ups: u64,
     /// Pool-shrink events so far.
     pub scale_downs: u64,
-    /// Per-trainer lane state (empty outside fan-out mode).
+    /// Per-trainer lane state.
     pub trainers: Vec<TrainerLaneSnapshot>,
     /// Columnar-batch pool counters: fill decode targets, router
     /// accumulators, and coalesced work chunks all draw from and recycle
@@ -182,7 +182,7 @@ pub struct DppReport {
     pub shards: usize,
     /// Sharding policy name.
     pub policy: String,
-    /// Trainer lane assignment policy name (fan-out mode).
+    /// Trainer lane assignment policy name.
     pub assign_policy: String,
     /// Wall-clock seconds from service start to drain.
     pub wall_seconds: f64,

@@ -21,10 +21,9 @@
 //!   worker counts, scheduling, or pool resizes.
 //! * **Compute workers** run the shared [`PhaseEngine`] (IKJT conversion O3,
 //!   deduplicated preprocessing O4) over coalesced chunks concurrently.
-//! * The **sink** resequences finished batches per shard and either collects
-//!   them (the default) or, with [`DppConfig::with_trainers`], streams them
-//!   onto N bounded per-trainer lanes with per-trainer flow control (see
-//!   [`crate::sink`]).
+//! * The **sink** resequences finished batches per shard and streams them
+//!   onto the bounded trainer lanes ([`DppConfig::with_trainers`], one by
+//!   default) with per-trainer flow control (see [`crate::sink`]).
 //!
 //! Every queue is bounded: a slow stage blocks its upstream all the way back
 //! to `submit_file`, which is the service's backpressure contract over
@@ -109,10 +108,6 @@ pub enum ShardPolicy {
     /// in-batch dedup factor) even when the incoming file stream interleaves
     /// sessions.
     SessionAffine,
-    /// Rows round-robin individually — deliberately scatters sessions. This
-    /// is the worst case for in-batch deduplication and exists as the
-    /// ablation baseline for [`ShardPolicy::SessionAffine`].
-    RowRoundRobin,
 }
 
 impl ShardPolicy {
@@ -121,7 +116,6 @@ impl ShardPolicy {
         match self {
             ShardPolicy::FileRoundRobin => "file_round_robin",
             ShardPolicy::SessionAffine => "session_affine",
-            ShardPolicy::RowRoundRobin => "row_round_robin",
         }
     }
 }
@@ -141,9 +135,7 @@ pub struct DppConfig {
     pub queue_depth: usize,
     /// Row sharding policy.
     pub policy: ShardPolicy,
-    /// Trainer endpoints fed by the fan-out sink. `0` (the default) keeps
-    /// the legacy collect-everything sink that returns batches from
-    /// [`DppHandle::finish`].
+    /// Trainer lanes the sink delivers onto (at least one; one by default).
     pub trainers: usize,
     /// How delivered batches are assigned to trainer lanes.
     pub assign_policy: TrainerAssignPolicy,
@@ -170,7 +162,7 @@ impl DppConfig {
     /// Creates a configuration with production-flavored defaults: 2 fill
     /// workers, 2 compute workers, one shard per compute worker,
     /// session-affine routing, a backpressure window of 8 items per queue,
-    /// the collect sink, and fixed pools.
+    /// one shard-pinned trainer lane, and fixed pools.
     pub fn new(reader: ReaderConfig) -> Self {
         Self {
             reader,
@@ -179,7 +171,7 @@ impl DppConfig {
             shards: 2,
             queue_depth: 8,
             policy: ShardPolicy::SessionAffine,
-            trainers: 0,
+            trainers: 1,
             assign_policy: TrainerAssignPolicy::ShardPinned,
             trainer_queue_depth: 8,
             ctrl: None,
@@ -223,8 +215,7 @@ impl DppConfig {
         self
     }
 
-    /// Switches the sink into fan-out mode with `trainers` (minimum 1)
-    /// bounded per-trainer lanes; pull batches through the
+    /// Sets the trainer lane count (minimum 1); pull batches through the
     /// [`TrainerHandle`]s returned by [`DppHandle::take_trainers`].
     #[must_use]
     pub fn with_trainers(mut self, trainers: usize) -> Self {
@@ -232,7 +223,7 @@ impl DppConfig {
         self
     }
 
-    /// Sets the trainer lane assignment policy (fan-out mode only).
+    /// Sets the trainer lane assignment policy.
     #[must_use]
     pub fn with_assign_policy(mut self, policy: TrainerAssignPolicy) -> Self {
         self.assign_policy = policy;
@@ -308,12 +299,10 @@ struct WorkItem {
     rows: ColumnarBatch,
 }
 
-/// Everything a finished service run produced.
+/// What a finished service run reports (its batches left through the
+/// trainer lanes).
 #[derive(Debug)]
 pub struct DppOutput {
-    /// Emitted batches in deterministic (shard, sequence) order. Empty in
-    /// fan-out mode — there the batches went to the trainer lanes instead.
-    pub batches: Vec<ConvertedBatch>,
     /// Final accounting.
     pub report: DppReport,
 }
@@ -323,9 +312,8 @@ pub struct DppOutput {
 pub struct DppError {
     /// One message per failed fill or conversion, in no particular order.
     pub errors: Vec<String>,
-    /// Everything the run still produced: the batches that drained cleanly
-    /// plus the accounting, so a partially failed run is not a total loss.
-    /// Boxed so the `Result` the service returns stays small.
+    /// The run's accounting, so a partially failed run is not a total
+    /// loss. Boxed so the `Result` the service returns stays small.
     pub output: Box<DppOutput>,
 }
 
@@ -429,7 +417,6 @@ struct State {
     convert_hist: Histogram,
     process_hist: Histogram,
     scale_events: Arc<Mutex<Vec<ScaleEvent>>>,
-    /// Trainer lanes (fan-out mode; empty in collect mode).
     lanes: TrainerLanes,
     input_gauge: Gauge<FillTask>,
     filled_gauge: Gauge<FilledFile>,
@@ -770,7 +757,6 @@ fn router_loop(ctx: RouterCtx) {
     // across batches.
     let mut accumulators: Vec<ColumnarBatch> = (0..shards).map(|_| fresh()).collect();
     let mut shard_seqs = vec![0u64; shards];
-    let mut row_rr = 0usize;
     let mut local = ReaderMetrics::default();
     let emit = |shard: usize, rows: ColumnarBatch, shard_seqs: &mut Vec<u64>| -> bool {
         let seq = shard_seqs[shard];
@@ -806,10 +792,6 @@ fn router_loop(ctx: RouterCtx) {
                                     (recd_codec::hash_ids(&[rows.session_id(row).raw()])
                                         % shards as u64)
                                         as usize
-                                }
-                                ShardPolicy::RowRoundRobin => {
-                                    row_rr = (row_rr + 1) % shards;
-                                    row_rr
                                 }
                             },
                         };
@@ -885,9 +867,9 @@ pub struct DppService;
 
 impl DppService {
     /// Starts the service over a table store. Work arrives via
-    /// [`DppHandle::submit_file`]; results and metrics come back through
-    /// [`DppHandle::finish`] (and, in fan-out mode, through the
-    /// [`TrainerHandle`]s from [`DppHandle::take_trainers`]).
+    /// [`DppHandle::submit_file`]; batches leave through the
+    /// [`TrainerHandle`]s from [`DppHandle::take_trainers`], and the final
+    /// report comes back from [`DppHandle::finish`].
     pub fn start(config: DppConfig, store: Arc<TableStore>, schema: Schema) -> DppHandle {
         Self::start_with(config, store, schema, DppCheckpoint::default())
     }
@@ -928,10 +910,10 @@ impl DppService {
         // exist); the pools size for the maximum population they may grow to.
         let (initial_fill, initial_compute, max_fill, max_compute) = match &config.ctrl {
             Some(c) => (
-                config.fill_workers.clamp(c.min_fill, c.max_fill),
-                config.compute_workers.clamp(c.min_compute, c.max_compute),
-                c.max_fill,
-                c.max_compute,
+                config.fill_workers.clamp(c.min_workers, c.max_workers),
+                config.compute_workers.clamp(c.min_workers, c.max_workers),
+                c.max_workers,
+                c.max_workers,
             ),
             None => (
                 config.fill_workers,
@@ -948,7 +930,7 @@ impl DppService {
         let (work_tx, work_rx) = bounded::<WorkItem>(depth);
         let (out_tx, out_rx) = bounded::<SinkInput>(depth);
         let (lanes, lane_senders, trainers) =
-            TrainerLanes::open(config.trainers, config.trainer_queue_depth);
+            TrainerLanes::open(config.trainers.max(1), config.trainer_queue_depth);
 
         let state = Arc::new(State {
             started,
@@ -1015,7 +997,8 @@ impl DppService {
                     policy: state.config.assign_policy,
                     // The spillover lets healthy trainers keep receiving
                     // while one lane is full; once it overflows the sink
-                    // blocks and ordinary backpressure takes over.
+                    // waits for lane space and ordinary backpressure takes
+                    // over.
                     park_capacity: state.config.trainer_queue_depth * state.config.trainers.max(1),
                     barriers: &state.barriers,
                     converted_pool: &state.converted_pool,
@@ -1041,11 +1024,7 @@ impl DppService {
                 };
                 // The lane signal is the *worst* lane's fill fraction: one
                 // stalled trainer is a bottleneck even while its siblings drain.
-                let lane_capacity = if state.config.trainers == 0 {
-                    0
-                } else {
-                    state.config.trainer_queue_depth
-                };
+                let lane_capacity = state.config.trainer_queue_depth;
                 let lane_state = Arc::clone(&state);
                 let resize_state = Arc::clone(&state);
                 let params = PidParams {
@@ -1054,8 +1033,8 @@ impl DppService {
                     fill: PoolControls {
                         name: "fill",
                         governor: Arc::clone(&state.fill_gov),
-                        min: ctrl.min_fill,
-                        max: ctrl.max_fill,
+                        min: ctrl.min_workers,
+                        max: ctrl.max_workers,
                         queue_probe: probe(|state| state.input_gauge.len()),
                         queue_capacity: depth,
                         spawn: spawn_fill,
@@ -1063,8 +1042,8 @@ impl DppService {
                     compute: PoolControls {
                         name: "compute",
                         governor: Arc::clone(&state.compute_gov),
-                        min: ctrl.min_compute,
-                        max: ctrl.max_compute,
+                        min: ctrl.min_workers,
+                        max: ctrl.max_workers,
                         queue_probe: probe(|state| state.work_gauge.len()),
                         queue_capacity: depth,
                         spawn: spawn_compute,
@@ -1078,7 +1057,6 @@ impl DppService {
                     on_resize: Box::new(move |fill, compute| {
                         resize_state.size_pools(fill, compute)
                     }),
-                    config: ctrl,
                 };
                 (clock, spawn_pid_controller(params))
             });
@@ -1140,7 +1118,7 @@ pub struct DppHandle {
     ingested: HashSet<String>,
     trainers: Vec<TrainerHandle>,
     router: JoinHandle<()>,
-    sink: JoinHandle<BTreeMap<(usize, u64), ConvertedBatch>>,
+    sink: JoinHandle<()>,
     controller: Option<(Arc<dyn ScaleClock>, JoinHandle<()>)>,
 }
 
@@ -1238,14 +1216,14 @@ impl DppHandle {
     }
 
     /// Injects a partition barrier and blocks until **every batch from
-    /// previously submitted files has been delivered** — pushed onto its
-    /// trainer lane in fan-out mode, collected by the sink otherwise. Shard
-    /// accumulators holding fewer than `batch_size` rows flush as short
+    /// previously submitted files has been delivered** onto a trainer lane.
+    /// Shard accumulators holding fewer than `batch_size` rows flush as short
     /// batches, so a partition boundary never strands rows in the pipeline.
     ///
     /// While a flush waits, trainers must keep consuming (a full lane cannot
     /// accept the flushed batches); the spillover buffer absorbs moderate
-    /// lag. Flushing an idle service returns immediately. Returns `false`
+    /// lag, and under least-loaded assignment one stalled trainer's parked
+    /// batches move to lanes that drain. Flushing an idle service returns immediately. Returns `false`
     /// only if the service tore down before the barrier resolved.
     pub fn flush_partition(&mut self) -> bool {
         self.next_barrier_id += 1;
@@ -1261,11 +1239,11 @@ impl DppHandle {
         self.state.barriers.wait(id)
     }
 
-    /// Takes the per-trainer pull endpoints (fan-out mode; empty when the
-    /// service was not configured with [`DppConfig::with_trainers`]). Hand
-    /// each one to its trainer thread; dropping a handle marks that trainer
-    /// dead and its batches are counted as dropped rather than wedging the
-    /// service.
+    /// Takes the per-trainer pull endpoints, one per configured lane. Hand
+    /// each one to a consuming thread before feeding: a lane nobody pulls
+    /// fills and then backpressures the whole service. Dropping a handle
+    /// marks that trainer dead, and its batches re-route or are counted as
+    /// dropped rather than wedging the service.
     pub fn take_trainers(&mut self) -> Vec<TrainerHandle> {
         std::mem::take(&mut self.trainers)
     }
@@ -1310,16 +1288,10 @@ impl DppHandle {
     }
 
     /// Gracefully shuts down: closes the input, lets every stage drain, joins
-    /// all workers (including the controller and any dynamically
-    /// spawned workers), and returns the collected batches plus the final
-    /// report.
-    ///
-    /// In fan-out mode the sink streams instead of collecting, so
-    /// [`DppOutput::batches`] comes back empty and the drain completes once
-    /// the trainer lanes have accepted everything — keep consuming from the
-    /// [`TrainerHandle`]s (or drop them) while this call runs. In collect
-    /// mode the finished batches accumulate until this call returns, so a
-    /// run must fit its output in memory.
+    /// all workers (including the controller and any dynamically spawned
+    /// workers), and returns the final report. The drain completes once the
+    /// trainer lanes have accepted everything — keep consuming from the
+    /// [`TrainerHandle`]s (or drop them) while this call runs.
     ///
     /// # Errors
     ///
@@ -1355,10 +1327,9 @@ impl DppHandle {
         for handle in state.compute_gov.take_handles() {
             handle.join().expect("compute worker must not panic");
         }
-        let collected = sink.join().expect("sink must not panic");
+        sink.join().expect("sink must not panic");
 
         let output = DppOutput {
-            batches: collected.into_values().collect(),
             report: state.report(),
         };
         let errors = std::mem::take(&mut *state.errors.lock().expect("error list lock"));

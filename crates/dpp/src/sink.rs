@@ -11,9 +11,11 @@
 //! Flow control is **per trainer**: every lane is its own bounded channel
 //! with its own depth gauge and delivered/consumed counters. When one
 //! trainer stalls, its lane fills and batches destined for it park in a
-//! bounded spillover buffer while other trainers keep receiving; only once
-//! the spillover is exhausted does the sink block, which then backpressures
-//! the whole pipeline the usual way (out queue → compute → router → fill →
+//! bounded spillover buffer while other trainers keep receiving. Once the
+//! spillover is exhausted the sink waits for lane space: on the parked
+//! batch's own lane under shard pinning, on whichever live lane frees first
+//! under least-loaded assignment. That wait backpressures the whole
+//! pipeline the usual way (out queue → compute → router → fill →
 //! [`DppHandle::submit_file`](crate::DppHandle::submit_file)).
 //!
 //! The sink is also where partition barriers resolve: the router stamps each
@@ -47,8 +49,6 @@ pub enum TrainerAssignPolicy {
     /// plus parked batches; ties pick the lowest trainer id). Routes around
     /// slow trainers at the cost of shard affinity.
     LeastLoaded,
-    /// Batches rotate over lanes in dispatch order — the uniform baseline.
-    RoundRobin,
 }
 
 impl TrainerAssignPolicy {
@@ -57,7 +57,6 @@ impl TrainerAssignPolicy {
         match self {
             TrainerAssignPolicy::ShardPinned => "shard_pinned",
             TrainerAssignPolicy::LeastLoaded => "least_loaded",
-            TrainerAssignPolicy::RoundRobin => "round_robin",
         }
     }
 }
@@ -212,7 +211,7 @@ impl TrainerLanes {
         (lanes, senders, handles)
     }
 
-    /// Depth of the fullest lane (0 without lanes).
+    /// Depth of the fullest lane.
     pub(crate) fn deepest(&self) -> usize {
         self.0
             .iter()
@@ -428,8 +427,7 @@ pub(crate) enum SinkInput {
 pub(crate) struct SinkParams<'a> {
     pub(crate) out_rx: Receiver<SinkInput>,
     pub(crate) shards: usize,
-    /// Empty means collect mode: the legacy single sink that accumulates
-    /// every batch for [`DppHandle::finish`](crate::DppHandle::finish).
+    /// The trainer lanes every batch leaves through (at least one).
     pub(crate) lanes: Vec<LaneSender>,
     pub(crate) policy: TrainerAssignPolicy,
     /// Total parked batches allowed across all lanes before the sink blocks.
@@ -440,12 +438,13 @@ pub(crate) struct SinkParams<'a> {
     pub(crate) converted_pool: &'a BatchPool<ConvertedBatch>,
 }
 
-/// How often the sink retries parked batches while new input is quiet.
+/// How often the sink retries parked batches while new input is quiet, and
+/// polls the lanes while the spillover is over capacity.
 const PARK_RETRY: Duration = Duration::from_micros(200);
 
-/// The sink stage body. Returns the collected batches (empty in fan-out
-/// mode) keyed by `(shard, seq)` so iteration order is deterministic.
-pub(crate) fn run_sink(params: SinkParams<'_>) -> BTreeMap<(usize, u64), ConvertedBatch> {
+/// The sink stage body: resequences every shard's stream and delivers it
+/// onto the trainer lanes until end of stream.
+pub(crate) fn run_sink(params: SinkParams<'_>) {
     let SinkParams {
         out_rx,
         shards,
@@ -456,7 +455,6 @@ pub(crate) fn run_sink(params: SinkParams<'_>) -> BTreeMap<(usize, u64), Convert
         converted_pool,
     } = params;
 
-    let mut collected: BTreeMap<(usize, u64), ConvertedBatch> = BTreeMap::new();
     // Out-of-order arrivals wait here until their shard's cursor reaches
     // them (`None` marks a failed conversion's sequence slot, which is
     // accounted but delivers nothing); bounded in practice by the in-flight
@@ -469,7 +467,6 @@ pub(crate) fn run_sink(params: SinkParams<'_>) -> BTreeMap<(usize, u64), Convert
         lanes,
         parked_total: 0,
         park_capacity,
-        rr: 0,
         policy,
         converted_pool,
     };
@@ -500,13 +497,7 @@ pub(crate) fn run_sink(params: SinkParams<'_>) -> BTreeMap<(usize, u64), Convert
             None => {}
         }
         dispatcher.retry_parked();
-        advance(
-            &mut reorder,
-            &mut next_seq,
-            policy,
-            &mut dispatcher,
-            &mut collected,
-        );
+        advance(&mut reorder, &mut next_seq, &mut dispatcher);
         complete_barriers(&mut pending_barriers, &next_seq, &mut dispatcher, barriers);
     }
 
@@ -514,30 +505,22 @@ pub(crate) fn run_sink(params: SinkParams<'_>) -> BTreeMap<(usize, u64), Convert
     // reorder buffer is a contiguous tail — deliver it, force parked batches
     // out (blocking; trainers draining their lanes unblock us), and resolve
     // any outstanding barriers.
-    advance(
-        &mut reorder,
-        &mut next_seq,
-        policy,
-        &mut dispatcher,
-        &mut collected,
-    );
+    advance(&mut reorder, &mut next_seq, &mut dispatcher);
     debug_assert!(reorder.is_empty(), "sink must drain every emitted batch");
-    dispatcher.flush_parked_blocking();
+    dispatcher.unpark_down_to(0);
     while let Some((id, _)) = pending_barriers.pop_front() {
         barriers.complete(id);
     }
     barriers.close();
-    collected
 }
 
-/// The fan-out delivery state: trainer lanes, the bounded per-lane spillover
-/// of batches whose lane was full, and the round-robin cursor.
+/// The fan-out delivery state: trainer lanes and the bounded per-lane
+/// spillover of batches whose lane was full.
 struct Dispatcher<'a> {
     lanes: Vec<LaneSender>,
     parked: Vec<VecDeque<TrainerBatch>>,
     parked_total: usize,
     park_capacity: usize,
-    rr: usize,
     policy: TrainerAssignPolicy,
     converted_pool: &'a BatchPool<ConvertedBatch>,
 }
@@ -553,32 +536,15 @@ impl Dispatcher<'_> {
     /// would absorb (and drop) the entire stream while live trainers
     /// starve. [`None`] when every trainer is gone.
     fn least_loaded_live(&self) -> Option<usize> {
-        let mut best = None;
-        let mut best_load = usize::MAX;
-        for (t, lane) in self.lanes.iter().enumerate() {
-            if self.lane_dead(t) {
-                continue;
-            }
-            let load = lane.tx.len() + self.parked[t].len();
-            if load < best_load {
-                best = Some(t);
-                best_load = load;
-            }
-        }
-        best
-    }
-
-    /// [`least_loaded_live`](Self::least_loaded_live) with the historical
-    /// lane-0 fallback for the all-dead case (the dispatch path then drops
-    /// and accounts the batch against lane 0).
-    fn least_loaded(&self) -> usize {
-        self.least_loaded_live().unwrap_or(0)
+        (0..self.lanes.len())
+            .filter(|&t| !self.lane_dead(t))
+            .min_by_key(|&t| self.lanes[t].tx.len() + self.parked[t].len())
     }
 
     /// Where a batch aimed at dead lane `trainer` should go instead:
     /// shard-pinned placement is a determinism contract (a shard's stream
-    /// must never migrate), so it drops; the load-balancing policies
-    /// re-route to the least-loaded live lane.
+    /// must never migrate), so it drops; least-loaded assignment re-routes
+    /// to the least-loaded live lane.
     fn reroute_target(&self, trainer: usize) -> Option<usize> {
         if self.policy == TrainerAssignPolicy::ShardPinned {
             return None;
@@ -591,13 +557,13 @@ impl Dispatcher<'_> {
     }
 
     /// Pushes one batch onto its lane, parking it when the lane is full.
-    /// When the spillover exceeds `park_capacity`, blocks on the most
-    /// backed-up lane until space frees — that block is what ultimately
-    /// backpressures the whole pipeline behind a universally slow consumer.
+    /// When the spillover exceeds `park_capacity`, waits until lanes free
+    /// space ([`unpark_down_to`](Self::unpark_down_to)) — that wait is what
+    /// ultimately backpressures the whole pipeline behind slow consumers.
     fn dispatch(&mut self, trainer: usize, mut item: TrainerBatch) {
         let trainer = if self.lane_dead(trainer) {
             match self.reroute_target(trainer) {
-                // The trainer died under a load-balancing policy: the batch
+                // The trainer died under least-loaded assignment: the batch
                 // survives on another live lane instead of being lost.
                 Some(target) => {
                     item.trainer = target;
@@ -615,27 +581,57 @@ impl Dispatcher<'_> {
         };
         // Lane order is per-trainer FIFO: never overtake an already-parked
         // batch.
-        if self.parked[trainer].is_empty() {
-            match self.lanes[trainer].try_send(item) {
-                None => return,
-                Some(item) => {
-                    self.parked[trainer].push_back(item);
-                    self.parked_total += 1;
-                }
-            }
+        let refused = if self.parked[trainer].is_empty() {
+            self.lanes[trainer].try_send(item)
         } else {
+            Some(item)
+        };
+        if let Some(item) = refused {
             self.parked[trainer].push_back(item);
             self.parked_total += 1;
+            self.unpark_down_to(self.park_capacity);
         }
-        while self.parked_total > self.park_capacity {
+    }
+
+    /// Moves parked batches onto lanes until at most `limit` stay parked:
+    /// the spillover overflow (`park_capacity`), and the forced delivery at
+    /// a barrier and at end of stream (`0`). Shard-pinned placement blocks
+    /// on the most-parked lane, since a shard's stream never migrates. The
+    /// other policies hand that lane's oldest batch to whichever live lane
+    /// frees first, polling every `PARK_RETRY`, so one stalled trainer
+    /// cannot hold batches every other lane could take. With one live lane
+    /// there is nothing to choose, and the send blocks.
+    fn unpark_down_to(&mut self, limit: usize) {
+        while self.parked_total > limit {
+            let live = (0..self.lanes.len()).filter(|&t| !self.lane_dead(t));
+            let choose = self.policy != TrainerAssignPolicy::ShardPinned && live.count() > 1;
+            if choose {
+                self.retry_parked();
+                if self.parked_total <= limit {
+                    break;
+                }
+            }
             let worst = (0..self.lanes.len())
                 .max_by_key(|&t| self.parked[t].len())
                 .expect("at least one lane when parked");
-            let Some(item) = self.parked[worst].pop_front() else {
+            let Some(mut item) = self.parked[worst].pop_front() else {
                 break;
             };
             self.parked_total -= 1;
-            self.send_blocking(worst, item);
+            if !choose {
+                self.send_blocking(worst, item);
+                continue;
+            }
+            // Every lane still holding parked batches is full, so the
+            // least-loaded live lane has room if any lane has.
+            let target = self.least_loaded_live().unwrap_or(worst);
+            item.trainer = target;
+            if let Some(mut item) = self.lanes[target].try_send(item) {
+                item.trainer = worst;
+                self.parked[worst].push_front(item);
+                self.parked_total += 1;
+                std::thread::sleep(PARK_RETRY);
+            }
         }
     }
 
@@ -667,9 +663,9 @@ impl Dispatcher<'_> {
         }
     }
 
-    /// Blocking-delivers one batch (used for spillover overflow and final
-    /// drain). A dead lane re-routes the batch to a live lane
-    /// (load-balancing policies) or counts it as dropped (shard-pinned / all
+    /// Blocking-delivers one batch (the spillover's way out when there is
+    /// no lane to choose). A dead lane re-routes the batch to a live lane
+    /// (least-loaded policy) or counts it as dropped (shard-pinned / all
     /// lanes dead). The live set only shrinks, so the re-route recursion is
     /// bounded.
     fn send_blocking(&mut self, trainer: usize, item: TrainerBatch) {
@@ -683,16 +679,6 @@ impl Dispatcher<'_> {
             }
         }
     }
-
-    /// Forces every parked batch out with blocking sends.
-    fn flush_parked_blocking(&mut self) {
-        for t in 0..self.lanes.len() {
-            while let Some(item) = self.parked[t].pop_front() {
-                self.parked_total -= 1;
-                self.send_blocking(t, item);
-            }
-        }
-    }
 }
 
 /// Delivers every batch whose shard cursor has reached it; a `None` slot (a
@@ -700,9 +686,7 @@ impl Dispatcher<'_> {
 fn advance(
     reorder: &mut BTreeMap<(usize, u64), Option<ConvertedBatch>>,
     next_seq: &mut [u64],
-    policy: TrainerAssignPolicy,
     dispatcher: &mut Dispatcher<'_>,
-    collected: &mut BTreeMap<(usize, u64), ConvertedBatch>,
 ) {
     for (shard, cursor) in next_seq.iter_mut().enumerate() {
         while let Some(slot) = reorder.remove(&(shard, *cursor)) {
@@ -711,18 +695,10 @@ fn advance(
             let Some(batch) = slot else {
                 continue;
             };
-            if dispatcher.lanes.is_empty() {
-                collected.insert((shard, seq), batch);
-                continue;
-            }
-            let trainer = match policy {
+            let trainer = match dispatcher.policy {
                 TrainerAssignPolicy::ShardPinned => shard % dispatcher.lanes.len(),
-                TrainerAssignPolicy::RoundRobin => {
-                    let t = dispatcher.rr % dispatcher.lanes.len();
-                    dispatcher.rr += 1;
-                    t
-                }
-                TrainerAssignPolicy::LeastLoaded => dispatcher.least_loaded(),
+                // With every lane dead, lane 0 drops and accounts the batch.
+                TrainerAssignPolicy::LeastLoaded => dispatcher.least_loaded_live().unwrap_or(0),
             };
             let item = TrainerBatch {
                 trainer,
@@ -755,9 +731,7 @@ fn complete_barriers(
         // The cursors passed every pre-barrier batch, but some may have been
         // parked rather than delivered; they must reach their lanes before
         // the flush caller is released.
-        if dispatcher.parked_total > 0 {
-            dispatcher.flush_parked_blocking();
-        }
+        dispatcher.unpark_down_to(0);
         barriers.complete(*id);
         pending.pop_front();
     }

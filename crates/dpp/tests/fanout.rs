@@ -1,8 +1,8 @@
 //! Fan-out sink determinism tests: for every [`TrainerAssignPolicy`] the
 //! multiset union of batches across all trainer endpoints must be
-//! byte-identical to the single-sink baseline, `ShardPinned` must never
-//! split one shard across trainers, and per-trainer flow control must keep
-//! lanes bounded while routing around a stalled trainer.
+//! byte-identical to the one-lane baseline, `ShardPinned` must never split
+//! one shard across trainers, and per-trainer flow control must keep lanes
+//! bounded while routing around a stalled trainer.
 
 use recd_core::{ConvertedBatch, DataLoaderConfig};
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
@@ -10,7 +10,11 @@ use recd_dpp::{DppConfig, DppService, ShardPolicy, TrainerAssignPolicy, TrainerB
 use recd_etl::cluster_by_session;
 use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_storage::{StoredPartition, TableStore, TectonicSim};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
+
+mod common;
+use common::Drain;
 
 struct Fixture {
     schema: recd_data::Schema,
@@ -48,15 +52,17 @@ fn config(f: &Fixture) -> DppConfig {
     .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64))
 }
 
-/// Single-sink baseline: collect mode returns batches in `(shard, seq)`
-/// order, which is the canonical ordering the fan-out union is compared
-/// against.
+/// One-lane baseline in `(shard, seq)` order, the canonical ordering the
+/// fan-out union is compared against.
 fn baseline(f: &Fixture, rounds: usize) -> Vec<ConvertedBatch> {
     let mut handle = DppService::start(config(f), Arc::clone(&f.store), f.schema.clone());
+    let drain = Drain::start(&mut handle);
     for _ in 0..rounds {
         handle.submit_partition(&f.partition);
     }
-    handle.finish().expect("clean baseline run").batches
+    let (batches, output) = drain.finish(handle);
+    output.expect("clean baseline run");
+    batches
 }
 
 /// Runs a fan-out service with one draining consumer thread per trainer and
@@ -87,9 +93,9 @@ fn run_fan_out(
 
 /// The acceptance criterion: under every assignment policy, the union of
 /// batches across 4 trainer endpoints — re-sorted into the canonical
-/// `(shard, seq)` order — is byte-identical to the single-sink baseline.
+/// `(shard, seq)` order — is byte-identical to the one-lane baseline.
 #[test]
-fn fan_out_union_is_byte_identical_to_single_sink_for_every_policy() {
+fn fan_out_union_is_byte_identical_to_one_lane_for_every_policy() {
     let f = fixture();
     let expected = baseline(&f, 2);
     assert!(expected.len() >= 8, "baseline must produce several batches");
@@ -97,7 +103,6 @@ fn fan_out_union_is_byte_identical_to_single_sink_for_every_policy() {
     for policy in [
         TrainerAssignPolicy::ShardPinned,
         TrainerAssignPolicy::LeastLoaded,
-        TrainerAssignPolicy::RoundRobin,
     ] {
         let (per_trainer, report) = run_fan_out(&f, 4, policy, 2);
         assert_eq!(report.assign_policy, policy.name());
@@ -127,7 +132,7 @@ fn fan_out_union_is_byte_identical_to_single_sink_for_every_policy() {
             assert_eq!(
                 &got.batch,
                 want,
-                "{}: batch {i} diverged from the single-sink baseline",
+                "{}: batch {i} diverged from the one-lane baseline",
                 policy.name()
             );
         }
@@ -216,33 +221,20 @@ fn stalled_trainer_keeps_its_lane_bounded_without_wedging_the_service() {
     // thread while this one holds the stall until every batch has been
     // computed and handed to the sink: the share asserted below then
     // measures routing, not how much of the stream was still in flight at
-    // the release. The hold also ends if the stream stops moving: when the
-    // healthy trainers fall behind at the same time, the spillover overflows
-    // and the sink blocks on the most backed-up lane, which can be the
-    // stalled one. The share is asserted either way. The sleep only paces
-    // the polling.
+    // the release. The healthy lanes take the stalled lane's overflow, so
+    // the stream keeps moving. The sleep only paces the polling.
     let source = handle.snapshot_source();
     let finisher = std::thread::spawn(move || handle.finish().expect("clean run"));
     let samples = (rounds * f.rows) as u64;
-    let (mut last, mut idle_polls) = (None, 0);
-    let stopped = loop {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
         let s = source.snapshot();
         if s.samples_out == samples && s.output_queue_depth == 0 {
-            break None;
+            break;
         }
-        let progress = Some((
-            s.samples_out,
-            s.output_queue_depth,
-            s.trainers[1].delivered_batches,
-            s.trainers[2].delivered_batches,
-        ));
-        idle_polls = if progress == last { idle_polls + 1 } else { 0 };
-        if idle_polls >= 200 {
-            break Some(s);
-        }
-        last = progress;
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    };
+        assert!(Instant::now() < deadline, "the stream stopped: {s:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     release_tx.send(()).expect("stalled trainer alive");
     let report = finisher.join().expect("finish thread");
     let mut lane_consumed = Vec::new();
@@ -271,8 +263,7 @@ fn stalled_trainer_keeps_its_lane_bounded_without_wedging_the_service() {
     assert!(
         stalled_batches < total / 2,
         "a non-consuming trainer must not receive an even share \
-         (stalled {stalled_batches} of {total}; stream stopped before the \
-         release: {stopped:?})"
+         (stalled {stalled_batches} of {total})"
     );
     let lanes = &report.report.trainers;
     assert!(lanes.iter().all(|l| l.peak_queue_depth <= lane_depth));
@@ -287,11 +278,11 @@ fn stalled_trainer_keeps_its_lane_bounded_without_wedging_the_service() {
     assert_eq!(lane_consumed.iter().sum::<u64>() as usize, total);
 }
 
-/// Killing a trainer mid-run under a load-balancing policy must lose no
-/// batches: the victim's already-delivered batches are drained before the
-/// handle drops, and everything subsequently aimed at the dead lane
-/// re-routes to the survivor — the cross-lane union stays byte-identical to
-/// the single-sink baseline.
+/// Killing a trainer mid-run under `LeastLoaded` must lose no batches: the
+/// victim's already-delivered batches are drained before the handle drops,
+/// and everything subsequently aimed at the dead lane re-routes to the
+/// survivor — the cross-lane union stays byte-identical to the one-lane
+/// baseline.
 #[test]
 fn mid_run_trainer_kill_reroutes_instead_of_dropping() {
     let f = fixture();
@@ -300,64 +291,142 @@ fn mid_run_trainer_kill_reroutes_instead_of_dropping() {
     // function of (submission order, barrier placement).
     let expected = {
         let mut handle = DppService::start(config(&f), Arc::clone(&f.store), f.schema.clone());
+        let drain = Drain::start(&mut handle);
         handle.submit_partition(&f.partition);
         assert!(handle.flush_partition(), "baseline barrier must resolve");
         handle.submit_partition(&f.partition);
         handle.submit_partition(&f.partition);
-        handle.finish().expect("clean baseline run").batches
+        let (batches, output) = drain.finish(handle);
+        output.expect("clean baseline run");
+        batches
     };
-    for policy in [
-        TrainerAssignPolicy::LeastLoaded,
-        TrainerAssignPolicy::RoundRobin,
-    ] {
-        let config = config(&f).with_trainers(2).with_assign_policy(policy);
-        let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
-        let mut trainers = handle.take_trainers();
-        let survivor = trainers.pop().expect("two trainers");
-        let victim = trainers.pop().expect("two trainers");
+    let config = config(&f)
+        .with_trainers(2)
+        .with_assign_policy(TrainerAssignPolicy::LeastLoaded);
+    let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
+    let mut trainers = handle.take_trainers();
+    let survivor = trainers.pop().expect("two trainers");
+    let victim = trainers.pop().expect("two trainers");
 
-        // Phase 1: one full partition, barrier-delivered into the lanes.
-        handle.submit_partition(&f.partition);
-        assert!(handle.flush_partition(), "barrier must resolve");
+    // Phase 1: one full partition, barrier-delivered into the lanes.
+    handle.submit_partition(&f.partition);
+    assert!(handle.flush_partition(), "barrier must resolve");
 
-        // Kill: drain what the victim's lane already holds (those batches
-        // count as consumed), then drop the handle. The tombstone lands
-        // before the channel closes, so the sink never targets the lane
-        // again.
-        let mut union: Vec<TrainerBatch> = Vec::new();
-        while let Some(item) = victim.try_recv() {
-            union.push(item);
-        }
-        drop(victim);
-
-        // Phase 2: everything else must flow to the survivor.
-        let consumer = std::thread::spawn(move || survivor.drain());
-        handle.submit_partition(&f.partition);
-        handle.submit_partition(&f.partition);
-        let report = handle.finish().expect("clean run").report;
-        union.extend(consumer.join().expect("survivor consumer"));
-
-        assert_eq!(
-            union.len(),
-            expected.len(),
-            "{}: no batch may be lost to the killed trainer",
-            policy.name()
-        );
-        assert!(
-            report.trainers.iter().all(|t| t.dropped_batches == 0),
-            "{}: every batch must re-route, not drop",
-            policy.name()
-        );
-        union.sort_by_key(|t| (t.shard, t.seq));
-        for (i, (got, want)) in union.iter().zip(&expected).enumerate() {
-            assert_eq!(
-                &got.batch,
-                want,
-                "{}: batch {i} diverged from the single-sink baseline",
-                policy.name()
-            );
-        }
+    // Kill: drain what the victim's lane already holds (those batches count
+    // as consumed), then drop the handle. The tombstone lands before the
+    // channel closes, so the sink never targets the lane again.
+    let mut union: Vec<TrainerBatch> = Vec::new();
+    while let Some(item) = victim.try_recv() {
+        union.push(item);
     }
+    drop(victim);
+
+    // Phase 2: everything else must flow to the survivor.
+    let consumer = std::thread::spawn(move || survivor.drain());
+    handle.submit_partition(&f.partition);
+    handle.submit_partition(&f.partition);
+    let report = handle.finish().expect("clean run").report;
+    union.extend(consumer.join().expect("survivor consumer"));
+
+    assert_eq!(
+        union.len(),
+        expected.len(),
+        "no batch may be lost to the killed trainer"
+    );
+    assert!(
+        report.trainers.iter().all(|t| t.dropped_batches == 0),
+        "every batch must re-route, not drop"
+    );
+    union.sort_by_key(|t| (t.shard, t.seq));
+    for (i, (got, want)) in union.iter().zip(&expected).enumerate() {
+        assert_eq!(
+            &got.batch, want,
+            "batch {i} diverged from the one-lane baseline"
+        );
+    }
+}
+
+/// One stalled trainer must not stop the others. All three lanes start
+/// gated and the feed overflows the spillover; then only lanes 1 and 2 are
+/// released. Under `LeastLoaded` the batches parked for lane 0 move to the
+/// lanes that drain, so a flush returns while lane 0 is still held.
+#[test]
+fn a_stalled_lane_does_not_hold_a_flush_under_least_loaded() {
+    let f = fixture();
+    let (lanes, lane_depth, queue_depth) = (3, 1, 2);
+    // One compute worker hands batches to the sink in sequence order, so
+    // nothing waits in its reorder buffer: the sink has taken in every
+    // counted batch except those in the output queue and at most one
+    // blocked on it.
+    let config = config(&f)
+        .with_compute_workers(1)
+        .with_queue_depth(queue_depth)
+        .with_trainers(lanes)
+        .with_assign_policy(TrainerAssignPolicy::LeastLoaded)
+        .with_trainer_queue_depth(lane_depth);
+    let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
+    let source = handle.snapshot_source();
+    let mut gates = Vec::new();
+    let consumers: Vec<_> = handle
+        .take_trainers()
+        .into_iter()
+        .map(|trainer| {
+            let (open, gate) = mpsc::channel::<()>();
+            gates.push(open);
+            std::thread::spawn(move || {
+                gate.recv().expect("gate opens");
+                trainer.drain().len()
+            })
+        })
+        .collect();
+    let rounds = 8;
+    let partition = f.partition.clone();
+    let (flushed_tx, flushed) = mpsc::channel();
+    let feeder = std::thread::spawn(move || {
+        for _ in 0..rounds {
+            handle.submit_partition(&partition);
+        }
+        flushed_tx
+            .send(handle.flush_partition())
+            .expect("test alive");
+        handle
+    });
+
+    // The lanes hold `lanes * lane_depth` batches and the spillover as
+    // many again; one more overflows it.
+    let overflow = (2 * lanes * lane_depth + 1) as u64;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let s = source.snapshot();
+        let taken_in = s
+            .batches_out
+            .saturating_sub(s.output_queue_depth as u64 + 1);
+        if taken_in >= overflow {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the spillover never overflowed");
+        std::thread::yield_now();
+    }
+    gates[1].send(()).expect("lane 1 consumer alive");
+    gates[2].send(()).expect("lane 2 consumer alive");
+    let flushed = flushed
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the flush must return while lane 0 is held");
+    assert!(flushed, "the barrier must resolve");
+    let held = source.snapshot();
+    let delivered: u64 = held.trainers.iter().map(|t| t.delivered_samples).sum();
+    assert_eq!(
+        delivered as usize,
+        rounds * f.rows,
+        "every sample delivered"
+    );
+    assert_eq!(held.trainers[0].consumed_batches, 0, "lane 0 is still held");
+    assert_eq!(held.trainers[0].delivered_batches, lane_depth as u64);
+
+    gates[0].send(()).expect("lane 0 consumer alive");
+    let report = feeder.join().expect("feeder").finish().expect("clean run");
+    let consumed: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
+    assert_eq!(consumed, report.report.batches);
 }
 
 /// A trainer that drops its handle outright must not attract traffic under

@@ -2,8 +2,8 @@
 //! byte-identical between the direct single service, a fleet of one, a
 //! fleet of four, and a fleet of four under kill/partition/rejoin faults —
 //! plus the heartbeat edge cases (flap inside the detection window, a beat
-//! exactly at the timeout boundary, rebalance racing an in-flight barrier)
-//! — and a fleet of one reports the same work, lane for lane, as the direct
+//! exactly at the timeout boundary) and the every-barrier rebalance healing
+//! a skew — and a fleet of one reports the same work, lane for lane, as the direct
 //! service, since both build and report their trainer lanes with one code.
 
 use recd_core::DataLoaderConfig;
@@ -15,7 +15,6 @@ use recd_dpp::{
 use recd_etl::cluster_by_session;
 use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_storage::{StoredPartition, TableStore, TectonicSim};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Global shard count — more shards than any fleet has hosts, so every host
@@ -75,7 +74,6 @@ fn fleet_config(schema: &recd_data::Schema, hosts: usize) -> FleetConfig {
     FleetConfig::new(host_config(schema))
         .with_hosts(hosts)
         .with_trainers(TRAINERS)
-        .with_trainer_queue_depth(8)
 }
 
 fn spawn_drains(trainers: Vec<TrainerHandle>) -> Vec<std::thread::JoinHandle<Vec<TrainerBatch>>> {
@@ -444,31 +442,19 @@ fn stale_heartbeat_at_exact_timeout_boundary_stays_live() {
     assert_eq!(output.report.rejoins, 1);
 }
 
-/// Heartbeat/rebalance edge case: a controller hammering rebalance requests
-/// from another thread while barriers are in flight never corrupts the
-/// stream; ownership ends balanced after a death and a rejoin skewed it.
+/// The rebalance at every barrier heals the skew left by a death and a
+/// rejoin: the dead host's shards move to the survivors, the rejoined host
+/// steals its share back, and the stream stays byte-identical.
 #[test]
-fn rebalance_racing_inflight_barriers_stays_consistent() {
+fn rebalance_at_every_barrier_heals_the_skew_of_a_death_and_a_rejoin() {
     let f = fixture(5);
     let golden = run_direct(&f);
 
     let mut fleet = DppFleet::start(
-        fleet_config(&f.schema, 3).with_rebalance(false),
+        fleet_config(&f.schema, 3),
         Arc::clone(&f.store),
         f.schema.clone(),
     );
-    let controller = fleet.controller();
-    let stop = Arc::new(AtomicBool::new(false));
-    let hammer = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                controller.request_rebalance();
-                std::thread::yield_now();
-            }
-        })
-    };
-
     let drains = spawn_drains(fleet.take_trainers());
     let mut now = 0;
     for (interval, partition) in f.partitions.iter().enumerate() {
@@ -482,8 +468,6 @@ fn rebalance_racing_inflight_barriers_stays_consistent() {
         assert!(fleet.ingest_partition(partition));
         assert!(fleet.flush_partition());
     }
-    stop.store(true, Ordering::Release);
-    hammer.join().expect("hammer thread");
 
     // 6 shards over 3 live hosts, freshly rebalanced: 2 each.
     let mut owned = vec![0usize; 3];
@@ -494,8 +478,8 @@ fn rebalance_racing_inflight_barriers_stays_consistent() {
 
     let output = fleet.finish();
     let union = canonical(drains);
-    assert_union_identical(&golden, &union, "racing rebalance fleet");
-    assert_zero_drops(&output, "racing rebalance fleet");
+    assert_union_identical(&golden, &union, "rebalancing fleet");
+    assert_zero_drops(&output, "rebalancing fleet");
     assert!(output.report.rebalance_moves > 0);
     assert_eq!(output.report.hosts_live_at_finish, 3);
 }

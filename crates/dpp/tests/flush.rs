@@ -11,6 +11,9 @@ use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_storage::{StoredPartition, TableStore, TectonicSim};
 use std::sync::Arc;
 
+mod common;
+use common::Drain;
+
 struct Fixture {
     schema: recd_data::Schema,
     store: Arc<TableStore>,
@@ -42,7 +45,7 @@ fn config(f: &Fixture) -> DppConfig {
     .with_pipeline_factory(|| PreprocessPipeline::standard(1 << 20, 64))
 }
 
-/// Interleaved submits and flushes in fan-out mode: when each
+/// Interleaved submits and flushes over two lanes: when each
 /// `flush_partition` returns, every sample submitted before it has been
 /// delivered onto some trainer lane — no batch from a flushed partition is
 /// still in flight.
@@ -86,12 +89,14 @@ fn every_pre_flush_batch_is_delivered_before_flush_returns() {
     assert!(output.report.reader_metrics.flushed_partial_batches > 0);
 }
 
-/// The same guarantee in collect mode (no trainers): the barrier resolves
-/// once the sink has collected everything emitted before it.
+/// The same guarantee on the default single lane, and the cut itself: the
+/// barrier resolves once everything emitted before it sits on the lane, and
+/// the partial batches it cuts outnumber the unflushed stream's.
 #[test]
-fn flush_works_in_collect_mode_and_cuts_partial_batches() {
+fn flush_on_one_lane_cuts_partial_batches() {
     let f = fixture();
     let mut handle = DppService::start(config(&f), Arc::clone(&f.store), f.schema.clone());
+    let drain = Drain::start(&mut handle);
     handle.submit_partition(&f.partition);
     assert!(handle.flush_partition());
     let mid = handle.snapshot();
@@ -99,24 +104,26 @@ fn flush_works_in_collect_mode_and_cuts_partial_batches() {
 
     // A second partition after the flush: its rows land in fresh batches.
     handle.submit_partition(&f.partition);
-    let output = handle.finish().expect("clean run");
-    assert_eq!(output.report.samples, 2 * f.rows);
+    let (flushed, output) = drain.finish(handle);
+    assert_eq!(output.expect("clean run").report.samples, 2 * f.rows);
     assert_eq!(
-        output.batches.iter().map(|b| b.batch_size).sum::<usize>(),
+        flushed.iter().map(|b| b.batch_size).sum::<usize>(),
         2 * f.rows
     );
 
     // Without any flush the same stream coalesces across the partition
     // boundary, so the flushed run has at least as many (shorter) batches.
     let mut unflushed = DppService::start(config(&f), Arc::clone(&f.store), f.schema.clone());
+    let drain = Drain::start(&mut unflushed);
     unflushed.submit_partition(&f.partition);
     unflushed.submit_partition(&f.partition);
-    let baseline = unflushed.finish().expect("clean run");
+    let (baseline, output) = drain.finish(unflushed);
+    output.expect("clean run");
     assert!(
-        output.batches.len() > baseline.batches.len(),
+        flushed.len() > baseline.len(),
         "a mid-stream flush must cut partial batches ({} vs {})",
-        output.batches.len(),
-        baseline.batches.len()
+        flushed.len(),
+        baseline.len()
     );
 }
 

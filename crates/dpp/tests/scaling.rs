@@ -12,6 +12,9 @@ use recd_storage::{StoredPartition, TableStore, TectonicSim};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+mod common;
+use common::Drain;
+
 /// The storage-pressure lever: a handle on the blob store's shared fetch
 /// latency. While throttled, every fill worker's decode stalls on the
 /// simulated RPC, so the input queue backs up and the controller sees
@@ -57,10 +60,9 @@ fn fixture() -> Fixture {
 }
 
 const QUEUE_DEPTH: usize = 4;
-const MIN_FILL: usize = 1;
-const MAX_FILL: usize = 3;
-const MIN_COMPUTE: usize = 1;
-const MAX_COMPUTE: usize = 2;
+/// The controller's bounds, shared by the fill and the compute pool.
+const MIN_WORKERS: usize = 1;
+const MAX_WORKERS: usize = 3;
 
 fn base_config(f: &Fixture) -> DppConfig {
     DppConfig::new(ReaderConfig::new(
@@ -106,20 +108,21 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
     // Fixed-pool reference first (no latency, no controller): resizing must
     // not change what is emitted, only how fast.
     let mut fixed = DppService::start(base_config(&f), Arc::clone(&f.store), f.schema.clone());
+    let drain = Drain::start(&mut fixed);
     for _ in 0..rounds {
         fixed.submit_partition(&f.partition);
     }
-    let fixed_out = fixed.finish().expect("clean fixed-pool run");
+    let (fixed_batches, fixed_out) = drain.finish(fixed);
+    fixed_out.expect("clean fixed-pool run");
 
     // Elastic run under a throttled store and a paused clock.
     f.slow.throttle(Duration::from_millis(2));
     let clock = Arc::new(ManualClock::new());
-    let ctrl = CtrlConfig::bounds(1, 1)
-        .with_fill_bounds(MIN_FILL, MAX_FILL)
-        .with_compute_bounds(MIN_COMPUTE, MAX_COMPUTE)
+    let ctrl = CtrlConfig::bounds(MIN_WORKERS, MAX_WORKERS)
         .with_clock(Arc::clone(&clock) as Arc<dyn ScaleClock>);
     let config = base_config(&f).with_ctrl(ctrl);
     let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
+    let drain = Drain::start(&mut handle);
     let source = handle.snapshot_source();
 
     let total_files = rounds * f.partition.files.len();
@@ -136,7 +139,7 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
     // Phase 1 — pressure: the slow fill workers cannot keep up with the
     // feeder, so the input queue rides at 3–4 of 4: error ≥ 0.25 against
     // the 0.5 setpoint, which grows the pool within two samples. Sampling
-    // only a pressured queue, growth must saturate at exactly max_fill.
+    // only a pressured queue, growth must saturate at exactly the max.
     for _ in 0..8 {
         assert!(
             wait_until(WAIT, || source.snapshot().input_queue_depth >= 3),
@@ -146,7 +149,7 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
     }
     let pressured = source.snapshot();
     assert_eq!(
-        pressured.fill_workers_live, MAX_FILL,
+        pressured.fill_workers_live, MAX_WORKERS,
         "fill pool must grow to its max bound, and not past it"
     );
     assert!(pressured.scale_ups >= 2);
@@ -167,7 +170,7 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
         assert!(clock.step());
     }
     assert!(
-        wait_until(WAIT, || source.snapshot().fill_workers_live == MIN_FILL),
+        wait_until(WAIT, || source.snapshot().fill_workers_live == MIN_WORKERS),
         "fill pool must shrink back to min once pressure clears"
     );
     let relieved = source.snapshot();
@@ -176,11 +179,12 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
     // A post-drain flush then finish: the elastic run must emit exactly what
     // the fixed-pool run emitted.
     assert!(handle.flush_partition(), "flush across a scaled pipeline");
-    let out = handle.finish().expect("clean elastic run");
+    let (batches, out) = drain.finish(handle);
+    let out = out.expect("clean elastic run");
 
     assert_eq!(out.report.samples, rounds * f.rows);
-    assert_eq!(out.batches.len(), fixed_out.batches.len());
-    for (i, (elastic, fixed)) in out.batches.iter().zip(&fixed_out.batches).enumerate() {
+    assert_eq!(batches.len(), fixed_batches.len());
+    for (i, (elastic, fixed)) in batches.iter().zip(&fixed_batches).enumerate() {
         assert_eq!(elastic, fixed, "batch {i} diverged under pool resizing");
     }
 
@@ -193,25 +197,25 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
         events.iter().any(|e| e.pool == "fill" && !e.is_grow()),
         "must record at least one observed shrink event"
     );
+    let bounds = MIN_WORKERS..=MAX_WORKERS;
     for event in events {
-        let (min, max) = match event.pool.as_str() {
-            "fill" => (MIN_FILL, MAX_FILL),
-            "compute" => (MIN_COMPUTE, MAX_COMPUTE),
-            other => panic!("unknown pool in event: {other}"),
-        };
         assert!(
-            (min..=max).contains(&event.from) && (min..=max).contains(&event.to),
+            ["fill", "compute"].contains(&event.pool.as_str()),
+            "unknown pool in event: {event:?}"
+        );
+        assert!(
+            bounds.contains(&event.from) && bounds.contains(&event.to),
             "scale event out of bounds: {event:?}"
         );
     }
-    assert_eq!(out.report.peak_fill_workers, MAX_FILL);
-    assert!(out.report.peak_compute_workers <= MAX_COMPUTE);
+    assert_eq!(out.report.peak_fill_workers, MAX_WORKERS);
+    assert!(out.report.peak_compute_workers <= MAX_WORKERS);
 
     // The batch pool shrank along with the pools: its capacity started
     // sized for the maximum population (the route window of 1 + depth + max
     // fill files, two shard accumulators plus one handed on, the work queue,
     // one chunk per compute worker) and scale-downs reduced it.
-    let initial_capacity = (1 + QUEUE_DEPTH + MAX_FILL) + (2 + 1) + QUEUE_DEPTH + MAX_COMPUTE;
+    let initial_capacity = (1 + QUEUE_DEPTH + MAX_WORKERS) + (2 + 1) + QUEUE_DEPTH + MAX_WORKERS;
     assert!(
         out.report.batch_pool.capacity < initial_capacity,
         "batch pool capacity must shrink on scale-down ({} vs initial {})",

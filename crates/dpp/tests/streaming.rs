@@ -15,6 +15,9 @@ use recd_reader::{
 use recd_storage::{FileReadScratch, StoredPartition, TableStore, TectonicSim};
 use std::sync::Arc;
 
+mod common;
+use common::Drain;
+
 struct Fixture {
     schema: recd_data::Schema,
     store: Arc<TableStore>,
@@ -101,7 +104,8 @@ fn work(mut metrics: ReaderMetrics) -> ReaderMetrics {
     metrics
 }
 
-/// One collect-mode run over `partitions` with file-round-robin sharding.
+/// One run over `partitions` with file-round-robin sharding: the delivered
+/// batches in `(shard, seq)` order, and the report.
 fn run_file_round_robin(
     f: &Fixture,
     config: ReaderConfig,
@@ -116,15 +120,16 @@ fn run_file_round_robin(
         .with_compute_workers(compute_workers)
         .with_pipeline_factory(standard_pipeline);
     let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
+    let drain = Drain::start(&mut handle);
     for partition in partitions {
         handle.submit_partition(partition);
     }
-    let output = handle.finish().expect("clean run");
-    (output.batches, output.report)
+    let (batches, output) = drain.finish(handle);
+    (batches, output.expect("clean run").report)
 }
 
 /// The acceptance criterion: with file-round-robin sharding over `shards`
-/// lanes, the service's collected output is batch-for-batch identical to
+/// lanes, the service's delivered output is batch-for-batch identical to
 /// the serial reference reader with as many readers — over two partitions,
 /// with and without dedup groups, for any worker count — and every landed
 /// row comes out exactly once.
@@ -209,7 +214,6 @@ fn a_barrier_restarts_the_file_rotation() {
         let config = DppConfig::new(reader_config(&schema, 16))
             .with_policy(ShardPolicy::FileRoundRobin)
             .with_shards(2)
-            .with_trainers(1)
             .with_pipeline_factory(standard_pipeline);
         let mut handle = DppService::start(config, Arc::clone(&store), schema.clone());
         let trainer = handle.take_trainers().remove(0);
@@ -289,9 +293,10 @@ fn clustered_partitions_dedupe_better_than_interleaved() {
     );
 }
 
-/// Session-affine sharding preserves the in-batch dedup factor that O1/O2
-/// clustering created; row-round-robin sharding (the ablation baseline)
-/// destroys it.
+/// Session-affine sharding recovers in-batch duplication from a file
+/// stream that interleaves sessions: routing rows by session gathers a
+/// session's rows into one shard, where file round-robin leaves them
+/// scattered across batches.
 #[test]
 fn session_affine_sharding_preserves_dedup_factor() {
     let f = fixture();
@@ -301,17 +306,18 @@ fn session_affine_sharding_preserves_dedup_factor() {
             .with_shards(4)
             .with_compute_workers(2);
         let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
-        handle.submit_partition(&f.partition);
-        handle.finish().expect("clean run").report
+        let drain = Drain::start(&mut handle);
+        handle.submit_partition(&f.interleaved);
+        drain.finish(handle).1.expect("clean run").report
     };
     let affine = run(ShardPolicy::SessionAffine);
-    let scattered = run(ShardPolicy::RowRoundRobin);
-    assert_eq!(affine.samples, scattered.samples);
+    let by_file = run(ShardPolicy::FileRoundRobin);
+    assert_eq!(affine.samples, by_file.samples);
     assert!(
-        affine.dedupe_factor > scattered.dedupe_factor,
-        "session-affine dedup factor {:.3} must beat row-round-robin {:.3}",
+        affine.dedupe_factor > by_file.dedupe_factor,
+        "session-affine dedup factor {:.3} must beat file-round-robin {:.3}",
         affine.dedupe_factor,
-        scattered.dedupe_factor
+        by_file.dedupe_factor
     );
     assert!(affine.dedupe_factor > 1.2, "affinity must yield real dedup");
 }
@@ -352,15 +358,14 @@ fn finish_drains_all_in_flight_work_under_backpressure() {
         .with_compute_workers(1)
         .with_pipeline_factory(|| PreprocessPipeline::new().with_sparse(SlowIdentity));
     let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
+    let drain = Drain::start(&mut handle);
     handle.submit_partition(&f.partition);
     let mid = handle.snapshot();
     assert_eq!(mid.files_submitted as usize, f.partition.files.len());
-    let output = handle.finish().expect("clean run");
+    let (batches, output) = drain.finish(handle);
+    let output = output.expect("clean run");
     assert_eq!(output.report.samples, f.rows);
-    assert_eq!(
-        output.batches.iter().map(|b| b.batch_size).sum::<usize>(),
-        f.rows
-    );
+    assert_eq!(batches.iter().map(|b| b.batch_size).sum::<usize>(), f.rows);
     // The slow single compute worker cannot keep up with the router, so the
     // bounded work queue must have hit its capacity: the router spent time
     // blocked in send — that is backpressure, and the drain still completed.
@@ -395,10 +400,11 @@ fn batch_pool_recycles_buffers_at_steady_state() {
         .with_queue_depth(4)
         .with_pipeline_factory(standard_pipeline);
     let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
+    let drain = Drain::start(&mut handle);
     for _ in 0..rounds {
         handle.submit_partition(&f.partition);
     }
-    let output = handle.finish().expect("clean run");
+    let output = drain.finish(handle).1.expect("clean run");
 
     let pool = output.report.batch_pool;
     let acquires = pool.hits + pool.misses;
@@ -443,6 +449,7 @@ fn converted_shells_recycle_through_the_consumer_loop() {
             .with_shards(2)
             .with_pipeline_factory(standard_pipeline);
         let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
+        let drain = Drain::start(&mut handle);
         let pool = handle.converted_pool();
         for round in 0..4 {
             handle.submit_partition(&f.partition);
@@ -453,19 +460,17 @@ fn converted_shells_recycle_through_the_consumer_loop() {
                 pool.recycle(recd_core::ConvertedBatch::default());
             }
         }
-        handle.finish().expect("clean run")
+        let (batches, output) = drain.finish(handle);
+        (batches, output.expect("clean run").report)
     };
-    let recycled = run(true);
-    let fresh = run(false);
-    assert_eq!(
-        recycled.batches, fresh.batches,
-        "recycling must not change output"
-    );
+    let (recycled, recycled_report) = run(true);
+    let (fresh, fresh_report) = run(false);
+    assert_eq!(recycled, fresh, "recycling must not change output");
     assert!(
-        recycled.report.converted_pool.hits > 0,
+        recycled_report.converted_pool.hits > 0,
         "recycled shells must be reused by compute workers"
     );
-    assert_eq!(fresh.report.converted_pool.hits, 0);
+    assert_eq!(fresh_report.converted_pool.hits, 0);
 }
 
 /// Fill errors don't wedge the pipeline: the run drains, reports the error,
@@ -475,20 +480,15 @@ fn missing_file_surfaces_as_error_without_deadlock() {
     let f = fixture();
     let config = DppConfig::new(reader_config(&f.schema, 64));
     let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
+    let drain = Drain::start(&mut handle);
     handle.submit_file("does-not-exist");
     handle.submit_partition(&f.partition);
-    let err = handle.finish().expect_err("missing file must fail the run");
+    let (batches, output) = drain.finish(handle);
+    let err = output.expect_err("missing file must fail the run");
     assert_eq!(err.errors.len(), 1);
     assert!(err.errors[0].contains("does-not-exist"));
     // The rest of the stream still drained — and the batches it produced
-    // are returned, not discarded.
+    // were delivered, not discarded.
     assert_eq!(err.output.report.samples, f.rows);
-    assert_eq!(
-        err.output
-            .batches
-            .iter()
-            .map(|b| b.batch_size)
-            .sum::<usize>(),
-        f.rows
-    );
+    assert_eq!(batches.iter().map(|b| b.batch_size).sum::<usize>(), f.rows);
 }

@@ -16,10 +16,10 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use recd_core::DataLoaderConfig;
+use recd_core::{ConvertedBatch, DataLoaderConfig};
 use recd_data::{EventLog, FeatureLog, LogRecord, RequestId, Sample, Schema, SessionId, Timestamp};
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
-use recd_dpp::{DppConfig, DppService, ShardPolicy};
+use recd_dpp::{DppConfig, DppError, DppHandle, DppOutput, DppService, ShardPolicy, TrainerBatch};
 use recd_etl::{
     cluster_by_session, interleave_by_time, join_logs, EtlService, EtlServiceOutput, EtlStream,
     EtlStreamConfig, HourlyPartitioner, ManualClock, SealReason, TableLayout, TablePartition,
@@ -28,6 +28,7 @@ use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_scribe::{LogTail, TailConfig};
 use recd_storage::{StoredPartition, TableStore, TectonicSim};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 const HOUR: u64 = Timestamp::MILLIS_PER_HOUR;
 
@@ -169,6 +170,37 @@ fn replay_is_byte_identical_to_batch_etl() {
     }
 }
 
+/// Every trainer lane of one service, each drained on its own thread.
+struct Drain(Vec<JoinHandle<Vec<TrainerBatch>>>);
+
+impl Drain {
+    /// Takes `handle`'s trainer lanes and starts draining them.
+    fn start(handle: &mut DppHandle) -> Self {
+        let lanes = handle.take_trainers().into_iter();
+        Self(
+            lanes
+                .map(|lane| std::thread::spawn(move || lane.drain()))
+                .collect(),
+        )
+    }
+
+    /// Finishes the service: every delivered batch in `(shard, seq)` order,
+    /// with the service's own result.
+    fn finish(self, handle: DppHandle) -> (Vec<ConvertedBatch>, Result<DppOutput, DppError>) {
+        let result = handle.finish();
+        let mut delivered: Vec<TrainerBatch> = self
+            .0
+            .into_iter()
+            .flat_map(|lane| lane.join().expect("lane drain"))
+            .collect();
+        delivered.sort_by_key(|item| (item.shard, item.seq));
+        (
+            delivered.into_iter().map(|item| item.batch).collect(),
+            result,
+        )
+    }
+}
+
 fn dpp_config(schema: &Schema) -> DppConfig {
     DppConfig::new(ReaderConfig::new(64, DataLoaderConfig::from_schema(schema)))
         .with_policy(ShardPolicy::FileRoundRobin)
@@ -198,10 +230,12 @@ fn trainer_side_union_from_ingest_matches_batch_pipeline() {
             Arc::clone(&batch_store),
             schema.clone(),
         );
+        let drain = Drain::start(&mut batch_handle);
         for stored in &batch_landed {
             batch_handle.submit_partition(stored);
         }
-        let batch_output = batch_handle.finish().expect("clean batch-fed run");
+        let (batch_batches, batch_output) = drain.finish(batch_handle);
+        let batch_output = batch_output.expect("clean batch-fed run");
 
         // Continuous side: ingest each partition the moment it lands.
         let stream_store = fresh_store();
@@ -210,6 +244,7 @@ fn trainer_side_union_from_ingest_matches_batch_pipeline() {
             Arc::clone(&stream_store),
             schema.clone(),
         );
+        let drain = Drain::start(&mut stream_handle);
         let tail = LogTail::new(
             records,
             &TailConfig::default().with_jitter_ms(2_000).with_seed(9),
@@ -228,10 +263,11 @@ fn trainer_side_union_from_ingest_matches_batch_pipeline() {
                 stream_handle.ingest_partition(stored);
             },
         );
-        let stream_output = stream_handle.finish().expect("clean tail-fed run");
+        let (stream_batches, stream_output) = drain.finish(stream_handle);
+        let stream_output = stream_output.expect("clean tail-fed run");
 
         assert_eq!(
-            stream_output.batches, batch_output.batches,
+            stream_batches, batch_batches,
             "trainer-side batches diverged for {layout:?}"
         );
         assert_eq!(

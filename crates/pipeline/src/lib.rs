@@ -36,4 +36,4 @@ pub mod experiments;
 pub mod run;
 
 pub use config::{RecdConfig, RmPreset, RmSpec};
-pub use run::{PipelineReport, PipelineRunner, StorageSimConfig};
+pub use run::{PipelineReport, PipelineRunner};

@@ -12,7 +12,7 @@ use recd_dpp::{
 use recd_etl::{EtlServiceReport, EtlStreamConfig, TableLayout};
 use recd_reader::ReaderConfig;
 use recd_scribe::{LogTail, ScribeCluster, ScribeConfig, ScribeReport, ShardKeyPolicy, TailConfig};
-use recd_storage::{NodeConfig, TableStore, TectonicSim};
+use recd_storage::{TableStore, TectonicSim};
 use recd_trainer::{
     ClusterSpec, DlrmConfig, IterationCost, MemoryReport, TrainerOptimizations, WorkStats,
 };
@@ -74,44 +74,6 @@ pub struct PipelineArtifacts {
     pub report: PipelineReport,
 }
 
-/// Storage-tier knobs for every blob store a run builds: node count, the
-/// optional per-node queue model, and the optional blob cache tier. The
-/// defaults reproduce the historical flat store (8 nodes, no queueing, no
-/// cache).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StorageSimConfig {
-    /// Storage nodes backing the simulated blob store.
-    pub nodes: usize,
-    /// Per-node service model; `None` keeps the flat-latency store.
-    pub node: Option<NodeConfig>,
-    /// Blob cache byte budget; `0` disables the cache tier.
-    pub cache_bytes: usize,
-}
-
-impl Default for StorageSimConfig {
-    fn default() -> Self {
-        Self {
-            nodes: 8,
-            node: None,
-            cache_bytes: 0,
-        }
-    }
-}
-
-impl StorageSimConfig {
-    /// Builds a blob store with these knobs applied.
-    pub fn build(&self) -> TectonicSim {
-        let mut store = TectonicSim::new(self.nodes.max(1));
-        if let Some(node) = self.node {
-            store = store.with_node_config(node);
-        }
-        if self.cache_bytes > 0 {
-            store = store.with_cache(self.cache_bytes);
-        }
-        store
-    }
-}
-
 /// Runs one RM workload through the full pipeline under a given
 /// [`RecdConfig`].
 #[derive(Debug, Clone)]
@@ -122,7 +84,7 @@ pub struct PipelineRunner {
     continuous_trainers: usize,
     hosts: usize,
     chaos: Option<FaultPlan>,
-    storage: StorageSimConfig,
+    storage: Option<TectonicSim>,
     ctrl: Option<CtrlConfig>,
 }
 
@@ -136,16 +98,18 @@ impl PipelineRunner {
             continuous_trainers: 0,
             hosts: 0,
             chaos: None,
-            storage: StorageSimConfig::default(),
+            storage: None,
             ctrl: None,
         }
     }
 
-    /// Overrides the storage-tier knobs (node queueing, cache) of the blob
-    /// store the run builds.
+    /// Lands and reads through `store` (say, one with a per-node queue
+    /// model or a cache tier) instead of a fresh flat 8-node store. Clones
+    /// of a store share its state, so every run of this runner uses that
+    /// one store.
     #[must_use]
-    pub fn with_storage(mut self, storage: StorageSimConfig) -> Self {
-        self.storage = storage;
+    pub fn with_storage(mut self, store: TectonicSim) -> Self {
+        self.storage = Some(store);
         self
     }
 
@@ -324,7 +288,8 @@ impl PipelineRunner {
             step_ms: 60_000,
             plan: self.chaos.clone(),
         };
-        let store = Arc::new(TableStore::new(self.storage.build(), 64, 4));
+        let blob = self.storage.clone().unwrap_or_else(|| TectonicSim::new(8));
+        let store = Arc::new(TableStore::new(blob, 64, 4));
         let driver = Driver::new(Arc::clone(&store), &schema, feed, topology)
             .unwrap_or_else(|err| panic!("{err}"));
         // Simulated trainers collect what their lanes deliver; killed lanes

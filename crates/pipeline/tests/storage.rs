@@ -3,8 +3,8 @@
 //! continuous run's trainer-batch union and the batch run's payload
 //! accounting must be byte-identical to the flat-latency path.
 
-use recd_pipeline::{PipelineRunner, RecdConfig, RmPreset, RmSpec, StorageSimConfig};
-use recd_storage::NodeConfig;
+use recd_pipeline::{PipelineRunner, RecdConfig, RmPreset, RmSpec};
+use recd_storage::{NodeConfig, TectonicSim};
 
 const WORKERS: usize = 2;
 const TRAINERS: usize = 3;
@@ -14,17 +14,20 @@ fn small_spec() -> RmSpec {
     RmPreset::Rm1.spec().scaled_down(60)
 }
 
-/// Fast nodes (50µs/op, 512 MiB/s) so queue waits are real but the smoke
-/// workload still finishes promptly.
-fn realistic_storage() -> StorageSimConfig {
-    StorageSimConfig {
-        nodes: 8,
-        node: Some(NodeConfig::new(20_000.0, 512.0 * 1024.0 * 1024.0)),
-        cache_bytes: 8 << 20,
-    }
+/// The runner's own flat store: 8 nodes, no queueing, no cache.
+fn flat_storage() -> TectonicSim {
+    TectonicSim::new(8)
 }
 
-fn run_continuous(storage: StorageSimConfig) -> recd_pipeline::run::PipelineArtifacts {
+/// Fast nodes (50µs/op, 512 MiB/s) so queue waits are real but the smoke
+/// workload still finishes promptly, behind an 8 MiB cache.
+fn realistic_storage() -> TectonicSim {
+    TectonicSim::new(8)
+        .with_node_config(NodeConfig::new(20_000.0, 512.0 * 1024.0 * 1024.0))
+        .with_cache(8 << 20)
+}
+
+fn run_continuous(storage: TectonicSim) -> recd_pipeline::run::PipelineArtifacts {
     PipelineRunner::new(small_spec(), RecdConfig::full())
         .with_continuous(WORKERS)
         .with_continuous_trainers(TRAINERS)
@@ -34,7 +37,7 @@ fn run_continuous(storage: StorageSimConfig) -> recd_pipeline::run::PipelineArti
 
 #[test]
 fn queued_and_cached_storage_delivers_a_byte_identical_union() {
-    let flat = run_continuous(StorageSimConfig::default());
+    let flat = run_continuous(flat_storage());
     let realistic = run_continuous(realistic_storage());
 
     let reference = flat.batches;
@@ -68,12 +71,12 @@ fn queued_and_cached_storage_delivers_a_byte_identical_union() {
 
 #[test]
 fn batch_pipeline_reports_agree_across_storage_models() {
-    let run = |storage: StorageSimConfig| {
+    let run = |storage: TectonicSim| {
         PipelineRunner::new(small_spec(), RecdConfig::full())
             .with_storage(storage)
             .run(BATCH)
     };
-    let flat = run(StorageSimConfig::default());
+    let flat = run(flat_storage());
     let realistic = run(realistic_storage());
 
     assert_eq!(flat.report.samples, realistic.report.samples);

@@ -38,7 +38,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_queue_depth(4);
     let mut handle = DppService::start(config, Arc::clone(&store), partition.schema.clone());
 
-    // 3. Feed it. submit_file blocks when the bounded queues fill up — that
+    // 3. Every batch leaves through a trainer lane (one by default): hand
+    //    each lane to a consumer before feeding.
+    let trainers: Vec<_> = handle
+        .take_trainers()
+        .into_iter()
+        .map(|trainer| std::thread::spawn(move || trainer.drain().len()))
+        .collect();
+
+    // 4. Feed it. submit_file blocks when the bounded queues fill up — that
     //    is the service's backpressure reaching the producer.
     handle.submit_partition(&stored);
     let snapshot = handle.snapshot();
@@ -50,11 +58,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snapshot.output_queue_depth
     );
 
-    // 4. Graceful shutdown: drain everything, join every worker.
+    // 5. Graceful shutdown: drain everything, join every worker.
     let output = handle.finish()?;
+    let consumed: usize = trainers
+        .into_iter()
+        .map(|t| t.join().expect("trainer thread"))
+        .sum();
     println!(
         "streamed {} batches / {} samples at {:.0} samples/s, dedup {:.2}x",
-        output.report.batches,
+        consumed,
         output.report.samples,
         output.report.samples_per_second,
         output.report.dedupe_factor

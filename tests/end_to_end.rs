@@ -5,13 +5,13 @@
 use recd::core::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
 use recd::data::ColumnarBatch;
 use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
-use recd::dpp::{DppConfig, DppService, ShardPolicy};
+use recd::dpp::{DppConfig, DppHandle, DppReport, DppService, ShardPolicy};
 use recd::etl::{cluster_by_session, EtlJob, TableLayout};
 use recd::pipeline::experiments::{self, ExperimentScale};
-use recd::pipeline::{PipelineRunner, RecdConfig, RmPreset, RmSpec, StorageSimConfig};
+use recd::pipeline::{PipelineRunner, RecdConfig, RmPreset, RmSpec};
 use recd::reader::{ReaderConfig, ReaderMetrics};
 use recd::scribe::{ScribeCluster, ScribeConfig, ShardKeyPolicy};
-use recd::storage::{StorageReport, TableStore};
+use recd::storage::{StorageReport, TableStore, TectonicSim};
 use recd::trainer::{Dlrm, DlrmConfig, ExecutionMode, PoolingKind};
 use std::sync::Arc;
 
@@ -163,9 +163,34 @@ struct HandBuilt {
     reader: ReaderMetrics,
 }
 
+/// Drains every trainer lane of `handle` on its own thread while `feed`
+/// submits, finishes the service, and returns the delivered batches in
+/// `(shard, seq)` order with the service's report.
+fn drain(
+    mut handle: DppHandle,
+    feed: impl FnOnce(&mut DppHandle),
+) -> (Vec<ConvertedBatch>, DppReport) {
+    let lanes: Vec<_> = handle
+        .take_trainers()
+        .into_iter()
+        .map(|lane| std::thread::spawn(move || lane.drain()))
+        .collect();
+    feed(&mut handle);
+    let report = handle.finish().expect("landed partitions read back").report;
+    let mut delivered: Vec<_> = lanes
+        .into_iter()
+        .flat_map(|lane| lane.join().expect("lane drain"))
+        .collect();
+    delivered.sort_by_key(|item| (item.shard, item.seq));
+    (
+        delivered.into_iter().map(|item| item.batch).collect(),
+        report,
+    )
+}
+
 /// The runner's pipeline as it was built by hand before it became one
 /// driver run: Scribe, batch `EtlJob`, `land_partition` per hourly
-/// partition, then one collect-mode `DppService` (files round-robin over its
+/// partition, then one fresh `DppService` (files round-robin over its
 /// default two shards) per landed partition.
 fn hand_built(spec: &RmSpec, config: RecdConfig, batch_size: usize) -> HandBuilt {
     let generator = DatasetGenerator::new(spec.sized_workload());
@@ -188,7 +213,7 @@ fn hand_built(spec: &RmSpec, config: RecdConfig, batch_size: usize) -> HandBuilt
     } else {
         TableLayout::TimeOrdered
     };
-    let store = Arc::new(TableStore::new(StorageSimConfig::default().build(), 64, 4));
+    let store = Arc::new(TableStore::new(TectonicSim::new(8), 64, 4));
     let mut storage = StorageReport::default();
     let mut landed = Vec::new();
     for partition in EtlJob::new(layout).run(&schema, &drained) {
@@ -210,15 +235,14 @@ fn hand_built(spec: &RmSpec, config: RecdConfig, batch_size: usize) -> HandBuilt
     let reader_config = ReaderConfig::new(batch_size, dataloader);
     let (mut batches, mut reader) = (Vec::new(), ReaderMetrics::default());
     for stored in &landed {
-        let mut handle = DppService::start(
+        let handle = DppService::start(
             DppConfig::new(reader_config.clone()).with_policy(ShardPolicy::FileRoundRobin),
             Arc::clone(&store),
             schema.clone(),
         );
-        handle.submit_partition(stored);
-        let output = handle.finish().expect("landed partitions read back");
-        reader += output.report.reader_metrics;
-        batches.extend(output.batches);
+        let (delivered, report) = drain(handle, |handle| handle.submit_partition(stored));
+        reader += report.reader_metrics;
+        batches.extend(delivered);
     }
     HandBuilt {
         batches,
