@@ -1,8 +1,11 @@
 //! Benchmarks of the trainer: the pooling kernels on one flat sequence, the
 //! forward pass, and the full SGD step — baseline (per-row) vs deduplicated
-//! (per-slot) execution of embedding lookup + pooling (O5–O7).
+//! (per-slot) execution of embedding lookup + pooling (O5–O7) — and the top
+//! MLP's minibatch SGD step on its own.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use recd_bench::BenchFixture;
 use recd_core::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
 use recd_data::{ColumnarBatch, Schema};
@@ -10,7 +13,9 @@ use recd_datagen::DatasetGenerator;
 use recd_etl::cluster_by_session;
 use recd_pipeline::RmPreset;
 use recd_reader::PreprocessPipeline;
-use recd_trainer::{pool_sequence, Dlrm, DlrmConfig, ExecutionMode, PoolScratch, PoolingKind};
+use recd_trainer::{
+    pool_sequence, Dlrm, DlrmConfig, ExecutionMode, Mlp, MlpActivations, PoolScratch, PoolingKind,
+};
 
 /// Sequence length the reader delivers: RM1 histories are 96 ids long and
 /// the standard preprocessing (`TruncateList`) caps them at 64.
@@ -101,10 +106,35 @@ fn bench_dlrm_rm1(c: &mut Criterion) {
     group.finish();
 }
 
+/// The RM1 top MLP (`730 → 64 → 32 → 1` at dimension 64) on 512 rows of
+/// synthetic interactions, one thread: the forward pass plus the minibatch
+/// backward and update (`mlp_train_512/top`).
+fn bench_mlp_train(c: &mut Criterion) {
+    let generator = DatasetGenerator::new(RmPreset::Rm1.spec().workload);
+    let config = DlrmConfig::from_schema(generator.schema(), DIM, PoolingKind::Transformer);
+    let inputs = config.feature_pooling.len() + 1;
+    let mut dims = vec![DIM + inputs * (inputs - 1) / 2];
+    dims.extend(&config.top_mlp);
+    let mut mlp = Mlp::new(&dims, &mut StdRng::seed_from_u64(5));
+    let input: Vec<f32> = (0..512 * dims[0]).map(|i| (i as f32 * 0.7).sin()).collect();
+    let grads: Vec<f32> = (0..512).map(|i| 1e-3 * (i as f32).cos()).collect();
+    let mut acts = MlpActivations::default();
+    let mut group = c.benchmark_group("mlp_train_512");
+    group.sample_size(10);
+    group.bench_function("top", |b| {
+        b.iter(|| {
+            mlp.forward_batch(black_box(&input), &mut acts);
+            mlp.backward_batch(&mut acts, black_box(&grads), 1e-3);
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_pool_sequence,
     bench_dlrm_forward,
-    bench_dlrm_rm1
+    bench_dlrm_rm1,
+    bench_mlp_train
 );
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! MLP producing a click probability (paper §2.2, Figure 2).
 
 use crate::embedding::EmbeddingTable;
-use crate::nn::{axpy, bce_loss, dot, sigmoid, Mlp, MlpActivations};
+use crate::nn::{axpy, bce_loss, dot, sigmoid, vecmat, Mlp, MlpActivations, MlpUpdate};
 use crate::pooling::{pool_sequence, PoolScratch, PoolingKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -145,48 +145,53 @@ pub struct Dlrm {
 
 /// Every buffer a step touches, flat and row-major. The first batch sizes
 /// them and later ones reuse them, so a steady-state step allocates nothing
-/// but the forward workers' thread spawns.
+/// but its workers' thread spawns.
 #[derive(Debug, Clone, Default)]
 struct Workspace {
-    /// Bottom-MLP input, used when the batch's dense shape is not the model's.
-    dense: Vec<f32>,
+    /// Per row: the bottom MLP's dense input, then every layer's output —
+    /// the last is the row's first interaction input — and the gradients.
     bottom: MlpActivations,
+    /// Per row: the top MLP's input (the interaction: the bottom vector, then
+    /// every pairwise dot), then every layer's output, and the gradients.
     top: MlpActivations,
-    /// Every `dim`-wide interaction input of the batch: one all-zero row,
-    /// the bottom MLP's output per batch row, then per feature one pooled
-    /// vector per *unit* — a dedup slot for a grouped feature in
-    /// [`ExecutionMode::Deduplicated`], a batch row otherwise.
+    /// Every pooled `dim`-wide interaction input of the batch: one all-zero
+    /// row, then per feature one pooled vector per *unit* — a dedup slot for
+    /// a grouped feature in [`ExecutionMode::Deduplicated`], a batch row
+    /// otherwise.
     vectors: Vec<f32>,
-    /// `[batch × n_vectors]` offsets into `vectors`: a row's interaction
-    /// inputs. A grouped feature is read through the inverse lookup here
-    /// (O6) — pooled slots are indexed, never expanded per row.
+    /// `[batch × features]` offsets into `vectors`: a row's pooled inputs. A
+    /// grouped feature is read through the inverse lookup here (O6) — pooled
+    /// slots are indexed, never expanded per row.
     index: Vec<usize>,
     /// Where each feature's units start in `vectors`, then where the last
     /// feature's end.
     bases: Vec<usize>,
     /// Pooling cost over the flat unit space: entry `u` sums
-    /// [`PoolingKind::flops_per_row`] over units `0..u`, so the forward
-    /// workers can cut it into runs of equal cost.
+    /// [`PoolingKind::flops_per_row`] over units `0..u`, so the workers can
+    /// cut it into runs of equal cost.
     costs: Vec<u64>,
-    /// One per forward worker; the calling thread is the last.
+    /// One per worker; the calling thread is the last.
     workers: Vec<Worker>,
-    /// Top-MLP input, `[batch × interaction_dim]`.
-    interaction: Vec<f32>,
     probs: Vec<f32>,
-    /// One row's gradient per interaction input, `[n_vectors × dim]`.
-    row_grads: Vec<f32>,
-    /// Gradients summed per unit, laid out like `vectors` (the zero row's
-    /// place is a sink nobody reads).
+    /// Embedding gradients summed per unit, laid out like `vectors` (the
+    /// zero row's place is never written).
     unit_grads: Vec<f32>,
 }
 
-/// What one forward worker pools with, and the work it counted doing so.
+/// One worker's scratch, and the work it counted.
 #[derive(Debug, Clone, Default)]
 struct Worker {
     /// One gathered `[len × dim]` embedding sequence.
     sequence: Vec<f32>,
     pool: PoolScratch,
     stats: ForwardStats,
+    /// One row's interaction inputs behind its pass-through gradient
+    /// ([`gather_inputs`]), `[(2 + features) × dim]`.
+    inputs: Vec<f32>,
+    /// One input's coefficients over `inputs`.
+    coeffs: Vec<f32>,
+    /// One row's gradient with respect to one interaction input.
+    grad: Vec<f32>,
 }
 
 /// One feature's id lists in a batch, resolved once per pass.
@@ -250,24 +255,15 @@ fn trains(kind: PoolingKind) -> bool {
     matches!(kind, PoolingKind::Sum | PoolingKind::Mean)
 }
 
-/// The bottom MLP's `[batch × width]` input: the batch's dense matrix itself
-/// when it has that shape, else a zero-padded (or truncated) copy in `padded`.
-fn dense_input<'a>(batch: &'a ConvertedBatch, width: usize, padded: &'a mut Vec<f32>) -> &'a [f32] {
+/// Writes the bottom MLP's input for batch row `row` into `input`: the row of
+/// the batch's dense matrix, zero-padded (or truncated) to `input`'s width.
+fn dense_input(batch: &ConvertedBatch, row: usize, input: &mut [f32]) {
     let dense = &batch.dense;
-    if dense.cols() == width && dense.rows() == batch.batch_size {
-        return dense.data();
+    input.fill(0.0);
+    if row < dense.rows() {
+        let n = input.len().min(dense.cols());
+        input[..n].copy_from_slice(&dense.row(row)[..n]);
     }
-    padded.clear();
-    padded.resize(batch.batch_size * width, 0.0);
-    let n = width.min(dense.cols());
-    for (r, out) in padded
-        .chunks_exact_mut(width)
-        .enumerate()
-        .take(dense.rows())
-    {
-        out[..n].copy_from_slice(&dense.row(r)[..n]);
-    }
-    padded
 }
 
 impl Dlrm {
@@ -358,10 +354,12 @@ impl Dlrm {
     /// Forward pass into the workspace: probabilities land in `ws.probs`,
     /// everything the backward pass needs stays in the other buffers.
     ///
-    /// Lookup + pooling and the interaction run on one worker per entry of
-    /// `ws.workers`, each over its own contiguous run of units or rows; every
-    /// unit and row is computed exactly as one thread computes it, so the
-    /// results do not depend on the worker count.
+    /// Two phases run on one worker per entry of `ws.workers`, each worker
+    /// over its own contiguous run: lookup + pooling, cut into runs of units
+    /// of equal pooling cost, then the bottom MLP, the interaction and the
+    /// top MLP, cut into equal blocks of rows. Every unit and row is computed
+    /// exactly as one thread computes it, so the results do not depend on
+    /// the worker count.
     fn forward_pass(&mut self, batch: &ConvertedBatch, mode: ExecutionMode) -> ForwardStats {
         let Self {
             config,
@@ -373,26 +371,14 @@ impl Dlrm {
         let mut stats = ForwardStats::default();
         let dim = config.embedding_dim;
         let rows = batch.batch_size;
-        let n_vectors = tables.len() + 1;
-
-        // Bottom MLP over dense features, straight off the columnar dense
-        // matrix — no per-row copy.
-        let dense = dense_input(batch, bottom.in_dim(), &mut ws.dense);
-        bottom.forward_batch(dense, &mut ws.bottom);
-        stats.mlp_flops += bottom.flops() * rows as u64;
-
-        ws.vectors.clear();
-        ws.vectors.resize(dim, 0.0);
-        ws.vectors.extend_from_slice(ws.bottom.output());
-        ws.index.clear();
-        ws.index.resize(rows * n_vectors, 0);
-        for (r, offsets) in ws.index.chunks_exact_mut(n_vectors).enumerate() {
-            offsets[0] = (1 + r) * dim;
-        }
+        let n_features = tables.len();
 
         // Lay every feature's units out one after another, point the rows at
         // them, and price each unit by its pooling FLOPs.
-        let first = ws.vectors.len();
+        ws.vectors.clear();
+        ws.vectors.resize(dim, 0.0);
+        ws.index.clear();
+        ws.index.resize(rows * n_features, 0);
         let mut cost = 0;
         let mut longest = 0;
         ws.bases.clear();
@@ -415,9 +401,9 @@ impl Dlrm {
                 cost += kind.flops_per_row(len, dim);
                 ws.costs.push(cost);
             }
-            for (r, offsets) in ws.index.chunks_exact_mut(n_vectors).enumerate() {
+            for (r, offsets) in ws.index.chunks_exact_mut(n_features).enumerate() {
                 if let Some(unit) = units.of_row(r) {
-                    offsets[f + 1] = base + unit * dim;
+                    offsets[f] = base + unit * dim;
                 }
             }
         }
@@ -431,18 +417,22 @@ impl Dlrm {
 
         // Look up and pool every unit; worker `w` starts at the first unit
         // with `w / workers` of the total cost before it.
-        let workers = ws.workers.len() as u128;
+        let workers = ws.workers.len();
+        let units = ws.costs.len() - 1;
         let split = |w: usize| {
+            if w == workers {
+                return units;
+            }
             let share = u128::from(cost) * w as u128;
-            ws.costs
-                .partition_point(|&c| u128::from(c) * workers < share)
+            let before = |&c: &u64| u128::from(c) * (workers as u128) < share;
+            ws.costs.partition_point(before)
         };
+        let first = dim;
+        let mut pooled = Runs::new(&mut ws.vectors[first..], dim);
         run_split(
             &mut ws.workers,
-            &mut ws.vectors[first..],
-            dim,
-            split,
-            |range, out, worker| {
+            |w| pooled.next(split(w + 1)),
+            |(range, out), worker| {
                 let stats = &mut worker.stats;
                 *stats = ForwardStats::default();
                 let (from, to) = (first + range.start * dim, first + range.end * dim);
@@ -479,42 +469,63 @@ impl Dlrm {
             stats.pooled_rows += counted.pooled_rows;
         }
 
-        // Interaction per row, each worker over an equal block of rows, then
-        // the top MLP over the whole batch.
-        let width = top.in_dim();
-        ws.interaction.clear();
-        ws.interaction.resize(rows * width, 0.0);
-        let workers = ws.workers.len();
+        // The bottom MLP, the interaction and the top MLP, row by row: each
+        // worker over an equal block of rows.
+        bottom.resize(&mut ws.bottom, rows);
+        top.resize(&mut ws.top, rows);
+        let (bottom_width, top_width) = (bottom.width(), top.width());
+        let (dense, bottom_out) = (bottom.in_dim(), bottom.output_column());
+        let interaction = top.in_dim();
+        let (vectors, index) = (&ws.vectors, &ws.index);
+        let mut bottoms = Runs::new(&mut ws.bottom.values, bottom_width);
+        let mut tops = Runs::new(&mut ws.top.values, top_width);
         run_split(
             &mut ws.workers,
-            &mut ws.interaction,
-            width,
-            |w| rows * w / workers,
-            |range, out, _| {
-                let offsets = ws.index[range.start * n_vectors..range.end * n_vectors]
-                    .chunks_exact(n_vectors);
-                for (offsets, out) in offsets.zip(out.chunks_exact_mut(width)) {
-                    interaction_forward(&ws.vectors, offsets, dim, out);
+            |w| {
+                let end = rows * (w + 1) / workers;
+                (bottoms.next(end), tops.next(end).1)
+            },
+            |((range, bottoms), tops), _| {
+                let bottom_rows = bottoms.chunks_exact_mut(bottom_width);
+                for (r, row) in range.clone().zip(bottom_rows) {
+                    dense_input(batch, r, &mut row[..dense]);
                 }
+                bottom.forward_rows(bottoms);
+                let rows = bottoms.chunks_exact(bottom_width);
+                let rows = range.zip(rows).zip(tops.chunks_exact_mut(top_width));
+                for ((r, bottom_row), top_row) in rows {
+                    let offsets = &index[r * n_features..(r + 1) * n_features];
+                    let out = &mut top_row[..interaction];
+                    interaction_forward(&bottom_row[bottom_out..], vectors, offsets, dim, out);
+                }
+                top.forward_rows(tops);
             },
         );
-        stats.mlp_flops += (rows * (n_vectors * n_vectors / 2)) as u64 * dim as u64;
-        top.forward_batch(&ws.interaction, &mut ws.top);
-        stats.mlp_flops += top.flops() * rows as u64;
-        let logits = ws.top.output().chunks_exact(top.out_dim());
+        let pairs = (n_features + 1) * (n_features + 1) / 2;
+        stats.mlp_flops += (bottom.flops() + top.flops()) * rows as u64;
+        stats.mlp_flops += (rows * pairs) as u64 * dim as u64;
         ws.probs.clear();
-        ws.probs.extend(logits.map(|logit| sigmoid(logit[0])));
+        ws.probs
+            .extend((0..rows).map(|r| sigmoid(ws.top.output(r)[0])));
         stats
     }
 
-    /// One SGD training step over a batch: forward, BCE loss, backward
+    /// One minibatch SGD step over a batch: forward, BCE loss, backward
     /// through the top MLP, the interaction, the bottom MLP, and the
     /// embedding tables of sum/mean-pooled features. Returns the mean loss.
     ///
-    /// The MLPs take one SGD update per row, in row order. An embedding
-    /// table takes one update per unit — the rows sharing a dedup slot first
-    /// sum their gradients through the inverse lookup — which is the same
-    /// total update, since the forward pass is already cached.
+    /// Every row's gradients are taken at the step's starting parameters and
+    /// every parameter moves once, along their sum: an MLP weight by
+    /// `Σ_r dY·X`, an embedding row by the sum over the units that looked it
+    /// up, the rows sharing a dedup slot first summing their gradients
+    /// through the inverse lookup.
+    ///
+    /// After the two forward phases, two more run on `ws.workers`: the
+    /// backward of each row through the top MLP, the interaction and the
+    /// bottom MLP, cut into equal blocks of rows, then the update, in which
+    /// each worker takes an equal share of each MLP's output units and of
+    /// the trained tables. Every sum runs in row order, whichever worker
+    /// computes it, so the results do not depend on the worker count.
     ///
     /// Sequence pooling modules (attention/transformer) are forward-only in
     /// this reproduction; configure the model with
@@ -528,139 +539,302 @@ impl Dlrm {
             tables,
             ws,
         } = self;
+        let Workspace {
+            bottom: bottom_acts,
+            top: top_acts,
+            vectors,
+            index,
+            bases,
+            workers,
+            probs,
+            unit_grads,
+            ..
+        } = ws;
         let lr = config.learning_rate;
         let dim = config.embedding_dim;
-        let n_vectors = tables.len() + 1;
-        let batch_size = batch.batch_size.max(1) as f32;
-        let dense = dense_input(batch, bottom.in_dim(), &mut ws.dense);
-        ws.row_grads.resize(n_vectors * dim, 0.0);
-        ws.unit_grads.clear();
-        ws.unit_grads.resize(ws.vectors.len(), 0.0);
+        let rows = batch.batch_size;
+        let batch_size = rows.max(1) as f32;
+        let n_features = tables.len();
+        let n_workers = workers.len();
+        let losses = probs.iter().zip(&batch.labels);
+        let total_loss: f32 = losses.map(|(&p, &label)| bce_loss(p, label)).sum();
 
-        let mut total_loss = 0.0;
-        let inputs = dense
-            .chunks_exact(bottom.in_dim())
-            .zip(ws.interaction.chunks_exact(top.in_dim()))
-            .zip(ws.index.chunks_exact(n_vectors));
-        for (row, ((dense, interaction), offsets)) in inputs.enumerate() {
-            let (p, label) = (ws.probs[row], batch.labels[row]);
-            total_loss += bce_loss(p, label);
-            // dL/dlogit for sigmoid + BCE, averaged over the batch.
-            let grad_logit = (p - label) / batch_size;
-            let grad = top.backward_row(interaction, &mut ws.top, row, &[grad_logit], lr);
-            // Only the bottom's and the trained features' gradients are read.
-            let reads = |v: usize| v == 0 || trains(config.feature_pooling[v - 1].1);
-            interaction_backward(&ws.vectors, offsets, dim, grad, reads, &mut ws.row_grads);
-            let (bottom_grad, feature_grads) = ws.row_grads.split_at(dim);
-            bottom.backward_row(dense, &mut ws.bottom, row, bottom_grad, lr);
-            let features = config.feature_pooling.iter().zip(&offsets[1..]);
-            for ((&(_, kind), &at), grad) in features.zip(feature_grads.chunks_exact(dim)) {
-                if trains(kind) {
-                    axpy(&mut ws.unit_grads[at..at + dim], 1.0, grad);
+        // Backward through the top MLP, the interaction and the bottom MLP,
+        // row by row. The interaction's backward here is the bottom
+        // vector's; the pooled vectors' is the tables' part of the update.
+        let (bottom_width, top_width) = (bottom.width(), top.width());
+        let (bottom_out, logit) = (bottom.output_column(), top.output_column());
+        let interaction = top.in_dim();
+        let (top_values, bottom_values) = (&top_acts.values, &bottom_acts.values);
+        let mut tops = Runs::new(&mut top_acts.grads, top_width);
+        let mut bottoms = Runs::new(&mut bottom_acts.grads, bottom_width);
+        for worker in workers.iter_mut() {
+            worker.inputs.resize((n_features + 2) * dim, 0.0);
+            worker.coeffs.resize(n_features + 2, 0.0);
+            worker.grad.resize(dim, 0.0);
+        }
+        run_split(
+            workers,
+            |w| {
+                let end = rows * (w + 1) / n_workers;
+                (tops.next(end), bottoms.next(end).1)
+            },
+            |((range, tops), bottoms), worker| {
+                for (r, row) in range.clone().zip(tops.chunks_exact_mut(top_width)) {
+                    // dL/dlogit for sigmoid + BCE, averaged over the batch.
+                    row[logit..].fill(0.0);
+                    row[logit] = (probs[r] - batch.labels[r]) / batch_size;
                 }
-            }
-        }
+                let (from, to) = (range.start, range.end);
+                top.backward_rows(&top_values[from * top_width..to * top_width], tops, true);
+                let rows = range.clone().zip(tops.chunks_exact(top_width));
+                for ((r, grads), out) in rows.zip(bottoms.chunks_exact_mut(bottom_width)) {
+                    let bottom_vector = &bottom_values[r * bottom_width + bottom_out..];
+                    let offsets = &index[r * n_features..(r + 1) * n_features];
+                    let grads = &grads[..interaction];
+                    let inputs = &mut worker.inputs;
+                    gather_inputs(bottom_vector, vectors, offsets, dim, grads, inputs);
+                    let coeffs = &mut worker.coeffs;
+                    interaction_backward(0, inputs, grads, dim, coeffs, &mut out[bottom_out..]);
+                }
+                let values = &bottom_values[from * bottom_width..to * bottom_width];
+                bottom.backward_rows(values, bottoms, false);
+            },
+        );
 
-        let features = config.feature_pooling.iter().zip(tables).zip(&ws.bases);
-        for ((&(feature, kind), table), &base) in features {
-            let Some(units) = Units::locate(batch, feature, mode).filter(|_| trains(kind)) else {
-                continue;
-            };
-            let grads = ws.unit_grads[base..].chunks_exact(dim).take(units.count());
-            for (unit, grad) in grads.enumerate() {
-                let ids = units.ids(unit);
-                let rate = match kind {
-                    PoolingKind::Mean => lr / ids.len().max(1) as f32,
-                    _ => lr,
+        // The update: each worker moves its share of each MLP's output units
+        // and of the trained tables.
+        let trained = |f: usize| trains(config.feature_pooling[f].1);
+        let n_trained = (0..n_features).filter(|&f| trained(f)).count();
+        let table_split = |w: usize| {
+            let share = n_trained * w / n_workers;
+            let mut seen = 0;
+            (0..n_features)
+                .find(|&f| {
+                    seen += usize::from(trained(f));
+                    seen > share
+                })
+                .unwrap_or(n_features)
+        };
+        unit_grads.resize(vectors.len(), 0.0);
+        let (top_update, top_params) = top.update();
+        let (bottom_update, bottom_params) = bottom.update();
+        let mut top_runs = Runs::new(top_params, 1);
+        let mut bottom_runs = Runs::new(bottom_params, 1);
+        let mut table_runs = Runs::new(tables, 1);
+        // Every feature's units, each worker's from its first feature's base.
+        let mut grad_runs = Runs::new(&mut unit_grads[dim..], 1);
+        let (top_acts, bottom_acts) = (&*top_acts, &*bottom_acts);
+        run_split(
+            workers,
+            |w| {
+                let units =
+                    |update: &MlpUpdate| update.split(w, n_workers)..update.split(w + 1, n_workers);
+                let (top_units, bottom_units) = (units(&top_update), units(&bottom_update));
+                let top = top_runs.next(top_update.offset(top_units.end)).1;
+                let bottom = bottom_runs.next(bottom_update.offset(bottom_units.end)).1;
+                let end = match w + 1 {
+                    last if last == n_workers => n_features,
+                    next => table_split(next),
                 };
-                table.apply_pooled_gradient(ids, grad, rate);
-            }
-        }
+                let (features, tables) = table_runs.next(end);
+                let (_, grads) = grad_runs.next(bases[end] - dim);
+                (
+                    (top_units, top),
+                    (bottom_units, bottom),
+                    (features, tables, grads),
+                )
+            },
+            |((top_units, top), (bottom_units, bottom), (features, tables, grads)), worker| {
+                top_update.apply(top_units, top, top_acts, lr);
+                bottom_update.apply(bottom_units, bottom, bottom_acts, lr);
+                // Every row's gradient for each of its units, summed in row
+                // order; the row's inputs stay in cache across the features.
+                let base = bases[features.start];
+                grads.fill(0.0);
+                for r in 0..rows {
+                    let offsets = &index[r * n_features..(r + 1) * n_features];
+                    let bottom_vector = &bottom_acts.values[r * bottom_width + bottom_out..];
+                    let grad_out = &top_acts.grads[r * top_width..][..interaction];
+                    let Worker {
+                        inputs,
+                        coeffs,
+                        grad,
+                        ..
+                    } = &mut *worker;
+                    gather_inputs(bottom_vector, vectors, offsets, dim, grad_out, inputs);
+                    for f in features.clone() {
+                        // Offset 0 is the zero row: the row has no unit.
+                        if !trained(f) || offsets[f] == 0 {
+                            continue;
+                        }
+                        interaction_backward(f + 1, inputs, grad_out, dim, coeffs, grad);
+                        let at = offsets[f] - base;
+                        axpy(&mut grads[at..at + dim], 1.0, grad);
+                    }
+                }
+                for (f, table) in features.zip(tables) {
+                    let (feature, kind) = config.feature_pooling[f];
+                    let Some(units) = Units::locate(batch, feature, mode).filter(|_| trains(kind))
+                    else {
+                        continue;
+                    };
+                    let grads = grads[bases[f] - base..].chunks_exact(dim);
+                    for (unit, grad) in grads.take(units.count()).enumerate() {
+                        let ids = units.ids(unit);
+                        let rate = match kind {
+                            PoolingKind::Mean => lr / ids.len().max(1) as f32,
+                            _ => lr,
+                        };
+                        table.apply_pooled_gradient(ids, grad, rate);
+                    }
+                }
+            },
+        );
         total_loss / batch_size
     }
 }
 
-/// Cuts the `width`-wide items of `out` into one contiguous run per worker —
-/// run `w` starts at item `split(w)`, the last one ends at the last item —
-/// and calls `work(items, run, worker)` on each. The last worker works on
-/// the calling thread and the others on scoped threads; a lone worker starts
-/// no thread at all (a scope alone allocates).
-fn run_split(
+/// Runs `work(part, worker)` for every worker on its part of a phase, which
+/// `parts(w)` cuts for worker `w` — called on the calling thread, in worker
+/// order. The last worker works on the calling thread and the others on
+/// scoped threads; a lone worker starts no thread at all (a scope alone
+/// allocates).
+fn run_split<P: Send>(
     workers: &mut [Worker],
-    out: &mut [f32],
-    width: usize,
-    split: impl Fn(usize) -> usize,
-    work: impl Fn(Range<usize>, &mut [f32], &mut Worker) + Sync,
+    mut parts: impl FnMut(usize) -> P,
+    work: impl Fn(P, &mut Worker) + Sync,
 ) {
-    let count = out.len() / width;
-    let (mut rest, mut start) = (out, 0);
-    let mut carve = |end: usize| {
-        let end = end.clamp(start, count);
-        let (run, tail) = std::mem::take(&mut rest).split_at_mut((end - start) * width);
-        rest = tail;
-        (std::mem::replace(&mut start, end)..end, run)
-    };
     let (own, helpers) = workers.split_last_mut().expect("a model has a worker");
     if helpers.is_empty() {
-        let (items, run) = carve(count);
-        return work(items, run, own);
+        return work(parts(0), own);
     }
+    let last = helpers.len();
     std::thread::scope(|scope| {
         for (w, worker) in helpers.iter_mut().enumerate() {
-            let (items, run) = carve(split(w + 1));
+            let part = parts(w);
             let work = &work;
-            scope.spawn(move || work(items, run, worker));
+            scope.spawn(move || work(part, worker));
         }
-        let (items, run) = carve(count);
-        work(items, run, own);
+        work(parts(last), own);
     });
 }
 
-/// DLRM pairwise-dot interaction of one row: its first vector, then the dot
-/// products of every vector pair. `offsets` locates the row's vectors, each
-/// `dim` wide, in `vectors`.
-fn interaction_forward(vectors: &[f32], offsets: &[usize], dim: usize, out: &mut [f32]) {
-    let vector = |at: usize| &vectors[at..at + dim];
-    out[..dim].copy_from_slice(vector(offsets[0]));
+/// Cuts a buffer of `width`-wide items into consecutive runs, front to back.
+struct Runs<'a, T> {
+    rest: &'a mut [T],
+    start: usize,
+    width: usize,
+}
+
+impl<'a, T> Runs<'a, T> {
+    fn new(buffer: &'a mut [T], width: usize) -> Self {
+        Self {
+            rest: buffer,
+            start: 0,
+            width,
+        }
+    }
+
+    /// The items from where the last run ended to item `end` (at most the
+    /// last item), and their run of the buffer.
+    fn next(&mut self, end: usize) -> (Range<usize>, &'a mut [T]) {
+        let count = self.start + self.rest.len() / self.width;
+        let end = end.clamp(self.start, count);
+        let (run, rest) =
+            std::mem::take(&mut self.rest).split_at_mut((end - self.start) * self.width);
+        self.rest = rest;
+        (std::mem::replace(&mut self.start, end)..end, run)
+    }
+}
+
+/// The `m`-th interaction input of a row: `first` for 0, else the pooled
+/// vector at `offsets[m - 1]` in `vectors`.
+fn input<'a>(
+    m: usize,
+    first: &'a [f32],
+    vectors: &'a [f32],
+    offsets: &[usize],
+    dim: usize,
+) -> &'a [f32] {
+    match m {
+        0 => &first[..dim],
+        _ => &vectors[offsets[m - 1]..offsets[m - 1] + dim],
+    }
+}
+
+/// DLRM pairwise-dot interaction of one row: its first input, then the dot
+/// products of every pair of its inputs — `first`, then the `dim`-wide
+/// pooled vectors `offsets` locates in `vectors`.
+fn interaction_forward(
+    first: &[f32],
+    vectors: &[f32],
+    offsets: &[usize],
+    dim: usize,
+    out: &mut [f32],
+) {
+    let n = offsets.len() + 1;
+    let vector = |m: usize| input(m, first, vectors, offsets, dim);
+    out[..dim].copy_from_slice(vector(0));
     let mut pairs = out[dim..].iter_mut();
-    for (i, &a) in offsets.iter().enumerate() {
-        for (&b, pair) in offsets[i + 1..].iter().zip(&mut pairs) {
-            *pair = dot(vector(a), vector(b));
+    for i in 0..n {
+        for (j, pair) in (i + 1..n).zip(&mut pairs) {
+            *pair = dot(vector(i), vector(j));
         }
     }
 }
 
-/// Backward of [`interaction_forward`]: writes the gradient with respect to
-/// each of the row's vectors that `reads` names into `grads`,
-/// `[offsets.len() × dim]`, and leaves the others zero. A read gradient sums
-/// its terms in the same order whichever others are read.
-fn interaction_backward(
+/// Lays one row's interaction backward out for [`interaction_backward`]:
+/// the pass-through part of `grad_output`, then the row's inputs — `first`,
+/// then the pooled vectors `offsets` locates in `vectors` — as the `dim`-wide
+/// rows of `inputs`.
+fn gather_inputs(
+    first: &[f32],
     vectors: &[f32],
     offsets: &[usize],
     dim: usize,
     grad_output: &[f32],
-    reads: impl Fn(usize) -> bool,
-    grads: &mut [f32],
+    inputs: &mut [f32],
 ) {
-    let vector = |at: usize| &vectors[at..at + dim];
-    // Pass-through part for the first vector.
-    grads.fill(0.0);
-    grads[..dim].copy_from_slice(&grad_output[..dim]);
-    let mut pairs = grad_output[dim..].iter();
-    for (i, &a) in offsets.iter().enumerate() {
-        let (head, tail) = grads.split_at_mut((i + 1) * dim);
-        let grad_a = &mut head[i * dim..];
-        let read_a = reads(i);
-        let others = offsets[i + 1..].iter().zip(tail.chunks_exact_mut(dim));
-        for (j, ((&b, grad_b), &g)) in (i + 1..).zip(others.zip(&mut pairs)) {
-            if read_a {
-                axpy(grad_a, g, vector(b));
-            }
-            if reads(j) {
-                axpy(grad_b, g, vector(a));
-            }
-        }
+    let mut rows = inputs.chunks_exact_mut(dim);
+    for (m, row) in (0..=offsets.len() + 1).zip(&mut rows) {
+        row.copy_from_slice(match m {
+            0 => &grad_output[..dim],
+            _ => input(m - 1, first, vectors, offsets, dim),
+        });
     }
+}
+
+/// Backward of [`interaction_forward`] for one of a row's inputs, `k`, over
+/// the row's [`gather_inputs`]: writes the gradient with respect to it into
+/// `out` — the pass-through part for the first input, then one term per pair
+/// it is in, in input order — as one [`vecmat`] over `inputs` (its own row's
+/// coefficient is zero). `coeffs` is scratch, one entry per row of `inputs`.
+fn interaction_backward(
+    k: usize,
+    inputs: &[f32],
+    grad_output: &[f32],
+    dim: usize,
+    coeffs: &mut [f32],
+    out: &mut [f32],
+) {
+    let n = inputs.len() / dim - 1;
+    // Pair (i, j), i < j, is output i·(2n − i − 1)/2 + j − i − 1 after the
+    // first input: `k`'s pairs with later inputs are consecutive outputs, and
+    // its pair with input `m + 1` comes `n − m − 2` after its pair with `m`.
+    let pair = |i: usize, j: usize| dim + i * (2 * n - i - 1) / 2 + j - i - 1;
+    let (before, rest) = coeffs[..=n].split_at_mut(k + 1);
+    before[0] = if k == 0 { 1.0 } else { 0.0 };
+    let mut at = pair(0, k.max(1));
+    for (m, c) in before[1..].iter_mut().enumerate() {
+        *c = grad_output[at];
+        at += n - m - 2;
+    }
+    let (own, after) = rest.split_first_mut().expect("k is an input");
+    *own = 0.0;
+    let later = pair(k, k + 1);
+    after.copy_from_slice(&grad_output[later..later + after.len()]);
+    vecmat(&coeffs[..=n], inputs, dim, out);
 }
 
 #[cfg(test)]
@@ -697,57 +871,57 @@ mod tests {
         config
     }
 
-    /// [`interaction_backward`] computing every vector's gradient, read or
-    /// not: the oracle the skipping loop must match bit for bit.
+    /// Every input's gradient of one row's interaction at once, pair by pair
+    /// in the forward pass's order: the reference [`interaction_backward`]
+    /// must match bit for bit, one input at a time.
     fn interaction_backward_all(
+        first: &[f32],
         vectors: &[f32],
         offsets: &[usize],
         dim: usize,
         grad_output: &[f32],
         grads: &mut [f32],
     ) {
-        let vector = |at: usize| &vectors[at..at + dim];
+        let vector = |m: usize| input(m, first, vectors, offsets, dim);
         grads.fill(0.0);
         grads[..dim].copy_from_slice(&grad_output[..dim]);
         let mut pairs = grad_output[dim..].iter();
-        for (i, &a) in offsets.iter().enumerate() {
+        for i in 0..=offsets.len() {
             let (head, tail) = grads.split_at_mut((i + 1) * dim);
             let grad_a = &mut head[i * dim..];
-            for ((&b, grad_b), &g) in offsets[i + 1..]
-                .iter()
-                .zip(tail.chunks_exact_mut(dim))
-                .zip(&mut pairs)
-            {
-                axpy(grad_a, g, vector(b));
-                axpy(grad_b, g, vector(a));
+            for ((j, grad_b), &g) in (i + 1..).zip(tail.chunks_exact_mut(dim)).zip(&mut pairs) {
+                axpy(grad_a, g, vector(j));
+                axpy(grad_b, g, vector(i));
             }
         }
     }
 
     #[test]
-    fn interaction_backward_skips_only_the_gradients_nobody_reads() {
+    fn interaction_backward_matches_the_all_gradients_loop() {
         let (schema, batch) = rm1_batch(64);
         let config = mixed_config(&schema);
-        let reads = |v: usize| v == 0 || trains(config.feature_pooling[v - 1].1);
-        let unread = (0..=config.feature_pooling.len()).filter(|&v| !reads(v));
-        assert_eq!(unread.count(), 8, "RM1's eight Transformer histories");
         let mut model = Dlrm::new(config.clone());
         model.forward_pass(&batch, ExecutionMode::Deduplicated);
         let ws = &model.ws;
-        let n_vectors = config.feature_pooling.len() + 1;
-        let width = model.top.in_dim();
-        let grad_output: Vec<f32> = (0..width).map(|i| (i as f32 * 0.37).sin()).collect();
-        let (mut got, mut want) = (vec![f32::NAN; n_vectors * 8], vec![f32::NAN; n_vectors * 8]);
-        for offsets in ws.index.chunks_exact(n_vectors) {
-            interaction_backward(&ws.vectors, offsets, 8, &grad_output, reads, &mut got);
-            interaction_backward_all(&ws.vectors, offsets, 8, &grad_output, &mut want);
-            for (v, (got, want)) in got.chunks_exact(8).zip(want.chunks_exact(8)).enumerate() {
-                let bits = |grad: &[f32]| grad.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
-                if reads(v) {
-                    assert_eq!(bits(got), bits(want), "vector {v}");
-                } else {
-                    assert!(got.iter().all(|&g| g == 0.0), "vector {v} is never read");
-                }
+        let n_features = config.feature_pooling.len();
+        let (width, first) = (model.bottom.width(), model.bottom.output_column());
+        let grad_output: Vec<f32> = (0..model.top.in_dim())
+            .map(|i| (i as f32 * 0.37).sin())
+            .collect();
+        let mut want = vec![f32::NAN; (n_features + 1) * 8];
+        let (mut inputs, mut coeffs) = (
+            vec![f32::NAN; (n_features + 2) * 8],
+            vec![0.0; n_features + 2],
+        );
+        let mut got = [f32::NAN; 8];
+        let bits = |grad: &[f32]| grad.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        for (r, offsets) in ws.index.chunks_exact(n_features).enumerate() {
+            let bottom = &ws.bottom.values[r * width + first..];
+            interaction_backward_all(bottom, &ws.vectors, offsets, 8, &grad_output, &mut want);
+            gather_inputs(bottom, &ws.vectors, offsets, 8, &grad_output, &mut inputs);
+            for (k, want) in want.chunks_exact(8).enumerate() {
+                interaction_backward(k, &inputs, &grad_output, 8, &mut coeffs, &mut got);
+                assert_eq!(bits(&got), bits(want), "row {r}, input {k}");
             }
         }
     }
@@ -760,8 +934,9 @@ mod tests {
     }
 
     /// Everything a run leaves behind, as bits: the forward pass's
-    /// probabilities, ten training losses, then every embedding row — and
-    /// the forward pass's work counters.
+    /// probabilities, ten training losses, the probabilities the trained
+    /// model predicts (so every MLP weight counts too), then every embedding
+    /// row — and the forward pass's work counters.
     fn run_bits(
         model: &mut Dlrm,
         batch: &ConvertedBatch,
@@ -770,6 +945,8 @@ mod tests {
         let (probs, stats) = model.forward(batch, mode);
         let mut bits: Vec<u32> = probs.iter().map(|p| p.to_bits()).collect();
         bits.extend((0..10).map(|_| model.train_step(batch, mode).to_bits()));
+        let (trained, _) = model.forward(batch, mode);
+        bits.extend(trained.iter().map(|p| p.to_bits()));
         for table in model.tables() {
             for id in 0..table.row_count() as u64 {
                 bits.extend(table.lookup(id).iter().map(|v| v.to_bits()));
@@ -944,21 +1121,23 @@ mod tests {
 
     #[test]
     fn interaction_backward_matches_numerical_gradient() {
-        // Vectors a, b, c of dimension 3, flat; b sits last in the buffer to
-        // show the offsets, not the storage order, name the vectors.
+        // Inputs a, b, c of dimension 3: a first, then b and c pooled into
+        // one buffer, b last to show the offsets, not the storage order,
+        // name the inputs.
         let vectors = [0.3f32, -0.2, 0.5, -0.7, 0.2, 0.9, 1.0, 0.1, -0.4];
-        let offsets = [0, 6, 3];
+        let offsets = [6, 3];
         let forward = |vectors: &[f32]| {
             let mut out = [0.0f32; 6];
-            interaction_forward(vectors, &offsets, 3, &mut out);
+            interaction_forward(&vectors[..3], vectors, &offsets, 3, &mut out);
             out
         };
         let out = forward(&vectors);
         assert_eq!(out[..3], vectors[..3]);
         assert!((out[3] - (0.3 - 0.02 - 0.2)).abs() < 1e-6, "a.b first");
         let grad_out: Vec<f32> = (0..out.len()).map(|i| 0.1 * (i as f32 + 1.0)).collect();
-        let mut grads = [f32::NAN; 9];
-        interaction_backward(&vectors, &offsets, 3, &grad_out, |_| true, &mut grads);
+        let (mut inputs, mut coeffs, mut grad) = ([f32::NAN; 12], [f32::NAN; 4], [f32::NAN; 3]);
+        gather_inputs(&vectors[..3], &vectors, &offsets, 3, &grad_out, &mut inputs);
+        interaction_backward(1, &inputs, &grad_out, 3, &mut coeffs, &mut grad);
 
         // Numerical check for vector b, coordinate 1.
         let eps = 1e-3f32;
@@ -972,6 +1151,6 @@ mod tests {
                 .sum::<f32>()
         };
         let numerical = (f(eps) - f(-eps)) / (2.0 * eps);
-        assert!((grads[3 + 1] - numerical).abs() < 1e-2);
+        assert!((grad[1] - numerical).abs() < 1e-2);
     }
 }

@@ -36,6 +36,6 @@ pub use cost::{
 };
 pub use dlrm::{Dlrm, DlrmConfig, ExecutionMode, ForwardStats, SEQUENCE_MIN_AVG_LEN};
 pub use embedding::EmbeddingTable;
-pub use nn::{bce_loss, Linear, Mlp, MlpActivations};
+pub use nn::{bce_loss, Mlp, MlpActivations};
 pub use pooling::{pool_sequence, PoolScratch, PoolingCost, PoolingKind};
 pub use train::{TrainReport, Trainer, TrainerConfig};

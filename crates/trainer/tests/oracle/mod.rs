@@ -1,9 +1,10 @@
 //! The row-wise reference trainer: the DLRM kernels as they were before the
 //! step path went flat — one `Vec` per embedding row, per query and per
 //! layer, strict-order scalar dot products, `HashMap`-keyed tables, pooled
-//! outputs expanded per row, one embedding update per row. Slow and obviously
-//! right; the flat kernels in `src/` are tested against it and it exists
-//! nowhere else.
+//! outputs expanded per row — and minibatch SGD spelled out: every row's
+//! gradients taken at the step's starting parameters, summed per parameter,
+//! one update at the end. Slow and obviously right; the flat kernels in
+//! `src/` are tested against it and it exists nowhere else.
 //!
 //! Parameter initialisation draws from the same seeded RNG streams in the
 //! same order as `Dlrm::new`, so an oracle and a model built from one config
@@ -136,6 +137,8 @@ pub fn pool_sequence(kind: PoolingKind, sequence: &[Vec<f32>], dim: usize) -> Ve
 
 struct EmbeddingTable {
     weights: Vec<f32>,
+    /// This step's gradient so far, shaped like `weights`.
+    grads: Vec<f32>,
     rows: usize,
     dim: usize,
 }
@@ -148,7 +151,12 @@ impl EmbeddingTable {
         let weights = (0..rows * dim)
             .map(|_| rng.gen_range(-0.01..0.01))
             .collect();
-        Self { weights, rows, dim }
+        Self {
+            weights,
+            grads: vec![0.0; rows * dim],
+            rows,
+            dim,
+        }
     }
 
     fn row(&self, id: u64) -> &[f32] {
@@ -170,13 +178,23 @@ impl EmbeddingTable {
         ids.iter().map(|&id| self.row(id).to_vec()).collect()
     }
 
-    fn apply_pooled_gradient(&mut self, ids: &[u64], grad: &[f32], learning_rate: f32) {
+    /// Adds a pooled lookup's gradient: every id in the list receives the
+    /// pooled output's.
+    fn add_pooled_gradient(&mut self, ids: &[u64], grad: &[f32]) {
         for &id in ids {
             let r = (id % self.rows as u64) as usize;
-            let row = &mut self.weights[r * self.dim..(r + 1) * self.dim];
-            for (w, g) in row.iter_mut().zip(grad) {
-                *w -= learning_rate * g;
+            let row = &mut self.grads[r * self.dim..(r + 1) * self.dim];
+            for (s, g) in row.iter_mut().zip(grad) {
+                *s += g;
             }
+        }
+    }
+
+    /// Moves every row along its summed gradient and clears it.
+    fn apply(&mut self, learning_rate: f32) {
+        for (w, g) in self.weights.iter_mut().zip(&mut self.grads) {
+            *w -= learning_rate * *g;
+            *g = 0.0;
         }
     }
 }
@@ -185,6 +203,9 @@ struct Linear {
     /// Weights, row-major `[out, in]`.
     weights: Vec<f32>,
     bias: Vec<f32>,
+    /// This step's gradients so far, shaped like `weights` and `bias`.
+    grad_weights: Vec<f32>,
+    grad_bias: Vec<f32>,
     in_dim: usize,
     out_dim: usize,
     relu: bool,
@@ -199,6 +220,8 @@ impl Linear {
         Self {
             weights,
             bias: vec![0.0; out_dim],
+            grad_weights: vec![0.0; in_dim * out_dim],
+            grad_bias: vec![0.0; out_dim],
             in_dim,
             out_dim,
             relu,
@@ -218,13 +241,10 @@ impl Linear {
         out
     }
 
-    fn backward(
-        &mut self,
-        input: &[f32],
-        output: &[f32],
-        grad_output: &[f32],
-        learning_rate: f32,
-    ) -> Vec<f32> {
+    /// One row's backward at the current weights: adds its weight and bias
+    /// gradients to the step's and returns the gradient with respect to its
+    /// input.
+    fn backward(&mut self, input: &[f32], output: &[f32], grad_output: &[f32]) -> Vec<f32> {
         let mut grad_input = vec![0.0f32; self.in_dim];
         for o in 0..self.out_dim {
             // ReLU gate.
@@ -233,17 +253,26 @@ impl Linear {
             } else {
                 grad_output[o]
             };
-            if g == 0.0 {
-                continue;
+            let row = o * self.in_dim..(o + 1) * self.in_dim;
+            let weights = self.weights[row.clone()].iter();
+            let grads = self.grad_weights[row].iter_mut();
+            for (i, ((w, s), &x)) in weights.zip(grads).zip(input).enumerate() {
+                grad_input[i] += w * g;
+                *s += g * x;
             }
-            let row = &mut self.weights[o * self.in_dim..(o + 1) * self.in_dim];
-            for (i, (w, &x)) in row.iter_mut().zip(input).enumerate() {
-                grad_input[i] += *w * g;
-                *w -= learning_rate * g * x;
-            }
-            self.bias[o] -= learning_rate * g;
+            self.grad_bias[o] += g;
         }
         grad_input
+    }
+
+    /// Moves every parameter along its summed gradient and clears it.
+    fn apply(&mut self, learning_rate: f32) {
+        let params = self.weights.iter_mut().chain(&mut self.bias);
+        let grads = self.grad_weights.iter_mut().chain(&mut self.grad_bias);
+        for (p, g) in params.zip(grads) {
+            *p -= learning_rate * *g;
+            *g = 0.0;
+        }
     }
 }
 
@@ -270,22 +299,18 @@ impl Mlp {
         activations
     }
 
-    fn backward(
-        &mut self,
-        activations: &[Vec<f32>],
-        grad_output: &[f32],
-        learning_rate: f32,
-    ) -> Vec<f32> {
+    fn backward(&mut self, activations: &[Vec<f32>], grad_output: &[f32]) -> Vec<f32> {
         let mut grad = grad_output.to_vec();
         for (idx, layer) in self.layers.iter_mut().enumerate().rev() {
-            grad = layer.backward(
-                &activations[idx],
-                &activations[idx + 1],
-                &grad,
-                learning_rate,
-            );
+            grad = layer.backward(&activations[idx], &activations[idx + 1], &grad);
         }
         grad
+    }
+
+    fn apply(&mut self, learning_rate: f32) {
+        for layer in &mut self.layers {
+            layer.apply(learning_rate);
+        }
     }
 
     fn flops(&self) -> u64 {
@@ -455,7 +480,8 @@ impl OracleDlrm {
         (probs, cache, stats)
     }
 
-    /// One SGD step, every update applied row by row. Returns the mean loss.
+    /// One minibatch SGD step: every row's gradients at the step's starting
+    /// parameters, summed, then one update. Returns the mean loss.
     pub fn train_step(&mut self, batch: &ConvertedBatch, mode: ExecutionMode) -> f32 {
         let lr = self.config.learning_rate;
         let dim = self.config.embedding_dim;
@@ -469,13 +495,13 @@ impl OracleDlrm {
             // dL/dlogit for sigmoid + BCE, averaged over the batch.
             let grad_logit = (p - label) / batch_size as f32;
 
-            let grad_interaction = self.top.backward(&cache.top_acts[row], &[grad_logit], lr);
+            let grad_interaction = self.top.backward(&cache.top_acts[row], &[grad_logit]);
 
             let mut vectors: Vec<&[f32]> = vec![cache.bottom_acts[row].last().unwrap()];
             vectors.extend(cache.pooled.iter().map(|rows| rows[row].as_slice()));
             let grads = pairwise_dot_interaction_backward(&vectors, dim, &grad_interaction);
 
-            self.bottom.backward(&cache.bottom_acts[row], &grads[0], lr);
+            self.bottom.backward(&cache.bottom_acts[row], &grads[0]);
 
             // Embedding backward for sum/mean pooled features.
             for (fi, &feature) in cache.features.iter().enumerate() {
@@ -497,8 +523,13 @@ impl OracleDlrm {
                 self.tables
                     .get_mut(&feature)
                     .unwrap()
-                    .apply_pooled_gradient(&ids, &grad, lr);
+                    .add_pooled_gradient(&ids, &grad);
             }
+        }
+        self.top.apply(lr);
+        self.bottom.apply(lr);
+        for table in self.tables.values_mut() {
+            table.apply(lr);
         }
         total_loss / batch_size as f32
     }

@@ -1,6 +1,6 @@
 //! The steady-state step guarantee, counted: once a model's workspace has
 //! held a batch, `train_step` on batches of that shape allocates nothing but
-//! what starting its forward workers costs — forward, backward and embedding
+//! what starting its workers costs — forward, backward and embedding
 //! updates, in either mode, on the calling thread and on every worker.
 //!
 //! The counter is global, so a worker thread's allocation counts too. One
@@ -84,13 +84,15 @@ fn a_warm_train_step_allocates_nothing_but_its_worker_spawns() {
             break;
         }
     }
-    // A step's forward pass runs two split phases (pooling, interaction) on
-    // one worker per core. Each phase opens one scope and spawns every worker
-    // but the calling thread's; a lone worker opens no scope.
+    // A step runs four split phases on one worker per core: lookup +
+    // pooling; the bottom MLP, interaction and top MLP forward by rows; the
+    // backward by rows; the update of both MLPs and the tables. Each phase
+    // opens one scope and spawns every worker but the calling thread's; a
+    // lone worker opens no scope.
     let workers = thread::available_parallelism().map_or(1, usize::from);
     let per_step = |scope: usize, spawn: usize| match workers {
         1 => 0,
-        _ => 2 * (scope + (workers - 1) * spawn),
+        _ => 4 * (scope + (workers - 1) * spawn),
     };
     for mode in [ExecutionMode::Deduplicated, ExecutionMode::Baseline] {
         let mut model = Dlrm::new(config.clone());
