@@ -173,22 +173,27 @@ fn bench_decode_path(c: &mut Criterion) {
 
     // Blob bytes → batch, the way a fill worker does it: footer parsed in
     // place, stripes decoded onto the end of a recycled batch.
-    let mut writer = DwrfWriter::new(&schema, STRIPE_ROWS);
-    writer.write(&clustered);
-    let (file, stripe_stats) = writer.finish();
-    let encoded_bytes: usize = stripe_stats.iter().map(|s| s.encoded_bytes).sum();
-    let mut scratch = FileReadScratch::default();
-    scratch.blob_buf().extend_from_slice(&file.to_blob());
     let mut group = c.benchmark_group("file_decode_into");
     group.sample_size(30);
-    group.throughput(Throughput::Bytes(encoded_bytes as u64));
-    group.bench_function("clustered_4x64_rows", |b| {
-        b.iter(|| {
-            scratch
-                .read_fetched_columnar_into(black_box(&schema), &mut rows)
-                .unwrap()
-        })
-    });
+    for (name, file_rows) in [
+        ("clustered_4x64_rows", &clustered),
+        ("interleaved_4x64_rows", &low_dup),
+    ] {
+        let mut writer = DwrfWriter::new(&schema, STRIPE_ROWS);
+        writer.write(file_rows);
+        let (file, stripe_stats) = writer.finish();
+        let encoded_bytes: usize = stripe_stats.iter().map(|s| s.encoded_bytes).sum();
+        let mut scratch = FileReadScratch::default();
+        scratch.blob_buf().extend_from_slice(&file.to_blob());
+        group.throughput(Throughput::Bytes(encoded_bytes as u64));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                scratch
+                    .read_fetched_columnar_into(black_box(&schema), &mut rows)
+                    .unwrap()
+            })
+        });
+    }
     group.finish();
 }
 

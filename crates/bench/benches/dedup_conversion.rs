@@ -1,10 +1,12 @@
 //! Benchmarks of the feature-conversion step (O3) and deduplicated
-//! preprocessing (O4): baseline KJT conversion vs IKJT conversion, and the
+//! preprocessing (O4): baseline KJT conversion vs IKJT conversion (from rows
+//! built in memory, and from rows decoded with their repeat hints), and the
 //! preprocessing pipeline over both.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use recd_bench::BenchFixture;
 use recd_reader::PreprocessPipeline;
+use recd_storage::{decode_stripe_columnar, encode_stripe};
 
 fn bench_conversion(c: &mut Criterion) {
     let fixture = BenchFixture::new(80);
@@ -37,6 +39,22 @@ fn bench_conversion(c: &mut Criterion) {
             },
         );
     }
+    // The same 512 rows stored as one stripe and decoded back: the batch
+    // carries the repeat hints a fill worker's batch carries.
+    let (block, _) = encode_stripe(&fixture.schema, &fixture.samples[..512]);
+    let decoded = decode_stripe_columnar(&fixture.schema, &block).expect("stripe decodes");
+    group.bench_with_input(
+        BenchmarkId::new("recd_ikjt_decoded", 512),
+        &decoded,
+        |b, batch| {
+            b.iter(|| {
+                fixture
+                    .dedup_converter
+                    .convert_columnar(black_box(batch))
+                    .unwrap()
+            })
+        },
+    );
     group.finish();
 }
 

@@ -177,6 +177,70 @@ pub fn decode_u64_slice_append(input: &[u8], values: &mut Vec<u64>) -> Result<us
     Ok(cursor + used)
 }
 
+/// How many consecutive rows that repeat nothing [`decode_u64_rows_append`]
+/// decodes one by one before it decodes the rest of the stream whole: a
+/// stream whose rows do not repeat pays the row walk for a few rows, not
+/// for all of them.
+const ROWS_BEFORE_WHOLE: usize = 4;
+
+/// Decodes a stream written by [`encode_u64_slice`] onto the end of
+/// `values`, as [`decode_u64_slice_append`] does, reading it as rows of the
+/// given `lengths`: a row as long as the one before whose encoded bytes
+/// equal that row's is copied from the decoded values, not parsed, and its
+/// index is passed to `on_repeat`. Values, the returned byte count and every
+/// error are those of [`decode_u64_slice_append`].
+///
+/// A row costs one length compare, and a byte compare only when the
+/// lengths are equal. After [`ROWS_BEFORE_WHOLE`] rows in a row that
+/// repeat nothing, or at a row that would run past the stream's value
+/// count, the rest of the stream is decoded whole and no later row is
+/// reported — a row not reported is only a repeat not found. Lengths that
+/// do not sum to the value count are the caller's to reject.
+///
+/// # Errors
+///
+/// Returns a [`CodecError`] if the stream is truncated or malformed.
+pub fn decode_u64_rows_append(
+    input: &[u8],
+    lengths: &[u64],
+    values: &mut Vec<u64>,
+    mut on_repeat: impl FnMut(usize),
+) -> Result<usize> {
+    let (count, mut cursor) = decode_count(input)?;
+    let base = values.len();
+    values.resize(base + count, 0);
+    let mut at = base;
+    // The previous row's length and where its bytes start; they end where
+    // this row's start.
+    let (mut prev_len, mut prev_start) = (None, cursor);
+    let mut misses = 0;
+    for (row, &len) in lengths.iter().enumerate() {
+        let (len, start) = (usize::try_from(len).unwrap_or(usize::MAX), cursor);
+        let Some(end) = at.checked_add(len).filter(|&end| end <= values.len()) else {
+            break;
+        };
+        if misses == ROWS_BEFORE_WHOLE {
+            break;
+        }
+        if prev_len == Some(len) {
+            let prev = &input[prev_start..start];
+            let here = input.get(start..start + prev.len()).unwrap_or_default();
+            // The first byte settles most mismatches without a call.
+            if here.first() == prev.first() && here == prev {
+                // The same bytes decode to the same values: copy them.
+                values.copy_within(at - len..at, at);
+                (at, cursor, prev_start, misses) = (end, cursor + prev.len(), start, 0);
+                on_repeat(row);
+                continue;
+            }
+        }
+        cursor += decode_run(&input[cursor..], &mut values[at..end], |raw| raw)?;
+        (at, prev_len, prev_start, misses) = (end, Some(len), start, misses + 1);
+    }
+    cursor += decode_run(&input[cursor..], &mut values[at..], |raw| raw)?;
+    Ok(cursor)
+}
+
 /// Reads the value count that prefixes a varint stream. A varint occupies at
 /// least one byte, so a count larger than the remaining input is a truncated
 /// (or corrupt) stream — rejected here, before anything is sized from it.
@@ -280,6 +344,92 @@ mod tests {
                 assert_matches_bytewise(&encoded[..cut]);
             }
         }
+    }
+
+    /// Asserts the row-wise decoder matches the whole-stream one on
+    /// `input` read as rows of `lengths` — same values and cursor, or the
+    /// same error — and that every row it reports equals its predecessor.
+    fn assert_rows_match_whole(input: &[u8], lengths: &[u64]) {
+        let (mut rows, mut whole) = (vec![9u64], vec![9u64]);
+        let mut repeats = Vec::new();
+        let got = decode_u64_rows_append(input, lengths, &mut rows, |row| repeats.push(row));
+        let want = decode_u64_slice_append(input, &mut whole);
+        assert_eq!(got, want, "input {input:?} lengths {lengths:?}");
+        if want.is_err() {
+            return;
+        }
+        assert_eq!(rows, whole);
+        let mut offsets = vec![1usize];
+        for &len in lengths {
+            offsets.push(offsets.last().unwrap() + len as usize);
+        }
+        for row in repeats {
+            assert!(row > 0);
+            let this = &rows[offsets[row]..offsets[row + 1]];
+            let before = &rows[offsets[row - 1]..offsets[row]];
+            assert_eq!(this, before, "row {row} reported as a repeat");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn row_wise_decode_matches_the_whole_stream(
+            pool in vec((any::<u64>(), 0u32..64), 1..6),
+            picks in vec((0usize..6, 0usize..4), 0..24),
+            trailing in vec(any::<u8>(), 0..12),
+        ) {
+            // Rows drawn from a small pool repeat often, and a row of the
+            // same length with other ids exercises the failed compare.
+            let mut values = Vec::new();
+            let mut lengths = Vec::new();
+            for &(pick, len) in &picks {
+                for i in 0..len {
+                    let (v, shift) = pool[(pick + i) % pool.len()];
+                    values.push(v >> shift);
+                }
+                lengths.push(len as u64);
+            }
+            let mut encoded = encode_u64_slice(&values);
+            let stream_len = encoded.len();
+            encoded.extend_from_slice(&trailing);
+            assert_rows_match_whole(&encoded, &lengths);
+            for cut in 0..stream_len {
+                assert_rows_match_whole(&encoded[..cut], &lengths);
+            }
+            // Lengths that do not tile the stream decode it whole.
+            let mut short = lengths.clone();
+            short.push(1);
+            assert_rows_match_whole(&encoded, &short);
+        }
+    }
+
+    #[test]
+    fn equal_rows_are_copied_and_reported() {
+        let encoded = encode_u64_slice(&[5, 300, 5, 300, 5, 301, 7, 7, 7]);
+        let mut values = Vec::new();
+        let mut repeats = Vec::new();
+        let used = decode_u64_rows_append(&encoded, &[2, 2, 2, 0, 0, 1, 1, 1], &mut values, |r| {
+            repeats.push(r)
+        });
+        assert_eq!(used, Ok(encoded.len()));
+        assert_eq!(values, [5, 300, 5, 300, 5, 301, 7, 7, 7]);
+        // Row 2 fails the byte compare; empty row 4 repeats empty row 3.
+        assert_eq!(repeats, [1, 4, 6, 7]);
+    }
+
+    #[test]
+    fn rows_that_stop_repeating_are_decoded_whole() {
+        // Four rows repeat nothing, so the repeat of row 3 by row 4 is
+        // decoded, not found.
+        let encoded = encode_u64_slice(&[1, 2, 2, 3, 4, 4, 4]);
+        let mut values = Vec::new();
+        let mut repeats = Vec::new();
+        let used = decode_u64_rows_append(&encoded, &[1, 2, 1, 1, 1, 1], &mut values, |r| {
+            repeats.push(r)
+        });
+        assert_eq!(used, Ok(encoded.len()));
+        assert_eq!(values, [1, 2, 2, 3, 4, 4, 4]);
+        assert!(repeats.is_empty(), "{repeats:?}");
     }
 
     #[test]

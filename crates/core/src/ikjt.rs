@@ -18,6 +18,7 @@ const EMPTY_SLOT: usize = usize::MAX;
 /// deduplication allocates nothing beyond buffer growth.
 #[derive(Debug, Default, Clone)]
 pub struct DedupScratch {
+    probes: Vec<usize>,
     hashers: Vec<Hasher64>,
     digests: Vec<u64>,
     table_digests: Vec<u64>,
@@ -136,6 +137,8 @@ impl InverseKeyedJaggedTensor {
             group,
             kjt.batch_size(),
             |fi, row| tensors[fi].row(row),
+            0,
+            |_| false,
             &mut DedupScratch::default(),
             &mut out,
         );
@@ -185,19 +188,35 @@ impl InverseKeyedJaggedTensor {
             }
         }
         let columns = batch.sparse_columns();
+        // A row repeats for the group when every grouped column marks it;
+        // rows past the shortest marked prefix are never marked.
+        let marked = group
+            .iter()
+            .map(|key| columns[key.index()].repeats().len())
+            .min()
+            .unwrap_or(0);
         Self::dedup_core_into(
             group,
             batch.len(),
             |fi, row| columns[group[fi].index()].row(row),
+            marked,
+            |row| group.iter().all(|key| columns[key.index()].is_repeat(row)),
             scratch,
             out,
         );
         Ok(())
     }
 
-    /// Precomputes one digest per row over the whole feature group, then
-    /// assigns slots through a flat [`DedupTable`], writing the result into
-    /// `out` whose buffers (slot tensors, inverse lookup) are reused.
+    /// Precomputes one digest per probing row over the whole feature group,
+    /// then assigns slots through a flat [`DedupTable`], writing the result
+    /// into `out` whose buffers (slot tensors, inverse lookup) are reused.
+    ///
+    /// A row other than the first, below `marked`, for which `is_repeat`
+    /// holds equals the row before it in every grouped feature, so it takes
+    /// that row's slot with no digest, no probe and no table entry — the
+    /// slot the probe would have found, since slots hold distinct rows.
+    /// Every other row probes, and the table is sized for those alone; rows
+    /// from `marked` on are not asked.
     ///
     /// Digests are accumulated feature-major (one sequential sweep per
     /// feature over its contiguous values) and memoized across the group, so
@@ -206,29 +225,44 @@ impl InverseKeyedJaggedTensor {
     /// identical to the old row-major loop (group order, length then
     /// values), so digests — and therefore slot assignment order — are
     /// unchanged.
+    #[allow(clippy::too_many_arguments)]
     fn dedup_core_into<'a>(
         group: &[FeatureId],
         batch_size: usize,
         row_view: impl Fn(usize, usize) -> &'a [u64],
+        marked: usize,
+        is_repeat: impl Fn(usize) -> bool,
         scratch: &mut DedupScratch,
         out: &mut Self,
     ) {
         let DedupScratch {
+            probes,
             hashers,
             digests,
             table_digests,
             table_slots,
         } = scratch;
 
+        let marked = marked.min(batch_size);
+        probes.clear();
+        probes.extend((0..marked).filter(|&row| row == 0 || !is_repeat(row)));
+        // Every row from `marked` on probes: that tail is a plain range.
         hashers.clear();
-        hashers.resize(batch_size, Hasher64::new());
+        hashers.resize(probes.len() + (batch_size - marked), Hasher64::new());
+        let (head, tail) = hashers.split_at_mut(probes.len());
         for fi in 0..group.len() {
-            for (row, hasher) in hashers.iter_mut().enumerate() {
+            let mix = |row: usize, hasher: &mut Hasher64| {
                 let values = row_view(fi, row);
                 hasher.mix_u64(values.len() as u64);
                 for &v in values {
                     hasher.mix_u64(v);
                 }
+            };
+            for (&row, hasher) in probes.iter().zip(head.iter_mut()) {
+                mix(row, hasher);
+            }
+            for (row, hasher) in (marked..batch_size).zip(tail.iter_mut()) {
+                mix(row, hasher);
             }
         }
         digests.clear();
@@ -251,9 +285,14 @@ impl InverseKeyedJaggedTensor {
         inverse_lookup.reserve(batch_size);
         *out_batch_size = batch_size;
 
-        let mut table = DedupTable::for_rows(table_digests, table_slots, batch_size);
-
-        for (row, &digest) in digests.iter().enumerate() {
+        let mut table = DedupTable::for_rows(table_digests, table_slots, digests.len());
+        let probing = probes.iter().copied().chain(marked..batch_size);
+        for (row, &digest) in probing.zip(digests.iter()) {
+            // The rows skipped since the last probe repeat their
+            // predecessors: each takes the slot before it.
+            while inverse_lookup.len() < row {
+                inverse_lookup.push(inverse_lookup[inverse_lookup.len() - 1]);
+            }
             let next_slot = slot_tensors
                 .first()
                 .map(JaggedTensor::row_count)
@@ -270,6 +309,9 @@ impl InverseKeyedJaggedTensor {
                     inverse_lookup.push(next_slot);
                 }
             }
+        }
+        while inverse_lookup.len() < batch_size {
+            inverse_lookup.push(inverse_lookup[inverse_lookup.len() - 1]);
         }
     }
 

@@ -29,10 +29,45 @@ use serde::{Deserialize, Serialize};
 /// This is the same jagged layout `recd-core`'s `JaggedTensor` uses; it is
 /// re-declared here (rather than imported) because `recd-data` sits below
 /// `recd-core` in the crate graph.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+///
+/// A column also carries one *repeat hint* per row, and the hint is
+/// one-sided: a marked row is guaranteed to equal the row before it, and an
+/// unmarked row guarantees nothing, so clearing any hint is always safe. The
+/// storage decoder marks the rows it copied instead of parsing,
+/// [`extend_rows`](Self::extend_rows) keeps the hints of every row but the
+/// first it adds, and the IKJT converter gives a row marked in every
+/// grouped column its predecessor's slot. Equality and every row read
+/// ignore the hints.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SparseColumn {
     values: Vec<u64>,
     offsets: Vec<usize>,
+    /// `repeats[i]` is row `i`'s hint. Rows at or past the end are
+    /// unmarked, so a column nobody marks never touches this buffer.
+    #[serde(skip)]
+    repeats: Vec<bool>,
+}
+
+impl PartialEq for SparseColumn {
+    fn eq(&self, other: &Self) -> bool {
+        self.values == other.values && self.offsets == other.offsets
+    }
+}
+
+impl Eq for SparseColumn {}
+
+/// Mutable views of a [`SparseColumn`]'s buffers, produced by
+/// [`SparseColumn::parts_mut`] for decoders that refill a column in place.
+#[derive(Debug)]
+pub struct SparseParts<'a> {
+    /// The flat value buffer.
+    pub values: &'a mut Vec<u64>,
+    /// Row offsets into `values` (`rows + 1` entries, leading zero).
+    pub offsets: &'a mut Vec<usize>,
+    /// Repeat hints, one per row from the front; rows past its end are
+    /// unmarked. It must stay no longer than the row count, and a `true`
+    /// must only ever mark a row equal to the row before it.
+    pub repeats: &'a mut Vec<bool>,
 }
 
 impl SparseColumn {
@@ -41,6 +76,7 @@ impl SparseColumn {
         Self {
             values: Vec::new(),
             offsets: vec![0],
+            repeats: Vec::new(),
         }
     }
 
@@ -51,6 +87,7 @@ impl SparseColumn {
         Self {
             values: Vec::with_capacity(values),
             offsets,
+            repeats: Vec::new(),
         }
     }
 
@@ -78,7 +115,11 @@ impl SparseColumn {
                 ),
             });
         }
-        Ok(Self { values, offsets })
+        Ok(Self {
+            values,
+            offsets,
+            repeats: Vec::new(),
+        })
     }
 
     /// Builds a column from raw parts.
@@ -89,7 +130,11 @@ impl SparseColumn {
     /// empty, does not start at zero, is decreasing, or does not end at
     /// `values.len()`.
     pub fn from_parts(values: Vec<u64>, offsets: Vec<usize>) -> Result<Self, DataError> {
-        let column = Self { values, offsets };
+        let column = Self {
+            values,
+            offsets,
+            repeats: Vec::new(),
+        };
         column.check_invariants()?;
         Ok(column)
     }
@@ -138,12 +183,86 @@ impl SparseColumn {
         self.offsets.push(self.values.len());
     }
 
-    /// Appends every row of `other`.
-    pub fn append(&mut self, other: &SparseColumn) {
+    /// Appends rows `range` of `src` with two slice copies. The hints of
+    /// the copied rows come along, except the first row's: its predecessor
+    /// here is not the one it was marked against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    pub fn extend_rows(&mut self, src: &SparseColumn, range: std::ops::Range<usize>) {
+        let first = self.row_count();
+        let (start, end) = (src.offsets[range.start], src.offsets[range.end]);
         let base = self.values.len();
-        self.values.extend_from_slice(&other.values);
-        self.offsets
-            .extend(other.offsets[1..].iter().map(|&o| base + o));
+        self.values.extend_from_slice(&src.values[start..end]);
+        self.offsets.extend(
+            src.offsets[range.start + 1..=range.end]
+                .iter()
+                .map(|&o| o - start + base),
+        );
+        let marked = src.repeats.len().min(range.end);
+        if marked > range.start + 1 {
+            self.repeats.resize(first + 1, false);
+            self.repeats
+                .extend_from_slice(&src.repeats[range.start + 1..marked]);
+        }
+    }
+
+    /// Whether row `i` is marked as equal to row `i - 1`. False is always
+    /// a correct answer; see the type docs.
+    pub fn is_repeat(&self, i: usize) -> bool {
+        self.repeats.get(i).copied().unwrap_or(false)
+    }
+
+    /// The repeat hints from row 0 up to the last row that may be marked;
+    /// every later row is unmarked.
+    pub fn repeats(&self) -> &[bool] {
+        &self.repeats
+    }
+
+    /// Marks row `i` as equal to row `i - 1`. The caller vouches for it:
+    /// convert trusts a marked row without comparing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.row_count()`.
+    pub fn mark_repeat(&mut self, i: usize) {
+        assert!(i < self.row_count(), "row {i} out of range");
+        if self.repeats.len() <= i {
+            self.repeats.resize(i + 1, false);
+        }
+        self.repeats[i] = true;
+    }
+
+    /// Unmarks every row.
+    pub fn clear_repeats(&mut self) {
+        self.repeats.clear();
+    }
+
+    /// Checks the repeat hints against the rows — every marked row equals
+    /// its predecessor, row 0 is unmarked, and no hint outlives the rows.
+    /// It reads every marked row, so only tests and debug builds run it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DataError::ColumnarInvariant`] naming the first unsound
+    /// hint.
+    pub fn check_repeats(&self) -> Result<(), DataError> {
+        let unsound = |reason: String| Err(DataError::ColumnarInvariant { reason });
+        if self.repeats.len() > self.row_count() {
+            return unsound(format!(
+                "{} repeat hints for {} rows",
+                self.repeats.len(),
+                self.row_count()
+            ));
+        }
+        if self.is_repeat(0) {
+            return unsound("row 0 is marked as a repeat".to_string());
+        }
+        match (1..self.repeats.len()).find(|&i| self.repeats[i] && self.row(i) != self.row(i - 1)) {
+            Some(i) => unsound(format!("row {i} is marked but differs from row {}", i - 1)),
+            None => Ok(()),
+        }
     }
 
     /// Removes every row, keeping the buffer capacity for reuse.
@@ -151,16 +270,22 @@ impl SparseColumn {
         self.values.clear();
         self.offsets.clear();
         self.offsets.push(0);
+        self.repeats.clear();
     }
 
-    /// Mutable access to the raw `(values, offsets)` buffers, for decoders
-    /// that refill a recycled column in place.
+    /// Mutable access to the raw buffers, for decoders that refill a
+    /// recycled column in place.
     ///
     /// The caller must restore the jagged invariants (offsets start at zero,
     /// are non-decreasing, and end at the value count) before the column is
-    /// read again; [`ColumnarBatch::check_invariants`] validates them.
-    pub fn parts_mut(&mut self) -> (&mut Vec<u64>, &mut Vec<usize>) {
-        (&mut self.values, &mut self.offsets)
+    /// read again, which [`ColumnarBatch::check_invariants`] validates, and
+    /// must keep every repeat hint sound, which nothing on that path checks.
+    pub fn parts_mut(&mut self) -> SparseParts<'_> {
+        SparseParts {
+            values: &mut self.values,
+            offsets: &mut self.offsets,
+            repeats: &mut self.repeats,
+        }
     }
 
     /// Validates the jagged invariants, as [`SparseColumn::from_parts`]
@@ -473,7 +598,8 @@ impl ColumnarBatch {
         Ok(())
     }
 
-    /// Appends every row of `other`.
+    /// Appends every row of `other`, with the repeat hints
+    /// [`SparseColumn::extend_rows`] keeps.
     ///
     /// # Errors
     ///
@@ -491,32 +617,32 @@ impl ColumnarBatch {
                 ),
             });
         }
-        self.sessions.extend_from_slice(&other.sessions);
-        self.requests.extend_from_slice(&other.requests);
-        self.timestamps.extend_from_slice(&other.timestamps);
-        self.labels.extend_from_slice(&other.labels);
-        self.dense.extend_from_slice(&other.dense);
-        for (dst, src) in self.sparse.iter_mut().zip(&other.sparse) {
-            dst.append(src);
-        }
+        self.extend_rows_from(other, 0..other.len());
         Ok(())
     }
 
-    /// Appends row `row` of `src`. The batches must share a column shape.
+    /// Appends rows `range` of `src`: one slice copy per column, with the
+    /// repeat hints [`SparseColumn::extend_rows`] keeps. The batches must
+    /// share a column shape.
     ///
     /// # Panics
     ///
-    /// Panics if the shapes differ or `row >= src.len()`.
-    pub fn push_row_from(&mut self, src: &ColumnarBatch, row: usize) {
+    /// Panics if the shapes differ or the range is out of bounds.
+    pub fn extend_rows_from(&mut self, src: &ColumnarBatch, range: std::ops::Range<usize>) {
         assert_eq!(self.dense_cols, src.dense_cols, "dense shape mismatch");
         assert_eq!(self.sparse.len(), src.sparse.len(), "sparse shape mismatch");
-        self.sessions.push(src.sessions[row]);
-        self.requests.push(src.requests[row]);
-        self.timestamps.push(src.timestamps[row]);
-        self.labels.push(src.labels[row]);
-        self.dense.extend_from_slice(src.dense_row(row));
+        self.sessions
+            .extend_from_slice(&src.sessions[range.clone()]);
+        self.requests
+            .extend_from_slice(&src.requests[range.clone()]);
+        self.timestamps
+            .extend_from_slice(&src.timestamps[range.clone()]);
+        self.labels.extend_from_slice(&src.labels[range.clone()]);
+        self.dense.extend_from_slice(
+            &src.dense[range.start * src.dense_cols..range.end * src.dense_cols],
+        );
         for (dst, col) in self.sparse.iter_mut().zip(&src.sparse) {
-            dst.push_row(col.row(row));
+            dst.extend_rows(col, range.clone());
         }
     }
 
@@ -527,29 +653,34 @@ impl ColumnarBatch {
     ///
     /// Panics if the range is out of bounds.
     pub fn slice_rows(&self, range: std::ops::Range<usize>) -> ColumnarBatch {
-        let rows = range.end - range.start;
-        let mut out = ColumnarBatch::with_capacity(self.dense_cols, self.sparse.len(), rows);
-        out.sessions
-            .extend_from_slice(&self.sessions[range.clone()]);
-        out.requests
-            .extend_from_slice(&self.requests[range.clone()]);
-        out.timestamps
-            .extend_from_slice(&self.timestamps[range.clone()]);
-        out.labels.extend_from_slice(&self.labels[range.clone()]);
-        out.dense.extend_from_slice(
-            &self.dense[range.start * self.dense_cols..range.end * self.dense_cols],
-        );
-        for (dst, col) in out.sparse.iter_mut().zip(&self.sparse) {
-            let start = col.offsets[range.start];
-            let end = col.offsets[range.end];
-            dst.values.extend_from_slice(&col.values[start..end]);
-            dst.offsets.extend(
-                col.offsets[range.start + 1..=range.end]
-                    .iter()
-                    .map(|&o| o - start),
-            );
-        }
+        let mut out = ColumnarBatch::with_capacity(self.dense_cols, self.sparse.len(), range.len());
+        out.extend_rows_from(self, range);
         out
+    }
+
+    /// Checks every sparse column's repeat hints against its rows
+    /// ([`SparseColumn::check_repeats`]); only tests and debug builds run
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DataError::ColumnarInvariant`] naming the first column with
+    /// an unsound hint.
+    pub fn check_repeats(&self) -> Result<(), DataError> {
+        for (f, col) in self.sparse.iter().enumerate() {
+            col.check_repeats()
+                .map_err(|err| DataError::ColumnarInvariant {
+                    reason: format!("sparse column {f}: {err}"),
+                })?;
+        }
+        Ok(())
+    }
+
+    /// Unmarks every row of every sparse column.
+    pub fn clear_repeats(&mut self) {
+        for col in &mut self.sparse {
+            col.clear_repeats();
+        }
     }
 
     /// Materializes the batch back into row-wise samples.
@@ -651,15 +782,85 @@ mod tests {
     }
 
     #[test]
-    fn push_row_from_copies_single_rows() {
+    fn extend_rows_from_copies_runs() {
         let samples = shaped_samples();
         let src = ColumnarBatch::from_samples(&samples, 2, 2);
         let mut dst = ColumnarBatch::new(2, 2);
-        dst.push_row_from(&src, 2);
-        dst.push_row_from(&src, 0);
+        dst.extend_rows_from(&src, 2..3);
+        dst.extend_rows_from(&src, 0..2);
+        dst.extend_rows_from(&src, 1..1);
         let back = dst.to_samples();
-        assert_eq!(back[0], samples[2]);
-        assert_eq!(back[1], samples[0]);
+        assert_eq!(back, [&samples[2..], &samples[..2]].concat());
+    }
+
+    /// Rows 0..4 of one column: `[1]`, `[1]`, `[1]`, `[2]`, with rows 1
+    /// and 2 marked.
+    fn marked_column() -> SparseColumn {
+        let mut col = SparseColumn::from_lengths(vec![1, 1, 1, 2], &[1, 1, 1, 1]).unwrap();
+        col.mark_repeat(1);
+        col.mark_repeat(2);
+        col
+    }
+
+    #[test]
+    fn repeat_hints_survive_runs_but_not_a_runs_first_row() {
+        let src = marked_column();
+        assert_eq!(src.repeats(), &[false, true, true]);
+        src.check_repeats().unwrap();
+
+        let mut dst = SparseColumn::new();
+        dst.push_row(&[1]);
+        dst.extend_rows(&src, 1..4);
+        // The run's first row followed a different row in `src`.
+        assert_eq!(dst.repeats(), &[false, false, true]);
+        dst.check_repeats().unwrap();
+
+        let mut appended = marked_column();
+        appended.extend_rows(&src, 0..src.row_count());
+        assert_eq!(
+            appended.repeats(),
+            &[false, true, true, false, false, true, true]
+        );
+        appended.check_repeats().unwrap();
+
+        // A run with no marked rows past its first leaves the hints alone.
+        let mut plain = SparseColumn::new();
+        plain.extend_rows(&src, 0..1);
+        plain.extend_rows(&src, 2..4);
+        assert!(plain.repeats().is_empty());
+    }
+
+    #[test]
+    fn hints_are_invisible_to_equality_and_rows() {
+        let marked = marked_column();
+        let plain = SparseColumn::from_lengths(vec![1, 1, 1, 2], &[1, 1, 1, 1]).unwrap();
+        assert_eq!(marked, plain);
+        let mut cleared = marked.clone();
+        cleared.clear_repeats();
+        assert!(cleared.repeats().is_empty());
+        assert_eq!(cleared, marked);
+        let mut reused = marked.clone();
+        reused.clear();
+        assert!(reused.repeats().is_empty());
+    }
+
+    #[test]
+    fn check_repeats_names_every_kind_of_unsound_hint() {
+        let mut row0 = marked_column();
+        row0.mark_repeat(0);
+        assert!(row0.check_repeats().is_err());
+
+        let mut differs = marked_column();
+        differs.mark_repeat(3);
+        assert!(differs.check_repeats().is_err());
+
+        let mut batch = ColumnarBatch::from_samples(&shaped_samples(), 2, 2);
+        batch.check_repeats().unwrap();
+        batch.sparse[1].mark_repeat(2);
+        let err = batch.check_repeats().unwrap_err().to_string();
+        assert!(err.contains("sparse column 1"), "{err}");
+        batch.clear_repeats();
+        batch.check_repeats().unwrap();
     }
 
     #[test]

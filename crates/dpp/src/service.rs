@@ -673,6 +673,15 @@ fn compute_worker_loop(ctx: &Worker<WorkItem, SinkInput>) {
             state
                 .converted_pool
                 .acquire_for(0, item.rows.len(), ConvertedBatch::default);
+        // The converter trusts a row marked as repeating its predecessor
+        // without comparing it; debug builds hold every routed batch's
+        // marks to its rows.
+        debug_assert!(
+            item.rows.check_repeats().is_ok(),
+            "shard {} routed an unsound repeat hint: {:?}",
+            item.shard,
+            item.rows.check_repeats()
+        );
         // Per-batch phase latency = the engine's own phase-CPU delta around
         // this one batch, so the histograms see exactly what the aggregate
         // PhaseMetrics see, bucketed.
@@ -779,29 +788,51 @@ fn router_loop(ctx: RouterCtx) {
                         .counters
                         .rows_routed
                         .fetch_add(rows.len() as u64, Ordering::Relaxed);
-                    for row in 0..rows.len() {
-                        let shard = match pinned {
-                            // An explicit placement (the fleet coordinator's
-                            // file-granular global sharding) overrides the
-                            // policy; the file still occupies its rotation
-                            // slot so mixed usage stays deterministic.
-                            Some(s) => s.min(shards - 1),
-                            None => match policy {
-                                ShardPolicy::FileRoundRobin => (file_idx % shards as u64) as usize,
-                                ShardPolicy::SessionAffine => {
-                                    (recd_codec::hash_ids(&[rows.session_id(row).raw()])
-                                        % shards as u64)
-                                        as usize
-                                }
-                            },
+                    let shard_of = |row: usize| match pinned {
+                        // An explicit placement (the fleet coordinator's
+                        // file-granular global sharding) overrides the
+                        // policy; the file still occupies its rotation
+                        // slot so mixed usage stays deterministic.
+                        Some(s) => s.min(shards - 1),
+                        None => match policy {
+                            ShardPolicy::FileRoundRobin => (file_idx % shards as u64) as usize,
+                            ShardPolicy::SessionAffine => {
+                                (recd_codec::hash_ids(&[rows.session_id(row).raw()])
+                                    % shards as u64) as usize
+                            }
+                        },
+                    };
+                    // Rows move in maximal runs bound for one shard: the
+                    // shard is decided once per session change (once per
+                    // file unless sessions choose it), and a run is one copy
+                    // per column, cut where a batch fills.
+                    let per_session = pinned.is_none() && policy == ShardPolicy::SessionAffine;
+                    let mut run_start = 0;
+                    let mut run_shard = if rows.is_empty() { 0 } else { shard_of(0) };
+                    for row in 1..=rows.len() {
+                        let next = if row == rows.len() {
+                            None
+                        } else if !per_session || rows.session_id(row) == rows.session_id(row - 1) {
+                            continue;
+                        } else {
+                            Some(shard_of(row))
                         };
-                        accumulators[shard].push_row_from(&rows, row);
-                        if accumulators[shard].len() >= batch_size {
-                            let full = std::mem::replace(&mut accumulators[shard], fresh());
-                            if !emit(shard, full, &mut shard_seqs) {
-                                break 'stream;
+                        if next == Some(run_shard) {
+                            continue;
+                        }
+                        while run_start < row {
+                            let accumulator = &mut accumulators[run_shard];
+                            let end = row.min(run_start + batch_size - accumulator.len());
+                            accumulator.extend_rows_from(&rows, run_start..end);
+                            run_start = end;
+                            if accumulator.len() >= batch_size {
+                                let full = std::mem::replace(accumulator, fresh());
+                                if !emit(run_shard, full, &mut shard_seqs) {
+                                    break 'stream;
+                                }
                             }
                         }
+                        run_shard = next.unwrap_or(run_shard);
                     }
                     // The decoded file's rows have all been copied into
                     // accumulators; its buffers go back to the fill workers.

@@ -322,6 +322,46 @@ fn session_affine_sharding_preserves_dedup_factor() {
     assert!(affine.dedupe_factor > 1.2, "affinity must yield real dedup");
 }
 
+/// Routing moves rows in runs, and a run keeps the repeat hints the
+/// decoder set on its rows but its first row's. With two session-affine
+/// shards and batches of five rows, runs end at session changes and are
+/// cut mid-session where a batch fills; the compute workers of a debug
+/// build check every routed batch's hints against its rows, so a hint
+/// carried across a cut or a shard change fails the run.
+#[test]
+fn routed_batches_keep_only_sound_repeat_hints() {
+    let f = fixture();
+    // The landed files carry hints for the router to move.
+    let mut file = ColumnarBatch::default();
+    fill_file_columnar_into(
+        &f.store,
+        &f.schema,
+        &f.partition.files[0],
+        &mut FileReadScratch::default(),
+        &mut file,
+        &mut ReaderMetrics::default(),
+    )
+    .expect("landed file reads back");
+    assert!(file
+        .sparse_columns()
+        .iter()
+        .any(|c| c.repeats().contains(&true)));
+
+    let config = DppConfig::new(reader_config(&f.schema, 5))
+        .with_policy(ShardPolicy::SessionAffine)
+        .with_shards(2)
+        .with_compute_workers(2)
+        .with_pipeline_factory(standard_pipeline);
+    let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
+    let drain = Drain::start(&mut handle);
+    handle.submit_partition(&f.partition);
+    let (batches, output) = drain.finish(handle);
+    let report = output.expect("clean run").report;
+    assert_eq!(report.samples, f.rows);
+    assert!(batches.iter().all(|b| b.batch_size <= 5));
+    assert!(batches.iter().filter(|b| b.batch_size == 5).count() > 2);
+}
+
 /// A transform slow enough that the compute stage becomes the bottleneck,
 /// forcing the work queue to fill and backpressure to propagate upstream.
 struct SlowIdentity;

@@ -115,9 +115,10 @@ impl PhaseEngine {
     }
 
     /// Convert phase (O3): columns → KJT/IKJT tensors, reusing the shell's
-    /// buffers and the engine's dedup scratch. `items` counts the values
-    /// hashed for duplicate detection (zero without dedup groups); `bytes`
-    /// is the tensor payload materialized.
+    /// buffers and the engine's dedup scratch. `items` counts the dedup
+    /// groups' logical values — what duplicate detection would hash with no
+    /// repeat hints (zero without dedup groups); `bytes` is the tensor
+    /// payload materialized.
     fn convert_columnar_into(
         &mut self,
         batch: &ColumnarBatch,

@@ -260,12 +260,14 @@ impl PreprocessPipeline {
         Self::default()
     }
 
-    /// A representative production-style pipeline: hash ids into `buckets`
-    /// buckets, cap sequences at `max_len`, and normalize dense features.
+    /// A representative production-style pipeline: cap sequences at
+    /// `max_len`, hash ids into `buckets` buckets, and normalize dense
+    /// features. Hashing maps ids one by one and truncation keeps suffixes,
+    /// so the two commute; truncating first hashes only the ids kept.
     pub fn standard(buckets: u64, max_len: usize) -> Self {
         Self::new()
-            .with_sparse(HashBucketize { buckets })
             .with_sparse(TruncateList { max_len })
+            .with_sparse(HashBucketize { buckets })
             .with_dense_normalization()
     }
 

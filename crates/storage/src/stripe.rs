@@ -3,7 +3,7 @@
 
 use crate::{Result, StorageError};
 use recd_codec::{delta, varint, Compressor};
-use recd_data::{ColumnarBatch, Sample, Schema};
+use recd_data::{ColumnarBatch, Sample, Schema, SparseParts};
 use serde::{Deserialize, Serialize};
 
 /// Byte accounting for one encoded stripe.
@@ -206,8 +206,20 @@ pub(crate) fn decode_stripe_append(
                 "sparse lengths column length mismatch",
             ));
         }
-        let (values, offsets) = column.parts_mut();
-        cursor += varint::decode_u64_slice_append(&buf[cursor..], values)?;
+        let SparseParts {
+            values,
+            offsets,
+            repeats,
+        } = column.parts_mut();
+        // A row that repeats the one before it is copied, not parsed, and
+        // marked. The stripe's first row is never compared: the rows before
+        // it were decoded from another block.
+        let first_row = offsets.len() - 1;
+        cursor +=
+            varint::decode_u64_rows_append(&buf[cursor..], &scratch.lengths, values, |row| {
+                repeats.resize(first_row + row, false);
+                repeats.push(true);
+            })?;
         // Offsets continue from the values the column already held. A
         // saturated sum cannot equal a buffer length, so overflow reads as
         // the mismatch it is.
@@ -405,12 +417,14 @@ pub(crate) mod tests {
             decode_stripe_columnar_into(&schema, &block, &mut scratch, &mut out).unwrap();
             prop_assert_eq!(&out, &staged);
             prop_assert_eq!(out.to_samples(), samples);
+            out.check_repeats().unwrap();
             // Appending a second copy continues every column and offset.
             decode_stripe_append(&block, &mut scratch, &mut out).unwrap();
             check_decoded(&out).unwrap();
             let mut twice = staged.clone();
             twice.append(&staged).unwrap();
             prop_assert_eq!(&out, &twice);
+            out.check_repeats().unwrap();
         }
     }
 

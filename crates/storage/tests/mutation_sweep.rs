@@ -86,12 +86,19 @@ fn a_mutated_stripe_block_never_panics_or_oversizes() {
     sweep(&block, |mutated| {
         if decode_stripe_columnar_into(&schema, mutated, &mut scratch, &mut out).is_ok() {
             out.check_invariants().unwrap();
+            out.check_repeats().unwrap();
         }
         let _ = lz::decompress_into(mutated, &mut bytes);
     });
-    // The sweep ran over a block that does decode.
+    // The sweep ran over a block that does decode, with rows the decoder
+    // copied and marked.
     decode_stripe_columnar_into(&schema, &block, &mut scratch, &mut out).unwrap();
     assert_eq!(out.to_samples(), &rows[..32]);
+    out.check_repeats().unwrap();
+    assert!(out
+        .sparse_columns()
+        .iter()
+        .any(|c| c.repeats().contains(&true)));
     assert_no_corrupt_count_sized_an_allocation();
 }
 
@@ -110,6 +117,7 @@ fn a_mutated_file_blob_never_panics_or_oversizes() {
                 .is_ok()
             {
                 out.check_invariants().unwrap();
+                out.check_repeats().unwrap();
             }
         }
         // The fill workers' path: the same bytes, parsed in place.
@@ -120,6 +128,7 @@ fn a_mutated_file_blob_never_panics_or_oversizes() {
             .is_ok()
         {
             out.check_invariants().unwrap();
+            out.check_repeats().unwrap();
         }
     });
     scratch.blob_buf().clear();
@@ -128,6 +137,11 @@ fn a_mutated_file_blob_never_panics_or_oversizes() {
         .read_fetched_columnar_into(&schema, &mut out)
         .unwrap();
     assert_eq!(out.to_samples(), &rows[..32]);
+    out.check_repeats().unwrap();
+    assert!(out
+        .sparse_columns()
+        .iter()
+        .any(|c| c.repeats().contains(&true)));
     assert_no_corrupt_count_sized_an_allocation();
 }
 

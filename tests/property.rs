@@ -4,8 +4,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use recd::codec::{delta, dict, rle, varint, Compressor};
 use recd::core::{
-    jagged_index_select, DataLoaderConfig, FeatureConverter, InverseKeyedJaggedTensor,
-    JaggedTensor, KeyedJaggedTensor, PartialIkjt,
+    jagged_index_select, ConvertedBatch, DataLoaderConfig, DedupScratch, FeatureConverter,
+    InverseKeyedJaggedTensor, JaggedTensor, KeyedJaggedTensor, PartialIkjt,
 };
 use recd::data::{ColumnarBatch, FeatureId, RequestId, Sample, Schema, SessionId, Timestamp};
 use recd::etl::cluster_by_session;
@@ -298,6 +298,93 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// Repeat hints change no converted byte: over clustered batches with a
+    /// random sound subset of hints — some columns of a group marked and
+    /// others not, row 0 marked or not — `convert_columnar_into` gives the
+    /// batch it gives with every hint cleared (slot tensors, inverse
+    /// lookups, KJT features, dense values, labels), and so does a batch
+    /// the stripe decoder marked itself.
+    #[test]
+    fn repeat_hints_do_not_change_the_converted_batch(
+        (dup_factor, tuples) in dup_batch_strategy(),
+        desync in 1usize..8,
+        masks in vec(vec(any::<bool>(), 0..120), 3..=3),
+        mark_row0 in any::<bool>(),
+    ) {
+        let schema = grouped_schema();
+        let samples = grouped_samples(dup_factor, &tuples, desync);
+        let mut hinted =
+            ColumnarBatch::from_samples(&samples, schema.dense_count(), schema.sparse_count());
+        {
+            let columns = hinted.columns_mut().sparse;
+            for (column, mask) in columns.iter_mut().zip(&masks) {
+                for row in 1..column.row_count() {
+                    let sound = column.row(row) == column.row(row - 1);
+                    if sound && mask.get(row).copied().unwrap_or(true) {
+                        column.mark_repeat(row);
+                    }
+                }
+                if mark_row0 && column.row_count() > 0 {
+                    // Row 0 has no predecessor: the converter must not
+                    // trust a mark there.
+                    column.mark_repeat(0);
+                }
+            }
+        }
+        let mut plain = hinted.clone();
+        plain.clear_repeats();
+        prop_assert!(plain.sparse_columns().iter().all(|c| c.repeats().is_empty()));
+
+        let config = DataLoaderConfig::from_schema(&schema);
+        let converter = FeatureConverter::new(config);
+        let mut scratch = DedupScratch::default();
+        let want = converter.convert_columnar(&plain).unwrap();
+        let mut got = ConvertedBatch::default();
+        for _ in 0..2 {
+            converter.convert_columnar_into(&hinted, &mut scratch, &mut got).unwrap();
+            prop_assert_eq!(&got, &want);
+        }
+
+        let (block, _) = encode_stripe(&schema, &samples);
+        let decoded = decode_stripe_columnar(&schema, &block).unwrap();
+        decoded.check_repeats().unwrap();
+        prop_assert_eq!(converter.convert_columnar(&decoded).unwrap(), want);
+    }
+
+    /// Truncating before hashing gives the tensors hashing before
+    /// truncating gives: `HashBucketize` maps ids one by one and
+    /// `TruncateList` keeps suffixes, so `PreprocessPipeline::standard`
+    /// may run the cheaper order.
+    #[test]
+    fn truncate_and_hash_commute(
+        (dup_factor, tuples) in dup_batch_strategy(),
+        buckets in 1u64..1_000_000,
+        max_len in 0usize..12,
+    ) {
+        let samples = dup_samples(dup_factor, &tuples);
+        let batch = ColumnarBatch::from_samples(&samples, 2, 2);
+        let config = DataLoaderConfig::new()
+            .with_kjt_features([FeatureId::new(1)])
+            .with_dedup_group([FeatureId::new(0)])
+            .with_dense_features(2);
+        let converter = FeatureConverter::new(config);
+        let hash_first = PreprocessPipeline::new()
+            .with_sparse(HashBucketize { buckets })
+            .with_sparse(TruncateList { max_len })
+            .with_dense_normalization();
+        let standard = PreprocessPipeline::standard(buckets, max_len);
+        for converted in [
+            converter.convert_columnar(&batch).unwrap(),
+            converter.convert_columnar_baseline(&batch).unwrap(),
+        ] {
+            let (mut want, mut got) = (converted.clone(), converted);
+            let want_stats = hash_first.apply(&mut want);
+            let got_stats = standard.apply(&mut got);
+            prop_assert_eq!(got_stats, want_stats);
+            prop_assert_eq!(got, want);
         }
     }
 
