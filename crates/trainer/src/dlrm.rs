@@ -4,7 +4,7 @@
 
 use crate::embedding::EmbeddingTable;
 use crate::nn::{axpy, bce_loss, dot, sigmoid, vecmat, Mlp, MlpActivations, MlpUpdate};
-use crate::pooling::{pool_sequence, PoolScratch, PoolingKind};
+use crate::pooling::{pool_shifted, PoolScratch, PoolingKind, Shift};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recd_core::{ConvertedBatch, JaggedTensor};
@@ -28,14 +28,27 @@ pub enum ExecutionMode {
 }
 
 /// Work counters collected during one forward pass.
+///
+/// The lookup and pooling counters count every unit — a dedup slot or a
+/// batch row — as looked up and pooled, including the units
+/// [`copied_units`](Self::copied_units) counts, which the kernels skip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ForwardStats {
     /// Single-row embedding lookups performed.
     pub emb_lookups: u64,
-    /// FLOPs spent in pooling modules.
+    /// The *modelled* FLOPs of the pooling modules
+    /// ([`PoolingKind::flops_per_row`]). For Transformer pooling this counts
+    /// the QKV and FFN projections of a real layer, which the parameter-free
+    /// kernel does not run: ≈ 1.84 M multiply-adds modelled against ≈ 0.43 M
+    /// run for a 64 × 64 sequence.
     pub pooling_flops: u64,
     /// Rows (or slots) run through pooling modules.
     pub pooled_rows: usize,
+    /// Units whose id list equals the previous unit's of the same feature,
+    /// so that their pooled vector is a copy of that unit's. Only
+    /// [`ExecutionMode::Deduplicated`] copies; the count depends on the batch
+    /// alone, not on the worker count.
+    pub copied_units: usize,
     /// FLOPs spent in the bottom/top MLPs and the interaction.
     pub mlp_flops: u64,
     /// f32 values materialized for embedding activations (the dynamic GPU
@@ -166,10 +179,13 @@ struct Workspace {
     /// Where each feature's units start in `vectors`, then where the last
     /// feature's end.
     bases: Vec<usize>,
-    /// Pooling cost over the flat unit space: entry `u` sums
-    /// [`PoolingKind::flops_per_row`] over units `0..u`, so the workers can
-    /// cut it into runs of equal cost.
+    /// Pooling cost over the flat unit space: entry `u` sums each unit's
+    /// [`price`] over units `0..u`, so the workers can cut it into runs of
+    /// equal cost.
     costs: Vec<u64>,
+    /// Per unit of the flat unit space, what its pooling takes from the unit
+    /// before it in its feature.
+    reuse: Vec<Reuse>,
     /// One per worker; the calling thread is the last.
     workers: Vec<Worker>,
     probs: Vec<f32>,
@@ -192,6 +208,50 @@ struct Worker {
     coeffs: Vec<f32>,
     /// One row's gradient with respect to one interaction input.
     grad: Vec<f32>,
+}
+
+/// What pooling a unit takes from the unit before it in its feature, decided
+/// once per pass. Either way the pooled vector has the same bits as pooling
+/// the unit afresh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reuse {
+    /// Nothing: look the list up and pool it.
+    Fresh,
+    /// The same list: copy that unit's pooled vector.
+    Copy,
+    /// Transformer: the list shifted by one ([`Shift`]), so the scores they
+    /// share carry over.
+    Shift,
+}
+
+impl Reuse {
+    /// How [`ExecutionMode::Deduplicated`] pools `ids` after a unit of the
+    /// same feature that pooled `previous`.
+    fn plan(kind: PoolingKind, previous: &[u64], ids: &[u64]) -> Self {
+        let len = ids.len();
+        if ids == previous {
+            Reuse::Copy
+        } else if kind == PoolingKind::Transformer
+            && len >= 2
+            && previous.len() == len
+            && previous[1..] == ids[..len - 1]
+        {
+            Reuse::Shift
+        } else {
+            Reuse::Fresh
+        }
+    }
+}
+
+/// What the workers' split prices pooling `len` ids at: a copy at nothing,
+/// a shifted Transformer unit without the scores it takes over.
+fn price(kind: PoolingKind, reuse: Reuse, len: usize, dim: usize) -> u64 {
+    let full = kind.flops_per_row(len, dim);
+    match reuse {
+        Reuse::Fresh => full,
+        Reuse::Copy => 0,
+        Reuse::Shift => full - ((len - 1) * len * dim) as u64,
+    }
 }
 
 /// One feature's id lists in a batch, resolved once per pass.
@@ -374,7 +434,8 @@ impl Dlrm {
         let n_features = tables.len();
 
         // Lay every feature's units out one after another, point the rows at
-        // them, and price each unit by its pooling FLOPs.
+        // them, plan what each unit reuses from the one before it, and price
+        // it by the pooling FLOPs it then spends.
         ws.vectors.clear();
         ws.vectors.resize(dim, 0.0);
         ws.index.clear();
@@ -384,6 +445,7 @@ impl Dlrm {
         ws.bases.clear();
         ws.costs.clear();
         ws.costs.push(cost);
+        ws.reuse.clear();
         for (f, &(feature, kind)) in config.feature_pooling.iter().enumerate() {
             let base = ws.vectors.len();
             ws.bases.push(base);
@@ -394,12 +456,20 @@ impl Dlrm {
             };
             ws.vectors.resize(base + units.count() * dim, 0.0);
             for unit in 0..units.count() {
-                let len = units.ids(unit).len();
+                let ids = units.ids(unit);
+                let reuse = match (mode, unit.checked_sub(1)) {
+                    (ExecutionMode::Deduplicated, Some(previous)) => {
+                        Reuse::plan(kind, units.ids(previous), ids)
+                    }
+                    _ => Reuse::Fresh,
+                };
+                stats.copied_units += usize::from(reuse == Reuse::Copy);
                 if kind != PoolingKind::Sum {
-                    longest = longest.max(len);
+                    longest = longest.max(ids.len());
                 }
-                cost += kind.flops_per_row(len, dim);
+                cost += price(kind, reuse, ids.len(), dim);
                 ws.costs.push(cost);
+                ws.reuse.push(reuse);
             }
             for (r, offsets) in ws.index.chunks_exact_mut(n_features).enumerate() {
                 if let Some(unit) = units.of_row(r) {
@@ -415,48 +485,72 @@ impl Dlrm {
             worker.pool.reserve(longest, dim);
         }
 
-        // Look up and pool every unit; worker `w` starts at the first unit
-        // with `w / workers` of the total cost before it.
+        // Look up and pool every unit, each worker over its share of the
+        // cost.
         let workers = ws.workers.len();
-        let units = ws.costs.len() - 1;
-        let split = |w: usize| {
-            if w == workers {
-                return units;
-            }
-            let share = u128::from(cost) * w as u128;
-            let before = |&c: &u64| u128::from(c) * (workers as u128) < share;
-            ws.costs.partition_point(before)
-        };
+        let costs = &ws.costs;
         let first = dim;
+        let plan = &ws.reuse;
         let mut pooled = Runs::new(&mut ws.vectors[first..], dim);
         run_split(
             &mut ws.workers,
-            |w| pooled.next(split(w + 1)),
+            |w| pooled.next(split(costs, w + 1, workers)),
             |(range, out), worker| {
-                let stats = &mut worker.stats;
+                let Worker {
+                    sequence,
+                    pool,
+                    stats,
+                    ..
+                } = worker;
                 *stats = ForwardStats::default();
-                let (from, to) = (first + range.start * dim, first + range.end * dim);
                 let features = config.feature_pooling.iter().zip(tables.iter());
                 for ((&(feature, kind), table), span) in features.zip(ws.bases.windows(2)) {
-                    let (start, end) = (span[0].max(from), span[1].min(to));
+                    // The feature's units in the flat unit space, and the
+                    // worker's share of them.
+                    let own = (span[0] - first) / dim..(span[1] - first) / dim;
+                    let (start, end) = (own.start.max(range.start), own.end.min(range.end));
                     let Some(units) = Units::locate(batch, feature, mode).filter(|_| start < end)
                     else {
                         continue;
                     };
-                    let outs = out[start - from..end - from].chunks_exact_mut(dim);
-                    for (unit, out) in ((start - span[0]) / dim..).zip(outs) {
-                        let ids = units.ids(unit);
+                    for u in start..end {
+                        let ids = units.ids(u - own.start);
                         stats.emb_lookups += ids.len() as u64;
                         stats.activation_values += ids.len() * dim;
                         stats.pooling_flops += kind.flops_per_row(ids.len(), dim);
                         stats.pooled_rows += 1;
+                        // A reuse reads the unit before, which for the
+                        // worker's first unit is another worker's: pool that
+                        // one afresh.
+                        let reuse = if u == start { Reuse::Fresh } else { plan[u] };
+                        let at = (u - range.start) * dim;
+                        if reuse == Reuse::Copy {
+                            out.copy_within(at - dim..at, at);
+                            continue;
+                        }
+                        let out = &mut out[at..at + dim];
                         if kind == PoolingKind::Sum {
                             // Fast path: fused lookup + sum.
                             table.lookup_pooled_into(ids, out);
-                        } else {
-                            table.lookup_sequence_into(ids, &mut worker.sequence);
-                            pool_sequence(kind, &worker.sequence, dim, &mut worker.pool, out);
+                            continue;
                         }
+                        if reuse == Reuse::Shift {
+                            // The last sequence, its first row dropped and
+                            // the new id's row appended.
+                            sequence.copy_within(dim.., 0);
+                            let last = sequence.len() - dim;
+                            sequence[last..].copy_from_slice(table.lookup(ids[ids.len() - 1]));
+                        } else {
+                            table.lookup_sequence_into(ids, sequence);
+                        }
+                        // Keep the scores if the next unit this worker pools
+                        // is shifted from this one.
+                        let next = plan[u + 1..end].iter().find(|&&r| r != Reuse::Copy);
+                        let shift = Shift {
+                            from_kept: reuse == Reuse::Shift,
+                            keep: next == Some(&Reuse::Shift),
+                        };
+                        pool_shifted(kind, sequence, dim, pool, out, shift);
                     }
                 }
             },
@@ -693,6 +787,19 @@ impl Dlrm {
         );
         total_loss / batch_size
     }
+}
+
+/// Where worker `w` of `workers` starts pooling: at the first unit with
+/// `w / workers` of the total cost before it, `costs` holding the cost
+/// before each unit and then the total.
+fn split(costs: &[u64], w: usize, workers: usize) -> usize {
+    let units = costs.len() - 1;
+    if w == workers {
+        return units;
+    }
+    let share = u128::from(costs[units]) * w as u128;
+    let before = |&c: &u64| u128::from(c) * (workers as u128) < share;
+    costs.partition_point(before)
 }
 
 /// Runs `work(part, worker)` for every worker on its part of a phase, which
@@ -994,6 +1101,18 @@ mod tests {
             ("two rows", &schema, &two_rows),
             ("rm1", &rm1_schema, &rm1),
         ];
+        // A worker whose range starts on a copied or a shifted unit pools it
+        // afresh: the RM1 batch puts boundaries on both.
+        let mut landed = Vec::new();
+        for workers in [2, 3, 8] {
+            let mut model = on_workers(&mixed_config(&rm1_schema), workers);
+            model.forward_pass(&rm1, ExecutionMode::Deduplicated);
+            let ws = &model.ws;
+            let starts = (1..workers).map(|w| split(&ws.costs, w, workers));
+            landed.extend(starts.filter_map(|u| ws.reuse.get(u).copied()));
+        }
+        assert!(landed.contains(&Reuse::Copy), "{landed:?}");
+        assert!(landed.contains(&Reuse::Shift), "{landed:?}");
         for (name, schema, batch) in cases {
             let config = mixed_config(schema);
             for mode in MODES {
@@ -1002,6 +1121,93 @@ mod tests {
                     let (bits, stats) = run_bits(&mut on_workers(&config, workers), batch, mode);
                     assert_eq!(stats, want.1, "{name} {mode:?} on {workers} workers");
                     assert!(bits == want.0, "{name} {mode:?} on {workers} workers");
+                }
+            }
+        }
+    }
+
+    /// Deduplicated mode copies a unit whose list repeats the previous
+    /// one's and carries a shifted history's scores over; Baseline mode pools
+    /// every unit afresh. In a KJT feature both modes have one unit per row,
+    /// so every pooled vector must match, bit for bit, on any worker count.
+    /// The tables are moved to unit scale first: at their initial ±0.01 the
+    /// attention term sits below a pooled vector's last bit, and a wrong
+    /// score would not show.
+    #[test]
+    fn copied_and_shifted_units_pool_to_the_bits_of_pooling_afresh() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(3);
+        let rows = 24;
+        for kind in [
+            PoolingKind::Sum,
+            PoolingKind::Attention,
+            PoolingKind::Transformer,
+        ] {
+            for (len, dim) in [(1, 8), (2, 13), (7, 1), (64, 64)] {
+                // Each list after the first repeats the one before it,
+                // shifts it by one, replaces its ids, or drops its first id
+                // (a shorter list, which is not a shift).
+                let mut lists: Vec<Vec<u64>> = vec![(0..len as u64).collect()];
+                for r in 1..rows {
+                    let mut list = lists[r - 1].clone();
+                    match r % 4 {
+                        0 => {}
+                        1 => {
+                            list.remove(0);
+                            list.push(rng.gen_range(0..1000));
+                        }
+                        2 => list.iter_mut().for_each(|id| *id = rng.gen_range(0..1000)),
+                        _ if list.len() > 1 => {
+                            list.remove(0);
+                        }
+                        _ => {}
+                    }
+                    lists.push(list);
+                }
+                let feature = FeatureId::new(0);
+                let batch = ConvertedBatch {
+                    batch_size: rows,
+                    labels: vec![0.0; rows],
+                    dense: recd_core::DenseMatrix::zeros(rows, 1),
+                    kjt: KeyedJaggedTensor::from_tensors(vec![(
+                        feature,
+                        JaggedTensor::from_lists(&lists),
+                    )])
+                    .unwrap(),
+                    ikjts: Vec::new(),
+                };
+                let config = DlrmConfig {
+                    dense_features: 1,
+                    embedding_dim: dim,
+                    hash_buckets: 64,
+                    bottom_mlp: vec![dim],
+                    top_mlp: vec![1],
+                    sequence_pooling: kind,
+                    feature_pooling: vec![(feature, kind)],
+                    learning_rate: 0.05,
+                    seed: 5,
+                };
+                let scale: Vec<f32> = (0..64 * dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let mut want = None;
+                for workers in [1, 2, 3, 8] {
+                    let mut model = on_workers(&config, workers);
+                    for (id, grad) in scale.chunks_exact(dim).enumerate() {
+                        model.tables[0].apply_pooled_gradient(&[id as u64], grad, -1.0);
+                    }
+                    let mut pooled = |mode| {
+                        model.forward_pass(&batch, mode);
+                        let bits = model.ws.vectors.iter().map(|v| v.to_bits());
+                        bits.collect::<Vec<_>>()
+                    };
+                    let fresh = pooled(ExecutionMode::Baseline);
+                    let reused = pooled(ExecutionMode::Deduplicated);
+                    let what = format!("{kind:?} {len}x{dim} on {workers} workers");
+                    assert!(reused == fresh, "{what}");
+                    assert_eq!(*want.get_or_insert(fresh.clone()), fresh, "{what}");
+                    let plan = &model.ws.reuse;
+                    assert!(plan.contains(&Reuse::Copy), "{what}");
+                    let shifts = kind == PoolingKind::Transformer && len >= 2;
+                    assert_eq!(plan.contains(&Reuse::Shift), shifts, "{what}");
                 }
             }
         }

@@ -1,6 +1,7 @@
 //! The flat step-path kernels against the row-wise oracle (`oracle/`):
-//! pooling per kind and shape, then whole-model predictions, work counters
-//! and training trajectories in both execution modes.
+//! pooling per kind and shape, the reuse of a neighbouring unit's pooling,
+//! then whole-model predictions, work counters and training trajectories in
+//! both execution modes.
 
 mod oracle;
 
@@ -8,8 +9,11 @@ use oracle::OracleDlrm;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recd_core::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
-use recd_data::{ColumnarBatch, Sample, Schema};
+use recd_core::{
+    ConvertedBatch, DataLoaderConfig, DenseMatrix, FeatureConverter, InverseKeyedJaggedTensor,
+    JaggedTensor, KeyedJaggedTensor,
+};
+use recd_data::{ColumnarBatch, FeatureId, Sample, Schema};
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd_etl::cluster_by_session;
 use recd_pipeline::RmPreset;
@@ -60,6 +64,83 @@ proptest! {
                 if kind != PoolingKind::Attention {
                     prop_assert_eq!(&out, &want);
                 }
+            }
+        }
+    }
+}
+
+/// `count` id lists of `len` ids, each after the first a copy of the one
+/// before it, that one shifted by one (its first id dropped, one appended),
+/// or unrelated to it.
+fn neighbour_lists(rng: &mut StdRng, count: usize, len: usize) -> Vec<Vec<u64>> {
+    let mut lists: Vec<Vec<u64>> = Vec::with_capacity(count);
+    for _ in 0..count {
+        let list = match (lists.last(), rng.gen_range(0..3)) {
+            (Some(previous), 0) => previous.clone(),
+            (Some(previous), 1) if len > 0 => {
+                let mut shifted = previous[1..].to_vec();
+                shifted.push(rng.gen_range(0..1000));
+                shifted
+            }
+            _ => (0..len).map(|_| rng.gen_range(0..1000)).collect(),
+        };
+        lists.push(list);
+    }
+    lists
+}
+
+proptest! {
+    /// Deduplicated mode copies a unit whose list repeats its neighbour's and
+    /// carries a shifted history's shared scores over; Baseline mode pools
+    /// every row afresh. Over lists that are copies, shifts and unrelated
+    /// neighbours — in a KJT feature, whose units are rows, and in an IKJT
+    /// feature, whose units are slots — the two predict the same bits and
+    /// agree with the oracle, which counts the copies by the same rule.
+    #[test]
+    fn reused_pooling_predicts_the_bits_of_pooling_afresh(kind in 0usize..3, seed in any::<u64>()) {
+        let kind = [PoolingKind::Sum, PoolingKind::Attention, PoolingKind::Transformer][kind];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (rows, inverse) = (6, vec![0, 1, 1, 2, 3, 3]);
+        let features = [FeatureId::new(0), FeatureId::new(1)];
+        for len in [1, 2, 7, 64, 96] {
+            for dim in [1, 8, 13, 64] {
+                let kjt = JaggedTensor::from_lists(&neighbour_lists(&mut rng, rows, len));
+                let slots = JaggedTensor::from_lists(&neighbour_lists(&mut rng, 4, len));
+                let dense = (0..rows * 2).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                let batch = ConvertedBatch {
+                    batch_size: rows,
+                    labels: vec![0.0, 1.0, 1.0, 0.0, 1.0, 0.0],
+                    dense: DenseMatrix::from_vec(dense, rows, 2).unwrap(),
+                    kjt: KeyedJaggedTensor::from_tensors(vec![(features[0], kjt)]).unwrap(),
+                    ikjts: vec![InverseKeyedJaggedTensor::from_parts(
+                        vec![features[1]],
+                        vec![slots],
+                        inverse.clone(),
+                    )
+                    .unwrap()],
+                };
+                let config = DlrmConfig {
+                    dense_features: 2,
+                    embedding_dim: dim,
+                    hash_buckets: 64,
+                    bottom_mlp: vec![4, dim],
+                    top_mlp: vec![4, 1],
+                    sequence_pooling: kind,
+                    feature_pooling: features.iter().map(|&f| (f, kind)).collect(),
+                    learning_rate: 0.05,
+                    seed,
+                };
+                let what = format!("{kind:?} {len}x{dim}");
+                let mut model = Dlrm::new(config.clone());
+                let (dedup, stats) = model.forward(&batch, ExecutionMode::Deduplicated);
+                let (baseline, baseline_stats) = model.forward(&batch, ExecutionMode::Baseline);
+                let bits = |probs: &[f32]| probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&dedup), bits(&baseline), "{what}");
+                assert_eq!(baseline_stats.copied_units, 0, "{what}");
+                let (want, want_stats) =
+                    OracleDlrm::new(config).forward(&batch, ExecutionMode::Deduplicated);
+                assert_close(&dedup, &want, 1e-5, &what);
+                assert_eq!(stats, want_stats, "{what}");
             }
         }
     }

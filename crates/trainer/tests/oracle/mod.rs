@@ -397,7 +397,7 @@ impl OracleDlrm {
         let kind = self.pooling[&feature];
         let table = &self.tables[&feature];
         if let Some(tensor) = batch.kjt.feature(feature) {
-            return pool_rows(table, kind, tensor, dim, stats);
+            return pool_rows(table, kind, tensor, dim, mode, stats);
         }
         for ikjt in &batch.ikjts {
             let Some(slot_tensor) = ikjt.feature(feature) else {
@@ -408,11 +408,11 @@ impl OracleDlrm {
                     // Expand first, then process every row.
                     let expanded =
                         recd_core::jagged_index_select(slot_tensor, ikjt.inverse_lookup()).unwrap();
-                    pool_rows(table, kind, &expanded, dim, stats)
+                    pool_rows(table, kind, &expanded, dim, mode, stats)
                 }
                 ExecutionMode::Deduplicated => {
                     // Process each slot once, then broadcast (O5 + O7).
-                    let per_slot = pool_rows(table, kind, slot_tensor, dim, stats);
+                    let per_slot = pool_rows(table, kind, slot_tensor, dim, mode, stats);
                     ikjt.expand_per_slot(&per_slot).unwrap()
                 }
             };
@@ -548,17 +548,25 @@ fn row_ids(batch: &ConvertedBatch, feature: FeatureId, row: usize) -> Vec<u64> {
     Vec::new()
 }
 
-/// Pools every row of a jagged tensor through one embedding table.
+/// Pools every row of a jagged tensor through one embedding table. In
+/// Deduplicated mode a row whose list equals the row's before it counts as
+/// copied; it is pooled all the same.
 fn pool_rows(
     table: &EmbeddingTable,
     kind: PoolingKind,
     tensor: &JaggedTensor<u64>,
     dim: usize,
+    mode: ExecutionMode,
     stats: &mut ForwardStats,
 ) -> Vec<Vec<f32>> {
+    let mut previous: Option<&[u64]> = None;
     tensor
         .iter()
         .map(|row| {
+            if mode == ExecutionMode::Deduplicated && previous == Some(row) {
+                stats.copied_units += 1;
+            }
+            previous = Some(row);
             stats.emb_lookups += row.len() as u64;
             stats.activation_values += row.len() * dim;
             stats.pooling_flops += kind.flops_per_row(row.len(), dim);
