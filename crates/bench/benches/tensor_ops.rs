@@ -1,14 +1,18 @@
 //! Micro-benchmarks for the core tensor operations: KJT/IKJT construction,
-//! jagged index select vs the densify-then-select baseline, and partial
-//! IKJT packing.
+//! jagged index select vs the densify-then-select baseline, and packing an
+//! RM1 batch's slot tensors into windows.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use recd_bench::BenchFixture;
 use recd_core::{
-    dense_index_select, jagged_index_select, InverseKeyedJaggedTensor, JaggedTensor,
-    KeyedJaggedTensor, PartialIkjt,
+    dense_index_select, jagged_index_select, DataLoaderConfig, FeatureConverter,
+    InverseKeyedJaggedTensor, JaggedTensor, KeyedJaggedTensor,
 };
-use recd_data::FeatureId;
+use recd_data::{ColumnarBatch, FeatureId};
+use recd_datagen::DatasetGenerator;
+use recd_etl::cluster_by_session;
+use recd_pipeline::RmPreset;
+use recd_reader::{HashBucketize, SparseTransform, TransformScratch, TruncateList};
 
 fn sequence_tensor(rows: usize, len: usize, duplicates: usize) -> JaggedTensor<u64> {
     // `duplicates` consecutive rows share a value, emulating a clustered batch.
@@ -42,11 +46,48 @@ fn bench_dedup_and_select(c: &mut Criterion) {
     c.bench_function("ikjt_to_kjt_expand_512x64", |b| {
         b.iter(|| black_box(&ikjt).to_kjt().unwrap())
     });
+}
 
-    let rows: Vec<Vec<u64>> = tensor.iter().map(<[u64]>::to_vec).collect();
-    c.bench_function("partial_ikjt_pack_512x64", |b| {
-        b.iter(|| PartialIkjt::dedup_from_rows(feature, black_box(&rows)))
+/// The last step of the IKJT path: packing the slot tensors of a 512-row
+/// clustered RM1 batch, converted and then truncated to 64 ids and hashed
+/// as `PreprocessPipeline::standard(1 << 20, 64)` does, into windows.
+fn bench_pack_windows(c: &mut Criterion) {
+    let workload = RmPreset::Rm1.spec().workload.with_sessions(60);
+    let partition = DatasetGenerator::new(workload).generate_partition();
+    let schema = partition.schema;
+    let rows = cluster_by_session(&partition.samples);
+    let columns = ColumnarBatch::from_samples(
+        &rows[..512.min(rows.len())],
+        schema.dense_count(),
+        schema.sparse_count(),
+    );
+    let mut batch = FeatureConverter::new(DataLoaderConfig::from_schema(&schema))
+        .convert_columnar(&columns)
+        .expect("fixture converts");
+    let mut scratch = TransformScratch::default();
+    for (_, tensor) in batch.ikjts.iter_mut().flat_map(|ikjt| ikjt.iter_mut()) {
+        tensor
+            .edit_flat(|values, offsets| {
+                TruncateList { max_len: 64 }.apply_flat(values, offsets, &mut scratch);
+                HashBucketize { buckets: 1 << 20 }.apply_flat(values, offsets, &mut scratch);
+            })
+            .expect("transforms keep the jagged invariants");
+    }
+
+    let mut group = c.benchmark_group("pack_windows");
+    group.bench_function("rm1_512", |b| {
+        b.iter_batched(
+            || batch.ikjts.clone(),
+            |mut ikjts| {
+                ikjts
+                    .iter_mut()
+                    .for_each(InverseKeyedJaggedTensor::pack_windows);
+                ikjts
+            },
+            criterion::BatchSize::LargeInput,
+        )
     });
+    group.finish();
 }
 
 fn bench_kjt_from_columnar(c: &mut Criterion) {
@@ -68,6 +109,6 @@ fn bench_kjt_from_columnar(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_dedup_and_select, bench_kjt_from_columnar
+    targets = bench_dedup_and_select, bench_pack_windows, bench_kjt_from_columnar
 }
 criterion_main!(benches);

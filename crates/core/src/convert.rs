@@ -131,7 +131,7 @@ pub struct ConvertedBatch {
 
 impl ConvertedBatch {
     /// Total sparse ids stored by this converted batch (KJT values plus
-    /// deduplicated IKJT values).
+    /// deduplicated IKJT values, a windowed slot tensor's pool counted once).
     pub fn stored_sparse_values(&self) -> usize {
         self.kjt.value_count()
             + self
@@ -152,8 +152,11 @@ impl ConvertedBatch {
     }
 
     /// Bytes shipped from readers to trainers for the sparse part of this
-    /// batch: KJT payload plus IKJT payloads plus the (local, but still
-    /// transported once from reader to trainer) inverse lookups.
+    /// batch: every buffer it holds, 8 bytes per word — each KJT feature's
+    /// values and offsets, each IKJT slot tensor's values, offsets and
+    /// starts, and each IKJT's inverse lookup. With
+    /// [`DenseMatrix::payload_bytes`] (4 per dense value) it is a batch's
+    /// egress; labels are not counted.
     pub fn sparse_payload_bytes(&self) -> usize {
         self.kjt.payload_bytes()
             + self
@@ -206,6 +209,9 @@ pub struct FeatureConverter {
     /// Every configured sparse feature, cached once so the baseline
     /// conversion paths don't re-collect the list per batch.
     all_features: Vec<FeatureId>,
+    /// [`DataLoaderConfig::validate`]'s verdict, taken once: validating
+    /// builds a set, and a batch must not allocate.
+    valid: Result<()>,
 }
 
 impl FeatureConverter {
@@ -213,6 +219,7 @@ impl FeatureConverter {
     pub fn new(config: DataLoaderConfig) -> Self {
         let all_features = config.all_sparse_features().collect();
         Self {
+            valid: config.validate(),
             config,
             all_features,
         }
@@ -255,7 +262,7 @@ impl FeatureConverter {
         scratch: &mut crate::DedupScratch,
         out: &mut ConvertedBatch,
     ) -> Result<()> {
-        self.config.validate()?;
+        self.valid.clone()?;
         out.batch_size = batch.len();
         out.labels.clear();
         out.labels.extend_from_slice(batch.labels());
@@ -444,6 +451,63 @@ mod tests {
                 .unwrap(),
             baseline
         );
+    }
+
+    /// Egress counted independently: length × width of every buffer the
+    /// batch holds.
+    fn buffer_bytes(batch: &ConvertedBatch) -> usize {
+        let kjt: usize = batch
+            .kjt
+            .iter()
+            .map(|(_, t)| t.values().len() + t.offsets().len())
+            .sum();
+        let ikjt: usize = batch
+            .ikjts
+            .iter()
+            .map(|ikjt| {
+                let slots: usize = ikjt
+                    .iter()
+                    .map(|(_, t)| t.values().len() + t.offsets().len() + t.starts().len())
+                    .sum();
+                slots + ikjt.inverse_lookup().len()
+            })
+            .sum();
+        (kjt + ikjt) * 8 + batch.dense.data().len() * 4
+    }
+
+    #[test]
+    fn egress_is_the_sum_of_every_shipped_buffer() {
+        // Feature 1 is a history of 3 shifting by one per session step;
+        // feature 0 holds each session's id, so every step is a new slot.
+        let samples: Vec<Sample> = (0..12u64)
+            .map(|i| {
+                Sample::builder(
+                    SessionId::new(i / 6),
+                    RequestId::new(i),
+                    Timestamp::from_millis(i),
+                )
+                .dense(vec![i as f32])
+                .sparse(vec![vec![i / 6], vec![i, i + 1, i + 2], vec![i]])
+                .build()
+            })
+            .collect();
+        let config = DataLoaderConfig::new()
+            .with_kjt_features([f(2)])
+            .with_dedup_group([f(0), f(1)])
+            .with_dense_features(1);
+        let mut batch = FeatureConverter::new(config)
+            .convert_columnar(&ColumnarBatch::from_samples(&samples, 1, 3))
+            .unwrap();
+        let egress = |b: &ConvertedBatch| b.sparse_payload_bytes() + b.dense.payload_bytes();
+        assert_eq!(egress(&batch), buffer_bytes(&batch));
+        let contiguous = egress(&batch);
+
+        batch.ikjts[0].pack_windows();
+        let history = batch.ikjts[0].feature(f(1)).unwrap();
+        assert!(history.is_windowed());
+        assert_eq!(history.values(), &(0..14).collect::<Vec<u64>>()[..]);
+        assert_eq!(egress(&batch), buffer_bytes(&batch));
+        assert!(egress(&batch) < contiguous);
     }
 
     #[test]

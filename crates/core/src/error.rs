@@ -62,6 +62,9 @@ pub enum CoreError {
     },
     /// An operation that requires a non-empty batch received an empty one.
     EmptyBatch,
+    /// A flat `(values, offsets)` edit was asked of a windowed jagged
+    /// tensor, whose rows that pair alone does not describe.
+    WindowedTensor,
 }
 
 impl fmt::Display for CoreError {
@@ -95,6 +98,9 @@ impl fmt::Display for CoreError {
                 write!(f, "index {index} out of range for {rows} rows")
             }
             CoreError::EmptyBatch => write!(f, "operation requires a non-empty batch"),
+            CoreError::WindowedTensor => {
+                write!(f, "a flat edit needs the contiguous form, not windows")
+            }
         }
     }
 }

@@ -95,6 +95,9 @@ impl<'a> DedupTable<'a> {
 /// when *every* feature in the group matches that slot, which is what makes
 /// deduplicated compute (O7) sound.
 ///
+/// A slot tensor may be windowed ([`InverseKeyedJaggedTensor::pack_windows`]):
+/// readers go through [`JaggedTensor::row`], which reads either form.
+///
 /// # Example
 ///
 /// ```
@@ -445,7 +448,8 @@ impl InverseKeyedJaggedTensor {
         Ok(tensor.row(self.inverse_lookup[row]))
     }
 
-    /// Number of values stored after deduplication (all features).
+    /// Number of values stored after deduplication (all features); a
+    /// windowed slot tensor counts its shared pool once.
     pub fn dedup_value_count(&self) -> usize {
         self.tensors.iter().map(JaggedTensor::value_count).sum()
     }
@@ -475,17 +479,28 @@ impl InverseKeyedJaggedTensor {
         }
     }
 
-    /// Bytes shipped over the network for this group during SDD: only the
-    /// deduplicated `values` and `offsets` slices travel; the
-    /// `inverse_lookup` slice stays local to the GPU that produced it
-    /// (paper §5, "Sparse Data Distribution").
+    /// Bytes of the slot tensors: 8 per value, offset and start. This is
+    /// what SDD moves between trainers (paper §5, "Sparse Data
+    /// Distribution"); the reader → trainer hop ships the inverse lookup
+    /// beside it (see [`ConvertedBatch::sparse_payload_bytes`]).
+    ///
+    /// [`ConvertedBatch::sparse_payload_bytes`]: crate::ConvertedBatch::sparse_payload_bytes
     pub fn payload_bytes(&self) -> usize {
         self.tensors.iter().map(|t| t.payload_bytes()).sum()
     }
 
-    /// Bytes of the local-only `inverse_lookup` slice (8 bytes per row).
+    /// Bytes of the `inverse_lookup` slice (8 bytes per row). The reader
+    /// ships it to the trainer with the batch; SDD keeps it on that trainer.
     pub fn inverse_lookup_bytes(&self) -> usize {
         self.inverse_lookup.len() * 8
+    }
+
+    /// Packs every slot tensor into windows where that ships fewer bytes
+    /// ([`JaggedTensor::pack_windows`]): per feature, a slot whose list
+    /// repeats the previous slot's list, or shifts it by one, adds at most
+    /// one id. Rows, slots and the inverse lookup read back unchanged.
+    pub fn pack_windows(&mut self) {
+        self.tensors.iter_mut().for_each(JaggedTensor::pack_windows);
     }
 
     /// Expands the IKJT back into a KJT using a jagged index select (O6).

@@ -1,4 +1,5 @@
-//! Jagged tensors: a flat value buffer plus row offsets.
+//! Jagged tensors: a flat value buffer plus row offsets, optionally with
+//! per-row starts that let rows overlap in the buffer.
 
 use crate::{CoreError, Result};
 use serde::{Deserialize, Serialize};
@@ -14,6 +15,17 @@ use serde::{Deserialize, Serialize};
 /// special case without changing any of the byte accounting (one extra `u64`
 /// per feature per batch).
 ///
+/// That is the *contiguous* form. [`JaggedTensor::pack_windows`] may turn a
+/// `u64` tensor into the *windowed* form (paper §7's partial IKJTs): `values`
+/// becomes a pool the rows may overlap in, `offsets` keep the rows' lengths
+/// as running sums (so `offsets[rows]` is the rows' total length, not the
+/// pool's), and `starts` holds one pool position per row. Row `i` is then
+/// `values[starts[i]..]` of length `offsets[i + 1] - offsets[i]`. The
+/// contiguous form keeps `starts` empty. [`JaggedTensor::row`],
+/// [`JaggedTensor::get`] and [`JaggedTensor::iter`] read both forms alike;
+/// the flat in-place editors refuse the windowed form. Equality compares
+/// the stored form, so a tensor and its packed copy are not equal.
+///
 /// # Example
 ///
 /// ```
@@ -28,6 +40,9 @@ use serde::{Deserialize, Serialize};
 pub struct JaggedTensor<T = u64> {
     values: Vec<T>,
     offsets: Vec<usize>,
+    /// Empty in the contiguous form; one pool position per row in the
+    /// windowed form.
+    starts: Vec<usize>,
 }
 
 /// The default tensor is a valid empty tensor (zero rows) — important for
@@ -45,6 +60,7 @@ impl<T> JaggedTensor<T> {
         Self {
             values: Vec::new(),
             offsets: vec![0],
+            starts: Vec::new(),
         }
     }
 
@@ -57,7 +73,11 @@ impl<T> JaggedTensor<T> {
     /// `values.len()`.
     pub fn from_parts(values: Vec<T>, offsets: Vec<usize>) -> Result<Self> {
         validate_offsets(&offsets, values.len())?;
-        Ok(Self { values, offsets })
+        Ok(Self {
+            values,
+            offsets,
+            starts: Vec::new(),
+        })
     }
 
     /// Builds a jagged tensor by copying a slice of row lists.
@@ -72,7 +92,11 @@ impl<T> JaggedTensor<T> {
             values.extend_from_slice(row);
             offsets.push(values.len());
         }
-        Self { values, offsets }
+        Self {
+            values,
+            offsets,
+            starts: Vec::new(),
+        }
     }
 
     /// Builds a jagged tensor by copying rows produced by an iterator of
@@ -89,13 +113,17 @@ impl<T> JaggedTensor<T> {
         tensor
     }
 
-    /// Appends a row.
+    /// Appends a row (to the end of the pool, in the windowed form).
     pub fn push_row(&mut self, row: &[T])
     where
         T: Clone,
     {
+        let end = self.offsets[self.offsets.len() - 1] + row.len();
+        if self.is_windowed() {
+            self.starts.push(self.values.len());
+        }
         self.values.extend_from_slice(row);
-        self.offsets.push(self.values.len());
+        self.offsets.push(end);
     }
 
     /// Number of rows.
@@ -108,9 +136,15 @@ impl<T> JaggedTensor<T> {
         self.row_count() == 0
     }
 
-    /// Total number of values across all rows.
+    /// Number of values stored: every row's values in the contiguous form,
+    /// the shared pool (each value once) in the windowed form.
     pub fn value_count(&self) -> usize {
         self.values.len()
+    }
+
+    /// Whether the tensor is in the windowed form.
+    pub fn is_windowed(&self) -> bool {
+        !self.starts.is_empty()
     }
 
     /// Borrows row `i`.
@@ -119,7 +153,13 @@ impl<T> JaggedTensor<T> {
     ///
     /// Panics if `i >= self.row_count()`.
     pub fn row(&self, i: usize) -> &[T] {
-        &self.values[self.offsets[i]..self.offsets[i + 1]]
+        let len = self.offsets[i + 1] - self.offsets[i];
+        let start = if self.starts.is_empty() {
+            self.offsets[i]
+        } else {
+            self.starts[i]
+        };
+        &self.values[start..start + len]
     }
 
     /// Returns row `i`, or `None` if it is out of range.
@@ -131,29 +171,30 @@ impl<T> JaggedTensor<T> {
         }
     }
 
-    /// Borrows the flat value buffer.
+    /// Borrows the flat value buffer (the pool, in the windowed form).
     pub fn values(&self) -> &[T] {
         &self.values
     }
 
-    /// Mutably borrows the flat value buffer — the view value-preserving
-    /// in-place transforms (e.g. hash bucketization) write through. The
-    /// length cannot change through this view, so the offsets invariants
-    /// are safe.
-    pub fn values_mut(&mut self) -> &mut [T] {
-        &mut self.values
-    }
-
-    /// Borrows the offsets slice (`row_count() + 1` entries).
+    /// Borrows the offsets slice (`row_count() + 1` running sums of the row
+    /// lengths).
     pub fn offsets(&self) -> &[usize] {
         &self.offsets
     }
 
-    /// Removes every row, keeping buffer capacity for reuse.
+    /// Borrows the per-row pool positions: empty in the contiguous form,
+    /// `row_count()` entries in the windowed form.
+    pub fn starts(&self) -> &[usize] {
+        &self.starts
+    }
+
+    /// Removes every row, keeping buffer capacity for reuse. The tensor is
+    /// contiguous again.
     pub fn clear(&mut self) {
         self.values.clear();
         self.offsets.clear();
         self.offsets.push(0);
+        self.starts.clear();
     }
 
     /// Hands the `(values, offsets)` buffers to `edit` for in-place
@@ -162,10 +203,15 @@ impl<T> JaggedTensor<T> {
     ///
     /// # Errors
     ///
+    /// Returns [`CoreError::WindowedTensor`] without calling `edit` if the
+    /// tensor is windowed, whose rows the pair alone does not describe.
     /// Returns [`CoreError::InvalidOffsets`] if the closure leaves the
     /// buffers violating the invariants; the tensor then holds exactly what
     /// the closure produced and must not be read until refilled.
     pub fn edit_flat(&mut self, edit: impl FnOnce(&mut Vec<T>, &mut Vec<usize>)) -> Result<()> {
+        if self.is_windowed() {
+            return Err(CoreError::WindowedTensor);
+        }
         edit(&mut self.values, &mut self.offsets);
         validate_offsets(&self.offsets, self.values.len())
     }
@@ -176,12 +222,16 @@ impl<T> JaggedTensor<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidOffsets`] under the same conditions as
-    /// [`JaggedTensor::from_parts`].
+    /// Returns [`CoreError::WindowedTensor`] if the tensor is windowed, and
+    /// [`CoreError::InvalidOffsets`] under the same conditions as
+    /// [`JaggedTensor::from_parts`]; either way the tensor is unchanged.
     pub fn assign_flat(&mut self, values: &[T], offsets: &[usize]) -> Result<()>
     where
         T: Clone,
     {
+        if self.is_windowed() {
+            return Err(CoreError::WindowedTensor);
+        }
         validate_offsets(offsets, values.len())?;
         self.values.clear();
         self.values.extend_from_slice(values);
@@ -220,26 +270,91 @@ impl<T> JaggedTensor<T> {
             next: 0,
         }
     }
-
-    /// Consumes the tensor and returns `(values, offsets)`.
-    pub fn into_parts(self) -> (Vec<T>, Vec<usize>) {
-        (self.values, self.offsets)
-    }
 }
 
 impl JaggedTensor<u64> {
-    /// Bytes occupied by the `values` and `offsets` slices when shipped over
-    /// the network (8 bytes per element), the quantity SDD transfers.
+    /// Bytes the tensor ships: 8 per value, offset and start.
     pub fn payload_bytes(&self) -> usize {
-        self.values.len() * 8 + self.offsets.len() * 8
+        (self.values.len() + self.offsets.len() + self.starts.len()) * 8
+    }
+
+    /// Packs a contiguous tensor into the windowed form when that ships
+    /// strictly fewer bytes, in place and without allocating once `starts`
+    /// has held this many rows. One linear walk plans a window per row:
+    ///
+    /// - a row equal to its predecessor takes the predecessor's window;
+    /// - a row *shifted by one* — as long as its predecessor, at least 2
+    ///   ids, and equal to it with the first id dropped and one appended —
+    ///   appends that one id and takes the window one past the
+    ///   predecessor's, which ends at the pool's end;
+    /// - any other row appends all of its ids.
+    ///
+    /// The plan is kept only if the pool plus one start per row is smaller
+    /// than the values it replaces; a second walk then compacts each row's
+    /// appended ids toward the front. Every row reads back unchanged. A
+    /// windowed tensor is left as it is, so packing twice is a no-op.
+    pub fn pack_windows(&mut self) {
+        if self.is_windowed() {
+            return;
+        }
+        let Self {
+            values,
+            offsets,
+            starts,
+        } = self;
+        let rows = offsets.len() - 1;
+        starts.clear();
+        starts.reserve(rows);
+        let (mut pool, mut prev, mut prev_start): (usize, &[u64], usize) = (0, &[], 0);
+        for bounds in offsets.windows(2) {
+            let row = &values[bounds[0]..bounds[1]];
+            let len = row.len();
+            // The first ids decide most rows before a slice compare runs.
+            let start = if len > 0 && len == prev.len() && row[0] == prev[0] && row == prev {
+                prev_start
+            } else if len >= 2
+                && len == prev.len()
+                && row[0] == prev[1]
+                && row[..len - 1] == prev[1..]
+            {
+                debug_assert_eq!(prev_start + len, pool, "windows end at the pool's end");
+                pool += 1;
+                prev_start + 1
+            } else {
+                pool += len;
+                pool - len
+            };
+            starts.push(start);
+            (prev, prev_start) = (row, start);
+        }
+        if pool + rows >= values.len() {
+            starts.clear();
+            return;
+        }
+        // Every row's window ends within the pool written so far, or past
+        // it by exactly the ids the row appends — its last ones. Rows
+        // before this one appended at most as many ids as they hold, so the
+        // copy never overwrites a row still to be read, and until a row
+        // appends fewer ids than it holds every row is already in place.
+        let mut written = 0;
+        for (&start, bounds) in starts.iter().zip(offsets.windows(2)) {
+            let (window_end, row_end) = (start + bounds[1] - bounds[0], bounds[1]);
+            if window_end > written {
+                let appended = row_end - (window_end - written);
+                if appended != written {
+                    values.copy_within(appended..row_end, written);
+                }
+                written = window_end;
+            }
+        }
+        values.truncate(written);
     }
 }
 
 impl JaggedTensor<f32> {
-    /// Bytes occupied by the `values` and `offsets` slices (4-byte floats,
-    /// 8-byte offsets).
+    /// Bytes the tensor ships: 4 per value, 8 per offset and start.
     pub fn payload_bytes(&self) -> usize {
-        self.values.len() * 4 + self.offsets.len() * 8
+        self.values.len() * 4 + (self.offsets.len() + self.starts.len()) * 8
     }
 }
 
@@ -378,8 +493,46 @@ mod tests {
         let rows: Vec<Vec<u64>> = jt.iter().map(|r| r.to_vec()).collect();
         assert_eq!(rows, vec![vec![1, 2], vec![3]]);
         assert_eq!(jt.iter().len(), 2);
-        let (values, offsets) = jt.clone().into_parts();
-        assert_eq!(JaggedTensor::from_parts(values, offsets).unwrap(), jt);
+        let parts = JaggedTensor::from_parts(jt.values().to_vec(), jt.offsets().to_vec());
+        assert_eq!(parts.unwrap(), jt);
+    }
+
+    #[test]
+    fn a_sliding_history_packs_one_id_per_row() {
+        // Paper §7: a history of 4 that gains one id and drops its oldest,
+        // repeated once on the way.
+        let rows: Vec<Vec<u64>> = vec![
+            vec![1, 2, 3, 4],
+            vec![2, 3, 4, 5],
+            vec![2, 3, 4, 5],
+            vec![3, 4, 5, 6],
+            vec![],
+            vec![9],
+        ];
+        let mut jt = JaggedTensor::from_lists(&rows);
+        jt.pack_windows();
+        assert!(jt.is_windowed());
+        assert_eq!(jt.values(), &[1, 2, 3, 4, 5, 6, 9]);
+        assert_eq!(jt.starts(), &[0, 1, 1, 2, 6, 6]);
+        assert_eq!(jt.offsets(), &[0, 4, 8, 12, 16, 16, 17]);
+        assert_eq!(jt.iter().collect::<Vec<_>>(), rows);
+        assert_eq!(jt.value_count(), 7);
+        assert_eq!(jt.payload_bytes(), (7 + 7 + 6) * 8);
+
+        // A row appended to the windowed form lands at the pool's end.
+        jt.push_row(&[4, 5]);
+        assert_eq!(jt.row(6), &[4, 5]);
+        assert_eq!(jt.starts()[6], 7);
+        // Flat edits refuse windows and leave the tensor as it was.
+        let before = jt.clone();
+        assert_eq!(jt.edit_flat(|_, _| {}), Err(CoreError::WindowedTensor));
+        assert_eq!(
+            jt.assign_flat(&[1], &[0, 1]),
+            Err(CoreError::WindowedTensor)
+        );
+        assert_eq!(jt, before);
+        jt.clear();
+        assert!(!jt.is_windowed() && jt.is_empty());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   are *deduplicated slots*, and a shared `inverse_lookup` slice maps each
 //!   sample back to its slot (paper §4.2). Grouped IKJTs deduplicate several
 //!   synchronously-updated features against one shared `inverse_lookup`.
-//!   Partial IKJTs (paper §7) additionally capture shifted lists.
+//!   A slot tensor may pack into windows over one value pool, so a history
+//!   shifted by one ships one id (paper §7's partial IKJTs).
 //! * [`FeatureConverter`] — the reader-side feature-conversion step that
 //!   turns a columnar batch into KJTs and IKJTs, detecting duplicates by
 //!   hashing (O3).
@@ -67,9 +68,7 @@ pub mod error;
 pub mod ikjt;
 pub mod jagged;
 pub mod kjt;
-pub mod partial;
 pub mod select;
-pub mod stats;
 
 pub use convert::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
 pub use dedupe_factor::{DedupeModel, FeatureDedupeEstimate};
@@ -78,9 +77,7 @@ pub use error::CoreError;
 pub use ikjt::{DedupScratch, InverseKeyedJaggedTensor};
 pub use jagged::JaggedTensor;
 pub use kjt::KeyedJaggedTensor;
-pub use partial::PartialIkjt;
 pub use select::{dense_index_select, jagged_index_select, DenseSelectCost};
-pub use stats::{BatchDedupStats, FeatureDedupStats};
 
 /// A convenient result alias for fallible operations in this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -3,14 +3,14 @@
 //! optimizations buy (dedup egress, O4 work, clustering), session-affinity
 //! preservation, graceful shutdown, and error surfacing.
 
-use recd_core::{ConvertedBatch, DataLoaderConfig, JaggedTensor};
+use recd_core::{ConvertedBatch, DataLoaderConfig, FeatureConverter, JaggedTensor};
 use recd_data::ColumnarBatch;
-use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
+use recd_datagen::{DatasetGenerator, FeatureProfile, WorkloadConfig, WorkloadPreset};
 use recd_dpp::{DppConfig, DppReport, DppService, ShardPolicy};
 use recd_etl::cluster_by_session;
 use recd_reader::{
-    fill_file_columnar_into, PhaseEngine, PreprocessPipeline, ReaderConfig, ReaderMetrics,
-    SparseTransform,
+    fill_file_columnar_into, HashBucketize, PhaseEngine, PreprocessPipeline, ReaderConfig,
+    ReaderMetrics, SparseTransform, TransformScratch, TruncateList,
 };
 use recd_storage::{FileReadScratch, StoredPartition, TableStore, TectonicSim};
 use std::sync::Arc;
@@ -29,8 +29,11 @@ struct Fixture {
 }
 
 fn fixture() -> Fixture {
-    let generator = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
-    let partition = generator.generate_partition();
+    fixture_of(WorkloadConfig::preset(WorkloadPreset::Tiny))
+}
+
+fn fixture_of(workload: WorkloadConfig) -> Fixture {
+    let partition = DatasetGenerator::new(workload).generate_partition();
     let samples = cluster_by_session(&partition.samples);
     // Small stripes so the partition spans many files and the pipeline
     // actually streams.
@@ -67,22 +70,7 @@ fn reference_read(
 ) -> (Vec<ConvertedBatch>, ReaderMetrics) {
     let (mut batches, mut metrics) = (Vec::new(), ReaderMetrics::default());
     for r in 0..readers {
-        let mut rows = ColumnarBatch::new(f.schema.dense_count(), f.schema.sparse_count());
-        let mut file = rows.clone();
-        let mut scratch = FileReadScratch::default();
-        for path in files.iter().skip(r).step_by(readers) {
-            file.clear();
-            fill_file_columnar_into(
-                &f.store,
-                &f.schema,
-                path,
-                &mut scratch,
-                &mut file,
-                &mut metrics,
-            )
-            .expect("landed file reads back");
-            rows.append(&file).expect("one schema, one shape");
-        }
+        let rows = fill_rows(f, files.iter().skip(r).step_by(readers), &mut metrics);
         let mut engine = PhaseEngine::new(config.clone(), standard_pipeline());
         for start in (0..rows.len()).step_by(config.batch_size) {
             let chunk = rows.slice_rows(start..(start + config.batch_size).min(rows.len()));
@@ -94,6 +82,24 @@ fn reference_read(
         }
     }
     (batches, metrics)
+}
+
+/// Fills `files` one by one into a single columnar buffer.
+fn fill_rows<'a>(
+    f: &Fixture,
+    files: impl Iterator<Item = &'a String>,
+    metrics: &mut ReaderMetrics,
+) -> ColumnarBatch {
+    let mut rows = ColumnarBatch::new(f.schema.dense_count(), f.schema.sparse_count());
+    let mut file = rows.clone();
+    let mut scratch = FileReadScratch::default();
+    for path in files {
+        file.clear();
+        fill_file_columnar_into(&f.store, &f.schema, path, &mut scratch, &mut file, metrics)
+            .expect("landed file reads back");
+        rows.append(&file).expect("one schema, one shape");
+    }
+    rows
 }
 
 /// The work counters of a run — everything but the wall-clock timings.
@@ -273,6 +279,79 @@ fn dedup_service_sends_fewer_bytes_and_preprocesses_fewer_values_than_baseline()
         baseline.egress_bytes
     );
     assert!(recd.reader_metrics.process.items < baseline.reader_metrics.process.items);
+}
+
+/// Shift packing on the service: RM1's histories (8 features of 96 ids in
+/// 5 groups, cut to 64) gain one id and drop their oldest from impression
+/// to impression, so over clustered RM1 rows some slot tensor leaves in
+/// windows, egress falls below that of the same batches left contiguous,
+/// and every row reads back as the unpacked reference's.
+#[test]
+fn rm1_clustered_batches_ship_shifted_histories_packed() {
+    let rm1 = WorkloadConfig {
+        profiles: vec![
+            FeatureProfile::user_sequence(8, 96, 5),
+            FeatureProfile::user_elementwise(24),
+            FeatureProfile::item(4),
+        ],
+        seed: 11,
+        ..WorkloadConfig::preset(WorkloadPreset::Small).with_sessions(30)
+    };
+    let f = fixture_of(rm1);
+    let config = reader_config(&f.schema, 128);
+    let (delivered, report) = run_file_round_robin(&f, config.clone(), 1, 2, &[&f.partition]);
+
+    // The reference: the same 128-row chunks converted and transformed as
+    // `standard_pipeline` does, never packed.
+    let rows = fill_rows(&f, f.partition.files.iter(), &mut ReaderMetrics::default());
+    let converter = FeatureConverter::new(config.dataloader.clone());
+    let mut scratch = TransformScratch::default();
+    let reference: Vec<ConvertedBatch> = (0..rows.len())
+        .step_by(128)
+        .map(|start| {
+            let chunk = rows.slice_rows(start..(start + 128).min(rows.len()));
+            let mut batch = converter.convert_columnar(&chunk).expect("reference");
+            let grouped = batch.ikjts.iter_mut().flat_map(|ikjt| ikjt.iter_mut());
+            for (_, tensor) in batch.kjt.iter_mut().chain(grouped) {
+                tensor
+                    .edit_flat(|values, offsets| {
+                        TruncateList { max_len: 64 }.apply_flat(values, offsets, &mut scratch);
+                        HashBucketize { buckets: 1 << 20 }.apply_flat(
+                            values,
+                            offsets,
+                            &mut scratch,
+                        );
+                    })
+                    .expect("contiguous before packing");
+            }
+            batch
+        })
+        .collect();
+
+    assert_eq!(delivered.len(), reference.len());
+    let egress = |b: &ConvertedBatch| b.sparse_payload_bytes() + b.dense.payload_bytes();
+    let shipped: usize = delivered.iter().map(egress).sum();
+    let unpacked: usize = reference.iter().map(egress).sum();
+    assert_eq!(report.egress_bytes, shipped);
+    assert!(
+        shipped < unpacked,
+        "packed {shipped} vs unpacked {unpacked}"
+    );
+    let windowed = delivered
+        .iter()
+        .flat_map(|b| b.ikjts.iter().flat_map(|ikjt| ikjt.iter()))
+        .filter(|(_, tensor)| tensor.is_windowed())
+        .count();
+    assert!(windowed > 0);
+    for (i, (packed, plain)) in delivered.iter().zip(&reference).enumerate() {
+        assert_eq!(packed.labels, plain.labels, "batch {i}");
+        assert_eq!(packed.kjt, plain.kjt, "batch {i}");
+        assert_eq!(packed.ikjts.len(), plain.ikjts.len());
+        for (a, b) in packed.ikjts.iter().zip(&plain.ikjts) {
+            assert_eq!(a.inverse_lookup(), b.inverse_lookup(), "batch {i}");
+            assert_eq!(a.to_kjt().unwrap(), b.to_kjt().unwrap(), "batch {i}");
+        }
+    }
 }
 
 /// O2 on the service: the same rows landed session-clustered dedupe better

@@ -328,7 +328,11 @@ impl PreprocessPipeline {
     /// wrapper — and their outputs remain IKJTs, so downstream network and
     /// trainer savings are preserved. Either way each feature's
     /// `(values, offsets)` buffers are edited in place; the whole phase
-    /// performs no per-tensor allocation. Returns work accounting.
+    /// performs no per-tensor allocation. Last, each IKJT packs its slot
+    /// tensors into windows where that ships fewer bytes
+    /// ([`InverseKeyedJaggedTensor::pack_windows`]) — after truncation, so
+    /// no cut prefix stays in a pool, and after every transform, so no
+    /// transform sees a window. Returns work accounting.
     pub fn apply_with_scratch(
         &self,
         batch: &mut ConvertedBatch,
@@ -351,6 +355,7 @@ impl PreprocessPipeline {
                 stats.values_processed += tensor.value_count();
                 self.apply_sparse_flat(tensor, scratch);
             }
+            ikjt.pack_windows();
         }
 
         if self.normalize_dense {
@@ -361,9 +366,10 @@ impl PreprocessPipeline {
 
     /// Preprocesses a converted batch through the reference row-wise path:
     /// every transform allocates a fresh tensor per feature, exactly as the
-    /// pre-flat implementation did. Kept as the oracle the property suite
-    /// compares [`PreprocessPipeline::apply`] against and as the benchmark
-    /// baseline for the flat rewrite.
+    /// pre-flat implementation did, then packs each IKJT as
+    /// [`PreprocessPipeline::apply_with_scratch`] does. Kept as the oracle
+    /// the property suite compares [`PreprocessPipeline::apply`] against and
+    /// as the benchmark baseline for the flat rewrite.
     pub fn apply_rowwise(&self, batch: &mut ConvertedBatch) -> PreprocessStats {
         let mut stats = PreprocessStats::default();
 
@@ -394,8 +400,10 @@ impl PreprocessPipeline {
                     })
                     .collect();
                 stats.logical_values += ikjt.original_value_count();
-                InverseKeyedJaggedTensor::from_parts(keys, tensors, lookup)
-                    .expect("transforms preserve slot structure")
+                let mut ikjt = InverseKeyedJaggedTensor::from_parts(keys, tensors, lookup)
+                    .expect("transforms preserve slot structure");
+                ikjt.pack_windows();
+                ikjt
             })
             .collect();
 
@@ -445,12 +453,15 @@ mod tests {
             .unwrap()
     }
 
-    /// Applies one transform flat, via the same take/edit/restore dance the
-    /// pipeline performs.
+    /// Applies one transform flat, through the same `edit_flat` the
+    /// pipeline runs.
     fn flat(transform: &dyn SparseTransform, tensor: &JaggedTensor<u64>) -> JaggedTensor<u64> {
-        let (mut values, mut offsets) = tensor.clone().into_parts();
-        transform.apply_flat(&mut values, &mut offsets, &mut TransformScratch::default());
-        JaggedTensor::from_parts(values, offsets).unwrap()
+        let mut out = tensor.clone();
+        out.edit_flat(|values, offsets| {
+            transform.apply_flat(values, offsets, &mut TransformScratch::default())
+        })
+        .unwrap();
+        out
     }
 
     #[test]

@@ -173,10 +173,17 @@ impl WorkStats {
         }
 
         for ikjt in &batch.ikjts {
-            // SDD ships deduplicated values+offsets (inverse lookup stays local).
+            // SDD ships the slot tensors as they are, windows included; the
+            // inverse lookup stays local.
             sdd_bytes += ikjt.payload_bytes() as f64;
 
-            let slot_values = ikjt.dedup_value_count() as f64;
+            // Every slot's whole list is looked up, windowed or not: the
+            // trainer reads slots, not the pool they may share.
+            let slot_values: usize = ikjt
+                .iter()
+                .map(|(_, tensor)| tensor.offsets()[tensor.row_count()])
+                .sum();
+            let slot_values = slot_values as f64;
             let logical_values = ikjt.original_value_count() as f64;
             let slots = ikjt.slot_count() as f64;
             let features = ikjt.keys().len() as f64;

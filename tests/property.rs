@@ -4,8 +4,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use recd::codec::{delta, dict, rle, varint, Compressor};
 use recd::core::{
-    jagged_index_select, ConvertedBatch, DataLoaderConfig, DedupScratch, FeatureConverter,
-    InverseKeyedJaggedTensor, JaggedTensor, KeyedJaggedTensor, PartialIkjt,
+    jagged_index_select, ConvertedBatch, CoreError, DataLoaderConfig, DedupScratch,
+    FeatureConverter, InverseKeyedJaggedTensor, JaggedTensor, KeyedJaggedTensor,
 };
 use recd::data::{ColumnarBatch, FeatureId, RequestId, Sample, Schema, SessionId, Timestamp};
 use recd::etl::cluster_by_session;
@@ -134,6 +134,65 @@ fn grouped_rows_strategy() -> impl Strategy<Value = (Vec<Vec<u64>>, Vec<Vec<u64>
     })
 }
 
+/// One link of a slot chain: `(kind, length index, distance back, ids)`.
+/// Kind 0 is a fresh list, kind 1 copies the previous list, and kind 2
+/// shifts by one a list `distance + 1` slots back: the predecessor, whose
+/// window ends at the pool's end, or an earlier one, which the packer does
+/// not look back to.
+type Link = (u8, usize, usize, Vec<u64>);
+
+/// The list lengths a link draws from: empty, one id, the shortest
+/// shiftable list, and a truncated history.
+const LINK_LENS: [usize; 4] = [0, 1, 2, 64];
+
+fn slot_chain_strategy() -> impl Strategy<Value = Vec<Link>> {
+    vec((0u8..3, 0usize..4, 0usize..3, vec(0u64..4, 64..=64)), 0..24)
+}
+
+/// Expands links into slot lists. A small id alphabet makes accidental
+/// repeats and shifts among fresh lists likely too.
+fn slot_chain(links: &[Link]) -> Vec<Vec<u64>> {
+    let mut rows: Vec<Vec<u64>> = Vec::with_capacity(links.len());
+    for (kind, len, back, ids) in links {
+        let source = match kind {
+            1 => rows.last(),
+            2 => rows.len().checked_sub(1 + back).map(|i| &rows[i]),
+            _ => None,
+        };
+        let row = match source {
+            Some(source) if *kind == 1 => source.clone(),
+            Some(source) if !source.is_empty() => {
+                let mut shifted = source[1..].to_vec();
+                shifted.push(ids[0]);
+                shifted
+            }
+            _ => ids[..LINK_LENS[*len]].to_vec(),
+        };
+        rows.push(row);
+    }
+    rows
+}
+
+/// The pool the packer plans: a list equal to its predecessor adds no id,
+/// one that shifts its predecessor by one (same length, at least 2) adds
+/// one, and any other adds all of its ids.
+fn planned_pool(rows: &[Vec<u64>]) -> usize {
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| match i.checked_sub(1).map(|p| &rows[p]) {
+            Some(prev) if prev == row => 0,
+            Some(prev)
+                if prev.len() == row.len()
+                    && row.len() >= 2
+                    && prev[1..] == row[..row.len() - 1] =>
+            {
+                1
+            }
+            _ => row.len(),
+        })
+        .sum()
+}
+
 proptest! {
     /// IKJT deduplication is lossless: expanding back to a KJT reproduces the
     /// original rows exactly, for any batch.
@@ -177,15 +236,44 @@ proptest! {
         }
     }
 
-    /// Partial IKJTs are lossless for arbitrary rows.
+    /// Packing a chain of fresh, copied and shifted slots into windows is
+    /// lossless, ships 8 bytes per value, offset and start, is chosen
+    /// exactly when it ships fewer bytes than the contiguous form, is
+    /// idempotent, and leaves a windowed tensor no flat editor can misread.
     #[test]
-    fn partial_ikjt_round_trip(rows in rows_strategy()) {
-        let p = PartialIkjt::dedup_from_rows(FeatureId::new(3), &rows);
-        prop_assert!(p.dedup_value_count() <= p.original_value_count());
-        let expanded = p.to_jagged().unwrap();
-        prop_assert_eq!(expanded.row_count(), rows.len());
+    fn packed_windows_round_trip(links in slot_chain_strategy()) {
+        let rows = slot_chain(&links);
+        let contiguous = JaggedTensor::from_lists(&rows);
+        let mut packed = contiguous.clone();
+        packed.pack_windows();
+
+        prop_assert_eq!(packed.row_count(), rows.len());
         for (i, row) in rows.iter().enumerate() {
-            prop_assert_eq!(expanded.row(i), row.as_slice());
+            prop_assert_eq!(packed.row(i), row.as_slice());
+        }
+        let words = packed.values().len() + packed.offsets().len() + packed.starts().len();
+        prop_assert_eq!(packed.payload_bytes(), 8 * words);
+
+        let pool = planned_pool(&rows);
+        let smaller = pool + rows.len() < contiguous.value_count();
+        prop_assert_eq!(packed.is_windowed(), smaller);
+        if smaller {
+            prop_assert_eq!(packed.value_count(), pool);
+            prop_assert!(packed.payload_bytes() < contiguous.payload_bytes());
+        } else {
+            prop_assert_eq!(&packed, &contiguous);
+        }
+
+        let mut twice = packed.clone();
+        twice.pack_windows();
+        prop_assert_eq!(&twice, &packed);
+
+        if packed.is_windowed() {
+            let mut edited = packed.clone();
+            prop_assert_eq!(edited.edit_flat(|_, _| {}), Err(CoreError::WindowedTensor));
+            let refill = edited.assign_flat(contiguous.values(), contiguous.offsets());
+            prop_assert_eq!(refill, Err(CoreError::WindowedTensor));
+            prop_assert_eq!(&edited, &packed);
         }
     }
 
@@ -405,9 +493,11 @@ proptest! {
         ];
         for t in &transforms {
             let expected = t.apply_rowwise(&tensor);
-            let (mut values, mut offsets) = tensor.clone().into_parts();
-            t.apply_flat(&mut values, &mut offsets, &mut recd::reader::TransformScratch::default());
-            let flat = recd::core::JaggedTensor::from_parts(values, offsets).unwrap();
+            let mut flat = tensor.clone();
+            flat.edit_flat(|values, offsets| {
+                t.apply_flat(values, offsets, &mut recd::reader::TransformScratch::default())
+            })
+            .unwrap();
             prop_assert_eq!(flat, expected);
         }
     }

@@ -52,6 +52,28 @@ fn transformer_pooling_agrees_across_execution_modes_at_dim_64() {
 }
 
 #[test]
+fn a_batch_packed_into_windows_trains_to_the_bits_of_the_contiguous_one() {
+    let (schema, contiguous) = clustered_batch();
+    let mut packed = contiguous.clone();
+    packed.ikjts.iter_mut().for_each(|ikjt| ikjt.pack_windows());
+    let windowed = packed.ikjts.iter().flat_map(|ikjt| ikjt.iter());
+    assert!(windowed.filter(|(_, t)| t.is_windowed()).count() > 0);
+    assert!(packed.sparse_payload_bytes() < contiguous.sparse_payload_bytes());
+
+    let config = config(&schema, PoolingKind::Transformer);
+    for mode in [ExecutionMode::Deduplicated, ExecutionMode::Baseline] {
+        let (mut a, mut b) = (Dlrm::new(config.clone()), Dlrm::new(config.clone()));
+        let (from_windows, windows_stats) = a.forward(&packed, mode);
+        let (from_rows, rows_stats) = b.forward(&contiguous, mode);
+        let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&from_windows), bits(&from_rows), "{mode:?}");
+        assert_eq!(windows_stats, rows_stats, "{mode:?}");
+        let loss = a.train_step(&packed, mode);
+        assert_eq!(loss.to_bits(), b.train_step(&contiguous, mode).to_bits());
+    }
+}
+
+#[test]
 fn ten_train_steps_with_sum_pooling_lower_the_loss() {
     let (schema, batch) = clustered_batch();
     let config = config(&schema, PoolingKind::Sum).with_sum_pooling();
