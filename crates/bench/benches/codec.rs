@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use recd_bench::BenchFixture;
-use recd_codec::{delta, dict, lz, rle, varint, Compressor};
+use recd_codec::{delta, lz, varint};
 use recd_data::{ColumnarBatch, FeatureClass, Sample, Schema};
 use recd_datagen::DatasetGenerator;
 use recd_etl::{cluster_by_session, interleave_by_time};
@@ -39,23 +39,20 @@ fn bench_block_compression(c: &mut Criterion) {
         .iter()
         .flat_map(|s| s.sparse.iter().flatten().flat_map(|v| v.to_le_bytes()))
         .collect();
-    let compressed = Compressor::Lz.compress(&data);
+    let compressed = lz::compress(&data);
     let mut group = c.benchmark_group("lz");
     group.sample_size(15);
     group.throughput(Throughput::Bytes(data.len() as u64));
-    group.bench_function("compress", |b| {
-        b.iter(|| Compressor::Lz.compress(black_box(&data)))
-    });
+    group.bench_function("compress", |b| b.iter(|| lz::compress(black_box(&data))));
     group.throughput(Throughput::Bytes(compressed.len() as u64));
     group.bench_function("decompress", |b| {
-        b.iter(|| Compressor::Lz.decompress(black_box(&compressed)).unwrap())
+        b.iter(|| lz::decompress(black_box(&compressed)).unwrap())
     });
     group.finish();
 }
 
 fn bench_integer_encodings(c: &mut Criterion) {
     let offsets: Vec<u64> = (0..4096u64).map(|i| i * 97).collect();
-    let repeated: Vec<u64> = (0..4096u64).map(|i| 1_000_000 + (i % 9)).collect();
 
     let mut group = c.benchmark_group("int_encodings_4096");
     group.sample_size(30);
@@ -63,10 +60,6 @@ fn bench_integer_encodings(c: &mut Criterion) {
         b.iter(|| varint::encode_u64_slice(black_box(&offsets)))
     });
     group.bench_function("delta", |b| b.iter(|| delta::encode(black_box(&offsets))));
-    group.bench_function("rle", |b| b.iter(|| rle::encode(black_box(&repeated))));
-    group.bench_function("dictionary", |b| {
-        b.iter(|| dict::encode(black_box(&repeated)))
-    });
     group.finish();
 }
 

@@ -5,8 +5,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use recd_bench::BenchFixture;
 use recd_core::{
-    dense_index_select, jagged_index_select, DataLoaderConfig, FeatureConverter,
-    InverseKeyedJaggedTensor, JaggedTensor, KeyedJaggedTensor,
+    jagged_index_select, DataLoaderConfig, FeatureConverter, InverseKeyedJaggedTensor,
+    JaggedTensor, KeyedJaggedTensor,
 };
 use recd_data::{ColumnarBatch, FeatureId};
 use recd_datagen::DatasetGenerator;
@@ -25,6 +25,61 @@ fn sequence_tensor(rows: usize, len: usize, duplicates: usize) -> JaggedTensor<u
     JaggedTensor::from_lists(&lists)
 }
 
+/// Elements the dense (pre-RecD) index-select path materializes: the padded
+/// `[rows, max_len]` input, the padded `[indices, max_len]` output, and the
+/// real (non-padding) input data they stand for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DenseSelectCost {
+    dense_input_elements: usize,
+    dense_output_elements: usize,
+    real_input_elements: usize,
+}
+
+/// Index select by densifying first, the path O6 replaces: pad the jagged
+/// tensor to a dense matrix, select dense rows, then re-jaggedize. Selects
+/// the same rows as [`jagged_index_select`] (checked before it is timed).
+///
+/// # Panics
+///
+/// Panics if an index exceeds the tensor's row count.
+fn dense_index_select(
+    tensor: &JaggedTensor<u64>,
+    indices: &[usize],
+) -> (JaggedTensor<u64>, DenseSelectCost) {
+    let rows = tensor.row_count();
+    let max_len = tensor.max_row_len();
+
+    // Densify: rows x max_len matrix with zero padding, plus a lengths vector.
+    let mut dense = vec![0u64; rows * max_len];
+    let mut lengths = vec![0usize; rows];
+    for (i, row) in tensor.iter().enumerate() {
+        dense[i * max_len..i * max_len + row.len()].copy_from_slice(row);
+        lengths[i] = row.len();
+    }
+
+    // Dense index select.
+    let mut selected = vec![0u64; indices.len() * max_len];
+    let mut selected_lengths = vec![0usize; indices.len()];
+    for (out_row, &index) in indices.iter().enumerate() {
+        selected[out_row * max_len..(out_row + 1) * max_len]
+            .copy_from_slice(&dense[index * max_len..(index + 1) * max_len]);
+        selected_lengths[out_row] = lengths[index];
+    }
+
+    // Re-jaggedize.
+    let mut out = JaggedTensor::new();
+    for (out_row, &len) in selected_lengths.iter().enumerate() {
+        out.push_row(&selected[out_row * max_len..out_row * max_len + len]);
+    }
+
+    let cost = DenseSelectCost {
+        dense_input_elements: dense.len(),
+        dense_output_elements: selected.len(),
+        real_input_elements: tensor.value_count(),
+    };
+    (out, cost)
+}
+
 fn bench_dedup_and_select(c: &mut Criterion) {
     let feature = FeatureId::new(0);
     let tensor = sequence_tensor(512, 64, 12);
@@ -37,11 +92,21 @@ fn bench_dedup_and_select(c: &mut Criterion) {
     let ikjt = InverseKeyedJaggedTensor::dedup_from_kjt(&kjt, &[feature]).unwrap();
     let slots = ikjt.feature(feature).unwrap().clone();
     let lookup = ikjt.inverse_lookup().to_vec();
+    let (dense, cost) = dense_index_select(&slots, &lookup);
+    assert_eq!(dense, jagged_index_select(&slots, &lookup).unwrap());
+    assert_eq!(
+        cost,
+        DenseSelectCost {
+            dense_input_elements: slots.row_count() * slots.max_row_len(),
+            dense_output_elements: lookup.len() * slots.max_row_len(),
+            real_input_elements: slots.value_count(),
+        }
+    );
     c.bench_function("jagged_index_select_512x64", |b| {
         b.iter(|| jagged_index_select(black_box(&slots), black_box(&lookup)).unwrap())
     });
     c.bench_function("dense_index_select_512x64", |b| {
-        b.iter(|| dense_index_select(black_box(&slots), black_box(&lookup)).unwrap())
+        b.iter(|| dense_index_select(black_box(&slots), black_box(&lookup)))
     });
     c.bench_function("ikjt_to_kjt_expand_512x64", |b| {
         b.iter(|| black_box(&ikjt).to_kjt().unwrap())

@@ -264,61 +264,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Generates a deterministic plan that deliberately fires **concurrent**
-    /// faults: a storage brown-out, a transient get burst, and a put burst
-    /// all at one instant, and — with more than one lane — a trainer stall
-    /// sharing a second instant with a pump crash. [`FaultPlan::seeded`]
-    /// scatters one fault of each kind and therefore never overlaps them;
-    /// this mode exists so fault *interaction* (not just each fault in
-    /// isolation) is exercised. Deterministic in `(seed, horizon_ms, lanes)`.
-    pub fn seeded_overlapping(seed: u64, horizon_ms: u64, lanes: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x07E2_14AF);
-        let span = horizon_ms.max(10);
-        let at = |rng: &mut StdRng| rng.gen_range(span / 10..span.saturating_sub(span / 10));
-        let mut plan = Self {
-            seed,
-            faults: Vec::new(),
-        };
-        // First concurrent cluster: every storage-level fault at one instant.
-        let burst_at = at(&mut rng);
-        plan.faults.push(ScheduledFault {
-            at_ms: burst_at,
-            kind: FaultKind::SlowStorage {
-                factor: rng.gen_range(4u32..16),
-                ms: span / rng.gen_range(8u64..16),
-            },
-        });
-        plan.faults.push(ScheduledFault {
-            at_ms: burst_at,
-            kind: FaultKind::FailGet {
-                count: rng.gen_range(2u64..8),
-            },
-        });
-        plan.faults.push(ScheduledFault {
-            at_ms: burst_at,
-            kind: FaultKind::FailPut {
-                count: rng.gen_range(1u64..4),
-            },
-        });
-        // Second concurrent cluster: a consumer-side stall racing a pump
-        // crash-restart.
-        let clash_at = at(&mut rng);
-        if lanes > 1 {
-            plan.faults.push(ScheduledFault {
-                at_ms: clash_at,
-                kind: FaultKind::StallTrainer {
-                    lane: rng.gen_range(0..lanes),
-                    ms: rng.gen_range(5u64..25),
-                },
-            });
-        }
-        plan.faults.push(ScheduledFault {
-            at_ms: clash_at,
-            kind: FaultKind::CrashEtlPump,
-        });
-        plan
-    }
-
     /// Generates a deterministic host-level plan for an M-host fleet: one
     /// host is killed and later rejoined, another is partitioned from the
     /// control plane (only when `hosts >= 3`), with a storage brown-out, a
@@ -535,33 +480,6 @@ mod tests {
         // and the same kind at different instants is a legal repeat.
         assert!(FaultPlan::parse("500:fail-get:2;500:fail-put:2").is_ok());
         assert!(FaultPlan::parse("500:crash-pump;900:crash-pump").is_ok());
-    }
-
-    #[test]
-    fn seeded_overlapping_schedules_concurrent_faults() {
-        let a = FaultPlan::seeded_overlapping(7, 3_600_000, 3);
-        assert_eq!(a, FaultPlan::seeded_overlapping(7, 3_600_000, 3));
-        assert_ne!(a, FaultPlan::seeded_overlapping(8, 3_600_000, 3));
-        // At least one instant carries two or more distinct faults — the
-        // property plain `seeded` never has.
-        let mut by_instant = std::collections::HashMap::new();
-        for f in a.faults() {
-            *by_instant.entry(f.at_ms).or_insert(0usize) += 1;
-        }
-        assert!(
-            by_instant.values().any(|&n| n >= 2),
-            "overlap mode must fire concurrent faults: {a}"
-        );
-        let plain = FaultPlan::seeded(7, 3_600_000, 3);
-        let mut plain_instants = std::collections::HashSet::new();
-        assert!(
-            plain
-                .faults()
-                .iter()
-                .all(|f| plain_instants.insert(f.at_ms)),
-            "plain seeded plans scatter; if this starts overlapping, \
-             seeded_overlapping is no longer the distinguishing mode"
-        );
     }
 
     #[test]

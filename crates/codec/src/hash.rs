@@ -55,11 +55,6 @@ impl Hasher64 {
         self.write_bytes(&value.to_le_bytes());
     }
 
-    /// Mixes a `u32` into the hash state.
-    pub fn write_u32(&mut self, value: u32) {
-        self.write_bytes(&value.to_le_bytes());
-    }
-
     /// Mixes a `u64` into the hash state with a single multiply — a cheaper
     /// (but coarser) alternative to [`Hasher64::write_u64`] used on hot
     /// deduplication paths where every candidate match is confirmed with a
@@ -207,14 +202,5 @@ mod tests {
         h.write_bytes(b"ab");
         h.write_bytes(b"cd");
         assert_eq!(h.finish(), hash_bytes(b"abcd"));
-    }
-
-    #[test]
-    fn u32_and_u64_writes_differ() {
-        let mut a = Hasher64::new();
-        a.write_u32(5);
-        let mut b = Hasher64::new();
-        b.write_u64(5);
-        assert_ne!(a.finish(), b.finish());
     }
 }

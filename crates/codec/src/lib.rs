@@ -6,9 +6,8 @@
 //! The paper's pipeline relies on two families of byte-shrinking machinery:
 //!
 //! * **Columnar encodings** applied to flattened feature columns inside DWRF
-//!   stripes — dictionary encoding, varint/zigzag encoding, delta encoding,
-//!   and run-length encoding. These are implemented in [`varint`], [`delta`],
-//!   [`rle`], and [`dict`].
+//!   stripes — varint/zigzag encoding and delta encoding, in [`varint`] and
+//!   [`delta`].
 //! * **Black-box block compression** (zstd in the paper) applied to Scribe
 //!   shard buffers and to encoded stripe streams. The stand-in here is a
 //!   self-contained LZ77-style block compressor in [`lz`], whose compression
@@ -23,15 +22,14 @@
 //! # Example
 //!
 //! ```
-//! use recd_codec::{Compressor, CompressionStats};
+//! use recd_codec::{lz, CompressionStats};
 //!
 //! # fn main() -> Result<(), recd_codec::CodecError> {
 //! let data: Vec<u8> = b"abcabcabcabcabcabcabcabc".repeat(8);
-//! let compressor = Compressor::Lz;
-//! let compressed = compressor.compress(&data);
+//! let compressed = lz::compress(&data);
 //! let stats = CompressionStats::new(data.len(), compressed.len());
 //! assert!(stats.ratio() > 2.0);
-//! assert_eq!(compressor.decompress(&compressed)?, data);
+//! assert_eq!(lz::decompress(&compressed)?, data);
 //! # Ok(())
 //! # }
 //! ```
@@ -40,16 +38,13 @@
 #![warn(missing_docs)]
 
 pub mod delta;
-pub mod dict;
 pub mod hash;
 pub mod lz;
-pub mod rle;
 pub mod varint;
 
 use std::error::Error;
 use std::fmt;
 
-pub use dict::Dictionary;
 pub use hash::{hash_bytes, hash_id, hash_ids, Hasher64};
 
 /// Errors produced when decoding or decompressing malformed input.
@@ -63,13 +58,6 @@ pub enum CodecError {
     },
     /// A varint used more bytes than the maximum allowed for its width.
     VarintOverflow,
-    /// A dictionary code referenced an entry that does not exist.
-    InvalidDictionaryCode {
-        /// The offending code.
-        code: u64,
-        /// Number of dictionary entries.
-        len: usize,
-    },
     /// An LZ match referenced data before the start of the output buffer.
     InvalidMatch {
         /// Back-reference distance.
@@ -93,9 +81,6 @@ impl fmt::Display for CodecError {
                 write!(f, "unexpected end of input while decoding {context}")
             }
             CodecError::VarintOverflow => write!(f, "varint is longer than the maximum width"),
-            CodecError::InvalidDictionaryCode { code, len } => {
-                write!(f, "dictionary code {code} out of range ({len} entries)")
-            }
             CodecError::InvalidMatch { distance, produced } => write!(
                 f,
                 "lz match distance {distance} exceeds produced output length {produced}"
@@ -112,66 +97,6 @@ impl Error for CodecError {}
 
 /// A convenient result alias for fallible operations in this crate.
 pub type Result<T> = std::result::Result<T, CodecError>;
-
-/// Block compression algorithms available to the storage and messaging
-/// layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Compressor {
-    /// No compression; bytes are stored verbatim.
-    None,
-    /// LZ77-style block compression (the repository's zstd stand-in).
-    #[default]
-    Lz,
-}
-
-impl Compressor {
-    /// Compresses a block of bytes.
-    pub fn compress(self, data: &[u8]) -> Vec<u8> {
-        match self {
-            Compressor::None => data.to_vec(),
-            Compressor::Lz => lz::compress(data),
-        }
-    }
-
-    /// Decompresses a block previously produced by [`Compressor::compress`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] if the block is truncated or corrupted.
-    pub fn decompress(self, data: &[u8]) -> Result<Vec<u8>> {
-        match self {
-            Compressor::None => Ok(data.to_vec()),
-            Compressor::Lz => lz::decompress(data),
-        }
-    }
-
-    /// Decompresses a block into a caller-provided buffer, clearing it
-    /// first — the allocation-free variant of [`Compressor::decompress`]
-    /// for callers that recycle a scratch buffer across blocks.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] if the block is truncated or corrupted.
-    pub fn decompress_into(self, data: &[u8], out: &mut Vec<u8>) -> Result<()> {
-        match self {
-            Compressor::None => {
-                out.clear();
-                out.extend_from_slice(data);
-                Ok(())
-            }
-            Compressor::Lz => lz::decompress_into(data, out),
-        }
-    }
-}
-
-impl fmt::Display for Compressor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Compressor::None => write!(f, "none"),
-            Compressor::Lz => write!(f, "lz"),
-        }
-    }
-}
 
 /// Raw-versus-compressed byte accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -224,23 +149,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn compressor_none_round_trip() {
-        let data = vec![1u8, 2, 3, 4, 5];
-        let c = Compressor::None;
-        assert_eq!(c.compress(&data), data);
-        assert_eq!(c.decompress(&data).unwrap(), data);
-    }
-
-    #[test]
-    fn compressor_lz_round_trip_and_shrinks_redundant_data() {
-        let data: Vec<u8> = (0..64u8).cycle().take(4096).collect();
-        let c = Compressor::Lz;
-        let compressed = c.compress(&data);
-        assert!(compressed.len() < data.len());
-        assert_eq!(c.decompress(&compressed).unwrap(), data);
-    }
-
-    #[test]
     fn stats_ratio_and_merge() {
         let mut s = CompressionStats::new(100, 50);
         assert_eq!(s.ratio(), 2.0);
@@ -255,7 +163,5 @@ mod tests {
     fn error_messages() {
         let err = CodecError::UnexpectedEof { context: "varint" };
         assert!(err.to_string().contains("varint"));
-        let err = CodecError::InvalidDictionaryCode { code: 7, len: 3 };
-        assert!(err.to_string().contains('7'));
     }
 }

@@ -2,7 +2,7 @@
 //! values.
 //!
 //! Varints are the base encoding for every numeric stream in the DWRF-like
-//! columnar format: lengths, offsets, dictionary codes, and delta streams.
+//! columnar format: lengths, offsets, and delta streams.
 
 use crate::{CodecError, Result};
 
@@ -191,7 +191,7 @@ const ROWS_BEFORE_WHOLE: usize = 4;
 /// error are those of [`decode_u64_slice_append`].
 ///
 /// A row costs one length compare, and a byte compare only when the
-/// lengths are equal. After [`ROWS_BEFORE_WHOLE`] rows in a row that
+/// lengths are equal. After `ROWS_BEFORE_WHOLE` (4) rows in a row that
 /// repeat nothing, or at a row that would run past the stream's value
 /// count, the rest of the stream is decoded whole and no later row is
 /// reported — a row not reported is only a repeat not found. Lengths that

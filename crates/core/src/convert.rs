@@ -166,21 +166,6 @@ impl ConvertedBatch {
                 .sum::<usize>()
     }
 
-    /// Bytes the sparse part would occupy with no deduplication at all.
-    pub fn baseline_sparse_payload_bytes(&self) -> usize {
-        self.kjt.payload_bytes()
-            + self
-                .ikjts
-                .iter()
-                .map(|ikjt| {
-                    // The equivalent KJT stores every logical value plus one
-                    // offsets slice per feature with batch_size + 1 entries.
-                    ikjt.original_value_count() * 8
-                        + ikjt.keys().len() * (ikjt.batch_size() + 1) * 8
-                })
-                .sum::<usize>()
-    }
-
     /// Batch-wide deduplication factor over the grouped features.
     pub fn dedupe_factor(&self) -> f64 {
         let stored: usize = self

@@ -94,17 +94,6 @@ impl DedupeModel {
         });
         estimates
     }
-
-    /// Returns the names of schema features whose estimated dedupe factor
-    /// exceeds `threshold` (use [`DEFAULT_WORTH_IT_THRESHOLD`] for the
-    /// paper's heuristic).
-    pub fn recommend(&self, schema: &Schema, threshold: f64) -> Vec<String> {
-        self.estimate_schema(schema)
-            .into_iter()
-            .filter(|e| e.dedupe_factor > threshold)
-            .map(|e| e.feature)
-            .collect()
-    }
 }
 
 /// The analytical estimate for one feature.
@@ -172,7 +161,7 @@ mod tests {
     }
 
     #[test]
-    fn schema_estimates_and_recommendation() {
+    fn schema_estimates_rank_features_by_dedupe_factor() {
         let schema = Schema::builder()
             .sparse("user_seq", FeatureClass::User, 200.0, 0.95, 1 << 20)
             .sparse("item_id", FeatureClass::Item, 1.0, 0.05, 1 << 24)
@@ -184,9 +173,5 @@ mod tests {
         assert_eq!(estimates[0].feature, "user_seq");
         assert!(estimates[0].is_worth_deduplicating());
         assert!(!estimates[1].is_worth_deduplicating());
-        assert_eq!(
-            model.recommend(&schema, DEFAULT_WORTH_IT_THRESHOLD),
-            vec!["user_seq".to_string()]
-        );
     }
 }

@@ -95,15 +95,6 @@ impl DenseMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutably borrows row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Borrows the full row-major buffer.
     pub fn data(&self) -> &[f32] {
         &self.data
@@ -131,7 +122,7 @@ mod tests {
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
         assert!(!m.is_empty());
-        m.row_mut(1)[2] = 5.0;
+        m.data_mut()[5] = 5.0;
         assert_eq!(m.row(1), &[0.0, 0.0, 5.0]);
         assert_eq!(m.payload_bytes(), 24);
     }

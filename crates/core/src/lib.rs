@@ -77,7 +77,7 @@ pub use error::CoreError;
 pub use ikjt::{DedupScratch, InverseKeyedJaggedTensor};
 pub use jagged::JaggedTensor;
 pub use kjt::KeyedJaggedTensor;
-pub use select::{dense_index_select, jagged_index_select, DenseSelectCost};
+pub use select::jagged_index_select;
 
 /// A convenient result alias for fallible operations in this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

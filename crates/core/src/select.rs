@@ -1,11 +1,11 @@
-//! Index-select operators over jagged tensors.
+//! Index select over jagged tensors.
 //!
 //! Before RecD, converting an IKJT back to a KJT required densifying jagged
 //! tensors (padding every row to the maximum length) so that
 //! `torch.index_select` could operate on them — a large transient memory
 //! cost for long-sequence features. RecD's `jagged index select` (O6)
-//! gathers rows directly in the jagged representation. Both paths are
-//! implemented here so the memory-overhead comparison can be measured.
+//! gathers rows directly in the jagged representation. The densifying path
+//! survives only as the `tensor_ops` bench's baseline.
 
 use crate::jagged::JaggedTensor;
 use crate::{CoreError, Result};
@@ -55,88 +55,6 @@ pub fn jagged_index_select<T: Clone>(
     JaggedTensor::from_parts(out_values, out_offsets)
 }
 
-/// Accounting for the dense (pre-RecD) index-select path: the jagged tensor
-/// is first padded to a dense `[rows, max_len]` matrix, the select runs on
-/// the dense matrix, and the result is re-jaggedized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DenseSelectCost {
-    /// Elements materialized for the padded dense input matrix.
-    pub dense_input_elements: usize,
-    /// Elements materialized for the padded dense output matrix.
-    pub dense_output_elements: usize,
-    /// Elements of real (non-padding) data in the input.
-    pub real_input_elements: usize,
-}
-
-impl DenseSelectCost {
-    /// Total transient elements materialized by the dense path.
-    pub fn total_dense_elements(&self) -> usize {
-        self.dense_input_elements + self.dense_output_elements
-    }
-
-    /// Padding overhead factor: dense elements divided by real elements.
-    /// Returns 1.0 when there is no real data.
-    pub fn overhead_factor(&self) -> f64 {
-        if self.real_input_elements == 0 {
-            1.0
-        } else {
-            self.total_dense_elements() as f64 / self.real_input_elements as f64
-        }
-    }
-}
-
-/// Performs an index select by densifying first (the pre-RecD path), and
-/// reports the transient memory it had to materialize.
-///
-/// The output tensor is identical to [`jagged_index_select`]'s; the point of
-/// this function is the [`DenseSelectCost`] it returns, which quantifies the
-/// memory overhead that O6 eliminates.
-///
-/// # Errors
-///
-/// Returns [`CoreError::IndexOutOfRange`] if an index exceeds the tensor's
-/// row count.
-pub fn dense_index_select(
-    tensor: &JaggedTensor<u64>,
-    indices: &[usize],
-) -> Result<(JaggedTensor<u64>, DenseSelectCost)> {
-    let rows = tensor.row_count();
-    let max_len = tensor.max_row_len();
-
-    // Densify: rows x max_len matrix with zero padding, plus a lengths vector.
-    let mut dense = vec![0u64; rows * max_len];
-    let mut lengths = vec![0usize; rows];
-    for (i, row) in tensor.iter().enumerate() {
-        dense[i * max_len..i * max_len + row.len()].copy_from_slice(row);
-        lengths[i] = row.len();
-    }
-
-    // Dense index select.
-    let mut selected = vec![0u64; indices.len() * max_len];
-    let mut selected_lengths = vec![0usize; indices.len()];
-    for (out_row, &index) in indices.iter().enumerate() {
-        if index >= rows {
-            return Err(CoreError::IndexOutOfRange { index, rows });
-        }
-        selected[out_row * max_len..(out_row + 1) * max_len]
-            .copy_from_slice(&dense[index * max_len..(index + 1) * max_len]);
-        selected_lengths[out_row] = lengths[index];
-    }
-
-    // Re-jaggedize.
-    let mut out = JaggedTensor::new();
-    for (out_row, &len) in selected_lengths.iter().enumerate() {
-        out.push_row(&selected[out_row * max_len..out_row * max_len + len]);
-    }
-
-    let cost = DenseSelectCost {
-        dense_input_elements: dense.len(),
-        dense_output_elements: selected.len(),
-        real_input_elements: tensor.value_count(),
-    };
-    Ok((out, cost))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,41 +86,5 @@ mod tests {
             jagged_index_select(&slots(), &[0, 4]),
             Err(CoreError::IndexOutOfRange { index: 4, rows: 4 })
         ));
-        assert!(matches!(
-            dense_index_select(&slots(), &[9]),
-            Err(CoreError::IndexOutOfRange { index: 9, .. })
-        ));
-    }
-
-    #[test]
-    fn dense_and_jagged_selects_agree() {
-        let indices = [0usize, 1, 1, 3, 2, 0];
-        let jagged = jagged_index_select(&slots(), &indices).unwrap();
-        let (dense, _) = dense_index_select(&slots(), &indices).unwrap();
-        assert_eq!(jagged, dense);
-    }
-
-    #[test]
-    fn dense_select_cost_reflects_padding_blowup() {
-        // One long row (1000 ids) and 63 single-id rows: dense padding
-        // materializes 64 * 1000 elements for 1063 real ones.
-        let mut rows = vec![vec![0u64; 1000]];
-        rows.extend((0..63u64).map(|i| vec![i]));
-        let tensor = JaggedTensor::from_lists(&rows);
-        let indices: Vec<usize> = (0..64).collect();
-        let (_, cost) = dense_index_select(&tensor, &indices).unwrap();
-        assert_eq!(cost.dense_input_elements, 64 * 1000);
-        assert_eq!(cost.dense_output_elements, 64 * 1000);
-        assert_eq!(cost.real_input_elements, 1063);
-        assert!(cost.overhead_factor() > 100.0);
-    }
-
-    #[test]
-    fn dense_cost_empty_tensor() {
-        let tensor: JaggedTensor<u64> = JaggedTensor::new();
-        let (out, cost) = dense_index_select(&tensor, &[]).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(cost.overhead_factor(), 1.0);
-        assert_eq!(cost.total_dense_elements(), 0);
     }
 }

@@ -68,12 +68,6 @@ impl Sample {
         const HEADER: usize = 8 + 8 + 8 + 4; // session, request, timestamp, label
         HEADER + self.dense.len() * 4 + self.sparse_value_count() * 8
     }
-
-    /// Returns the value of sparse feature `index`, or an empty slice if the
-    /// sample carries fewer features.
-    pub fn sparse_value(&self, index: usize) -> &[u64] {
-        self.sparse.get(index).map(Vec::as_slice).unwrap_or(&[])
-    }
 }
 
 /// Builder for [`Sample`].
@@ -140,14 +134,6 @@ mod tests {
         assert_eq!(s.sparse_value_count(), 4);
         // header 28 + dense 12 + sparse 32
         assert_eq!(s.payload_bytes(), 28 + 12 + 32);
-    }
-
-    #[test]
-    fn sparse_value_out_of_range_is_empty() {
-        let s = sample();
-        assert_eq!(s.sparse_value(1), &[] as &[u64]);
-        assert_eq!(s.sparse_value(2), &[42]);
-        assert_eq!(s.sparse_value(17), &[] as &[u64]);
     }
 
     // With serialization stubbed out offline, round-trip through the

@@ -125,13 +125,6 @@ pub struct SparseFeatureSpec {
     pub dedup_group: Option<DedupGroupId>,
 }
 
-impl SparseFeatureSpec {
-    /// Returns true when this feature is configured for IKJT deduplication.
-    pub fn is_deduplicated(&self) -> bool {
-        self.dedup_group.is_some()
-    }
-}
-
 /// The full dataset schema: dense features, sparse features, and dedup-group
 /// declarations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -187,13 +187,6 @@ impl WorkloadConfig {
         self
     }
 
-    /// Overrides the mean samples per session (builder-style).
-    #[must_use]
-    pub fn with_samples_per_session(mut self, mean: f64) -> Self {
-        self.samples_per_session_mean = mean;
-        self
-    }
-
     /// Total number of sparse features across all profiles.
     pub fn sparse_feature_count(&self) -> usize {
         self.profiles.iter().map(|p| p.count).sum()
@@ -303,13 +296,9 @@ mod tests {
 
     #[test]
     fn builder_overrides() {
-        let config = WorkloadConfig::default()
-            .with_sessions(10)
-            .with_seed(99)
-            .with_samples_per_session(4.0);
+        let config = WorkloadConfig::default().with_sessions(10).with_seed(99);
         assert_eq!(config.sessions, 10);
         assert_eq!(config.seed, 99);
-        assert_eq!(config.samples_per_session_mean, 4.0);
     }
 
     #[test]

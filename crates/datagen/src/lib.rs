@@ -18,7 +18,7 @@
 //!
 //! [`WorkloadConfig`] describes the workload, [`DatasetGenerator`] produces
 //! raw logs and hourly partitions of [`Sample`](recd_data::Sample)s, and
-//! [`characterize`] reproduces the paper's §3 dataset characterization
+//! [`characterize`](mod@characterize) reproduces the paper's §3 dataset characterization
 //! (Figures 3 and 4).
 
 #![forbid(unsafe_code)]

@@ -32,7 +32,7 @@ use recd_dpp::{
     CtrlConfig, DppConfig, DppReport, Driver, FleetConfig, FleetReport, ShardPolicy, TailFeed,
     Topology, TrainerAssignPolicy,
 };
-use recd_etl::{EtlServiceReport, EtlStreamConfig, TableLayout};
+use recd_etl::{EtlServiceReport, EtlStreamConfig, TableLayout, SEAL_GRACE_MS};
 use recd_obs::{sample_value, MetricFamily, MetricsServer, SampleValue};
 use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_scribe::{LogTail, TailConfig};
@@ -246,6 +246,9 @@ fn parse_args() -> Result<Args, String> {
     if !(args.storage_rate.is_finite() && args.storage_rate >= 0.0) {
         return Err("--storage-rate must be a finite, non-negative ops/s figure".to_string());
     }
+    if !(0.0..=1.0).contains(&args.tail_late_frac) {
+        return Err("--tail-late-frac must be a fraction in [0, 1]".to_string());
+    }
     Ok(args)
 }
 
@@ -412,7 +415,7 @@ fn main() {
     println!(
         "continuous: window {}ms, grace {}ms, {}, {}ms of log time per pump",
         stream.window_ms,
-        stream.seal_grace_ms,
+        SEAL_GRACE_MS,
         args.tail_seal_rows
             .map_or("hour-boundary seals only".to_string(), |rows| format!(
                 "size watermark {rows} rows"

@@ -174,11 +174,6 @@ impl<T: Reclaim> BatchPool<T> {
         }
     }
 
-    /// Number of per-worker shelves.
-    pub fn shelf_count(&self) -> usize {
-        self.shelves.len()
-    }
-
     /// Current total shelf capacity.
     pub fn capacity(&self) -> usize {
         self.capacity.load(Ordering::Acquire)
@@ -418,7 +413,6 @@ mod tests {
     #[test]
     fn per_worker_shelves_are_home_first_then_steal() {
         let pool: BatchPool<BlobScratch> = BatchPool::with_shelves(8, 2);
-        assert_eq!(pool.shelf_count(), 2);
         // Worker 0 warms its shelf; worker 1's shelf stays empty.
         pool.recycle_for(0, blob(1024));
         pool.recycle_for(0, blob(2048));

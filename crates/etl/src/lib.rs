@@ -10,9 +10,6 @@
 //!   SORT BY timestamp`, which makes a session's samples adjacent within the
 //!   partition so that file stripes compress better and feature conversion
 //!   can deduplicate them.
-//! * [`downsample`] implements the §7 discussion: per-sample downsampling
-//!   (the status quo) versus per-session downsampling, which preserves the
-//!   samples-per-session statistic that every RecD benefit scales with.
 //! * [`stream`] is the *continuous* counterpart of [`EtlJob`]: an
 //!   incremental join with a bounded out-of-order window and
 //!   watermark-driven eviction, rolling per-session clustering buffers that
@@ -25,18 +22,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod downsample;
 pub mod join;
 pub mod partition;
 pub mod stream;
 
-pub use downsample::{downsample, DownsamplePolicy};
 pub use join::{join_logs, JoinOutput};
-pub use partition::{cluster_by_session, interleave_by_time, HourlyPartitioner, TablePartition};
+pub use partition::{
+    cluster_by_session, interleave_by_time, samples_per_session, HourlyPartitioner, TablePartition,
+};
 pub use stream::{
     EtlCheckpoint, EtlCounters, EtlGauges, EtlReport, EtlService, EtlServiceOutput,
     EtlServiceReport, EtlSnapshot, EtlStream, EtlStreamConfig, ManualClock, SealReason,
-    SealedPartition,
+    SealedPartition, SEAL_GRACE_MS,
 };
 
 use recd_data::{LogRecord, Sample, Schema};

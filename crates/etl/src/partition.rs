@@ -63,6 +63,18 @@ pub(crate) fn interleave_in_place(samples: &mut [Sample]) {
     samples.sort_by_key(|s| (s.timestamp, s.request_id));
 }
 
+/// Average samples per session of a slice (0.0 for an empty slice): the
+/// `S` every RecD benefit scales with.
+pub fn samples_per_session(samples: &[Sample]) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mut sessions: Vec<u64> = samples.iter().map(|s| s.session_id.raw()).collect();
+    sessions.sort_unstable();
+    sessions.dedup();
+    samples.len() as f64 / sessions.len() as f64
+}
+
 /// RecD O2 row layout: `CLUSTER BY session_id SORT BY timestamp` — all of a
 /// session's rows become adjacent, ordered by time within the session.
 /// Sessions themselves are ordered by their first timestamp so the partition
@@ -170,6 +182,13 @@ mod tests {
         assert!(HourlyPartitioner::partition(Vec::new()).is_empty());
         assert!(cluster_by_session(&[]).is_empty());
         assert!(interleave_by_time(&[]).is_empty());
+        assert_eq!(samples_per_session(&[]), 0.0);
+    }
+
+    #[test]
+    fn samples_per_session_counts_distinct_sessions() {
+        let samples = vec![sample(1, 0, 1), sample(2, 1, 2), sample(1, 2, 3)];
+        assert_eq!(samples_per_session(&samples), 1.5);
     }
 
     /// `interleave_by_time` as it shipped before the in-place layouts: copy,

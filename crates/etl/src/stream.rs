@@ -32,14 +32,14 @@
 //!   (which the batch join would fold into one row) can join again.
 //! * **Rolling clustering buffers.** Joined samples accumulate per hour, per
 //!   session. When the watermark passes an hour's end (plus
-//!   [`EtlStreamConfig::seal_grace_ms`]) the hour *seals*: its buffers are
+//!   [`SEAL_GRACE_MS`]) the hour *seals*: its buffers are
 //!   laid out exactly like the batch path (`cluster_by_session` or
 //!   `interleave_by_time`) and emitted as a [`TablePartition`]. An hour also
 //!   seals early when it holds [`EtlStreamConfig::size_watermark`] rows, so
 //!   a hot hour cannot buffer unboundedly.
 //!
 //! For any arrival process that respects the window (no record later than
-//! `window_ms`, feature→event delay within `seal_grace_ms`) over a log
+//! `window_ms`, feature→event delay within [`SEAL_GRACE_MS`]) over a log
 //! stream with unique request ids (which production request ids are; with
 //! duplicates, this stream keeps the *first* copy where the batch join's
 //! hash map keeps the *last*), the sealed partitions are **byte-identical**
@@ -48,11 +48,9 @@
 //! deterministic replay tests in `tests/stream.rs` assert this down to the
 //! landed DWRF file bytes.
 
-use crate::downsample::DownsamplePolicy;
 use crate::partition::TablePartition;
 use crate::TableLayout;
 use recd_chaos::{ChaosCounters, RetryPolicy};
-use recd_codec::hash_ids;
 use recd_data::{EventLog, FeatureLog, LogRecord, Sample, Schema, Timestamp};
 use recd_scribe::{LogTail, TailEvent};
 use recd_storage::{StorageError, StorageReport, StoredPartition, TableStore};
@@ -61,6 +59,11 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// How long past an hour's end (in event time) the hour stays open, and how
+/// long a pending feature outlives its timestamp while waiting for its
+/// event. Must be at least the feature→event logging delay bound.
+pub const SEAL_GRACE_MS: u64 = 1_000;
 
 /// Configuration of an [`EtlStream`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,38 +76,20 @@ pub struct EtlStreamConfig {
     /// dropped as late. Must cover the tail's jitter + lateness bound for a
     /// lossless stream.
     pub window_ms: u64,
-    /// How long past an hour's end (in event time) the hour stays open, and
-    /// how long a pending feature outlives its timestamp while waiting for
-    /// its event. Must be at least the feature→event logging delay bound.
-    pub seal_grace_ms: u64,
     /// Seal an open hour early once it buffers this many rows (bounds
     /// memory under hot hours; re-opened hours seal again, producing
     /// multiple partitions for the same hour bucket).
     pub size_watermark: usize,
-    /// Optional pre-join downsampling as `(policy, keep_rate, seed)`. Uses
-    /// the exact hash predicate of the batch
-    /// [`downsample`](crate::downsample) pass, but applied *before* the
-    /// join: a dropped record never enters the pending tables or clustering
-    /// buffers, so the stream skips all join/buffer work for it. Because
-    /// both log halves of a request carry the same session and request ids,
-    /// filtering records pre-join keeps exactly the samples a post-join
-    /// batch downsample would keep — the sealed output stays byte-identical
-    /// to joining, then [`downsample`](crate::downsample())-ing with the same
-    /// parameters.
-    pub downsample: Option<(DownsamplePolicy, f64, u64)>,
 }
 
 impl EtlStreamConfig {
     /// Creates a configuration with the given layout and production-flavored
-    /// defaults: a 30s out-of-order window, 1s seal grace, and no size
-    /// watermark.
+    /// defaults: a 30s out-of-order window and no size watermark.
     pub fn new(layout: TableLayout) -> Self {
         Self {
             layout,
             window_ms: 30_000,
-            seal_grace_ms: 1_000,
             size_watermark: usize::MAX,
-            downsample: None,
         }
     }
 
@@ -115,27 +100,11 @@ impl EtlStreamConfig {
         self
     }
 
-    /// Sets the seal grace.
-    #[must_use]
-    pub fn with_seal_grace_ms(mut self, seal_grace_ms: u64) -> Self {
-        self.seal_grace_ms = seal_grace_ms;
-        self
-    }
-
     /// Sets the per-hour row count at which an open hour seals early
     /// (minimum 1).
     #[must_use]
     pub fn with_size_watermark(mut self, rows: usize) -> Self {
         self.size_watermark = rows.max(1);
-        self
-    }
-
-    /// Enables pre-join streaming downsampling with the given policy,
-    /// keep-rate, and seed (same parameters as the batch
-    /// [`downsample`](crate::downsample()) pass).
-    #[must_use]
-    pub fn with_downsample(mut self, policy: DownsamplePolicy, keep_rate: f64, seed: u64) -> Self {
-        self.downsample = Some((policy, keep_rate, seed));
         self
     }
 }
@@ -165,7 +134,7 @@ pub struct SealedPartition {
 /// Monotonic counters of one [`EtlStream`]'s lifetime. Every pushed record
 /// ends up in exactly one bucket, so after [`EtlStream::finish`]:
 /// `records == 2 * joined_samples + late_drops + duplicates +
-/// orphaned_features + orphaned_events + downsampled`.
+/// orphaned_features + orphaned_events`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct EtlCounters {
     /// Records pushed.
@@ -182,11 +151,6 @@ pub struct EtlCounters {
     pub orphaned_features: u64,
     /// Event logs evicted (or left at finish) without matching features.
     pub orphaned_events: u64,
-    /// Records dropped pre-join by [`EtlStreamConfig::downsample`] (two per
-    /// dropped sample: the feature and event halves fail the hash predicate
-    /// independently but consistently).
-    #[serde(default)]
-    pub downsampled: u64,
     /// Partitions sealed.
     pub sealed_partitions: u64,
     /// Rows across sealed partitions.
@@ -319,15 +283,6 @@ impl EtlStream {
             self.counters.late_drops += 1;
             return;
         }
-        if !self.admits(&record) {
-            // Downsampled out before any join work. The record still
-            // advances the watermark: a heavily-downsampled stream must
-            // evict and seal at the same event-time cadence as an
-            // undownsampled one.
-            self.counters.downsampled += 1;
-            self.advance_watermark(ts);
-            return;
-        }
         let request = record.request_id().raw();
         match record {
             LogRecord::Feature(feature) => {
@@ -355,20 +310,6 @@ impl EtlStream {
             }
         }
         self.advance_watermark(ts);
-    }
-
-    /// The batch [`downsample`](crate::downsample) hash predicate, applied
-    /// to a raw record before the join. `true` means the record survives.
-    fn admits(&self, record: &LogRecord) -> bool {
-        let Some((policy, keep_rate, seed)) = self.config.downsample else {
-            return true;
-        };
-        let key = match policy {
-            DownsamplePolicy::PerSample => record.request_id().raw(),
-            DownsamplePolicy::PerSession => record.session_id().raw(),
-        };
-        let threshold = (keep_rate.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
-        hash_ids(&[seed, key]) <= threshold
     }
 
     /// Advances `max_ts` and the watermark, running evictions and hour
@@ -457,9 +398,8 @@ impl EtlStream {
     /// later timestamp that is still on time.
     fn evict(&mut self) {
         let watermark = self.watermark;
-        let grace = self.config.seal_grace_ms;
         while let Some(&Reverse((ts, request))) = self.feature_expiry.peek() {
-            if ts.saturating_add(grace) >= watermark {
+            if ts.saturating_add(SEAL_GRACE_MS) >= watermark {
                 break;
             }
             self.feature_expiry.pop();
@@ -477,7 +417,7 @@ impl EtlStream {
             }
         }
         while let Some(&Reverse((ts, request))) = self.joined_expiry.peek() {
-            if ts.saturating_add(grace) >= watermark {
+            if ts.saturating_add(SEAL_GRACE_MS) >= watermark {
                 break;
             }
             self.joined_expiry.pop();
@@ -490,7 +430,7 @@ impl EtlStream {
     fn seal_ready_hours(&mut self) {
         while let Some((&hour, _)) = self.open_hours.iter().next() {
             let hour_end = (hour + 1) * Timestamp::MILLIS_PER_HOUR;
-            if self.watermark < hour_end.saturating_add(self.config.seal_grace_ms) {
+            if self.watermark < hour_end.saturating_add(SEAL_GRACE_MS) {
                 break;
             }
             let open = self.open_hours.remove(&hour).expect("open hour present");
@@ -1012,9 +952,7 @@ mod tests {
     }
 
     fn config() -> EtlStreamConfig {
-        EtlStreamConfig::new(TableLayout::ClusteredBySession)
-            .with_window_ms(5_000)
-            .with_seal_grace_ms(1_000)
+        EtlStreamConfig::new(TableLayout::ClusteredBySession).with_window_ms(5_000)
     }
 
     #[test]
@@ -1115,7 +1053,6 @@ mod tests {
                 + c.duplicates
                 + c.orphaned_features
                 + c.orphaned_events
-                + c.downsampled
         );
     }
 
@@ -1174,57 +1111,5 @@ mod tests {
         let resumed = EtlService::resume_from(tail.clone(), checkpoint);
         assert_eq!(resumed.checkpoint().tail_cursor(), cursor);
         assert_eq!(landed_bytes(resumed, &crash_store), reference);
-    }
-
-    #[test]
-    fn streaming_downsample_matches_the_batch_predicate_byte_for_byte() {
-        // 40 sessions x 4 samples, in-window arrival order.
-        let mut records = Vec::new();
-        let mut request = 0u64;
-        for session in 0..40u64 {
-            for i in 0..4u64 {
-                let ts = 1_000 + request * 3 + i;
-                records.push(feature(request, session, ts));
-                records.push(event(request, session, ts + 1, (i % 2) as f32));
-                request += 1;
-            }
-        }
-        for policy in [DownsamplePolicy::PerSample, DownsamplePolicy::PerSession] {
-            let (keep_rate, seed) = (0.5, 9);
-            let mut stream = EtlStream::new(
-                EtlStreamConfig::new(TableLayout::ClusteredBySession)
-                    .with_window_ms(1_000_000)
-                    .with_downsample(policy, keep_rate, seed),
-            );
-            for record in &records {
-                stream.push(record.clone());
-            }
-            stream.finish();
-            let streamed: Vec<Sample> = stream
-                .drain_sealed()
-                .into_iter()
-                .flat_map(|s| s.partition.samples)
-                .collect();
-
-            // Batch path: full join, then the post-join downsample pass,
-            // then the same layout.
-            let joined = crate::join_logs(&records).samples;
-            let kept = crate::downsample(&joined, policy, keep_rate, seed);
-            let batch = crate::cluster_by_session(&kept);
-            assert_eq!(streamed, batch, "{policy:?} diverged from batch");
-
-            let c = stream.report().counters;
-            assert!(c.downsampled > 0, "{policy:?} dropped nothing");
-            assert_eq!(c.downsampled, records.len() as u64 - 2 * c.joined_samples);
-            assert_eq!(
-                c.records,
-                2 * c.joined_samples
-                    + c.late_drops
-                    + c.duplicates
-                    + c.orphaned_features
-                    + c.orphaned_events
-                    + c.downsampled
-            );
-        }
     }
 }

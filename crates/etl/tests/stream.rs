@@ -377,7 +377,6 @@ proptest! {
                 + c.duplicates
                 + c.orphaned_features
                 + c.orphaned_events
-                + c.downsampled
         );
         let mut joined_requests: Vec<u64> = stream
             .drain_sealed()

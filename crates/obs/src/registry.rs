@@ -283,11 +283,6 @@ impl MetricsRegistry {
             .push(collector);
     }
 
-    /// Number of registered collectors.
-    pub fn sources(&self) -> usize {
-        self.collectors.lock().expect("registry lock").len()
-    }
-
     /// Runs every collector and returns the merged, deterministically
     /// ordered families.
     pub fn gather(&self) -> Vec<MetricFamily> {

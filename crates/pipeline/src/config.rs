@@ -1,81 +1,69 @@
-//! Pipeline configuration: the per-optimization switches and the RM model
-//! presets.
+//! Pipeline configuration: the rungs of the RecD ablation ladder and the RM
+//! model presets.
 
 use recd_datagen::{FeatureProfile, WorkloadConfig, WorkloadPreset};
-use recd_trainer::{ClusterSpec, PoolingKind};
+use recd_trainer::{ClusterSpec, PoolingKind, TrainerOptimizations};
 use serde::{Deserialize, Serialize};
 
-/// Switches for every RecD optimization (Table 1 of the paper). The
-/// Figure 9 ablation toggles these cumulatively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct RecdConfig {
-    /// O1: shard Scribe logs by session id instead of per-request hashing.
-    pub o1_log_sharding: bool,
-    /// O2: cluster table partitions by session id.
-    pub o2_cluster_by_session: bool,
-    /// O3: convert configured feature groups to IKJTs at the reader.
-    pub o3_ikjt: bool,
-    /// O4: run preprocessing over deduplicated tensors.
-    pub o4_dedup_preprocessing: bool,
-    /// O5: deduplicated EMB lookups / activations / output all-to-all.
-    pub o5_dedup_emb: bool,
-    /// O6: jagged index select instead of densify-then-select.
-    pub o6_jagged_index_select: bool,
-    /// O7: deduplicated compute for sequence pooling modules.
-    pub o7_dedup_compute: bool,
+/// How much of RecD a pipeline run enables: one rung of the cumulative
+/// ladder the paper's Figure 9 ablation climbs. Each rung keeps every
+/// optimization (Table 1 of the paper) of the rungs below it, so rungs
+/// compare in ladder order (`RecdConfig::ClusteredTable < RecdConfig::Full`).
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
+pub enum RecdConfig {
+    /// Nothing enabled.
+    #[default]
+    Baseline,
+    /// O1 + O2: Scribe shards logs by session id, and the ETL clusters table
+    /// partitions by session id.
+    ClusteredTable,
+    /// Adds O3–O6: the reader converts the configured feature groups to
+    /// IKJTs and preprocesses them deduplicated; the trainer deduplicates
+    /// EMB lookups, activations and the output all-to-all, and gathers rows
+    /// with jagged index select.
+    DedupEmb,
+    /// Adds O7, deduplicated compute for sequence pooling modules: full
+    /// RecD.
+    Full,
 }
 
 impl RecdConfig {
+    /// The ladder, bottom rung first.
+    pub const LADDER: [RecdConfig; 4] = [
+        RecdConfig::Baseline,
+        RecdConfig::ClusteredTable,
+        RecdConfig::DedupEmb,
+        RecdConfig::Full,
+    ];
+
     /// The baseline pipeline: nothing enabled.
     pub fn baseline() -> Self {
-        Self::default()
+        Self::Baseline
     }
 
     /// The full RecD pipeline: everything enabled.
     pub fn full() -> Self {
-        Self {
-            o1_log_sharding: true,
-            o2_cluster_by_session: true,
-            o3_ikjt: true,
-            o4_dedup_preprocessing: true,
-            o5_dedup_emb: true,
-            o6_jagged_index_select: true,
-            o7_dedup_compute: true,
+        Self::Full
+    }
+
+    /// The rung's label in the Figure 9 ablation.
+    pub fn label(self) -> &'static str {
+        match self {
+            RecdConfig::Baseline => "baseline",
+            RecdConfig::ClusteredTable => "O1+O2 clustered table",
+            RecdConfig::DedupEmb => "+O3-O6 dedup EMB + JIS",
+            RecdConfig::Full => "+O7 dedup compute (full RecD)",
         }
     }
 
-    /// The cumulative ablation ladder used by Figure 9: each rung adds one
-    /// more optimization on top of the previous, in the paper's order
-    /// (clustered table, dedup EMB + jagged index select, dedup compute).
-    pub fn ablation_ladder() -> Vec<(&'static str, Self)> {
-        let baseline = Self::baseline();
-        let ct = Self {
-            o1_log_sharding: true,
-            o2_cluster_by_session: true,
-            ..baseline
-        };
-        let de_jis = Self {
-            o3_ikjt: true,
-            o4_dedup_preprocessing: true,
-            o5_dedup_emb: true,
-            o6_jagged_index_select: true,
-            ..ct
-        };
-        let dc = Self {
-            o7_dedup_compute: true,
-            ..de_jis
-        };
-        vec![
-            ("baseline", baseline),
-            ("O1+O2 clustered table", ct),
-            ("+O3-O6 dedup EMB + JIS", de_jis),
-            ("+O7 dedup compute (full RecD)", dc),
-        ]
-    }
-
-    /// Whether any trainer-side optimization requires IKJTs from the reader.
-    pub fn needs_ikjt(&self) -> bool {
-        self.o3_ikjt || self.o5_dedup_emb || self.o6_jagged_index_select || self.o7_dedup_compute
+    /// The trainer-side optimizations (O5–O7) this rung enables.
+    pub fn trainer_optimizations(self) -> TrainerOptimizations {
+        TrainerOptimizations {
+            dedup_emb: self >= RecdConfig::DedupEmb,
+            dedup_compute: self >= RecdConfig::Full,
+        }
     }
 }
 
@@ -214,36 +202,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn full_and_baseline_configs() {
-        assert!(!RecdConfig::baseline().needs_ikjt());
-        let full = RecdConfig::full();
-        assert!(full.o1_log_sharding && full.o7_dedup_compute && full.needs_ikjt());
-    }
-
-    #[test]
-    fn ablation_ladder_is_monotone() {
-        let ladder = RecdConfig::ablation_ladder();
-        assert_eq!(ladder.len(), 4);
-        assert_eq!(ladder[0].1, RecdConfig::baseline());
-        assert_eq!(ladder[3].1, RecdConfig::full());
-        // Each rung enables at least as much as the previous one.
-        let count = |c: &RecdConfig| {
-            [
-                c.o1_log_sharding,
-                c.o2_cluster_by_session,
-                c.o3_ikjt,
-                c.o4_dedup_preprocessing,
-                c.o5_dedup_emb,
-                c.o6_jagged_index_select,
-                c.o7_dedup_compute,
-            ]
-            .iter()
-            .filter(|&&b| b)
-            .count()
-        };
-        for pair in ladder.windows(2) {
-            assert!(count(&pair[1].1) > count(&pair[0].1));
-        }
+    fn the_ladder_climbs_from_baseline_to_full() {
+        assert_eq!(RecdConfig::LADDER[0], RecdConfig::baseline());
+        assert_eq!(RecdConfig::LADDER[3], RecdConfig::full());
+        assert!(RecdConfig::LADDER.windows(2).all(|pair| pair[0] < pair[1]));
+        let opts = RecdConfig::LADDER.map(RecdConfig::trainer_optimizations);
+        assert_eq!(opts[0], TrainerOptimizations::none());
+        assert_eq!(opts[1], TrainerOptimizations::none());
+        assert!(opts[2].dedup_emb && !opts[2].dedup_compute);
+        assert_eq!(opts[3], TrainerOptimizations::all());
     }
 
     #[test]

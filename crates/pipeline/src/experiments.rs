@@ -411,22 +411,22 @@ pub fn fig9(scale: ExperimentScale) -> Fig9Report {
     let mid_batch = scale.batch((spec.baseline_batch + spec.recd_batch) / 2);
     let big_batch = scale.batch(spec.recd_batch);
 
-    let ladder = RecdConfig::ablation_ladder();
-    let plan: Vec<(String, RecdConfig, usize)> = vec![
-        (ladder[0].0.to_string(), ladder[0].1, base_batch),
-        (ladder[1].0.to_string(), ladder[1].1, base_batch),
-        (
-            format!("{} (B{mid_batch})", ladder[2].0),
-            ladder[2].1,
-            mid_batch,
-        ),
-        (
-            format!("{} (B{mid_batch})", ladder[3].0),
-            ladder[3].1,
-            mid_batch,
-        ),
-        (format!("full RecD (B{big_batch})"), ladder[3].1, big_batch),
-    ];
+    // The dedup rungs' memory savings buy a larger batch.
+    let mut plan: Vec<(String, RecdConfig, usize)> = RecdConfig::LADDER
+        .into_iter()
+        .map(|rung| {
+            if rung >= RecdConfig::DedupEmb {
+                (format!("{} (B{mid_batch})", rung.label()), rung, mid_batch)
+            } else {
+                (rung.label().to_string(), rung, base_batch)
+            }
+        })
+        .collect();
+    plan.push((
+        format!("full RecD (B{big_batch})"),
+        RecdConfig::Full,
+        big_batch,
+    ));
 
     let mut rows = Vec::new();
     let mut baseline_throughput = 0.0;
@@ -643,22 +643,12 @@ pub fn table3(scale: ExperimentScale) -> Table3Report {
     let spec = scale.rm_spec(RmPreset::Rm1);
     let batch = scale.batch(spec.baseline_batch);
 
-    let baseline = RecdConfig::baseline();
-    let clustered = RecdConfig {
-        o1_log_sharding: true,
-        o2_cluster_by_session: true,
-        ..RecdConfig::baseline()
-    };
-    let ikjt = RecdConfig {
-        o3_ikjt: true,
-        o4_dedup_preprocessing: true,
-        ..clustered
-    };
-
+    // The reader and storage bytes depend on O1–O3 alone, so "with IKJT"
+    // (O1–O4 in the paper) runs at the O1–O6 rung.
     let rows = [
-        ("Baseline", baseline),
-        ("with Cluster", clustered),
-        ("with IKJT", ikjt),
+        ("Baseline", RecdConfig::Baseline),
+        ("with Cluster", RecdConfig::ClusteredTable),
+        ("with IKJT", RecdConfig::DedupEmb),
     ]
     .into_iter()
     .map(|(label, config)| {
@@ -814,26 +804,10 @@ pub fn table4(scale: ExperimentScale) -> Table4Report {
     let batch = scale.batch(spec.baseline_batch);
 
     let baseline = PipelineRunner::new(spec.clone(), RecdConfig::baseline()).run(batch);
-    let clustered = PipelineRunner::new(
-        spec.clone(),
-        RecdConfig {
-            o1_log_sharding: true,
-            o2_cluster_by_session: true,
-            ..RecdConfig::baseline()
-        },
-    )
-    .run(batch);
-    let ikjt = PipelineRunner::new(
-        spec.clone(),
-        RecdConfig {
-            o3_ikjt: true,
-            o4_dedup_preprocessing: true,
-            o1_log_sharding: true,
-            o2_cluster_by_session: true,
-            ..RecdConfig::baseline()
-        },
-    )
-    .run(batch);
+    let clustered = PipelineRunner::new(spec.clone(), RecdConfig::ClusteredTable).run(batch);
+    // Only reader numbers are read from this run (O3, O4), and those do not
+    // depend on the trainer-side rungs.
+    let ikjt = PipelineRunner::new(spec.clone(), RecdConfig::DedupEmb).run(batch);
     let fig9_report = fig9(scale);
 
     let cost_model = ReaderCostModel::default();

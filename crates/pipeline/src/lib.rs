@@ -13,7 +13,9 @@
 //!                                              trainer cost model + executable DLRM (O5–O7)
 //! ```
 //!
-//! * [`RecdConfig`] switches each optimization on or off (the ablation axes).
+//! * [`RecdConfig`] is one rung of the paper's cumulative ablation ladder:
+//!   baseline, clustered table (O1–O2), dedup EMB + jagged index select
+//!   (O3–O6), full RecD (O7).
 //! * [`RmPreset`] provides scaled-down analogues of the paper's RM1/RM2/RM3
 //!   production models.
 //! * [`PipelineRunner`] runs one configuration end to end and produces a

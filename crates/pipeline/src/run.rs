@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 pub struct PipelineReport {
     /// RM preset name.
     pub rm: String,
-    /// The optimization switches used.
+    /// The ablation rung run.
     pub config: RecdConfig,
     /// Global batch size used for reading and training.
     pub batch_size: usize,
@@ -209,7 +209,7 @@ impl PipelineRunner {
         let (records, _) = generator.generate_logs();
 
         // 2. Scribe (O1): shard, buffer, compress, then drain for ETL.
-        let policy = if config.o1_log_sharding {
+        let policy = if config >= RecdConfig::ClusteredTable {
             ShardKeyPolicy::SessionId
         } else {
             ShardKeyPolicy::RandomRequest
@@ -226,12 +226,12 @@ impl PipelineRunner {
             .expect("scribe blocks written by this run decode");
 
         // 3. One driver run: ETL (O2) and the DPP tier (O3, O4).
-        let layout = if config.o2_cluster_by_session {
+        let layout = if config >= RecdConfig::ClusteredTable {
             TableLayout::ClusteredBySession
         } else {
             TableLayout::TimeOrdered
         };
-        let dataloader = if config.o3_ikjt {
+        let dataloader = if config >= RecdConfig::DedupEmb {
             DataLoaderConfig::from_schema(&schema)
         } else {
             DataLoaderConfig::baseline_from_schema(&schema)
@@ -307,14 +307,14 @@ impl PipelineRunner {
 
         // 4. Trainer cost model (O5–O7) over the produced batches.
         let model = DlrmConfig::from_schema(&schema, spec.embedding_dim, spec.sequence_pooling);
-        let opts = TrainerOptimizations {
-            dedup_emb: config.o5_dedup_emb,
-            jagged_index_select: config.o6_jagged_index_select,
-            dedup_compute: config.o7_dedup_compute,
-        };
         let cluster = spec.cluster();
-        let (trainer, memory, dedupe_factor) =
-            evaluate_trainer(&batches, &model, opts, &cluster, batch_size);
+        let (trainer, memory, dedupe_factor) = evaluate_trainer(
+            &batches,
+            &model,
+            config.trainer_optimizations(),
+            &cluster,
+            batch_size,
+        );
 
         let report = PipelineReport {
             rm: spec.preset.name().to_string(),

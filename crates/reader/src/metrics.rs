@@ -71,15 +71,6 @@ impl ReaderMetrics {
         self.fill.cpu_nanos + self.convert.cpu_nanos + self.process.cpu_nanos
     }
 
-    /// CPU nanoseconds spent per sample, the paper's Figure 10 metric.
-    pub fn cpu_nanos_per_sample(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.total_cpu_nanos() as f64 / self.samples as f64
-        }
-    }
-
     /// Reader throughput in samples per CPU-second.
     pub fn samples_per_cpu_second(&self) -> f64 {
         let secs = self.total_cpu_nanos() as f64 / 1e9;
@@ -277,7 +268,6 @@ mod tests {
         assert_eq!(a.samples, 8);
         assert_eq!(a.egress_bytes, 400);
         assert_eq!(a.total_cpu_nanos(), 20_000);
-        assert!(a.cpu_nanos_per_sample() > 0.0);
         assert!(a.samples_per_cpu_second() > 0.0);
         let (fill, convert, process) = a.phase_fractions();
         assert!((fill - 1.0).abs() < 1e-12);
@@ -288,7 +278,6 @@ mod tests {
     #[test]
     fn empty_metrics_do_not_divide_by_zero() {
         let m = ReaderMetrics::default();
-        assert_eq!(m.cpu_nanos_per_sample(), 0.0);
         assert_eq!(m.samples_per_cpu_second(), 0.0);
         assert_eq!(m.phase_fractions(), (0.0, 0.0, 0.0));
     }

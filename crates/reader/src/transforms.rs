@@ -167,7 +167,7 @@ impl DenseNormalize {
     /// simultaneously, then a single write pass applies the per-column
     /// affine `(v - mean) / std`.
     ///
-    /// Columns whose standard deviation is below [`DENSE_STD_FLOOR`] are
+    /// Columns whose standard deviation is below `DENSE_STD_FLOOR` (1e-6) are
     /// treated as constant and **centered without scaling** (`v - mean`,
     /// zero mean preserved): the previous implementation divided their
     /// rounding residue by a clamped epsilon, amplifying noise by up to a
@@ -283,11 +283,6 @@ impl PreprocessPipeline {
     pub fn with_dense_normalization(mut self) -> Self {
         self.normalize_dense = true;
         self
-    }
-
-    /// Number of sparse transforms in the pipeline.
-    pub fn sparse_transform_count(&self) -> usize {
-        self.sparse.len()
     }
 
     /// Runs every sparse transform over one tensor, flat and in place: each
@@ -594,7 +589,6 @@ mod tests {
     #[test]
     fn pipeline_debug_and_empty_pipeline() {
         let pipeline = PreprocessPipeline::standard(16, 4);
-        assert_eq!(pipeline.sparse_transform_count(), 2);
         assert!(format!("{pipeline:?}").contains("hash_bucketize"));
 
         let empty = PreprocessPipeline::new();

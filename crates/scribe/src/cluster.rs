@@ -2,7 +2,7 @@
 //! accounting.
 
 use crate::wire::{decode_all, encode_record, WireError};
-use recd_codec::{hash_ids, CompressionStats, Compressor};
+use recd_codec::{hash_ids, lz, CompressionStats};
 use recd_data::LogRecord;
 use serde::{Deserialize, Serialize};
 
@@ -25,8 +25,6 @@ pub struct ScribeConfig {
     pub shards: usize,
     /// How messages are routed to shards.
     pub policy: ShardKeyPolicy,
-    /// Block compressor applied to each flushed buffer.
-    pub compressor: Compressor,
     /// Buffer size (bytes of encoded records) at which a shard flushes and
     /// compresses a block.
     pub flush_bytes: usize,
@@ -37,7 +35,6 @@ impl Default for ScribeConfig {
         Self {
             shards: 8,
             policy: ShardKeyPolicy::RandomRequest,
-            compressor: Compressor::Lz,
             flush_bytes: 256 * 1024,
         }
     }
@@ -130,14 +127,13 @@ impl ScribeCluster {
     pub fn ingest(&mut self, record: &LogRecord) {
         let shard_idx = self.shard_for(record);
         let flush_bytes = self.config.flush_bytes;
-        let compressor = self.config.compressor;
         let shard = &mut self.shards[shard_idx];
         let before = shard.buffer.len();
         encode_record(record, &mut shard.buffer);
         shard.stats.records += 1;
         shard.stats.rx_bytes += shard.buffer.len() - before;
         if shard.buffer.len() >= flush_bytes {
-            Self::flush_shard(shard, compressor);
+            Self::flush_shard(shard);
         }
     }
 
@@ -148,11 +144,11 @@ impl ScribeCluster {
         }
     }
 
-    fn flush_shard(shard: &mut Shard, compressor: Compressor) {
+    fn flush_shard(shard: &mut Shard) {
         if shard.buffer.is_empty() {
             return;
         }
-        let compressed = compressor.compress(&shard.buffer);
+        let compressed = lz::compress(&shard.buffer);
         shard.stats.stored_bytes += compressed.len();
         shard.stats.blocks += 1;
         shard.blocks.push(compressed);
@@ -161,9 +157,8 @@ impl ScribeCluster {
 
     /// Flushes every shard's remaining buffer.
     pub fn flush(&mut self) {
-        let compressor = self.config.compressor;
         for shard in &mut self.shards {
-            Self::flush_shard(shard, compressor);
+            Self::flush_shard(shard);
         }
     }
 
@@ -192,12 +187,11 @@ impl ScribeCluster {
     /// decode (cannot happen for blocks produced by this cluster).
     pub fn drain(&mut self) -> Result<Vec<LogRecord>, WireError> {
         self.flush();
-        let compressor = self.config.compressor;
         let mut records = Vec::new();
         let mut raw = Vec::new();
         for shard in &mut self.shards {
             for block in shard.blocks.drain(..) {
-                compressor.decompress_into(&block, &mut raw)?;
+                lz::decompress_into(&block, &mut raw)?;
                 decode_all(&raw, &mut records)?;
             }
         }

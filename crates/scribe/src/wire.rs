@@ -283,8 +283,8 @@ pub struct TailEvent {
 /// [`TailConfig`] and orders the stream by arrival. Consumers either
 /// [`poll`](LogTail::poll) everything that has arrived by a simulated clock
 /// value, or pull one event at a time with [`next_event`](LogTail::next_event).
-/// [`rewind`](LogTail::rewind) restarts the identical stream, which is what
-/// makes deterministic end-to-end replay tests possible.
+/// [`rewind_to`](LogTail::rewind_to) seeks the identical stream, which is
+/// what makes crash-resume and deterministic replay tests possible.
 #[derive(Debug, Clone)]
 pub struct LogTail {
     events: Vec<TailEvent>,
@@ -331,11 +331,6 @@ impl LogTail {
         Some(event)
     }
 
-    /// Arrival time of the next unconsumed event, or `None` once drained.
-    pub fn next_arrival_ms(&self) -> Option<u64> {
-        self.events.get(self.cursor).map(|e| e.arrival_ms)
-    }
-
     /// Arrival time of the final event (0 for an empty tail).
     pub fn end_ms(&self) -> u64 {
         self.events.last().map_or(0, |e| e.arrival_ms)
@@ -356,11 +351,6 @@ impl LogTail {
         self.events.is_empty()
     }
 
-    /// Returns true once every event has been consumed.
-    pub fn is_drained(&self) -> bool {
-        self.cursor == self.events.len()
-    }
-
     /// Consumes the tail and hands over the events not yet consumed, in
     /// arrival order — for a consumer that keeps each record instead of
     /// copying it out of a borrowed event. Clone the tail first to be able to
@@ -368,12 +358,6 @@ impl LogTail {
     pub fn into_remaining(mut self) -> std::vec::IntoIter<TailEvent> {
         self.events.drain(..self.cursor);
         self.events.into_iter()
-    }
-
-    /// Rewinds to the start: the next consumption replays the identical
-    /// arrival sequence.
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
     }
 
     /// The replay cursor: number of events already consumed. Recorded in
@@ -473,7 +457,7 @@ mod tests {
             .all(|w| w[0].arrival_ms <= w[1].arrival_ms));
         assert_eq!(tail.remaining(), 5);
         tail.poll(u64::MAX);
-        assert!(tail.is_drained());
+        assert_eq!(tail.remaining(), 0);
     }
 
     #[test]
@@ -492,9 +476,9 @@ mod tests {
         assert_eq!(pulled, 50);
         // Rewind replays the identical stream.
         let first = a.events.clone();
-        a.rewind();
+        a.rewind_to(0);
         assert_eq!(a.remaining(), 50);
-        assert_eq!(a.next_arrival_ms(), Some(first[0].arrival_ms));
+        assert_eq!(a.next_event(), first.first());
     }
 
     #[test]
@@ -517,10 +501,10 @@ mod tests {
         while let Some(expected) = original.next_event().cloned() {
             assert_eq!(resumed.next_event(), Some(&expected));
         }
-        assert!(resumed.is_drained());
+        assert_eq!(resumed.remaining(), 0);
         // Seeking to the very end is allowed; past it is a logic error.
         resumed.rewind_to(30);
-        assert!(resumed.is_drained());
+        assert_eq!(resumed.remaining(), 0);
     }
 
     #[test]

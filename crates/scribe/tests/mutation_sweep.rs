@@ -6,7 +6,7 @@
 //! the second half is asserted rather than left to the OOM killer. Modelled
 //! on `crates/storage/tests/mutation_sweep.rs`.
 
-use recd_codec::{hash_ids, Compressor};
+use recd_codec::{hash_ids, lz};
 use recd_data::LogRecord;
 use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd_scribe::wire::decode_all;
@@ -77,7 +77,7 @@ fn shard_zero() -> (Vec<LogRecord>, Vec<u8>, Vec<u8>) {
     for record in &records {
         encode_record(record, &mut raw);
     }
-    let block = Compressor::Lz.compress(&raw);
+    let block = lz::compress(&raw);
 
     // The hand-made bytes are the cluster's: same route, same sizes.
     let mut cluster = ScribeCluster::new(ScribeConfig {
@@ -106,7 +106,7 @@ fn decode_block(
     records: &mut Vec<LogRecord>,
 ) -> Result<(), WireError> {
     records.clear();
-    Compressor::Lz.decompress_into(block, raw)?;
+    lz::decompress_into(block, raw)?;
     decode_all(raw, records)
 }
 

@@ -221,11 +221,6 @@ impl DwrfFile {
         self.body.len() + self.stripes.len() * 24 + 16
     }
 
-    /// Stripe footers.
-    pub fn stripe_footers(&self) -> &[StripeFooter] {
-        &self.stripes
-    }
-
     /// Decodes every stripe, in file order, into a caller-provided
     /// (typically recycled) batch, clearing it first. Each stripe decodes
     /// straight onto the end of `out`; with a [`FileReadScratch`] and a
@@ -374,7 +369,6 @@ pub(crate) mod tests {
         assert_eq!(file.row_count(), samples.len());
         assert_eq!(file.stripe_count(), samples.len().div_ceil(32));
         assert_eq!(stats.len(), file.stripe_count());
-        assert_eq!(file.stripe_footers()[0].rows, 32);
         assert_eq!(read_rows(&file, &schema).unwrap(), samples);
     }
 

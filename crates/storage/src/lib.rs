@@ -15,7 +15,7 @@
 //! both the stored bytes and the bytes readers must fetch and decompress.
 //!
 //! * [`stripe`] — stripe encoding/decoding with [`StripeStats`] accounting.
-//! * [`file`] — the file writer/reader ([`DwrfWriter`], [`DwrfFile`]).
+//! * [`file`](mod@file) — the file writer/reader ([`DwrfWriter`], [`DwrfFile`]).
 //! * [`tectonic`] — the [`TectonicSim`] blob store with per-node byte and
 //!   IOPS accounting, an optional per-node request-queue model
 //!   ([`NodeConfig`]), and an optional LRU blob cache tier.

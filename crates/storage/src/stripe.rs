@@ -2,7 +2,7 @@
 //! column streams.
 
 use crate::{Result, StorageError};
-use recd_codec::{delta, varint, Compressor};
+use recd_codec::{delta, lz, varint};
 use recd_data::{ColumnarBatch, Sample, Schema, SparseParts};
 use serde::{Deserialize, Serialize};
 
@@ -73,7 +73,7 @@ pub fn encode_stripe(schema: &Schema, samples: &[Sample]) -> (Vec<u8>, StripeSta
     }
 
     let encoded_bytes = buf.len();
-    let compressed = Compressor::Lz.compress(&buf);
+    let compressed = lz::compress(&buf);
     let stats = StripeStats {
         rows: samples.len(),
         raw_bytes: samples.iter().map(Sample::payload_bytes).sum(),
@@ -154,7 +154,7 @@ pub(crate) fn decode_stripe_append(
     scratch: &mut DecodeScratch,
     out: &mut ColumnarBatch,
 ) -> Result<()> {
-    Compressor::Lz.decompress_into(block, &mut scratch.buf)?;
+    lz::decompress_into(block, &mut scratch.buf)?;
     let buf = scratch.buf.as_slice();
     let (rows, mut cursor) = varint::decode_u64(buf)?;
 
@@ -288,7 +288,7 @@ pub(crate) mod oracle {
 
     pub(crate) fn decode_stripe_staged(schema: &Schema, block: &[u8]) -> Result<ColumnarBatch> {
         let dense_cols = schema.dense_count();
-        let buf = Compressor::Lz.decompress(block)?;
+        let buf = lz::decompress(block)?;
         let mut cursor = 0usize;
         let (rows, used) = varint::decode_u64(&buf)?;
         cursor += used;
@@ -435,7 +435,7 @@ pub(crate) mod tests {
         let mut buf = Vec::new();
         varint::encode_u64(1 << 40, &mut buf);
         buf.extend_from_slice(&delta::encode(&[1, 2, 3]));
-        let block = Compressor::Lz.compress(&buf);
+        let block = lz::compress(&buf);
         assert!(matches!(
             decode_stripe_columnar(&schema, &block),
             Err(StorageError::Corrupt { .. } | StorageError::Codec(_))

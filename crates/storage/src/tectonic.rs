@@ -335,14 +335,8 @@ impl TectonicSim {
     /// knob.
     #[must_use]
     pub fn with_node_config(self, config: NodeConfig) -> Self {
-        self.set_node_config(Some(config));
+        *self.queue.config.write() = Some(config);
         self
-    }
-
-    /// Changes (or removes) the node model of a live store; shared across
-    /// clones.
-    pub fn set_node_config(&self, config: Option<NodeConfig>) {
-        *self.queue.config.write() = config;
     }
 
     /// The installed node model, if any.
@@ -462,18 +456,12 @@ impl TectonicSim {
         self.faults.fail_gets.fetch_add(count, Ordering::AcqRel);
     }
 
-    /// Arms the next `count` [`try_put`](Self::try_put) calls to fail with a
-    /// transient [`StorageError::Injected`]. Infallible [`put`](Self::put)
-    /// calls are never faulted, so a budget cannot wedge callers that have no
-    /// retry path.
+    /// Arms the next `count` [`try_put_blob`](Self::try_put_blob) calls to
+    /// fail with a transient [`StorageError::Injected`]. Infallible
+    /// [`put`](Self::put) calls are never faulted, so a budget cannot wedge
+    /// callers that have no retry path.
     pub fn fail_next_puts(&self, count: u64) {
         self.faults.fail_puts.fetch_add(count, Ordering::AcqRel);
-    }
-
-    /// Clears any armed fault budgets (cumulative failure counters are kept).
-    pub fn clear_faults(&self) {
-        self.faults.fail_gets.store(0, Ordering::Release);
-        self.faults.fail_puts.store(0, Ordering::Release);
     }
 
     /// Total `(get, put)` operations failed by injected faults so far.
@@ -531,24 +519,11 @@ impl TectonicSim {
         Ok(())
     }
 
-    /// Stores a blob under `path` like [`put`](Self::put), but subject to
-    /// injected transient faults: if a [`fail_next_puts`](Self::fail_next_puts)
-    /// budget is armed, the call consumes one unit and fails before copying
-    /// any bytes, so retry loops don't reallocate per attempt. Callers that
-    /// already hold a shared blob should prefer
-    /// [`try_put_blob`](Self::try_put_blob), which never copies at all.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::Injected`] when an armed fault fires.
-    pub fn try_put(&self, path: &str, bytes: &[u8]) -> Result<()> {
-        self.check_put_fault(path)?;
-        self.put(path, bytes.to_vec());
-        Ok(())
-    }
-
-    /// Fallible zero-copy put: stores the shared blob itself. The retry-safe
-    /// landing path serializes a file once and calls this per attempt.
+    /// Stores a shared blob under `path` like [`put_blob`](Self::put_blob),
+    /// but subject to injected transient faults: if a
+    /// [`fail_next_puts`](Self::fail_next_puts) budget is armed, the call
+    /// consumes one unit and fails. The retry-safe landing path serializes a
+    /// file once and calls this per attempt, so a retry never copies.
     ///
     /// # Errors
     ///
@@ -1095,13 +1070,14 @@ mod tests {
         store.fail_next_puts(1);
         // The infallible path never consumes a fault budget.
         store.put("safe", vec![9]);
+        let blob = Arc::new(vec![1u8]);
         assert!(matches!(
-            store.try_put("blocked", &[1]),
+            store.try_put_blob("blocked", &blob),
             Err(StorageError::Injected { op: "put", .. })
         ));
         assert!(store.get("blocked").is_err());
         // Retry succeeds once the budget is spent.
-        store.try_put("blocked", &[1]).unwrap();
+        store.try_put_blob("blocked", &blob).unwrap();
         assert_eq!(store.get("blocked").unwrap().as_slice(), &[1]);
         assert_eq!(store.injected_failures(), (0, 1));
     }
@@ -1117,18 +1093,6 @@ mod tests {
         // The store holds the same allocation, not a copy.
         let stored = store.get("p").unwrap();
         assert!(Arc::ptr_eq(&stored, &blob));
-    }
-
-    #[test]
-    fn clear_faults_disarms_pending_budgets() {
-        let store = TectonicSim::new(1);
-        store.put("a", vec![1]);
-        store.fail_next_gets(10);
-        store.fail_next_puts(10);
-        store.clear_faults();
-        assert!(store.get("a").is_ok());
-        assert!(store.try_put("b", &[2]).is_ok());
-        assert_eq!(store.injected_failures(), (0, 0));
     }
 
     #[test]

@@ -387,19 +387,6 @@ impl Dlrm {
         &self.tables
     }
 
-    /// Total embedding parameter bytes (for the memory report).
-    pub fn embedding_parameter_bytes(&self) -> usize {
-        self.tables
-            .iter()
-            .map(EmbeddingTable::parameter_bytes)
-            .sum()
-    }
-
-    /// Total dense (MLP) parameter count.
-    pub fn mlp_parameter_count(&self) -> usize {
-        self.bottom.parameter_count() + self.top.parameter_count()
-    }
-
     /// Forward pass over a converted batch, returning per-row click
     /// probabilities and work counters.
     pub fn forward(
@@ -1319,10 +1306,6 @@ mod tests {
             .feature_pooling
             .iter()
             .all(|&(_, k)| k == PoolingKind::Sum));
-
-        let model = Dlrm::new(DlrmConfig::from_schema(&schema, 8, PoolingKind::Sum));
-        assert!(model.embedding_parameter_bytes() > 0);
-        assert!(model.mlp_parameter_count() > 0);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl EmbeddingTable {
         self.rows
     }
 
-    /// Bytes of parameter memory held by the table.
-    pub fn parameter_bytes(&self) -> usize {
-        self.weights.len() * 4
-    }
-
     fn row_index(&self, id: u64) -> usize {
         (id % self.rows as u64) as usize
     }
@@ -97,7 +92,6 @@ mod tests {
         let table = EmbeddingTable::new(100, 8, 3);
         assert_eq!(table.dim(), 8);
         assert_eq!(table.row_count(), 100);
-        assert_eq!(table.parameter_bytes(), 100 * 8 * 4);
 
         let a = table.lookup(5).to_vec();
         let b = table.lookup(105).to_vec();

@@ -301,11 +301,6 @@ impl Mlp {
         let flops = |l: &Layer| 2 * l.in_dim as u64 * l.out_dim as u64;
         self.layers.iter().map(flops).sum()
     }
-
-    /// Number of parameters.
-    pub fn parameter_count(&self) -> usize {
-        self.params.len()
-    }
 }
 
 /// Output units [`MlpUpdate::apply`] sums the gradients of at once.
@@ -448,7 +443,6 @@ mod tests {
         assert_eq!(mlp.in_dim(), 4);
         assert_eq!(mlp.out_dim(), 1);
         assert_eq!(mlp.flops(), 2 * (4 * 8 + 8));
-        assert_eq!(mlp.parameter_count(), 8 * 5 + 9);
         let mut acts = MlpActivations::default();
         mlp.forward_batch(&[0.1, 0.2, 0.3, 0.4, 0.4, 0.3, 0.2, 0.1], &mut acts);
         assert_eq!(acts.values.len(), 2 * acts.width, "two rows");

@@ -7,8 +7,7 @@
 use recd::core::{DataLoaderConfig, DedupeModel, FeatureConverter};
 use recd::data::ColumnarBatch;
 use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
-use recd::etl::cluster_by_session;
-use recd::etl::downsample::samples_per_session;
+use recd::etl::{cluster_by_session, samples_per_session};
 use recd::trainer::{Dlrm, DlrmConfig, ExecutionMode, PoolingKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

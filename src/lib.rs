@@ -11,11 +11,11 @@
 //! | module | crate | what it provides |
 //! |---|---|---|
 //! | [`data`] | `recd-data` | ids, samples, schemas, batches |
-//! | [`codec`] | `recd-codec` | hashing, varint/delta/RLE/dictionary, block LZ |
+//! | [`codec`] | `recd-codec` | hashing, varint/delta, block LZ |
 //! | [`core`] | `recd-core` | **the paper's contribution**: KJT, IKJT, dedup conversion, jagged index select, DedupeFactor |
 //! | [`datagen`] | `recd-datagen` | session-centric synthetic workloads + §3 characterization |
 //! | [`scribe`] | `recd-scribe` | sharded message log (O1) |
-//! | [`etl`] | `recd-etl` | join, hourly partitioning, CLUSTER BY session (O2), downsampling |
+//! | [`etl`] | `recd-etl` | join, hourly partitioning, CLUSTER BY session (O2), streaming ETL |
 //! | [`storage`] | `recd-storage` | DWRF-like columnar files + Tectonic-like blob store |
 //! | [`reader`] | `recd-reader` | fill/convert/process reader phases (O3, O4) the DPP service runs |
 //! | [`dpp`] | `recd-dpp` | streaming DPP service: sharded, backpressured, multi-worker preprocessing |

@@ -7,7 +7,7 @@
 //! sized by a corrupt count aborts the process; an `Err` is recorded and the
 //! pipeline moves on.
 
-use recd::codec::Compressor;
+use recd::codec::lz;
 use recd::data::{ColumnarBatch, LogRecord};
 use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd::scribe::wire::decode_all;
@@ -87,12 +87,12 @@ fn no_bit_flip_or_truncation_of_a_scribe_block_panics_or_aborts() {
     for record in &records {
         encode_record(record, &mut raw);
     }
-    let block = Compressor::Lz.compress(&raw);
+    let block = lz::compress(&raw);
 
     let (mut scratch, mut decoded) = (Vec::new(), Vec::new());
     let mut drain = |block: &[u8], decoded: &mut Vec<LogRecord>| -> Result<(), WireError> {
         decoded.clear();
-        Compressor::Lz.decompress_into(block, &mut scratch)?;
+        lz::decompress_into(block, &mut scratch)?;
         decode_all(&scratch, decoded)
     };
     sweep(&block, block.len(), |mutated| {

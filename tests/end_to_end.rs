@@ -196,7 +196,7 @@ fn hand_built(spec: &RmSpec, config: RecdConfig, batch_size: usize) -> HandBuilt
     let generator = DatasetGenerator::new(spec.sized_workload());
     let schema = generator.schema().clone();
     let (records, _) = generator.generate_logs();
-    let policy = if config.o1_log_sharding {
+    let policy = if config >= RecdConfig::ClusteredTable {
         ShardKeyPolicy::SessionId
     } else {
         ShardKeyPolicy::RandomRequest
@@ -208,7 +208,7 @@ fn hand_built(spec: &RmSpec, config: RecdConfig, batch_size: usize) -> HandBuilt
     scribe.ingest_all(&records);
     scribe.flush();
     let drained = scribe.drain().expect("scribe blocks decode");
-    let layout = if config.o2_cluster_by_session {
+    let layout = if config >= RecdConfig::ClusteredTable {
         TableLayout::ClusteredBySession
     } else {
         TableLayout::TimeOrdered
@@ -227,7 +227,7 @@ fn hand_built(spec: &RmSpec, config: RecdConfig, batch_size: usize) -> HandBuilt
         landed.push(stored);
     }
     store.blob_store().reset_read_counters();
-    let dataloader = if config.o3_ikjt {
+    let dataloader = if config >= RecdConfig::DedupEmb {
         DataLoaderConfig::from_schema(&schema)
     } else {
         DataLoaderConfig::baseline_from_schema(&schema)
