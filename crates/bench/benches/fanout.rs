@@ -131,7 +131,7 @@ fn bench_scaleup_latency(c: &mut Criterion) {
                 handle.submit_partition(&f.partition);
                 // The measured quantity: pressure onset → first grow event.
                 let deadline = Instant::now() + Duration::from_secs(10);
-                while source.snapshot().scale_ups == 0 {
+                while !source.snapshot().scale_events.iter().any(|e| e.is_grow()) {
                     assert!(Instant::now() < deadline, "controller never scaled up");
                     std::thread::yield_now();
                 }

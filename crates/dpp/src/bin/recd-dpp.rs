@@ -502,8 +502,10 @@ fn main() {
     // The live monitor and the /metrics endpoint read the driver's registry.
     let registry = driver.registry();
     let server = args.metrics_port.map(|port| {
-        let server = MetricsServer::start(Arc::clone(&registry), port)
-            .unwrap_or_else(|err| panic!("recd-dpp: bind metrics port {port}: {err}"));
+        let server = MetricsServer::start(Arc::clone(&registry), port).unwrap_or_else(|err| {
+            eprintln!("recd-dpp: --metrics-port {port}: {err}");
+            std::process::exit(2);
+        });
         println!("metrics: serving http://{}/metrics", server.local_addr());
         server
     });

@@ -72,7 +72,7 @@ impl DppFleet {
             shards,
             store,
             schema,
-            counters: Arc::new(FleetCounters::new(hosts)),
+            counters: Arc::new(FleetCounters::new(hosts, shards)),
             delivered_through: Mutex::new(vec![0u64; shards]),
             lanes: senders,
         });
@@ -212,7 +212,7 @@ impl FleetHandle {
             if self.slots[host].live {
                 // Healed before anyone noticed: a flap. Flush what queued.
                 self.slots[host].reachable = Reach::Up;
-                self.fleet.counters.note_flap();
+                self.fleet.counters.update(|r| r.flaps += 1);
                 self.fleet.counters.set_host_up(host, true);
                 let pending = std::mem::take(&mut self.slots[host].pending);
                 for (shard, path) in pending {
@@ -234,7 +234,7 @@ impl FleetHandle {
             let slot = &mut self.slots[host];
             if slot.live && slot.reachable == Reach::Up {
                 slot.last_beat_ms = now;
-                self.fleet.counters.note_heartbeat(host, now);
+                self.fleet.counters.heartbeat(host, now);
             }
         }
         for host in 0..self.slots.len() {
@@ -252,7 +252,7 @@ impl FleetHandle {
     /// round fails).
     pub fn kill_host(&mut self, host: usize) {
         let host = host % self.slots.len();
-        self.fleet.counters.note_kill();
+        self.fleet.counters.update(|r| r.kills += 1);
         self.fleet.counters.set_host_up(host, false);
         self.slots[host].reachable = Reach::Down;
         self.teardown_runtime(host);
@@ -274,7 +274,7 @@ impl FleetHandle {
             },
             _ => Reach::Partitioned { until_ms: until },
         };
-        self.fleet.counters.note_partition();
+        self.fleet.counters.update(|r| r.partitions += 1);
         self.fleet.counters.set_host_up(host, false);
     }
 
@@ -306,12 +306,15 @@ impl FleetHandle {
         self.slots[host].last_beat_ms = self.now_ms;
         for shard in orphaned {
             self.place_shard(shard, host, true);
-            self.fleet.counters.note_replacement();
+            self.fleet.counters.update(|r| r.shard_replacements += 1);
         }
-        self.fleet.counters.note_rejoin();
-        self.fleet.counters.note_heartbeat(host, self.now_ms);
+        let live = self.live_count();
+        self.fleet.counters.update(|r| {
+            r.rejoins += 1;
+            r.hosts_live_at_finish = live;
+        });
+        self.fleet.counters.heartbeat(host, self.now_ms);
         self.fleet.counters.set_host_up(host, true);
-        self.fleet.counters.set_hosts_live(self.live_count());
         self.refresh_owned_gauges();
     }
 
@@ -385,7 +388,7 @@ impl FleetHandle {
         for files in &mut self.interval_files {
             files.clear();
         }
-        self.fleet.counters.note_barrier();
+        self.fleet.counters.update(|r| r.barriers += 1);
         self.rebalance();
         true
     }
@@ -400,8 +403,11 @@ impl FleetHandle {
     fn declare_dead(&mut self, host: usize) {
         self.slots[host].live = false;
         self.slots[host].pending.clear();
-        self.fleet.counters.note_death();
-        self.fleet.counters.set_hosts_live(self.live_count());
+        let live = self.live_count();
+        self.fleet.counters.update(|r| {
+            r.deaths_detected += 1;
+            r.hosts_live_at_finish = live;
+        });
         if self.slots[host].reachable == Reach::Down {
             self.teardown_runtime(host);
         }
@@ -413,7 +419,7 @@ impl FleetHandle {
                 break;
             };
             self.place_shard(shard, target, true);
-            self.fleet.counters.note_replacement();
+            self.fleet.counters.update(|r| r.shard_replacements += 1);
         }
         self.refresh_owned_gauges();
     }
@@ -459,7 +465,7 @@ impl FleetHandle {
         if replay {
             let files = self.interval_files[shard].clone();
             for path in files {
-                self.fleet.counters.note_replayed_file();
+                self.fleet.counters.update(|r| r.replayed_files += 1);
                 self.slots[target]
                     .runtime
                     .as_mut()
@@ -502,7 +508,11 @@ impl FleetHandle {
             self.place_shard(shard, taker, false);
             moves += 1;
         }
-        self.fleet.counters.note_rebalance(moves, clock.elapsed());
+        let elapsed_ms = clock.elapsed().as_secs_f64() * 1e3;
+        self.fleet.counters.update(|r| {
+            r.rebalance_moves += moves;
+            r.rebalance_ms += elapsed_ms;
+        });
         self.refresh_owned_gauges();
     }
 
@@ -534,9 +544,9 @@ impl FleetHandle {
         std::mem::take(&mut self.trainers)
     }
 
-    /// The fleet's control-plane counters (also a `recd_fleet_*`
-    /// [`Collector`](recd_obs::Collector) — register it on a scrape
-    /// registry).
+    /// The fleet's control-plane accounting: [`FleetCounters::report`] reads
+    /// the live [`FleetReport`], and it is a `recd_fleet_*`
+    /// [`Collector`](recd_obs::Collector) — register it on a scrape registry.
     pub fn counters(&self) -> Arc<FleetCounters> {
         Arc::clone(&self.fleet.counters)
     }
@@ -591,26 +601,8 @@ impl FleetHandle {
         for reaper in self.reapers.drain(..) {
             let _ = reaper.join();
         }
-        let report = FleetReport {
-            hosts: self.fleet.config.hosts,
-            shards: self.fleet.shards,
-            hosts_live_at_finish: self.live_count(),
-            heartbeats: self.fleet.counters.heartbeats(),
-            deaths_detected: self.fleet.counters.deaths_detected(),
-            kills: self.fleet.counters.kills(),
-            partitions: self.fleet.counters.partitions(),
-            rejoins: self.fleet.counters.rejoins(),
-            flaps: self.fleet.counters.flaps(),
-            barriers: self.fleet.counters.barriers(),
-            shard_replacements: self.fleet.counters.shard_replacements(),
-            rebalance_moves: self.fleet.counters.rebalance_moves(),
-            rebalance_ms: self.fleet.counters.rebalance_ms(),
-            replayed_files: self.fleet.counters.replayed_files(),
-            duplicate_batches_dropped: self.fleet.counters.duplicate_batches_dropped(),
-            forwarded_batches: self.fleet.counters.forwarded_batches(),
-            forwarded_samples: self.fleet.counters.forwarded_samples(),
-        };
-        let dpp = self.aggregate_report(&host_reports);
+        let report = self.fleet.counters.report();
+        let dpp = self.aggregate_report(&report, &host_reports);
         FleetOutput {
             report,
             dpp,
@@ -621,12 +613,16 @@ impl FleetHandle {
 
     /// Projects the fleet into the single-service report shape:
     /// samples/batches/trainer lanes count unique forwarded work; worker,
-    /// queue, pool, and reader fields aggregate over the host incarnations
-    /// still running at finish.
-    fn aggregate_report(&self, host_reports: &[(usize, DppReport)]) -> DppReport {
+    /// queue, file, pool, and reader fields aggregate over the host
+    /// incarnations still running at finish.
+    fn aggregate_report(
+        &self,
+        fleet: &FleetReport,
+        host_reports: &[(usize, DppReport)],
+    ) -> DppReport {
         let wall_seconds = self.started.elapsed().as_secs_f64();
-        let samples = self.fleet.counters.forwarded_samples() as usize;
-        let batches = self.fleet.counters.forwarded_batches() as usize;
+        let samples = fleet.forwarded_samples as usize;
+        let batches = fleet.forwarded_batches as usize;
         let mut batch_pool = crate::pool::PoolStats::default();
         let mut converted_pool = crate::pool::PoolStats::default();
         let mut blob_pool = crate::pool::PoolStats::default();
@@ -651,6 +647,7 @@ impl FleetHandle {
         }
         let max_of =
             |f: fn(&DppReport) -> usize| host_reports.iter().map(|(_, r)| f(r)).max().unwrap_or(0);
+        let sum_of = |f: fn(&DppReport) -> u64| host_reports.iter().map(|(_, r)| f(r)).sum();
         DppReport {
             fill_workers: self.fleet.config.host.fill_workers,
             compute_workers: self.fleet.config.host.compute_workers,
@@ -660,6 +657,9 @@ impl FleetHandle {
             policy: "fleet_round_robin".to_string(),
             assign_policy: "shard_pinned".to_string(),
             wall_seconds,
+            files_submitted: sum_of(|r| r.files_submitted),
+            files_filled: sum_of(|r| r.files_filled),
+            rows_routed: sum_of(|r| r.rows_routed),
             partitions_ingested: self.partitions_ingested,
             duplicate_ingests: self.duplicate_ingests,
             samples,
@@ -671,6 +671,7 @@ impl FleetHandle {
             } else {
                 1.0
             },
+            errors: sum_of(|r| r.errors),
             peak_input_queue_depth: max_of(|r| r.peak_input_queue_depth),
             peak_filled_queue_depth: max_of(|r| r.peak_filled_queue_depth),
             peak_work_queue_depth: max_of(|r| r.peak_work_queue_depth),
@@ -682,6 +683,9 @@ impl FleetHandle {
             blob_pool,
             ctrl,
             reader_metrics,
+            // Every host has drained: no worker is live and every queue is
+            // empty.
+            ..DppReport::default()
         }
     }
 }

@@ -165,7 +165,7 @@ fn collector_loop(
             // collectors the same way one sink would.
             let mut through = fleet.delivered_through.lock().expect("watermark lock");
             if global < through[shard] {
-                fleet.counters.note_duplicate_dropped();
+                fleet.counters.update(|r| r.duplicate_batches_dropped += 1);
                 converted_pool.recycle(item.batch);
             } else {
                 assert_eq!(
@@ -183,7 +183,10 @@ fn collector_loop(
                     batch: item.batch,
                 };
                 match lane.send(forwarded) {
-                    None => fleet.counters.note_forwarded(samples),
+                    None => fleet.counters.update(|r| {
+                        r.forwarded_batches += 1;
+                        r.forwarded_samples += samples;
+                    }),
                     Some(rejected) => lane.drop_batch(rejected.batch, converted_pool),
                 }
             }

@@ -108,14 +108,16 @@ impl FleetConfig {
     }
 }
 
-/// Control-plane accounting for one fleet run.
+/// Control-plane accounting for one fleet run — live from
+/// [`FleetCounters::report`], final in [`FleetOutput::report`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
     /// Configured host count.
     pub hosts: usize,
     /// Global shard count.
     pub shards: usize,
-    /// Hosts the coordinator believed live when the fleet finished.
+    /// Hosts the coordinator believes live; in the final report, those live
+    /// when the fleet finished.
     pub hosts_live_at_finish: usize,
     /// Heartbeats stamped across all hosts.
     pub heartbeats: u64,

@@ -21,9 +21,9 @@
 //!
 //! Every queue is bounded, so a slow stage backpressures all the way to the
 //! producer: [`DppHandle::submit_file`] blocks instead of buffering without
-//! limit. [`DppHandle::snapshot`] exposes live throughput, progress, and
-//! queue-depth metrics; [`DppHandle::finish`] drains and joins everything
-//! for a graceful shutdown.
+//! limit. [`DppHandle::snapshot`] takes the service's [`DppReport`] live —
+//! throughput, progress, queue depths; [`DppHandle::finish`] drains and
+//! joins everything for a graceful shutdown and returns the same report.
 //!
 //! On top of that pipeline this crate provides the two elastic pieces of
 //! the paper's deployment story:
@@ -55,8 +55,8 @@
 //! service and the fleet alike), [`control`] (the PID policy and the pool
 //! governors it drives), [`pool`] (batch-shell arenas), [`channel`]
 //! (bounded queues), [`fleet`], [`driver`], [`checkpoint`] (the in-memory
-//! barrier state a fleet host restarts from), [`metrics`] (snapshot and
-//! report types) and [`obs`] (their metric families).
+//! barrier state a fleet host restarts from), [`metrics`] (the report
+//! types) and [`obs`] (their metric families).
 //!
 //! Under [`ShardPolicy::FileRoundRobin`] with `shards` readers, the
 //! service's delivered output, put in `(shard, seq)` order, is
@@ -87,9 +87,7 @@ pub use checkpoint::DppCheckpoint;
 pub use control::{CtrlConfig, CtrlReport, CtrlShared, PumpGate, ScaleEvent};
 pub use driver::{Consume, Driver, DriverError, DriverOutput, LaneReport, TailFeed, Topology};
 pub use fleet::{DppFleet, FleetConfig, FleetCounters, FleetHandle, FleetOutput, FleetReport};
-pub use metrics::{
-    DppReport, DppSnapshot, ServiceCounters, TrainerLaneReport, TrainerLaneSnapshot,
-};
+pub use metrics::{DppReport, TrainerLaneReport};
 pub use pool::{BatchPool, PoolStats, Reclaim};
 // The controller's clocks live in `recd-obs`.
 pub use recd_obs::{ManualClock, ScaleClock, WallClock};

@@ -1,4 +1,5 @@
-//! Live counters and final reports for the streaming service.
+//! The streaming service's accounting: the shared live counters, and the
+//! one report a live snapshot and the final drain both return.
 
 use crate::control::{CtrlReport, ScaleEvent};
 use crate::pool::PoolStats;
@@ -10,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Gauges for queue depths live on the channels themselves; this struct only
 /// holds monotonic counters.
 #[derive(Debug, Default)]
-pub struct ServiceCounters {
+pub(crate) struct ServiceCounters {
     /// Files accepted into the fill queue.
     pub files_submitted: AtomicU64,
     /// Landed partitions handed to the service via
@@ -41,7 +42,7 @@ pub struct ServiceCounters {
 
 impl ServiceCounters {
     /// Average in-batch dedup factor over everything emitted so far.
-    pub fn dedupe_factor(&self) -> f64 {
+    pub(crate) fn dedupe_factor(&self) -> f64 {
         let logical = self.logical_sparse_values.load(Ordering::Relaxed);
         let stored = self.stored_sparse_values.load(Ordering::Relaxed);
         if stored == 0 {
@@ -61,40 +62,26 @@ pub(crate) fn per_second(samples: u64, seconds: f64) -> f64 {
     }
 }
 
-/// A point-in-time view of one trainer lane.
+/// The accounting of one trainer lane, reported in [`DppReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrainerLaneSnapshot {
+pub struct TrainerLaneReport {
     /// The trainer's id (lane index).
     pub trainer: usize,
     /// Batches delivered but not yet pulled — this trainer's backpressure
     /// gauge.
     pub queue_depth: usize,
-    /// Batches the sink has pushed onto the lane so far.
-    pub delivered_batches: u64,
-    /// Samples the sink has pushed onto the lane so far.
-    pub delivered_samples: u64,
-    /// Batches the trainer has pulled so far.
-    pub consumed_batches: u64,
-}
-
-/// Final accounting of one trainer lane, reported in [`DppReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrainerLaneReport {
-    /// The trainer's id (lane index).
-    pub trainer: usize,
     /// Batches delivered onto the lane.
     pub delivered_batches: u64,
     /// Samples delivered onto the lane.
     pub delivered_samples: u64,
-    /// Batches the trainer had pulled when
-    /// [`DppHandle::finish`](crate::DppHandle::finish) took this report — a
-    /// snapshot: a trainer still draining its lane keeps counting on its
+    /// Batches the trainer had pulled when this report was taken — even
+    /// the one [`DppHandle::finish`](crate::DppHandle::finish) returns: a
+    /// trainer still draining its lane keeps counting on its
     /// [`TrainerHandle::consumed_batches`](crate::TrainerHandle::consumed_batches),
     /// so this is at most `delivered_batches`.
     pub consumed_batches: u64,
-    /// Samples the trainer had pulled when
-    /// [`DppHandle::finish`](crate::DppHandle::finish) took this report — a
-    /// snapshot, like `consumed_batches`.
+    /// Samples the trainer had pulled when this report was taken, like
+    /// `consumed_batches`.
     pub consumed_samples: u64,
     /// Batches discarded because the trainer dropped its handle mid-run.
     pub dropped_batches: u64,
@@ -103,76 +90,21 @@ pub struct TrainerLaneReport {
     pub peak_queue_depth: usize,
 }
 
-/// A point-in-time view of the running service: throughput, progress, queue
-/// depths, elastic pool sizes, and per-trainer lane state. Taken with
-/// [`DppHandle::snapshot`](crate::DppHandle::snapshot).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DppSnapshot {
-    /// Seconds since the service started.
-    pub elapsed_seconds: f64,
-    /// Files accepted so far.
-    pub files_submitted: u64,
-    /// Landed partitions ingested so far (continuous-ETL feed path).
-    pub partitions_ingested: u64,
-    /// Already-ingested partitions offered again and skipped (replay dedup).
-    pub duplicate_ingests: u64,
-    /// Files decoded so far.
-    pub files_filled: u64,
-    /// Rows routed to shards so far.
-    pub rows_routed: u64,
-    /// Batches emitted so far.
-    pub batches_out: u64,
-    /// Samples emitted so far.
-    pub samples_out: u64,
-    /// Preprocessed tensor bytes sent toward trainers so far.
-    pub egress_bytes: u64,
-    /// Emitted samples per wall-clock second since start.
-    pub samples_per_second: f64,
-    /// Average in-batch dedup factor of emitted batches.
-    pub dedupe_factor: f64,
-    /// Current depth of the file (fill input) queue.
-    pub input_queue_depth: usize,
-    /// Current depth of the decoded-file (router input) queue.
-    pub filled_queue_depth: usize,
-    /// Current depth of the coalesced-batch (compute input) queue.
-    pub work_queue_depth: usize,
-    /// Current depth of the output queue.
-    pub output_queue_depth: usize,
-    /// Fill workers currently live (changes under dynamic scaling).
-    pub fill_workers_live: usize,
-    /// Compute workers currently live (changes under dynamic scaling).
-    pub compute_workers_live: usize,
-    /// Pool-grow events so far.
-    pub scale_ups: u64,
-    /// Pool-shrink events so far.
-    pub scale_downs: u64,
-    /// Per-trainer lane state.
-    pub trainers: Vec<TrainerLaneSnapshot>,
-    /// Columnar-batch pool counters: fill decode targets, router
-    /// accumulators, and coalesced work chunks all draw from and recycle
-    /// into this pool.
-    pub batch_pool: PoolStats,
-    /// Converted-batch shell pool counters: compute workers draw shells
-    /// from it and consumers recycle them back through
-    /// [`DppHandle::converted_pool`](crate::DppHandle::converted_pool).
-    pub converted_pool: PoolStats,
-    /// `get_into` blob buffer pool counters: fill workers install a pooled
-    /// buffer at spawn and return it at exit, so steady-state decode fetches
-    /// allocate nothing even across scaling churn.
-    #[serde(default)]
-    pub blob_pool: PoolStats,
-    /// Stage errors so far.
-    pub errors: u64,
-}
-
-/// The final accounting of one service run, produced by
-/// [`DppHandle::finish`](crate::DppHandle::finish).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The accounting of one service run: throughput, progress, queue depths,
+/// elastic pool sizes, per-trainer lanes, buffer pools and phase work.
+/// [`DppHandle::snapshot`](crate::DppHandle::snapshot) takes it live;
+/// [`DppHandle::finish`](crate::DppHandle::finish) takes it once the run has
+/// drained.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DppReport {
     /// Fill workers configured at start.
     pub fill_workers: usize,
     /// Convert/process workers configured at start.
     pub compute_workers: usize,
+    /// Fill workers live now (changes under dynamic scaling).
+    pub fill_workers_live: usize,
+    /// Compute workers live now (changes under dynamic scaling).
+    pub compute_workers_live: usize,
     /// High-water mark of live fill workers (exceeds `fill_workers` when
     /// dynamic scaling grew the pool).
     pub peak_fill_workers: usize,
@@ -184,8 +116,14 @@ pub struct DppReport {
     pub policy: String,
     /// Trainer lane assignment policy name.
     pub assign_policy: String,
-    /// Wall-clock seconds from service start to drain.
+    /// Wall-clock seconds since the service started.
     pub wall_seconds: f64,
+    /// Files accepted into the fill queue.
+    pub files_submitted: u64,
+    /// Files fully decoded by fill workers.
+    pub files_filled: u64,
+    /// Rows routed to shard accumulators.
+    pub rows_routed: u64,
     /// Landed partitions ingested through
     /// [`DppHandle::ingest_partition`](crate::DppHandle::ingest_partition)
     /// (zero outside the continuous-ETL feed path).
@@ -203,6 +141,16 @@ pub struct DppReport {
     pub egress_bytes: usize,
     /// Average in-batch dedup factor of emitted batches.
     pub dedupe_factor: f64,
+    /// Stage errors (failed fills or conversions).
+    pub errors: u64,
+    /// Current depth of the file (fill input) queue.
+    pub input_queue_depth: usize,
+    /// Current depth of the decoded-file (router input) queue.
+    pub filled_queue_depth: usize,
+    /// Current depth of the coalesced-batch (compute input) queue.
+    pub work_queue_depth: usize,
+    /// Current depth of the output queue.
+    pub output_queue_depth: usize,
     /// High-water mark of the fill input queue.
     pub peak_input_queue_depth: usize,
     /// High-water mark of the router input queue.
@@ -211,25 +159,30 @@ pub struct DppReport {
     pub peak_work_queue_depth: usize,
     /// High-water mark of the output queue.
     pub peak_output_queue_depth: usize,
-    /// Per-trainer delivery/consumption accounting (empty outside fan-out
-    /// mode).
+    /// Per-trainer delivery/consumption accounting, one entry per lane.
     pub trainers: Vec<TrainerLaneReport>,
     /// Every pool resize the scaling controller performed, in order.
     pub scale_events: Vec<ScaleEvent>,
-    /// Final columnar-batch pool counters; at steady state the reuse rate
-    /// approaches 1.0 and the misses count the warmup population.
+    /// Columnar-batch pool counters: fill decode targets, router
+    /// accumulators, and coalesced work chunks all draw from and recycle
+    /// into this pool. At steady state the reuse rate approaches 1.0 and the
+    /// misses count the warmup population.
     pub batch_pool: PoolStats,
-    /// Final converted-batch shell pool counters (hits require a consumer
-    /// recycling shells back during the run).
+    /// Converted-batch shell pool counters: compute workers draw shells from
+    /// it and consumers recycle them back through
+    /// [`DppHandle::converted_pool`](crate::DppHandle::converted_pool), so
+    /// hits require a consumer recycling shells during the run.
     pub converted_pool: PoolStats,
-    /// Final `get_into` blob buffer pool counters; misses count exactly the
+    /// `get_into` blob buffer pool counters: fill workers install a pooled
+    /// buffer at spawn and return it at exit, so misses count exactly the
     /// distinct fill-worker warmups, never per-fill allocations.
     #[serde(default)]
     pub blob_pool: PoolStats,
-    /// The PID control loop's final accounting; `None` unless the service
-    /// ran with [`DppConfig::with_ctrl`](crate::DppConfig::with_ctrl).
+    /// The PID control loop's accounting; `None` unless the service runs
+    /// with [`DppConfig::with_ctrl`](crate::DppConfig::with_ctrl).
     #[serde(default)]
     pub ctrl: Option<CtrlReport>,
-    /// Combined per-phase CPU/byte accounting across all workers.
+    /// Combined per-phase CPU/byte accounting; each worker merges its own
+    /// when it exits.
     pub reader_metrics: ReaderMetrics,
 }

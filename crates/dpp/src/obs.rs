@@ -1,12 +1,13 @@
 //! Observability-plane integration: projects the streaming service's live
-//! [`DppSnapshot`] (plus the combined per-phase reader accounting) into
+//! [`DppReport`] (its per-phase reader accounting included) into
 //! `recd_dpp_*` / `recd_reader_*` metric families.
 //!
-//! The mapping is a pure function over an already-taken snapshot, so a
-//! scrape costs one `snapshot()` — the same atomics reads the live monitor
-//! already performs — and never touches the hot pipeline stages.
+//! The mapping is a pure function over an already-taken report, so a
+//! scrape costs one `snapshot()` — the same read
+//! [`DppHandle::finish`](crate::DppHandle::finish) makes — and never touches
+//! the hot pipeline stages.
 
-use crate::metrics::{DppSnapshot, TrainerLaneSnapshot};
+use crate::metrics::{DppReport, TrainerLaneReport};
 use crate::pool::PoolStats;
 use crate::service::SnapshotSource;
 use recd_obs::{Collector, MetricsBuf};
@@ -43,12 +44,6 @@ fn collect_pool(stats: &PoolStats, pool: &str, out: &mut MetricsBuf) {
         &[("pool", pool)],
         stats.trimmed as f64,
     );
-    out.counter(
-        "recd_dpp_pool_steals_total",
-        "Hits served by stealing a shell from a sibling worker's shelf.",
-        &[("pool", pool)],
-        stats.steals as f64,
-    );
     out.gauge(
         "recd_dpp_pool_capacity",
         "Pool shelf capacity (shrinks on dynamic scale-down).",
@@ -58,7 +53,7 @@ fn collect_pool(stats: &PoolStats, pool: &str, out: &mut MetricsBuf) {
 }
 
 /// Projects one trainer lane's state under a `trainer=<id>` label.
-fn collect_lane(lane: &TrainerLaneSnapshot, out: &mut MetricsBuf) {
+fn collect_lane(lane: &TrainerLaneReport, out: &mut MetricsBuf) {
     let id = lane.trainer.to_string();
     let labels = [("trainer", id.as_str())];
     out.gauge(
@@ -87,87 +82,87 @@ fn collect_lane(lane: &TrainerLaneSnapshot, out: &mut MetricsBuf) {
     );
 }
 
-/// Projects a [`DppSnapshot`] into `recd_dpp_*` families: throughput and
+/// Projects a [`DppReport`] into `recd_dpp_*` families: throughput and
 /// progress counters, queue-depth and worker gauges, scale events, pool
 /// counters, and per-trainer lane state.
-pub fn collect_snapshot(snap: &DppSnapshot, out: &mut MetricsBuf) {
+fn collect_report(report: &DppReport, out: &mut MetricsBuf) {
     out.counter(
         "recd_dpp_files_submitted_total",
         "Files accepted into the fill queue.",
         &[],
-        snap.files_submitted as f64,
+        report.files_submitted as f64,
     );
     out.counter(
         "recd_dpp_partitions_ingested_total",
         "Landed partitions ingested through the continuous-ETL feed path.",
         &[],
-        snap.partitions_ingested as f64,
+        report.partitions_ingested as f64,
     );
     out.counter(
         "recd_dpp_duplicate_ingests_total",
         "Already-ingested partitions offered again and skipped (replay dedup).",
         &[],
-        snap.duplicate_ingests as f64,
+        report.duplicate_ingests as f64,
     );
     out.counter(
         "recd_dpp_files_filled_total",
         "Files fully decoded by fill workers.",
         &[],
-        snap.files_filled as f64,
+        report.files_filled as f64,
     );
     out.counter(
         "recd_dpp_rows_routed_total",
         "Rows routed to shard accumulators.",
         &[],
-        snap.rows_routed as f64,
+        report.rows_routed as f64,
     );
     out.counter(
         "recd_dpp_batches_out_total",
         "Deduplicated batches emitted by compute workers.",
         &[],
-        snap.batches_out as f64,
+        report.batches as f64,
     );
     out.counter(
         "recd_dpp_samples_out_total",
         "Samples contained in emitted batches.",
         &[],
-        snap.samples_out as f64,
+        report.samples as f64,
     );
     out.counter(
         "recd_dpp_egress_bytes_total",
         "Preprocessed tensor bytes sent toward trainers.",
         &[],
-        snap.egress_bytes as f64,
+        report.egress_bytes as f64,
     );
     out.counter(
         "recd_dpp_errors_total",
         "Stage errors (failed fills or conversions).",
         &[],
-        snap.errors as f64,
+        report.errors as f64,
     );
     out.gauge(
         "recd_dpp_uptime_seconds",
         "Seconds since the service started.",
         &[],
-        snap.elapsed_seconds,
+        report.wall_seconds,
     );
     out.gauge(
         "recd_dpp_dedupe_factor",
         "Average in-batch dedup factor of emitted batches.",
         &[],
-        snap.dedupe_factor,
+        report.dedupe_factor,
     );
     out.gauge(
         "recd_dpp_samples_per_second",
         "Emitted samples per wall-clock second since service start.",
         &[],
-        snap.samples_per_second,
+        report.samples_per_second,
     );
     for (queue, depth) in [
-        ("input", snap.input_queue_depth),
-        ("filled", snap.filled_queue_depth),
-        ("work", snap.work_queue_depth),
-        ("output", snap.output_queue_depth),
+        ("input", report.input_queue_depth),
+        ("filled", report.filled_queue_depth),
+        ("work", report.work_queue_depth),
+        ("output", report.output_queue_depth),
     ] {
         out.gauge(
             "recd_dpp_queue_depth",
@@ -177,8 +172,8 @@ pub fn collect_snapshot(snap: &DppSnapshot, out: &mut MetricsBuf) {
         );
     }
     for (pool, live) in [
-        ("fill", snap.fill_workers_live),
-        ("compute", snap.compute_workers_live),
+        ("fill", report.fill_workers_live),
+        ("compute", report.compute_workers_live),
     ] {
         out.gauge(
             "recd_dpp_workers_live",
@@ -187,7 +182,9 @@ pub fn collect_snapshot(snap: &DppSnapshot, out: &mut MetricsBuf) {
             live as f64,
         );
     }
-    for (direction, count) in [("up", snap.scale_ups), ("down", snap.scale_downs)] {
+    let ups = report.scale_events.iter().filter(|e| e.is_grow()).count();
+    let downs = report.scale_events.len() - ups;
+    for (direction, count) in [("up", ups), ("down", downs)] {
         out.counter(
             "recd_dpp_scale_events_total",
             "Pool resizes performed by the scaling controller, by direction.",
@@ -195,17 +192,18 @@ pub fn collect_snapshot(snap: &DppSnapshot, out: &mut MetricsBuf) {
             count as f64,
         );
     }
-    collect_pool(&snap.batch_pool, "batch", out);
-    collect_pool(&snap.converted_pool, "converted", out);
-    collect_pool(&snap.blob_pool, "blob", out);
-    for lane in &snap.trainers {
+    collect_pool(&report.batch_pool, "batch", out);
+    collect_pool(&report.converted_pool, "converted", out);
+    collect_pool(&report.blob_pool, "blob", out);
+    for lane in &report.trainers {
         collect_lane(lane, out);
     }
 }
 
 impl Collector for SnapshotSource {
     fn collect(&self, out: &mut MetricsBuf) {
-        collect_snapshot(&self.snapshot(), out);
+        let report = self.snapshot();
+        collect_report(&report, out);
         out.histogram(
             "recd_dpp_convert_latency_seconds",
             "Per-batch IKJT conversion latency across compute workers.",
@@ -218,25 +216,33 @@ impl Collector for SnapshotSource {
             &[],
             self.process_latency(),
         );
-        self.reader_metrics().collect_into(out);
+        report.reader_metrics.collect_into(out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::ScaleEvent;
     use recd_obs::{render_families, sample_value};
 
-    fn snapshot_fixture() -> DppSnapshot {
-        DppSnapshot {
-            elapsed_seconds: 2.0,
+    fn report_fixture() -> DppReport {
+        let event = |from, to| ScaleEvent {
+            at_seconds: 0.5,
+            pool: "fill".to_string(),
+            from,
+            to,
+            queue_depth: 3,
+        };
+        DppReport {
+            wall_seconds: 2.0,
             files_submitted: 8,
             partitions_ingested: 3,
             duplicate_ingests: 1,
             files_filled: 7,
             rows_routed: 1_000,
-            batches_out: 40,
-            samples_out: 2_000,
+            batches: 40,
+            samples: 2_000,
             egress_bytes: 65_536,
             samples_per_second: 1_000.0,
             dedupe_factor: 1.8,
@@ -246,14 +252,16 @@ mod tests {
             output_queue_depth: 4,
             fill_workers_live: 2,
             compute_workers_live: 5,
-            scale_ups: 2,
-            scale_downs: 1,
-            trainers: vec![TrainerLaneSnapshot {
+            scale_events: vec![event(1, 2), event(2, 3), event(3, 2)],
+            trainers: vec![TrainerLaneReport {
                 trainer: 0,
                 queue_depth: 6,
                 delivered_batches: 20,
                 delivered_samples: 1_000,
                 consumed_batches: 14,
+                consumed_samples: 700,
+                dropped_batches: 0,
+                peak_queue_depth: 8,
             }],
             batch_pool: PoolStats {
                 hits: 90,
@@ -261,19 +269,16 @@ mod tests {
                 recycled: 85,
                 discarded: 5,
                 trimmed: 0,
-                steals: 2,
                 capacity: 16,
             },
-            converted_pool: PoolStats::default(),
-            blob_pool: PoolStats::default(),
-            errors: 0,
+            ..DppReport::default()
         }
     }
 
     #[test]
-    fn snapshot_maps_to_labeled_families() {
+    fn report_maps_to_labeled_families() {
         let mut buf = MetricsBuf::new();
-        collect_snapshot(&snapshot_fixture(), &mut buf);
+        collect_report(&report_fixture(), &mut buf);
         let families = buf.into_families();
         assert_eq!(
             sample_value(&families, "recd_dpp_samples_out_total", &[]),
@@ -308,5 +313,6 @@ mod tests {
         assert!(text.contains("# TYPE recd_dpp_queue_depth gauge"));
         assert!(text.contains("recd_dpp_queue_depth{queue=\"input\"} 1\n"));
         assert!(text.contains("recd_dpp_scale_events_total{direction=\"up\"} 2\n"));
+        assert!(text.contains("recd_dpp_scale_events_total{direction=\"down\"} 1\n"));
     }
 }

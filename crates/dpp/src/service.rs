@@ -38,7 +38,7 @@ use crate::control::{
     spawn_pid_controller, CtrlConfig, CtrlShared, PidParams, PoolControls, PoolGovernor, PumpGate,
     ScaleEvent,
 };
-use crate::metrics::{per_second, DppReport, DppSnapshot, ServiceCounters};
+use crate::metrics::{per_second, DppReport, ServiceCounters};
 use crate::pool::{BatchPool, BlobScratch};
 use crate::sink::{
     run_sink, BarrierState, OutBatch, SinkInput, SinkParams, TrainerAssignPolicy, TrainerHandle,
@@ -60,11 +60,6 @@ use std::time::{Duration, Instant};
 
 /// How often blocked workers wake to check for cooperative retirement.
 const WORKER_POLL: Duration = Duration::from_millis(2);
-
-/// Most per-worker pool shelves a service creates; beyond this, workers
-/// share shelves modulo the count (sharing is correct, just more lock
-/// traffic).
-const MAX_POOL_SHELVES: usize = 8;
 
 /// How many files fill workers may hold ahead of the router: the one in the
 /// router's hand, a full filled queue, and one being decoded per worker.
@@ -376,7 +371,7 @@ impl Drop for OpenOnDrop<'_> {
 /// and router threads, the pool spawners, the controller's probes,
 /// [`SnapshotSource`] and [`DppHandle`] all hold one `Arc` of it; a thread
 /// context adds only its worker id and channel ends. A live snapshot and the
-/// final report are two reads of it.
+/// final report are the same read of it, [`State::report`].
 ///
 /// It holds no channel end — only passive gauges — so end-of-stream still
 /// cascades when the handle closes the input, however long a monitor keeps
@@ -397,13 +392,10 @@ struct State {
     /// recycled into this one pool, so steady-state batches allocate
     /// nothing. Capacity is the most that can be in flight, so no shell is
     /// ever dropped and misses never exceed it; dynamic scale-downs shrink
-    /// it again. One shelf per fill worker keeps the hot acquire path
-    /// uncontended and size-class-matched.
+    /// it again.
     batch_pool: BatchPool<ColumnarBatch>,
     /// Converted-batch shells flow compute → sink → consumer; the consumer
-    /// recycles them back through [`DppHandle::converted_pool`]. External
-    /// consumers recycle from arbitrary threads, so this pool stays
-    /// single-shelf (size classing still applies).
+    /// recycles them back through [`DppHandle::converted_pool`].
     converted_pool: Arc<BatchPool<ConvertedBatch>>,
     /// `get_into` blob buffers: pool-owned so decode allocations survive
     /// worker retirement/respawn. One per live fill worker plus one spare
@@ -447,60 +439,26 @@ impl State {
             .set_capacity(converted_pool_capacity(depth, compute));
     }
 
-    fn reader_metrics(&self) -> ReaderMetrics {
-        *self.phase_metrics.lock().expect("phase metrics lock")
-    }
-
-    fn snapshot(&self) -> DppSnapshot {
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let samples = self.counters.samples_out.load(Ordering::Relaxed);
-        let (scale_ups, scale_downs) = {
-            let events = self.scale_events.lock().expect("scale events lock");
-            let ups = events.iter().filter(|e| e.is_grow()).count() as u64;
-            (ups, events.len() as u64 - ups)
-        };
-        let counters = &self.counters;
-        DppSnapshot {
-            elapsed_seconds: elapsed,
-            files_submitted: counters.files_submitted.load(Ordering::Relaxed),
-            partitions_ingested: counters.partitions_ingested.load(Ordering::Relaxed),
-            duplicate_ingests: counters.duplicate_ingests.load(Ordering::Relaxed),
-            files_filled: counters.files_filled.load(Ordering::Relaxed),
-            rows_routed: counters.rows_routed.load(Ordering::Relaxed),
-            batches_out: counters.batches_out.load(Ordering::Relaxed),
-            samples_out: samples,
-            egress_bytes: counters.egress_bytes.load(Ordering::Relaxed),
-            samples_per_second: per_second(samples, elapsed),
-            dedupe_factor: counters.dedupe_factor(),
-            input_queue_depth: self.input_gauge.len(),
-            filled_queue_depth: self.filled_gauge.len(),
-            work_queue_depth: self.work_gauge.len(),
-            output_queue_depth: self.out_gauge.len(),
-            fill_workers_live: self.fill_gov.live(),
-            compute_workers_live: self.compute_gov.live(),
-            scale_ups,
-            scale_downs,
-            trainers: self.lanes.snapshot(),
-            batch_pool: self.batch_pool.stats(),
-            converted_pool: self.converted_pool.stats(),
-            blob_pool: self.blob_pool.stats(),
-            errors: counters.errors.load(Ordering::Relaxed),
-        }
-    }
-
+    /// The service's accounting as of now: a live snapshot while it runs,
+    /// the final report once it has drained.
     fn report(&self) -> DppReport {
         let wall_seconds = self.started.elapsed().as_secs_f64();
-        let samples = self.counters.samples_out.load(Ordering::Relaxed);
         let counters = &self.counters;
+        let samples = counters.samples_out.load(Ordering::Relaxed);
         DppReport {
             fill_workers: self.config.fill_workers,
             compute_workers: self.config.compute_workers,
+            fill_workers_live: self.fill_gov.live(),
+            compute_workers_live: self.compute_gov.live(),
             peak_fill_workers: self.fill_gov.peak_live(),
             peak_compute_workers: self.compute_gov.peak_live(),
             shards: self.config.shards,
             policy: self.config.policy.name().to_string(),
             assign_policy: self.config.assign_policy.name().to_string(),
             wall_seconds,
+            files_submitted: counters.files_submitted.load(Ordering::Relaxed),
+            files_filled: counters.files_filled.load(Ordering::Relaxed),
+            rows_routed: counters.rows_routed.load(Ordering::Relaxed),
             partitions_ingested: counters.partitions_ingested.load(Ordering::Relaxed),
             duplicate_ingests: counters.duplicate_ingests.load(Ordering::Relaxed),
             samples: samples as usize,
@@ -508,6 +466,11 @@ impl State {
             samples_per_second: per_second(samples, wall_seconds),
             egress_bytes: counters.egress_bytes.load(Ordering::Relaxed) as usize,
             dedupe_factor: counters.dedupe_factor(),
+            errors: counters.errors.load(Ordering::Relaxed),
+            input_queue_depth: self.input_gauge.len(),
+            filled_queue_depth: self.filled_gauge.len(),
+            work_queue_depth: self.work_gauge.len(),
+            output_queue_depth: self.out_gauge.len(),
             peak_input_queue_depth: self.input_gauge.peak_depth(),
             peak_filled_queue_depth: self.filled_gauge.peak_depth(),
             peak_work_queue_depth: self.work_gauge.peak_depth(),
@@ -518,13 +481,12 @@ impl State {
             converted_pool: self.converted_pool.stats(),
             blob_pool: self.blob_pool.stats(),
             ctrl: self.ctrl.as_ref().map(|shared| shared.report()),
-            reader_metrics: self.reader_metrics(),
+            reader_metrics: *self.phase_metrics.lock().expect("phase metrics lock"),
         }
     }
 }
 
-/// One pool worker: its id — its home shelf in the per-worker pools — and
-/// its channel ends.
+/// One pool worker: its id and its channel ends.
 struct Worker<I, O> {
     id: usize,
     rx: Receiver<I>,
@@ -590,12 +552,7 @@ fn fill_worker_loop(ctx: &Worker<FillTask, FilledFile>) {
     // shelved buffer) and returned on exit, so the allocation survives this
     // worker's retirement and warms its replacement across scaling churn.
     let mut scratch = FileReadScratch::default();
-    scratch.install_blob(
-        state
-            .blob_pool
-            .acquire_for(ctx.id, usize::MAX, BlobScratch::default)
-            .0,
-    );
+    scratch.install_blob(state.blob_pool.acquire(usize::MAX, BlobScratch::default).0);
     // Size hint for the next decode target: files in one table are near-
     // uniform, so the previous file's row count is the best predictor.
     let mut row_hint = 0usize;
@@ -604,9 +561,9 @@ fn fill_worker_loop(ctx: &Worker<FillTask, FilledFile>) {
             // Decode into a pool-recycled batch; misses only occur while the
             // pipeline's population warms up.
             state.window.enter(seq);
-            let mut rows = state.batch_pool.acquire_for(ctx.id, row_hint, || {
-                ColumnarBatch::new(dense_cols, sparse_cols)
-            });
+            let mut rows = state
+                .batch_pool
+                .acquire(row_hint, || ColumnarBatch::new(dense_cols, sparse_cols));
             // A failed attempt may leave the batch partially decoded, so
             // every attempt starts from an empty shell of the right shape;
             // under chaos retry, transient injected faults then degrade to a
@@ -652,9 +609,7 @@ fn fill_worker_loop(ctx: &Worker<FillTask, FilledFile>) {
         }
     });
     // Hand the blob allocation back for the next worker generation.
-    state
-        .blob_pool
-        .recycle_for(ctx.id, BlobScratch(scratch.take_blob()));
+    state.blob_pool.recycle(BlobScratch(scratch.take_blob()));
     *state.phase_metrics.lock().expect("phase metrics lock") += local;
 }
 
@@ -669,10 +624,9 @@ fn compute_worker_loop(ctx: &Worker<WorkItem, SinkInput>) {
         // Convert into a shell from the converted pool (hits require a
         // consumer recycling shells) sized for this chunk, then hand the
         // drained columnar chunk straight back to the fill workers.
-        let mut batch =
-            state
-                .converted_pool
-                .acquire_for(0, item.rows.len(), ConvertedBatch::default);
+        let mut batch = state
+            .converted_pool
+            .acquire(item.rows.len(), ConvertedBatch::default);
         // The converter trusts a row marked as repeating its predecessor
         // without comparing it; debug builds hold every routed batch's
         // marks to its rows.
@@ -694,7 +648,7 @@ fn compute_worker_loop(ctx: &Worker<WorkItem, SinkInput>) {
         state
             .process_hist
             .observe((local.process.cpu_nanos - process_before) as f64 / 1e9);
-        state.batch_pool.recycle_for(ctx.id, item.rows);
+        state.batch_pool.recycle(item.rows);
         let (shard, seq) = (item.shard, item.seq);
         match outcome {
             Ok(()) => {
@@ -749,9 +703,9 @@ fn router_loop(ctx: RouterCtx) {
     // Accumulators come off the pool: at steady state a shard's next buffer
     // is a batch some compute worker just finished with.
     let fresh = || {
-        state
-            .batch_pool
-            .acquire(|| ColumnarBatch::with_capacity(dense_cols, sparse_cols, batch_size))
+        state.batch_pool.acquire(0, || {
+            ColumnarBatch::with_capacity(dense_cols, sparse_cols, batch_size)
+        })
     };
     let _open = OpenOnDrop(&state.window);
     let mut pending: BTreeMap<u64, FilledPayload> = BTreeMap::new();
@@ -954,7 +908,6 @@ impl DppService {
             ),
         };
         let depth = config.queue_depth;
-        let shelves = max_fill.clamp(1, MAX_POOL_SHELVES);
 
         let (input_tx, input_rx) = bounded::<FillTask>(depth);
         let (filled_tx, filled_rx) = bounded::<FilledFile>(depth);
@@ -969,12 +922,14 @@ impl DppService {
             counters,
             phase_metrics: Mutex::new(ReaderMetrics::default()),
             errors: Mutex::new(Vec::new()),
-            batch_pool: BatchPool::with_shelves(
-                batch_pool_capacity(depth, config.shards, max_fill, max_compute),
-                shelves,
-            ),
+            batch_pool: BatchPool::new(batch_pool_capacity(
+                depth,
+                config.shards,
+                max_fill,
+                max_compute,
+            )),
             converted_pool: Arc::new(BatchPool::new(converted_pool_capacity(depth, max_compute))),
-            blob_pool: BatchPool::with_shelves(max_fill + 1, shelves),
+            blob_pool: BatchPool::new(max_fill + 1),
             window: RouteWindow {
                 routed: Mutex::new(0),
                 advanced: Condvar::new(),
@@ -1113,12 +1068,6 @@ impl DppService {
 pub struct SnapshotSource(Arc<State>);
 
 impl SnapshotSource {
-    /// A copy of the combined per-phase reader accounting across all
-    /// workers, as of now.
-    pub fn reader_metrics(&self) -> ReaderMetrics {
-        self.0.reader_metrics()
-    }
-
     /// Distribution of per-batch IKJT conversion latency (seconds) across
     /// all compute workers so far.
     pub fn convert_latency(&self) -> HistogramSnapshot {
@@ -1131,10 +1080,10 @@ impl SnapshotSource {
         self.0.process_hist.snapshot()
     }
 
-    /// Takes a live snapshot of throughput, progress, queue depths, worker
-    /// pool sizes, and per-trainer lane state.
-    pub fn snapshot(&self) -> DppSnapshot {
-        self.0.snapshot()
+    /// The service's accounting as of now — the report
+    /// [`DppHandle::finish`] returns, taken live.
+    pub fn snapshot(&self) -> DppReport {
+        self.0.report()
     }
 }
 
@@ -1207,7 +1156,7 @@ impl DppHandle {
     /// a streaming ETL stage seals and lands a [`StoredPartition`], then
     /// hands it straight to the running service instead of accumulating a
     /// pre-built table. Equivalent to [`DppHandle::submit_partition`] plus
-    /// partition accounting in [`DppSnapshot`] / [`DppReport`]; the same
+    /// partition accounting in the [`DppReport`]; the same
     /// backpressure contract applies (blocks while the fill queue is full).
     ///
     /// Ingestion is **idempotent**: each partition (keyed by its blob-store
@@ -1279,9 +1228,10 @@ impl DppHandle {
         std::mem::take(&mut self.trainers)
     }
 
-    /// Takes a live snapshot of throughput, progress, and queue depths.
-    pub fn snapshot(&self) -> DppSnapshot {
-        self.state.snapshot()
+    /// The service's accounting as of now — the report
+    /// [`finish`](Self::finish) returns, taken live.
+    pub fn snapshot(&self) -> DppReport {
+        self.state.report()
     }
 
     /// Returns a cloneable snapshot source that outlives this handle — hand

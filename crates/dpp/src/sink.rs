@@ -24,12 +24,12 @@
 //! batch below the cut has been pushed onto its trainer lane.
 //!
 //! Trainer lanes exist once, here: `TrainerLanes::open` builds a lane set —
-//! the sending halves, the [`TrainerHandle`]s and the lane state both
-//! reports read — for a service and for a fleet alike, and a lane's
+//! the sending halves, the [`TrainerHandle`]s and the lane state the
+//! report reads — for a service and for a fleet alike, and a lane's
 //! dead-aware delivery is `LaneSender::send`.
 
 use crate::channel::{bounded, Gauge, Receiver, RecvTimeout, SendError, Sender};
-use crate::metrics::{TrainerLaneReport, TrainerLaneSnapshot};
+use crate::metrics::TrainerLaneReport;
 use crate::pool::BatchPool;
 use recd_core::ConvertedBatch;
 use std::collections::{BTreeMap, VecDeque};
@@ -183,7 +183,7 @@ impl LaneSender {
     }
 }
 
-/// The state of a set of trainer lanes that both reports read — per lane,
+/// The state of a set of trainer lanes that the report reads — per lane,
 /// the shared counters and a passive depth gauge (which, unlike a channel
 /// half, never keeps the lane open).
 #[derive(Default)]
@@ -220,26 +220,13 @@ impl TrainerLanes {
             .unwrap_or(0)
     }
 
-    /// Every lane's live state.
-    pub(crate) fn snapshot(&self) -> Vec<TrainerLaneSnapshot> {
-        let lanes = self.0.iter().enumerate();
-        lanes
-            .map(|(trainer, (shared, gauge))| TrainerLaneSnapshot {
-                trainer,
-                queue_depth: gauge.len(),
-                delivered_batches: shared.delivered_batches(),
-                delivered_samples: shared.delivered_samples(),
-                consumed_batches: shared.consumed_batches(),
-            })
-            .collect()
-    }
-
-    /// Every lane's final accounting.
+    /// Every lane's accounting, as of now.
     pub(crate) fn report(&self) -> Vec<TrainerLaneReport> {
         let lanes = self.0.iter().enumerate();
         lanes
             .map(|(trainer, (shared, gauge))| TrainerLaneReport {
                 trainer,
+                queue_depth: gauge.len(),
                 delivered_batches: shared.delivered_batches(),
                 delivered_samples: shared.delivered_samples(),
                 consumed_batches: shared.consumed_batches(),

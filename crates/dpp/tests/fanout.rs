@@ -229,7 +229,7 @@ fn stalled_trainer_keeps_its_lane_bounded_without_wedging_the_service() {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let s = source.snapshot();
-        if s.samples_out == samples && s.output_queue_depth == 0 {
+        if s.samples as u64 == samples && s.output_queue_depth == 0 {
             break;
         }
         assert!(Instant::now() < deadline, "the stream stopped: {s:?}");
@@ -398,9 +398,7 @@ fn a_stalled_lane_does_not_hold_a_flush_under_least_loaded() {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let s = source.snapshot();
-        let taken_in = s
-            .batches_out
-            .saturating_sub(s.output_queue_depth as u64 + 1);
+        let taken_in = (s.batches as u64).saturating_sub(s.output_queue_depth as u64 + 1);
         if taken_in >= overflow {
             break;
         }

@@ -423,11 +423,11 @@ fn stale_heartbeat_at_exact_timeout_boundary_stays_live() {
         2,
         "age == timeout is the boundary: still live"
     );
-    assert_eq!(fleet.counters().deaths_detected(), 0);
+    assert_eq!(fleet.counters().report().deaths_detected, 0);
 
     fleet.tick(timeout + 1);
     assert_eq!(fleet.hosts_live(), 1, "age > timeout: declared dead");
-    assert_eq!(fleet.counters().deaths_detected(), 1);
+    assert_eq!(fleet.counters().report().deaths_detected, 1);
 
     // Recover and prove the stream was unharmed.
     fleet.rejoin_host(0);

@@ -77,7 +77,7 @@ fn every_pre_flush_batch_is_delivered_before_flush_returns() {
         );
         // The flush cut partial accumulators, so the routed/emitted totals
         // agree exactly — nothing is stranded mid-pipeline.
-        assert_eq!(snapshot.samples_out as usize, round * f.rows);
+        assert_eq!(snapshot.samples, round * f.rows);
     }
 
     let output = handle.finish().expect("clean run");
@@ -100,7 +100,7 @@ fn flush_on_one_lane_cuts_partial_batches() {
     handle.submit_partition(&f.partition);
     assert!(handle.flush_partition());
     let mid = handle.snapshot();
-    assert_eq!(mid.samples_out as usize, f.rows);
+    assert_eq!(mid.samples, f.rows);
 
     // A second partition after the flush: its rows land in fresh batches.
     handle.submit_partition(&f.partition);
@@ -147,7 +147,7 @@ fn flush_while_idle_and_after_drain_return_immediately() {
         handle.flush_partition(),
         "repeated idle flush must complete"
     );
-    assert_eq!(handle.snapshot().samples_out, 0);
+    assert_eq!(handle.snapshot().samples, 0);
 
     // Flush after the stream already drained: the barrier crosses an empty
     // pipeline.

@@ -506,9 +506,9 @@ fn batch_pool_recycles_buffers_at_steady_state() {
     // full filled queue of 4, one file per fill worker: 1 + 4 + 2), one
     // accumulator per shard plus a full one being handed on (2 + 1), a full
     // work queue (4), and one chunk per compute worker (2). The pool shelves
-    // as many, so a drained pipeline drops no shell, and a miss needs every
+    // as many, so a drained pipeline drops no shell, and a miss needs the
     // shelf empty: misses stay at this population (plus one for each acquire
-    // that scanned a shelf just before a recycle landed on it), a few
+    // that found the shelf empty just before a recycle landed on it), a few
     // percent of the ≥ 24 × 16 acquires.
     let live = (1 + 4 + 2) + (2 + 1) + 4 + 2;
     let rounds = 24;

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "live: {} files in, {} samples out, queues work={} out={}",
         snapshot.files_submitted,
-        snapshot.samples_out,
+        snapshot.samples,
         snapshot.work_queue_depth,
         snapshot.output_queue_depth
     );

@@ -3,7 +3,8 @@
 //! deliver each joined sample exactly once with zero dropped batches, resume
 //! once per `crash-pump`, and deliver the same order-independent row union
 //! whatever the pump step. A resumed pump keeps publishing to the ETL gauges
-//! the registry scrapes. A fleet that loses every host is a typed error.
+//! the registry scrapes, and the registry reads what the reports say. A
+//! fleet that loses every host is a typed error.
 
 use recd::core::{ConvertedBatch, DataLoaderConfig};
 use recd::data::FeatureId;
@@ -180,6 +181,82 @@ fn a_resumed_pump_keeps_the_registered_etl_gauges_live() {
         value("recd_etl_landed_partitions_total"),
         etl.landed_partitions as f64
     );
+}
+
+/// The registry and the report read one account: after a run, the gathered
+/// `recd_dpp_*` output counters equal the service report, and every
+/// `recd_fleet_*_total` counter of a 3-host fleet that loses a host and
+/// takes it back equals the fleet report.
+#[test]
+fn the_registry_and_the_report_agree_after_a_run() {
+    let single = driver(0, &FaultPlan::new(), 60_000);
+    let registry = single.registry();
+    let output = single
+        .run(Arc::new(|_: TrainerBatch| {}))
+        .expect("run finishes cleanly");
+    let families = registry.gather();
+    let value = |name, labels: &[(&str, &str)]| {
+        sample_value(&families, name, labels).unwrap_or_else(|| panic!("{name} registered"))
+    };
+    let dpp = &output.dpp;
+    assert!(dpp.samples > 0);
+    assert_eq!(value("recd_dpp_samples_out_total", &[]), dpp.samples as f64);
+    assert_eq!(value("recd_dpp_batches_out_total", &[]), dpp.batches as f64);
+    assert_eq!(
+        value("recd_dpp_egress_bytes_total", &[]),
+        dpp.egress_bytes as f64
+    );
+    assert_eq!(dpp.trainers.len(), TRAINERS);
+    for lane in &dpp.trainers {
+        let trainer = lane.trainer.to_string();
+        assert_eq!(
+            value(
+                "recd_dpp_trainer_delivered_batches_total",
+                &[("trainer", trainer.as_str())]
+            ),
+            lane.delivered_batches as f64,
+            "trainer {trainer}"
+        );
+    }
+
+    let plan = FaultPlan::new()
+        .with_fault(180_000, FaultKind::KillHost { host: 1 })
+        .with_fault(1_500_000, FaultKind::RejoinHost { host: 1 });
+    let fleet = driver(3, &plan, 60_000);
+    let registry = fleet.registry();
+    let output = fleet
+        .run(Arc::new(|_: TrainerBatch| {}))
+        .expect("run finishes cleanly");
+    let (fleet, _) = output.fleet.expect("a fleet run has a fleet report");
+    assert_eq!((fleet.deaths_detected, fleet.rejoins), (1, 1));
+    let families = registry.gather();
+    let counters: Vec<_> = families
+        .iter()
+        .filter(|f| f.name.starts_with("recd_fleet_") && f.name.ends_with("_total"))
+        .collect();
+    assert_eq!(counters.len(), 15, "every fleet counter family is checked");
+    for family in counters {
+        let expected = match family.name.as_str() {
+            "recd_fleet_hosts_total" => fleet.hosts as f64,
+            "recd_fleet_heartbeats_total" => fleet.heartbeats as f64,
+            "recd_fleet_deaths_detected_total" => fleet.deaths_detected as f64,
+            "recd_fleet_kills_total" => fleet.kills as f64,
+            "recd_fleet_partitions_total" => fleet.partitions as f64,
+            "recd_fleet_rejoins_total" => fleet.rejoins as f64,
+            "recd_fleet_flaps_total" => fleet.flaps as f64,
+            "recd_fleet_barriers_total" => fleet.barriers as f64,
+            "recd_fleet_shard_replacements_total" => fleet.shard_replacements as f64,
+            "recd_fleet_rebalance_moves_total" => fleet.rebalance_moves as f64,
+            "recd_fleet_rebalance_seconds_total" => fleet.rebalance_ms / 1e3,
+            "recd_fleet_replayed_files_total" => fleet.replayed_files as f64,
+            "recd_fleet_duplicate_batches_dropped_total" => fleet.duplicate_batches_dropped as f64,
+            "recd_fleet_forwarded_batches_total" => fleet.forwarded_batches as f64,
+            "recd_fleet_forwarded_samples_total" => fleet.forwarded_samples as f64,
+            other => panic!("{other} has no field in the fleet report"),
+        };
+        let gathered = sample_value(&families, &family.name, &[]);
+        assert_eq!(gathered, Some(expected), "{}", family.name);
+    }
 }
 
 /// A 2-host fleet that loses one host to a kill and the other to a

@@ -21,16 +21,35 @@ const REQUIRED_FAMILIES: &[(&str, &str)] = &[
     ("etl", "recd_etl_records_tailed_total"),
     ("etl", "recd_etl_landed_partitions_total"),
     ("etl", "recd_etl_tail_lag_ms"),
-    // DPP service tier.
+    // DPP service tier: every family the single service exports.
+    ("dpp service", "recd_dpp_files_submitted_total"),
+    ("dpp service", "recd_dpp_partitions_ingested_total"),
+    ("dpp service", "recd_dpp_duplicate_ingests_total"),
+    ("dpp service", "recd_dpp_files_filled_total"),
+    ("dpp service", "recd_dpp_rows_routed_total"),
+    ("dpp service", "recd_dpp_batches_out_total"),
     ("dpp service", "recd_dpp_samples_out_total"),
+    ("dpp service", "recd_dpp_egress_bytes_total"),
+    ("dpp service", "recd_dpp_errors_total"),
+    ("dpp service", "recd_dpp_uptime_seconds"),
+    ("dpp service", "recd_dpp_dedupe_factor"),
+    ("dpp service", "recd_dpp_samples_per_second"),
     ("dpp service", "recd_dpp_queue_depth"),
     ("dpp service", "recd_dpp_workers_live"),
+    ("dpp service", "recd_dpp_scale_events_total"),
+    ("dpp service", "recd_dpp_convert_latency_seconds"),
+    ("dpp service", "recd_dpp_process_latency_seconds"),
     // Batch pool tier.
     ("batch pool", "recd_dpp_pool_acquires_total"),
+    ("batch pool", "recd_dpp_pool_recycled_total"),
+    ("batch pool", "recd_dpp_pool_discarded_total"),
+    ("batch pool", "recd_dpp_pool_trimmed_total"),
     ("batch pool", "recd_dpp_pool_capacity"),
     // Trainer lanes.
     ("trainer lanes", "recd_dpp_trainer_queue_depth"),
     ("trainer lanes", "recd_dpp_trainer_delivered_batches_total"),
+    ("trainer lanes", "recd_dpp_trainer_delivered_samples_total"),
+    ("trainer lanes", "recd_dpp_trainer_consumed_batches_total"),
     // Storage tier.
     ("storage", "recd_storage_get_ops_total"),
     ("storage", "recd_storage_put_bytes_total"),
