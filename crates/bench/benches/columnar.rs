@@ -1,14 +1,17 @@
 //! Benchmarks of the columnar zero-copy fill→convert path, swept over
 //! low/high dedup-factor and wide/narrow sparse distributions, plus
-//! decode+convert on the default datagen workload and the flat process
-//! phase against its row-wise reference.
+//! decode+convert on the default datagen workload, the flat process
+//! phase against its row-wise reference, and the factor × width sweep that
+//! pins `recd_core::BREAK_EVEN_FACTOR`.
 //!
 //! `scripts/bench_snapshot.sh` parses this bench's output into
 //! `BENCH_pipeline.json`, the repo's performance trajectory record.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use recd_bench::BenchFixture;
-use recd_core::{DataLoaderConfig, FeatureConverter, InverseKeyedJaggedTensor};
+use recd_core::{
+    ConvertedBatch, DataLoaderConfig, DedupScratch, FeatureConverter, InverseKeyedJaggedTensor,
+};
 use recd_data::{ColumnarBatch, FeatureId, RequestId, Sample, SessionId, Timestamp};
 use recd_reader::PreprocessPipeline;
 use recd_storage::{decode_stripe_columnar, encode_stripe};
@@ -212,12 +215,117 @@ fn bench_preprocess(c: &mut Criterion) {
     group.finish();
 }
 
+/// Dedupe factors of the break-even sweep.
+const SWEEP_FACTORS: [f64; 8] = [1.0, 1.02, 1.05, 1.1, 1.25, 1.5, 2.0, 4.0];
+/// Ids per row of the sweep's group: RM1's element-wise, short-list and
+/// (truncated) sequence widths.
+const SWEEP_WIDTHS: [usize; 3] = [1, 8, 64];
+
+/// A `BATCH`-row batch of one sparse feature, `width` random ids per row,
+/// holding `BATCH / factor` distinct rows in runs of repeats spread evenly
+/// (sessions clustered), each repeat marked as the stripe decoder marks it.
+fn sweep_batch(factor: f64, width: usize) -> ColumnarBatch {
+    let distinct = (BATCH as f64 / factor).round() as usize;
+    let mut state = 0x1319_8A2E_0370_7344u64;
+    let mut samples: Vec<Sample> = Vec::with_capacity(BATCH);
+    let mut ids: Vec<u64> = Vec::new();
+    for i in 0..BATCH {
+        let tuple = i * distinct / BATCH;
+        if i == 0 || tuple != (i - 1) * distinct / BATCH {
+            ids = (0..width)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (state >> 33) % (1 << 22)
+                })
+                .collect();
+        }
+        let i = i as u64;
+        samples.push(
+            Sample::builder(
+                SessionId::new(tuple as u64),
+                RequestId::new(i),
+                Timestamp::from_millis(i),
+            )
+            .sparse(vec![ids.clone()])
+            .build(),
+        );
+    }
+    let mut batch = ColumnarBatch::from_samples(&samples, 0, 1);
+    let column = &mut batch.columns_mut().sparse[0];
+    for row in 1..BATCH {
+        if column.row(row) == column.row(row - 1) {
+            column.mark_repeat(row);
+        }
+    }
+    batch
+}
+
+/// The break-even sweep behind `recd_core::BREAK_EVEN_FACTOR`: for each
+/// dedupe factor × group width, convert + process of the group as an IKJT
+/// and as plain KJT (`break_even/{ikjt,kjt}/f<factor>_w<width>`), and the
+/// sparse bytes each form ships (`break_even/bytes` lines). The threshold is
+/// the smallest factor at which the IKJT form wins on time or on bytes, the
+/// minimum over the widths.
+fn bench_break_even(c: &mut Criterion) {
+    let feature = FeatureId::new(0);
+    let kjt = FeatureConverter::new(DataLoaderConfig::new().with_kjt_features([feature]));
+    let pipeline = PreprocessPipeline::standard(1 << 20, 64);
+    let mut scratch = DedupScratch::default();
+    let mut group = c.benchmark_group("break_even");
+    group.sample_size(50);
+    for width in SWEEP_WIDTHS {
+        for factor in SWEEP_FACTORS {
+            let batch = sweep_batch(factor, width);
+            let cell = format!("f{factor}_w{width}");
+            // The IKJT form, built directly: at a low factor the converter
+            // itself would ship this group as KJT.
+            let ikjt_form = |shell: &mut ConvertedBatch, scratch: &mut DedupScratch| {
+                shell.batch_size = batch.len();
+                shell.labels.clear();
+                shell.labels.extend_from_slice(batch.labels());
+                shell.ikjts.resize_with(1, Default::default);
+                InverseKeyedJaggedTensor::dedup_from_columnar_into(
+                    &batch,
+                    &[feature],
+                    scratch,
+                    &mut shell.ikjts[0],
+                )
+                .unwrap();
+                pipeline.apply(shell);
+            };
+            let kjt_form = |shell: &mut ConvertedBatch, scratch: &mut DedupScratch| {
+                kjt.convert_columnar_into(&batch, scratch, shell).unwrap();
+                pipeline.apply(shell);
+            };
+            let (mut ikjt_shell, mut kjt_shell) = Default::default();
+            ikjt_form(&mut ikjt_shell, &mut scratch);
+            kjt_form(&mut kjt_shell, &mut scratch);
+            println!(
+                "break_even/bytes/{cell:<38} ikjt {:>8} B  kjt {:>8} B",
+                ikjt_shell.sparse_payload_bytes(),
+                kjt_shell.sparse_payload_bytes()
+            );
+            group.throughput(Throughput::Elements(BATCH as u64));
+            group.bench_function(BenchmarkId::new("ikjt", &cell), |b| {
+                b.iter(|| ikjt_form(black_box(&mut ikjt_shell), &mut scratch))
+            });
+            group.bench_function(BenchmarkId::new("kjt", &cell), |b| {
+                b.iter(|| kjt_form(black_box(&mut kjt_shell), &mut scratch))
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_convert_scenarios,
     bench_dedup_scenarios,
     bench_convert_datagen,
     bench_fill_convert_datagen,
-    bench_preprocess
+    bench_preprocess,
+    bench_break_even
 );
 criterion_main!(benches);

@@ -88,18 +88,30 @@ const fn finalize(mut x: u64) -> u64 {
     x
 }
 
-/// FNV-1a over the little-endian bytes of one `u64`, starting from `state` —
-/// the const-evaluable core of [`Hasher64::write_u64`].
-const fn fnv_write_u64(mut state: u64, value: u64) -> u64 {
+/// FNV-1a over the first `len` little-endian bytes of `value`, starting
+/// from `state` — the const-evaluable core of [`Hasher64::write_u64`].
+const fn fnv_write_le(mut state: u64, value: u64, len: usize) -> u64 {
     let bytes = value.to_le_bytes();
     let mut i = 0;
-    while i < 8 {
+    while i < len {
         state ^= bytes[i] as u64;
         state = state.wrapping_mul(FNV_PRIME);
         i += 1;
     }
     state
 }
+
+/// FNV-1a over the little-endian bytes of one `u64`, starting from `state`.
+const fn fnv_write_u64(state: u64, value: u64) -> u64 {
+    fnv_write_le(state, value, 8)
+}
+
+/// `FNV_PRIME⁴`: an FNV-1a step over a zero byte is a bare multiply by
+/// `FNV_PRIME`, so four zero bytes are one multiply by this.
+const FNV_PRIME_POW4: u64 = FNV_PRIME
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME);
 
 /// The hash state shared by every single-id digest: the FNV basis after the
 /// length prefix `1u64` has been mixed in. Precomputing it lets
@@ -117,9 +129,16 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
 /// Hashes a single id to the exact digest `hash_ids(&[id])` produces, with
 /// no slice round-trip and the length prefix folded into a precomputed
 /// constant — the fast path for per-value transforms such as hash
-/// bucketization.
+/// bucketization. An id below 2³² has four zero high bytes, which fold
+/// into one multiply by `FNV_PRIME⁴`: 7 multiplies with the finalizer, not
+/// 10, for the same digest.
 pub const fn hash_id(id: u64) -> u64 {
-    finalize(fnv_write_u64(SINGLE_ID_PREFIX, id))
+    let state = if id >> 32 == 0 {
+        fnv_write_le(SINGLE_ID_PREFIX, id, 4).wrapping_mul(FNV_PRIME_POW4)
+    } else {
+        fnv_write_u64(SINGLE_ID_PREFIX, id)
+    };
+    finalize(state)
 }
 
 /// Hashes a slice of ids (an id-list feature value) to a 64-bit digest.
@@ -142,6 +161,7 @@ pub fn hash_ids(ids: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     #[test]
@@ -173,6 +193,28 @@ mod tests {
         // Const evaluation works too.
         const DIGEST: u64 = hash_id(7);
         assert_eq!(DIGEST, hash_ids(&[7]));
+    }
+
+    /// The byte loop `hash_id` folds: FNV-1a over all eight bytes.
+    fn hash_id_by_bytes(id: u64) -> u64 {
+        finalize(fnv_write_u64(SINGLE_ID_PREFIX, id))
+    }
+
+    #[test]
+    fn hash_id_folds_zero_high_bytes_exactly_at_the_edges() {
+        for id in [0, (1 << 32) - 1, 1 << 32, u64::MAX] {
+            assert_eq!(hash_id(id), hash_id_by_bytes(id), "id {id}");
+            assert_eq!(hash_ids(&[id]), hash_id(id));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn hash_id_equals_the_byte_loop(id in any::<u64>(), low in 0u64..1 << 32) {
+            prop_assert_eq!(hash_id(id), hash_id_by_bytes(id));
+            prop_assert_eq!(hash_id(low), hash_id_by_bytes(low));
+            prop_assert_eq!(hash_ids(&[id]), hash_id(id));
+        }
     }
 
     #[test]

@@ -5,10 +5,67 @@
 use crate::dense::DenseMatrix;
 use crate::ikjt::InverseKeyedJaggedTensor;
 use crate::kjt::KeyedJaggedTensor;
-use crate::{CoreError, Result};
-use recd_data::{ColumnarBatch, FeatureId, Schema};
+use crate::{CoreError, DedupScratch, Result};
+use recd_codec::Hasher64;
+use recd_data::{ColumnarBatch, FeatureId, Schema, SparseColumn};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+
+/// Rows of a batch's prefix that judge each dedup group (`K`). A shorter
+/// batch keeps every group as an IKJT: too few rows to judge.
+pub const JUDGED_ROWS: usize = 64;
+
+/// The dedupe factor from which a group's IKJT pays (`T`): below it the
+/// group ships as plain KJT. The smallest factor at which the IKJT form
+/// wins on convert + process CPU or on shipped bytes, minimised over RM1's
+/// group widths, on the `columnar` bench's `break_even` sweep.
+pub const BREAK_EVEN_FACTOR: f64 = 1.02;
+
+/// Whether `distinct` distinct rows among [`JUDGED_ROWS`] estimate a
+/// factor of at least [`BREAK_EVEN_FACTOR`].
+fn pays_at(distinct: usize) -> bool {
+    JUDGED_ROWS as f64 >= BREAK_EVEN_FACTOR * distinct as f64
+}
+
+/// Whether `group` keeps its IKJT in a batch of `rows` rows over `columns`
+/// (every grouped feature's index already checked against them).
+///
+/// The estimate is [`JUDGED_ROWS`] over the distinct rows of the batch's
+/// prefix, counted by digest in place. A digest collision can only merge
+/// rows, overstating duplication, so an error keeps the IKJT. Rows marked as
+/// repeating their predecessor in every grouped column digest equal to it,
+/// so when the marks alone reach the threshold the digests are skipped —
+/// with the same verdict they would give: the decision is a function of
+/// row content alone.
+fn group_pays(columns: &[SparseColumn], group: &[FeatureId], rows: usize) -> bool {
+    if rows < JUDGED_ROWS {
+        return true;
+    }
+    let mut unmarked = JUDGED_ROWS;
+    for row in 1..JUDGED_ROWS {
+        if group.iter().all(|f| columns[f.index()].is_repeat(row)) {
+            unmarked -= 1;
+            if pays_at(unmarked) {
+                return true;
+            }
+        }
+    }
+    let mut digests = [0u64; JUDGED_ROWS];
+    for (row, digest) in digests.iter_mut().enumerate() {
+        let mut hasher = Hasher64::new();
+        for feature in group {
+            let values = columns[feature.index()].row(row);
+            hasher.mix_u64(values.len() as u64);
+            for &v in values {
+                hasher.mix_u64(v);
+            }
+        }
+        *digest = hasher.finish();
+    }
+    digests.sort_unstable();
+    let distinct = 1 + digests.windows(2).filter(|w| w[0] != w[1]).count();
+    pays_at(distinct)
+}
 
 /// The RecD-extended DataLoader specification: which sparse features stay in
 /// KJT form and which feature groups are deduplicated into IKJTs.
@@ -110,7 +167,8 @@ impl DataLoaderConfig {
 }
 
 /// The output of feature conversion for one batch: dense features, labels,
-/// the KJT of non-deduplicated features, and one IKJT per dedup group.
+/// the KJT of non-deduplicated features, and one IKJT per dedup group that
+/// pays in this batch.
 ///
 /// The `Default` value is an empty zero-row batch — the shell a buffer pool
 /// hands to [`FeatureConverter::convert_columnar_into`], which overwrites
@@ -123,9 +181,12 @@ pub struct ConvertedBatch {
     pub labels: Vec<f32>,
     /// Dense features as a `[batch_size, dense_features]` matrix.
     pub dense: DenseMatrix,
-    /// Non-deduplicated sparse features.
+    /// Non-deduplicated sparse features: the configured KJT features, then
+    /// the features of every dedup group that ships as KJT in this batch, in
+    /// group order.
     pub kjt: KeyedJaggedTensor,
-    /// One IKJT per configured dedup group, in configuration order.
+    /// One IKJT per dedup group whose estimated factor reaches
+    /// [`BREAK_EVEN_FACTOR`] in this batch, in configuration order.
     pub ikjts: Vec<InverseKeyedJaggedTensor>,
 }
 
@@ -166,7 +227,8 @@ impl ConvertedBatch {
                 .sum::<usize>()
     }
 
-    /// Batch-wide deduplication factor over the grouped features.
+    /// Batch-wide deduplication factor over the batch's IKJTs; a group
+    /// shipped as KJT counts in neither sum.
     pub fn dedupe_factor(&self) -> f64 {
         let stored: usize = self
             .ikjts
@@ -217,7 +279,9 @@ impl FeatureConverter {
 
     /// Converts one columnar batch into tensors. Labels and dense values
     /// copy over as whole buffers, each KJT feature is two flat copies, and
-    /// the dedup groups run the allocation-free columnar IKJT path.
+    /// each dedup group runs the allocation-free columnar IKJT path — or,
+    /// when its factor in this batch is below [`BREAK_EVEN_FACTOR`], joins
+    /// the KJT.
     ///
     /// # Errors
     ///
@@ -225,7 +289,7 @@ impl FeatureConverter {
     /// the batch does not carry a configured feature.
     pub fn convert_columnar(&self, batch: &ColumnarBatch) -> Result<ConvertedBatch> {
         let mut out = ConvertedBatch::default();
-        self.convert_columnar_into(batch, &mut crate::DedupScratch::default(), &mut out)?;
+        self.convert_columnar_into(batch, &mut DedupScratch::default(), &mut out)?;
         Ok(out)
     }
 
@@ -233,9 +297,14 @@ impl FeatureConverter {
     /// recycled) [`ConvertedBatch`], reusing its label, dense, KJT, and
     /// IKJT buffers — the buffer-reusing variant of
     /// [`FeatureConverter::convert_columnar`] that the streaming compute
-    /// workers run with a long-lived [`DedupScratch`](crate::DedupScratch).
-    /// The result is value-identical to [`FeatureConverter::convert_columnar`]
-    /// regardless of what the shell previously held.
+    /// workers run with a long-lived [`DedupScratch`]. The result is
+    /// value-identical to [`FeatureConverter::convert_columnar`] regardless
+    /// of what the shell previously held.
+    ///
+    /// Each group's form is decided from the batch's own rows (see
+    /// [`JUDGED_ROWS`]). A group's buffers stay with the shell and the
+    /// scratch while it ships in the other form, so the decision flipping
+    /// between batches allocates nothing.
     ///
     /// # Errors
     ///
@@ -244,23 +313,45 @@ impl FeatureConverter {
     pub fn convert_columnar_into(
         &self,
         batch: &ColumnarBatch,
-        scratch: &mut crate::DedupScratch,
+        scratch: &mut DedupScratch,
         out: &mut ConvertedBatch,
     ) -> Result<()> {
         self.valid.clone()?;
+        let columns = batch.sparse_columns();
+        if let Some(&feature) = self
+            .all_features
+            .iter()
+            .find(|f| f.index() >= columns.len())
+        {
+            return Err(CoreError::MissingSparseFeature {
+                feature,
+                available: columns.len(),
+            });
+        }
         out.batch_size = batch.len();
         out.labels.clear();
         out.labels.extend_from_slice(batch.labels());
         out.dense
             .assign_from_columnar(batch, self.config.dense_features);
-        out.kjt
-            .assign_from_columnar(batch, &self.config.kjt_features)?;
-        out.ikjts
-            .resize_with(self.config.dedup_groups.len(), Default::default);
-        for (group, ikjt) in self.config.dedup_groups.iter().zip(&mut out.ikjts) {
-            InverseKeyedJaggedTensor::dedup_from_columnar_into(batch, group, scratch, ikjt)?;
+        scratch.kjt_keys.clear();
+        scratch
+            .kjt_keys
+            .extend_from_slice(&self.config.kjt_features);
+        scratch.spare_ikjts.append(&mut out.ikjts);
+        for group in &self.config.dedup_groups {
+            if !group_pays(columns, group, batch.len()) {
+                scratch.kjt_keys.extend_from_slice(group);
+                continue;
+            }
+            let mut ikjt = match scratch.spare_ikjts.iter().position(|i| i.keys() == group) {
+                Some(i) => scratch.spare_ikjts.swap_remove(i),
+                None => InverseKeyedJaggedTensor::default(),
+            };
+            InverseKeyedJaggedTensor::dedup_from_columnar_into(batch, group, scratch, &mut ikjt)?;
+            out.ikjts.push(ikjt);
         }
-        Ok(())
+        out.kjt
+            .assign_from_columnar(batch, &scratch.kjt_keys, &mut scratch.spare_tensors)
     }
 
     /// Converts a columnar batch without any deduplication, regardless of
@@ -296,7 +387,8 @@ impl FeatureConverter {
         out.labels.extend_from_slice(batch.labels());
         out.dense
             .assign_from_columnar(batch, self.config.dense_features);
-        out.kjt.assign_from_columnar(batch, &self.all_features)?;
+        out.kjt
+            .assign_from_columnar(batch, &self.all_features, &mut Vec::new())?;
         out.ikjts.clear();
         Ok(())
     }
@@ -305,7 +397,6 @@ impl FeatureConverter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DedupScratch;
     use recd_data::{FeatureClass, RequestId, Sample, SessionId, Timestamp};
 
     fn f(i: u32) -> FeatureId {
@@ -493,6 +584,111 @@ mod tests {
         assert_eq!(history.values(), &(0..14).collect::<Vec<u64>>()[..]);
         assert_eq!(egress(&batch), buffer_bytes(&batch));
         assert!(egress(&batch) < contiguous);
+    }
+
+    /// A batch of `rows` rows whose sparse lists `lists(row)` gives.
+    fn batch_of(rows: usize, lists: impl Fn(u64) -> Vec<Vec<u64>>) -> ColumnarBatch {
+        let samples: Vec<Sample> = (0..rows as u64)
+            .map(|i| {
+                Sample::builder(
+                    SessionId::new(i),
+                    RequestId::new(i),
+                    Timestamp::from_millis(i),
+                )
+                .sparse(lists(i))
+                .build()
+            })
+            .collect();
+        let sparse_cols = samples.first().map_or(0, |s| s.sparse.len());
+        ColumnarBatch::from_samples(&samples, 0, sparse_cols)
+    }
+
+    #[test]
+    fn break_even_is_the_sweeps_smallest_winning_factor() {
+        // The `columnar` bench's `break_even` sweep: at factor 1.0 the IKJT
+        // form loses on time and bytes at every width; at 1.02 a width-64
+        // group already ships fewer bytes as an IKJT (width 8 from 1.25,
+        // width 1 from 4).
+        assert_eq!(BREAK_EVEN_FACTOR, 1.02);
+        assert_eq!(JUDGED_ROWS, 64);
+        // Over a 64-row prefix that is two repeated rows: 64/62 keeps the
+        // IKJT, 64/63 does not.
+        assert!(pays_at(62) && !pays_at(63));
+
+        // The byte half of the sweep's width-64 rows, recomputed: 512 rows
+        // holding 512/factor distinct lists of 64 ids.
+        let bytes = |factor: f64| {
+            let distinct = (512.0 / factor).round() as u64;
+            let batch = batch_of(512, |i| {
+                let tuple = i * distinct / 512;
+                vec![(0..64).map(|k| tuple * 64 + k).collect()]
+            });
+            let ikjt = InverseKeyedJaggedTensor::dedup_from_columnar(&batch, &[f(0)]).unwrap();
+            let kjt = KeyedJaggedTensor::from_columnar(&batch, &[f(0)]).unwrap();
+            (
+                ikjt.payload_bytes() + ikjt.inverse_lookup_bytes(),
+                kjt.payload_bytes(),
+            )
+        };
+        let (ikjt, kjt) = bytes(1.0);
+        assert!(ikjt > kjt);
+        let (ikjt, kjt) = bytes(BREAK_EVEN_FACTOR);
+        assert!(ikjt < kjt);
+    }
+
+    #[test]
+    fn a_group_that_barely_repeats_ships_as_kjt() {
+        // Feature 0 stays KJT; group [1, 2] never repeats; group [3]
+        // repeats every other row.
+        let lists = |i: u64| vec![vec![i % 3], vec![i], vec![i, i + 1], vec![i / 2]];
+        let config = DataLoaderConfig::new()
+            .with_kjt_features([f(0)])
+            .with_dedup_group([f(1), f(2)])
+            .with_dedup_group([f(3)]);
+        let converter = FeatureConverter::new(config);
+
+        let batch = batch_of(JUDGED_ROWS, lists);
+        let converted = converter.convert_columnar(&batch).unwrap();
+        assert_eq!(converted.kjt.keys(), &[f(0), f(1), f(2)]);
+        assert_eq!(converted.ikjts.len(), 1);
+        assert_eq!(converted.ikjts[0].keys(), &[f(3)]);
+        assert_eq!(converted.kjt.feature(f(2)).unwrap().row(5), &[5, 6]);
+        assert_eq!(converted.dedupe_factor(), 2.0);
+        assert_eq!(
+            converted.logical_sparse_values(),
+            converter
+                .convert_columnar_baseline(&batch)
+                .unwrap()
+                .logical_sparse_values()
+        );
+
+        // Marks are a shortcut, not an input: marking every repeat of the
+        // kept group changes nothing.
+        let mut marked = batch.clone();
+        let column = &mut marked.columns_mut().sparse[3];
+        for row in (1..JUDGED_ROWS).step_by(2) {
+            column.mark_repeat(row);
+        }
+        assert_eq!(converter.convert_columnar(&marked).unwrap(), converted);
+
+        // A batch too short to judge keeps every group.
+        let short = converter
+            .convert_columnar(&batch_of(JUDGED_ROWS - 1, lists))
+            .unwrap();
+        assert_eq!(short.kjt.keys(), &[f(0)]);
+        assert_eq!(short.ikjts.len(), 2);
+
+        // One shell refills to the one-shot result whichever way the
+        // groups flipped before.
+        let mut shell = ConvertedBatch::default();
+        let mut scratch = DedupScratch::default();
+        for rows in [JUDGED_ROWS, JUDGED_ROWS - 1, JUDGED_ROWS] {
+            let batch = batch_of(rows, lists);
+            converter
+                .convert_columnar_into(&batch, &mut scratch, &mut shell)
+                .unwrap();
+            assert_eq!(shell, converter.convert_columnar(&batch).unwrap());
+        }
     }
 
     #[test]

@@ -13,9 +13,11 @@ use serde::{Deserialize, Serialize};
 const EMPTY_SLOT: usize = usize::MAX;
 
 /// Reusable scratch buffers for batch deduplication: the per-row hashers
-/// and digests plus the open-addressing table's storage. A compute worker
-/// holds one `DedupScratch` for its whole lifetime, so steady-state
-/// deduplication allocates nothing beyond buffer growth.
+/// and digests plus the open-addressing table's storage, and the buffers a
+/// [`FeatureConverter`](crate::FeatureConverter) parks while a dedup group
+/// ships in the other form. A compute worker holds one `DedupScratch` for
+/// its whole lifetime, so steady-state conversion allocates nothing beyond
+/// buffer growth, even when a group flips between IKJT and KJT.
 #[derive(Debug, Default, Clone)]
 pub struct DedupScratch {
     probes: Vec<usize>,
@@ -23,6 +25,15 @@ pub struct DedupScratch {
     digests: Vec<u64>,
     table_digests: Vec<u64>,
     table_slots: Vec<usize>,
+    /// This batch's KJT keys: the configured KJT features, then every
+    /// fallen-back group's.
+    pub(crate) kjt_keys: Vec<FeatureId>,
+    /// KJT tensors of features whose group is an IKJT this batch, keyed so
+    /// each buffer goes back to the feature it held.
+    pub(crate) spare_tensors: Vec<(FeatureId, JaggedTensor<u64>)>,
+    /// IKJTs of groups that ship as KJT this batch, or that a recycled
+    /// shell brought in.
+    pub(crate) spare_ikjts: Vec<InverseKeyedJaggedTensor>,
 }
 
 /// A flat open-addressing `(digest, slot)` table sized once per batch, over
@@ -244,6 +255,7 @@ impl InverseKeyedJaggedTensor {
             digests,
             table_digests,
             table_slots,
+            ..
         } = scratch;
 
         let marked = marked.min(batch_size);

@@ -162,22 +162,34 @@ impl KeyedJaggedTensor {
         self.keys.iter().copied().zip(self.tensors.iter_mut())
     }
 
-    /// Refills the KJT from a columnar batch, reusing the existing tensor
-    /// buffers when the feature list is unchanged (the steady-state case of
-    /// a recycled [`ConvertedBatch`](crate::ConvertedBatch) shell) and
-    /// rebuilding from scratch otherwise.
+    /// Refills the KJT with `features` from a columnar batch, reusing tensor
+    /// buffers. When the feature list changes, every tensor is parked on
+    /// `spares` under its feature and each listed feature takes its own
+    /// buffer back (a new one the first time), so a recycled
+    /// [`ConvertedBatch`](crate::ConvertedBatch) shell whose groups flip
+    /// between IKJT and KJT allocates nothing once each feature has held a
+    /// batch this large.
     ///
     /// # Errors
     ///
-    /// Same error conditions as [`KeyedJaggedTensor::from_columnar`].
-    pub fn assign_from_columnar(
+    /// Same error conditions as [`KeyedJaggedTensor::from_columnar`]; on
+    /// error the KJT's contents are unspecified.
+    pub(crate) fn assign_from_columnar(
         &mut self,
         batch: &ColumnarBatch,
         features: &[FeatureId],
+        spares: &mut Vec<(FeatureId, JaggedTensor<u64>)>,
     ) -> Result<()> {
         if self.keys != features {
-            *self = Self::from_columnar(batch, features)?;
-            return Ok(());
+            spares.extend(self.keys.drain(..).zip(self.tensors.drain(..)));
+            for &feature in features {
+                let tensor = match spares.iter().position(|&(key, _)| key == feature) {
+                    Some(i) => spares.swap_remove(i).1,
+                    None => JaggedTensor::new(),
+                };
+                self.keys.push(feature);
+                self.tensors.push(tensor);
+            }
         }
         self.batch_size = batch.len();
         for (&feature, tensor) in features.iter().zip(&mut self.tensors) {

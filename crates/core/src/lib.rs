@@ -16,7 +16,8 @@
 //!   shifted by one ships one id (paper §7's partial IKJTs).
 //! * [`FeatureConverter`] — the reader-side feature-conversion step that
 //!   turns a columnar batch into KJTs and IKJTs, detecting duplicates by
-//!   hashing (O3).
+//!   hashing (O3). A dedup group whose batch barely repeats
+//!   ([`BREAK_EVEN_FACTOR`]) ships as plain KJT.
 //! * [`jagged_index_select`] — index select directly over jagged tensors,
 //!   avoiding the densify-then-select memory blowup (O6).
 //! * [`DedupeModel`] — the analytical `DedupeLen` / `DedupeFactor` model used
@@ -70,7 +71,9 @@ pub mod jagged;
 pub mod kjt;
 pub mod select;
 
-pub use convert::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
+pub use convert::{
+    ConvertedBatch, DataLoaderConfig, FeatureConverter, BREAK_EVEN_FACTOR, JUDGED_ROWS,
+};
 pub use dedupe_factor::{DedupeModel, FeatureDedupeEstimate};
 pub use dense::DenseMatrix;
 pub use error::CoreError;

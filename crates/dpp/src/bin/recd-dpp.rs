@@ -667,6 +667,10 @@ fn print_dpp_report(r: &DppReport) {
         process * 100.0
     );
     println!(
+        "dedup fallback: {} group-batches shipped as KJT",
+        m.fallback_groups
+    );
+    println!(
         "batch pool: {:.1}% reuse ({} hits / {} misses), converted-shell pool: {} hits",
         r.batch_pool.reuse_rate() * 100.0,
         r.batch_pool.hits,

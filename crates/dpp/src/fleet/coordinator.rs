@@ -5,7 +5,7 @@ use super::host::{start_host, FleetShared, HostRuntime};
 use super::obs::{FleetCounters, HostProbe};
 use super::{FleetConfig, FleetOutput, FleetReport};
 use crate::checkpoint::DppCheckpoint;
-use crate::metrics::{per_second, DppReport};
+use crate::metrics::{dedupe_factor, per_second, DppReport};
 use crate::sink::{TrainerHandle, TrainerLanes};
 use recd_data::Schema;
 use recd_obs::MetricsRegistry;
@@ -630,8 +630,6 @@ impl FleetHandle {
         let mut reader_metrics = recd_reader::ReaderMetrics::default();
         let mut scale_events = Vec::new();
         let mut egress_bytes = 0usize;
-        let mut dedupe_weighted = 0.0f64;
-        let mut dedupe_samples = 0usize;
         for (_, report) in host_reports {
             batch_pool += report.batch_pool;
             converted_pool += report.converted_pool;
@@ -642,12 +640,12 @@ impl FleetHandle {
             reader_metrics += report.reader_metrics;
             scale_events.extend(report.scale_events.iter().cloned());
             egress_bytes += report.egress_bytes;
-            dedupe_weighted += report.dedupe_factor * report.samples as f64;
-            dedupe_samples += report.samples;
         }
         let max_of =
             |f: fn(&DppReport) -> usize| host_reports.iter().map(|(_, r)| f(r)).max().unwrap_or(0);
         let sum_of = |f: fn(&DppReport) -> u64| host_reports.iter().map(|(_, r)| f(r)).sum();
+        let logical_sparse_values = sum_of(|r| r.logical_sparse_values);
+        let stored_sparse_values = sum_of(|r| r.stored_sparse_values);
         DppReport {
             fill_workers: self.fleet.config.host.fill_workers,
             compute_workers: self.fleet.config.host.compute_workers,
@@ -666,11 +664,9 @@ impl FleetHandle {
             batches,
             samples_per_second: per_second(samples as u64, wall_seconds),
             egress_bytes,
-            dedupe_factor: if dedupe_samples > 0 {
-                dedupe_weighted / dedupe_samples as f64
-            } else {
-                1.0
-            },
+            logical_sparse_values,
+            stored_sparse_values,
+            dedupe_factor: dedupe_factor(logical_sparse_values, stored_sparse_values),
             errors: sum_of(|r| r.errors),
             peak_input_queue_depth: max_of(|r| r.peak_input_queue_depth),
             peak_filled_queue_depth: max_of(|r| r.peak_filled_queue_depth),

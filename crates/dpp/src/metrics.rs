@@ -5,7 +5,7 @@ use crate::control::{CtrlReport, ScaleEvent};
 use crate::pool::PoolStats;
 use recd_reader::ReaderMetrics;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 
 /// Shared live counters, updated by every stage as work flows through.
 /// Gauges for queue depths live on the channels themselves; this struct only
@@ -40,16 +40,13 @@ pub(crate) struct ServiceCounters {
     pub errors: AtomicU64,
 }
 
-impl ServiceCounters {
-    /// Average in-batch dedup factor over everything emitted so far.
-    pub(crate) fn dedupe_factor(&self) -> f64 {
-        let logical = self.logical_sparse_values.load(Ordering::Relaxed);
-        let stored = self.stored_sparse_values.load(Ordering::Relaxed);
-        if stored == 0 {
-            1.0
-        } else {
-            logical as f64 / stored as f64
-        }
+/// The dedup factor of everything emitted: logical over stored sparse
+/// values, 1 before anything was stored.
+pub(crate) fn dedupe_factor(logical: u64, stored: u64) -> f64 {
+    if stored == 0 {
+        1.0
+    } else {
+        logical as f64 / stored as f64
     }
 }
 
@@ -139,7 +136,12 @@ pub struct DppReport {
     pub samples_per_second: f64,
     /// Preprocessed tensor bytes sent toward trainers.
     pub egress_bytes: usize,
-    /// Average in-batch dedup factor of emitted batches.
+    /// Logical sparse values across emitted batches (pre-dedup).
+    pub logical_sparse_values: u64,
+    /// Stored sparse values across emitted batches (post-dedup).
+    pub stored_sparse_values: u64,
+    /// Dedup factor of emitted batches: `logical_sparse_values` over
+    /// `stored_sparse_values`.
     pub dedupe_factor: f64,
     /// Stage errors (failed fills or conversions).
     pub errors: u64,

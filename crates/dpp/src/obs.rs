@@ -135,6 +135,12 @@ fn collect_report(report: &DppReport, out: &mut MetricsBuf) {
         report.egress_bytes as f64,
     );
     out.counter(
+        "recd_dpp_dedup_fallback_groups_total",
+        "Dedup groups shipped as plain KJT because their batch barely repeats, once per batch each.",
+        &[],
+        report.reader_metrics.fallback_groups as f64,
+    );
+    out.counter(
         "recd_dpp_errors_total",
         "Stage errors (failed fills or conversions).",
         &[],

@@ -38,7 +38,7 @@ use crate::control::{
     spawn_pid_controller, CtrlConfig, CtrlShared, PidParams, PoolControls, PoolGovernor, PumpGate,
     ScaleEvent,
 };
-use crate::metrics::{per_second, DppReport, ServiceCounters};
+use crate::metrics::{dedupe_factor, per_second, DppReport, ServiceCounters};
 use crate::pool::{BatchPool, BlobScratch};
 use crate::sink::{
     run_sink, BarrierState, OutBatch, SinkInput, SinkParams, TrainerAssignPolicy, TrainerHandle,
@@ -445,6 +445,8 @@ impl State {
         let wall_seconds = self.started.elapsed().as_secs_f64();
         let counters = &self.counters;
         let samples = counters.samples_out.load(Ordering::Relaxed);
+        let logical_sparse_values = counters.logical_sparse_values.load(Ordering::Relaxed);
+        let stored_sparse_values = counters.stored_sparse_values.load(Ordering::Relaxed);
         DppReport {
             fill_workers: self.config.fill_workers,
             compute_workers: self.config.compute_workers,
@@ -465,7 +467,9 @@ impl State {
             batches: counters.batches_out.load(Ordering::Relaxed) as usize,
             samples_per_second: per_second(samples, wall_seconds),
             egress_bytes: counters.egress_bytes.load(Ordering::Relaxed) as usize,
-            dedupe_factor: counters.dedupe_factor(),
+            logical_sparse_values,
+            stored_sparse_values,
+            dedupe_factor: dedupe_factor(logical_sparse_values, stored_sparse_values),
             errors: counters.errors.load(Ordering::Relaxed),
             input_queue_depth: self.input_gauge.len(),
             filled_queue_depth: self.filled_gauge.len(),

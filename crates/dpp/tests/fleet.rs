@@ -216,8 +216,8 @@ fn one_host_fleet_reports_the_same_work_and_lanes_as_the_direct_service() {
     assert_eq!(fleet.samples, direct.samples);
     assert_eq!(fleet.batches, direct.batches);
     assert_eq!(fleet.egress_bytes, direct.egress_bytes);
-    // The fleet weights each host's factor by its samples: one host gives
-    // the same factor up to float rounding.
+    // The fleet divides its hosts' summed logical values by their summed
+    // stored values: one host gives the same factor.
     assert!(
         (fleet.dedupe_factor - direct.dedupe_factor).abs() <= 1e-12 * direct.dedupe_factor,
         "dedupe factor {} vs {}",
@@ -235,6 +235,42 @@ fn one_host_fleet_reports_the_same_work_and_lanes_as_the_direct_service() {
             d.trainer
         );
     }
+}
+
+/// The fleet's dedup factor is the ratio the trainers receive — its hosts'
+/// summed logical sparse values over their summed stored ones — not a
+/// sample-weighted mean of the hosts' ratios: files alternate between a
+/// session's clustered rows and time-ordered rows, so the shards, and the
+/// hosts that own them, deduplicate unevenly.
+#[test]
+fn fleet_dedupe_factor_is_the_ratio_the_trainers_receive() {
+    let generator = DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny));
+    let partition = generator.generate_partition();
+    let clustered = cluster_by_session(&partition.samples);
+    let samples: Vec<recd_data::Sample> = clustered
+        .chunks_exact(BATCH)
+        .zip(partition.samples.chunks_exact(BATCH))
+        .flat_map(|(high, low)| high.iter().chain(low))
+        .cloned()
+        .collect();
+    let store = Arc::new(TableStore::new(TectonicSim::new(4), BATCH, 1));
+    let (stored, _) = store.land_partition(&partition.schema, "t", 0, &samples);
+    let f = Fixture {
+        schema: partition.schema,
+        store,
+        partitions: vec![stored],
+    };
+    let (batches, output) = run_fleet_plain(&f, 2);
+    assert!(output.errors.is_empty(), "errors: {:?}", output.errors);
+    assert_zero_drops(&output, "fleet M=2");
+    assert_eq!(output.dpp.batches, batches.len());
+    let logical: usize = batches
+        .iter()
+        .map(|b| b.batch.logical_sparse_values())
+        .sum();
+    let stored: usize = batches.iter().map(|b| b.batch.stored_sparse_values()).sum();
+    assert!(logical > stored, "the table must deduplicate");
+    assert_eq!(output.dpp.dedupe_factor, logical as f64 / stored as f64);
 }
 
 /// Acceptance criterion: kill, long partition (zombie), and rejoin leave the

@@ -55,6 +55,10 @@ pub struct ReaderMetrics {
     pub batches: usize,
     /// Bytes sent from this reader to trainers (preprocessed tensor payload).
     pub egress_bytes: usize,
+    /// Dedup groups shipped as plain KJT, counted once per batch each: the
+    /// groups whose estimated factor in their batch was below
+    /// [`BREAK_EVEN_FACTOR`](recd_core::convert::BREAK_EVEN_FACTOR).
+    pub fallback_groups: usize,
     /// Partition-boundary barriers that crossed the phase pipeline (each
     /// [`flush_partition`](../recd_dpp/struct.DppHandle.html) call injects
     /// one).
@@ -104,6 +108,7 @@ impl AddAssign for ReaderMetrics {
         self.samples += rhs.samples;
         self.batches += rhs.batches;
         self.egress_bytes += rhs.egress_bytes;
+        self.fallback_groups += rhs.fallback_groups;
         self.barrier_flushes += rhs.barrier_flushes;
         self.flushed_partial_batches += rhs.flushed_partial_batches;
     }

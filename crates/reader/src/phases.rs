@@ -115,10 +115,11 @@ impl PhaseEngine {
     }
 
     /// Convert phase (O3): columns → KJT/IKJT tensors, reusing the shell's
-    /// buffers and the engine's dedup scratch. `items` counts the dedup
-    /// groups' logical values — what duplicate detection would hash with no
+    /// buffers and the engine's dedup scratch. `items` counts the kept
+    /// IKJTs' logical values — what duplicate detection would hash with no
     /// repeat hints (zero without dedup groups); `bytes` is the tensor
-    /// payload materialized.
+    /// payload materialized. Every configured group missing from the
+    /// batch's IKJTs shipped as KJT and counts as a fallback.
     fn convert_columnar_into(
         &mut self,
         batch: &ColumnarBatch,
@@ -129,6 +130,7 @@ impl PhaseEngine {
         self.converter
             .convert_columnar_into(batch, &mut self.dedup_scratch, out)?;
         let hashed_values: usize = out.ikjts.iter().map(|i| i.original_value_count()).sum();
+        metrics.fallback_groups += self.config.dataloader.dedup_groups.len() - out.ikjts.len();
         metrics
             .convert
             .record(start.elapsed(), out.sparse_payload_bytes(), hashed_values);

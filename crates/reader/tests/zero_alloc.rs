@@ -1,10 +1,10 @@
 //! The steady-state compute guarantee, counted: once a `PhaseEngine` and a
 //! recycled `ConvertedBatch` shell have held batches this large, convert →
-//! process → pack of a batch performs zero heap allocations.
+//! process → pack of a batch performs zero heap allocations — also when
+//! the batches flip their dedup groups between IKJT and KJT.
 //!
-//! One test in this file, so nothing else in the process allocates on the
-//! counted thread; the counter is thread-local to keep the test harness's
-//! own threads out of it.
+//! The counter is thread-local, so each test counts only its own thread and
+//! the test harness's other threads stay out of it.
 
 use recd_core::{ConvertedBatch, DataLoaderConfig};
 use recd_data::ColumnarBatch;
@@ -112,4 +112,65 @@ fn converting_processing_and_packing_into_a_recycled_shell_allocates_nothing() {
     });
     assert!(windowed > 0, "the batches must exercise the packer");
     assert_eq!(again, 0);
+}
+
+#[test]
+fn groups_flipping_between_ikjt_and_kjt_every_batch_allocate_nothing() {
+    // RM1's shape twice: clustered sessions that repeat (every group keeps
+    // its IKJT), and one-impression sessions whose user features never stay
+    // (every group ships as KJT).
+    let shape = |stay_prob: f64, per_session: f64, sessions: usize| {
+        let mut profiles = vec![
+            FeatureProfile::user_sequence(8, 96, 5),
+            FeatureProfile::user_elementwise(24),
+            FeatureProfile::item(4),
+        ];
+        for profile in &mut profiles[..2] {
+            profile.stay_prob = stay_prob;
+        }
+        WorkloadConfig {
+            profiles,
+            samples_per_session_mean: per_session,
+            seed: 11,
+            ..WorkloadConfig::preset(WorkloadPreset::Small).with_sessions(sessions)
+        }
+    };
+    let high = DatasetGenerator::new(shape(0.95, 12.0, 40)).generate_partition();
+    let low = DatasetGenerator::new(shape(0.0, 1.0, 400)).generate_partition();
+    let schema = high.schema;
+    let chunk = |samples: &[recd_data::Sample]| {
+        ColumnarBatch::from_samples(&samples[..128], schema.dense_count(), schema.sparse_count())
+    };
+    let high = chunk(&cluster_by_session(&high.samples));
+    let low = chunk(&low.samples);
+
+    let dataloader = DataLoaderConfig::from_schema(&schema);
+    let groups = dataloader.dedup_groups.len();
+    let config = ReaderConfig::new(128, dataloader);
+    let mut engine = PhaseEngine::new(config, PreprocessPipeline::standard(1 << 20, 64));
+    let mut shell = ConvertedBatch::default();
+    let mut metrics = ReaderMetrics::default();
+    let mut run = |chunk: &ColumnarBatch, shell: &mut ConvertedBatch| {
+        engine
+            .run_batch_columnar_into(chunk, shell, &mut metrics)
+            .unwrap();
+        shell.ikjts.len()
+    };
+
+    // Warm: each form and each flip once — the first flip back to IKJTs
+    // grows the shelf that parks the KJT's group tensors.
+    for _ in 0..2 {
+        assert_eq!(run(&high, &mut shell), groups);
+        assert_eq!(run(&low, &mut shell), 0);
+    }
+    let mut kept = Vec::with_capacity(8);
+    let flipping = allocations_in(|| {
+        for _ in 0..4 {
+            kept.push(run(&high, &mut shell));
+            kept.push(run(&low, &mut shell));
+        }
+    });
+    assert_eq!(kept, [groups, 0].repeat(4), "every batch must flip");
+    assert_eq!(flipping, 0);
+    assert_eq!(metrics.fallback_groups, 6 * groups);
 }

@@ -30,6 +30,7 @@ const REQUIRED_FAMILIES: &[(&str, &str)] = &[
     ("dpp service", "recd_dpp_batches_out_total"),
     ("dpp service", "recd_dpp_samples_out_total"),
     ("dpp service", "recd_dpp_egress_bytes_total"),
+    ("dpp service", "recd_dpp_dedup_fallback_groups_total"),
     ("dpp service", "recd_dpp_errors_total"),
     ("dpp service", "recd_dpp_uptime_seconds"),
     ("dpp service", "recd_dpp_dedupe_factor"),

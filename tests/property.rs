@@ -5,13 +5,14 @@ use proptest::prelude::*;
 use recd::codec::{delta, lz, varint};
 use recd::core::{
     jagged_index_select, ConvertedBatch, CoreError, DataLoaderConfig, DedupScratch,
-    FeatureConverter, InverseKeyedJaggedTensor, JaggedTensor, KeyedJaggedTensor,
+    FeatureConverter, InverseKeyedJaggedTensor, JaggedTensor, KeyedJaggedTensor, BREAK_EVEN_FACTOR,
+    JUDGED_ROWS,
 };
 use recd::data::{ColumnarBatch, FeatureId, RequestId, Sample, Schema, SessionId, Timestamp};
 use recd::etl::cluster_by_session;
 use recd::reader::{HashBucketize, PreprocessPipeline, SparseTransform, TruncateList};
 use recd::storage::{decode_stripe_columnar, encode_stripe};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// One drawn duplication tuple: `(session, f0, f1)`.
 type DupTuple = (u64, Vec<u64>, Vec<u64>);
@@ -191,6 +192,54 @@ fn planned_pool(rows: &[Vec<u64>]) -> usize {
             _ => row.len(),
         })
         .sum()
+}
+
+/// Repeat chances, in percent, that a drawn duplication level picks from:
+/// dense near zero, where a group's verdict turns.
+const REPEAT_PERCENT: [u64; 8] = [0, 1, 2, 3, 5, 10, 30, 70];
+
+/// One drawn row for [`leveled_batch`]: a roll (its two lowest decimal
+/// digit pairs decide each group's repeat), then fresh lists for features
+/// 0–3.
+type LeveledRow = (u64, Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>);
+
+/// A batch for feature 0 (KJT) and the groups `[1, 2]` and `[3]`: each
+/// group's lists repeat the previous row's with its own chance, and every
+/// repeat is marked or not as `marks` says.
+fn leveled_batch(levels: (usize, usize), rows: &[LeveledRow], marks: &[bool]) -> ColumnarBatch {
+    let mut samples: Vec<Sample> = Vec::with_capacity(rows.len());
+    for (i, (roll, f0, f1, f2, f3)) in rows.iter().enumerate() {
+        let mut sparse = vec![f0.clone(), f1.clone(), f2.clone(), f3.clone()];
+        if let Some(prev) = samples.last() {
+            if roll % 100 < REPEAT_PERCENT[levels.0] {
+                sparse[1] = prev.sparse[1].clone();
+                sparse[2] = prev.sparse[2].clone();
+            }
+            if roll / 100 % 100 < REPEAT_PERCENT[levels.1] {
+                sparse[3] = prev.sparse[3].clone();
+            }
+        }
+        let i = i as u64;
+        samples.push(
+            Sample::builder(
+                SessionId::new(i),
+                RequestId::new(i),
+                Timestamp::from_millis(i),
+            )
+            .label((i % 2) as f32)
+            .sparse(sparse)
+            .build(),
+        );
+    }
+    let mut batch = ColumnarBatch::from_samples(&samples, 0, 4);
+    for column in batch.columns_mut().sparse.iter_mut() {
+        for row in 1..column.row_count() {
+            if column.row(row) == column.row(row - 1) && marks.get(row).copied().unwrap_or(true) {
+                column.mark_repeat(row);
+            }
+        }
+    }
+    batch
 }
 
 proptest! {
@@ -435,6 +484,87 @@ proptest! {
         let decoded = decode_stripe_columnar(&schema, &block).unwrap();
         decoded.check_repeats().unwrap();
         prop_assert_eq!(converter.convert_columnar(&decoded).unwrap(), want);
+    }
+
+    /// Each dedup group ships as an IKJT or as plain KJT by its batch's own
+    /// rows, and either way the batch is the same data: it expands row for
+    /// row to the baseline conversion; every configured feature appears
+    /// exactly once, the KJT's configured features first and then the
+    /// fallen-back groups', the kept IKJTs in configuration order; a group
+    /// is kept exactly when its first `JUDGED_ROWS` rows hold few enough
+    /// distinct tuples (counted exactly here), and always in a shorter
+    /// batch; and repeat marks change nothing.
+    #[test]
+    fn groups_ship_as_ikjt_only_where_dedup_pays(
+        levels in (0usize..8, 0usize..8),
+        rows in vec(
+            (
+                any::<u64>(),
+                vec(0u64..500, 0..4),
+                vec(0u64..500, 1..4),
+                vec(0u64..500, 0..3),
+                vec(0u64..500, 1..3),
+            ),
+            1..160,
+        ),
+        marks in vec(any::<bool>(), 0..160),
+    ) {
+        let (a, b) = (FeatureId::new(1), FeatureId::new(2));
+        let (c, k) = (FeatureId::new(3), FeatureId::new(0));
+        let config = DataLoaderConfig::new()
+            .with_kjt_features([k])
+            .with_dedup_group([a, b])
+            .with_dedup_group([c]);
+        let converter = FeatureConverter::new(config.clone());
+        let hinted = leveled_batch(levels, &rows, &marks);
+        let mut plain = hinted.clone();
+        plain.clear_repeats();
+
+        let converted = converter.convert_columnar(&hinted).unwrap();
+        prop_assert_eq!(&converter.convert_columnar(&plain).unwrap(), &converted);
+
+        let baseline = converter.convert_columnar_baseline(&hinted).unwrap();
+        for &feature in &[k, a, b, c] {
+            let want = baseline.kjt.feature(feature).unwrap();
+            for row in 0..rows.len() {
+                let got = match converted.kjt.feature(feature) {
+                    Some(tensor) => tensor.row(row),
+                    None => converted
+                        .ikjts
+                        .iter()
+                        .find_map(|ikjt| ikjt.row(feature, row).ok())
+                        .unwrap(),
+                };
+                prop_assert_eq!(got, want.row(row));
+            }
+        }
+
+        let pays = |group: &[FeatureId]| {
+            let prefix: HashSet<Vec<&[u64]>> = (0..rows.len().min(JUDGED_ROWS))
+                .map(|row| group.iter().map(|f| hinted.sparse_columns()[f.index()].row(row)).collect())
+                .collect();
+            rows.len() < JUDGED_ROWS
+                || JUDGED_ROWS as f64 / prefix.len() as f64 >= BREAK_EVEN_FACTOR
+        };
+        let mut kjt_keys = config.kjt_features.clone();
+        let mut kept = Vec::new();
+        for group in &config.dedup_groups {
+            if pays(group) {
+                kept.push(group.as_slice());
+            } else {
+                kjt_keys.extend_from_slice(group);
+            }
+        }
+        prop_assert_eq!(converted.kjt.keys(), kjt_keys.as_slice());
+        let ikjt_keys: Vec<&[FeatureId]> = converted.ikjts.iter().map(|i| i.keys()).collect();
+        prop_assert_eq!(&ikjt_keys, &kept);
+        let mut seen: Vec<FeatureId> = kjt_keys;
+        seen.extend(kept.iter().flat_map(|g| g.iter().copied()));
+        seen.sort();
+        prop_assert_eq!(seen, vec![k, a, b, c]);
+        if rows.len() < JUDGED_ROWS {
+            prop_assert_eq!(converted.ikjts.len(), config.dedup_groups.len());
+        }
     }
 
     /// Truncating before hashing gives the tensors hashing before
