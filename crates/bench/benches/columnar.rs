@@ -18,45 +18,60 @@ use recd_storage::{decode_stripe_columnar, encode_stripe};
 
 const BATCH: usize = 512;
 
-/// One synthetic workload shape: how often rows repeat and how many ids a
-/// sparse row carries.
+/// One synthetic workload shape: how often rows repeat, how many ids a
+/// sparse row carries, and whether repeats carry the stripe decoder's marks.
 struct Scenario {
-    name: &'static str,
-    /// Consecutive rows sharing one feature tuple (the in-batch dup factor).
-    dup_factor: usize,
+    /// Rows per distinct feature tuple (the in-batch dedupe factor).
+    dup_factor: f64,
     /// Ids per row of the deduplicated feature (the non-dedup feature gets
     /// a quarter of this, minimum one).
     width: usize,
+    /// Whether each row equal to its predecessor is marked as a repeat, as
+    /// `decode_stripe_columnar` marks it.
+    marked: bool,
 }
 
-const SCENARIOS: &[Scenario] = &[
-    Scenario {
-        name: "low_dup_narrow",
-        dup_factor: 1,
-        width: 4,
-    },
-    Scenario {
-        name: "low_dup_wide",
-        dup_factor: 1,
-        width: 32,
-    },
-    Scenario {
-        name: "high_dup_narrow",
-        dup_factor: 8,
-        width: 4,
-    },
-    Scenario {
-        name: "high_dup_wide",
-        dup_factor: 8,
-        width: 32,
-    },
+const SCENARIOS: &[(&str, Scenario)] = &[
+    (
+        "low_dup_narrow",
+        Scenario {
+            dup_factor: 1.0,
+            width: 4,
+            marked: false,
+        },
+    ),
+    (
+        "low_dup_wide",
+        Scenario {
+            dup_factor: 1.0,
+            width: 32,
+            marked: false,
+        },
+    ),
+    (
+        "high_dup_narrow",
+        Scenario {
+            dup_factor: 8.0,
+            width: 4,
+            marked: false,
+        },
+    ),
+    (
+        "high_dup_wide",
+        Scenario {
+            dup_factor: 8.0,
+            width: 32,
+            marked: false,
+        },
+    ),
 ];
 
-/// Deterministic synthetic batch: `BATCH` rows, each distinct feature tuple
-/// repeated `dup_factor` times consecutively (sessions clustered, as the ETL
-/// stage guarantees).
-fn scenario_samples(s: &Scenario) -> Vec<Sample> {
+/// Deterministic synthetic batch: `BATCH` rows holding `BATCH / dup_factor`
+/// distinct feature tuples, each repeated in one consecutive run (sessions
+/// clustered, as the ETL stage guarantees), runs spread evenly.
+fn scenario_batch(s: &Scenario) -> ColumnarBatch {
     let narrow = (s.width / 4).max(1);
+    let distinct = (BATCH as f64 / s.dup_factor).round() as usize;
     let mut state = 0x243F_6A88_85A3_08D3u64;
     let mut next = move || {
         state = state
@@ -64,29 +79,37 @@ fn scenario_samples(s: &Scenario) -> Vec<Sample> {
             .wrapping_add(1442695040888963407);
         state >> 33
     };
-    let mut samples = Vec::with_capacity(BATCH);
-    while samples.len() < BATCH {
-        let session = samples.len() / s.dup_factor;
-        let f0: Vec<u64> = (0..s.width).map(|_| next() % 100_000).collect();
-        let f1: Vec<u64> = (0..narrow).map(|_| next() % 100_000).collect();
-        for _ in 0..s.dup_factor {
-            if samples.len() >= BATCH {
-                break;
+    let (mut f0, mut f1) = (Vec::new(), Vec::new());
+    let samples: Vec<Sample> = (0..BATCH)
+        .map(|i| {
+            let session = i * distinct / BATCH;
+            if i == 0 || session != (i - 1) * distinct / BATCH {
+                f0 = (0..s.width).map(|_| next() % (1 << 22)).collect();
+                f1 = (0..narrow).map(|_| next() % (1 << 22)).collect();
             }
-            let i = samples.len() as u64;
-            samples.push(
-                Sample::builder(
-                    SessionId::new(session as u64),
-                    RequestId::new(i),
-                    Timestamp::from_millis(i),
-                )
-                .label((i % 2) as f32)
-                .dense(vec![i as f32, session as f32])
-                .sparse(vec![f0.clone(), f1.clone()]),
-            );
+            let i = i as u64;
+            Sample::builder(
+                SessionId::new(session as u64),
+                RequestId::new(i),
+                Timestamp::from_millis(i),
+            )
+            .label((i % 2) as f32)
+            .dense(vec![i as f32, session as f32])
+            .sparse(vec![f0.clone(), f1.clone()])
+            .build()
+        })
+        .collect();
+    let mut batch = ColumnarBatch::from_samples(&samples, 2, 2);
+    if s.marked {
+        for column in batch.columns_mut().sparse.iter_mut() {
+            for row in 1..BATCH {
+                if column.row(row) == column.row(row - 1) {
+                    column.mark_repeat(row);
+                }
+            }
         }
     }
-    samples.into_iter().map(|b| b.build()).collect()
+    batch
 }
 
 fn scenario_converter() -> FeatureConverter {
@@ -99,16 +122,18 @@ fn scenario_converter() -> FeatureConverter {
 }
 
 /// Convert phase only: `convert_columnar` over prebuilt batches, across
-/// the dup-factor/width sweep.
+/// the dup-factor/width sweep. At factor 1 the dedup group ships as KJT, so
+/// the `low_dup` rows time that fallback; `columnar_dedup` times the IKJT
+/// path at every factor.
 fn bench_convert_scenarios(c: &mut Criterion) {
     let converter = scenario_converter();
     let mut group = c.benchmark_group("columnar_convert");
     group.sample_size(20);
-    for s in SCENARIOS {
-        let columnar = ColumnarBatch::from_samples(&scenario_samples(s), 2, 2);
+    for (name, s) in SCENARIOS {
+        let columnar = scenario_batch(s);
         group.throughput(Throughput::Elements(columnar.sparse_value_count() as u64));
         group.bench_with_input(
-            BenchmarkId::new("columnar", s.name),
+            BenchmarkId::new("columnar", name),
             &columnar,
             |b, columnar| b.iter(|| converter.convert_columnar(black_box(columnar)).unwrap()),
         );
@@ -121,11 +146,11 @@ fn bench_dedup_scenarios(c: &mut Criterion) {
     let group_features = [FeatureId::new(0), FeatureId::new(1)];
     let mut group = c.benchmark_group("columnar_dedup");
     group.sample_size(20);
-    for s in SCENARIOS {
-        let columnar = ColumnarBatch::from_samples(&scenario_samples(s), 2, 2);
+    for (name, s) in SCENARIOS {
+        let columnar = scenario_batch(s);
         group.throughput(Throughput::Elements(columnar.sparse_value_count() as u64));
         group.bench_with_input(
-            BenchmarkId::new("from_columnar", s.name),
+            BenchmarkId::new("from_columnar", name),
             &columnar,
             |b, columnar| {
                 b.iter(|| {
@@ -221,49 +246,9 @@ const SWEEP_FACTORS: [f64; 8] = [1.0, 1.02, 1.05, 1.1, 1.25, 1.5, 2.0, 4.0];
 /// (truncated) sequence widths.
 const SWEEP_WIDTHS: [usize; 3] = [1, 8, 64];
 
-/// A `BATCH`-row batch of one sparse feature, `width` random ids per row,
-/// holding `BATCH / factor` distinct rows in runs of repeats spread evenly
-/// (sessions clustered), each repeat marked as the stripe decoder marks it.
-fn sweep_batch(factor: f64, width: usize) -> ColumnarBatch {
-    let distinct = (BATCH as f64 / factor).round() as usize;
-    let mut state = 0x1319_8A2E_0370_7344u64;
-    let mut samples: Vec<Sample> = Vec::with_capacity(BATCH);
-    let mut ids: Vec<u64> = Vec::new();
-    for i in 0..BATCH {
-        let tuple = i * distinct / BATCH;
-        if i == 0 || tuple != (i - 1) * distinct / BATCH {
-            ids = (0..width)
-                .map(|_| {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    (state >> 33) % (1 << 22)
-                })
-                .collect();
-        }
-        let i = i as u64;
-        samples.push(
-            Sample::builder(
-                SessionId::new(tuple as u64),
-                RequestId::new(i),
-                Timestamp::from_millis(i),
-            )
-            .sparse(vec![ids.clone()])
-            .build(),
-        );
-    }
-    let mut batch = ColumnarBatch::from_samples(&samples, 0, 1);
-    let column = &mut batch.columns_mut().sparse[0];
-    for row in 1..BATCH {
-        if column.row(row) == column.row(row - 1) {
-            column.mark_repeat(row);
-        }
-    }
-    batch
-}
-
 /// The break-even sweep behind `recd_core::BREAK_EVEN_FACTOR`: for each
-/// dedupe factor × group width, convert + process of the group as an IKJT
+/// dedupe factor × group width, over a marked [`scenario_batch`] whose
+/// feature 0 is the group, convert + process of the group as an IKJT
 /// and as plain KJT (`break_even/{ikjt,kjt}/f<factor>_w<width>`), and the
 /// sparse bytes each form ships (`break_even/bytes` lines). The threshold is
 /// the smallest factor at which the IKJT form wins on time or on bytes, the
@@ -277,7 +262,11 @@ fn bench_break_even(c: &mut Criterion) {
     group.sample_size(50);
     for width in SWEEP_WIDTHS {
         for factor in SWEEP_FACTORS {
-            let batch = sweep_batch(factor, width);
+            let batch = scenario_batch(&Scenario {
+                dup_factor: factor,
+                width,
+                marked: true,
+            });
             let cell = format!("f{factor}_w{width}");
             // The IKJT form, built directly: at a low factor the converter
             // itself would ship this group as KJT.

@@ -3,10 +3,9 @@
 //! Figure 5).
 
 use crate::dense::DenseMatrix;
-use crate::ikjt::InverseKeyedJaggedTensor;
+use crate::ikjt::{distinct_prefix_rows, InverseKeyedJaggedTensor};
 use crate::kjt::KeyedJaggedTensor;
 use crate::{CoreError, DedupScratch, Result};
-use recd_codec::Hasher64;
 use recd_data::{ColumnarBatch, FeatureId, Schema, SparseColumn};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -19,6 +18,13 @@ pub const JUDGED_ROWS: usize = 64;
 /// group ships as plain KJT. The smallest factor at which the IKJT form
 /// wins on convert + process CPU or on shipped bytes, minimised over RM1's
 /// group widths, on the `columnar` bench's `break_even` sweep.
+///
+/// The bytes half sets it: a width-64 group ships 0.4 % fewer bytes as an
+/// IKJT at 1.02 while costing more convert + process time, which it first
+/// saves at 1.1. The end-to-end workloads only test the value from outside:
+/// their groups sit near 1.0 (`preproc_lowdup`) or at 2.45 and above, so
+/// any threshold between those gives the same runs, and the range in
+/// between is unverified end to end.
 pub const BREAK_EVEN_FACTOR: f64 = 1.02;
 
 /// Whether `distinct` distinct rows among [`JUDGED_ROWS`] estimate a
@@ -31,7 +37,8 @@ fn pays_at(distinct: usize) -> bool {
 /// (every grouped feature's index already checked against them).
 ///
 /// The estimate is [`JUDGED_ROWS`] over the distinct rows of the batch's
-/// prefix, counted by digest in place. A digest collision can only merge
+/// prefix, counted by the dedup table's row digest in place
+/// ([`distinct_prefix_rows`]). A digest collision can only merge
 /// rows, overstating duplication, so an error keeps the IKJT. Rows marked as
 /// repeating their predecessor in every grouped column digest equal to it,
 /// so when the marks alone reach the threshold the digests are skipped —
@@ -50,21 +57,7 @@ fn group_pays(columns: &[SparseColumn], group: &[FeatureId], rows: usize) -> boo
             }
         }
     }
-    let mut digests = [0u64; JUDGED_ROWS];
-    for (row, digest) in digests.iter_mut().enumerate() {
-        let mut hasher = Hasher64::new();
-        for feature in group {
-            let values = columns[feature.index()].row(row);
-            hasher.mix_u64(values.len() as u64);
-            for &v in values {
-                hasher.mix_u64(v);
-            }
-        }
-        *digest = hasher.finish();
-    }
-    digests.sort_unstable();
-    let distinct = 1 + digests.windows(2).filter(|w| w[0] != w[1]).count();
-    pays_at(distinct)
+    pays_at(distinct_prefix_rows::<JUDGED_ROWS>(columns, group))
 }
 
 /// The RecD-extended DataLoader specification: which sparse features stay in

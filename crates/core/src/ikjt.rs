@@ -6,7 +6,7 @@ use crate::kjt::KeyedJaggedTensor;
 use crate::select::jagged_index_select;
 use crate::{CoreError, Result};
 use recd_codec::Hasher64;
-use recd_data::{ColumnarBatch, FeatureId};
+use recd_data::{ColumnarBatch, FeatureId, SparseColumn};
 use serde::{Deserialize, Serialize};
 
 /// Sentinel marking an unoccupied [`DedupTable`] bucket.
@@ -34,6 +34,36 @@ pub struct DedupScratch {
     /// IKJTs of groups that ship as KJT this batch, or that a recycled
     /// shell brought in.
     pub(crate) spare_ikjts: Vec<InverseKeyedJaggedTensor>,
+}
+
+/// Mixes one grouped feature's row into that row's digest: its length, then
+/// its values. A group's row digest mixes its features' rows in group order
+/// — the one format the dedup table and the converter's form judge read.
+fn mix_row(hasher: &mut Hasher64, values: &[u64]) {
+    hasher.mix_u64(values.len() as u64);
+    for &v in values {
+        hasher.mix_u64(v);
+    }
+}
+
+/// The distinct group tuples among the first `N` rows of `columns` (which
+/// hold at least `N` rows and every grouped feature), counted by row digest
+/// in place. A digest collision merges two rows, so the count is never
+/// above the true one.
+pub(crate) fn distinct_prefix_rows<const N: usize>(
+    columns: &[SparseColumn],
+    group: &[FeatureId],
+) -> usize {
+    let mut digests = [0u64; N];
+    for (row, digest) in digests.iter_mut().enumerate() {
+        let mut hasher = Hasher64::new();
+        for feature in group {
+            mix_row(&mut hasher, columns[feature.index()].row(row));
+        }
+        *digest = hasher.finish();
+    }
+    digests.sort_unstable();
+    1 + digests.windows(2).filter(|w| w[0] != w[1]).count()
 }
 
 /// A flat open-addressing `(digest, slot)` table sized once per batch, over
@@ -266,13 +296,7 @@ impl InverseKeyedJaggedTensor {
         hashers.resize(probes.len() + (batch_size - marked), Hasher64::new());
         let (head, tail) = hashers.split_at_mut(probes.len());
         for fi in 0..group.len() {
-            let mix = |row: usize, hasher: &mut Hasher64| {
-                let values = row_view(fi, row);
-                hasher.mix_u64(values.len() as u64);
-                for &v in values {
-                    hasher.mix_u64(v);
-                }
-            };
+            let mix = |row: usize, hasher: &mut Hasher64| mix_row(hasher, row_view(fi, row));
             for (&row, hasher) in probes.iter().zip(head.iter_mut()) {
                 mix(row, hasher);
             }

@@ -119,6 +119,21 @@ fn first_seen_slots(tuples: Vec<Vec<Vec<u64>>>) -> (Vec<Vec<Vec<u64>>>, Vec<usiz
     (distinct, inverse)
 }
 
+/// The exact form oracle: whether `group` keeps its IKJT in `batch` — the
+/// batch has fewer than `JUDGED_ROWS` rows, or its first `JUDGED_ROWS` rows,
+/// their distinct group tuples counted exactly, estimate a dedupe factor of
+/// at least `BREAK_EVEN_FACTOR`.
+fn keeps_ikjt(batch: &ColumnarBatch, group: &[FeatureId]) -> bool {
+    if batch.len() < JUDGED_ROWS {
+        return true;
+    }
+    let columns = batch.sparse_columns();
+    let prefix: HashSet<Vec<&[u64]>> = (0..JUDGED_ROWS)
+        .map(|row| group.iter().map(|f| columns[f.index()].row(row)).collect())
+        .collect();
+    JUDGED_ROWS as f64 / prefix.len() as f64 >= BREAK_EVEN_FACTOR
+}
+
 /// Strategy for a batch of rows for one feature: ids drawn from a small
 /// alphabet so duplicates are common, with empty rows allowed.
 fn rows_strategy() -> impl Strategy<Value = Vec<Vec<u64>>> {
@@ -367,10 +382,12 @@ proptest! {
 
     /// Conversion against an independent row-wise oracle: for random batches
     /// under `from_schema` (a grouped IKJT beside a KJT) and
-    /// `baseline_from_schema` (all KJT), every IKJT's slot *i* holds the
-    /// *i*-th distinct group tuple in first-seen order, its inverse lookup
-    /// is the oracle's, and expanding it through that lookup gives back the
-    /// input rows; KJT rows, dense values and labels equal the input too.
+    /// `baseline_from_schema` (all KJT), the group ships as an IKJT exactly
+    /// where [`keeps_ikjt`] says so, and in the KJT after the configured
+    /// features otherwise; every kept IKJT's slot *i* holds the *i*-th
+    /// distinct group tuple in first-seen order, its inverse lookup is the
+    /// oracle's, and expanding it through that lookup gives back the input
+    /// rows; KJT rows, dense values and labels equal the input too.
     #[test]
     fn columnar_dedup_and_convert_match_row_wise(
         (dup_factor, tuples) in dup_batch_strategy(),
@@ -399,16 +416,24 @@ proptest! {
             for (row, sample) in samples.iter().enumerate() {
                 prop_assert_eq!(converted.dense.row(row), sample.dense.as_slice());
             }
-            prop_assert_eq!(converted.kjt.keys(), config.kjt_features.as_slice());
-            for &feature in &config.kjt_features {
+            // A group whose batch barely repeats ships in the KJT, after
+            // the configured KJT features.
+            let (kept, fallen): (Vec<&Vec<FeatureId>>, Vec<&Vec<FeatureId>>) = config
+                .dedup_groups
+                .iter()
+                .partition(|group| keeps_ikjt(&columnar, group));
+            let mut kjt_keys = config.kjt_features.clone();
+            kjt_keys.extend(fallen.iter().flat_map(|group| group.iter().copied()));
+            prop_assert_eq!(converted.kjt.keys(), kjt_keys.as_slice());
+            for &feature in &kjt_keys {
                 let tensor = converted.kjt.feature(feature).unwrap();
                 for (row, sample) in samples.iter().enumerate() {
                     prop_assert_eq!(tensor.row(row), sample.sparse[feature.index()].as_slice());
                 }
             }
 
-            prop_assert_eq!(converted.ikjts.len(), config.dedup_groups.len());
-            for (group, ikjt) in config.dedup_groups.iter().zip(&converted.ikjts) {
+            prop_assert_eq!(converted.ikjts.len(), kept.len());
+            for (group, ikjt) in kept.into_iter().zip(&converted.ikjts) {
                 let (distinct, inverse) = first_seen_slots(
                     samples
                         .iter()
@@ -539,17 +564,10 @@ proptest! {
             }
         }
 
-        let pays = |group: &[FeatureId]| {
-            let prefix: HashSet<Vec<&[u64]>> = (0..rows.len().min(JUDGED_ROWS))
-                .map(|row| group.iter().map(|f| hinted.sparse_columns()[f.index()].row(row)).collect())
-                .collect();
-            rows.len() < JUDGED_ROWS
-                || JUDGED_ROWS as f64 / prefix.len() as f64 >= BREAK_EVEN_FACTOR
-        };
         let mut kjt_keys = config.kjt_features.clone();
         let mut kept = Vec::new();
         for group in &config.dedup_groups {
-            if pays(group) {
+            if keeps_ikjt(&hinted, group) {
                 kept.push(group.as_slice());
             } else {
                 kjt_keys.extend_from_slice(group);
