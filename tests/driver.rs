@@ -184,7 +184,8 @@ fn a_resumed_pump_keeps_the_registered_etl_gauges_live() {
 }
 
 /// The registry and the report read one account: after a run, the gathered
-/// `recd_dpp_*` output counters equal the service report, and every
+/// `recd_dpp_*` output counters equal the service report, every
+/// `recd_etl_*` family equals its field of the ETL report, and every
 /// `recd_fleet_*_total` counter of a 3-host fleet that loses a host and
 /// takes it back equals the fleet report.
 #[test]
@@ -217,6 +218,38 @@ fn the_registry_and_the_report_agree_after_a_run() {
             lane.delivered_batches as f64,
             "trainer {trainer}"
         );
+    }
+    let etl = &output.etl;
+    let c = &etl.etl.counters;
+    let tail_end_ms = LogTail::new(
+        DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny))
+            .generate_logs()
+            .0,
+        &TailConfig::default().with_jitter_ms(2_000),
+    )
+    .end_ms();
+    let etl_families: Vec<_> = families
+        .iter()
+        .filter(|f| f.name.starts_with("recd_etl_"))
+        .collect();
+    assert_eq!(etl_families.len(), 13, "every ETL family is checked");
+    for family in etl_families {
+        let expected = match family.name.as_str() {
+            "recd_etl_records_tailed_total" => c.records,
+            "recd_etl_joined_samples_total" => c.joined_samples,
+            "recd_etl_late_drops_total" => c.late_drops,
+            "recd_etl_duplicates_total" => c.duplicates,
+            "recd_etl_orphaned_total" => c.orphaned_features + c.orphaned_events,
+            "recd_etl_open_hours" | "recd_etl_open_sessions" | "recd_etl_buffered_rows" => 0,
+            "recd_etl_sealed_partitions_total" => c.sealed_partitions,
+            "recd_etl_landed_partitions_total" => etl.landed_partitions,
+            "recd_etl_watermark_ms" => etl.etl.final_watermark_ms,
+            "recd_etl_tail_lag_ms" => tail_end_ms - etl.etl.final_watermark_ms,
+            "recd_etl_tail_remaining" => 0,
+            other => panic!("{other} has no field in the ETL report"),
+        };
+        let gathered = sample_value(&families, &family.name, &[]);
+        assert_eq!(gathered, Some(expected as f64), "{}", family.name);
     }
 
     let plan = FaultPlan::new()

@@ -17,10 +17,20 @@ use std::sync::Arc;
 
 /// Families the scrape must carry, one (or more) per tier.
 const REQUIRED_FAMILIES: &[(&str, &str)] = &[
-    // Streaming ETL tier.
+    // Streaming ETL tier: every family the service exports.
     ("etl", "recd_etl_records_tailed_total"),
+    ("etl", "recd_etl_joined_samples_total"),
+    ("etl", "recd_etl_late_drops_total"),
+    ("etl", "recd_etl_duplicates_total"),
+    ("etl", "recd_etl_orphaned_total"),
+    ("etl", "recd_etl_open_hours"),
+    ("etl", "recd_etl_open_sessions"),
+    ("etl", "recd_etl_buffered_rows"),
+    ("etl", "recd_etl_sealed_partitions_total"),
     ("etl", "recd_etl_landed_partitions_total"),
+    ("etl", "recd_etl_watermark_ms"),
     ("etl", "recd_etl_tail_lag_ms"),
+    ("etl", "recd_etl_tail_remaining"),
     // DPP service tier: every family the single service exports.
     ("dpp service", "recd_dpp_files_submitted_total"),
     ("dpp service", "recd_dpp_partitions_ingested_total"),
