@@ -19,7 +19,7 @@ use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd_dpp::{DppConfig, DppService, ShardPolicy};
 use recd_etl::{
     cluster_by_session, join_logs, EtlService, EtlStreamConfig, HourlyPartitioner, ManualClock,
-    TableLayout,
+    TableLayout, TablePartition,
 };
 use recd_reader::{PreprocessPipeline, ReaderConfig};
 use recd_scribe::{LogTail, TailConfig};
@@ -67,20 +67,21 @@ fn run_tail_to_trainer(schema: &Schema, records: Vec<LogRecord>) -> u64 {
         records,
         &TailConfig::default().with_jitter_ms(2_000).with_seed(1),
     );
-    let service = EtlService::new(
+    let mut service = EtlService::new(
         tail,
         EtlStreamConfig::new(TableLayout::ClusteredBySession).with_window_ms(10_000),
         Arc::clone(&store),
         schema.clone(),
         "bench",
     );
-    let output = service.run(
-        ManualClock::new(),
-        60_000,
-        &mut |stored: &StoredPartition, _| {
-            handle.ingest_partition(stored);
-        },
-    );
+    let mut sink = |stored: &StoredPartition, _: &TablePartition| {
+        handle.ingest_partition(stored);
+    };
+    let mut clock = ManualClock::new();
+    while !service.tail_drained() {
+        service.pump(clock.advance(60_000), &mut sink);
+    }
+    let output = service.finish(&mut sink);
     let report = handle.finish().expect("clean bench run").report;
     assert_eq!(report.partitions_ingested, output.report.landed_partitions);
     let consumed: u64 = consumers.into_iter().map(|c| c.join().unwrap()).sum();

@@ -22,7 +22,8 @@ fn landed_fixture() -> LandedFixture {
     // Simulated per-fetch RPC latency: production fill is I/O-bound, and
     // overlapping those waits is precisely what the streaming tier buys, so
     // the worker-count scaling is observable even on a single core.
-    let blob_store = TectonicSim::new(8).with_get_latency(std::time::Duration::from_micros(750));
+    let blob_store = TectonicSim::new(8);
+    blob_store.set_get_latency(std::time::Duration::from_micros(750));
     let store = Arc::new(TableStore::new(blob_store, 32, 2));
     let (partition, _) = store.land_partition(&fixture.schema, "bench", 0, &fixture.samples);
     LandedFixture {

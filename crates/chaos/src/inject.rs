@@ -352,7 +352,8 @@ mod tests {
 
     #[test]
     fn storage_faults_apply_directly_and_restore_on_schedule() {
-        let store = TectonicSim::new(1).with_get_latency(Duration::from_millis(1));
+        let store = TectonicSim::new(1);
+        store.set_get_latency(Duration::from_millis(1));
         store.put("a", vec![1]);
         let plan = FaultPlan::new()
             .with_fault(1_000, FaultKind::SlowStorage { factor: 8, ms: 500 })
@@ -424,7 +425,8 @@ mod tests {
 
     #[test]
     fn finish_restores_a_mid_brownout_store() {
-        let store = TectonicSim::new(1).with_get_latency(Duration::from_millis(2));
+        let store = TectonicSim::new(1);
+        store.set_get_latency(Duration::from_millis(2));
         let plan = FaultPlan::new().with_fault(
             0,
             FaultKind::SlowStorage {

@@ -19,7 +19,7 @@
 //!   and pump crashes fire at the top of the next pump, after that
 //!   barrier's quiescence.
 //! * **checkpoint** (an in-memory copy of the ETL service's state, sharing
-//!   its live gauges) only when a fault plan is present, after every
+//!   its report cell) only when a fault plan is present, after every
 //!   fourth pump's barrier (`CHECKPOINT_EVERY_PUMPS`), so a `crash-pump`
 //!   genuinely replays tail events that the ingest dedup must absorb.
 //!
@@ -47,7 +47,6 @@ use recd_etl::{
 use recd_obs::{Collector, MetricsRegistry, RegistryFederation};
 use recd_scribe::LogTail;
 use recd_storage::{StoredPartition, TableStore};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -188,7 +187,7 @@ impl Chaos {
     /// `crash-pump`: the in-memory service dies and a new one resumes from
     /// the latest checkpoint. The rewound tail replays everything since;
     /// re-landed partitions are idempotent and the ingest dedup skips the
-    /// re-offers. The checkpoint shares the live gauges, so the registry
+    /// re-offers. The checkpoint shares the report cell, so the registry
     /// and the controller's tail-lag probe follow the resumed service.
     fn crash_and_resume(&self) -> EtlService {
         self.counters.note_pump_crash();
@@ -446,7 +445,7 @@ impl Driver {
             }
         };
         // One registry for the live monitor and `/metrics`: the DPP tier,
-        // the blob store, the ETL gauges, the chaos counters.
+        // the blob store, the ETL report cell, the chaos counters.
         let registry = MetricsRegistry::new();
         let (backend, pump_gate, pool) = match topology {
             Topology::Single(dpp) => {
@@ -479,7 +478,7 @@ impl Driver {
             }
         };
         registry.register(Arc::new(store.blob_store().clone()));
-        registry.register(etl.gauges());
+        registry.register(etl.report_cell());
         if let Some(chaos) = &chaos {
             registry.register(Arc::clone(&chaos.counters) as Arc<dyn Collector>);
         }
@@ -635,10 +634,8 @@ fn wire(mut dpp: DppConfig, etl: &EtlService, chaos: Option<&Chaos>) -> DppConfi
         dpp = dpp.with_chaos_retry(chaos.policy, Arc::clone(&chaos.counters));
     }
     if let Some(ctrl) = dpp.ctrl.take() {
-        let gauges = etl.gauges();
-        dpp = dpp.with_ctrl(
-            ctrl.with_tail_lag_probe(Arc::new(move || gauges.tail_lag_ms.load(Ordering::Relaxed))),
-        );
+        let cell = etl.report_cell();
+        dpp = dpp.with_ctrl(ctrl.with_tail_lag_probe(Arc::new(move || cell.get().tail_lag_ms)));
     }
     dpp
 }

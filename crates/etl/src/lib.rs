@@ -31,8 +31,8 @@ pub use partition::{
     cluster_by_session, interleave_by_time, samples_per_session, HourlyPartitioner, TablePartition,
 };
 pub use stream::{
-    EtlCheckpoint, EtlCounters, EtlGauges, EtlReport, EtlService, EtlServiceOutput,
-    EtlServiceReport, EtlSnapshot, EtlStream, EtlStreamConfig, ManualClock, SealReason,
+    ConservationError, EtlCheckpoint, EtlCounters, EtlReport, EtlReportCell, EtlService,
+    EtlServiceOutput, EtlServiceReport, EtlStream, EtlStreamConfig, ManualClock, SealReason,
     SealedPartition, SEAL_GRACE_MS,
 };
 

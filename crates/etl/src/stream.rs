@@ -57,8 +57,7 @@ use recd_storage::{StorageError, StorageReport, StoredPartition, TableStore};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// How long past an hour's end (in event time) the hour stays open, and how
 /// long a pending feature outlives its timestamp while waiting for its
@@ -127,14 +126,12 @@ pub struct SealedPartition {
     pub partition: TablePartition,
     /// Why the seal happened.
     pub reason: SealReason,
-    /// The watermark at seal time.
-    pub watermark_ms: u64,
 }
 
 /// Monotonic counters of one [`EtlStream`]'s lifetime. Every pushed record
-/// ends up in exactly one bucket, so after [`EtlStream::finish`]:
-/// `records == 2 * joined_samples + late_drops + duplicates +
-/// orphaned_features + orphaned_events`.
+/// is in exactly one bucket at any time: joined (two per sample), dropped
+/// late or as a duplicate, orphaned, or still pending in the join — the
+/// identities [`EtlServiceReport::check`] holds the service to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct EtlCounters {
     /// Records pushed.
@@ -163,9 +160,12 @@ pub struct EtlCounters {
     pub finish_seals: u64,
 }
 
-/// A point-in-time view of an [`EtlStream`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EtlSnapshot {
+/// The account of an [`EtlStream`] at one point in time: its lifetime
+/// counters plus the join and clustering state still buffered. A read
+/// mid-stream and the final account after [`EtlStream::finish`] are this
+/// one record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct EtlReport {
     /// Lifetime counters.
     pub counters: EtlCounters,
     /// Current watermark (ms of event time).
@@ -180,17 +180,6 @@ pub struct EtlSnapshot {
     pub open_sessions: usize,
     /// Joined rows buffered in open hours.
     pub buffered_rows: usize,
-}
-
-/// Final accounting of one streaming ETL run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EtlReport {
-    /// Row layout produced.
-    pub layout: TableLayout,
-    /// Lifetime counters.
-    pub counters: EtlCounters,
-    /// The watermark when the stream finished.
-    pub final_watermark_ms: u64,
 }
 
 /// Per-session rolling clustering buffer inside one open hour.
@@ -261,16 +250,6 @@ impl EtlStream {
         }
     }
 
-    /// Borrows the configuration.
-    pub fn config(&self) -> &EtlStreamConfig {
-        &self.config
-    }
-
-    /// The current watermark (event-time ms).
-    pub fn watermark_ms(&self) -> u64 {
-        self.watermark
-    }
-
     /// Pushes one record in arrival order. Joins, evictions, and seals
     /// happen inline; sealed partitions queue up for
     /// [`EtlStream::drain_sealed`].
@@ -332,8 +311,8 @@ impl EtlStream {
     }
 
     /// End of stream: every pending join half becomes an orphan and every
-    /// open hour seals, in hour order. The stream stays usable (for
-    /// counters/snapshots) but holds no more state.
+    /// open hour seals, in hour order. The stream stays usable (for its
+    /// report) but holds no more state.
     pub fn finish(&mut self) {
         self.counters.orphaned_features += self.pending_features.len() as u64;
         self.counters.orphaned_events += self.pending_events.len() as u64;
@@ -347,9 +326,9 @@ impl EtlStream {
         }
     }
 
-    /// A point-in-time view of join state, buffers, and counters.
-    pub fn snapshot(&self) -> EtlSnapshot {
-        EtlSnapshot {
+    /// The account as of now: counters, join state and buffers.
+    pub fn report(&self) -> EtlReport {
+        EtlReport {
             counters: self.counters,
             watermark_ms: self.watermark,
             pending_features: self.pending_features.len(),
@@ -357,15 +336,6 @@ impl EtlStream {
             open_hours: self.open_hours.len(),
             open_sessions: self.open_hours.values().map(|h| h.sessions.len()).sum(),
             buffered_rows: self.buffered_rows,
-        }
-    }
-
-    /// The final accounting (meaningful after [`EtlStream::finish`]).
-    pub fn report(&self) -> EtlReport {
-        EtlReport {
-            layout: self.config.layout,
-            counters: self.counters,
-            final_watermark_ms: self.watermark,
         }
     }
 
@@ -461,7 +431,6 @@ impl EtlStream {
         self.sealed.push_back(SealedPartition {
             partition: TablePartition { hour, samples },
             reason,
-            watermark_ms: self.watermark,
         });
     }
 }
@@ -492,124 +461,11 @@ impl ManualClock {
     }
 }
 
-/// Live gauges of a running [`EtlService`], shareable with a monitoring
-/// thread (the ETL analog of the DPP service's snapshot source).
-#[derive(Debug, Default)]
-pub struct EtlGauges {
-    /// Tail events consumed.
-    pub records_tailed: AtomicU64,
-    /// Samples joined.
-    pub joined_samples: AtomicU64,
-    /// Late records dropped.
-    pub late_drops: AtomicU64,
-    /// Duplicate records dropped.
-    pub duplicates: AtomicU64,
-    /// Orphaned join halves evicted.
-    pub orphaned: AtomicU64,
-    /// Hours currently open.
-    pub open_hours: AtomicU64,
-    /// Session clustering buffers currently open.
-    pub open_sessions: AtomicU64,
-    /// Rows buffered in open hours.
-    pub buffered_rows: AtomicU64,
-    /// Partitions sealed.
-    pub sealed_partitions: AtomicU64,
-    /// Partitions landed into the table store.
-    pub landed_partitions: AtomicU64,
-    /// Current watermark (event-time ms).
-    pub watermark_ms: AtomicU64,
-    /// How far the sealed frontier trails the tail clock (ms).
-    pub tail_lag_ms: AtomicU64,
-    /// Tail events not yet arrived.
-    pub tail_remaining: AtomicU64,
-}
-
-impl recd_obs::Collector for EtlGauges {
-    fn collect(&self, out: &mut recd_obs::MetricsBuf) {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64;
-        out.counter(
-            "recd_etl_records_tailed_total",
-            "Tail events consumed from the log stream.",
-            &[],
-            load(&self.records_tailed),
-        );
-        out.counter(
-            "recd_etl_joined_samples_total",
-            "Samples produced by the streaming join.",
-            &[],
-            load(&self.joined_samples),
-        );
-        out.counter(
-            "recd_etl_late_drops_total",
-            "Late records dropped past the watermark.",
-            &[],
-            load(&self.late_drops),
-        );
-        out.counter(
-            "recd_etl_duplicates_total",
-            "Duplicate records dropped by the join.",
-            &[],
-            load(&self.duplicates),
-        );
-        out.counter(
-            "recd_etl_orphaned_total",
-            "Orphaned join halves evicted unmatched.",
-            &[],
-            load(&self.orphaned),
-        );
-        out.gauge(
-            "recd_etl_open_hours",
-            "Hourly partitions currently accumulating rows.",
-            &[],
-            load(&self.open_hours),
-        );
-        out.gauge(
-            "recd_etl_open_sessions",
-            "Session clustering buffers currently open.",
-            &[],
-            load(&self.open_sessions),
-        );
-        out.gauge(
-            "recd_etl_buffered_rows",
-            "Rows buffered in open hours, not yet sealed.",
-            &[],
-            load(&self.buffered_rows),
-        );
-        out.counter(
-            "recd_etl_sealed_partitions_total",
-            "Hourly partitions sealed by the watermark.",
-            &[],
-            load(&self.sealed_partitions),
-        );
-        out.counter(
-            "recd_etl_landed_partitions_total",
-            "Sealed partitions landed into the table store.",
-            &[],
-            load(&self.landed_partitions),
-        );
-        out.gauge(
-            "recd_etl_watermark_ms",
-            "Current event-time watermark in milliseconds.",
-            &[],
-            load(&self.watermark_ms),
-        );
-        out.gauge(
-            "recd_etl_tail_lag_ms",
-            "How far the sealed frontier trails the tail clock (ms).",
-            &[],
-            load(&self.tail_lag_ms),
-        );
-        out.gauge(
-            "recd_etl_tail_remaining",
-            "Tail events not yet arrived from the log stream.",
-            &[],
-            load(&self.tail_remaining),
-        );
-    }
-}
-
-/// Final accounting of one [`EtlService`] run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The one account of an [`EtlService`]: the stream's report plus what
+/// landing and the tail clock add. Every pump rebuilds it, so a read
+/// mid-run, the `recd_etl_*` families `/metrics` renders, and
+/// [`EtlService::finish`]'s result are this one record.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct EtlServiceReport {
     /// Stream-level join/seal accounting.
     pub etl: EtlReport,
@@ -619,13 +475,198 @@ pub struct EtlServiceReport {
     pub landed_partitions: u64,
     /// Peak observed tail lag (pump clock minus watermark, ms).
     pub peak_tail_lag_ms: u64,
+    /// How far the sealed frontier trails the tail clock at the last pump
+    /// (ms; 0 before the first record).
+    pub tail_lag_ms: u64,
+    /// Tail events not yet arrived at the last pump.
+    pub tail_remaining: u64,
+}
+
+/// A conservation identity an [`EtlServiceReport`] broke: its name and the
+/// values of its two sides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConservationError {
+    /// The identity, as `left == right` over the report's field names.
+    pub identity: &'static str,
+    /// The left side's value.
+    pub left: u64,
+    /// The right side's value.
+    pub right: u64,
+}
+
+impl std::fmt::Display for ConservationError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "ETL conservation broken: {} ({} != {})",
+            self.identity, self.left, self.right
+        )
+    }
+}
+
+impl std::error::Error for ConservationError {}
+
+impl EtlServiceReport {
+    /// Checks that every record and row is accounted for exactly once. It
+    /// holds at every pump boundary and after [`EtlService::finish`] —
+    /// where partitions have landed as fast as they sealed — and returns
+    /// the first identity that does not.
+    pub fn check(&self) -> Result<(), ConservationError> {
+        let (etl, c) = (&self.etl, &self.etl.counters);
+        let identities = [
+            (
+                "records == 2 * joined_samples + late_drops + duplicates + orphaned_features \
+                 + orphaned_events + pending_features + pending_events",
+                c.records,
+                2 * c.joined_samples
+                    + c.late_drops
+                    + c.duplicates
+                    + c.orphaned_features
+                    + c.orphaned_events
+                    + etl.pending_features as u64
+                    + etl.pending_events as u64,
+            ),
+            (
+                "joined_samples == sealed_rows + buffered_rows",
+                c.joined_samples,
+                c.sealed_rows + etl.buffered_rows as u64,
+            ),
+            (
+                "hour_seals + size_seals + finish_seals == sealed_partitions",
+                c.hour_seals + c.size_seals + c.finish_seals,
+                c.sealed_partitions,
+            ),
+            (
+                "landed_partitions == sealed_partitions",
+                self.landed_partitions,
+                c.sealed_partitions,
+            ),
+        ];
+        let broken = identities
+            .into_iter()
+            .find(|&(_, left, right)| left != right);
+        broken.map_or(Ok(()), |(identity, left, right)| {
+            Err(ConservationError {
+                identity,
+                left,
+                right,
+            })
+        })
+    }
+}
+
+/// The shared cell holding an [`EtlService`]'s [`EtlServiceReport`] as of
+/// its last pump. A checkpoint shares it, so a resumed service keeps
+/// publishing to the series a metrics registry already scrapes; a
+/// monitoring thread reads it with [`EtlReportCell::get`].
+#[derive(Debug, Default)]
+pub struct EtlReportCell(Mutex<EtlServiceReport>);
+
+impl EtlReportCell {
+    /// The report the last pump published.
+    pub fn get(&self) -> EtlServiceReport {
+        self.lock().clone()
+    }
+
+    fn set(&self, report: &EtlServiceReport) {
+        self.lock().clone_from(report);
+    }
+
+    /// Every write is one whole-record copy, so even a poisoned lock holds
+    /// a valid report.
+    fn lock(&self) -> MutexGuard<'_, EtlServiceReport> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl recd_obs::Collector for EtlReportCell {
+    fn collect(&self, out: &mut recd_obs::MetricsBuf) {
+        let r = self.get();
+        let (etl, c) = (&r.etl, &r.etl.counters);
+        out.counter(
+            "recd_etl_records_tailed_total",
+            "Tail events consumed from the log stream.",
+            &[],
+            c.records as f64,
+        );
+        out.counter(
+            "recd_etl_joined_samples_total",
+            "Samples produced by the streaming join.",
+            &[],
+            c.joined_samples as f64,
+        );
+        out.counter(
+            "recd_etl_late_drops_total",
+            "Late records dropped past the watermark.",
+            &[],
+            c.late_drops as f64,
+        );
+        out.counter(
+            "recd_etl_duplicates_total",
+            "Duplicate records dropped by the join.",
+            &[],
+            c.duplicates as f64,
+        );
+        out.counter(
+            "recd_etl_orphaned_total",
+            "Orphaned join halves evicted unmatched.",
+            &[],
+            (c.orphaned_features + c.orphaned_events) as f64,
+        );
+        out.gauge(
+            "recd_etl_open_hours",
+            "Hourly partitions currently accumulating rows.",
+            &[],
+            etl.open_hours as f64,
+        );
+        out.gauge(
+            "recd_etl_open_sessions",
+            "Session clustering buffers currently open.",
+            &[],
+            etl.open_sessions as f64,
+        );
+        out.gauge(
+            "recd_etl_buffered_rows",
+            "Rows buffered in open hours, not yet sealed.",
+            &[],
+            etl.buffered_rows as f64,
+        );
+        out.counter(
+            "recd_etl_sealed_partitions_total",
+            "Hourly partitions sealed by the watermark.",
+            &[],
+            c.sealed_partitions as f64,
+        );
+        out.counter(
+            "recd_etl_landed_partitions_total",
+            "Sealed partitions landed into the table store.",
+            &[],
+            r.landed_partitions as f64,
+        );
+        out.gauge(
+            "recd_etl_watermark_ms",
+            "Current event-time watermark in milliseconds.",
+            &[],
+            etl.watermark_ms as f64,
+        );
+        out.gauge(
+            "recd_etl_tail_lag_ms",
+            "How far the sealed frontier trails the tail clock (ms).",
+            &[],
+            r.tail_lag_ms as f64,
+        );
+        out.gauge(
+            "recd_etl_tail_remaining",
+            "Tail events not yet arrived from the log stream.",
+            &[],
+            r.tail_remaining as f64,
+        );
+    }
 }
 
 /// Everything a finished [`EtlService`] run produced.
 #[derive(Debug)]
 pub struct EtlServiceOutput {
-    /// Every landed partition, in land order.
-    pub landed: Vec<StoredPartition>,
     /// Final accounting.
     pub report: EtlServiceReport,
 }
@@ -640,8 +681,8 @@ pub struct EtlServiceOutput {
 /// uninterrupted run's, which `crates/pipeline/tests/chaos.rs` asserts end
 /// to end.
 ///
-/// The stream and the landing record are deep copies; the store, the live
-/// gauges and the chaos counters are shared, so a resumed service keeps
+/// The stream and the report are deep copies; the store, the report cell
+/// and the chaos counters are shared, so a resumed service keeps
 /// publishing to the series a metrics registry already scrapes.
 #[derive(Debug, Clone)]
 pub struct EtlCheckpoint {
@@ -654,10 +695,10 @@ pub struct EtlCheckpoint {
     table: String,
     /// Seals per hour: a re-sealed hour lands under a `-r<N>` suffix.
     hour_seal_counts: HashMap<u64, u64>,
-    landed: Vec<StoredPartition>,
-    storage: StorageReport,
-    gauges: Arc<EtlGauges>,
-    peak_tail_lag_ms: u64,
+    /// The service's account as of its last pump.
+    report: EtlServiceReport,
+    /// Where each pump publishes `report`.
+    cell: Arc<EtlReportCell>,
     /// When set, partitions land through the fallible
     /// [`TableStore::try_store_prepared`] path wrapped in this retry policy,
     /// so injected transient storage faults degrade to a short backoff.
@@ -704,10 +745,8 @@ impl EtlService {
             schema,
             table: table.into(),
             hour_seal_counts: HashMap::new(),
-            landed: Vec::new(),
-            storage: StorageReport::default(),
-            gauges: Arc::new(EtlGauges::default()),
-            peak_tail_lag_ms: 0,
+            report: EtlServiceReport::default(),
+            cell: Arc::default(),
             chaos: None,
         };
         Self::resume_from(tail, state)
@@ -749,9 +788,10 @@ impl EtlService {
         self.state.clone()
     }
 
-    /// Shared live gauges — hand a clone to a monitoring thread.
-    pub fn gauges(&self) -> Arc<EtlGauges> {
-        Arc::clone(&self.state.gauges)
+    /// The shared cell each pump publishes the report to — register it
+    /// with a metrics registry, or hand it to a monitoring thread.
+    pub fn report_cell(&self) -> Arc<EtlReportCell> {
+        Arc::clone(&self.state.cell)
     }
 
     /// Returns true once every tail event has been consumed.
@@ -759,9 +799,9 @@ impl EtlService {
         self.events.len() == 0
     }
 
-    /// A point-in-time view of the underlying stream.
-    pub fn snapshot(&self) -> EtlSnapshot {
-        self.state.stream.snapshot()
+    /// The service's account as of its last pump (or its checkpoint's).
+    pub fn report(&self) -> &EtlServiceReport {
+        &self.state.report
     }
 
     /// Consumes every tail event that has arrived by `now_ms`, lands any
@@ -781,7 +821,7 @@ impl EtlService {
         }
         self.state.tail_cursor += due;
         let landed = self.land_sealed(sink);
-        self.publish_gauges(now_ms);
+        self.publish(now_ms);
         landed
     }
 
@@ -797,33 +837,10 @@ impl EtlService {
         }
         self.state.stream.finish();
         self.land_sealed(sink);
-        self.publish_gauges(self.tail_end_ms);
-        let state = self.state;
-        let report = EtlServiceReport {
-            etl: state.stream.report(),
-            storage: state.storage,
-            landed_partitions: state.landed.len() as u64,
-            peak_tail_lag_ms: state.peak_tail_lag_ms,
-        };
+        self.publish(self.tail_end_ms);
         EtlServiceOutput {
-            landed: state.landed,
-            report,
+            report: self.state.report,
         }
-    }
-
-    /// Convenience driver: pumps the clock forward in `step_ms` increments
-    /// until the tail drains, then finishes. Equivalent to an external loop
-    /// over [`EtlService::pump`] + [`EtlService::finish`].
-    pub fn run<F>(mut self, mut clock: ManualClock, step_ms: u64, sink: &mut F) -> EtlServiceOutput
-    where
-        F: FnMut(&StoredPartition, &TablePartition),
-    {
-        let step = step_ms.max(1);
-        while !self.tail_drained() {
-            let now = clock.advance(step);
-            self.pump(now, sink);
-        }
-        self.finish(sink)
     }
 
     /// Lands every partition the stream sealed since the last call. A
@@ -868,62 +885,29 @@ impl EtlService {
                 }
                 None => store.land_partition(&state.schema, &table, hour, samples),
             };
-            state.storage.absorb(&report);
+            state.report.storage.absorb(&report);
+            state.report.landed_partitions += 1;
             sink(&stored, &sealed.partition);
-            state.landed.push(stored);
             landed += 1;
         }
         landed
     }
 
-    fn publish_gauges(&mut self, now_ms: u64) {
+    /// Rebuilds the report at a pump boundary and publishes it to the
+    /// shared cell.
+    fn publish(&mut self, now_ms: u64) {
         let state = &mut self.state;
-        let snap = state.stream.snapshot();
-        let gauges = &state.gauges;
-        gauges
-            .records_tailed
-            .store(snap.counters.records, Ordering::Relaxed);
-        gauges
-            .joined_samples
-            .store(snap.counters.joined_samples, Ordering::Relaxed);
-        gauges
-            .late_drops
-            .store(snap.counters.late_drops, Ordering::Relaxed);
-        gauges
-            .duplicates
-            .store(snap.counters.duplicates, Ordering::Relaxed);
-        gauges.orphaned.store(
-            snap.counters.orphaned_features + snap.counters.orphaned_events,
-            Ordering::Relaxed,
-        );
-        gauges
-            .open_hours
-            .store(snap.open_hours as u64, Ordering::Relaxed);
-        gauges
-            .open_sessions
-            .store(snap.open_sessions as u64, Ordering::Relaxed);
-        gauges
-            .buffered_rows
-            .store(snap.buffered_rows as u64, Ordering::Relaxed);
-        gauges
-            .sealed_partitions
-            .store(snap.counters.sealed_partitions, Ordering::Relaxed);
-        gauges
-            .landed_partitions
-            .store(state.landed.len() as u64, Ordering::Relaxed);
-        gauges
-            .watermark_ms
-            .store(snap.watermark_ms, Ordering::Relaxed);
-        let lag = if snap.counters.records > 0 {
-            now_ms.saturating_sub(snap.watermark_ms)
+        let report = &mut state.report;
+        report.etl = state.stream.report();
+        report.tail_lag_ms = if report.etl.counters.records > 0 {
+            now_ms.saturating_sub(report.etl.watermark_ms)
         } else {
             0
         };
-        gauges.tail_lag_ms.store(lag, Ordering::Relaxed);
-        gauges
-            .tail_remaining
-            .store(self.events.len() as u64, Ordering::Relaxed);
-        state.peak_tail_lag_ms = state.peak_tail_lag_ms.max(lag);
+        report.peak_tail_lag_ms = report.peak_tail_lag_ms.max(report.tail_lag_ms);
+        report.tail_remaining = self.events.len() as u64;
+        debug_assert_eq!(report.check(), Ok(()));
+        state.cell.set(report);
     }
 }
 
@@ -1056,15 +1040,28 @@ mod tests {
         );
     }
 
-    /// Runs `service` to completion in 500 ms pumps and returns every landed
-    /// blob as `(path, bytes)`.
-    fn landed_bytes(service: EtlService, store: &TableStore) -> Vec<(String, Vec<u8>)> {
-        let output = service.run(ManualClock::new(), 500, &mut |_, _| {});
-        let paths = output.landed.iter().flat_map(|p| p.files.iter());
+    /// Runs `service` to completion in 500 ms pumps and returns the path of
+    /// every blob it landed, in land order.
+    fn landed_paths(mut service: EtlService) -> Vec<String> {
+        let mut paths = Vec::new();
+        let mut sink = |stored: &StoredPartition, _: &TablePartition| {
+            paths.extend(stored.files.iter().cloned());
+        };
+        let mut clock = ManualClock::new();
+        while !service.tail_drained() {
+            service.pump(clock.advance(500), &mut sink);
+        }
+        service.finish(&mut sink);
         paths
+    }
+
+    /// Every blob at `paths`, as `(path, bytes)`.
+    fn blob_bytes(store: &TableStore, paths: Vec<String>) -> Vec<(String, Vec<u8>)> {
+        paths
+            .into_iter()
             .map(|path| {
-                let blob = store.blob_store().get(path).expect("landed blob present");
-                (path.clone(), blob.to_vec())
+                let blob = store.blob_store().get(&path).expect("landed blob present");
+                (path, blob.to_vec())
             })
             .collect()
     }
@@ -1088,28 +1085,38 @@ mod tests {
         // Two services fed clones land the same bytes, and the tail they
         // were cloned from has not moved.
         let reference_store = store();
-        let reference = landed_bytes(service(tail.clone(), &reference_store), &reference_store);
+        let reference = blob_bytes(
+            &reference_store,
+            landed_paths(service(tail.clone(), &reference_store)),
+        );
         assert!(!reference.is_empty());
         let replay_store = store();
-        let replayed = landed_bytes(service(tail.clone(), &replay_store), &replay_store);
+        let replayed = blob_bytes(
+            &replay_store,
+            landed_paths(service(tail.clone(), &replay_store)),
+        );
         assert_eq!(replayed, reference);
         assert_eq!((tail.cursor(), tail.remaining()), (0, tail.len()));
 
         // Crash mid-stream; resume from the checkpoint over a fresh tail.
         let crash_store = store();
         let mut crashing = service(tail.clone(), &crash_store);
-        crashing.pump(tail.end_ms() / 2, &mut |_, _| {});
+        let mut paths = Vec::new();
+        crashing.pump(tail.end_ms() / 2, &mut |stored, _| {
+            paths.extend(stored.files.iter().cloned());
+        });
         let checkpoint = crashing.checkpoint();
         let cursor = checkpoint.tail_cursor();
         assert!(0 < cursor && cursor < tail.len());
         assert!(!crashing.tail_drained());
         assert_eq!(
-            crashing.gauges().tail_remaining.load(Ordering::Relaxed) as usize,
+            crashing.report_cell().get().tail_remaining as usize,
             tail.len() - cursor
         );
         drop(crashing);
         let resumed = EtlService::resume_from(tail.clone(), checkpoint);
         assert_eq!(resumed.checkpoint().tail_cursor(), cursor);
-        assert_eq!(landed_bytes(resumed, &crash_store), reference);
+        paths.extend(landed_paths(resumed));
+        assert_eq!(blob_bytes(&crash_store, paths), reference);
     }
 }

@@ -76,7 +76,7 @@ fn run_stream(
     schema: Schema,
 ) -> (Vec<TablePartition>, Vec<StoredPartition>, EtlServiceOutput) {
     let tail = LogTail::new(records, tail_config);
-    let service = EtlService::new(
+    let mut service = EtlService::new(
         tail,
         EtlStreamConfig::new(layout).with_window_ms(window_ms),
         store,
@@ -85,14 +85,15 @@ fn run_stream(
     );
     let mut sealed = Vec::new();
     let mut landed = Vec::new();
-    let output = service.run(
-        ManualClock::new(),
-        step_ms,
-        &mut |stored: &StoredPartition, partition: &TablePartition| {
-            landed.push(stored.clone());
-            sealed.push(partition.clone());
-        },
-    );
+    let mut sink = |stored: &StoredPartition, partition: &TablePartition| {
+        landed.push(stored.clone());
+        sealed.push(partition.clone());
+    };
+    let mut clock = ManualClock::new();
+    while !service.tail_drained() {
+        service.pump(clock.advance(step_ms), &mut sink);
+    }
+    let output = service.finish(&mut sink);
     (sealed, landed, output)
 }
 
@@ -249,20 +250,21 @@ fn trainer_side_union_from_ingest_matches_batch_pipeline() {
             records,
             &TailConfig::default().with_jitter_ms(2_000).with_seed(9),
         );
-        let service = EtlService::new(
+        let mut service = EtlService::new(
             tail,
             EtlStreamConfig::new(layout).with_window_ms(10_000),
             Arc::clone(&stream_store),
             schema.clone(),
             "t",
         );
-        let output = service.run(
-            ManualClock::new(),
-            60_000,
-            &mut |stored: &StoredPartition, _: &TablePartition| {
-                stream_handle.ingest_partition(stored);
-            },
-        );
+        let mut sink = |stored: &StoredPartition, _: &TablePartition| {
+            stream_handle.ingest_partition(stored);
+        };
+        let mut clock = ManualClock::new();
+        while !service.tail_drained() {
+            service.pump(clock.advance(60_000), &mut sink);
+        }
+        let output = service.finish(&mut sink);
         let (stream_batches, stream_output) = drain.finish(stream_handle);
         let stream_output = stream_output.expect("clean tail-fed run");
 
@@ -541,6 +543,64 @@ fn size_seal_reopens_hour_without_losing_rows() {
     assert_eq!(requests.len(), 8);
 }
 
+/// The service's one record accounts for every record and row at every pump
+/// boundary and after `finish` — checked here in release builds too, where
+/// the service's own debug assertion is compiled out — and the cell a
+/// registry scrapes holds that same record. The tail has stragglers past
+/// the window, re-delivered request ids and a size watermark, so every
+/// bucket of the identities fills.
+#[test]
+fn the_report_conserves_every_record_at_every_pump() {
+    let generator =
+        DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny).with_seed(11));
+    let (mut records, _) = generator.generate_logs();
+    let schema = generator.schema().clone();
+    // Re-deliver every seventh record: same request id, same timestamp.
+    let copies: Vec<LogRecord> = records.iter().step_by(7).cloned().collect();
+    records.extend(copies);
+    let tail = LogTail::new(
+        records,
+        &TailConfig::default()
+            .with_jitter_ms(1_000)
+            .with_lateness(0.05, 8_000)
+            .with_seed(5),
+    );
+    let config = EtlStreamConfig::new(TableLayout::ClusteredBySession)
+        .with_window_ms(3_000)
+        .with_size_watermark(40);
+    let mut service = EtlService::new(tail, config, fresh_store(), schema, "t");
+    let cell = service.report_cell();
+    let mut sink = |_: &StoredPartition, _: &TablePartition| {};
+    let (mut clock, mut pumps, mut saw_pending, mut saw_buffered) =
+        (ManualClock::new(), 0, false, false);
+    while !service.tail_drained() {
+        service.pump(clock.advance(777), &mut sink);
+        pumps += 1;
+        let report = service.report();
+        report
+            .check()
+            .unwrap_or_else(|err| panic!("after pump {pumps}: {err}"));
+        assert_eq!(&cell.get(), report, "after pump {pumps}");
+        saw_pending |= report.etl.pending_features + report.etl.pending_events > 0;
+        saw_buffered |= report.etl.buffered_rows > 0;
+    }
+    let report = service.finish(&mut sink).report;
+    report
+        .check()
+        .unwrap_or_else(|err| panic!("after finish: {err}"));
+    assert_eq!(cell.get(), report);
+    let c = report.etl.counters;
+    assert!(saw_pending && saw_buffered, "mid-run state never buffered");
+    assert!(c.late_drops > 0, "no straggler passed the window: {c:?}");
+    assert!(c.duplicates > 0, "no duplicate request id: {c:?}");
+    assert!(
+        c.orphaned_features + c.orphaned_events > 0,
+        "no orphan: {c:?}"
+    );
+    assert!(c.size_seals > 0, "no size seal: {c:?}");
+    assert_eq!(report.tail_remaining, 0);
+}
+
 /// `DppHandle::flush_partition` barriers racing in-flight ETL seals: every
 /// pump is chased by a blocking flush while trainers consume concurrently,
 /// and everything drains on `finish` with the counters adding up.
@@ -698,7 +758,7 @@ fn crash_restart_mid_hour_resumes_byte_identically() {
         let tail = LogTail::new(records, &tail_config);
         let mut service = EtlService::resume_from(tail, checkpoint);
         assert!(
-            service.snapshot().buffered_rows > 0,
+            service.report().etl.buffered_rows > 0,
             "crash must land mid-hour with rows buffered in open sessions"
         );
         while !service.tail_drained() {

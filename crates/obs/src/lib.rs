@@ -4,8 +4,8 @@
 //! `std`) metrics layer every tier plugs into.
 //!
 //! * [`MetricsRegistry`] holds [`Collector`]s — one per tier — that map the
-//!   tiers' existing snapshot structs (`DppSnapshot`, `EtlGauges`,
-//!   `ReaderMetrics`, trainer lane gauges, blob-store counters) into labeled
+//!   tiers' own reports (`DppReport`, `EtlServiceReport`, `FleetReport`,
+//!   `ReaderMetrics`, blob-store counters) into labeled
 //!   counter/gauge/histogram samples on each scrape.
 //! * [`MetricsServer`] exposes the registry at `GET /metrics` in the
 //!   Prometheus text exposition format (HELP/TYPE lines, label escaping,

@@ -511,10 +511,8 @@ pub fn table2(scale: ExperimentScale) -> Table2Report {
 
     // RecD + doubled embedding dimension: rebuild the trainer model over the
     // RecD batches with dim x2.
-    let wide_model = recd
-        .model
-        .clone()
-        .with_embedding_dim(spec.embedding_dim * 2);
+    let wide_model =
+        DlrmConfig::from_schema(&recd.schema, spec.embedding_dim * 2, spec.sequence_pooling);
     let (wide_cost, wide_memory, _) = evaluate_trainer(
         &recd.batches,
         &wide_model,
@@ -1063,7 +1061,7 @@ pub fn accuracy(scale: ExperimentScale) -> AccuracyReport {
             .collect::<Vec<_>>()
     };
 
-    let model_config = DlrmConfig::from_schema(&schema, 8, PoolingKind::Sum).with_sum_pooling();
+    let model_config = DlrmConfig::from_schema(&schema, 8, PoolingKind::Sum);
     let train_loss = |batches: &[recd_core::ConvertedBatch], mode: ExecutionMode| {
         let mut model = Dlrm::new(model_config.clone());
         let mut last = 0.0;

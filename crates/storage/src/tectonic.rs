@@ -14,7 +14,7 @@
 //! balanced placement spreads them — and ETL landings genuinely contend
 //! with reader fetches for the same node. Without a `NodeConfig` the store
 //! falls back to the legacy flat per-fetch latency knob
-//! ([`with_get_latency`](TectonicSim::with_get_latency)).
+//! ([`set_get_latency`](TectonicSim::set_get_latency)).
 //!
 //! Queue time is read from a shared [`ScaleClock`] (wall-anchored by
 //! default), so tests can freeze time and assert wait accounting exactly.
@@ -331,7 +331,7 @@ impl TectonicSim {
 
     /// Installs the per-node queue model: gets and puts are charged against
     /// the owning node's queue and latency emerges from depth + transfer
-    /// size instead of the flat [`with_get_latency`](Self::with_get_latency)
+    /// size instead of the flat [`set_get_latency`](Self::set_get_latency)
     /// knob.
     #[must_use]
     pub fn with_node_config(self, config: NodeConfig) -> Self {
@@ -477,16 +477,10 @@ impl TectonicSim {
     /// waits on an RPC. Concurrent fetchers overlap their waits, so this
     /// makes fill-parallelism effects observable even on a single core.
     /// Ignored while a [`NodeConfig`] is installed (queue waits replace it).
-    #[must_use]
-    pub fn with_get_latency(self, latency: Duration) -> Self {
-        self.set_get_latency(latency);
-        self
-    }
-
-    /// Changes the simulated fetch latency of a live store. The setting is
-    /// shared across clones, so injecting (and later clearing) storage
-    /// pressure mid-run is one call — the lever the dynamic-scaling tests
-    /// pull to make fill workers fall behind and then catch up.
+    /// The setting is shared across clones, so injecting (and later
+    /// clearing) storage pressure mid-run is one call — the lever the
+    /// dynamic-scaling tests pull to make fill workers fall behind and then
+    /// catch up.
     pub fn set_get_latency(&self, latency: Duration) {
         self.get_latency_nanos.store(
             latency.as_nanos().min(u64::MAX as u128) as u64,
@@ -1125,7 +1119,8 @@ mod tests {
 
     #[test]
     fn get_latency_is_shared_across_clones_and_adjustable() {
-        let store = TectonicSim::new(1).with_get_latency(Duration::from_millis(3));
+        let store = TectonicSim::new(1);
+        store.set_get_latency(Duration::from_millis(3));
         let clone = store.clone();
         assert_eq!(clone.get_latency(), Duration::from_millis(3));
         // Throttle changes propagate to clones already handed out.
@@ -1141,7 +1136,7 @@ mod tests {
     fn concurrent_gets_overlap_wall_clock() {
         // The reader-path bugfix: gets take the read lock, so concurrent
         // fetchers overlap their simulated RPC waits instead of serializing.
-        let store = TectonicSim::new(1).with_get_latency(Duration::from_millis(25));
+        let store = TectonicSim::new(1);
         store.set_get_latency(Duration::from_millis(25));
         store.put("a", vec![1; 128]);
         let start = Instant::now();

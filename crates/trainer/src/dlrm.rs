@@ -117,28 +117,6 @@ impl DlrmConfig {
         }
     }
 
-    /// Replaces the embedding dimension (used by the Table 2 "EMB D256"
-    /// configuration).
-    #[must_use]
-    pub fn with_embedding_dim(mut self, dim: usize) -> Self {
-        self.embedding_dim = dim;
-        if let Some(last) = self.bottom_mlp.last_mut() {
-            *last = dim;
-        }
-        self
-    }
-
-    /// Forces sum pooling everywhere (needed for end-to-end SGD training,
-    /// since the sequence modules are forward-only).
-    #[must_use]
-    pub fn with_sum_pooling(mut self) -> Self {
-        self.sequence_pooling = PoolingKind::Sum;
-        for (_, kind) in &mut self.feature_pooling {
-            *kind = PoolingKind::Sum;
-        }
-        self
-    }
-
     /// Number of sparse features the model consumes.
     pub fn sparse_feature_count(&self) -> usize {
         self.feature_pooling.len()
@@ -609,8 +587,9 @@ impl Dlrm {
     /// computes it, so the results do not depend on the worker count.
     ///
     /// Sequence pooling modules (attention/transformer) are forward-only in
-    /// this reproduction; configure the model with
-    /// [`DlrmConfig::with_sum_pooling`] for end-to-end training experiments.
+    /// this reproduction; build the model with
+    /// `DlrmConfig::from_schema(.., PoolingKind::Sum)` for end-to-end
+    /// training experiments.
     pub fn train_step(&mut self, batch: &ConvertedBatch, mode: ExecutionMode) -> f32 {
         self.forward_pass(batch, mode);
         let Self {
@@ -1268,7 +1247,7 @@ mod tests {
     #[test]
     fn training_reduces_loss_on_both_paths_identically() {
         let (schema, batch) = converted_batch(true);
-        let config = DlrmConfig::from_schema(&schema, 8, PoolingKind::Sum).with_sum_pooling();
+        let config = DlrmConfig::from_schema(&schema, 8, PoolingKind::Sum);
         let mut dedup_model = Dlrm::new(config.clone());
         let mut baseline_model = Dlrm::new(config);
         let mut dedup_losses = Vec::new();
@@ -1298,10 +1277,10 @@ mod tests {
             .feature_pooling
             .iter()
             .any(|&(_, k)| k == PoolingKind::Transformer));
-        let wide = config.clone().with_embedding_dim(64);
+        let wide = DlrmConfig::from_schema(&schema, 64, PoolingKind::Transformer);
         assert_eq!(wide.embedding_dim, 64);
         assert_eq!(*wide.bottom_mlp.last().unwrap(), 64);
-        let summed = config.with_sum_pooling();
+        let summed = DlrmConfig::from_schema(&schema, 32, PoolingKind::Sum);
         assert!(summed
             .feature_pooling
             .iter()

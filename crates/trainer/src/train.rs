@@ -136,7 +136,7 @@ mod tests {
 
     fn trainer_config(schema: &recd_data::Schema, mode: ExecutionMode) -> TrainerConfig {
         TrainerConfig {
-            model: DlrmConfig::from_schema(schema, 8, PoolingKind::Sum).with_sum_pooling(),
+            model: DlrmConfig::from_schema(schema, 8, PoolingKind::Sum),
             mode,
             epochs: 2,
         }

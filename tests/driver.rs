@@ -2,8 +2,8 @@
 //! fleet} × {empty plan, seeded plan} on the tiny preset. Every case must
 //! deliver each joined sample exactly once with zero dropped batches, resume
 //! once per `crash-pump`, and deliver the same order-independent row union
-//! whatever the pump step. A resumed pump keeps publishing to the ETL gauges
-//! the registry scrapes, and the registry reads what the reports say. A
+//! whatever the pump step. A resumed pump keeps publishing to the ETL report
+//! cell the registry scrapes, and the registry reads what the reports say. A
 //! fleet that loses every host is a typed error.
 
 use recd::core::{ConvertedBatch, DataLoaderConfig};
@@ -158,7 +158,7 @@ fn every_topology_and_plan_delivers_exactly_once_at_any_pump_step() {
 }
 
 /// A `crash-pump` resumes the ETL service from a checkpoint that shares the
-/// live gauges, so after the run the registry reads the resumed service's
+/// report cell, so after the run the registry reads the resumed service's
 /// final values, not the ones the dead service last published.
 #[test]
 fn a_resumed_pump_keeps_the_registered_etl_gauges_live() {
@@ -221,13 +221,6 @@ fn the_registry_and_the_report_agree_after_a_run() {
     }
     let etl = &output.etl;
     let c = &etl.etl.counters;
-    let tail_end_ms = LogTail::new(
-        DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny))
-            .generate_logs()
-            .0,
-        &TailConfig::default().with_jitter_ms(2_000),
-    )
-    .end_ms();
     let etl_families: Vec<_> = families
         .iter()
         .filter(|f| f.name.starts_with("recd_etl_"))
@@ -240,12 +233,14 @@ fn the_registry_and_the_report_agree_after_a_run() {
             "recd_etl_late_drops_total" => c.late_drops,
             "recd_etl_duplicates_total" => c.duplicates,
             "recd_etl_orphaned_total" => c.orphaned_features + c.orphaned_events,
-            "recd_etl_open_hours" | "recd_etl_open_sessions" | "recd_etl_buffered_rows" => 0,
+            "recd_etl_open_hours" => etl.etl.open_hours as u64,
+            "recd_etl_open_sessions" => etl.etl.open_sessions as u64,
+            "recd_etl_buffered_rows" => etl.etl.buffered_rows as u64,
             "recd_etl_sealed_partitions_total" => c.sealed_partitions,
             "recd_etl_landed_partitions_total" => etl.landed_partitions,
-            "recd_etl_watermark_ms" => etl.etl.final_watermark_ms,
-            "recd_etl_tail_lag_ms" => tail_end_ms - etl.etl.final_watermark_ms,
-            "recd_etl_tail_remaining" => 0,
+            "recd_etl_watermark_ms" => etl.etl.watermark_ms,
+            "recd_etl_tail_lag_ms" => etl.tail_lag_ms,
+            "recd_etl_tail_remaining" => etl.tail_remaining,
             other => panic!("{other} has no field in the ETL report"),
         };
         let gathered = sample_value(&families, &family.name, &[]);

@@ -146,7 +146,7 @@ fn tail_pipeline_serves_all_tier_families_over_http() {
     // Every tier registers into one registry; the server exposes it.
     let registry = Arc::new(MetricsRegistry::new());
     registry.register(Arc::new(handle.snapshot_source()) as Arc<dyn Collector>);
-    registry.register(etl.gauges() as Arc<dyn Collector>);
+    registry.register(etl.report_cell() as Arc<dyn Collector>);
     registry.register(Arc::new(store.blob_store().clone()) as Arc<dyn Collector>);
     let server = MetricsServer::start(Arc::clone(&registry), 0).expect("bind ephemeral port");
     let addr = server.local_addr();

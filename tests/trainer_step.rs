@@ -76,7 +76,7 @@ fn a_batch_packed_into_windows_trains_to_the_bits_of_the_contiguous_one() {
 #[test]
 fn ten_train_steps_with_sum_pooling_lower_the_loss() {
     let (schema, batch) = clustered_batch();
-    let config = config(&schema, PoolingKind::Sum).with_sum_pooling();
+    let config = config(&schema, PoolingKind::Sum);
     let mut model = Dlrm::new(config);
     let losses: Vec<f32> = (0..10)
         .map(|_| model.train_step(&batch, ExecutionMode::Deduplicated))
