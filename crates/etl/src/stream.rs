@@ -664,7 +664,7 @@ impl recd_obs::Collector for EtlReportCell {
     }
 }
 
-/// Everything a finished [`EtlService`] run produced.
+/// What [`EtlService::finish`] returns.
 #[derive(Debug)]
 pub struct EtlServiceOutput {
     /// Final accounting.
