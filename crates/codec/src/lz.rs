@@ -99,8 +99,9 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
             varint::encode_u64(match_len as u64, &mut out);
             varint::encode_u64(distance as u64, &mut out);
 
-            // Index a few positions inside the match so later data can refer
-            // back into it, then skip past it.
+            // Index every position after the match's first whose 4-byte
+            // window lies inside it, so later data can refer back into it,
+            // then skip past it.
             let end = pos + match_len;
             let mut p = pos + 1;
             while p + MIN_MATCH <= end && p + MIN_MATCH <= data.len() {

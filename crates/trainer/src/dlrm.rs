@@ -221,14 +221,26 @@ impl Reuse {
     }
 }
 
-/// What the workers' split prices pooling `len` ids at: a copy at nothing,
-/// a shifted Transformer unit without the scores it takes over.
+/// What one `exp` of a Transformer's softmax costs in the modelled FLOPs of
+/// [`PoolingKind::flops_per_row`], which leaves it out: ≈ 2–3 ns against
+/// ≈ 40 modelled FLOPs per ns for the rest of a 64 × 64 pool at x86-64-v3.
+const EXP_FLOPS: u64 = 100;
+
+/// What the workers' split prices pooling `len` ids at: its modelled FLOPs
+/// plus, for a Transformer, the `exp`s of its softmax, which those leave
+/// out. A copy costs nothing. A shifted Transformer unit takes its scores
+/// over and runs `2·len − 1` `exp`s: its last row's, and one per row whose
+/// max stays, as most rows' does.
 fn price(kind: PoolingKind, reuse: Reuse, len: usize, dim: usize) -> u64 {
     let full = kind.flops_per_row(len, dim);
+    let exps = |count: usize| match kind {
+        PoolingKind::Transformer => count as u64 * EXP_FLOPS,
+        _ => 0,
+    };
     match reuse {
-        Reuse::Fresh => full,
+        Reuse::Fresh => full + exps(len * len),
         Reuse::Copy => 0,
-        Reuse::Shift => full - ((len - 1) * len * dim) as u64,
+        Reuse::Shift => full - ((len - 1) * len * dim) as u64 + exps(2 * len - 1),
     }
 }
 
@@ -1176,6 +1188,92 @@ mod tests {
                     assert_eq!(plan.contains(&Reuse::Shift), shifts, "{what}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn shift_chains_cut_by_worker_boundaries_pool_to_the_bits_of_pooling_afresh() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(11);
+        let (rows, len, dim) = (40, 12, 8);
+        // Ids from 48 up dwarf the rest, each the one before it, and each is
+        // used once: a run that starts on one drops the column holding most
+        // rows' max, and a shift that appends one moves their max to the new
+        // column. Runs of one to six shifts follow a fresh list, with a copy
+        // now and then: worker boundaries land inside the runs.
+        let mut huge = 48..;
+        let mut lists: Vec<Vec<u64>> = Vec::new();
+        while lists.len() < rows {
+            let mut list: Vec<u64> = (0..len).map(|_| rng.gen_range(0..48)).collect();
+            if rng.gen_bool(0.5) {
+                list[0] = huge.next().unwrap();
+            }
+            lists.push(list);
+            for _ in 0..rng.gen_range(1..=6) {
+                let mut list = lists[lists.len() - 1].clone();
+                if rng.gen_range(0..4) > 0 {
+                    list.remove(0);
+                    let id = match rng.gen_range(0..3) {
+                        0 => huge.next().unwrap(),
+                        _ => rng.gen_range(0..48),
+                    };
+                    list.push(id);
+                }
+                lists.push(list);
+            }
+        }
+        lists.truncate(rows);
+        let feature = FeatureId::new(0);
+        let batch = ConvertedBatch {
+            batch_size: rows,
+            labels: vec![0.0; rows],
+            dense: recd_core::DenseMatrix::zeros(rows, 1),
+            kjt: KeyedJaggedTensor::from_tensors(vec![(feature, JaggedTensor::from_lists(&lists))])
+                .unwrap(),
+            ikjts: Vec::new(),
+        };
+        let kind = PoolingKind::Transformer;
+        let config = DlrmConfig {
+            dense_features: 1,
+            embedding_dim: dim,
+            hash_buckets: 128,
+            bottom_mlp: vec![dim],
+            top_mlp: vec![1],
+            sequence_pooling: kind,
+            feature_pooling: vec![(feature, kind)],
+            learning_rate: 0.05,
+            seed: 5,
+        };
+        let rows_of: Vec<Vec<f32>> = (0..huge.next().unwrap())
+            .map(|id| {
+                let scale = if id < 48 { 1.0 } else { 2.0 * (id - 46) as f32 };
+                (0..dim).map(|_| scale * rng.gen_range(0.0..1.0)).collect()
+            })
+            .collect();
+        let mut want = None;
+        for workers in [1, 2, 3, 5, 8] {
+            let mut model = on_workers(&config, workers);
+            for (id, row) in rows_of.iter().enumerate() {
+                model.tables[0].apply_pooled_gradient(&[id as u64], row, -1.0);
+            }
+            let mut pooled = |mode| {
+                model.forward_pass(&batch, mode);
+                let bits = model.ws.vectors.iter().map(|v| v.to_bits());
+                bits.collect::<Vec<_>>()
+            };
+            let fresh = pooled(ExecutionMode::Baseline);
+            let reused = pooled(ExecutionMode::Deduplicated);
+            assert!(reused == fresh, "{workers} workers");
+            assert_eq!(
+                *want.get_or_insert(fresh.clone()),
+                fresh,
+                "{workers} workers"
+            );
+            let plan = &model.ws.reuse;
+            let chained = plan
+                .windows(3)
+                .any(|w| w.iter().all(|&r| r == Reuse::Shift));
+            assert!(chained, "a chain of three shifts");
         }
     }
 

@@ -59,16 +59,29 @@ impl PoolingKind {
 }
 
 fn softmax_in_place(scores: &mut [f32]) {
-    let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let max = row_max(scores);
+    let sum = exps_in_place(scores, max);
+    divide(scores, sum);
+}
+
+fn row_max(scores: &[f32]) -> f32 {
+    scores.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+}
+
+/// Replaces every score by its softmax numerator `exp(s − max)`, returning
+/// their sum, taken in order.
+fn exps_in_place(scores: &mut [f32], max: f32) -> f32 {
     let mut sum = 0.0f32;
     for s in scores.iter_mut() {
         *s = (*s - max).exp();
         sum += *s;
     }
+    sum
+}
+
+fn divide(exps: &mut [f32], sum: f32) {
     if sum > 0.0 {
-        for s in scores.iter_mut() {
-            *s /= sum;
-        }
+        exps.iter_mut().for_each(|e| *e /= sum);
     }
 }
 
@@ -82,6 +95,12 @@ pub struct PoolScratch {
     /// Transformer: the scores a sequence shifted by one shares with the one
     /// pooled last, already in its `[len × len]` layout ([`Shift`]).
     kept: Vec<f32>,
+    /// Transformer: the `[len × len]` softmax numerators `exp(s − max)` of
+    /// the sequence pooled last, kept for one shifted by one ([`Shift`]).
+    exps: Vec<f32>,
+    /// Transformer: each row of `exps`, its max score and the last column
+    /// that holds it.
+    peaks: Vec<(f32, usize)>,
     /// Transformer: one attended row. Attention: the query. `dim` wide.
     row: Vec<f32>,
 }
@@ -94,11 +113,14 @@ impl PoolScratch {
             (&mut self.transposed, dim * len),
             (&mut self.scores, len * len),
             (&mut self.kept, len * len),
+            (&mut self.exps, len * len),
             (&mut self.row, dim),
         ] {
             buffer.clear();
             buffer.reserve(size);
         }
+        self.peaks.clear();
+        self.peaks.reserve(len);
     }
 }
 
@@ -107,14 +129,17 @@ impl PoolScratch {
 /// one's first row and appends one row, at the same length of at least 2:
 /// every score but its last row and column is one of the other's, because a
 /// score is its two rows' products summed in `dim` order, and products
-/// commute. Other kinds ignore it.
+/// commute. So is every softmax numerator `exp(s − max)` but the last of a
+/// row whose max stays: the row drops a column that does not hold its max
+/// and appends one no greater. Other kinds ignore it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Shift {
     /// This sequence is shifted by one from the one pooled last, which kept
-    /// its scores: compute only the new last row and its mirror.
+    /// its scores and numerators: compute only the new last row and its
+    /// mirror, and the new numerator of each row whose max stays.
     pub from_kept: bool,
     /// The next sequence pooled is this one shifted by one: keep the scores
-    /// they share.
+    /// and numerators they share.
     pub keep: bool,
 }
 
@@ -211,6 +236,8 @@ fn transformer_pool(
         transposed,
         scores,
         kept,
+        exps,
+        peaks,
         row: attended,
     } = scratch;
     // With Xᵀ at hand a score row is a row of X times a matrix: stride-1
@@ -255,12 +282,53 @@ fn transformer_pool(
         }
         kept.resize(len * len, 0.0);
     }
+    if shift.keep && !shift.from_kept {
+        exps.clear();
+        exps.resize(len * len, 0.0);
+        peaks.clear();
+        peaks.resize(len, (f32::NEG_INFINITY, 0));
+    }
+    debug_assert!(!shift.from_kept || peaks.len() == len, "no numerators kept");
     let scale = 1.0 / (dim as f32).sqrt();
     attended.clear();
     attended.resize(dim, 0.0);
-    for (q, weights) in x.chunks_exact(dim).zip(scores.chunks_exact_mut(len)) {
-        weights.iter_mut().for_each(|s| *s *= scale);
-        softmax_in_place(weights);
+    let rows = x.chunks_exact(dim).zip(scores.chunks_exact_mut(len));
+    for (i, (q, weights)) in rows.enumerate() {
+        // Row i of a shifted sequence is row i + 1 of the last one, its first
+        // column dropped and one appended. If a later column holds that
+        // row's max and the new one is no greater, the max stays, and so
+        // does every numerator but the new last. Rows go in order, so row
+        // i + 1's kept numerators are read before row i's overwrite them.
+        let last = weights[len - 1] * scale;
+        let kept_peak = if shift.from_kept {
+            peaks.get(i + 1).copied()
+        } else {
+            None
+        };
+        let (peak, sum) = match kept_peak {
+            Some((max, at)) if at > 0 && last <= max => {
+                weights[..len - 1].copy_from_slice(&exps[(i + 1) * len + 1..(i + 2) * len]);
+                weights[len - 1] = (last - max).exp();
+                let sum = weights.iter().fold(0.0f32, |sum, &e| sum + e);
+                let at = if last == max { len - 1 } else { at - 1 };
+                ((max, at), sum)
+            }
+            _ => {
+                weights.iter_mut().for_each(|s| *s *= scale);
+                let max = row_max(weights);
+                let at = if shift.keep {
+                    weights.iter().rposition(|&s| s == max).unwrap_or(0)
+                } else {
+                    0
+                };
+                ((max, at), exps_in_place(weights, max))
+            }
+        };
+        if shift.keep {
+            exps[i * len..(i + 1) * len].copy_from_slice(weights);
+            peaks[i] = peak;
+        }
+        divide(weights, sum);
         vecmat(weights, x, dim, attended);
         // Feed-forward (squared ReLU, residual) fused with the mean's sum.
         for ((o, &a), &q) in out.iter_mut().zip(attended.iter()).zip(q) {
@@ -274,6 +342,9 @@ fn transformer_pool(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Three rows of dimension 2.
     const SEQUENCE: [f32; 6] = [1.0, 2.0, 3.0, 4.0, 5.0, 0.0];
@@ -351,5 +422,116 @@ mod tests {
         ] {
             assert_eq!(pool(kind, &[], 3).0, vec![0.0; 3]);
         }
+    }
+
+    /// The rows of a run of sequences of `len` rows of width `dim`, each
+    /// shifted by one from the one before: unit `k` is rows `k..k + len`. A
+    /// row repeats an earlier one, is zero, or is non-negative and scaled by
+    /// 0.1–1 or by 16, so that one row's scores can dwarf the rest: a row's
+    /// max then sits in the column a shift drops, or moves to the one it
+    /// appends.
+    fn chain_rows(seed: u64, len: usize, dim: usize, units: usize) -> Vec<Vec<f32>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows: Vec<Vec<f32>> = Vec::new();
+        for _ in 0..len + units - 1 {
+            let row = match rng.gen_range(0..8) {
+                0 if !rows.is_empty() => rows[rng.gen_range(0..rows.len())].clone(),
+                1 => vec![0.0; dim],
+                pick => {
+                    let scale = if pick == 2 {
+                        16.0
+                    } else {
+                        rng.gen_range(0.1..1.0)
+                    };
+                    (0..dim)
+                        .map(|_| scale * rng.gen_range(0.0f32..1.0))
+                        .collect()
+                }
+            };
+            rows.push(row);
+        }
+        rows
+    }
+
+    /// The bits of pooling every unit of a chain afresh, then with scores
+    /// and numerators carried along it. The chain is cut before unit `cut`
+    /// as a worker boundary cuts it: the unit before keeps nothing, and the
+    /// unit pools afresh in a scratch of its own.
+    fn pool_chain(rows: &[Vec<f32>], len: usize, dim: usize, cut: usize) -> [Vec<u32>; 2] {
+        let kind = PoolingKind::Transformer;
+        let units = rows.len() + 1 - len;
+        let flat = rows.concat();
+        let mut scratches: [PoolScratch; 3] = Default::default();
+        let mut pooled = [Vec::new(), Vec::new()];
+        let mut out = vec![0.0; dim];
+        for k in 0..units {
+            let sequence = &flat[k * dim..(k + len) * dim];
+            pool_sequence(kind, sequence, dim, &mut scratches[2], &mut out);
+            pooled[0].extend(out.iter().map(|v| v.to_bits()));
+            let shift = Shift {
+                from_kept: k > 0 && k != cut,
+                keep: k + 1 < units && k + 1 != cut,
+            };
+            let scratch = &mut scratches[usize::from(k >= cut)];
+            pool_shifted(kind, sequence, dim, scratch, &mut out, shift);
+            pooled[1].extend(out.iter().map(|v| v.to_bits()));
+        }
+        pooled
+    }
+
+    proptest! {
+        /// A chain of three or more sequences, each shifted by one from the
+        /// one before and pooled from what that one kept, pools to the bits
+        /// of pooling each afresh — cut anywhere or not at all.
+        #[test]
+        fn shifted_chains_pool_to_the_bits_of_pooling_afresh(
+            seed in any::<u64>(),
+            len in 2usize..20,
+            dim in 1usize..20,
+            units in 3usize..8,
+            cut in 1usize..10,
+        ) {
+            let rows = chain_rows(seed, len, dim, units);
+            let [fresh, reused] = pool_chain(&rows, len, dim, cut);
+            prop_assert!(fresh == reused, "{len}x{dim}, {units} units cut at {cut}");
+        }
+    }
+
+    /// What the property's chains cover: over a few of them, shifted rows
+    /// whose max stays, whose max sat in the dropped column, and whose new
+    /// last column became the max, each counted from scores summed in
+    /// `dim` order as the kernel sums them.
+    #[test]
+    fn chains_cover_every_way_a_row_max_can_move() {
+        let (len, dim, units) = (8, 4, 5);
+        let scale = 1.0 / (dim as f32).sqrt();
+        let [mut stays, mut dropped, mut appended] = [0; 3];
+        for seed in 0..32 {
+            let rows = chain_rows(seed, len, dim, units);
+            let score = |i: usize, j: usize| {
+                let products = rows[i].iter().zip(&rows[j]).map(|(a, b)| a * b);
+                products.fold(0.0f32, |sum, p| sum + p) * scale
+            };
+            for k in 1..units {
+                for i in 0..len - 1 {
+                    // Row i of unit k is row i + 1 of unit k - 1 shifted.
+                    let old: Vec<f32> = (k - 1..k - 1 + len).map(|j| score(k + i, j)).collect();
+                    let max = row_max(&old);
+                    let at = old.iter().rposition(|&s| s == max).unwrap();
+                    let last = score(k + i, k + len - 1);
+                    match (at, last > max) {
+                        (0, _) => dropped += 1,
+                        (_, true) => appended += 1,
+                        (_, false) => stays += 1,
+                    }
+                }
+            }
+            let [fresh, reused] = pool_chain(&rows, len, dim, units);
+            assert!(fresh == reused, "seed {seed}");
+        }
+        assert!(
+            stays > 0 && dropped > 0 && appended > 0,
+            "{stays} {dropped} {appended}"
+        );
     }
 }
