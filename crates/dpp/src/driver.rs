@@ -1,7 +1,9 @@
 //! The one pipeline driver: log tail → streaming ETL → land → DPP (one
 //! service or an M-host fleet) → trainer lanes, under an optional chaos
-//! plan. `PipelineRunner` and the `recd-dpp` CLI both build configs, call
-//! [`Driver::new`] + [`Driver::run`], and map the [`DriverOutput`].
+//! plan. The `recd-dpp` CLI, `PipelineRunner::run` and the pipeline's
+//! chaos, control, fleet and storage suites all build a [`TailFeed`] and a
+//! [`Topology`], call [`Driver::new`] + [`Driver::run`], and read the
+//! [`DriverOutput`].
 //!
 //! Every pump runs the same schedule:
 //!

@@ -48,7 +48,8 @@
 //!
 //! [`driver`] is the one loop that feeds either topology — a single service
 //! or a [`DppFleet`] — from a log tail through the streaming ETL, under an
-//! optional chaos plan; `PipelineRunner` and the `recd-dpp` CLI both call it.
+//! optional chaos plan; the `recd-dpp` CLI, `PipelineRunner::run` and the
+//! pipeline's convergence suites all call it.
 //!
 //! Modules: [`service`] (the stages and the one state they share),
 //! [`sink`] (resequencing, trainer lanes and their delivery — for the

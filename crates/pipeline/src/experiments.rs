@@ -10,7 +10,7 @@
 
 use crate::config::{RecdConfig, RmPreset, RmSpec};
 use crate::run::{evaluate_trainer, PipelineRunner};
-use recd_core::{DataLoaderConfig, DedupeModel, FeatureConverter};
+use recd_core::{ConvertedBatch, DataLoaderConfig, DedupeModel, FeatureConverter};
 use recd_data::{ColumnarBatch, Sample};
 use recd_datagen::{
     characterize, CharacterizationReport, DatasetGenerator, WorkloadConfig, WorkloadPreset,
@@ -21,7 +21,8 @@ use recd_reader::{ReaderCostModel, ReaderMetrics};
 use recd_scribe::{ScribeCluster, ScribeConfig, ShardKeyPolicy};
 use recd_storage::{NodeConfig, PlacementPolicy, TableStore, TectonicSim};
 use recd_trainer::{
-    Dlrm, DlrmConfig, ExecutionMode, IterationCost, PoolingKind, TrainerOptimizations, WorkStats,
+    bce_loss, Dlrm, DlrmConfig, ExecutionMode, IterationCost, PoolingKind, TrainerOptimizations,
+    WorkStats,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -654,7 +655,7 @@ pub fn table3(scale: ExperimentScale) -> Table3Report {
         Table3Row {
             config: label.to_string(),
             read_bytes: report.read_bytes,
-            send_bytes: report.egress_bytes,
+            send_bytes: report.dpp.egress_bytes,
         }
     })
     .collect();
@@ -1062,35 +1063,42 @@ pub fn accuracy(scale: ExperimentScale) -> AccuracyReport {
     };
 
     let model_config = DlrmConfig::from_schema(&schema, 8, PoolingKind::Sum);
-    let train_loss = |batches: &[recd_core::ConvertedBatch], mode: ExecutionMode| {
+    // A fresh model trained for three epochs over `batches` (empty ones
+    // skipped), with its last step's loss.
+    let train = |batches: &[ConvertedBatch], mode: ExecutionMode| {
         let mut model = Dlrm::new(model_config.clone());
         let mut last = 0.0;
         for _ in 0..3 {
-            for batch in batches {
+            for batch in batches.iter().filter(|b| b.batch_size > 0) {
                 last = model.train_step(batch, mode);
             }
         }
-        last
+        (model, last)
     };
 
     let dedup_batches = make_batches(&clustered, true);
     let baseline_batches = make_batches(&clustered, false);
     let interleaved_batches = make_batches(&partition.samples, false);
 
-    // Held-out evaluation uses the last quarter of the clustered batches.
+    // Held-out evaluation uses the last quarter of the clustered batches:
+    // the mean BCE over every evaluated row, parameters left as trained.
     let split = (dedup_batches.len() * 3 / 4).max(1);
-    let eval_loss = |train: &[recd_core::ConvertedBatch], eval: &[recd_core::ConvertedBatch]| {
-        let mut trainer = recd_trainer::Trainer::new(recd_trainer::TrainerConfig {
-            model: model_config.clone(),
-            mode: ExecutionMode::Baseline,
-            epochs: 3,
-        });
-        trainer.run(train, eval).eval_loss
+    let eval_loss = |train_batches: &[ConvertedBatch], eval: &[ConvertedBatch]| {
+        let (mut model, _) = train(train_batches, ExecutionMode::Baseline);
+        let (mut total, mut count) = (0.0f32, 0usize);
+        for batch in eval {
+            let (probs, _) = model.forward(batch, ExecutionMode::Baseline);
+            for (p, &label) in probs.iter().zip(&batch.labels) {
+                total += bce_loss(*p, label);
+                count += 1;
+            }
+        }
+        total / count.max(1) as f32
     };
 
     AccuracyReport {
-        baseline_loss: train_loss(&baseline_batches, ExecutionMode::Baseline),
-        dedup_loss: train_loss(&dedup_batches, ExecutionMode::Deduplicated),
+        baseline_loss: train(&baseline_batches, ExecutionMode::Baseline).1,
+        dedup_loss: train(&dedup_batches, ExecutionMode::Deduplicated).1,
         interleaved_eval_loss: eval_loss(
             &interleaved_batches[..split.min(interleaved_batches.len())],
             &baseline_batches[split.min(baseline_batches.len() - 1)..],

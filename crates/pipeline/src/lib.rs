@@ -22,9 +22,12 @@
 //!   [`PipelineReport`] with storage, reader, and trainer measurements. Past
 //!   Scribe, a run is one call of the driver in `recd_dpp::driver` (tail →
 //!   streaming ETL → land → DPP → trainer lanes); the runner only builds its
-//!   configs and maps its report. `with_continuous` jitters the tail and
-//!   shards by session, `with_hosts` makes the DPP tier a multi-host fleet
-//!   and `with_chaos` puts a fault plan on the pump clock.
+//!   configs ([`PipelineRunner::inputs`]) and maps its report.
+//!   `with_continuous` jitters the tail and shards by session. A fault
+//!   plan, a controller, another store or a multi-host fleet is set on
+//!   those inputs (`TailFeed::plan`, `DppConfig::with_ctrl`, the store, a
+//!   `Topology::Fleet`) and run through `Driver` directly, as the `recd-dpp`
+//!   CLI does.
 //! * [`experiments`] packages the paper's evaluation: Figures 3, 4, 7, 8, 9,
 //!   10 and Tables 2, 3, 4, plus the Scribe compression study, the
 //!   single-node study, the DedupeFactor sweep, and the accuracy-neutrality
@@ -38,4 +41,4 @@ pub mod experiments;
 pub mod run;
 
 pub use config::{RecdConfig, RmPreset, RmSpec};
-pub use run::{PipelineReport, PipelineRunner};
+pub use run::{PipelineInputs, PipelineReport, PipelineRunner};

@@ -1,13 +1,12 @@
 //! The end-to-end pipeline runner.
 
 use crate::config::{RecdConfig, RmSpec};
-use recd_chaos::{ChaosReport, FaultPlan};
 use recd_core::{ConvertedBatch, DataLoaderConfig};
 use recd_data::Schema;
 use recd_datagen::DatasetGenerator;
 use recd_dpp::{
-    Consume, CtrlConfig, DppConfig, DppReport, Driver, FleetConfig, FleetReport, ShardPolicy,
-    TailFeed, Topology, TrainerAssignPolicy, TrainerBatch,
+    Consume, DppConfig, DppReport, Driver, ShardPolicy, TailFeed, Topology, TrainerAssignPolicy,
+    TrainerBatch,
 };
 use recd_etl::{EtlServiceReport, EtlStreamConfig, TableLayout};
 use recd_reader::ReaderConfig;
@@ -35,16 +34,11 @@ pub struct PipelineReport {
     /// Streaming ETL accounting (join, seals, landing); its `storage` is the
     /// table's byte accounting (O2).
     pub etl: EtlServiceReport,
-    /// The DPP tier's accounting (in a fleet, the fleet-level aggregate).
-    /// Its `reader_metrics` are the per-phase work counters (O3, O4) that
-    /// Figures 7 and 10 and Table 4 model reader time from through
-    /// [`ReaderCostModel`](recd_reader::ReaderCostModel).
+    /// The DPP service's accounting. Its `reader_metrics` are the per-phase
+    /// work counters (O3, O4) that Figures 7 and 10 and Table 4 model reader
+    /// time from through [`ReaderCostModel`](recd_reader::ReaderCostModel),
+    /// and its `egress_bytes` the bytes readers sent toward trainers.
     pub dpp: DppReport,
-    /// Fleet control-plane accounting (heartbeats, deaths, replay,
-    /// rebalance), present when the runner was configured with
-    /// [`PipelineRunner::with_hosts`].
-    #[serde(default)]
-    pub fleet: Option<FleetReport>,
     /// Modeled training iteration cost (O5–O7).
     pub trainer: IterationCost,
     /// Modeled GPU memory usage.
@@ -53,12 +47,6 @@ pub struct PipelineReport {
     pub dedupe_factor: f64,
     /// Total bytes readers fetched from storage.
     pub read_bytes: usize,
-    /// Total bytes readers sent toward trainers.
-    pub egress_bytes: usize,
-    /// Chaos-engine accounting (faults fired, retries, backoff, pump
-    /// crash/recovery), present when the runner was configured with
-    /// [`PipelineRunner::with_chaos`].
-    pub chaos: Option<ChaosReport>,
 }
 
 /// The report plus the artifacts downstream experiments reuse.
@@ -74,6 +62,24 @@ pub struct PipelineArtifacts {
     pub report: PipelineReport,
 }
 
+/// What one run hands its [`Driver`]: built by [`PipelineRunner::inputs`],
+/// driven on a single service by [`PipelineRunner::run`]. A caller that
+/// wants a fault plan, a controller, another store or a fleet sets it on
+/// these and calls [`Driver::new`] itself, as the `recd-dpp` CLI does.
+#[derive(Debug)]
+pub struct PipelineInputs {
+    /// The dataset schema.
+    pub schema: Schema,
+    /// Scribe tier byte accounting (O1) of the drained log.
+    pub scribe: ScribeReport,
+    /// The drained log as a tail, with the arm's jitter and ETL layout.
+    pub feed: TailFeed,
+    /// The arm's DPP service, its trainer lanes assigned least-loaded.
+    pub dpp: DppConfig,
+    /// Where partitions land and are read from: a flat 8-node store.
+    pub store: Arc<TableStore>,
+}
+
 /// Runs one RM workload through the full pipeline under a given
 /// [`RecdConfig`].
 #[derive(Debug, Clone)]
@@ -82,10 +88,6 @@ pub struct PipelineRunner {
     config: RecdConfig,
     continuous_workers: Option<usize>,
     continuous_trainers: usize,
-    hosts: usize,
-    chaos: Option<FaultPlan>,
-    storage: Option<TectonicSim>,
-    ctrl: Option<CtrlConfig>,
 }
 
 impl PipelineRunner {
@@ -96,21 +98,7 @@ impl PipelineRunner {
             config,
             continuous_workers: None,
             continuous_trainers: 0,
-            hosts: 0,
-            chaos: None,
-            storage: None,
-            ctrl: None,
         }
-    }
-
-    /// Lands and reads through `store` (say, one with a per-node queue
-    /// model or a cache tier) instead of a fresh flat 8-node store. Clones
-    /// of a store share its state, so every run of this runner uses that
-    /// one store.
-    #[must_use]
-    pub fn with_storage(mut self, store: TectonicSim) -> Self {
-        self.storage = Some(store);
-        self
     }
 
     /// Runs the *continuous* arm: the Scribe drain arrives with up to 2 s of
@@ -127,79 +115,18 @@ impl PipelineRunner {
     /// Fans preprocessed batches out to `trainers` simulated trainer lanes,
     /// each drained by its own consumer thread. Lanes are assigned
     /// least-loaded (not shard-pinned) so a killed lane's traffic re-routes
-    /// to the survivors instead of being dropped — the behavior the chaos
-    /// engine's `kill-trainer` fault exercises. `0` (the default) means one
-    /// lane.
+    /// to the survivors instead of being dropped. `0` (the default) means
+    /// one lane.
     #[must_use]
     pub fn with_continuous_trainers(mut self, trainers: usize) -> Self {
         self.continuous_trainers = trainers;
         self
     }
 
-    /// Runs the DPP tier as a *disaggregated fleet* of `hosts` simulated
-    /// preprocessing hosts behind the fault-tolerant control plane
-    /// ([`recd_dpp::DppFleet`]): the coordinator owns the global file →
-    /// shard placement, heartbeats every host on the pump clock, and heals
-    /// `kill-host`/`partition-host`/`rejoin-host` chaos faults with bounded
-    /// replay from the per-pump barrier cuts. The global shard count is fixed
-    /// by the compute-worker count alone, so the union of trainer batches is
-    /// byte-identical for every fleet size and failure schedule. Passing `0`
-    /// (the default) keeps the in-process single service; the control-plane
-    /// accounting lands in [`PipelineReport::fleet`].
-    #[must_use]
-    pub fn with_hosts(mut self, hosts: usize) -> Self {
-        self.hosts = hosts;
-        self
-    }
-
-    /// Runs the pipeline under the given chaos [`FaultPlan`]: storage faults
-    /// apply directly to the blob store, trainer stall/kill faults apply to
-    /// the fan-out lanes, and `crash-pump` tears the ETL service down and
-    /// resumes it from the latest ETL checkpoint — replayed partitions are
-    /// absorbed by the DPP service's ingest dedup, so the trainer-batch union
-    /// stays byte-identical to a fault-free run. Implies the continuous arm
-    /// (with two compute workers unless [`PipelineRunner::with_continuous`]
-    /// overrides it); the run's chaos accounting lands in
-    /// [`PipelineReport::chaos`].
-    ///
-    /// An *empty* plan is the canonical fault-free reference: it runs the
-    /// identical barrier/checkpoint schedule with no faults, which is what
-    /// the convergence tests compare against.
-    #[must_use]
-    pub fn with_chaos(mut self, plan: FaultPlan) -> Self {
-        if self.continuous_workers.is_none() {
-            self.continuous_workers = Some(2);
-        }
-        self.chaos = Some(plan);
-        self
-    }
-
-    /// Runs the DPP tier under the unified PID backpressure controller: the
-    /// controller samples trainer-lane depths, the DPP queues, and the ETL
-    /// tail lag, resizes the fill/compute pools toward its queue setpoint,
-    /// and holds the ETL pump while trainer lanes are the bottleneck. The
-    /// controller only changes *when* work happens, never what is produced —
-    /// trainer-batch unions stay byte-identical to an uncontrolled run. The
-    /// controller's accounting lands in [`DppReport::ctrl`].
-    #[must_use]
-    pub fn with_ctrl(mut self, ctrl: CtrlConfig) -> Self {
-        self.ctrl = Some(ctrl);
-        self
-    }
-
-    /// Borrows the RM spec.
-    pub fn spec(&self) -> &RmSpec {
-        &self.spec
-    }
-
-    /// Runs the pipeline with the given global batch size: generate the
-    /// logs, drain them through Scribe, then hand the drained log to one
-    /// [`Driver`] run — tail → streaming ETL (join, hourly seal, layout,
-    /// land) → DPP service or fleet (O3, O4) → trainer lanes — whose
-    /// per-pump schedule is documented on [`recd_dpp::driver`]. The driver
-    /// closes every landed partition with a barrier, so no batch spans two
-    /// partitions.
-    pub fn run(&self, batch_size: usize) -> PipelineArtifacts {
+    /// Builds the run's inputs with the given global batch size: generate
+    /// the logs, drain them through Scribe, and configure the tail, the
+    /// streaming ETL and the DPP service for this runner's rung and arm.
+    pub fn inputs(&self, batch_size: usize) -> PipelineInputs {
         let spec = &self.spec;
         let config = self.config;
 
@@ -225,7 +152,7 @@ impl PipelineRunner {
             .drain()
             .expect("scribe blocks written by this run decode");
 
-        // 3. One driver run: ETL (O2) and the DPP tier (O3, O4).
+        // 3. The driver's configs: ETL (O2) and the DPP tier (O3, O4).
         let layout = if config >= RecdConfig::ClusteredTable {
             TableLayout::ClusteredBySession
         } else {
@@ -237,7 +164,7 @@ impl PipelineRunner {
             DataLoaderConfig::baseline_from_schema(&schema)
         };
         let reader = ReaderConfig::new(batch_size, dataloader);
-        let (jitter_ms, mut dpp) = match self.continuous_workers {
+        let (jitter_ms, dpp) = match self.continuous_workers {
             None => (
                 0,
                 DppConfig::new(reader).with_policy(ShardPolicy::FileRoundRobin),
@@ -251,33 +178,10 @@ impl PipelineRunner {
                     .with_shards(workers),
             ),
         };
-        if let Some(ctrl) = &self.ctrl {
-            dpp = dpp.with_ctrl(ctrl.clone());
-        }
         // Every batch reaches the collector through a trainer lane.
-        let trainers = self.continuous_trainers.max(1);
-        let topology = if self.hosts > 0 {
-            // Host template. The global shard count is 3× the compute
-            // workers *independently of the fleet size*, so the coordinator's
-            // file → shard placement — and with it batch composition — is
-            // identical for every M: the byte-identity the fleet convergence
-            // tests assert. (The coordinator routes every file with an
-            // explicit shard override, so the shard policy is irrelevant.)
-            let shards = dpp.compute_workers * 3;
-            let host = dpp
-                .with_policy(ShardPolicy::FileRoundRobin)
-                .with_shards(shards);
-            Topology::Fleet(
-                FleetConfig::new(host)
-                    .with_hosts(self.hosts)
-                    .with_trainers(trainers),
-            )
-        } else {
-            Topology::Single(
-                dpp.with_trainers(trainers)
-                    .with_assign_policy(TrainerAssignPolicy::LeastLoaded),
-            )
-        };
+        let dpp = dpp
+            .with_trainers(self.continuous_trainers.max(1))
+            .with_assign_policy(TrainerAssignPolicy::LeastLoaded);
         let tail_config = TailConfig::default()
             .with_jitter_ms(jitter_ms)
             .with_seed(spec.sized_workload().seed);
@@ -286,14 +190,35 @@ impl PipelineRunner {
             stream: EtlStreamConfig::new(layout).with_window_ms(10_000),
             table: spec.preset.name().to_string(),
             step_ms: 60_000,
-            plan: self.chaos.clone(),
+            plan: None,
         };
-        let blob = self.storage.clone().unwrap_or_else(|| TectonicSim::new(8));
-        let store = Arc::new(TableStore::new(blob, 64, 4));
-        let driver = Driver::new(Arc::clone(&store), &schema, feed, topology)
+        PipelineInputs {
+            schema,
+            scribe: scribe_report,
+            feed,
+            dpp,
+            store: Arc::new(TableStore::new(TectonicSim::new(8), 64, 4)),
+        }
+    }
+
+    /// Runs the pipeline with the given global batch size: hands
+    /// [`inputs`](Self::inputs) to one [`Driver`] run on a single service —
+    /// tail → streaming ETL (join, hourly seal, layout, land) → DPP service
+    /// (O3, O4) → trainer lanes — whose per-pump schedule is documented on
+    /// [`recd_dpp::driver`], then models the trainer over what the lanes
+    /// delivered. The driver closes every landed partition with a barrier,
+    /// so no batch spans two partitions.
+    pub fn run(&self, batch_size: usize) -> PipelineArtifacts {
+        let PipelineInputs {
+            schema,
+            scribe,
+            feed,
+            dpp,
+            store,
+        } = self.inputs(batch_size);
+        let driver = Driver::new(Arc::clone(&store), &schema, feed, Topology::Single(dpp))
             .unwrap_or_else(|err| panic!("{err}"));
-        // Simulated trainers collect what their lanes deliver; killed lanes
-        // and survivors alike land in the one union.
+        // Simulated trainers collect what their lanes deliver.
         let collected = Arc::new(Mutex::new(Vec::new()));
         let consume: Consume = {
             let collected = Arc::clone(&collected);
@@ -306,31 +231,28 @@ impl PipelineRunner {
         batches.sort_by_key(|b: &TrainerBatch| (b.shard, b.seq));
 
         // 4. Trainer cost model (O5–O7) over the produced batches.
+        let spec = &self.spec;
         let model = DlrmConfig::from_schema(&schema, spec.embedding_dim, spec.sequence_pooling);
-        let cluster = spec.cluster();
         let (trainer, memory, dedupe_factor) = evaluate_trainer(
             &batches,
             &model,
-            config.trainer_optimizations(),
-            &cluster,
+            self.config.trainer_optimizations(),
+            &spec.cluster(),
             batch_size,
         );
 
         let report = PipelineReport {
             rm: spec.preset.name().to_string(),
-            config,
+            config: self.config,
             batch_size,
             samples: batches.iter().map(|b| b.batch.batch_size).sum(),
-            scribe: scribe_report,
+            scribe,
             etl: output.etl,
             read_bytes: store.blob_store().stats().read_bytes,
-            egress_bytes: output.dpp.egress_bytes,
             dpp: output.dpp,
-            fleet: output.fleet.map(|(report, _hosts)| report),
             trainer,
             memory,
             dedupe_factor,
-            chaos: output.chaos,
         };
 
         PipelineArtifacts {
@@ -417,7 +339,7 @@ mod tests {
         assert!(r.etl.storage.compression_ratio() > b.etl.storage.compression_ratio());
         assert!(r.read_bytes < b.read_bytes);
         // O3/O4: smaller reader egress and real dedupe factor.
-        assert!(r.egress_bytes < b.egress_bytes);
+        assert!(r.dpp.egress_bytes < b.dpp.egress_bytes);
         assert!(r.dedupe_factor > 1.2);
         assert!((b.dedupe_factor - 1.0).abs() < 1e-9);
         // O5–O7: higher modeled training throughput and lower memory.
@@ -446,10 +368,9 @@ mod tests {
         let reader = report.dpp.reader_metrics;
         assert_eq!(reader.samples, report.samples);
         assert_eq!(reader.batches, batches.len());
-        assert_eq!(reader.egress_bytes, report.egress_bytes);
+        assert_eq!(reader.egress_bytes, report.dpp.egress_bytes);
         assert_eq!(reader.barrier_flushes as u64, report.etl.landed_partitions);
         assert_eq!(report.dpp.partitions_ingested, report.etl.landed_partitions);
-        assert!(report.fleet.is_none() && report.chaos.is_none());
     }
 
     #[test]
@@ -471,10 +392,6 @@ mod tests {
         assert_eq!(c.dpp.partitions_ingested, c.etl.landed_partitions);
         assert_eq!(c.samples, b.samples);
         assert!(c.dpp.dedupe_factor > 1.0);
-        assert!(
-            c.fleet.is_none(),
-            "single-service mode carries no fleet report"
-        );
     }
 
     #[test]

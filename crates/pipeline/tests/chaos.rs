@@ -4,59 +4,32 @@
 //! deliver the **byte-identical trainer-batch union** of a fault-free run
 //! with the same barrier schedule, with full chaos accounting.
 //!
-//! The fault-free oracle is the same runner under an *empty* fault plan:
-//! it executes the identical pump/barrier/checkpoint cadence, so any
+//! The fault-free oracle is the same run under an *empty* fault plan: it
+//! executes the identical pump/barrier/checkpoint cadence, so any
 //! divergence is attributable to a fault leaking into the payload path.
+//! Each run is the runner's continuous arm with the plan set on its feed,
+//! driven through `Driver` as the `recd-dpp` CLI drives it.
 
+mod common;
+
+use common::{assert_union_identical, drive, inputs_with, TRAINERS};
 use recd_chaos::FaultPlan;
-use recd_dpp::TrainerBatch;
-use recd_pipeline::{PipelineRunner, RecdConfig, RmPreset, RmSpec};
+use recd_dpp::{DriverOutput, Topology, TrainerBatch};
 
-const WORKERS: usize = 2;
-const TRAINERS: usize = 3;
-const BATCH: usize = 128;
 /// The small workload's sessions all start inside hour zero, so one
 /// simulated hour bounds the window in which the pipeline is moving data.
 const HORIZON_MS: u64 = 3_600_000;
+const ORACLE: &str = "the fault-free run";
 
-fn small_spec() -> RmSpec {
-    RmPreset::Rm1.spec().scaled_down(60)
-}
-
-fn run_with(plan: FaultPlan) -> recd_pipeline::run::PipelineArtifacts {
-    PipelineRunner::new(small_spec(), RecdConfig::full())
-        .with_continuous(WORKERS)
-        .with_continuous_trainers(TRAINERS)
-        .with_chaos(plan)
-        .run(BATCH)
-}
-
-/// Asserts two canonical unions are byte-identical.
-fn assert_union_identical(reference: &[TrainerBatch], got: &[TrainerBatch], label: &str) {
-    assert_eq!(
-        got.len(),
-        reference.len(),
-        "{label}: delivered batch count diverged from the fault-free run"
-    );
-    for (i, (g, r)) in got.iter().zip(reference).enumerate() {
-        assert_eq!(
-            (g.shard, g.seq),
-            (r.shard, r.seq),
-            "{label}: batch {i} stream position diverged"
-        );
-        assert_eq!(
-            g.batch, r.batch,
-            "{label}: batch {i} payload diverged from the fault-free run"
-        );
-    }
+fn run_with(plan: FaultPlan) -> (DriverOutput, Vec<TrainerBatch>) {
+    drive(inputs_with(plan), Topology::Single)
 }
 
 #[test]
 fn seeded_fault_plans_converge_to_the_fault_free_union() {
-    let reference = run_with(FaultPlan::new());
-    let ref_chaos = reference.report.chaos.clone().expect("chaos report");
+    let (reference, ref_union) = run_with(FaultPlan::new());
+    let ref_chaos = reference.chaos.clone().expect("chaos report");
     assert_eq!(ref_chaos.faults_fired, 0, "empty plan fires nothing");
-    let ref_union = reference.batches;
     assert!(
         ref_union.len() >= 4,
         "reference must deliver several batches, got {}",
@@ -66,10 +39,10 @@ fn seeded_fault_plans_converge_to_the_fault_free_union() {
     for seed in [11u64, 29, 47] {
         let plan = FaultPlan::seeded(seed, HORIZON_MS, TRAINERS);
         let planned = plan.len();
-        let artifacts = run_with(plan);
+        let (report, batches) = run_with(plan);
         let label = format!("seed {seed}");
 
-        let chaos = artifacts.report.chaos.clone().expect("chaos report");
+        let chaos = report.chaos.clone().expect("chaos report");
         assert_eq!(chaos.seed, seed);
         assert_eq!(chaos.planned_faults, planned);
         assert_eq!(
@@ -90,7 +63,6 @@ fn seeded_fault_plans_converge_to_the_fault_free_union() {
         );
         assert_eq!(chaos.retry_exhausted, 0, "{label}: budget must suffice");
 
-        let report = &artifacts.report;
         assert!(
             report.dpp.trainers.iter().all(|t| t.dropped_batches == 0),
             "{label}: killed-lane traffic must re-route, not drop"
@@ -100,14 +72,13 @@ fn seeded_fault_plans_converge_to_the_fault_free_union() {
             "{label}: exactly-once — trainer-side samples match the joined samples"
         );
 
-        assert_union_identical(&ref_union, &artifacts.batches, &label);
+        assert_union_identical(&ref_union, &batches, &label, ORACLE);
     }
 }
 
 #[test]
 fn hand_written_fault_plans_converge_to_the_fault_free_union() {
-    let reference = run_with(FaultPlan::new());
-    let ref_union = reference.batches;
+    let (_, ref_union) = run_with(FaultPlan::new());
 
     let plans = [
         // A mid-run trainer kill, a stall, and a storage brown-out.
@@ -120,22 +91,23 @@ fn hand_written_fault_plans_converge_to_the_fault_free_union() {
     for spec in plans {
         let plan = FaultPlan::parse(spec).expect("plan parses");
         let planned = plan.len();
-        let artifacts = run_with(plan);
-        let chaos = artifacts.report.chaos.clone().expect("chaos report");
+        let (report, batches) = run_with(plan);
+        let chaos = report.chaos.clone().expect("chaos report");
         assert_eq!(chaos.faults_fired, planned as u64, "plan `{spec}`");
-        assert_union_identical(&ref_union, &artifacts.batches, &format!("plan `{spec}`"));
+        let label = format!("plan `{spec}`");
+        assert_union_identical(&ref_union, &batches, &label, ORACLE);
     }
 }
 
 #[test]
 fn crash_restart_accounting_reaches_the_report() {
     let plan = FaultPlan::parse("600000:crash-pump").expect("plan parses");
-    let artifacts = run_with(plan);
-    let chaos = artifacts.report.chaos.expect("chaos report");
+    let (report, batches) = run_with(plan);
+    let chaos = report.chaos.expect("chaos report");
     assert_eq!(chaos.pump_crashes, 1);
     assert_eq!(chaos.resumes, 1);
     assert!(chaos.recovery_ms >= 0.0);
     // The fault-free union still holds after a lone crash-restart.
-    let reference = run_with(FaultPlan::new());
-    assert_union_identical(&reference.batches, &artifacts.batches, "lone crash");
+    let (_, reference) = run_with(FaultPlan::new());
+    assert_union_identical(&reference, &batches, "lone crash", ORACLE);
 }

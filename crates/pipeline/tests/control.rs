@@ -4,9 +4,11 @@
 //! **byte-identical trainer-batch union** of a controller-off run under the
 //! same barrier schedule, fault-free and under slow-trainer chaos alike.
 //!
-//! The controller-off oracle is the same runner without `with_ctrl`: it
-//! executes the identical pump/checkpoint cadence, so any divergence is
-//! attributable to the controller leaking into the payload path.
+//! The controller-off oracle is the same run without a controller on its
+//! DPP config: it executes the identical pump/checkpoint cadence, so any
+//! divergence is attributable to the controller leaking into the payload
+//! path. Each run is the runner's continuous arm, driven through `Driver`
+//! as the `recd-dpp` CLI drives it.
 //!
 //! No wall clock decides an outcome here: controller-on runs tick on a
 //! `ManualClock` that a stepper thread advances as fast as the controller
@@ -14,15 +16,17 @@
 //! controller *does* with its samples (grow, shrink, pump gate, bounds) is
 //! pinned by `recd-dpp`'s `control.rs` unit harness and `tests/scaling.rs`.
 
+mod common;
+
+use common::{assert_union_identical, continuous_inputs, drive, fleet, inputs_with};
 use recd_chaos::FaultPlan;
-use recd_dpp::{CtrlConfig, ManualClock, ScaleClock, TrainerBatch};
-use recd_pipeline::run::PipelineArtifacts;
-use recd_pipeline::{PipelineRunner, RecdConfig, RmPreset, RmSpec};
+use recd_dpp::{
+    CtrlConfig, DppConfig, DriverOutput, ManualClock, ScaleClock, Topology, TrainerBatch,
+};
+use recd_pipeline::PipelineInputs;
 use std::sync::Arc;
 
-const WORKERS: usize = 2;
-const TRAINERS: usize = 3;
-const BATCH: usize = 128;
+const ORACLE: &str = "the controller-off run";
 
 /// Every lane stalled within one pump window (the plan rejects same-instant
 /// duplicates of a fault kind, so the stalls stagger by one 60s pump step
@@ -32,82 +36,52 @@ const SLOW_TRAINER_PLAN: &str = "1800000:stall-trainer:0:300;1860000:stall-train
                                  1920000:stall-trainer:2:300;3000000:stall-trainer:0:300;\
                                  3060000:stall-trainer:1:300;3120000:stall-trainer:2:300";
 
-fn small_spec() -> RmSpec {
-    RmPreset::Rm1.spec().scaled_down(60)
-}
-
-fn runner() -> PipelineRunner {
-    PipelineRunner::new(small_spec(), RecdConfig::full())
-        .with_continuous(WORKERS)
-        .with_continuous_trainers(TRAINERS)
-}
-
-/// Runs `runner` under the PID controller on a stepped clock. Every `step`
-/// returns once the controller finished that evaluation and the loop ends
-/// when the service shuts the clock down, so the controller samples at
+/// Drives `inputs` under the PID controller on a stepped clock. Every
+/// `step` returns once the controller finished that evaluation and the loop
+/// ends when the service shuts the clock down, so the controller samples at
 /// least once however short the run is (fleet hosts share the one clock;
 /// the first host to finish stops it for all).
-fn run_controlled(runner: PipelineRunner) -> PipelineArtifacts {
+fn run_controlled(
+    mut inputs: PipelineInputs,
+    topology: impl FnOnce(DppConfig) -> Topology,
+) -> (DriverOutput, Vec<TrainerBatch>) {
     let clock = Arc::new(ManualClock::new());
     let stepper = {
         let clock = Arc::clone(&clock);
         std::thread::spawn(move || while clock.step() {})
     };
-    let artifacts = runner
-        .with_ctrl(CtrlConfig::bounds(1, 4).with_clock(clock as Arc<dyn ScaleClock>))
-        .run(BATCH);
+    let ctrl = CtrlConfig::bounds(1, 4).with_clock(clock as Arc<dyn ScaleClock>);
+    inputs.dpp = inputs.dpp.with_ctrl(ctrl);
+    let (report, batches) = drive(inputs, topology);
     stepper.join().expect("stepper");
-    let report = artifacts
-        .report
+    let ctrl = report
         .dpp
         .ctrl
+        .as_ref()
         .expect("controller-on runs report ctrl");
-    assert!(report.ticks > 0, "the controller must have sampled");
-    artifacts
-}
-
-/// Asserts two canonical unions are byte-identical.
-fn assert_union_identical(reference: &[TrainerBatch], got: &[TrainerBatch], label: &str) {
-    assert_eq!(
-        got.len(),
-        reference.len(),
-        "{label}: delivered batch count diverged from the controller-off run"
-    );
-    for (i, (g, r)) in got.iter().zip(reference).enumerate() {
-        assert_eq!(
-            (g.shard, g.seq),
-            (r.shard, r.seq),
-            "{label}: batch {i} stream position diverged"
-        );
-        assert_eq!(
-            g.batch, r.batch,
-            "{label}: batch {i} payload diverged from the controller-off run"
-        );
-    }
+    assert!(ctrl.ticks > 0, "the controller must have sampled");
+    (report, batches)
 }
 
 #[test]
 fn controller_off_and_on_deliver_identical_unions() {
-    let off = runner().run(BATCH);
-    let off_union = off.batches;
+    let (off_report, off_union) = drive(continuous_inputs(), Topology::Single);
     assert!(
         off_union.len() >= 4,
         "reference must deliver several batches, got {}",
         off_union.len()
     );
-    let off_report = &off.report;
     assert!(
         off_report.dpp.ctrl.is_none(),
         "controller-off runs must not grow a ctrl report"
     );
 
-    let on = run_controlled(runner());
-    let on_report = &on.report;
+    let (on_report, on_union) = run_controlled(continuous_inputs(), Topology::Single);
     assert_eq!(
         on_report.dpp.samples, off_report.dpp.samples,
         "controller must not change delivered sample count"
     );
-    assert_union_identical(&off_union, &on.batches, "ctrl on");
+    assert_union_identical(&off_union, &on_union, "ctrl on", ORACLE);
 }
 
 /// At the parent of the PR that removed submission pacing this plan never
@@ -118,27 +92,25 @@ fn controller_off_and_on_deliver_identical_unions() {
 fn controller_under_slow_trainers_delivers_the_uncontrolled_union() {
     let plan = FaultPlan::parse(SLOW_TRAINER_PLAN).expect("plan parses");
     let planned = plan.len() as u64;
-    let off = runner().with_chaos(plan.clone()).run(BATCH);
-    let off_chaos = off.report.chaos.clone().expect("chaos report");
+    let (off, off_union) = drive(inputs_with(plan.clone()), Topology::Single);
+    let off_chaos = off.chaos.clone().expect("chaos report");
     assert_eq!(off_chaos.faults_fired, planned);
-    let off_union = off.batches;
 
-    let on = run_controlled(runner().with_chaos(plan));
-    let on_chaos = on.report.chaos.clone().expect("chaos report");
+    let (on, on_union) = run_controlled(inputs_with(plan), Topology::Single);
+    let on_chaos = on.chaos.clone().expect("chaos report");
     assert_eq!(on_chaos.faults_fired, planned);
-    assert_union_identical(&off_union, &on.batches, "slow trainers");
+    assert_union_identical(&off_union, &on_union, "slow trainers", ORACLE);
 }
 
 #[test]
 fn controller_on_fleet_matches_the_controller_off_fleet_union() {
-    let off = runner().with_hosts(3).run(BATCH);
-    let off_union = off.batches;
+    let (_, off_union) = drive(continuous_inputs(), |dpp| fleet(3, dpp));
     assert!(
         off_union.len() >= 4,
         "fleet reference must deliver several batches, got {}",
         off_union.len()
     );
 
-    let on = run_controlled(runner().with_hosts(3));
-    assert_union_identical(&off_union, &on.batches, "fleet ctrl");
+    let (_, on_union) = run_controlled(continuous_inputs(), |dpp| fleet(3, dpp));
+    assert_union_identical(&off_union, &on_union, "fleet ctrl", ORACLE);
 }

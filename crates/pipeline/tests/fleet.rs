@@ -4,35 +4,26 @@
 //! schedule — kills, control-plane partitions, rejoins — with full
 //! control-plane accounting and zero dropped batches.
 //!
-//! The oracle is the same runner with a fleet of one: the coordinator's
-//! file → shard placement (and the per-pump barrier schedule) is a pure
-//! function of the landing schedule, independent of the host count, so any
-//! divergence is attributable to the control plane leaking into the payload
-//! path.
+//! The oracle is the same run on a fleet of one: the coordinator's file →
+//! shard placement (and the per-pump barrier schedule) is a pure function of
+//! the landing schedule, independent of the host count, so any divergence
+//! is attributable to the control plane leaking into the payload path.
+//! Each run is the runner's continuous arm with the plan set on its feed,
+//! driven on a fleet through `Driver` as the `recd-dpp` CLI drives it.
 
+mod common;
+
+use common::{drive, fleet, inputs_with, TRAINERS};
 use recd_chaos::FaultPlan;
-use recd_dpp::TrainerBatch;
-use recd_pipeline::{PipelineRunner, RecdConfig, RmPreset, RmSpec};
+use recd_dpp::{Driver, DriverOutput, Topology, TrainerBatch};
 
-const WORKERS: usize = 2;
-const TRAINERS: usize = 3;
-const BATCH: usize = 128;
 const HOSTS: usize = 4;
 /// The small workload's sessions all start inside hour zero, so one
 /// simulated hour bounds the window in which the pipeline is moving data.
 const HORIZON_MS: u64 = 3_600_000;
 
-fn small_spec() -> RmSpec {
-    RmPreset::Rm1.spec().scaled_down(60)
-}
-
-fn run_fleet(hosts: usize, plan: FaultPlan) -> recd_pipeline::run::PipelineArtifacts {
-    PipelineRunner::new(small_spec(), RecdConfig::full())
-        .with_continuous(WORKERS)
-        .with_continuous_trainers(TRAINERS)
-        .with_hosts(hosts)
-        .with_chaos(plan)
-        .run(BATCH)
+fn run_fleet(hosts: usize, plan: FaultPlan) -> (DriverOutput, Vec<TrainerBatch>) {
+    drive(inputs_with(plan), |dpp| fleet(hosts, dpp))
 }
 
 /// Asserts two canonical unions are byte-identical, including the
@@ -56,8 +47,7 @@ fn assert_union_identical(reference: &[TrainerBatch], got: &[TrainerBatch], labe
     }
 }
 
-fn assert_zero_drops(artifacts: &recd_pipeline::run::PipelineArtifacts, label: &str) {
-    let report = &artifacts.report;
+fn assert_zero_drops(report: &DriverOutput, label: &str) {
     assert!(
         report.dpp.trainers.iter().all(|t| t.dropped_batches == 0),
         "{label}: no fleet lane may drop a batch"
@@ -70,22 +60,21 @@ fn assert_zero_drops(artifacts: &recd_pipeline::run::PipelineArtifacts, label: &
 
 #[test]
 fn fleet_sizes_deliver_identical_unions() {
-    let mut one = run_fleet(1, FaultPlan::new());
-    let reference = std::mem::take(&mut one.batches);
+    let (one, reference) = run_fleet(1, FaultPlan::new());
     assert!(
         reference.len() >= 4,
         "reference must deliver several batches, got {}",
         reference.len()
     );
     assert_zero_drops(&one, "fleet of one");
-    let fleet_one = one.report.fleet.clone().expect("fleet report");
+    let fleet_one = one.fleet.clone().expect("fleet report").0;
     assert_eq!(fleet_one.hosts, 1);
     assert_eq!(fleet_one.hosts_live_at_finish, 1);
     assert_eq!(fleet_one.deaths_detected, 0);
 
-    let four = run_fleet(HOSTS, FaultPlan::new());
+    let (four, four_union) = run_fleet(HOSTS, FaultPlan::new());
     assert_zero_drops(&four, "fleet of four");
-    let fleet = four.report.fleet.clone().expect("fleet report");
+    let fleet = four.fleet.clone().expect("fleet report").0;
     assert_eq!(fleet.hosts, HOSTS);
     assert_eq!(fleet.hosts_live_at_finish, HOSTS);
     assert_eq!(fleet.deaths_detected, 0);
@@ -94,34 +83,34 @@ fn fleet_sizes_deliver_identical_unions() {
     // Every pump ticks every live host once; the final barrier (after the
     // tail drains) has no tick of its own, nor has the barrier closing each
     // ingested partition.
-    let pump_barriers = fleet.barriers - four.report.dpp.partitions_ingested;
+    let pump_barriers = fleet.barriers - four.dpp.partitions_ingested;
     assert!(
         fleet.heartbeats >= (pump_barriers - 1) * HOSTS as u64,
         "every live host beats at least once per pump"
     );
     assert_eq!(fleet.forwarded_batches as usize, reference.len());
 
-    assert_union_identical(&reference, &four.batches, "fleet of four");
+    assert_union_identical(&reference, &four_union, "fleet of four");
 }
 
 #[test]
 fn seeded_host_failure_schedules_converge() {
-    let reference = run_fleet(HOSTS, FaultPlan::new()).batches;
+    let (_, reference) = run_fleet(HOSTS, FaultPlan::new());
 
     for seed in [7u64, 23] {
         let plan = FaultPlan::seeded_fleet(seed, HORIZON_MS, TRAINERS, HOSTS);
         let planned = plan.len();
-        let artifacts = run_fleet(HOSTS, plan);
+        let (report, batches) = run_fleet(HOSTS, plan);
         let label = format!("seed {seed}");
 
-        let chaos = artifacts.report.chaos.clone().expect("chaos report");
+        let chaos = report.chaos.clone().expect("chaos report");
         assert_eq!(chaos.seed, seed);
         assert_eq!(
             chaos.faults_fired, planned as u64,
             "{label}: every scheduled fault fires inside the run window"
         );
 
-        let fleet = artifacts.report.fleet.clone().expect("fleet report");
+        let fleet = report.fleet.clone().expect("fleet report").0;
         assert_eq!(fleet.kills, 1, "{label}");
         assert_eq!(fleet.partitions, 1, "{label}");
         assert_eq!(fleet.rejoins, 1, "{label}");
@@ -138,15 +127,15 @@ fn seeded_host_failure_schedules_converge() {
             fleet.rebalance_moves > 0,
             "{label}: the rejoined host must steal shards back"
         );
-        assert_zero_drops(&artifacts, &label);
+        assert_zero_drops(&report, &label);
 
-        assert_union_identical(&reference, &artifacts.batches, &label);
+        assert_union_identical(&reference, &batches, &label);
     }
 }
 
 #[test]
 fn hand_written_host_fault_plan_heals_to_full_strength() {
-    let reference = run_fleet(HOSTS, FaultPlan::new()).batches;
+    let (_, reference) = run_fleet(HOSTS, FaultPlan::new());
 
     // Kill one host, partition another past the heartbeat timeout, rejoin
     // both: the fleet must finish at full strength with the identical union.
@@ -164,19 +153,24 @@ fn hand_written_host_fault_plan_heals_to_full_strength() {
         (0, "host faults require --hosts > 1"),
         (2, "names host 2, but --hosts 2 only has hosts 0..2"),
     ] {
-        let rejected = plan.clone();
-        let panic = std::panic::catch_unwind(move || run_fleet(hosts, rejected))
-            .expect_err("a host fault this topology cannot apply must be rejected");
-        let text = panic.downcast_ref::<String>().expect("panic message");
+        let inputs = inputs_with(plan.clone());
+        let topology = match hosts {
+            0 => Topology::Single(inputs.dpp),
+            _ => fleet(hosts, inputs.dpp),
+        };
+        let Err(err) = Driver::new(inputs.store, &inputs.schema, inputs.feed, topology) else {
+            panic!("a host fault this topology cannot apply must be rejected");
+        };
+        let text = err.to_string();
         assert!(text.contains(message), "hosts {hosts}: {text}");
     }
 
-    let artifacts = run_fleet(HOSTS, plan);
+    let (report, batches) = run_fleet(HOSTS, plan);
 
-    let chaos = artifacts.report.chaos.clone().expect("chaos report");
+    let chaos = report.chaos.clone().expect("chaos report");
     assert_eq!(chaos.faults_fired, planned as u64);
 
-    let fleet = artifacts.report.fleet.clone().expect("fleet report");
+    let fleet = report.fleet.clone().expect("fleet report").0;
     assert_eq!(fleet.kills, 1);
     assert_eq!(fleet.partitions, 1);
     assert_eq!(fleet.rejoins, 2);
@@ -187,7 +181,7 @@ fn hand_written_host_fault_plan_heals_to_full_strength() {
     );
     assert!(fleet.shard_replacements > 0);
     assert!(fleet.rebalance_moves > 0);
-    assert_zero_drops(&artifacts, "heal plan");
+    assert_zero_drops(&report, "heal plan");
 
-    assert_union_identical(&reference, &artifacts.batches, "heal plan");
+    assert_union_identical(&reference, &batches, "heal plan");
 }

@@ -1,18 +1,17 @@
 //! Storage-realism equivalence: enabling the per-node queue model and the
 //! blob cache tier changes *when* bytes arrive, never *which* bytes. The
 //! continuous run's trainer-batch union and the batch run's payload
-//! accounting must be byte-identical to the flat-latency path.
+//! accounting must be byte-identical to the flat-latency path. Each run is
+//! one of the runner's arms with the store swapped on its inputs, driven
+//! through `Driver` as the `recd-dpp` CLI drives it.
 
-use recd_pipeline::{PipelineRunner, RecdConfig, RmPreset, RmSpec};
-use recd_storage::{NodeConfig, TectonicSim};
+mod common;
 
-const WORKERS: usize = 2;
-const TRAINERS: usize = 3;
-const BATCH: usize = 128;
-
-fn small_spec() -> RmSpec {
-    RmPreset::Rm1.spec().scaled_down(60)
-}
+use common::{continuous_inputs, drive, small_spec, BATCH};
+use recd_dpp::{DriverOutput, Topology, TrainerBatch};
+use recd_pipeline::{PipelineInputs, PipelineRunner, RecdConfig};
+use recd_storage::{NodeConfig, TableStore, TectonicSim};
+use std::sync::Arc;
 
 /// The runner's own flat store: 8 nodes, no queueing, no cache.
 fn flat_storage() -> TectonicSim {
@@ -27,21 +26,23 @@ fn realistic_storage() -> TectonicSim {
         .with_cache(8 << 20)
 }
 
-fn run_continuous(storage: TectonicSim) -> recd_pipeline::run::PipelineArtifacts {
-    PipelineRunner::new(small_spec(), RecdConfig::full())
-        .with_continuous(WORKERS)
-        .with_continuous_trainers(TRAINERS)
-        .with_storage(storage)
-        .run(BATCH)
+/// Drives `inputs` on a single service over `storage` (in the runner's
+/// stripe shape); also returns the bytes readers fetched from it.
+fn run_on(
+    mut inputs: PipelineInputs,
+    storage: TectonicSim,
+) -> (DriverOutput, Vec<TrainerBatch>, usize) {
+    inputs.store = Arc::new(TableStore::new(storage, 64, 4));
+    let store = Arc::clone(&inputs.store);
+    let (output, batches) = drive(inputs, Topology::Single);
+    (output, batches, store.blob_store().stats().read_bytes)
 }
 
 #[test]
 fn queued_and_cached_storage_delivers_a_byte_identical_union() {
-    let flat = run_continuous(flat_storage());
-    let realistic = run_continuous(realistic_storage());
+    let (flat, reference, _) = run_on(continuous_inputs(), flat_storage());
+    let (realistic, got, _) = run_on(continuous_inputs(), realistic_storage());
 
-    let reference = flat.batches;
-    let got = realistic.batches;
     assert!(
         reference.len() >= 4,
         "reference must deliver several batches, got {}",
@@ -65,26 +66,25 @@ fn queued_and_cached_storage_delivers_a_byte_identical_union() {
     }
 
     // The landed bytes agree too: storage realism is latency-only.
-    assert_eq!(flat.report.etl.storage, realistic.report.etl.storage);
-    assert_eq!(flat.report.samples, realistic.report.samples);
+    assert_eq!(flat.etl.storage, realistic.etl.storage);
+    assert_eq!(flat.dpp.samples, realistic.dpp.samples);
 }
 
 #[test]
 fn batch_pipeline_reports_agree_across_storage_models() {
     let run = |storage: TectonicSim| {
-        PipelineRunner::new(small_spec(), RecdConfig::full())
-            .with_storage(storage)
-            .run(BATCH)
+        let runner = PipelineRunner::new(small_spec(), RecdConfig::full());
+        run_on(runner.inputs(BATCH), storage)
     };
-    let flat = run(flat_storage());
-    let realistic = run(realistic_storage());
+    let (flat, flat_batches, flat_read) = run(flat_storage());
+    let (realistic, realistic_batches, realistic_read) = run(realistic_storage());
 
-    assert_eq!(flat.report.samples, realistic.report.samples);
-    assert_eq!(flat.report.etl.storage, realistic.report.etl.storage);
-    assert_eq!(flat.report.read_bytes, realistic.report.read_bytes);
-    assert_eq!(flat.report.egress_bytes, realistic.report.egress_bytes);
-    assert_eq!(flat.batches.len(), realistic.batches.len());
-    for (i, (f, r)) in flat.batches.iter().zip(&realistic.batches).enumerate() {
+    assert_eq!(flat.dpp.samples, realistic.dpp.samples);
+    assert_eq!(flat.etl.storage, realistic.etl.storage);
+    assert_eq!(flat_read, realistic_read);
+    assert_eq!(flat.dpp.egress_bytes, realistic.dpp.egress_bytes);
+    assert_eq!(flat_batches.len(), realistic_batches.len());
+    for (i, (f, r)) in flat_batches.iter().zip(&realistic_batches).enumerate() {
         assert_eq!(
             (f.shard, f.seq, &f.batch),
             (r.shard, r.seq, &r.batch),

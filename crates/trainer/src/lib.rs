@@ -7,12 +7,11 @@
 //!
 //! Two things are measured on two different instruments:
 //!
-//! * **Correctness** is measured on the executable model ([`dlrm`],
-//!   [`train`]): the deduplicated execution path (O5–O7: deduplicated EMB
-//!   lookups, jagged index select, deduplicated pooling with inverse-lookup
-//!   expansion) must produce the same predictions and the same training
-//!   trajectory as the baseline KJT path, because IKJTs encode the exact
-//!   same logical data.
+//! * **Correctness** is measured on the executable model ([`dlrm`]): the
+//!   deduplicated execution path (O5–O7: deduplicated EMB lookups, jagged
+//!   index select, deduplicated pooling with inverse-lookup expansion) must
+//!   produce the same predictions and the same training trajectory as the
+//!   baseline KJT path, because IKJTs encode the exact same logical data.
 //! * **Performance shape** is measured on the cost model ([`cost`]): byte,
 //!   lookup, FLOP, and memory counts extracted from real batches are pushed
 //!   through a ZionEX-parameterized hardware model (HBM bandwidth, NVLink /
@@ -28,7 +27,6 @@ pub mod dlrm;
 pub mod embedding;
 pub mod nn;
 pub mod pooling;
-pub mod train;
 
 pub use cost::{
     ClusterSpec, GpuSpec, IterationBreakdown, IterationCost, MemoryReport, TrainerOptimizations,
@@ -38,4 +36,3 @@ pub use dlrm::{Dlrm, DlrmConfig, ExecutionMode, ForwardStats, SEQUENCE_MIN_AVG_L
 pub use embedding::EmbeddingTable;
 pub use nn::{bce_loss, Mlp, MlpActivations};
 pub use pooling::{pool_sequence, PoolScratch, PoolingCost, PoolingKind};
-pub use train::{TrainReport, Trainer, TrainerConfig};

@@ -91,9 +91,9 @@ fn main() {
     println!(
         "reader bytes read / sent     : {:.1} / {:.1} MiB -> {:.1} / {:.1} MiB",
         b.read_bytes as f64 / 1048576.0,
-        b.egress_bytes as f64 / 1048576.0,
+        b.dpp.egress_bytes as f64 / 1048576.0,
         r.read_bytes as f64 / 1048576.0,
-        r.egress_bytes as f64 / 1048576.0
+        r.dpp.egress_bytes as f64 / 1048576.0
     );
     let cost_model = ReaderCostModel::default();
     let (b_reader, r_reader) = (

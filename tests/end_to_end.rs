@@ -31,7 +31,7 @@ fn recd_improves_every_pipeline_stage() {
     assert!(r.etl.storage.compression_ratio() > b.etl.storage.compression_ratio());
     assert!(r.etl.storage.stored_bytes < b.etl.storage.stored_bytes);
     assert!(r.read_bytes < b.read_bytes);
-    assert!(r.egress_bytes < b.egress_bytes);
+    assert!(r.dpp.egress_bytes < b.dpp.egress_bytes);
     assert!(r.dedupe_factor > 1.2);
     assert!(r.trainer.throughput > b.trainer.throughput);
     assert!(r.trainer.breakdown.a2a_exposed <= b.trainer.breakdown.a2a_exposed);
@@ -296,7 +296,7 @@ fn one_driver_run_reproduces_the_hand_built_batch_pipeline() {
         assert_eq!(report.etl.storage, oracle.storage, "{config:?}");
         assert_eq!(report.read_bytes, oracle.read_bytes, "{config:?}");
         assert_eq!(
-            report.egress_bytes, oracle.reader.egress_bytes,
+            report.dpp.egress_bytes, oracle.reader.egress_bytes,
             "{config:?}"
         );
         assert_eq!(

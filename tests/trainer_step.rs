@@ -6,7 +6,7 @@ use recd::core::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
 use recd::data::{ColumnarBatch, Schema};
 use recd::datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 use recd::etl::cluster_by_session;
-use recd::trainer::{Dlrm, DlrmConfig, ExecutionMode, PoolingKind};
+use recd::trainer::{bce_loss, Dlrm, DlrmConfig, ExecutionMode, PoolingKind};
 
 /// The first 96 rows of a session-clustered Tiny partition, deduplicated.
 fn clustered_batch() -> (Schema, ConvertedBatch) {
@@ -83,4 +83,71 @@ fn ten_train_steps_with_sum_pooling_lower_the_loss() {
         .collect();
     assert!(losses.iter().all(|loss| loss.is_finite()), "{losses:?}");
     assert!(losses[9] < losses[0], "{losses:?}");
+}
+
+/// A Tiny partition, session-clustered, in 64-row batches: IKJT-converted
+/// when `dedup`, KJT-converted otherwise.
+fn converted_batches(dedup: bool) -> (Schema, Vec<ConvertedBatch>) {
+    let partition =
+        DatasetGenerator::new(WorkloadConfig::preset(WorkloadPreset::Tiny)).generate_partition();
+    let clustered = cluster_by_session(&partition.samples);
+    let schema = partition.schema;
+    let converter = FeatureConverter::new(DataLoaderConfig::from_schema(&schema));
+    let batches = clustered
+        .chunks(64)
+        .map(|rows| {
+            let rows =
+                ColumnarBatch::from_samples(rows, schema.dense_count(), schema.sparse_count());
+            if dedup {
+                converter.convert_columnar(&rows).unwrap()
+            } else {
+                converter.convert_columnar_baseline(&rows).unwrap()
+            }
+        })
+        .collect();
+    (schema, batches)
+}
+
+/// Two epochs over `batches` in `mode` from a fresh model: every step's
+/// loss, then the mean BCE over the same batches.
+fn train_and_evaluate(
+    schema: &Schema,
+    batches: &[ConvertedBatch],
+    mode: ExecutionMode,
+) -> (Vec<f32>, f32) {
+    let mut model = Dlrm::new(DlrmConfig::from_schema(schema, 8, PoolingKind::Sum));
+    let mut losses = Vec::new();
+    for _ in 0..2 {
+        for batch in batches {
+            losses.push(model.train_step(batch, mode));
+        }
+    }
+    let (mut total, mut count) = (0.0f32, 0usize);
+    for batch in batches {
+        let (probs, _) = model.forward(batch, mode);
+        for (p, &label) in probs.iter().zip(&batch.labels) {
+            total += bce_loss(*p, label);
+            count += 1;
+        }
+    }
+    (losses, total / count as f32)
+}
+
+#[test]
+fn dedup_and_baseline_training_converge_identically() {
+    // The paper's accuracy claim: IKJTs encode the same data, so training
+    // on deduplicated batches matches training on baseline batches, batch
+    // after batch and epoch after epoch.
+    let (schema, dedup_batches) = converted_batches(true);
+    let (_, baseline_batches) = converted_batches(false);
+    assert!(dedup_batches.len() > 1, "several batches");
+    let (dedup_losses, dedup_eval) =
+        train_and_evaluate(&schema, &dedup_batches, ExecutionMode::Deduplicated);
+    let (baseline_losses, baseline_eval) =
+        train_and_evaluate(&schema, &baseline_batches, ExecutionMode::Baseline);
+    assert_eq!(dedup_losses.len(), baseline_losses.len());
+    for (a, b) in dedup_losses.iter().zip(&baseline_losses) {
+        assert!((a - b).abs() < 1e-3, "loss curves must match: {a} vs {b}");
+    }
+    assert!((dedup_eval - baseline_eval).abs() < 1e-3);
 }
