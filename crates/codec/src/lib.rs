@@ -16,8 +16,9 @@
 //!   (O2) exploit.
 //!
 //! The crate also provides the 64-bit hashing used by the deduplicating
-//! feature converter ([`hash`]) and small accounting types
-//! ([`CompressionStats`]).
+//! feature converter ([`hash`]), small accounting types
+//! ([`CompressionStats`]), and [`lanes::map`], which runs the write path's
+//! independent units (Scribe shards, DWRF files) on every core.
 //!
 //! # Example
 //!
@@ -39,6 +40,7 @@
 
 pub mod delta;
 pub mod hash;
+pub mod lanes;
 pub mod lz;
 pub mod varint;
 

@@ -2,7 +2,7 @@
 //! accounting.
 
 use crate::wire::{decode_all, encode_record, WireError};
-use recd_codec::{hash_ids, lz, CompressionStats};
+use recd_codec::{hash_ids, lanes, lz, CompressionStats};
 use recd_data::LogRecord;
 use serde::{Deserialize, Serialize};
 
@@ -122,32 +122,38 @@ impl ScribeCluster {
         (hash_ids(&[key]) % self.shards.len() as u64) as usize
     }
 
-    /// Ingests one record: encodes it, routes it to its shard, and flushes
-    /// the shard's buffer if it crossed the flush threshold.
-    pub fn ingest(&mut self, record: &LogRecord) {
-        let shard_idx = self.shard_for(record);
-        let flush_bytes = self.config.flush_bytes;
-        let shard = &mut self.shards[shard_idx];
-        let before = shard.buffer.len();
-        encode_record(record, &mut shard.buffer);
-        shard.stats.records += 1;
-        shard.stats.rx_bytes += shard.buffer.len() - before;
-        if shard.buffer.len() >= flush_bytes {
-            Self::flush_shard(shard);
-        }
-    }
-
-    /// Ingests a batch of records.
+    /// Ingests records: routes each to its shard, then encodes each shard's
+    /// records in input order, compressing a block whenever its buffer
+    /// crosses the flush threshold. Shards run in [`lanes`]; blocks and
+    /// [`ShardStats`] do not depend on the lanes or on how the input is split
+    /// across calls.
     pub fn ingest_all<'a, I: IntoIterator<Item = &'a LogRecord>>(&mut self, records: I) {
+        let mut routed: Vec<Vec<&LogRecord>> = vec![Vec::new(); self.shards.len()];
         for record in records {
-            self.ingest(record);
+            routed[self.shard_for(record)].push(record);
         }
+        let flush_bytes = self.config.flush_bytes;
+        let units: Vec<_> = self
+            .shards
+            .iter_mut()
+            .zip(routed)
+            .filter(|(_, r)| !r.is_empty())
+            .collect();
+        lanes::map(units, |(shard, records)| {
+            for record in records {
+                let before = shard.buffer.len();
+                encode_record(record, &mut shard.buffer);
+                shard.stats.records += 1;
+                shard.stats.rx_bytes += shard.buffer.len() - before;
+                if shard.buffer.len() >= flush_bytes {
+                    Self::flush_shard(shard);
+                }
+            }
+        });
     }
 
+    /// Compresses a shard's non-empty buffer into a block.
     fn flush_shard(shard: &mut Shard) {
-        if shard.buffer.is_empty() {
-            return;
-        }
         let compressed = lz::compress(&shard.buffer);
         shard.stats.stored_bytes += compressed.len();
         shard.stats.blocks += 1;
@@ -155,11 +161,14 @@ impl ScribeCluster {
         shard.buffer.clear();
     }
 
-    /// Flushes every shard's remaining buffer.
+    /// Flushes every shard's remaining buffer, shards in [`lanes`].
     pub fn flush(&mut self) {
-        for shard in &mut self.shards {
-            Self::flush_shard(shard);
-        }
+        let units = self
+            .shards
+            .iter_mut()
+            .filter(|s| !s.buffer.is_empty())
+            .collect();
+        lanes::map(units, Self::flush_shard);
     }
 
     /// Produces the byte-accounting report. Call [`ScribeCluster::flush`]

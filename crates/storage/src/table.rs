@@ -1,9 +1,9 @@
 //! Landing table partitions into the blob store as DWRF-like files.
 
-use crate::file::{DwrfFile, DwrfWriter};
-use crate::stripe::StripeStats;
+use crate::file::DwrfWriter;
 use crate::tectonic::TectonicSim;
 use crate::Result;
+use recd_codec::lanes;
 use recd_data::{Sample, Schema};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -117,9 +117,10 @@ impl TableStore {
 
     /// Serializes one partition into blobs without storing anything: rows
     /// are cut into files of `rows_per_stripe * stripes_per_file` rows each
-    /// and encoded once. The result can be stored (and re-stored on retry)
-    /// without re-encoding or re-allocating — the chaos retry path prepares
-    /// once and retries only the puts.
+    /// and encoded once, the files in [`lanes`] (each file is its own
+    /// writer, so the bytes do not depend on the lanes). The result can be
+    /// stored (and re-stored on retry) without re-encoding or re-allocating
+    /// — the chaos retry path prepares once and retries only the puts.
     pub fn prepare_partition(
         &self,
         schema: &Schema,
@@ -128,21 +129,30 @@ impl TableStore {
         samples: &[Sample],
     ) -> PreparedPartition {
         let rows_per_file = self.rows_per_stripe * self.stripes_per_file;
-        let mut report = StorageReport::default();
-        let mut files = Vec::new();
-        let mut blobs = Vec::new();
-
-        for (file_idx, chunk) in samples.chunks(rows_per_file.max(1)).enumerate() {
+        let encoded = lanes::map(samples.chunks(rows_per_file).collect(), |chunk| {
             let mut writer = DwrfWriter::new(schema, self.rows_per_stripe);
             writer.write(chunk);
             let (file, stats) = writer.finish();
-            accumulate(&mut report, &file, &stats);
-            let path = format!(
+            let report = StorageReport {
+                files: 1,
+                stripes: stats.len(),
+                rows: stats.iter().map(|s| s.rows).sum(),
+                raw_bytes: stats.iter().map(|s| s.raw_bytes).sum(),
+                encoded_bytes: stats.iter().map(|s| s.encoded_bytes).sum(),
+                stored_bytes: file.stored_bytes(),
+            };
+            (file.to_blob(), report)
+        });
+        let mut report = StorageReport::default();
+        let mut files = Vec::new();
+        let mut blobs = Vec::new();
+        for (file_idx, (blob, file_report)) in encoded.into_iter().enumerate() {
+            report.absorb(&file_report);
+            files.push(format!(
                 "{}file-{file_idx:05}.dwrf",
                 StoredPartition::prefix(table, hour)
-            );
-            blobs.push(Arc::new(file.to_blob()));
-            files.push(path);
+            ));
+            blobs.push(Arc::new(blob));
         }
 
         PreparedPartition {
@@ -199,19 +209,11 @@ impl TableStore {
     }
 }
 
-fn accumulate(report: &mut StorageReport, file: &DwrfFile, stats: &[StripeStats]) {
-    report.files += 1;
-    report.stripes += stats.len();
-    report.rows += stats.iter().map(|s| s.rows).sum::<usize>();
-    report.raw_bytes += stats.iter().map(|s| s.raw_bytes).sum::<usize>();
-    report.encoded_bytes += stats.iter().map(|s| s.encoded_bytes).sum::<usize>();
-    report.stored_bytes += file.stored_bytes();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::file::tests::read_rows;
+    use crate::file::DwrfFile;
     use recd_datagen::{DatasetGenerator, WorkloadConfig, WorkloadPreset};
 
     fn partition() -> (Schema, Vec<Sample>) {
