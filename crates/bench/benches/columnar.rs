@@ -12,7 +12,7 @@ use recd_bench::BenchFixture;
 use recd_core::{
     ConvertedBatch, DataLoaderConfig, DedupScratch, FeatureConverter, InverseKeyedJaggedTensor,
 };
-use recd_data::{ColumnarBatch, FeatureId, RequestId, Sample, SessionId, Timestamp};
+use recd_data::{ColumnarBatch, FeatureId, RequestId, RowRuns, Sample, SessionId, Timestamp};
 use recd_reader::PreprocessPipeline;
 use recd_storage::{decode_stripe_columnar, encode_stripe};
 
@@ -275,8 +275,8 @@ fn bench_break_even(c: &mut Criterion) {
                 shell.labels.clear();
                 shell.labels.extend_from_slice(batch.labels());
                 shell.ikjts.resize_with(1, Default::default);
-                InverseKeyedJaggedTensor::dedup_from_columnar_into(
-                    &batch,
+                InverseKeyedJaggedTensor::dedup_from_runs_into(
+                    &RowRuns::new(&[(&batch, 0..batch.len())]),
                     &[feature],
                     scratch,
                     &mut shell.ikjts[0],

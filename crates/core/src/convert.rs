@@ -6,8 +6,9 @@ use crate::dense::DenseMatrix;
 use crate::ikjt::{distinct_prefix_rows, InverseKeyedJaggedTensor};
 use crate::kjt::KeyedJaggedTensor;
 use crate::{CoreError, DedupScratch, Result};
-use recd_data::{ColumnarBatch, FeatureId, Schema, SparseColumn};
+use recd_data::{ColumnarBatch, FeatureId, RowRuns, Schema};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::HashSet;
 
 /// Rows of a batch's prefix that judge each dedup group (`K`). A shorter
@@ -33,8 +34,8 @@ fn pays_at(distinct: usize) -> bool {
     JUDGED_ROWS as f64 >= BREAK_EVEN_FACTOR * distinct as f64
 }
 
-/// Whether `group` keeps its IKJT in a batch of `rows` rows over `columns`
-/// (every grouped feature's index already checked against them).
+/// Whether `group` keeps its IKJT in `rows` (every grouped feature's index
+/// already checked against them).
 ///
 /// The estimate is [`JUDGED_ROWS`] over the distinct rows of the batch's
 /// prefix, counted by the dedup table's row digest in place
@@ -44,20 +45,20 @@ fn pays_at(distinct: usize) -> bool {
 /// so when the marks alone reach the threshold the digests are skipped —
 /// with the same verdict they would give: the decision is a function of
 /// row content alone.
-fn group_pays(columns: &[SparseColumn], group: &[FeatureId], rows: usize) -> bool {
-    if rows < JUDGED_ROWS {
+fn group_pays<B: Borrow<ColumnarBatch>>(rows: &RowRuns<B>, group: &[FeatureId]) -> bool {
+    if rows.row_count() < JUDGED_ROWS {
         return true;
     }
     let mut unmarked = JUDGED_ROWS;
     for row in 1..JUDGED_ROWS {
-        if group.iter().all(|f| columns[f.index()].is_repeat(row)) {
+        if rows.is_repeat(group, row) {
             unmarked -= 1;
             if pays_at(unmarked) {
                 return true;
             }
         }
     }
-    pays_at(distinct_prefix_rows::<JUDGED_ROWS>(columns, group))
+    pays_at(distinct_prefix_rows::<JUDGED_ROWS, B>(rows, group))
 }
 
 /// The RecD-extended DataLoader specification: which sparse features stay in
@@ -289,15 +290,8 @@ impl FeatureConverter {
     /// Converts one columnar batch into a caller-provided (typically
     /// recycled) [`ConvertedBatch`], reusing its label, dense, KJT, and
     /// IKJT buffers — the buffer-reusing variant of
-    /// [`FeatureConverter::convert_columnar`] that the streaming compute
-    /// workers run with a long-lived [`DedupScratch`]. The result is
-    /// value-identical to [`FeatureConverter::convert_columnar`] regardless
-    /// of what the shell previously held.
-    ///
-    /// Each group's form is decided from the batch's own rows (see
-    /// [`JUDGED_ROWS`]). A group's buffers stay with the shell and the
-    /// scratch while it ships in the other form, so the decision flipping
-    /// between batches allocates nothing.
+    /// [`FeatureConverter::convert_columnar`]: the batch as a one-run
+    /// [`RowRuns`] view (see [`FeatureConverter::convert_runs_into`]).
     ///
     /// # Errors
     ///
@@ -309,30 +303,42 @@ impl FeatureConverter {
         scratch: &mut DedupScratch,
         out: &mut ConvertedBatch,
     ) -> Result<()> {
+        self.convert_runs_into(&RowRuns::new(&[(batch, 0..batch.len())]), scratch, out)
+    }
+
+    /// Converts a view's rows into a recycled shell, as the streaming
+    /// compute workers do with a long-lived [`DedupScratch`]: equal to
+    /// converting a batch that copies the same runs, whatever the shell
+    /// held before.
+    ///
+    /// Each group's form is decided from the view's own rows (see
+    /// [`JUDGED_ROWS`]). A group's buffers stay with the shell and the
+    /// scratch while it ships in the other form, so the decision flipping
+    /// between batches allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same error conditions as [`FeatureConverter::convert_columnar`]; on
+    /// error the shell's contents are unspecified.
+    pub fn convert_runs_into<B: Borrow<ColumnarBatch>>(
+        &self,
+        rows: &RowRuns<B>,
+        scratch: &mut DedupScratch,
+        out: &mut ConvertedBatch,
+    ) -> Result<()> {
         self.valid.clone()?;
-        let columns = batch.sparse_columns();
-        if let Some(&feature) = self
-            .all_features
-            .iter()
-            .find(|f| f.index() >= columns.len())
-        {
-            return Err(CoreError::MissingSparseFeature {
-                feature,
-                available: columns.len(),
-            });
+        let available = rows.sparse_cols();
+        if let Some(&feature) = self.all_features.iter().find(|f| f.index() >= available) {
+            return Err(CoreError::MissingSparseFeature { feature, available });
         }
-        out.batch_size = batch.len();
-        out.labels.clear();
-        out.labels.extend_from_slice(batch.labels());
-        out.dense
-            .assign_from_columnar(batch, self.config.dense_features);
+        self.assign_dense_into(rows, out);
         scratch.kjt_keys.clear();
         scratch
             .kjt_keys
             .extend_from_slice(&self.config.kjt_features);
         scratch.spare_ikjts.append(&mut out.ikjts);
         for group in &self.config.dedup_groups {
-            if !group_pays(columns, group, batch.len()) {
+            if !group_pays(rows, group) {
                 scratch.kjt_keys.extend_from_slice(group);
                 continue;
             }
@@ -340,11 +346,25 @@ impl FeatureConverter {
                 Some(i) => scratch.spare_ikjts.swap_remove(i),
                 None => InverseKeyedJaggedTensor::default(),
             };
-            InverseKeyedJaggedTensor::dedup_from_columnar_into(batch, group, scratch, &mut ikjt)?;
+            InverseKeyedJaggedTensor::dedup_from_runs_into(rows, group, scratch, &mut ikjt)?;
             out.ikjts.push(ikjt);
         }
         out.kjt
-            .assign_from_columnar(batch, &scratch.kjt_keys, &mut scratch.spare_tensors)
+            .assign_from_runs(rows, &scratch.kjt_keys, &mut scratch.spare_tensors)
+    }
+
+    /// Refills the shell's batch size, labels and dense matrix from `rows`.
+    fn assign_dense_into<B: Borrow<ColumnarBatch>>(
+        &self,
+        rows: &RowRuns<B>,
+        out: &mut ConvertedBatch,
+    ) {
+        out.batch_size = rows.row_count();
+        out.labels.clear();
+        for (batch, range) in rows.runs() {
+            out.labels.extend_from_slice(&batch.labels()[range]);
+        }
+        out.dense.assign_from_runs(rows, self.config.dense_features);
     }
 
     /// Converts a columnar batch without any deduplication, regardless of
@@ -375,13 +395,11 @@ impl FeatureConverter {
         batch: &ColumnarBatch,
         out: &mut ConvertedBatch,
     ) -> Result<()> {
-        out.batch_size = batch.len();
-        out.labels.clear();
-        out.labels.extend_from_slice(batch.labels());
-        out.dense
-            .assign_from_columnar(batch, self.config.dense_features);
+        let runs = [(batch, 0..batch.len())];
+        let rows = RowRuns::new(&runs);
+        self.assign_dense_into(&rows, out);
         out.kjt
-            .assign_from_columnar(batch, &self.all_features, &mut Vec::new())?;
+            .assign_from_runs(&rows, &self.all_features, &mut Vec::new())?;
         out.ikjts.clear();
         Ok(())
     }

@@ -1,8 +1,9 @@
 //! Dense feature matrices (batch-major float features).
 
 use crate::{CoreError, Result};
-use recd_data::ColumnarBatch;
+use recd_data::{ColumnarBatch, RowRuns};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// A row-major `[batch_size, feature_count]` matrix of dense feature values.
 ///
@@ -41,33 +42,25 @@ impl DenseMatrix {
         Ok(Self { data, rows, cols })
     }
 
-    /// Extracts the dense features of a columnar batch. When the batch's
-    /// dense width already matches `cols` (the common, schema-driven case)
-    /// this is a single flat buffer copy; otherwise rows are zero-padded or
-    /// truncated to `cols`.
-    pub fn from_columnar(batch: &ColumnarBatch, cols: usize) -> Self {
-        let mut m = Self::default();
-        m.assign_from_columnar(batch, cols);
-        m
-    }
-
-    /// Refills the matrix from a columnar batch, reusing its existing
-    /// buffer — the allocation-free counterpart of
-    /// [`DenseMatrix::from_columnar`] for recycled
-    /// [`ConvertedBatch`](crate::ConvertedBatch) shells.
-    pub fn assign_from_columnar(&mut self, batch: &ColumnarBatch, cols: usize) {
-        self.rows = batch.len();
+    /// Refills the matrix from a view's rows, reusing its buffer: a run
+    /// whose batch is `cols` wide is one flat copy; other rows are
+    /// zero-padded or truncated to `cols`.
+    pub fn assign_from_runs<B: Borrow<ColumnarBatch>>(&mut self, rows: &RowRuns<B>, cols: usize) {
+        self.rows = rows.row_count();
         self.cols = cols;
         self.data.clear();
-        if batch.dense_cols() == cols {
-            self.data.extend_from_slice(batch.dense_values());
-            return;
-        }
-        self.data.resize(batch.len() * cols, 0.0);
-        for i in 0..batch.len() {
-            let row = batch.dense_row(i);
-            let n = row.len().min(cols);
-            self.data[i * cols..i * cols + n].copy_from_slice(&row[..n]);
+        for (batch, range) in rows.runs() {
+            if batch.dense_cols() == cols {
+                let flat = range.start * cols..range.end * cols;
+                self.data.extend_from_slice(&batch.dense_values()[flat]);
+                continue;
+            }
+            for i in range {
+                let row = batch.dense_row(i);
+                let n = row.len().min(cols);
+                self.data.extend_from_slice(&row[..n]);
+                self.data.resize(self.data.len() + cols - n, 0.0);
+            }
         }
     }
 
@@ -137,7 +130,7 @@ mod tests {
     }
 
     #[test]
-    fn from_columnar_pads_and_truncates() {
+    fn assign_from_runs_pads_and_truncates() {
         let batch = ColumnarBatch::from_samples(
             &[Sample::builder(
                 SessionId::new(1),
@@ -149,12 +142,14 @@ mod tests {
             3,
             0,
         );
-        assert_eq!(DenseMatrix::from_columnar(&batch, 2).row(0), &[1.0, 2.0]);
-        let padded = DenseMatrix::from_columnar(&batch, 4);
-        assert_eq!(padded.row(0), &[1.0, 2.0, 3.0, 0.0]);
-        assert_eq!(
-            DenseMatrix::from_columnar(&batch, 3).data(),
-            &[1.0, 2.0, 3.0]
-        );
+        let runs = [(&batch, 0..1), (&batch, 0..1)];
+        let assigned = |cols| {
+            let mut m = DenseMatrix::default();
+            m.assign_from_runs(&RowRuns::new(&runs), cols);
+            m
+        };
+        assert_eq!(assigned(2).row(1), &[1.0, 2.0]);
+        assert_eq!(assigned(4).row(0), &[1.0, 2.0, 3.0, 0.0]);
+        assert_eq!(assigned(3).data(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
     }
 }

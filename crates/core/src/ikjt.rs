@@ -6,8 +6,9 @@ use crate::kjt::KeyedJaggedTensor;
 use crate::select::jagged_index_select;
 use crate::{CoreError, Result};
 use recd_codec::Hasher64;
-use recd_data::{ColumnarBatch, FeatureId, SparseColumn};
+use recd_data::{ColumnarBatch, FeatureId, RowRuns};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Sentinel marking an unoccupied [`DedupTable`] bucket.
 const EMPTY_SLOT: usize = usize::MAX;
@@ -46,19 +47,19 @@ fn mix_row(hasher: &mut Hasher64, values: &[u64]) {
     }
 }
 
-/// The distinct group tuples among the first `N` rows of `columns` (which
+/// The distinct group tuples among the first `N` rows of `rows` (which
 /// hold at least `N` rows and every grouped feature), counted by row digest
 /// in place. A digest collision merges two rows, so the count is never
 /// above the true one.
-pub(crate) fn distinct_prefix_rows<const N: usize>(
-    columns: &[SparseColumn],
+pub(crate) fn distinct_prefix_rows<const N: usize, B: Borrow<ColumnarBatch>>(
+    rows: &RowRuns<B>,
     group: &[FeatureId],
 ) -> usize {
     let mut digests = [0u64; N];
     for (row, digest) in digests.iter_mut().enumerate() {
         let mut hasher = Hasher64::new();
         for feature in group {
-            mix_row(&mut hasher, columns[feature.index()].row(row));
+            mix_row(&mut hasher, rows.sparse_row(feature.index(), row));
         }
         *digest = hasher.finish();
     }
@@ -181,8 +182,7 @@ impl InverseKeyedJaggedTensor {
             group,
             kjt.batch_size(),
             |fi, row| tensors[fi].row(row),
-            0,
-            |_| false,
+            |probes| probes.extend(0..kjt.batch_size()),
             &mut DedupScratch::default(),
             &mut out,
         );
@@ -200,51 +200,43 @@ impl InverseKeyedJaggedTensor {
     /// fewer sparse columns than a grouped feature's index.
     pub fn dedup_from_columnar(batch: &ColumnarBatch, group: &[FeatureId]) -> Result<Self> {
         let mut out = Self::default();
-        Self::dedup_from_columnar_into(batch, group, &mut DedupScratch::default(), &mut out)?;
+        let rows = [(batch, 0..batch.len())];
+        Self::dedup_from_runs_into(
+            &RowRuns::new(&rows),
+            group,
+            &mut DedupScratch::default(),
+            &mut out,
+        )?;
         Ok(out)
     }
 
-    /// Deduplicates a feature group off a columnar batch into a
-    /// caller-provided (typically recycled) IKJT, reusing its slot-tensor
-    /// and inverse-lookup buffers — the buffer-reusing variant of
-    /// [`InverseKeyedJaggedTensor::dedup_from_columnar`] that the streaming
-    /// compute workers run with a long-lived [`DedupScratch`].
+    /// Deduplicates a feature group off a view's rows, read in place, into
+    /// a recycled IKJT — what the streaming compute workers run with a
+    /// long-lived [`DedupScratch`].
     ///
     /// # Errors
     ///
     /// Same error conditions as
     /// [`InverseKeyedJaggedTensor::dedup_from_columnar`]; on error `out` is
     /// untouched.
-    pub fn dedup_from_columnar_into(
-        batch: &ColumnarBatch,
+    pub fn dedup_from_runs_into<B: Borrow<ColumnarBatch>>(
+        rows: &RowRuns<B>,
         group: &[FeatureId],
         scratch: &mut DedupScratch,
         out: &mut Self,
     ) -> Result<()> {
-        // Validate up front so the row view can index the column slice
-        // directly — no per-batch Vec of column refs.
-        for &key in group {
-            if key.index() >= batch.sparse_cols() {
-                return Err(CoreError::MissingSparseFeature {
-                    feature: key,
-                    available: batch.sparse_cols(),
-                });
-            }
+        // Validate up front so the row view can index the columns directly.
+        if let Some(&feature) = group.iter().find(|key| key.index() >= rows.sparse_cols()) {
+            return Err(CoreError::MissingSparseFeature {
+                feature,
+                available: rows.sparse_cols(),
+            });
         }
-        let columns = batch.sparse_columns();
-        // A row repeats for the group when every grouped column marks it;
-        // rows past the shortest marked prefix are never marked.
-        let marked = group
-            .iter()
-            .map(|key| columns[key.index()].repeats().len())
-            .min()
-            .unwrap_or(0);
         Self::dedup_core_into(
             group,
-            batch.len(),
-            |fi, row| columns[group[fi].index()].row(row),
-            marked,
-            |row| group.iter().all(|key| columns[key.index()].is_repeat(row)),
+            rows.row_count(),
+            |fi, row| rows.sparse_row(group[fi].index(), row),
+            |probes| rows.unmarked_rows(group, probes),
             scratch,
             out,
         );
@@ -255,12 +247,11 @@ impl InverseKeyedJaggedTensor {
     /// then assigns slots through a flat [`DedupTable`], writing the result
     /// into `out` whose buffers (slot tensors, inverse lookup) are reused.
     ///
-    /// A row other than the first, below `marked`, for which `is_repeat`
-    /// holds equals the row before it in every grouped feature, so it takes
-    /// that row's slot with no digest, no probe and no table entry — the
-    /// slot the probe would have found, since slots hold distinct rows.
-    /// Every other row probes, and the table is sized for those alone; rows
-    /// from `marked` on are not asked.
+    /// `probing` lists the rows that probe, in order, row 0 first. A row it
+    /// leaves out equals the row before it in every grouped feature, so it
+    /// takes that row's slot with no digest, no probe and no table entry —
+    /// the slot the probe would have found, since slots hold distinct rows.
+    /// The table is sized for the probing rows alone.
     ///
     /// Digests are accumulated feature-major (one sequential sweep per
     /// feature over its contiguous values) and memoized across the group, so
@@ -269,13 +260,11 @@ impl InverseKeyedJaggedTensor {
     /// identical to the old row-major loop (group order, length then
     /// values), so digests — and therefore slot assignment order — are
     /// unchanged.
-    #[allow(clippy::too_many_arguments)]
     fn dedup_core_into<'a>(
         group: &[FeatureId],
         batch_size: usize,
         row_view: impl Fn(usize, usize) -> &'a [u64],
-        marked: usize,
-        is_repeat: impl Fn(usize) -> bool,
+        probing: impl FnOnce(&mut Vec<usize>),
         scratch: &mut DedupScratch,
         out: &mut Self,
     ) {
@@ -288,20 +277,13 @@ impl InverseKeyedJaggedTensor {
             ..
         } = scratch;
 
-        let marked = marked.min(batch_size);
         probes.clear();
-        probes.extend((0..marked).filter(|&row| row == 0 || !is_repeat(row)));
-        // Every row from `marked` on probes: that tail is a plain range.
+        probing(probes);
         hashers.clear();
-        hashers.resize(probes.len() + (batch_size - marked), Hasher64::new());
-        let (head, tail) = hashers.split_at_mut(probes.len());
+        hashers.resize(probes.len(), Hasher64::new());
         for fi in 0..group.len() {
-            let mix = |row: usize, hasher: &mut Hasher64| mix_row(hasher, row_view(fi, row));
-            for (&row, hasher) in probes.iter().zip(head.iter_mut()) {
-                mix(row, hasher);
-            }
-            for (row, hasher) in (marked..batch_size).zip(tail.iter_mut()) {
-                mix(row, hasher);
+            for (&row, hasher) in probes.iter().zip(hashers.iter_mut()) {
+                mix_row(hasher, row_view(fi, row));
             }
         }
         digests.clear();
@@ -325,8 +307,7 @@ impl InverseKeyedJaggedTensor {
         *out_batch_size = batch_size;
 
         let mut table = DedupTable::for_rows(table_digests, table_slots, digests.len());
-        let probing = probes.iter().copied().chain(marked..batch_size);
-        for (row, &digest) in probing.zip(digests.iter()) {
+        for (&row, &digest) in probes.iter().zip(digests.iter()) {
             // The rows skipped since the last probe repeat their
             // predecessors: each takes the slot before it.
             while inverse_lookup.len() < row {
@@ -774,8 +755,8 @@ mod tests {
         assert!(ikjt.check_invariants().is_ok());
 
         let mut recycled = InverseKeyedJaggedTensor::default();
-        InverseKeyedJaggedTensor::dedup_from_columnar_into(
-            &columnar,
+        InverseKeyedJaggedTensor::dedup_from_runs_into(
+            &RowRuns::new(&[(&columnar, 0..columnar.len())]),
             &group,
             &mut DedupScratch::default(),
             &mut recycled,

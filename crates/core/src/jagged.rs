@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// `values[starts[i]..]` of length `offsets[i + 1] - offsets[i]`. The
 /// contiguous form keeps `starts` empty. [`JaggedTensor::row`],
 /// [`JaggedTensor::get`] and [`JaggedTensor::iter`] read both forms alike;
-/// the flat in-place editors refuse the windowed form. Equality compares
+/// the flat in-place editor refuses the windowed form. Equality compares
 /// the stored form, so a tensor and its packed copy are not equal.
 ///
 /// # Example
@@ -216,30 +216,6 @@ impl<T> JaggedTensor<T> {
         validate_offsets(&self.offsets, self.values.len())
     }
 
-    /// Refills the tensor from flat slices, reusing its existing buffers —
-    /// the allocation-free counterpart of building a fresh tensor with
-    /// [`JaggedTensor::from_parts`] from copies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::WindowedTensor`] if the tensor is windowed, and
-    /// [`CoreError::InvalidOffsets`] under the same conditions as
-    /// [`JaggedTensor::from_parts`]; either way the tensor is unchanged.
-    pub fn assign_flat(&mut self, values: &[T], offsets: &[usize]) -> Result<()>
-    where
-        T: Clone,
-    {
-        if self.is_windowed() {
-            return Err(CoreError::WindowedTensor);
-        }
-        validate_offsets(offsets, values.len())?;
-        self.values.clear();
-        self.values.extend_from_slice(values);
-        self.offsets.clear();
-        self.offsets.extend_from_slice(offsets);
-        Ok(())
-    }
-
     /// Returns the per-row lengths.
     pub fn lengths(&self) -> Vec<usize> {
         self.offsets.windows(2).map(|w| w[1] - w[0]).collect()
@@ -360,7 +336,7 @@ impl JaggedTensor<f32> {
 
 /// Validates a jagged offsets slice against a value-buffer length — the
 /// invariant shared by [`JaggedTensor::from_parts`] and
-/// [`JaggedTensor::assign_flat`].
+/// [`JaggedTensor::edit_flat`].
 fn validate_offsets(offsets: &[usize], value_len: usize) -> Result<()> {
     if offsets.is_empty() {
         return Err(CoreError::InvalidOffsets {
@@ -526,10 +502,6 @@ mod tests {
         // Flat edits refuse windows and leave the tensor as it was.
         let before = jt.clone();
         assert_eq!(jt.edit_flat(|_, _| {}), Err(CoreError::WindowedTensor));
-        assert_eq!(
-            jt.assign_flat(&[1], &[0, 1]),
-            Err(CoreError::WindowedTensor)
-        );
         assert_eq!(jt, before);
         jt.clear();
         assert!(!jt.is_windowed() && jt.is_empty());

@@ -3,8 +3,9 @@
 
 use crate::jagged::JaggedTensor;
 use crate::{CoreError, Result};
-use recd_data::{ColumnarBatch, FeatureId};
+use recd_data::{ColumnarBatch, FeatureId, RowRuns};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// A keyed collection of jagged tensors, one per sparse feature, each with
 /// one row per sample in the batch (paper §4.2, Figure 5).
@@ -162,10 +163,11 @@ impl KeyedJaggedTensor {
         self.keys.iter().copied().zip(self.tensors.iter_mut())
     }
 
-    /// Refills the KJT with `features` from a columnar batch, reusing tensor
-    /// buffers. When the feature list changes, every tensor is parked on
-    /// `spares` under its feature and each listed feature takes its own
-    /// buffer back (a new one the first time), so a recycled
+    /// Refills the KJT with `features` from a view's rows, reusing tensor
+    /// buffers; each feature is two slice copies per run. When the feature
+    /// list changes, every tensor is parked on `spares` under its feature
+    /// and each listed feature takes its own buffer back (a new one the
+    /// first time), so a recycled
     /// [`ConvertedBatch`](crate::ConvertedBatch) shell whose groups flip
     /// between IKJT and KJT allocates nothing once each feature has held a
     /// batch this large.
@@ -174,9 +176,9 @@ impl KeyedJaggedTensor {
     ///
     /// Same error conditions as [`KeyedJaggedTensor::from_columnar`]; on
     /// error the KJT's contents are unspecified.
-    pub(crate) fn assign_from_columnar(
+    pub(crate) fn assign_from_runs<B: Borrow<ColumnarBatch>>(
         &mut self,
-        batch: &ColumnarBatch,
+        rows: &RowRuns<B>,
         features: &[FeatureId],
         spares: &mut Vec<(FeatureId, JaggedTensor<u64>)>,
     ) -> Result<()> {
@@ -191,17 +193,24 @@ impl KeyedJaggedTensor {
                 self.tensors.push(tensor);
             }
         }
-        self.batch_size = batch.len();
+        self.batch_size = rows.row_count();
         for (&feature, tensor) in features.iter().zip(&mut self.tensors) {
-            let column =
-                batch
-                    .sparse_column(feature.index())
-                    .ok_or(CoreError::MissingSparseFeature {
-                        feature,
-                        available: batch.sparse_cols(),
-                    })?;
+            if feature.index() >= rows.sparse_cols() {
+                return Err(CoreError::MissingSparseFeature {
+                    feature,
+                    available: rows.sparse_cols(),
+                });
+            }
             tensor
-                .assign_flat(column.values(), column.offsets())
+                .edit_flat(|values, offsets| {
+                    values.clear();
+                    offsets.clear();
+                    offsets.push(0);
+                    for (batch, range) in rows.runs() {
+                        batch.sparse_columns()[feature.index()]
+                            .copy_rows_into(range, values, offsets);
+                    }
+                })
                 .expect("a valid sparse column is a valid jagged tensor");
         }
         Ok(())

@@ -19,9 +19,12 @@
 //! round trip.
 
 use crate::error::DataError;
-use crate::ids::{RequestId, SessionId, Timestamp};
+use crate::ids::{FeatureId, RequestId, SessionId, Timestamp};
 use crate::sample::Sample;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
+use std::cell::Cell;
+use std::ops::Range;
 
 /// One sparse feature for a whole batch: a flat value buffer plus row
 /// offsets (`offsets.len() == rows + 1`, `offsets[0] == 0`).
@@ -190,22 +193,37 @@ impl SparseColumn {
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn extend_rows(&mut self, src: &SparseColumn, range: std::ops::Range<usize>) {
+    pub fn extend_rows(&mut self, src: &SparseColumn, range: Range<usize>) {
         let first = self.row_count();
-        let (start, end) = (src.offsets[range.start], src.offsets[range.end]);
-        let base = self.values.len();
-        self.values.extend_from_slice(&src.values[start..end]);
-        self.offsets.extend(
-            src.offsets[range.start + 1..=range.end]
-                .iter()
-                .map(|&o| o - start + base),
-        );
+        src.copy_rows_into(range.clone(), &mut self.values, &mut self.offsets);
         let marked = src.repeats.len().min(range.end);
         if marked > range.start + 1 {
             self.repeats.resize(first + 1, false);
             self.repeats
                 .extend_from_slice(&src.repeats[range.start + 1..marked]);
         }
+    }
+
+    /// Appends rows `range` to a flat `(values, offsets)` pair: two slice
+    /// copies, the offsets rebased onto `values.len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    pub fn copy_rows_into(
+        &self,
+        range: Range<usize>,
+        values: &mut Vec<u64>,
+        offsets: &mut Vec<usize>,
+    ) {
+        let (start, end) = (self.offsets[range.start], self.offsets[range.end]);
+        let base = values.len();
+        values.extend_from_slice(&self.values[start..end]);
+        offsets.extend(
+            self.offsets[range.start + 1..=range.end]
+                .iter()
+                .map(|&o| o - start + base),
+        );
     }
 
     /// Whether row `i` is marked as equal to row `i - 1`. False is always
@@ -628,7 +646,7 @@ impl ColumnarBatch {
     /// # Panics
     ///
     /// Panics if the shapes differ or the range is out of bounds.
-    pub fn extend_rows_from(&mut self, src: &ColumnarBatch, range: std::ops::Range<usize>) {
+    pub fn extend_rows_from(&mut self, src: &ColumnarBatch, range: Range<usize>) {
         assert_eq!(self.dense_cols, src.dense_cols, "dense shape mismatch");
         assert_eq!(self.sparse.len(), src.sparse.len(), "sparse shape mismatch");
         self.sessions
@@ -652,7 +670,7 @@ impl ColumnarBatch {
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn slice_rows(&self, range: std::ops::Range<usize>) -> ColumnarBatch {
+    pub fn slice_rows(&self, range: Range<usize>) -> ColumnarBatch {
         let mut out = ColumnarBatch::with_capacity(self.dense_cols, self.sparse.len(), range.len());
         out.extend_rows_from(self, range);
         out
@@ -715,6 +733,109 @@ pub struct ColumnsMut<'a> {
     pub dense_cols: usize,
     /// Sparse columns in schema order.
     pub sparse: &'a mut [SparseColumn],
+}
+
+/// Rows of one or more batches of one shape, read in order as one batch
+/// without copying them: run `i` is rows `runs[i].1` of batch `runs[i].0`,
+/// borrowed (`&ColumnarBatch`) or shared (`Arc<ColumnarBatch>`). A view
+/// reads what [`ColumnarBatch::extend_rows_from`] copies of the same runs,
+/// repeat hints included: a run's first row reads as unmarked. A read
+/// starts looking for its row's run at the run read last, and panics on a
+/// row or feature out of range.
+#[derive(Debug)]
+pub struct RowRuns<'a, B> {
+    runs: &'a [(B, Range<usize>)],
+    rows: usize,
+    /// The run read last and the view row it starts at.
+    cursor: Cell<(usize, usize)>,
+}
+
+impl<'a, B: Borrow<ColumnarBatch>> RowRuns<'a, B> {
+    /// A view of `runs`, in order.
+    pub fn new(runs: &'a [(B, Range<usize>)]) -> Self {
+        Self {
+            runs,
+            rows: runs.iter().map(|(_, rows)| rows.len()).sum(),
+            cursor: Cell::new((0, 0)),
+        }
+    }
+
+    /// Number of rows.
+    pub fn row_count(&self) -> usize {
+        self.rows
+    }
+
+    /// Each run's batch and rows, in order.
+    pub fn runs(&self) -> impl Iterator<Item = (&'a ColumnarBatch, Range<usize>)> {
+        self.runs
+            .iter()
+            .map(|(batch, rows)| (batch.borrow(), rows.clone()))
+    }
+
+    /// Number of sparse feature columns (0 for a view with no runs).
+    pub fn sparse_cols(&self) -> usize {
+        self.runs()
+            .next()
+            .map_or(0, |(batch, _)| batch.sparse_cols())
+    }
+
+    /// The batch holding view row `row`, the row's index there, and whether
+    /// it starts its run.
+    fn locate(&self, row: usize) -> (&'a ColumnarBatch, usize, bool) {
+        let runs = self.runs;
+        let (mut run, mut start) = self.cursor.get();
+        if row < start {
+            (run, start) = (0, 0);
+        }
+        while row >= start + runs[run].1.len() {
+            start += runs[run].1.len();
+            run += 1;
+        }
+        self.cursor.set((run, start));
+        let (batch, rows) = &runs[run];
+        (batch.borrow(), rows.start + row - start, row == start)
+    }
+
+    /// The id list of sparse feature `f` at view row `row`.
+    pub fn sparse_row(&self, f: usize, row: usize) -> &'a [u64] {
+        let (batch, row, _) = self.locate(row);
+        batch.sparse[f].row(row)
+    }
+
+    /// Appends, in order, every view row not marked as equal to the row
+    /// before it in all columns of `features`, each run's first row among
+    /// them.
+    pub fn unmarked_rows(&self, features: &[FeatureId], out: &mut Vec<usize>) {
+        let mut start = 0;
+        for (batch, rows) in self.runs() {
+            let columns = &batch.sparse;
+            // Rows past the shortest marked prefix are never marked.
+            let marked = features
+                .iter()
+                .map(|f| columns[f.index()].repeats.len())
+                .min()
+                .unwrap_or(rows.end);
+            for row in rows.clone() {
+                if row == rows.start
+                    || row >= marked
+                    || !features.iter().all(|f| columns[f.index()].is_repeat(row))
+                {
+                    out.push(start + row - rows.start);
+                }
+            }
+            start += rows.len();
+        }
+    }
+
+    /// Whether view row `row` is marked as equal to the row before it in
+    /// every column of `features`. False on a run's first row.
+    pub fn is_repeat(&self, features: &[FeatureId], row: usize) -> bool {
+        let (batch, row, first) = self.locate(row);
+        !first
+            && features
+                .iter()
+                .all(|f| batch.sparse[f.index()].is_repeat(row))
+    }
 }
 
 #[cfg(test)]

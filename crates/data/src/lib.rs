@@ -38,7 +38,7 @@ pub mod log;
 pub mod sample;
 pub mod schema;
 
-pub use columnar::{ColumnarBatch, ColumnsMut, SparseColumn, SparseParts};
+pub use columnar::{ColumnarBatch, ColumnsMut, RowRuns, SparseColumn, SparseParts};
 pub use error::DataError;
 pub use ids::{FeatureId, RequestId, SessionId, ShardId, Timestamp, UserId};
 pub use log::{EventLog, FeatureLog, LogRecord};

@@ -165,10 +165,10 @@ pub struct DppReport {
     pub trainers: Vec<TrainerLaneReport>,
     /// Every pool resize the scaling controller performed, in order.
     pub scale_events: Vec<ScaleEvent>,
-    /// Columnar-batch pool counters: fill decode targets, router
-    /// accumulators, and coalesced work chunks all draw from and recycle
-    /// into this pool. At steady state the reuse rate approaches 1.0 and the
-    /// misses count the warmup population.
+    /// Decoded-file pool counters: every fill draws its decode target from
+    /// this pool, and the file returns once its last run is converted. At
+    /// steady state the reuse rate approaches 1.0 and the misses count the
+    /// warmup population.
     pub batch_pool: PoolStats,
     /// Converted-batch shell pool counters: compute workers draw shells from
     /// it and consumers recycle them back through

@@ -16,6 +16,7 @@
 //! largest available). A tiny probe batch no longer claims — and reallocates
 //! inside — the shell a full-size fill warmed.
 
+use crate::service::Run;
 use recd_core::ConvertedBatch;
 use recd_data::ColumnarBatch;
 use serde::{Deserialize, Serialize};
@@ -39,7 +40,7 @@ pub trait Reclaim {
 
 impl Reclaim for ColumnarBatch {
     /// Clears all rows; column shape and buffer capacity survive, which is
-    /// what the next fill or accumulate pass reuses.
+    /// what the next fill reuses.
     fn reclaim(&mut self) {
         self.clear();
     }
@@ -61,6 +62,14 @@ impl Reclaim for ConvertedBatch {
     /// Samples held at recycle time.
     fn size_class(&self) -> usize {
         self.batch_size
+    }
+}
+
+impl Reclaim for Vec<Run> {
+    /// Empties the list; its files were released run by run before it came
+    /// back, so only the allocation returns.
+    fn reclaim(&mut self) {
+        self.clear();
     }
 }
 

@@ -8,19 +8,23 @@
 //!                    └─ fill worker ─┘   (reorder + shard + coalesce)  (resequence+assign) └─▶ trainer N
 //! ```
 //!
-//! * Every inter-stage payload is a flat [`ColumnarBatch`] — the service
-//!   never shuttles per-sample `Vec`s between threads.
+//! * Rows travel as flat [`ColumnarBatch`]es, one per decoded file — the
+//!   service never shuttles per-sample `Vec`s between threads, and never
+//!   copies a decoded row before conversion.
 //! * **Fill workers** decode DWRF files concurrently (the fill phase),
 //!   straight into columnar buffers, at most one filled queue plus one file
 //!   each ahead of the file the router is on.
 //! * The **router** restores file submission order (decode finishes out of
 //!   order), shards rows by the configured [`ShardPolicy`], and coalesces
-//!   each shard's rows into `batch_size` chunks. Because routing is
-//!   single-threaded and order-restored, batch composition is a pure
-//!   function of the submitted file sequence — output does not depend on
-//!   worker counts, scheduling, or pool resizes.
+//!   each shard's rows into `batch_size` batches of *runs*: row ranges of
+//!   the shared decoded files. Because routing is single-threaded and
+//!   order-restored, batch composition is a pure function of the submitted
+//!   file sequence — output does not depend on worker counts, scheduling,
+//!   or pool resizes.
 //! * **Compute workers** run the shared [`PhaseEngine`] (IKJT conversion O3,
-//!   deduplicated preprocessing O4) over coalesced chunks concurrently.
+//!   deduplicated preprocessing O4) concurrently over each batch's runs,
+//!   reading the files' rows in place; whichever side drops a file's last
+//!   run hands the file back to the fill workers.
 //! * The **sink** resequences finished batches per shard and streams them
 //!   onto the bounded trainer lanes ([`DppConfig::with_trainers`], one by
 //!   default) with per-trainer flow control (see [`crate::sink`]).
@@ -46,13 +50,14 @@ use crate::sink::{
 };
 use recd_chaos::{ChaosCounters, RetryPolicy};
 use recd_core::ConvertedBatch;
-use recd_data::{ColumnarBatch, Schema};
+use recd_data::{ColumnarBatch, RowRuns, Schema};
 use recd_obs::{Histogram, HistogramSnapshot, ScaleClock, WallClock};
 use recd_reader::{
     fill_file_columnar_into, PhaseEngine, PreprocessPipeline, ReaderConfig, ReaderMetrics,
 };
 use recd_storage::{FileReadScratch, StorageError, StoredPartition, TableStore};
 use std::collections::{BTreeMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -62,16 +67,23 @@ use std::time::{Duration, Instant};
 const WORKER_POLL: Duration = Duration::from_millis(2);
 
 /// How many files fill workers may hold ahead of the router: the one in the
-/// router's hand, a full filled queue, and one being decoded per worker.
+/// router's hand, a full filled queue, and one being decoded per worker. A
+/// file the router has passed stays live behind the window until its last
+/// run is converted (see [`batch_pool_capacity`]).
 fn route_window(queue_depth: usize, fill: usize) -> usize {
     1 + queue_depth + fill
 }
 
-/// The most columnar batches a service holds at once: the route window's
-/// files, one accumulator per shard plus a full one being handed on, the
-/// work queue, and one chunk per compute worker.
-fn batch_pool_capacity(queue_depth: usize, shards: usize, fill: usize, compute: usize) -> usize {
-    route_window(queue_depth, fill) + shards + 1 + queue_depth + compute
+/// The most decoded files a service holds at once: the route window's, plus
+/// every file a batch holding runs still reads. Those batches are one
+/// pending per shard (the one being handed on left an empty list behind), a
+/// full work queue and one per compute worker, and a run has at least one
+/// row, so each reads at most `batch_size` files. Shells are made only on a
+/// miss, so the shelf never holds more than the most that were ever live;
+/// the bound only has to hold.
+fn batch_pool_capacity(config: &DppConfig, fill: usize, compute: usize) -> usize {
+    let batches = config.shards + config.queue_depth + compute;
+    route_window(config.queue_depth, fill) + batches * config.reader.batch_size
 }
 
 /// Converted shells in flight: the output queue, one per compute worker, and
@@ -288,10 +300,14 @@ struct FilledFile {
     payload: FilledPayload,
 }
 
+/// Rows of a decoded file, which every batch reading it shares.
+pub(crate) type Run = (Arc<ColumnarBatch>, Range<usize>);
+
 struct WorkItem {
     shard: usize,
     seq: u64,
-    rows: ColumnarBatch,
+    /// The batch's rows, in order.
+    runs: Vec<Run>,
 }
 
 /// What a finished service run reports (its batches left through the
@@ -387,13 +403,14 @@ struct State {
     phase_metrics: Mutex<ReaderMetrics>,
     /// One message per failed fill or conversion.
     errors: Mutex<Vec<String>>,
-    /// The swap-buffer arena: every ColumnarBatch in flight — decoded files,
-    /// shard accumulators, coalesced work chunks — is drawn from and
-    /// recycled into this one pool, so steady-state batches allocate
-    /// nothing. Capacity is the most that can be in flight, so no shell is
-    /// ever dropped and misses never exceed it; dynamic scale-downs shrink
-    /// it again.
+    /// The swap-buffer arena of decoded files: a fill worker draws each file
+    /// from it, and the router or compute worker that drops the file's last
+    /// run recycles it, so steady-state files allocate nothing. Capacity is
+    /// the most files that can be live, so no shell is ever dropped and
+    /// misses never exceed it; dynamic scale-downs shrink it again.
     batch_pool: BatchPool<ColumnarBatch>,
+    /// Emptied run lists, from compute workers back to the router.
+    run_lists: BatchPool<Vec<Run>>,
     /// Converted-batch shells flow compute → sink → consumer; the consumer
     /// recycles them back through [`DppHandle::converted_pool`].
     converted_pool: Arc<BatchPool<ConvertedBatch>>,
@@ -420,6 +437,13 @@ struct State {
 }
 
 impl State {
+    /// Drops one hold on a decoded file; the last hold recycles it.
+    fn release(&self, file: Arc<ColumnarBatch>) {
+        if let Some(file) = Arc::into_inner(file) {
+            self.batch_pool.recycle(file);
+        }
+    }
+
     /// Accounts one failed fill or conversion.
     fn record_error(&self, message: String) {
         self.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -428,15 +452,10 @@ impl State {
 
     /// Sizes the batch pools for `fill` fill and `compute` compute workers.
     fn size_pools(&self, fill: usize, compute: usize) {
-        let depth = self.config.queue_depth;
-        self.batch_pool.set_capacity(batch_pool_capacity(
-            depth,
-            self.config.shards,
-            fill,
-            compute,
-        ));
+        self.batch_pool
+            .set_capacity(batch_pool_capacity(&self.config, fill, compute));
         self.converted_pool
-            .set_capacity(converted_pool_capacity(depth, compute));
+            .set_capacity(converted_pool_capacity(self.config.queue_depth, compute));
     }
 
     /// The service's accounting as of now: a live snapshot while it runs,
@@ -624,35 +643,40 @@ fn compute_worker_loop(ctx: &Worker<WorkItem, SinkInput>) {
         (state.config.pipeline_factory)(),
     );
     let mut local = ReaderMetrics::default();
-    ctx.run(&state.compute_gov, |item| {
+    ctx.run(&state.compute_gov, |mut item| {
         // Convert into a shell from the converted pool (hits require a
-        // consumer recycling shells) sized for this chunk, then hand the
-        // drained columnar chunk straight back to the fill workers.
+        // consumer recycling shells) sized for this batch, then drop the
+        // batch's holds on its files.
+        let rows = RowRuns::new(&item.runs);
         let mut batch = state
             .converted_pool
-            .acquire(item.rows.len(), ConvertedBatch::default);
+            .acquire(rows.row_count(), ConvertedBatch::default);
         // The converter trusts a row marked as repeating its predecessor
-        // without comparing it; debug builds hold every routed batch's
-        // marks to its rows.
+        // without comparing it, except on a run's first row; debug builds
+        // hold every routed run's marks to its rows.
         debug_assert!(
-            item.rows.check_repeats().is_ok(),
-            "shard {} routed an unsound repeat hint: {:?}",
+            item.runs
+                .iter()
+                .all(|(file, run)| file.slice_rows(run.clone()).check_repeats().is_ok()),
+            "shard {} routed a run with an unsound repeat hint",
             item.shard,
-            item.rows.check_repeats()
         );
         // Per-batch phase latency = the engine's own phase-CPU delta around
         // this one batch, so the histograms see exactly what the aggregate
         // PhaseMetrics see, bucketed.
         let convert_before = local.convert.cpu_nanos;
         let process_before = local.process.cpu_nanos;
-        let outcome = engine.run_batch_columnar_into(&item.rows, &mut batch, &mut local);
+        let outcome = engine.run_runs_into(&rows, &mut batch, &mut local);
         state
             .convert_hist
             .observe((local.convert.cpu_nanos - convert_before) as f64 / 1e9);
         state
             .process_hist
             .observe((local.process.cpu_nanos - process_before) as f64 / 1e9);
-        state.batch_pool.recycle(item.rows);
+        for (file, _) in item.runs.drain(..) {
+            state.release(file);
+        }
+        state.run_lists.recycle(item.runs);
         let (shard, seq) = (item.shard, item.seq);
         match outcome {
             Ok(()) => {
@@ -703,14 +727,9 @@ fn router_loop(ctx: RouterCtx) {
     let state = &*ctx.state;
     let (policy, shards) = (state.config.policy, state.config.shards);
     let batch_size = state.config.reader.batch_size;
-    let (dense_cols, sparse_cols) = (state.schema.dense_count(), state.schema.sparse_count());
-    // Accumulators come off the pool: at steady state a shard's next buffer
-    // is a batch some compute worker just finished with.
-    let fresh = || {
-        state.batch_pool.acquire(0, || {
-            ColumnarBatch::with_capacity(dense_cols, sparse_cols, batch_size)
-        })
-    };
+    // Run lists come off their pool: at steady state a shard's next list is
+    // one some compute worker just emptied.
+    let fresh = || state.run_lists.acquire(0, Vec::new);
     let _open = OpenOnDrop(&state.window);
     let mut pending: BTreeMap<u64, FilledPayload> = BTreeMap::new();
     let mut next_seq = 0u64;
@@ -719,16 +738,16 @@ fn router_loop(ctx: RouterCtx) {
     // on its place within its partition (and a resume, which always starts
     // at a barrier, needs no rotation state).
     let mut files_routed = 0u64;
-    // Shard accumulators are columnar too: routing a row is a handful of
-    // flat-buffer appends, not a Sample move, and the buffers amortize
-    // across batches.
-    let mut accumulators: Vec<ColumnarBatch> = (0..shards).map(|_| fresh()).collect();
+    // Each shard's batch in the making: runs of the decoded files and the
+    // rows they hold. Routing a run is a handful of appends; no row is
+    // copied.
+    let mut batches: Vec<(Vec<Run>, usize)> = (0..shards).map(|_| (fresh(), 0)).collect();
     let mut shard_seqs = vec![0u64; shards];
     let mut local = ReaderMetrics::default();
-    let emit = |shard: usize, rows: ColumnarBatch, shard_seqs: &mut Vec<u64>| -> bool {
+    let emit = |shard: usize, runs: Vec<Run>, shard_seqs: &mut Vec<u64>| -> bool {
         let seq = shard_seqs[shard];
         shard_seqs[shard] += 1;
-        ctx.work_tx.send(WorkItem { shard, seq, rows }).is_ok()
+        ctx.work_tx.send(WorkItem { shard, seq, runs }).is_ok()
     };
     'stream: while let Some(filled) = ctx.filled_rx.recv() {
         pending.insert(filled.seq, filled.payload);
@@ -746,6 +765,7 @@ fn router_loop(ctx: RouterCtx) {
                         .counters
                         .rows_routed
                         .fetch_add(rows.len() as u64, Ordering::Relaxed);
+                    let file = Arc::new(rows);
                     let shard_of = |row: usize| match pinned {
                         // An explicit placement (the fleet coordinator's
                         // file-granular global sharding) overrides the
@@ -755,22 +775,22 @@ fn router_loop(ctx: RouterCtx) {
                         None => match policy {
                             ShardPolicy::FileRoundRobin => (file_idx % shards as u64) as usize,
                             ShardPolicy::SessionAffine => {
-                                (recd_codec::hash_ids(&[rows.session_id(row).raw()])
+                                (recd_codec::hash_ids(&[file.session_id(row).raw()])
                                     % shards as u64) as usize
                             }
                         },
                     };
                     // Rows move in maximal runs bound for one shard: the
                     // shard is decided once per session change (once per
-                    // file unless sessions choose it), and a run is one copy
-                    // per column, cut where a batch fills.
+                    // file unless sessions choose it), and a run is cut
+                    // where a batch fills.
                     let per_session = pinned.is_none() && policy == ShardPolicy::SessionAffine;
                     let mut run_start = 0;
-                    let mut run_shard = if rows.is_empty() { 0 } else { shard_of(0) };
-                    for row in 1..=rows.len() {
-                        let next = if row == rows.len() {
+                    let mut run_shard = if file.is_empty() { 0 } else { shard_of(0) };
+                    for row in 1..=file.len() {
+                        let next = if row == file.len() {
                             None
-                        } else if !per_session || rows.session_id(row) == rows.session_id(row - 1) {
+                        } else if !per_session || file.session_id(row) == file.session_id(row - 1) {
                             continue;
                         } else {
                             Some(shard_of(row))
@@ -779,12 +799,14 @@ fn router_loop(ctx: RouterCtx) {
                             continue;
                         }
                         while run_start < row {
-                            let accumulator = &mut accumulators[run_shard];
-                            let end = row.min(run_start + batch_size - accumulator.len());
-                            accumulator.extend_rows_from(&rows, run_start..end);
+                            let (runs, held) = &mut batches[run_shard];
+                            let end = row.min(run_start + batch_size - *held);
+                            runs.push((Arc::clone(&file), run_start..end));
+                            *held += end - run_start;
                             run_start = end;
-                            if accumulator.len() >= batch_size {
-                                let full = std::mem::replace(accumulator, fresh());
+                            if *held >= batch_size {
+                                *held = 0;
+                                let full = std::mem::replace(runs, fresh());
                                 if !emit(run_shard, full, &mut shard_seqs) {
                                     break 'stream;
                                 }
@@ -792,17 +814,19 @@ fn router_loop(ctx: RouterCtx) {
                         }
                         run_shard = next.unwrap_or(run_shard);
                     }
-                    // The decoded file's rows have all been copied into
-                    // accumulators; its buffers go back to the fill workers.
-                    state.batch_pool.recycle(rows);
+                    // Every row is in a run now; a file no run holds any
+                    // more (an empty one, or one whose batches are already
+                    // converted) goes back to the fill workers.
+                    state.release(file);
                 }
                 FilledPayload::Barrier(id) => {
                     // Partition boundary: everything submitted before the
-                    // barrier must be emitted, so partial accumulators flush
-                    // as short batches (full ones were emitted eagerly).
-                    for (shard, accumulator) in accumulators.iter_mut().enumerate() {
-                        if !accumulator.is_empty() {
-                            let partial = std::mem::replace(accumulator, fresh());
+                    // barrier must be emitted, so partial batches flush as
+                    // short ones (full ones were emitted eagerly).
+                    for (shard, (runs, held)) in batches.iter_mut().enumerate() {
+                        if *held > 0 {
+                            *held = 0;
+                            let partial = std::mem::replace(runs, fresh());
                             local.flushed_partial_batches += 1;
                             if !emit(shard, partial, &mut shard_seqs) {
                                 break 'stream;
@@ -829,9 +853,9 @@ fn router_loop(ctx: RouterCtx) {
             state.window.advance(next_seq);
         }
     }
-    // End of stream: flush partial accumulators in shard order.
-    for (shard, rows) in accumulators.into_iter().enumerate() {
-        if !rows.is_empty() && !emit(shard, rows, &mut shard_seqs) {
+    // End of stream: flush partial batches in shard order.
+    for (shard, (runs, held)) in batches.into_iter().enumerate() {
+        if held > 0 && !emit(shard, runs, &mut shard_seqs) {
             break;
         }
     }
@@ -926,12 +950,10 @@ impl DppService {
             counters,
             phase_metrics: Mutex::new(ReaderMetrics::default()),
             errors: Mutex::new(Vec::new()),
-            batch_pool: BatchPool::new(batch_pool_capacity(
-                depth,
-                config.shards,
-                max_fill,
-                max_compute,
-            )),
+            batch_pool: BatchPool::new(batch_pool_capacity(&config, max_fill, max_compute)),
+            // One list pending per shard plus a full one being handed on,
+            // the work queue, and one per compute worker.
+            run_lists: BatchPool::new(config.shards + 1 + depth + max_compute),
             converted_pool: Arc::new(BatchPool::new(converted_pool_capacity(depth, max_compute))),
             blob_pool: BatchPool::new(max_fill + 1),
             window: RouteWindow {

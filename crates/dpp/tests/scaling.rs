@@ -226,10 +226,11 @@ fn workers_scale_up_under_pressure_then_back_down_within_bounds() {
     assert!(out.report.peak_compute_workers <= MAX_WORKERS);
 
     // The batch pool shrank along with the pools: its capacity started
-    // sized for the maximum population (the route window of 1 + depth + max
-    // fill files, two shard accumulators plus one handed on, the work queue,
-    // one chunk per compute worker) and scale-downs reduced it.
-    let initial_capacity = (1 + QUEUE_DEPTH + MAX_WORKERS) + (2 + 1) + QUEUE_DEPTH + MAX_WORKERS;
+    // sized for the maximum population of decoded files (the route window
+    // of 1 + depth + max fill files, plus up to 64 files — one per row —
+    // for each batch holding runs: one pending per shard, the work queue,
+    // one per compute worker) and scale-downs reduced it.
+    let initial_capacity = (1 + QUEUE_DEPTH + MAX_WORKERS) + (2 + QUEUE_DEPTH + MAX_WORKERS) * 64;
     assert!(
         out.report.batch_pool.capacity < initial_capacity,
         "batch pool capacity must shrink on scale-down ({} vs initial {})",

@@ -184,6 +184,105 @@ fn streaming_output_matches_one_shot_reader_tier() {
     }
 }
 
+/// The serial session-affine router the service is held to: every row goes
+/// by its session's hash to one shard's accumulator, a row at a time; a
+/// full accumulator is converted and processed as a batch, and every
+/// partition ends in a barrier that flushes the rest. Returns the batches
+/// in `(shard, seq)` order and the most files one batch drew rows from.
+fn reference_session_affine(
+    f: &Fixture,
+    partitions: &[&StoredPartition],
+    config: &ReaderConfig,
+    shards: usize,
+) -> (Vec<ConvertedBatch>, usize) {
+    let mut engine = PhaseEngine::new(config.clone(), standard_pipeline());
+    let mut metrics = ReaderMetrics::default();
+    let empty = ColumnarBatch::new(f.schema.dense_count(), f.schema.sparse_count());
+    // Per shard: the accumulator, the files it drew from, its batches.
+    let mut shard_state = vec![(empty, Vec::<usize>::new(), Vec::new()); shards];
+    let mut widest = 0;
+    let mut emit = |(rows, files, out): &mut (ColumnarBatch, Vec<usize>, Vec<ConvertedBatch>)| {
+        let mut batch = ConvertedBatch::default();
+        engine
+            .run_batch_columnar_into(rows, &mut batch, &mut metrics)
+            .expect("reference conversion");
+        out.push(batch);
+        widest = widest.max(files.len());
+        rows.clear();
+        files.clear();
+    };
+    let mut file_index = 0;
+    for partition in partitions {
+        for path in &partition.files {
+            let file = fill_rows(f, std::iter::once(path), &mut ReaderMetrics::default());
+            for row in 0..file.len() {
+                let hash = recd_codec::hash_ids(&[file.session_id(row).raw()]);
+                let state = &mut shard_state[(hash % shards as u64) as usize];
+                state.0.extend_rows_from(&file, row..row + 1);
+                if state.1.last() != Some(&file_index) {
+                    state.1.push(file_index);
+                }
+                if state.0.len() == config.batch_size {
+                    emit(state);
+                }
+            }
+            file_index += 1;
+        }
+        for state in shard_state.iter_mut().filter(|s| !s.0.is_empty()) {
+            emit(state);
+        }
+    }
+    let batches = shard_state.into_iter().flat_map(|s| s.2).collect();
+    (batches, widest)
+}
+
+/// Session-affine routing against the serial reference router: over two
+/// partitions, each closed by a barrier, with 2 fill and 2 compute workers,
+/// 2 and 3 shards, and batches of 5 rows, of 64, and of 40 (more than a
+/// 16-row file, so a batch draws rows from several files), the service
+/// delivers per shard, in order, exactly the reference's batches — IKJT
+/// slots, inverse lookups, KJT and dense values — and counts their egress.
+#[test]
+fn session_affine_output_matches_a_serial_router() {
+    let f = fixture();
+    let partitions = [&f.partition, &f.interleaved];
+    for batch_size in [5, 64, 40] {
+        for shards in [2, 3] {
+            let config = reader_config(&f.schema, batch_size);
+            let (reference, widest) = reference_session_affine(&f, &partitions, &config, shards);
+            if batch_size == 40 {
+                assert!(widest >= 3, "a 40-row batch drew from only {widest} files");
+            }
+            let service = DppConfig::new(config)
+                .with_policy(ShardPolicy::SessionAffine)
+                .with_shards(shards)
+                .with_fill_workers(2)
+                .with_compute_workers(2)
+                .with_pipeline_factory(standard_pipeline);
+            let mut handle = DppService::start(service, Arc::clone(&f.store), f.schema.clone());
+            let drain = Drain::start(&mut handle);
+            for partition in partitions {
+                assert!(handle.ingest_partition(partition));
+                assert!(handle.flush_partition(), "barrier must resolve");
+            }
+            let (batches, output) = drain.finish(handle);
+            let report = output.expect("clean run").report;
+            let at = format!("{batch_size}-row batches over {shards} shards");
+            assert_eq!(batches.len(), reference.len(), "batch count at {at}");
+            for (i, (streamed, want)) in batches.iter().zip(&reference).enumerate() {
+                assert!(streamed == want, "batch {i} diverged at {at}");
+            }
+            let egress = |b: &ConvertedBatch| b.sparse_payload_bytes() + b.dense.payload_bytes();
+            assert_eq!(
+                report.egress_bytes,
+                reference.iter().map(egress).sum::<usize>(),
+                "egress at {at}"
+            );
+            assert_eq!(report.samples, 2 * f.rows);
+        }
+    }
+}
+
 /// A barrier restarts the file round-robin rotation: one service that
 /// ingests partitions of odd file counts, closing each with a barrier,
 /// delivers per shard, in order, exactly the batches of one fresh service
@@ -501,16 +600,18 @@ fn finish_drains_all_in_flight_work_under_backpressure() {
 #[test]
 fn batch_pool_recycles_buffers_at_steady_state() {
     let f = fixture();
-    // At most this many shells are in flight at once, however the threads
-    // are scheduled: the route window (the file in the router's hand, a
-    // full filled queue of 4, one file per fill worker: 1 + 4 + 2), one
-    // accumulator per shard plus a full one being handed on (2 + 1), a full
-    // work queue (4), and one chunk per compute worker (2). The pool shelves
-    // as many, so a drained pipeline drops no shell, and a miss needs the
-    // shelf empty: misses stay at this population (plus one for each acquire
-    // that found the shelf empty just before a recycle landed on it), a few
-    // percent of the ≥ 24 × 16 acquires.
-    let live = (1 + 4 + 2) + (2 + 1) + 4 + 2;
+    // At most this many decoded files are live at once, however the
+    // threads are scheduled: the route window (the file in the router's
+    // hand, a full filled queue of 4, one file per fill worker: 1 + 4 + 2),
+    // and every file a batch holding runs still references — a batch
+    // pending per shard, a full work queue and one per compute worker
+    // (2 + 4 + 2), each reading at most 32 files, one per row. The pool
+    // shelves as many, so a drained pipeline drops no shell, and a miss
+    // needs the shelf empty: misses stay at the population that was ever
+    // live (plus one for each acquire that found the shelf empty just
+    // before a recycle landed on it), a few percent of the ≥ 24 × 16
+    // acquires.
+    let live = (1 + 4 + 2) + (2 + 4 + 2) * 32;
     let rounds = 24;
     let config = DppConfig::new(reader_config(&f.schema, 32))
         .with_fill_workers(2)
@@ -527,7 +628,7 @@ fn batch_pool_recycles_buffers_at_steady_state() {
 
     let pool = output.report.batch_pool;
     let acquires = pool.hits + pool.misses;
-    // Every file decode, shard accumulator, and emitted chunk acquires once.
+    // Every file decode acquires once.
     assert!(
         acquires as usize >= rounds * f.partition.files.len(),
         "fills alone should acquire at least once per file"

@@ -5,8 +5,9 @@
 use crate::metrics::ReaderMetrics;
 use crate::transforms::{PreprocessPipeline, TransformScratch};
 use recd_core::{ConvertedBatch, DataLoaderConfig, DedupScratch, FeatureConverter};
-use recd_data::{ColumnarBatch, Schema};
+use recd_data::{ColumnarBatch, RowRuns, Schema};
 use recd_storage::{FileReadScratch, TableStore};
+use std::borrow::Borrow;
 use std::time::Instant;
 
 /// Configuration of the reader phases.
@@ -89,12 +90,8 @@ impl PhaseEngine {
         &self.config
     }
 
-    /// Runs convert + process over one coalesced columnar chunk into a
-    /// recycled shell — the unit of compute work a streaming worker claims.
-    /// Converted tensors land in the shell's buffers and the flat process
-    /// phase edits them in place, so a steady-state batch allocates nothing;
-    /// the batch-level accounting (samples, batches, egress bytes) is
-    /// recorded alongside the per-phase metrics.
+    /// Runs convert + process over one columnar batch into a recycled
+    /// shell: [`PhaseEngine::run_runs_into`] over the batch as one run.
     ///
     /// # Errors
     ///
@@ -106,7 +103,26 @@ impl PhaseEngine {
         out: &mut ConvertedBatch,
         metrics: &mut ReaderMetrics,
     ) -> recd_core::Result<()> {
-        self.convert_columnar_into(rows, out, metrics)?;
+        self.run_runs_into(&RowRuns::new(&[(rows, 0..rows.len())]), out, metrics)
+    }
+
+    /// Runs convert + process over one batch's rows, read in place through
+    /// a view, into a recycled shell — the unit of compute work a streaming
+    /// worker claims. The flat process phase edits the tensors in place, so
+    /// a steady-state batch allocates nothing; samples, batches and egress
+    /// bytes are recorded beside the per-phase metrics.
+    ///
+    /// # Errors
+    ///
+    /// Propagates conversion errors; on error the shell's contents are
+    /// unspecified.
+    pub fn run_runs_into<B: Borrow<ColumnarBatch>>(
+        &mut self,
+        rows: &RowRuns<B>,
+        out: &mut ConvertedBatch,
+        metrics: &mut ReaderMetrics,
+    ) -> recd_core::Result<()> {
+        self.convert_runs_into(rows, out, metrics)?;
         self.process(out, metrics);
         metrics.samples += out.batch_size;
         metrics.batches += 1;
@@ -114,21 +130,21 @@ impl PhaseEngine {
         Ok(())
     }
 
-    /// Convert phase (O3): columns → KJT/IKJT tensors, reusing the shell's
+    /// Convert phase (O3): rows → KJT/IKJT tensors, reusing the shell's
     /// buffers and the engine's dedup scratch. `items` counts the kept
     /// IKJTs' logical values — what duplicate detection would hash with no
     /// repeat hints (zero without dedup groups); `bytes` is the tensor
     /// payload materialized. Every configured group missing from the
     /// batch's IKJTs shipped as KJT and counts as a fallback.
-    fn convert_columnar_into(
+    fn convert_runs_into<B: Borrow<ColumnarBatch>>(
         &mut self,
-        batch: &ColumnarBatch,
+        rows: &RowRuns<B>,
         out: &mut ConvertedBatch,
         metrics: &mut ReaderMetrics,
     ) -> recd_core::Result<()> {
         let start = Instant::now();
         self.converter
-            .convert_columnar_into(batch, &mut self.dedup_scratch, out)?;
+            .convert_runs_into(rows, &mut self.dedup_scratch, out)?;
         let hashed_values: usize = out.ikjts.iter().map(|i| i.original_value_count()).sum();
         metrics.fallback_groups += self.config.dataloader.dedup_groups.len() - out.ikjts.len();
         metrics
