@@ -16,6 +16,9 @@ use recd_data::{ColumnarBatch, FeatureId, RequestId, RowRuns, Sample, SessionId,
 use recd_reader::PreprocessPipeline;
 use recd_storage::{decode_stripe_columnar, encode_stripe};
 
+#[path = "../../../tests/rowwise/mod.rs"]
+mod rowwise;
+
 const BATCH: usize = 512;
 
 /// One synthetic workload shape: how often rows repeat, how many ids a
@@ -141,7 +144,8 @@ fn bench_convert_scenarios(c: &mut Criterion) {
     group.finish();
 }
 
-/// IKJT dedup only: the flat-table columnar dedup, across the sweep.
+/// IKJT dedup only: the flat-table columnar dedup over the batch as one
+/// run, into a fresh IKJT with fresh scratch, across the sweep.
 fn bench_dedup_scenarios(c: &mut Criterion) {
     let group_features = [FeatureId::new(0), FeatureId::new(1)];
     let mut group = c.benchmark_group("columnar_dedup");
@@ -154,11 +158,16 @@ fn bench_dedup_scenarios(c: &mut Criterion) {
             &columnar,
             |b, columnar| {
                 b.iter(|| {
-                    InverseKeyedJaggedTensor::dedup_from_columnar(
-                        black_box(columnar),
+                    let columnar = black_box(columnar);
+                    let mut ikjt = InverseKeyedJaggedTensor::default();
+                    InverseKeyedJaggedTensor::dedup_from_runs_into(
+                        &RowRuns::new(&[(columnar, 0..columnar.len())]),
                         &group_features,
+                        &mut DedupScratch::default(),
+                        &mut ikjt,
                     )
-                    .unwrap()
+                    .unwrap();
+                    ikjt
                 })
             },
         );
@@ -208,15 +217,24 @@ fn bench_fill_convert_datagen(c: &mut Criterion) {
 }
 
 /// Process phase (O4) on the default datagen workload: the flat in-place
-/// transform path vs the row-wise allocate-per-apply reference, over both a
-/// baseline (KJT-only) batch and a deduplicated (IKJT) batch. The
-/// `rowwise/baseline` ÷ `flat/baseline` ratio is the headline
-/// `process_speedup_flat_vs_rowwise` metric in `BENCH_pipeline.json`.
+/// transform path vs the row-wise allocate-per-apply reference
+/// (`tests/rowwise/mod.rs`), over both a baseline (KJT-only) batch and a
+/// deduplicated (IKJT) batch. The `rowwise/baseline` ÷ `flat/baseline`
+/// ratio is the headline `process_speedup_flat_vs_rowwise` metric in
+/// `BENCH_pipeline.json`.
 fn bench_preprocess(c: &mut Criterion) {
     let fixture = BenchFixture::new(80);
     let baseline = fixture.baseline_batch(BATCH);
     let dedup = fixture.dedup_batch(BATCH);
-    let pipeline = PreprocessPipeline::standard(1 << 20, 64);
+    // `PreprocessPipeline::standard(1 << 20, 64)`, described.
+    let spec = rowwise::Spec {
+        steps: vec![
+            rowwise::Step::Truncate(64),
+            rowwise::Step::Bucketize(1 << 20),
+        ],
+        normalize_dense: true,
+    };
+    let pipeline = spec.build();
 
     let mut group = c.benchmark_group("preprocess");
     group.sample_size(20);
@@ -225,7 +243,7 @@ fn bench_preprocess(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("rowwise", name), batch, |b, batch| {
             b.iter_batched(
                 || batch.clone(),
-                |mut batch| pipeline.apply_rowwise(black_box(&mut batch)),
+                |mut batch| rowwise::apply(&spec, black_box(&mut batch)),
                 criterion::BatchSize::LargeInput,
             )
         });

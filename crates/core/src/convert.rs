@@ -634,7 +634,14 @@ mod tests {
                 let tuple = i * distinct / 512;
                 vec![(0..64).map(|k| tuple * 64 + k).collect()]
             });
-            let ikjt = InverseKeyedJaggedTensor::dedup_from_columnar(&batch, &[f(0)]).unwrap();
+            let mut ikjt = InverseKeyedJaggedTensor::default();
+            InverseKeyedJaggedTensor::dedup_from_runs_into(
+                &RowRuns::new(&[(&batch, 0..batch.len())]),
+                &[f(0)],
+                &mut DedupScratch::default(),
+                &mut ikjt,
+            )
+            .unwrap();
             let kjt = KeyedJaggedTensor::from_columnar(&batch, &[f(0)]).unwrap();
             (
                 ikjt.payload_bytes() + ikjt.inverse_lookup_bytes(),

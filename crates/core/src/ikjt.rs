@@ -189,35 +189,15 @@ impl InverseKeyedJaggedTensor {
         Ok(out)
     }
 
-    /// Deduplicates the listed feature group straight off a columnar batch's
-    /// sparse columns — the fill→convert hot path. Row views are slices
-    /// into the batch's contiguous value buffers, so no per-row data is
-    /// materialized at any point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::MissingSparseFeature`] if the batch carries
-    /// fewer sparse columns than a grouped feature's index.
-    pub fn dedup_from_columnar(batch: &ColumnarBatch, group: &[FeatureId]) -> Result<Self> {
-        let mut out = Self::default();
-        let rows = [(batch, 0..batch.len())];
-        Self::dedup_from_runs_into(
-            &RowRuns::new(&rows),
-            group,
-            &mut DedupScratch::default(),
-            &mut out,
-        )?;
-        Ok(out)
-    }
-
     /// Deduplicates a feature group off a view's rows, read in place, into
     /// a recycled IKJT — what the streaming compute workers run with a
-    /// long-lived [`DedupScratch`].
+    /// long-lived [`DedupScratch`]. Row views are slices into the batches'
+    /// contiguous value buffers, so no per-row data is materialized.
     ///
     /// # Errors
     ///
-    /// Same error conditions as
-    /// [`InverseKeyedJaggedTensor::dedup_from_columnar`]; on error `out` is
+    /// Returns [`CoreError::MissingSparseFeature`] if the view carries
+    /// fewer sparse columns than a grouped feature's index; `out` is then
     /// untouched.
     pub fn dedup_from_runs_into<B: Borrow<ColumnarBatch>>(
         rows: &RowRuns<B>,
@@ -534,29 +514,6 @@ impl InverseKeyedJaggedTensor {
         }
         KeyedJaggedTensor::from_tensors(entries)
     }
-
-    /// Expands a per-slot vector to a per-row vector through the shared
-    /// inverse lookup. This is the "expand the output" step of deduplicated
-    /// pooling (O7): compute on `slot_count()` items, then broadcast to
-    /// `batch_size()` rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BatchSizeMismatch`] if `per_slot` does not have
-    /// exactly `slot_count()` entries.
-    pub fn expand_per_slot<T: Clone>(&self, per_slot: &[T]) -> Result<Vec<T>> {
-        if per_slot.len() != self.slot_count() {
-            return Err(CoreError::BatchSizeMismatch {
-                expected: self.slot_count(),
-                actual: per_slot.len(),
-            });
-        }
-        Ok(self
-            .inverse_lookup
-            .iter()
-            .map(|&slot| per_slot[slot].clone())
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -668,19 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn expand_per_slot_broadcasts() {
-        let kjt = figure5_group();
-        let ikjt = InverseKeyedJaggedTensor::dedup_from_kjt(&kjt, &[f(2), f(3)]).unwrap();
-        // Pooled output per slot (paper example: [24, 21]).
-        let expanded = ikjt.expand_per_slot(&[24.0f32, 21.0]).unwrap();
-        assert_eq!(expanded, vec![24.0, 24.0, 21.0]);
-        assert!(matches!(
-            ikjt.expand_per_slot(&[1.0f32]),
-            Err(CoreError::BatchSizeMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn from_parts_validates_invariants() {
         let good = InverseKeyedJaggedTensor::from_parts(
             vec![f(0)],
@@ -748,25 +692,36 @@ mod tests {
             .collect();
         let columnar = ColumnarBatch::from_samples(&samples, 0, 2);
         let group = [f(0), f(1)];
-        let ikjt = InverseKeyedJaggedTensor::dedup_from_columnar(&columnar, &group).unwrap();
+        let rows = [(&columnar, 0..columnar.len())];
+        let dedup = |group: &[FeatureId],
+                     scratch: &mut DedupScratch,
+                     out: &mut InverseKeyedJaggedTensor| {
+            InverseKeyedJaggedTensor::dedup_from_runs_into(
+                &RowRuns::new(&rows),
+                group,
+                scratch,
+                out,
+            )
+        };
+        let mut ikjt = InverseKeyedJaggedTensor::default();
+        dedup(&group, &mut DedupScratch::default(), &mut ikjt).unwrap();
         assert_eq!(ikjt.inverse_lookup(), &[0, 0, 1, 2]);
         assert_eq!(ikjt.feature(f(0)).unwrap().values(), &[7, 8, 10]);
         assert_eq!(ikjt.feature(f(1)).unwrap().values(), &[9, 11, 9]);
         assert!(ikjt.check_invariants().is_ok());
 
+        // A scratch and an IKJT recycled from another group's dedup give
+        // the same tensor; a missing feature leaves the IKJT untouched.
+        let mut scratch = DedupScratch::default();
         let mut recycled = InverseKeyedJaggedTensor::default();
-        InverseKeyedJaggedTensor::dedup_from_runs_into(
-            &RowRuns::new(&[(&columnar, 0..columnar.len())]),
-            &group,
-            &mut DedupScratch::default(),
-            &mut recycled,
-        )
-        .unwrap();
+        dedup(&[f(1)], &mut scratch, &mut recycled).unwrap();
+        dedup(&group, &mut scratch, &mut recycled).unwrap();
         assert_eq!(recycled, ikjt);
         assert!(matches!(
-            InverseKeyedJaggedTensor::dedup_from_columnar(&columnar, &[f(5)]),
+            dedup(&[f(5)], &mut scratch, &mut recycled),
             Err(CoreError::MissingSparseFeature { .. })
         ));
+        assert_eq!(recycled, ikjt);
     }
 
     #[test]

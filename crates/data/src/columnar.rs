@@ -664,18 +664,6 @@ impl ColumnarBatch {
         }
     }
 
-    /// Copies rows `range` into a new batch (flat slice copies, no per-row
-    /// allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn slice_rows(&self, range: Range<usize>) -> ColumnarBatch {
-        let mut out = ColumnarBatch::with_capacity(self.dense_cols, self.sparse.len(), range.len());
-        out.extend_rows_from(self, range);
-        out
-    }
-
     /// Checks every sparse column's repeat hints against its rows
     /// ([`SparseColumn::check_repeats`]); only tests and debug builds run
     /// it.
@@ -885,14 +873,18 @@ mod tests {
     }
 
     #[test]
-    fn append_and_slice_preserve_rows() {
+    fn append_and_extend_rows_from_preserve_rows() {
         let samples = shaped_samples();
         let mut a = ColumnarBatch::from_samples(&samples[..1], 2, 2);
         let b = ColumnarBatch::from_samples(&samples[1..], 2, 2);
         a.append(&b).unwrap();
         assert_eq!(a.to_samples(), samples);
-        assert_eq!(a.slice_rows(1..3).to_samples(), samples[1..].to_vec());
-        assert!(a.slice_rows(1..1).is_empty());
+        let mut tail = ColumnarBatch::new(2, 2);
+        tail.extend_rows_from(&a, 1..3);
+        assert_eq!(tail.to_samples(), samples[1..].to_vec());
+        let mut none = ColumnarBatch::new(2, 2);
+        none.extend_rows_from(&a, 1..1);
+        assert!(none.is_empty());
 
         let mismatched = ColumnarBatch::new(1, 2);
         let mut target = ColumnarBatch::new(2, 2);

@@ -653,12 +653,13 @@ fn compute_worker_loop(ctx: &Worker<WorkItem, SinkInput>) {
             .acquire(rows.row_count(), ConvertedBatch::default);
         // The converter trusts a row marked as repeating its predecessor
         // without comparing it, except on a run's first row; debug builds
-        // hold every routed run's marks to its rows.
+        // hold every file a batch reads to its marks, and so every run cut
+        // from it.
         debug_assert!(
             item.runs
                 .iter()
-                .all(|(file, run)| file.slice_rows(run.clone()).check_repeats().is_ok()),
-            "shard {} routed a run with an unsound repeat hint",
+                .all(|(file, _)| file.check_repeats().is_ok()),
+            "shard {} read a file with an unsound repeat hint",
             item.shard,
         );
         // Per-batch phase latency = the engine's own phase-CPU delta around

@@ -3,8 +3,8 @@
 //! optimizations buy (dedup egress, O4 work, clustering), session-affinity
 //! preservation, graceful shutdown, and error surfacing.
 
-use recd_core::{ConvertedBatch, DataLoaderConfig, FeatureConverter, JaggedTensor};
-use recd_data::ColumnarBatch;
+use recd_core::{ConvertedBatch, DataLoaderConfig, FeatureConverter};
+use recd_data::{ColumnarBatch, RowRuns};
 use recd_datagen::{DatasetGenerator, FeatureProfile, WorkloadConfig, WorkloadPreset};
 use recd_dpp::{DppConfig, DppReport, DppService, ShardPolicy};
 use recd_etl::cluster_by_session;
@@ -13,7 +13,8 @@ use recd_reader::{
     ReaderMetrics, SparseTransform, TransformScratch, TruncateList,
 };
 use recd_storage::{FileReadScratch, StoredPartition, TableStore, TectonicSim};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 mod common;
 use common::Drain;
@@ -73,10 +74,10 @@ fn reference_read(
         let rows = fill_rows(f, files.iter().skip(r).step_by(readers), &mut metrics);
         let mut engine = PhaseEngine::new(config.clone(), standard_pipeline());
         for start in (0..rows.len()).step_by(config.batch_size) {
-            let chunk = rows.slice_rows(start..(start + config.batch_size).min(rows.len()));
+            let chunk = [(&rows, start..(start + config.batch_size).min(rows.len()))];
             let mut batch = ConvertedBatch::default();
             engine
-                .run_batch_columnar_into(&chunk, &mut batch, &mut metrics)
+                .run_runs_into(&RowRuns::new(&chunk), &mut batch, &mut metrics)
                 .expect("reference conversion");
             batches.push(batch);
         }
@@ -204,7 +205,11 @@ fn reference_session_affine(
     let mut emit = |(rows, files, out): &mut (ColumnarBatch, Vec<usize>, Vec<ConvertedBatch>)| {
         let mut batch = ConvertedBatch::default();
         engine
-            .run_batch_columnar_into(rows, &mut batch, &mut metrics)
+            .run_runs_into(
+                &RowRuns::new(&[(&*rows, 0..rows.len())]),
+                &mut batch,
+                &mut metrics,
+            )
             .expect("reference conversion");
         out.push(batch);
         widest = widest.max(files.len());
@@ -408,7 +413,8 @@ fn rm1_clustered_batches_ship_shifted_histories_packed() {
     let reference: Vec<ConvertedBatch> = (0..rows.len())
         .step_by(128)
         .map(|start| {
-            let chunk = rows.slice_rows(start..(start + 128).min(rows.len()));
+            let mut chunk = ColumnarBatch::new(rows.dense_cols(), rows.sparse_cols());
+            chunk.extend_rows_from(&rows, start..(start + 128).min(rows.len()));
             let mut batch = converter.convert_columnar(&chunk).expect("reference");
             let grouped = batch.ikjts.iter_mut().flat_map(|ikjt| ikjt.iter_mut());
             for (_, tensor) in batch.kjt.iter_mut().chain(grouped) {
@@ -503,9 +509,10 @@ fn session_affine_sharding_preserves_dedup_factor() {
 /// Routing moves rows in runs, and a run keeps the repeat hints the
 /// decoder set on its rows but its first row's. With two session-affine
 /// shards and batches of five rows, runs end at session changes and are
-/// cut mid-session where a batch fills; the compute workers of a debug
-/// build check every routed batch's hints against its rows, so a hint
-/// carried across a cut or a shard change fails the run.
+/// cut mid-session where a batch fills. The compute workers of a debug
+/// build check the hints of every file a batch reads against its rows,
+/// and a view reads a run's first row as unmarked, so no hint is trusted
+/// across a cut or a shard change.
 #[test]
 fn routed_batches_keep_only_sound_repeat_hints() {
     let f = fixture();
@@ -540,53 +547,81 @@ fn routed_batches_keep_only_sound_repeat_hints() {
     assert!(batches.iter().filter(|b| b.batch_size == 5).count() > 2);
 }
 
-/// A transform slow enough that the compute stage becomes the bottleneck,
-/// forcing the work queue to fill and backpressure to propagate upstream.
-struct SlowIdentity;
+/// Shut until a test opens it: [`GatedIdentity`] holds every compute
+/// worker at its first tensor until then.
+static GATE: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
 
-impl SparseTransform for SlowIdentity {
+fn open_gate() {
+    let (open, opened) = &GATE;
+    *open.lock().unwrap() = true;
+    opened.notify_all();
+}
+
+/// An identity transform that waits at [`GATE`], so the compute stage is
+/// the bottleneck for as long as a test keeps the gate shut.
+struct GatedIdentity;
+
+impl SparseTransform for GatedIdentity {
     fn apply_flat(
         &self,
         _values: &mut Vec<u64>,
         _offsets: &mut Vec<usize>,
         _scratch: &mut recd_reader::TransformScratch,
     ) {
-        std::thread::sleep(std::time::Duration::from_micros(500));
-    }
-
-    fn apply_rowwise(&self, tensor: &JaggedTensor<u64>) -> JaggedTensor<u64> {
-        std::thread::sleep(std::time::Duration::from_micros(500));
-        tensor.clone()
+        let (open, opened) = &GATE;
+        let _open = opened.wait_while(open.lock().unwrap(), |open| !*open);
     }
 
     fn name(&self) -> &'static str {
-        "slow_identity"
+        "gated_identity"
     }
 }
 
 /// A graceful shutdown drains everything in flight: every submitted sample
-/// comes out, and with a deliberately slow compute stage the bounded work
-/// queue demonstrably fills to capacity (backpressure engaged) without
-/// deadlocking the drain.
+/// comes out, and with the single compute worker held at a gate the
+/// bounded work queue demonstrably fills to capacity (backpressure
+/// engaged) without deadlocking the drain.
 #[test]
 fn finish_drains_all_in_flight_work_under_backpressure() {
     let f = fixture();
     let config = DppConfig::new(reader_config(&f.schema, 32))
         .with_queue_depth(2)
         .with_compute_workers(1)
-        .with_pipeline_factory(|| PreprocessPipeline::new().with_sparse(SlowIdentity));
+        .with_pipeline_factory(|| PreprocessPipeline::new().with_sparse(GatedIdentity));
     let mut handle = DppService::start(config, Arc::clone(&f.store), f.schema.clone());
     let drain = Drain::start(&mut handle);
+    // The watcher opens the gate once the work queue reads full, or at a
+    // deadline so that a queue that never fills fails below instead of
+    // hanging the submit; the sleep only paces the polling.
+    let source = handle.snapshot_source();
+    let watcher = std::thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let filled = loop {
+            if source.snapshot().work_queue_depth == 2 {
+                break true;
+            }
+            if Instant::now() > deadline {
+                break false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        open_gate();
+        filled
+    });
     handle.submit_partition(&f.partition);
     let mid = handle.snapshot();
     assert_eq!(mid.files_submitted as usize, f.partition.files.len());
+    assert!(
+        watcher.join().expect("watcher"),
+        "work queue must fill to its capacity while the compute stage is held"
+    );
     let (batches, output) = drain.finish(handle);
     let output = output.expect("clean run");
     assert_eq!(output.report.samples, f.rows);
     assert_eq!(batches.iter().map(|b| b.batch_size).sum::<usize>(), f.rows);
-    // The slow single compute worker cannot keep up with the router, so the
-    // bounded work queue must have hit its capacity: the router spent time
-    // blocked in send — that is backpressure, and the drain still completed.
+    // The held compute worker could not keep up with the router, so the
+    // bounded work queue hit its capacity: the router spent time blocked
+    // in send — that is backpressure, and the drain still completed.
     assert_eq!(
         output.report.peak_work_queue_depth, 2,
         "work queue must fill to its capacity under a slow compute stage"

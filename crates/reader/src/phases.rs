@@ -90,22 +90,6 @@ impl PhaseEngine {
         &self.config
     }
 
-    /// Runs convert + process over one columnar batch into a recycled
-    /// shell: [`PhaseEngine::run_runs_into`] over the batch as one run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates conversion errors; on error the shell's contents are
-    /// unspecified.
-    pub fn run_batch_columnar_into(
-        &mut self,
-        rows: &ColumnarBatch,
-        out: &mut ConvertedBatch,
-        metrics: &mut ReaderMetrics,
-    ) -> recd_core::Result<()> {
-        self.run_runs_into(&RowRuns::new(&[(rows, 0..rows.len())]), out, metrics)
-    }
-
     /// Runs convert + process over one batch's rows, read in place through
     /// a view, into a recycled shell — the unit of compute work a streaming
     /// worker claims. The flat process phase edits the tensors in place, so

@@ -3,13 +3,12 @@
 //!
 //! Transforms operate **flat and in place**: a transform edits a jagged
 //! `(values, offsets)` buffer pair directly, so a whole pipeline runs over a
-//! converted batch without allocating a single intermediate tensor. The
-//! row-wise allocate-per-apply path is kept as
-//! [`SparseTransform::apply_rowwise`] — the correctness oracle the property
-//! suite compares the flat path against, and the baseline the benches
-//! measure it against.
+//! converted batch without allocating a single intermediate tensor. Each
+//! transform has this one implementation; the row-wise allocate-per-apply
+//! reference the property suite and the `columnar` bench hold it against
+//! lives with them, in `tests/rowwise/mod.rs`.
 
-use recd_core::{ConvertedBatch, DenseMatrix, InverseKeyedJaggedTensor, JaggedTensor};
+use recd_core::{ConvertedBatch, DenseMatrix, JaggedTensor};
 use serde::{Deserialize, Serialize};
 
 /// Reusable scratch buffers shared by the transforms of one pipeline.
@@ -48,12 +47,6 @@ pub trait SparseTransform: Send + Sync {
         scratch: &mut TransformScratch,
     );
 
-    /// Reference row-wise implementation: walks the tensor row by row and
-    /// allocates a fresh output tensor. Kept as the oracle the flat path is
-    /// property-tested against and as the benchmark baseline; hot paths call
-    /// [`SparseTransform::apply_flat`].
-    fn apply_rowwise(&self, tensor: &JaggedTensor<u64>) -> JaggedTensor<u64>;
-
     /// Short name used in reports.
     fn name(&self) -> &'static str;
 }
@@ -79,18 +72,6 @@ impl SparseTransform for HashBucketize {
         for v in values.iter_mut() {
             *v = recd_codec::hash_id(*v) % buckets;
         }
-    }
-
-    fn apply_rowwise(&self, tensor: &JaggedTensor<u64>) -> JaggedTensor<u64> {
-        let buckets = self.buckets.max(1);
-        let mut out = JaggedTensor::new();
-        let mut scratch = Vec::new();
-        for row in tensor.iter() {
-            scratch.clear();
-            scratch.extend(row.iter().map(|&id| recd_codec::hash_ids(&[id]) % buckets));
-            out.push_row(&scratch);
-        }
-        out
     }
 
     fn name(&self) -> &'static str {
@@ -130,15 +111,6 @@ impl SparseTransform for TruncateList {
             *offset = write;
         }
         values.truncate(write);
-    }
-
-    fn apply_rowwise(&self, tensor: &JaggedTensor<u64>) -> JaggedTensor<u64> {
-        let mut out = JaggedTensor::new();
-        for row in tensor.iter() {
-            let start = row.len().saturating_sub(self.max_len);
-            out.push_row(&row[start..]);
-        }
-        out
     }
 
     fn name(&self) -> &'static str {
@@ -301,15 +273,6 @@ impl PreprocessPipeline {
             .expect("transforms preserve jagged invariants");
     }
 
-    /// Reference chain of row-wise applies (one fresh tensor per transform).
-    fn apply_sparse_rowwise(&self, tensor: &JaggedTensor<u64>) -> JaggedTensor<u64> {
-        let mut current = tensor.clone();
-        for t in &self.sparse {
-            current = t.apply_rowwise(&current);
-        }
-        current
-    }
-
     /// Preprocesses a converted batch in place, with throwaway scratch.
     /// Long-lived engines use [`PreprocessPipeline::apply_with_scratch`].
     pub fn apply(&self, batch: &mut ConvertedBatch) -> PreprocessStats {
@@ -325,9 +288,10 @@ impl PreprocessPipeline {
     /// `(values, offsets)` buffers are edited in place; the whole phase
     /// performs no per-tensor allocation. Last, each IKJT packs its slot
     /// tensors into windows where that ships fewer bytes
-    /// ([`InverseKeyedJaggedTensor::pack_windows`]) — after truncation, so
-    /// no cut prefix stays in a pool, and after every transform, so no
-    /// transform sees a window. Returns work accounting.
+    /// ([`pack_windows`](recd_core::InverseKeyedJaggedTensor::pack_windows))
+    /// — after truncation, so no cut prefix stays in a pool, and after
+    /// every transform, so no transform sees a window. Returns work
+    /// accounting.
     pub fn apply_with_scratch(
         &self,
         batch: &mut ConvertedBatch,
@@ -355,55 +319,6 @@ impl PreprocessPipeline {
 
         if self.normalize_dense {
             DenseNormalize.apply_with_scratch(&mut batch.dense, scratch);
-        }
-        stats
-    }
-
-    /// Preprocesses a converted batch through the reference row-wise path:
-    /// every transform allocates a fresh tensor per feature, exactly as the
-    /// pre-flat implementation did, then packs each IKJT as
-    /// [`PreprocessPipeline::apply_with_scratch`] does. Kept as the oracle
-    /// the property suite compares [`PreprocessPipeline::apply`] against and
-    /// as the benchmark baseline for the flat rewrite.
-    pub fn apply_rowwise(&self, batch: &mut ConvertedBatch) -> PreprocessStats {
-        let mut stats = PreprocessStats::default();
-
-        let kjt_entries: Vec<_> = batch
-            .kjt
-            .iter()
-            .map(|(key, tensor)| {
-                stats.values_processed += tensor.value_count();
-                stats.logical_values += tensor.value_count();
-                (key, self.apply_sparse_rowwise(tensor))
-            })
-            .collect();
-        batch.kjt = recd_core::KeyedJaggedTensor::from_tensors(kjt_entries)
-            .expect("transforms preserve batch size");
-
-        let ikjts = std::mem::take(&mut batch.ikjts);
-        batch.ikjts = ikjts
-            .into_iter()
-            .map(|ikjt| {
-                let keys = ikjt.keys().to_vec();
-                let lookup = ikjt.inverse_lookup().to_vec();
-                let tensors: Vec<JaggedTensor<u64>> = keys
-                    .iter()
-                    .map(|&key| {
-                        let tensor = ikjt.feature(key).expect("key from the same ikjt");
-                        stats.values_processed += tensor.value_count();
-                        self.apply_sparse_rowwise(tensor)
-                    })
-                    .collect();
-                stats.logical_values += ikjt.original_value_count();
-                let mut ikjt = InverseKeyedJaggedTensor::from_parts(keys, tensors, lookup)
-                    .expect("transforms preserve slot structure");
-                ikjt.pack_windows();
-                ikjt
-            })
-            .collect();
-
-        if self.normalize_dense {
-            DenseNormalize.apply(&mut batch.dense);
         }
         stats
     }
@@ -478,33 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_transforms_match_rowwise_oracle() {
-        let tensors = [
-            JaggedTensor::from_lists(&[vec![1u64, 2, 3], vec![], vec![u64::MAX, 7]]),
-            JaggedTensor::new(),
-            JaggedTensor::from_lists(&[vec![], vec![], vec![]]),
-            JaggedTensor::from_lists(&[(0..20u64).collect::<Vec<_>>()]),
-        ];
-        let transforms: Vec<Box<dyn SparseTransform>> = vec![
-            Box::new(HashBucketize { buckets: 97 }),
-            Box::new(HashBucketize { buckets: 1 }),
-            Box::new(TruncateList { max_len: 0 }),
-            Box::new(TruncateList { max_len: 2 }),
-            Box::new(TruncateList { max_len: 64 }),
-        ];
-        for tensor in &tensors {
-            for t in &transforms {
-                assert_eq!(
-                    flat(t.as_ref(), tensor),
-                    t.apply_rowwise(tensor),
-                    "flat and row-wise {} disagree",
-                    t.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn dense_normalization_zero_mean_unit_variance() {
         let mut m = DenseMatrix::from_vec(vec![1.0, 10.0, 2.0, 20.0, 3.0, 30.0], 3, 2).unwrap();
         DenseNormalize.apply(&mut m);
@@ -547,19 +435,6 @@ mod tests {
         let before = zeros.clone();
         DenseNormalize.apply(&mut zeros);
         assert_eq!(zeros, before);
-    }
-
-    #[test]
-    fn pipeline_flat_apply_matches_rowwise_apply() {
-        let pipeline = PreprocessPipeline::standard(1 << 20, 2);
-        for dedup in [false, true] {
-            let mut flat_batch = converted(dedup);
-            let mut rowwise_batch = flat_batch.clone();
-            let flat_stats = pipeline.apply(&mut flat_batch);
-            let rowwise_stats = pipeline.apply_rowwise(&mut rowwise_batch);
-            assert_eq!(flat_stats, rowwise_stats);
-            assert_eq!(flat_batch, rowwise_batch);
-        }
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! the test harness's other threads stay out of it.
 
 use recd_core::{ConvertedBatch, DataLoaderConfig};
-use recd_data::ColumnarBatch;
+use recd_data::{ColumnarBatch, RowRuns};
 use recd_datagen::{DatasetGenerator, FeatureProfile, WorkloadConfig, WorkloadPreset};
 use recd_etl::cluster_by_session;
 use recd_reader::{PhaseEngine, PreprocessPipeline, ReaderConfig, ReaderMetrics};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::ops::Range;
 
 thread_local! {
     /// `Some(n)` while this thread is counting; const-initialized and
@@ -74,9 +75,9 @@ fn converting_processing_and_packing_into_a_recycled_shell_allocates_nothing() {
     let schema = partition.schema;
     let rows = cluster_by_session(&partition.samples);
     let rows = ColumnarBatch::from_samples(&rows, schema.dense_count(), schema.sparse_count());
-    let chunks: Vec<ColumnarBatch> = (0..rows.len())
+    let chunks: Vec<_> = (0..rows.len())
         .step_by(128)
-        .map(|start| rows.slice_rows(start..(start + 128).min(rows.len())))
+        .map(|start| start..(start + 128).min(rows.len()))
         .collect();
     assert!(chunks.len() > 2);
 
@@ -84,9 +85,13 @@ fn converting_processing_and_packing_into_a_recycled_shell_allocates_nothing() {
     let mut engine = PhaseEngine::new(config, PreprocessPipeline::standard(1 << 20, 64));
     let mut shell = ConvertedBatch::default();
     let mut metrics = ReaderMetrics::default();
-    let mut run = |chunk: &ColumnarBatch, shell: &mut ConvertedBatch| {
+    let mut run = |chunk: &Range<usize>, shell: &mut ConvertedBatch| {
         engine
-            .run_batch_columnar_into(chunk, shell, &mut metrics)
+            .run_runs_into(
+                &RowRuns::new(&[(&rows, chunk.clone())]),
+                shell,
+                &mut metrics,
+            )
             .unwrap();
     };
 
@@ -152,7 +157,11 @@ fn groups_flipping_between_ikjt_and_kjt_every_batch_allocate_nothing() {
     let mut metrics = ReaderMetrics::default();
     let mut run = |chunk: &ColumnarBatch, shell: &mut ConvertedBatch| {
         engine
-            .run_batch_columnar_into(chunk, shell, &mut metrics)
+            .run_runs_into(
+                &RowRuns::new(&[(chunk, 0..chunk.len())]),
+                shell,
+                &mut metrics,
+            )
             .unwrap();
         shell.ikjts.len()
     };

@@ -12,7 +12,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recd_core::{ConvertedBatch, JaggedTensor};
+use recd_core::{ConvertedBatch, InverseKeyedJaggedTensor, JaggedTensor};
 use recd_data::FeatureId;
 use recd_trainer::{bce_loss, DlrmConfig, ExecutionMode, ForwardStats, PoolingKind};
 use std::collections::HashMap;
@@ -413,7 +413,7 @@ impl OracleDlrm {
                 ExecutionMode::Deduplicated => {
                     // Process each slot once, then broadcast (O5 + O7).
                     let per_slot = pool_rows(table, kind, slot_tensor, dim, mode, stats);
-                    ikjt.expand_per_slot(&per_slot).unwrap()
+                    expand_per_slot(ikjt, &per_slot)
                 }
             };
         }
@@ -551,6 +551,17 @@ fn row_ids(batch: &ConvertedBatch, feature: FeatureId, row: usize) -> Vec<u64> {
 /// Pools every row of a jagged tensor through one embedding table. In
 /// Deduplicated mode a row whose list equals the row's before it counts as
 /// copied; it is pooled all the same.
+/// Broadcasts per-slot outputs to the batch's rows through the IKJT's
+/// inverse lookup: the "expand the output" step of deduplicated pooling
+/// (O7), which computes on the slots and hands every row its slot's result.
+fn expand_per_slot<T: Clone>(ikjt: &InverseKeyedJaggedTensor, per_slot: &[T]) -> Vec<T> {
+    assert_eq!(per_slot.len(), ikjt.slot_count(), "one output per slot");
+    ikjt.inverse_lookup()
+        .iter()
+        .map(|&slot| per_slot[slot].clone())
+        .collect()
+}
+
 fn pool_rows(
     table: &EmbeddingTable,
     kind: PoolingKind,

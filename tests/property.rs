@@ -14,6 +14,9 @@ use recd::reader::{HashBucketize, PreprocessPipeline, SparseTransform, TruncateL
 use recd::storage::{decode_stripe_columnar, encode_stripe};
 use std::collections::{HashMap, HashSet};
 
+mod rowwise;
+use rowwise::{Spec, Step};
+
 /// One drawn duplication tuple: `(session, f0, f1)`.
 type DupTuple = (u64, Vec<u64>, Vec<u64>);
 
@@ -133,6 +136,10 @@ fn keeps_ikjt(batch: &ColumnarBatch, group: &[FeatureId]) -> bool {
         .collect();
     JUDGED_ROWS as f64 / prefix.len() as f64 >= BREAK_EVEN_FACTOR
 }
+
+/// Bucket counts the row-wise pipeline oracle is held at: one bucket,
+/// powers of two and primes.
+const BUCKET_COUNTS: [u64; 8] = [1, 2, 1 << 10, 1 << 20, 3, 97, 65_521, 1_000_003];
 
 /// Strategy for a batch of rows for one feature: ids drawn from a small
 /// alphabet so duplicates are common, with empty rows allowed.
@@ -617,10 +624,10 @@ proptest! {
         }
     }
 
-    /// Flat in-place transforms ⇄ old row-wise transforms: for any jagged
-    /// tensor and any transform parameters, editing the `(values, offsets)`
-    /// buffers in place produces exactly the tensor the allocate-per-apply
-    /// reference builds.
+    /// Flat in-place transforms ⇄ the row-wise oracle's steps: for any
+    /// jagged tensor and any transform parameters, editing the
+    /// `(values, offsets)` buffers in place produces exactly the tensor the
+    /// allocate-per-apply reference builds.
     #[test]
     fn flat_transforms_match_rowwise_oracle(
         rows in rows_strategy(),
@@ -628,12 +635,12 @@ proptest! {
         max_len in 0usize..16,
     ) {
         let tensor = recd::core::JaggedTensor::from_lists(&rows);
-        let transforms: Vec<Box<dyn SparseTransform>> = vec![
-            Box::new(HashBucketize { buckets }),
-            Box::new(TruncateList { max_len }),
+        let transforms: [(Box<dyn SparseTransform>, Step); 2] = [
+            (Box::new(HashBucketize { buckets }), Step::Bucketize(buckets)),
+            (Box::new(TruncateList { max_len }), Step::Truncate(max_len)),
         ];
-        for t in &transforms {
-            let expected = t.apply_rowwise(&tensor);
+        for (t, step) in &transforms {
+            let expected = rowwise::apply_step(*step, &tensor);
             let mut flat = tensor.clone();
             flat.edit_flat(|values, offsets| {
                 t.apply_flat(values, offsets, &mut recd::reader::TransformScratch::default())
@@ -643,47 +650,68 @@ proptest! {
         }
     }
 
-    /// The whole flat pipeline ⇄ the row-wise pipeline over converted
-    /// batches (dedup and baseline): identical tensors, identical work
-    /// accounting — and O4 (per-slot) preprocessing stays logically equal to
-    /// baseline (per-row) preprocessing after the rewrite.
+    /// The whole flat pipeline ⇄ the row-wise oracle over converted batches
+    /// (dedup and baseline): identical tensors, identical work accounting —
+    /// and O4 (per-slot) preprocessing stays logically equal to baseline
+    /// (per-row) preprocessing. Feature 2 is unique to its row and holds
+    /// `u64::MAX` ids, so from `JUDGED_ROWS` rows on its group ships as KJT
+    /// beside feature 0's group, which repeats; zero copies of the drawn
+    /// tuples is an empty batch. Caps run from 0 past the longest row (9
+    /// ids), bucket counts are 1, powers of two and primes, and dense
+    /// normalization is on or off.
     #[test]
     fn flat_pipeline_matches_rowwise_and_o4_stays_logically_equal(
         (dup_factor, tuples) in dup_batch_strategy(),
-        buckets in 1u64..1_000_000,
-        max_len in 1usize..12,
+        copies in 0usize..8,
+        bucket in 0usize..BUCKET_COUNTS.len(),
+        max_len in 0usize..16,
+        normalize_dense in any::<bool>(),
     ) {
-        let samples = dup_samples(dup_factor, &tuples);
-        let batch = ColumnarBatch::from_samples(&samples, 2, 2);
+        let samples: Vec<Sample> = dup_samples(dup_factor, &vec![tuples; copies].concat())
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut sample)| {
+                sample.sparse.push(vec![u64::MAX - i as u64, u64::MAX]);
+                sample
+            })
+            .collect();
+        let batch = ColumnarBatch::from_samples(&samples, 2, 3);
         let dedup_config = DataLoaderConfig::new()
             .with_kjt_features([FeatureId::new(1)])
             .with_dedup_group([FeatureId::new(0)])
+            .with_dedup_group([FeatureId::new(2)])
             .with_dense_features(2);
-        let pipeline = PreprocessPipeline::standard(buckets, max_len);
+        let spec = Spec {
+            steps: vec![Step::Truncate(max_len), Step::Bucketize(BUCKET_COUNTS[bucket])],
+            normalize_dense,
+        };
+        let pipeline = spec.build();
 
         let converter = FeatureConverter::new(dedup_config);
         let mut flat = converter.convert_columnar(&batch).unwrap();
-        let mut rowwise = flat.clone();
+        let mut baseline = converter.convert_columnar_baseline(&batch).unwrap();
+        let (mut flat_rowwise, mut baseline_rowwise) = (flat.clone(), baseline.clone());
         let flat_stats = pipeline.apply(&mut flat);
-        let rowwise_stats = pipeline.apply_rowwise(&mut rowwise);
-        prop_assert_eq!(flat_stats, rowwise_stats);
-        prop_assert_eq!(&flat, &rowwise);
+        let baseline_stats = pipeline.apply(&mut baseline);
+        prop_assert_eq!(flat_stats, rowwise::apply(&spec, &mut flat_rowwise));
+        prop_assert_eq!(&flat, &flat_rowwise);
+        prop_assert_eq!(baseline_stats, rowwise::apply(&spec, &mut baseline_rowwise));
+        prop_assert_eq!(&baseline, &baseline_rowwise);
 
         // O4 ⇄ baseline logical equality: transforming once per slot and
-        // expanding equals transforming every row of the baseline KJT.
-        let mut baseline = converter.convert_columnar_baseline(&batch).unwrap();
-        let baseline_stats = pipeline.apply(&mut baseline);
+        // expanding equals transforming every row of the baseline KJT, for
+        // the kept group's features and the KJT's alike.
         prop_assert_eq!(flat_stats.logical_values, baseline_stats.logical_values);
         prop_assert!(flat_stats.values_processed <= baseline_stats.values_processed);
-        let expanded = flat.ikjts[0].to_kjt().unwrap();
-        prop_assert_eq!(
-            expanded.feature(FeatureId::new(0)).unwrap(),
-            baseline.kjt.feature(FeatureId::new(0)).unwrap()
-        );
-        prop_assert_eq!(
-            flat.kjt.feature(FeatureId::new(1)).unwrap(),
-            baseline.kjt.feature(FeatureId::new(1)).unwrap()
-        );
+        let expanded: Vec<KeyedJaggedTensor> =
+            flat.ikjts.iter().map(|ikjt| ikjt.to_kjt().unwrap()).collect();
+        for feature in (0..3).map(FeatureId::new) {
+            let logical = flat
+                .kjt
+                .feature(feature)
+                .or_else(|| expanded.iter().find_map(|kjt| kjt.feature(feature)));
+            prop_assert_eq!(logical.unwrap(), baseline.kjt.feature(feature).unwrap());
+        }
         // Dense normalization is shared, so the matrices agree exactly.
         prop_assert_eq!(&flat.dense, &baseline.dense);
     }
